@@ -96,7 +96,7 @@ def expected_projector(A, Q, sketches, p):
         raise ValueError("probability vector length does not match the sketch set")
     E = np.zeros((n * l, n * l))
     for i in range(sketches.q):
-        E += p[i] * bcirc(projector_tensor(A, Q, sketches.members[i]))
+        E += p[i] * bcirc(projector_tensor(A, Q, sketches.member(i)))
     E = 0.5 * (E + E.T)
     return E, float(np.linalg.eigvalsh(E)[0])
 

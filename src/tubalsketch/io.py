@@ -16,8 +16,8 @@ index applied at iteration t (semicolon-joined per-slice indices for the
 per-slice methods; empty at t=0 and on a final summary row that was not
 itself a recorded step).
 
-Sketch sets serialize to JSON with full member entries, so a run can be
-replayed exactly without regenerating randomness.
+Sketch sets serialize to JSON with full dense member entries, so a run can
+be replayed exactly without regenerating randomness.
 """
 
 from __future__ import annotations
@@ -98,21 +98,12 @@ def save_sketches(path, sketches):
 
 
 def load_sketches(path):
+    """Read a sketch set; selection members are turned back into row
+    indices and must be one-hot (see :meth:`SketchSet.from_members`)."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload["kind"] in ("fourier-row", "fourier-gaussian"):
-        members = [
-            [np.asarray(S, dtype=np.float64) for S in family]
-            for family in payload["members"]
-        ]
-    else:
-        members = [np.asarray(S, dtype=np.float64) for S in payload["members"]]
-    return SketchSet(
-        kind=payload["kind"],
-        m=payload["m"],
-        l=payload["l"],
-        q=payload["q"],
-        members=members,
+    return SketchSet.from_members(
+        payload["kind"], payload["m"], payload["l"], payload["q"], payload["members"]
     )
 
 

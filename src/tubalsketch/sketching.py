@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .t_algebra import dft3, identity
+from .t_algebra import dft3
 
 __all__ = [
     "SketchSet",
@@ -34,31 +34,65 @@ __all__ = [
     "prob_fourier_row_norm",
     "as_prob_vector",
     "sample_index",
+    "draw_from_cdf",
     "is_complete_discrete_sampling",
 ]
 
 SPATIAL_KINDS = ("slice", "block", "gaussian")
 FOURIER_KINDS = ("fourier-row", "fourier-gaussian")
+GAUSSIAN_KINDS = ("gaussian", "fourier-gaussian")
 
 
 @dataclass(frozen=True)
 class SketchSet:
     """A finite family of sketches plus the metadata the solvers need.
 
-    ``members`` is a list of (m, tau_i, l) arrays for spatial kinds, or a
-    list of l per-slice families, each a list of (m, tau) arrays, for the
-    Fourier kinds.
+    Selection kinds ('slice', 'block', 'fourier-row') store ``rows``: a
+    (q, tau) integer array whose row i lists the rows of A that member i
+    selects, so S_i^H A is the gather A[rows[i]].  Ragged blocks are padded
+    with the sentinel m, which selects a zero row.  A fourier-row set uses
+    the same rows in every Fourier slice.  Gaussian kinds store ``mats``:
+    the (q, m, tau) first frontal slices of spatial members, or the
+    (l, q, m, tau) per-slice matrices.
+
+    ``members`` is the dense view of either: a list of (m, tau_i, l) arrays
+    for spatial kinds, or a list of l per-slice families, each a list of
+    (m, tau) arrays, for the Fourier kinds.
     """
 
     kind: str
     m: int
     l: int
     q: int
-    members: list = field(repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
+    mats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in SPATIAL_KINDS + FOURIER_KINDS:
             raise ValueError(f"unknown sketch kind {self.kind!r}")
+        gaussian = self.kind in GAUSSIAN_KINDS
+        if (self.mats is None) == gaussian or (self.rows is None) != gaussian:
+            raise ValueError(f"{self.kind} sketch sets store {'mats' if gaussian else 'rows'}")
+
+    @classmethod
+    def from_members(cls, kind, m, l, q, members):
+        """Rebuild a set from its dense ``members`` view.
+
+        Selection members must have one-hot columns, and spatial members
+        must be zero beyond their first frontal slice.
+        """
+        per_slice = kind in FOURIER_KINDS
+        if per_slice:
+            mats = [[np.asarray(S, dtype=np.float64) for S in f] for f in members]
+        else:
+            mats = [[_first_slice(S) for S in members]]
+        if kind in GAUSSIAN_KINDS:
+            mats = np.asarray(mats, dtype=np.float64)
+            return cls(kind, m, l, q, mats=mats if per_slice else mats[0])
+        rows = [[_selected_rows(S, m) for S in family] for family in mats]
+        if any(f != rows[0] for f in rows):
+            raise ValueError("fourier-row families must agree across slices")
+        return cls(kind, m, l, q, rows=_row_array(rows[0], m))
 
     @property
     def per_slice(self):
@@ -67,9 +101,9 @@ class SketchSet:
     @property
     def taus(self):
         """Per-member sketch sizes (ragged tau is allowed for block sets)."""
-        if self.per_slice:
-            return tuple(s.shape[1] for s in self.members[0])
-        return tuple(s.shape[1] for s in self.members)
+        if self.rows is not None:
+            return tuple(int(t) for t in np.sum(self.rows < self.m, axis=1))
+        return (self.mats.shape[-1],) * self.q
 
     @property
     def tau(self):
@@ -78,11 +112,33 @@ class SketchSet:
             raise ValueError("sketch set has ragged tau; use .taus")
         return taus.pop()
 
-    def member_hat(self, i):
-        """Depth transform of spatial member i, slices-first (l, m, tau)."""
+    @property
+    def members(self):
+        """The dense view, built on each access (see the class docstring)."""
+        if not self.per_slice:
+            return [self.member(i) for i in range(self.q)]
+        if self.rows is None:
+            return [list(family) for family in self.mats]
+        return [[np.eye(self.m)[:, r] for r in self.rows]] * self.l
+
+    def member(self, i):
+        """Dense spatial member i: an (m, tau_i, l) tensor whose only nonzero
+        frontal slice is the first."""
         if self.per_slice:
             raise ValueError("per-slice sets have no single spatial member")
-        return np.moveaxis(dft3(self.members[i]), 2, 0)
+        if self.rows is None:
+            first = self.mats[i]
+        else:
+            r = self.rows[i][self.rows[i] < self.m]
+            first = np.zeros((self.m, r.size))
+            first[r, np.arange(r.size)] = 1.0
+        S = np.zeros(first.shape + (self.l,))
+        S[:, :, 0] = first
+        return S
+
+    def member_hat(self, i):
+        """Depth transform of spatial member i, slices-first (l, m, tau)."""
+        return np.moveaxis(dft3(self.member(i)), 2, 0)
 
     def slice_family(self, k):
         """Family of slice k: per-slice members, or the (constant) Fourier
@@ -91,18 +147,73 @@ class SketchSet:
             return self.members[k]
         return [self.member_hat(i)[k] for i in range(self.q)]
 
+    def sketch(self, Xh, idx=None):
+        """S^H X per Fourier slice of the slices-first stack Xh (l, m, b).
+
+        Returns (l, q, tau, b) for every member, or (l, tau, b) for member
+        idx[k] in slice k.  Selection sets gather rows, which for finite Xh
+        equals the one-hot product exactly.
+        """
+        if self.rows is None:
+            return np.conj(np.swapaxes(self._dense(idx), -1, -2)) @ (
+                Xh if idx is not None else Xh[:, None])
+        Xh = self._padded(Xh, 1)
+        if idx is None:
+            return Xh[:, self.rows]
+        return Xh[np.arange(self.l)[:, None], self.rows[idx]]
+
+    def sketch_cols(self, Yh, idx=None):
+        """Y S per Fourier slice of Yh (l, a, m): (l, q, a, tau), or
+        (l, a, tau) for member idx[k] in slice k."""
+        if self.rows is None:
+            return (Yh if idx is not None else Yh[:, None]) @ self._dense(idx)
+        Yh = self._padded(Yh, 2)
+        if idx is None:
+            return np.moveaxis(Yh[..., self.rows], 2, 1)
+        return np.take_along_axis(Yh, self.rows[idx][:, None, :], axis=2)
+
+    def _dense(self, idx):
+        S = self.mats if self.per_slice else self.mats[None]  # (l or 1, q, m, tau)
+        if idx is not None:
+            S = S[np.arange(self.l) if self.per_slice else 0, idx]
+        return S.astype(np.complex128)
+
+    def _padded(self, X, axis):
+        if np.any(self.rows == self.m):  # ragged: the sentinel row m reads zeros
+            X = np.concatenate([X, np.zeros_like(np.take(X, [0], axis))], axis)
+        return X
+
+
+def _first_slice(S):
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 3 or S[:, :, 1:].any():
+        raise ValueError("spatial sketch members must be zero beyond the first frontal slice")
+    return S[:, :, 0]
+
+
+def _row_array(blocks, m):
+    """(q, tau_max) row indices; shorter blocks are padded with the sentinel m."""
+    tau = max(len(b) for b in blocks)
+    return np.array([list(b) + [m] * (tau - len(b)) for b in blocks])
+
+
+def _selected_rows(S, m):
+    """Rows picked by the one-hot columns of an (m, tau) selection matrix."""
+    rows = np.argmax(S, axis=0) if S.ndim == 2 else None
+    if rows is None or S.shape[0] != m or not np.array_equal(S, np.eye(m)[:, rows]):
+        raise ValueError("selection sketch members must have one-hot columns")
+    return rows.tolist()
+
 
 def make_slice_sketches(m, l):
     """One sketch per horizontal slice: S_i is lateral slice i of the identity."""
-    eye = identity(m, l)
-    members = [np.ascontiguousarray(eye[:, i:i + 1, :]) for i in range(m)]
-    return SketchSet("slice", m, l, m, members)
+    return SketchSet("slice", m, l, m, rows=np.arange(m)[:, None])
 
 
 def make_block_sketches(m, l, partition):
     """Column-selection sketches for a disjoint cover of the row indices."""
     seen = set()
-    members = []
+    blocks = []
     for block in partition:
         block = list(block)
         if not block:
@@ -110,25 +221,18 @@ def make_block_sketches(m, l, partition):
         if seen.intersection(block):
             raise ValueError("overlapping blocks in partition")
         seen.update(block)
-        S = np.zeros((m, len(block), l))
-        for col, row in enumerate(block):
-            S[row, col, 0] = 1.0
-        members.append(S)
+        blocks.append(block)
     if seen != set(range(m)):
         raise ValueError("partition must cover every row index exactly once")
-    return SketchSet("block", m, l, len(members), members)
+    return SketchSet("block", m, l, len(blocks), rows=_row_array(blocks, m))
 
 
 def make_gaussian_sketches(m, tau, q, l, rng):
     """q sketches whose first frontal slice is i.i.d. N(0, 1), others zero."""
     if tau > m:
         raise ValueError(f"tau={tau} exceeds m={m}")
-    members = []
-    for _ in range(q):
-        S = np.zeros((m, tau, l))
-        S[:, :, 0] = rng.standard_normal((m, tau))
-        members.append(S)
-    return SketchSet("gaussian", m, l, q, members)
+    mats = np.array([rng.standard_normal((m, tau)) for _ in range(q)])
+    return SketchSet("gaussian", m, l, q, mats=mats)
 
 
 def make_fourier_sketches(m, tau, q, l, kind, rng=None):
@@ -143,17 +247,15 @@ def make_fourier_sketches(m, tau, q, l, kind, rng=None):
     if kind == "row":
         if tau != 1 or q != m:
             raise ValueError("row sketches require tau=1 and q=m")
-        family = [np.eye(m)[:, i:i + 1] for i in range(m)]
-        members = [family for _ in range(l)]
-        return SketchSet("fourier-row", m, l, q, members)
+        return SketchSet("fourier-row", m, l, q, rows=np.arange(m)[:, None])
     if kind == "gaussian":
         if rng is None:
             raise ValueError("gaussian per-slice sketches need an rng")
-        members = [
+        mats = np.array([
             [child.standard_normal((m, tau)) for _ in range(q)]
             for child in rng.spawn(l)
-        ]
-        return SketchSet("fourier-gaussian", m, l, q, members)
+        ])
+        return SketchSet("fourier-gaussian", m, l, q, mats=mats)
     raise ValueError(f"unknown per-slice sketch kind {kind!r}")
 
 
@@ -192,14 +294,8 @@ def prob_sketch_norm(A, Q, sketches):
     if sketches.per_slice:
         raise ValueError("prob_sketch_norm applies to spatial sketch sets")
     Ah = np.moveaxis(dft3(A), 2, 0)
-    weights = np.empty(sketches.q)
-    for i in range(sketches.q):
-        Sh = sketches.member_hat(i)
-        weights[i] = sum(
-            np.linalg.norm(Q.inv_sqrt[k] @ Ah[k].conj().T @ Sh[k]) ** 2
-            for k in range(sketches.l)
-        )
-    return _normalize(weights, "sketch-norm")
+    K = sketches.sketch_cols(Q.inv_sqrt @ np.conj(np.swapaxes(Ah, -1, -2)))
+    return _normalize(np.sum(np.abs(K) ** 2, axis=(0, 2, 3)), "sketch-norm")
 
 
 def prob_fourier_row_norm(A, Q=None):
@@ -219,31 +315,32 @@ def prob_fourier_row_norm(A, Q=None):
 
 def sample_index(p, rng):
     """Inverse-CDF draw from a probability vector."""
-    p = as_prob_vector(p)
-    edges = np.cumsum(p)
-    return min(int(np.searchsorted(edges, rng.random(), side="right")), p.size - 1)
+    return draw_from_cdf(np.cumsum(as_prob_vector(p)), rng)
+
+
+def draw_from_cdf(cdf, rng):
+    """:func:`sample_index` for a vector validated once, given as its cumsum."""
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.size - 1)
 
 
 def is_complete_discrete_sampling(A, sketches, relcut=1e-10):
     """Check, per Fourier slice, full row rank of every sketched system and
     full column reach of the stacked family.
 
-    The rate certificates assume this; the solvers only warn when it fails
-    because the pseudoinverse still defines a valid iteration.
+    Singular values count when they exceed ``relcut`` times the larger
+    dimension times the slice's largest stacked singular value, so the
+    verdict does not change when A is scaled.  The rate certificates assume
+    this property; the solvers only warn when it fails because the
+    pseudoinverse still defines a valid iteration.
     """
-    Ah = np.moveaxis(dft3(A), 2, 0)
-    n = Ah.shape[2]
-    for k in range(sketches.l):
-        stacked = []
-        for S in sketches.slice_family(k):
-            SA = S.conj().T @ Ah[k]
-            if np.linalg.matrix_rank(SA, tol=relcut * max(SA.shape)) < S.shape[1]:
-                return False
-            stacked.append(SA)
-        stacked = np.vstack(stacked)
-        if np.linalg.matrix_rank(stacked, tol=relcut * max(stacked.shape)) < n:
-            return False
-    return True
+    SA = sketches.sketch(np.moveaxis(dft3(A), 2, 0))  # (l, q, tau, n)
+    l, q, tau, n = SA.shape
+    sv = np.linalg.svd(SA.reshape(l, q * tau, n), compute_uv=False)
+    top = sv[:, :1]
+    if np.any(np.sum(sv > relcut * max(q * tau, n) * top, axis=1) < n):
+        return False
+    ranks = np.linalg.matrix_rank(SA, tol=relcut * max(tau, n) * top)
+    return bool(np.all(ranks >= np.array(sketches.taus)))
 
 
 def warn_if_not_complete(A, sketches):

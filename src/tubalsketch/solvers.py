@@ -224,21 +224,22 @@ def _per_slice_probs(p, l, q):
     return p
 
 
-def _draw_per_slice(weights, rngs, active=None):
-    """Inverse-CDF draws from one weight row per slice, batched.
+def _draw_per_slice(cum, rngs, active=None):
+    """Inverse-CDF draws from one cumulative-weight row per slice, batched.
 
-    ``weights`` is (l, q) nonnegative with positive row sums on active rows;
-    rows flagged inactive come back as -1.  One uniform variate is consumed
-    from each active slice's generator, so streams stay per-slice.
+    ``cum`` is (l, q), the row-wise cumsum of nonnegative weights with
+    positive totals on active rows; rows flagged inactive come back as -1.
+    One uniform variate is consumed from each active slice's generator, so
+    streams stay per-slice.
     """
-    l, q = weights.shape
+    l, q = cum.shape
     idx = np.full(l, -1, dtype=int)
     if active is None:
         active = np.ones(l, dtype=bool)
     rows = np.nonzero(active)[0]
     if rows.size == 0:
         return idx
-    cum = np.cumsum(weights[rows], axis=1)
+    cum = cum[rows]
     targets = np.array([rngs[k].random() for k in rows]) * cum[:, -1]
     idx[rows] = np.minimum((cum <= targets[:, None]).sum(axis=1), q - 1)
     return idx
@@ -250,6 +251,9 @@ class _BaseState:
     def __init__(self, A, B, config, x_star):
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
+        for name, value in (("A", A), ("B", B), ("x_star", x_star)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} contains NaN or inf")
         if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] or A.shape[2] != B.shape[2]:
             raise ValueError(f"incompatible system shapes {A.shape} and {B.shape}")
         self.method = config.canonical_method()
@@ -307,165 +311,127 @@ class _BaseState:
         raise ValueError("this method keeps no cached residuals to audit")
 
 
-class _SpatialSetState(_BaseState):
-    """Cached fast path for the finite-spatial-set methods.
+class _FiniteSetState(_BaseState):
+    """Sketch-set validation and sampling setup of the finite-set methods.
 
-    Per member i and slice k the setup stores the sketched system N = S^H A,
-    a factor C with C C^H = pinv(N Q^{-1} N^H), the step map Q^{-1} N^H C,
-    the cross products C_i^H N_i Q^{-1} N_j^H C_j, and the running sketched
-    residuals R_i = C_i^H (N_i X - S_i^H B).  The sketched loss of member i
-    is (1/l) sum_k ||R_i[k]||_F^2 and one iteration costs a couple of small
-    batched matmuls.
+    The fixed probabilities are validated once and kept with their
+    cumulative sums, from which every fixed-rule draw is made.
     """
-
-    per_slice_selection = False
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         sketches = config.sketches
-        if sketches is None or sketches.per_slice:
-            raise ValueError(f"{self.method} needs a spatial sketch set")
+        if sketches is None or sketches.per_slice != self.per_slice_selection:
+            kind = "per-slice" if self.per_slice_selection else "spatial"
+            raise ValueError(f"{self.method} needs a {kind} sketch set")
         if sketches.m != self.m or sketches.l != self.l:
             raise ValueError("sketch set dimensions do not match the system")
-        if config.check_sampling:
-            sketching.warn_if_not_complete(A, sketches)
         self.sketches = sketches
         self.q = sketches.q
         self.rule = _RULES[self.method]
-        self.base_probs = sketching.as_prob_vector(
-            _resolve_probs(config.probabilities, A, self.Q, sketches)
-        )
-        if self.base_probs.size != self.q:
-            raise ValueError("probability vector length does not match q")
-        self.index_rng = _rng(config.seed, 1)
-        self.uniform_tau = len(set(sketches.taus)) == 1
-        QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))  # (l, n, m)
-        if self.uniform_tau:
-            Sh = np.stack([sketches.member_hat(i) for i in range(self.q)])  # (q,l,m,tau)
-            N = np.conj(np.swapaxes(Sh, -1, -2)) @ self.Ah  # (q,l,tau,n)
-            AQS = QiAH[None] @ Sh  # (q,l,n,tau) = Q^{-1} A^H S
-            M = N @ AQS
-            self.C = _batched_inv_factor(M, slice_axis=1)  # (q,l,tau,tau)
-            self.step_map = AQS @ self.C  # (q,l,n,tau)
-            CH = np.conj(np.swapaxes(self.C, -1, -2))
-            # cross[i, j] = C_i^H N_i (Q^{-1} A^H S_j C_j)
-            self.cross = np.einsum(
-                "ikab,jkbc->ijkac", CH @ N, self.step_map, optimize=True
-            )
-            self.SB = np.conj(np.swapaxes(Sh, -1, -2)) @ self.Bh  # (q,l,tau,p)
-            self.N = N
-            self.R = CH @ ((N @ self.Xh[None]) - self.SB)
+        probs = _resolve_probs(config.probabilities, A, self.Q, sketches)
+        if self.per_slice_selection:
+            self.base_probs = _per_slice_probs(probs, self.l, self.q)
+            self.slice_rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
         else:
-            self.N, self.C, self.step_map, self.SB, self.R = [], [], [], [], []
-            for i in range(self.q):
-                Sh = sketches.member_hat(i)
-                N = np.conj(np.swapaxes(Sh, -1, -2)) @ self.Ah
-                AQS = QiAH @ Sh
-                C = _batched_inv_factor(N @ AQS, slice_axis=0)
-                self.N.append(N)
-                self.C.append(C)
-                self.step_map.append(AQS @ C)
-                self.SB.append(np.conj(np.swapaxes(Sh, -1, -2)) @ self.Bh)
-                self.R.append(
-                    np.conj(np.swapaxes(C, -1, -2)) @ (N @ self.Xh - self.SB[i])
-                )
-            self.cross = [
-                [
-                    np.conj(np.swapaxes(self.C[i], -1, -2)) @ self.N[i] @ self.step_map[j]
-                    for j in range(self.q)
-                ]
-                for i in range(self.q)
-            ]
+            self.base_probs = sketching.as_prob_vector(probs)
+            if self.base_probs.size != self.q:
+                raise ValueError("probability vector length does not match q")
+            self.index_rng = _rng(config.seed, 1)
+        self.base_cdf = np.cumsum(self.base_probs, axis=-1)
+
+
+class _SetState(_FiniteSetState):
+    """Cached fast path of the finite-set methods.
+
+    Per member i and slice k the setup stores the sketched system N = S^H A,
+    a factor C with C C^H = pinv(N Q^{-1} N^H), the step map Q^{-1} N^H C,
+    the cross products C_i^H N_i Q^{-1} N_j^H C_j, and the running sketched
+    residuals R_i = C_i^H (N_i X - S_i^H B), so that one iteration costs a
+    couple of small batched matmuls.  Selection sets build N, Q^{-1} N^H and
+    S^H B by gathering rows; ragged blocks are padded with zero rows, which
+    get zero factor columns.  Spatial sets keep the member axis first,
+    (q, l, ...); per-slice sets keep the slice axis first, (l, q, ...).
+    """
+
+    def __init__(self, A, B, config, x_star):
+        super().__init__(A, B, config, x_star)
+        if config.check_sampling:
+            sketching.warn_if_not_complete(A, self.sketches)
+        sk = self.sketches
+        QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))  # (l, n, m)
+        N, AQS, self.SB = (  # (l, q, ...) from the sketch set, to the state's order
+            np.ascontiguousarray(np.moveaxis(T, 1, self.member_axis))
+            for T in (sk.sketch(self.Ah), sk.sketch_cols(QiAH), sk.sketch(self.Bh)))
+        self.C = _batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
+        self.step_map = AQS @ self.C
+        CH = np.conj(np.swapaxes(self.C, -1, -2))
+        self.cross = np.einsum(self.cross_spec, CH @ N, self.step_map, optimize=True)
+        self.N = N
+        self.R = CH @ ((N @ np.expand_dims(self.Xh, self.member_axis)) - self.SB)
+
+    def _energy(self, T):
+        """Squared Frobenius norm of each member's block of T."""
+        return np.sum(np.abs(T) ** 2, axis=self.member_entries)
+
+    def audit(self):
+        """Max Frobenius deviation between recursed and fresh residuals."""
+        CH = np.conj(np.swapaxes(self.C, -1, -2))
+        fresh = CH @ ((self.N @ np.expand_dims(self.Xh, self.member_axis)) - self.SB)
+        worst = float(np.sqrt(np.max(self._energy(fresh - self.R))))
+        self.audit_max = max(self.audit_max, worst)
+        return worst
+
+
+class _SpatialSetState(_SetState):
+    """Spatial sets: one family shared by all slices; the sketched loss of
+    member i is (1/l) sum_k ||R_i[k]||_F^2."""
+
+    per_slice_selection = False
+    member_axis, slice_axis, member_entries = 0, 1, (1, 2, 3)
+    cross_spec = "ikab,jkbc->ijkac"  # cross[i, j] = C_i^H N_i (Q^{-1} A^H S_j C_j)
 
     def losses(self):
-        if self.uniform_tau:
-            return np.sum(np.abs(self.R) ** 2, axis=(1, 2, 3)) / self.l
-        return np.array([np.linalg.norm(R) ** 2 / self.l for R in self.R])
+        return self._energy(self.R) / self.l
 
     def select(self, losses):
+        if self.rule == "fixed":
+            return sketching.draw_from_cdf(self.base_cdf, self.index_rng)
         return select_index(
             losses, self.rule, self.index_rng, self.base_probs, self.config.theta
         )
 
     def step(self, i):
-        if self.uniform_tau:
-            Ri = self.R[i]
-            self.Xh -= self.step_map[i] @ Ri
-            self.R -= self.cross[:, i] @ Ri[None]
-        else:
-            Ri = self.R[i].copy()
-            self.Xh -= self.step_map[i] @ Ri
-            for j in range(self.q):
-                self.R[j] -= self.cross[j][i] @ Ri
+        Ri = self.R[i]
+        self.Xh -= self.step_map[i] @ Ri
+        self.R -= self.cross[:, i] @ Ri[None]
         self.t += 1
 
-    def audit(self):
-        """Max Frobenius deviation between recursed and fresh residuals."""
-        worst = 0.0
-        for i in range(self.q):
-            C = self.C[i]
-            fresh = np.conj(np.swapaxes(C, -1, -2)) @ (
-                (self.N[i] @ self.Xh) - self.SB[i]
-            )
-            worst = max(worst, float(np.linalg.norm(fresh - self.R[i])))
-        self.audit_max = max(self.audit_max, worst)
-        return worst
 
-
-class _PerSliceSetState(_BaseState):
-    """Cached fast path for the per-slice finite-set methods.
-
-    Mirrors the spatial fast path but every Fourier slice k owns its own
-    family, losses, selection and residual recursion; the step touches all
-    slices at once through batched matmuls.  The candidate loss of member i
-    in slice k is ||R[k, i]||_F^2 (no 1/l: the subsystems are independent).
+class _PerSliceSetState(_SetState):
+    """Per-slice sets: every Fourier slice k owns its own family, losses,
+    selection and residual recursion; the step touches all slices at once
+    through batched matmuls.  The candidate loss of member i in slice k is
+    ||R[k, i]||_F^2 (no 1/l: the subsystems are independent).
     """
 
     per_slice_selection = True
-
-    def __init__(self, A, B, config, x_star):
-        super().__init__(A, B, config, x_star)
-        sketches = config.sketches
-        if sketches is None or not sketches.per_slice:
-            raise ValueError(f"{self.method} needs a per-slice sketch set")
-        if sketches.m != self.m or sketches.l != self.l:
-            raise ValueError("sketch set dimensions do not match the system")
-        if config.check_sampling:
-            sketching.warn_if_not_complete(A, sketches)
-        self.sketches = sketches
-        self.q = sketches.q
-        self.rule = _RULES[self.method]
-        self.base_probs = _per_slice_probs(
-            _resolve_probs(config.probabilities, A, self.Q, sketches), self.l, self.q
-        )
-        self.slice_rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
-        S = np.stack([np.stack(sketches.members[k]) for k in range(self.l)])
-        S = S.astype(np.complex128)  # (l, q, m, tau)
-        N = np.conj(np.swapaxes(S, -1, -2)) @ self.Ah[:, None]  # (l,q,tau,n)
-        AQS = (self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2)))[:, None] @ S
-        self.C = _batched_inv_factor(N @ AQS)  # (l,q,tau,tau)
-        self.step_map = AQS @ self.C  # (l,q,n,tau)
-        CH = np.conj(np.swapaxes(self.C, -1, -2))
-        self.cross = np.einsum(
-            "kiab,kjbc->kijac", CH @ N, self.step_map, optimize=True
-        )  # (l,q,q,tau,tau)
-        self.SB = np.conj(np.swapaxes(S, -1, -2)) @ self.Bh[:, None]  # (l,q,tau,p)
-        self.N = N
-        self.R = CH @ ((N @ self.Xh[:, None]) - self.SB)
+    member_axis, slice_axis, member_entries = 1, None, (2, 3)
+    cross_spec = "kiab,kjbc->kijac"  # (l, q, q, tau, tau)
 
     def losses(self):
         """(l, q) per-slice candidate losses."""
-        return np.sum(np.abs(self.R) ** 2, axis=(2, 3))
+        return self._energy(self.R)
 
     def select(self, losses):
         """Per-slice index choices; -1 marks an already-solved slice."""
         if self.rule == "fixed":
-            return _draw_per_slice(self.base_probs, self.slice_rngs)
+            return _draw_per_slice(self.base_cdf, self.slice_rngs)
         active = losses.max(axis=1) > 0
         if self.rule == "md":
             return np.where(active, np.argmax(losses, axis=1), -1)
         if self.rule == "pr":
-            return _draw_per_slice(losses, self.slice_rngs, active)
+            return _draw_per_slice(np.cumsum(losses, axis=1), self.slice_rngs, active)
         theta = self.config.theta
         threshold = (
             theta * losses.max(axis=1)
@@ -475,7 +441,7 @@ class _PerSliceSetState(_BaseState):
         hedge = np.nonzero(active & ~(capped.max(axis=1) > 0))[0]
         if hedge.size:  # float hedge; the max always qualifies
             capped[hedge, np.argmax(losses[hedge], axis=1)] = 1.0
-        return _draw_per_slice(capped, self.slice_rngs, active)
+        return _draw_per_slice(np.cumsum(capped, axis=1), self.slice_rngs, active)
 
     def step(self, idx):
         idx = np.asarray(idx, dtype=int)
@@ -486,14 +452,6 @@ class _PerSliceSetState(_BaseState):
             self.Xh[ks] -= self.step_map[ks, sel] @ Rsel
             self.R[ks] -= self.cross[ks, :, sel] @ Rsel[:, None]
         self.t += 1
-
-    def audit(self):
-        CH = np.conj(np.swapaxes(self.C, -1, -2))
-        fresh = CH @ ((self.N @ self.Xh[:, None]) - self.SB)
-        diff = fresh - self.R
-        worst = float(np.sqrt(np.max(np.sum(np.abs(diff) ** 2, axis=(2, 3)))))
-        self.audit_max = max(self.audit_max, worst)
-        return worst
 
     def x(self):
         # the real-part strategy: per-slice sketching breaks conjugate
@@ -532,7 +490,7 @@ class _FreshGaussianState(_BaseState):
         self.t += 1
 
 
-class _StackedState(_BaseState):
+class _StackedState(_FiniteSetState):
     """Per-slice sketches folded back into a real sketched system.
 
     Each iteration draws one sketch per Fourier slice, inverse-transforms
@@ -544,22 +502,8 @@ class _StackedState(_BaseState):
 
     per_slice_selection = True
 
-    def __init__(self, A, B, config, x_star):
-        super().__init__(A, B, config, x_star)
-        sketches = config.sketches
-        if sketches is None or not sketches.per_slice:
-            raise ValueError("TSP-I needs a per-slice sketch set")
-        if sketches.m != self.m or sketches.l != self.l:
-            raise ValueError("sketch set dimensions do not match the system")
-        self.sketches = sketches
-        self.q = sketches.q
-        self.base_probs = _per_slice_probs(
-            _resolve_probs(config.probabilities, A, self.Q, sketches), self.l, self.q
-        )
-        self.slice_rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
-
     def draw_indices(self):
-        return _draw_per_slice(self.base_probs, self.slice_rngs)
+        return _draw_per_slice(self.base_cdf, self.slice_rngs)
 
     def iterate_once(self):
         idx = self.draw_indices()
@@ -567,10 +511,8 @@ class _StackedState(_BaseState):
         return idx, None, None
 
     def apply_indices(self, idx):
-        S = np.stack([self.sketches.members[k][idx[k]] for k in range(self.l)])
-        SH = np.conj(np.swapaxes(S, -1, -2)).astype(np.complex128)
-        Acheck = SH @ self.Ah  # (l, tau, n) sketched Fourier slices
-        Bcheck = SH @ self.Bh
+        Acheck = self.sketches.sketch(self.Ah, idx)  # (l, tau, n) sketched Fourier slices
+        Bcheck = self.sketches.sketch(self.Bh, idx)
         Atil = np.fft.ifft(Acheck, axis=0)
         Btil = np.fft.ifft(Bcheck, axis=0)
         As = np.concatenate([Atil.real, Atil.imag], axis=1)  # real (l, 2tau, n)
@@ -587,7 +529,7 @@ class _StackedState(_BaseState):
         self.max_imag_residue = max(self.max_imag_residue, float(imag / scale))
 
 
-class _PerSliceFreshState(_BaseState):
+class _PerSliceFreshState(_FiniteSetState):
     """Direct per-slice updates with fixed probabilities (no caching);
     the real part of the final inverse transform is the answer."""
 
@@ -595,29 +537,18 @@ class _PerSliceFreshState(_BaseState):
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        sketches = config.sketches
-        if sketches is None or not sketches.per_slice:
-            raise ValueError("TSP-II needs a per-slice sketch set")
-        self.sketches = sketches
-        self.q = sketches.q
-        self.base_probs = _per_slice_probs(
-            _resolve_probs(config.probabilities, A, self.Q, sketches), self.l, self.q
-        )
-        self.slice_rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
         self.QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))
 
     def iterate_once(self):
-        idx = _draw_per_slice(self.base_probs, self.slice_rngs)
+        idx = _draw_per_slice(self.base_cdf, self.slice_rngs)
         self.apply_indices(idx)
         return idx, None, None
 
     def apply_indices(self, idx):
-        S = np.stack([self.sketches.members[k][idx[k]] for k in range(self.l)])
-        SH = np.conj(np.swapaxes(S, -1, -2)).astype(np.complex128)
-        N = SH @ self.Ah
-        AQS = self.QiAH @ S.astype(np.complex128)
+        N = self.sketches.sketch(self.Ah, idx)
+        AQS = self.sketches.sketch_cols(self.QiAH, idx)
         G = _batched_hpinv(N @ AQS)
-        self.Xh -= AQS @ (G @ ((N @ self.Xh) - (SH @ self.Bh)))
+        self.Xh -= AQS @ (G @ ((N @ self.Xh) - self.sketches.sketch(self.Bh, idx)))
         self.t += 1
 
     def x(self):
@@ -680,7 +611,7 @@ def solve(A, B, config, x_star=None):
     state = make_state(A, B, config, x_star)
     method = state.method
     record = RunRecord(method=method)
-    cached = isinstance(state, (_SpatialSetState, _PerSliceSetState))
+    cached = isinstance(state, _SetState)
     # the proportional-rule variance factor is only meaningful for the
     # spatial variant (a single family shared by all slices)
     is_pr = method == "ATSP-PR"
@@ -786,25 +717,3 @@ def sp_step_direct(A, B, X, S, Q=None, relcut=PINV_RELCUT):
     G = np.linalg.pinv(M, rcond=M.shape[0] * relcut)
     step = Qb_inv @ N.T @ (G @ ((N @ Xu) - Sb.T @ Bu))
     return fold(Xu - step, l)
-
-
-def _bcirc_inv(M, m, n, l):
-    """First block column of a block-circulant matrix, back as a tensor."""
-    X = np.empty((m, n, l))
-    for k in range(l):
-        X[:, :, k] = M[k * m:(k + 1) * m, :n]
-    return X
-
-
-def row_action_step_oracle(A, B, X, i):
-    """Closed-form single-horizontal-slice step computed with the
-    block-circulant oracle products (the identity-weight specialization)."""
-    from .t_algebra import tprod_oracle, ttranspose
-
-    Ai = np.ascontiguousarray(A[i:i + 1])
-    Bi = np.ascontiguousarray(B[i:i + 1])
-    l = A.shape[2]
-    gram = bcirc(tprod_oracle(Ai, ttranspose(Ai)))
-    pinv_gram = _bcirc_inv(np.linalg.pinv(gram, rcond=l * PINV_RELCUT), 1, 1, l)
-    resid = tprod_oracle(Ai, X) - Bi
-    return X - tprod_oracle(ttranspose(Ai), tprod_oracle(pinv_gram, resid))

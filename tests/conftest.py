@@ -1,13 +1,14 @@
 """Shared oracles for the test suite.
 
-Everything here goes through the block-circulant matrices or direct
-summation, never through the package's Fourier fast paths, so agreement
-between the two routes is meaningful.
+Everything here goes through the block-circulant matrices, direct
+summation or dense sketch members, never through the package's Fourier
+fast paths or row gathers, so agreement between the two routes is
+meaningful.
 """
 
 import numpy as np
 
-from tubalsketch.t_algebra import bcirc, identity, tprod_oracle, ttranspose
+from tubalsketch.t_algebra import PINV_RELCUT, bcirc, identity, tprod_oracle, ttranspose
 
 
 def rand_tubal(rng, m, n, l):
@@ -42,6 +43,18 @@ def bcirc_block_column(M, m, n, l):
     return X
 
 
+def row_action_step_oracle(A, B, X, i):
+    """Closed-form single-horizontal-slice step computed with the
+    block-circulant oracle products (the identity-weight specialization)."""
+    Ai = np.ascontiguousarray(A[i:i + 1])
+    Bi = np.ascontiguousarray(B[i:i + 1])
+    l = A.shape[2]
+    gram = bcirc(tprod_oracle(Ai, ttranspose(Ai)))
+    pinv_gram = bcirc_block_column(np.linalg.pinv(gram, rcond=l * PINV_RELCUT), 1, 1, l)
+    resid = tprod_oracle(Ai, X) - Bi
+    return X - tprod_oracle(ttranspose(Ai), tprod_oracle(pinv_gram, resid))
+
+
 def tpinv_via_bcirc(X):
     """Moore-Penrose inverse through the block-circulant route."""
     m, n, l = X.shape
@@ -63,3 +76,52 @@ def circ_conv_tubes(x, y):
         for j in range(l):
             out[k] += x[j] * y[(k - j) % l]
     return out
+
+
+def dense_set_tables(A, B, sketches, Q):
+    """Cached-path tables from dense members: every member's depth transform
+    multiplied out in full, as the setup did before sketches became row
+    indices.  Returns N, AQS, SB, C, cross and step_map in the state's
+    layout: (q, l, ...) for spatial sets, (l, q, ...) for per-slice sets."""
+    from tubalsketch.solvers import _batched_inv_factor
+
+    Ah = np.fft.fft(np.moveaxis(np.asarray(A, dtype=np.complex128), 2, 0), axis=0)
+    Bh = np.fft.fft(np.moveaxis(np.asarray(B, dtype=np.complex128), 2, 0), axis=0)
+    QiAH = Q.inv @ np.conj(np.swapaxes(Ah, -1, -2))
+    if sketches.per_slice:
+        S = np.stack([np.stack(sketches.members[k]) for k in range(sketches.l)])
+        S = S.astype(np.complex128)  # (l, q, m, tau)
+        N = np.conj(np.swapaxes(S, -1, -2)) @ Ah[:, None]
+        AQS = QiAH[:, None] @ S
+        SB = np.conj(np.swapaxes(S, -1, -2)) @ Bh[:, None]
+        C = _batched_inv_factor(N @ AQS)
+        spec = "kiab,kjbc->kijac"
+    else:
+        Sh = np.stack([sketches.member_hat(i) for i in range(sketches.q)])
+        N = np.conj(np.swapaxes(Sh, -1, -2)) @ Ah  # (q, l, tau, n)
+        AQS = QiAH[None] @ Sh
+        SB = np.conj(np.swapaxes(Sh, -1, -2)) @ Bh
+        C = _batched_inv_factor(N @ AQS, slice_axis=1)
+        spec = "ikab,jkbc->ijkac"
+    step_map = AQS @ C
+    CH = np.conj(np.swapaxes(C, -1, -2))
+    cross = np.einsum(spec, CH @ N, step_map, optimize=True)
+    return {"N": N, "AQS": AQS, "SB": SB, "C": C, "cross": cross, "step_map": step_map}
+
+
+def rank_loop_complete(A, sketches, relcut=1e-10):
+    """Complete-discrete-sampling verdict from one rank call per member and
+    slice on dense members, with the absolute tolerance relcut * max(shape)."""
+    Ah = np.moveaxis(np.fft.fft(np.asarray(A, dtype=np.complex128), axis=2), 2, 0)
+    n = Ah.shape[2]
+    for k in range(sketches.l):
+        stacked = []
+        for S in sketches.slice_family(k):
+            SA = S.conj().T @ Ah[k]
+            if np.linalg.matrix_rank(SA, tol=relcut * max(SA.shape)) < S.shape[1]:
+                return False
+            stacked.append(SA)
+        stacked = np.vstack(stacked)
+        if np.linalg.matrix_rank(stacked, tol=relcut * max(stacked.shape)) < n:
+            return False
+    return True

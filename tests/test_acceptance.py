@@ -12,7 +12,7 @@ import time
 import numpy as np
 from scipy.stats import chisquare
 
-from conftest import rand_tubal, spd_weight_tensor
+from conftest import rand_tubal, row_action_step_oracle, spd_weight_tensor
 from tubalsketch.analysis import (
     compute_rate_report,
     estimate_delta_inf,
@@ -43,7 +43,6 @@ from tubalsketch.solvers import (
     solve,
     sp_step,
     sp_step_direct,
-    row_action_step_oracle,
 )
 from tubalsketch.t_algebra import (
     WeightQ,

@@ -1,0 +1,117 @@
+"""Row-index sketch sets against the dense members they stand for.
+
+Selection sketches (slice, block, fourier-row) are stored as row indices
+and applied by gathering rows.  For finite data a one-hot product equals
+the gather exactly, so the cached tables and seeded runs must match the
+dense-member route bit for bit.  ``data/seeded_records.json`` holds runs
+recorded with the dense-member implementation, made by the recipe in
+:func:`seeded_cases` with ``seed=11, tol=1e-10, max_iters=30``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import dense_set_tables, spd_weight_tensor
+from tubalsketch.harness import ProblemSpec, gen_gaussian
+from tubalsketch.sketching import (
+    make_block_sketches,
+    make_fourier_sketches,
+    make_gaussian_sketches,
+    make_slice_sketches,
+)
+from tubalsketch.solvers import SolverConfig, make_state, solve
+from tubalsketch.t_algebra import WeightQ, identity, tprod_oracle, ttranspose
+
+RECORDS = Path(__file__).parent / "data" / "seeded_records.json"
+
+
+def seeded_cases():
+    A, Xs, B = gen_gaussian(ProblemSpec(m=10, n=5, p=3, l=4, seed=3))
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((5, 5, 4))
+    Q = WeightQ.from_tensor(tprod_oracle(ttranspose(F), F) + 0.5 * identity(5, 4))
+    slc = make_slice_sketches(10, 4)
+    blk = make_block_sketches(10, 4, [[0, 5], [1, 6], [2, 7], [3, 8], [4, 9]])
+    gau = make_gaussian_sketches(10, 2, 6, 4, np.random.default_rng(7))
+    frow = make_fourier_sketches(10, 1, 10, 4, "row")
+    fgau = make_fourier_sketches(10, 2, 6, 4, "gaussian", np.random.default_rng(8))
+    cases = []
+    for weight, wname in ((None, "I"), (Q, "Q")):
+        cases.append((f"TSP/{wname}", dict(method="TSP", tau=2, weight=weight)))
+        for method in ("NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS"):
+            for sname, s in (("slice", slc), ("block", blk), ("gaussian", gau)):
+                cases.append((f"{method}/{sname}/{wname}",
+                              dict(method=method, sketches=s, weight=weight)))
+        cases.append((f"NTSP/block-sketch-norm/{wname}",
+                      dict(method="NTSP", sketches=blk, weight=weight,
+                           probabilities="sketch-norm")))
+        cases.append((f"NTSP/slice-slice-norm/{wname}",
+                      dict(method="NTSP", sketches=slc, weight=weight,
+                           probabilities="slice-norm")))
+        for method in ("TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II", "ATSP-PR-II",
+                       "ATSP-CS-II"):
+            for sname, s in (("fourier-row", frow), ("fourier-gaussian", fgau)):
+                cases.append((f"{method}/{sname}/{wname}",
+                              dict(method=method, sketches=s, weight=weight)))
+        cases.append((f"NTSP-II/fourier-row-norm/{wname}",
+                      dict(method="NTSP-II", sketches=frow, weight=weight,
+                           probabilities="fourier-row-norm")))
+    return A, Xs, B, cases
+
+
+def test_seeded_records_match_dense_member_runs():
+    expected = json.loads(RECORDS.read_text())
+    A, Xs, B, cases = seeded_cases()
+    assert sorted(name for name, _ in cases) == sorted(expected)
+    assert {kw["method"] for _, kw in cases} == set(
+        ("TSP", "NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS", "TSP-I", "TSP-II",
+         "NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II"))
+    for name, kw in cases:
+        cfg = SolverConfig(seed=11, tol=1e-10, max_iters=30, record_every=1, **kw)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        want = expected[name]
+        assert rec.iterations == want["iterations"], name
+        assert [float(e) for e in rec.epsilon] == want["epsilon"], name
+        chosen = [c if c is None or isinstance(c, int) else list(c) for c in rec.chosen]
+        assert chosen == want["chosen"], name
+        assert [float(v) for v in X.ravel()] == want["x"], name
+
+
+def _sets():
+    return {
+        "slice": make_slice_sketches(9, 3),
+        "block": make_block_sketches(9, 3, [[0, 4, 8], [1, 2, 3], [5, 6, 7]]),
+        "fourier-row": make_fourier_sketches(9, 1, 9, 3, "row"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["slice", "block", "fourier-row"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cached_tables_equal_dense_products(kind, weighted):
+    A, Xs, B = gen_gaussian(ProblemSpec(m=9, n=4, p=2, l=3, seed=50))
+    Q = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(51), 4, 3))
+         if weighted else WeightQ.identity(4, 3))
+    sketches = _sets()[kind]
+    method = "ATSP-MD-II" if sketches.per_slice else "ATSP-MD"
+    st = make_state(A, B, SolverConfig(method=method, sketches=sketches, weight=Q),
+                    x_star=Xs)
+    want = dense_set_tables(A, B, sketches, Q)
+    AQS = sketches.sketch_cols(Q.inv @ np.conj(np.swapaxes(st.Ah, -1, -2)))
+    if not sketches.per_slice:
+        AQS = np.swapaxes(AQS, 0, 1)
+    np.testing.assert_array_equal(AQS, want["AQS"])
+    for name in ("N", "SB", "C", "cross", "step_map"):
+        np.testing.assert_array_equal(getattr(st, name), want[name], err_msg=name)
+
+
+def test_ragged_blocks_pad_with_zero_rows():
+    s = make_block_sketches(5, 2, [[0, 3], [1, 2, 4]])
+    assert s.taus == (2, 3)
+    np.testing.assert_array_equal(s.rows, [[0, 3, 5], [1, 2, 4]])
+    X = np.arange(10.0).reshape(2, 5, 1) + 1.0
+    got = s.sketch(X)  # (l, q, tau, 1)
+    np.testing.assert_array_equal(got[:, 0, :, 0], [[1, 4, 0], [6, 9, 0]])
+    np.testing.assert_array_equal(s.members[0][:, :, 0], np.eye(5)[:, [0, 3]])

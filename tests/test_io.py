@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,11 @@ from tubalsketch.io import (
     save_tensor,
     write_trace,
 )
-from tubalsketch.sketching import make_fourier_sketches, make_gaussian_sketches
+from tubalsketch.sketching import (
+    make_block_sketches,
+    make_fourier_sketches,
+    make_gaussian_sketches,
+)
 from tubalsketch.solvers import SolverConfig, solve
 from tubalsketch.sketching import make_slice_sketches
 
@@ -101,6 +107,48 @@ class TestSketchSerialization:
                        x_star=Xs)
         assert np.array_equal(X1, X2)
         assert r1.chosen == r2.chosen
+
+
+    def test_selection_sets_load_as_rows(self, tmp_path):
+        for s in (make_slice_sketches(4, 3),
+                  make_block_sketches(5, 2, [[0, 3], [1, 2, 4]]),
+                  make_fourier_sketches(4, 1, 4, 3, "row")):
+            path = tmp_path / f"{s.kind}.json"
+            save_sketches(path, s)
+            t = load_sketches(path)
+            assert (t.kind, t.m, t.l, t.q, t.taus) == (s.kind, s.m, s.l, s.q, s.taus)
+            np.testing.assert_array_equal(t.rows, s.rows)
+
+    def test_rejects_members_that_are_not_selections(self, tmp_path):
+        def payload(kind, members, m=3, l=2, q=1):
+            return {"kind": kind, "m": m, "l": l, "q": q, "members": members}
+
+        one_hot = np.zeros((3, 1, 2))
+        one_hot[1, 0, 0] = 1.0
+        scaled = 2.0 * one_hot
+        two_ones = one_hot.copy()
+        two_ones[2, 0, 0] = 1.0
+        late = one_hot.copy()
+        late[0, 0, 1] = 1.0
+        gaussian_late = np.random.default_rng(12).standard_normal((3, 1, 2))
+        rows = [np.eye(3)[:, i:i + 1].tolist() for i in range(3)]
+        swapped = [rows[1], rows[0], rows[2]]
+        bad = [
+            payload("slice", [scaled.tolist()]),
+            payload("block", [two_ones.tolist()]),
+            payload("slice", [late.tolist()]),  # nonzero second frontal slice
+            payload("gaussian", [gaussian_late.tolist()]),
+            payload("fourier-row", [rows, swapped], q=3),  # families disagree
+            payload("fourier-row", [[[[0.5], [0.5], [0.0]]]] * 2),
+        ]
+        for data in bad:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            with pytest.raises(ValueError):
+                load_sketches(path)
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(payload("slice", [one_hot.tolist()])))
+        np.testing.assert_array_equal(load_sketches(path).rows, [[1]])
 
 
 class TestTraceFormat:

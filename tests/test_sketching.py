@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import rand_tubal, spd_weight_tensor
+from conftest import rand_tubal, rank_loop_complete, spd_weight_tensor
 from tubalsketch.sketching import (
     as_prob_vector,
+    draw_from_cdf,
     is_complete_discrete_sampling,
     make_block_sketches,
     make_fourier_sketches,
@@ -210,6 +211,16 @@ class TestSampling:
         draws = [sample_index([0.5, 0.0, 0.5], rng) for _ in range(5000)]
         assert 1 not in draws
 
+    def test_stored_cdf_draws_match_sample_index(self):
+        p = np.random.default_rng(30).dirichlet(np.ones(7))
+        p[3] = 0.0
+        p /= p.sum()
+        cdf = np.cumsum(as_prob_vector(p))
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        draws = [draw_from_cdf(cdf, a) for _ in range(10_000)]
+        assert draws == [sample_index(p, b) for _ in range(10_000)]
+        assert 3 not in draws
+
     def test_stream_determinism(self):
         a = [sample_index([0.2, 0.3, 0.5], np.random.default_rng(18)) for _ in range(1)]
         b = [sample_index([0.2, 0.3, 0.5], np.random.default_rng(18)) for _ in range(1)]
@@ -226,10 +237,47 @@ class TestCompleteDiscreteSampling:
         rng = np.random.default_rng(20)
         A = rand_tubal(rng, 4, 3, 2)
         s = make_block_sketches(4, 2, [[0, 1], [2, 3]])
-        partial = type(s)(kind="block", m=4, l=2, q=1, members=[s.members[0]])
+        partial = type(s)(kind="block", m=4, l=2, q=1, rows=s.rows[:1])
         assert not is_complete_discrete_sampling(A, partial)
 
     def test_zero_sketched_row_fails(self):
         A = np.zeros((3, 2, 2))
         A[1:] = np.random.default_rng(21).standard_normal((2, 2, 2))
         assert not is_complete_discrete_sampling(A, make_slice_sketches(3, 2))
+
+    def test_verdict_is_scale_invariant(self):
+        # a well-conditioned system stays complete however it is scaled,
+        # and an exactly zero row fails at every scale
+        rng = np.random.default_rng(22)
+        A = rand_tubal(rng, 8, 4, 3)
+        Z = A.copy()
+        Z[5] = 0.0
+        for s in (make_slice_sketches(8, 3),
+                  make_block_sketches(8, 3, [[0, 1], [2, 3, 4], [5, 6, 7]])):
+            for c in (1e-12, 1.0, 1e12):
+                assert is_complete_discrete_sampling(c * A, s), c
+                assert not is_complete_discrete_sampling(c * Z, s), c
+
+    def test_verdicts_match_rank_loop_oracle(self):
+        rng = np.random.default_rng(23)
+        A = rand_tubal(rng, 6, 3, 3)
+        # every Fourier slice of rank 2 < n = 3
+        low_rank = tprod_oracle(rand_tubal(rng, 6, 2, 3), rand_tubal(rng, 2, 3, 3))
+        zero_row = A.copy()
+        zero_row[2] = 0.0
+        wide = rand_tubal(rng, 6, 8, 3)  # more unknowns than rows
+        sets = [
+            make_slice_sketches(6, 3),
+            make_block_sketches(6, 3, [[0, 5], [1, 2, 3], [4]]),
+            make_gaussian_sketches(6, 2, 4, 3, np.random.default_rng(24)),
+            make_fourier_sketches(6, 1, 6, 3, "row"),
+            make_fourier_sketches(6, 2, 3, 3, "gaussian", np.random.default_rng(25)),
+            make_fourier_sketches(6, 2, 2, 3, "gaussian", np.random.default_rng(26)),
+        ]
+        verdicts = []
+        for system in (A, low_rank, zero_row, wide):
+            for s in sets:
+                got = is_complete_discrete_sampling(system, s)
+                assert got == rank_loop_complete(system, s), (s.kind, got)
+                verdicts.append(got)
+        assert any(verdicts) and not all(verdicts)

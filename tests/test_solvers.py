@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_tubal, spd_weight_tensor
+from conftest import rand_tubal, row_action_step_oracle, spd_weight_tensor
 from tubalsketch.analysis import projector_tensor
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
@@ -21,7 +21,6 @@ from tubalsketch.solvers import (
     solve,
     sp_step,
     sp_step_direct,
-    row_action_step_oracle,
 )
 from tubalsketch.t_algebra import (
     WeightQ,
@@ -346,6 +345,17 @@ class TestRunBehaviour:
             make_state(A, B, SolverConfig(method="TSP-I", sketches=spatial))
         with pytest.raises(ValueError):
             SolverConfig(method="TSP-III").canonical_method()
+
+    def test_non_finite_input_rejected_up_front(self):
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        s = make_slice_sketches(6, 2)
+        for method in ("ATSP-MD", "TSP"):
+            cfg = SolverConfig(method=method, sketches=s, seed=1, max_iters=10)
+            for name, bad in (("A", np.nan), ("B", np.inf), ("x_star", -np.inf)):
+                args = {"A": A.copy(), "B": B.copy(), "x_star": Xs.copy()}
+                args[name][1, 0, 1] = bad
+                with pytest.raises(ValueError, match=f"^{name} contains NaN or inf"):
+                    solve(args["A"], args["B"], cfg, x_star=args["x_star"])
 
     def test_trace_cadence(self):
         A, Xs, B = small_problem(19, m=8, n=4, p=2, l=3)
