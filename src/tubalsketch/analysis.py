@@ -2,10 +2,14 @@
 
 The solvers contract the weighted squared error by, in expectation, a
 method-dependent spectral constant of the expected sketched projector.
-This module assembles those projectors explicitly (through the slow
-block-circulant oracle route, so it is independent of the solver fast
-paths), extracts the constants, and checks recorded runs against the
-resulting geometric envelopes.
+Under the t-product that projector is block-diagonal in the Fourier
+domain, so its spectrum is the union of the per-slice spectra.  Every
+constant here is computed from per-slice factors K with
+Z_hat_i[k] = K_i[k]^H K_i[k], taken from the sketched system once per
+member and slice; recorded runs are then checked against the resulting
+geometric envelopes.  ``projector_tensor`` and ``expected_projector``
+assemble the same projectors through block-circulant oracle products and
+serve as the independent reference.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketching
+from .solvers import _batched_inv_factor
 from .t_algebra import (
-    PINV_RELCUT,
     WeightQ,
     bcirc,
     dft3,
@@ -36,7 +40,6 @@ __all__ = [
     "compute_rate_report",
     "verify_bounds",
     "flops_per_iteration",
-    "weighted_2norm",
 ]
 
 # explicit nl x nl assemblies are oracles, not production paths; keep them small
@@ -84,7 +87,8 @@ def expected_projector(A, Q, sketches, p):
     """Explicit E_{i~p}[bcirc(Z_i)] and its smallest eigenvalue.
 
     The smallest eigenvalue is the squared rate constant of fixed-probability
-    sampling, and the floor of the whole rate chain.
+    sampling, and the floor of the whole rate chain.  This is the
+    block-circulant reference for :func:`per_slice_rates`.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n, l = A.shape
@@ -101,34 +105,46 @@ def expected_projector(A, Q, sketches, p):
     return E, float(np.linalg.eigvalsh(E)[0])
 
 
-def _slice_projector(Ah_k, Qinv_k, Qinv_half_k, S_k):
-    N = S_k.conj().T @ Ah_k  # (tau, n)
-    M = N @ Qinv_k @ N.conj().T
-    G = np.linalg.pinv(M, rcond=M.shape[0] * PINV_RELCUT)
-    NQ = N @ Qinv_half_k
-    return NQ.conj().T @ G @ NQ
+def _slice_factors(A, Q, sketches):
+    """Per-slice factors of every member's sketched projector.
+
+    Returns NQ = S_i^H A_k Q_k^{-1/2} and K = C^H NQ, both (l, q, tau, n),
+    where C C^H = pinv(NQ NQ^H), so that slice k of member i's projector is
+    K[k, i]^H K[k, i].  For spatial sets the pinv cutoff is relative to the
+    member's largest slice, as in ``tpinv`` and the solvers, so a slice that
+    vanishes up to rounding gets a zero projector; per-slice sets cut each
+    slice on its own scale.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    Q = _as_weight(Q, A.shape[1], A.shape[2])
+    NQ = sketches.sketch(np.moveaxis(dft3(A), 2, 0) @ Q.inv_sqrt)
+    C = _batched_inv_factor(NQ @ np.conj(np.swapaxes(NQ, -1, -2)),
+                            slice_axis=None if sketches.per_slice else 0)
+    return NQ, np.conj(np.swapaxes(C, -1, -2)) @ NQ
+
+
+def _expected_slice_lambdas(K, p):
+    """lambda_min of E_k = K_k^H diag(p_k) K_k for every slice k, where p is
+    one simplex point or one per slice, shape (l, q)."""
+    l, q, _, n = K.shape
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape[-1:] != (q,):
+        raise ValueError("probability vector length does not match the sketch set")
+    p = np.broadcast_to(p, (l, q))
+    for row in p:
+        sketching.as_prob_vector(row)
+    Kp = (K * np.sqrt(p)[..., None, None]).reshape(l, -1, n)
+    return np.linalg.eigvalsh(np.conj(np.swapaxes(Kp, -1, -2)) @ Kp)[:, 0]
 
 
 def per_slice_rates(A, Q, sketches, p):
     """lambda_min(E[Z_hat_k]) for every Fourier slice k, and their minimum.
 
-    Works for spatial sets (every slice sees the same family) and for
+    Works for spatial sets (every slice sees the same family; the minimum
+    is then the smallest eigenvalue of the expected projector) and for
     per-slice sets (p may then be per-slice, shape (l, q)).
     """
-    A = np.asarray(A, dtype=np.float64)
-    m, n, l = A.shape
-    Q = _as_weight(Q, n, l)
-    Ah = np.moveaxis(dft3(A), 2, 0)
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim == 1:
-        p = np.broadcast_to(p, (l, p.size))
-    lams = np.empty(l)
-    for k in range(l):
-        sketching.as_prob_vector(p[k])
-        E = np.zeros((n, n), dtype=np.complex128)
-        for i, S_k in enumerate(sketches.slice_family(k)):
-            E += p[k, i] * _slice_projector(Ah[k], Q.inv[k], Q.inv_sqrt[k], S_k)
-        lams[k] = float(np.linalg.eigvalsh(0.5 * (E + E.conj().T))[0])
+    lams = _expected_slice_lambdas(_slice_factors(A, Q, sketches)[1], p)
     return lams, float(lams.min())
 
 
@@ -146,27 +162,13 @@ def closed_form_rate_bounds(A, Q, sketches):
     as 'norm_weighted_display'.  All bounds assume the
     complete-discrete-sampling property.
     """
-    A = np.asarray(A, dtype=np.float64)
-    m, n, l = A.shape
-    Q = _as_weight(Q, n, l)
-    Ah = np.moveaxis(dft3(A), 2, 0)
-    q = sketches.q
-    num = np.empty(l)
-    member_norm_sq = np.empty((l, q))  # ||Q_k^{-1/2} A_k^H S_{k_i}||_F^2
-    member_lmax = np.empty((l, q))     # lambda_max of the member Gram
-    for k in range(l):
-        family = sketches.slice_family(k)
-        stacked = np.hstack([np.asarray(S, dtype=np.complex128) for S in family])
-        QAS = Q.inv_sqrt[k] @ Ah[k].conj().T @ stacked
-        G = QAS.conj().T @ QAS
-        num[k] = max(float(np.linalg.eigvalsh(0.5 * (G + G.conj().T))[0].real), 0.0)
-        for i, S_k in enumerate(family):
-            K = Q.inv_sqrt[k] @ Ah[k].conj().T @ np.asarray(S_k, np.complex128)
-            member_norm_sq[k, i] = np.linalg.norm(K) ** 2
-            gram = K.conj().T @ K
-            member_lmax[k, i] = float(
-                np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
-            )
+    NQ, _ = _slice_factors(A, Q, sketches)
+    l, q, tau, _ = NQ.shape
+    stacked = NQ[:, np.arange(tau) < np.array(sketches.taus)[:, None]]  # no padding rows
+    gram = stacked @ np.conj(np.swapaxes(stacked, -1, -2))
+    num = np.clip(np.linalg.eigvalsh(gram)[:, 0], 0.0, None)
+    member_norm_sq = np.sum(np.abs(NQ) ** 2, axis=(2, 3))  # ||Q_k^{-1/2} A_k^H S_{k_i}||_F^2
+    member_lmax = np.linalg.eigvalsh(NQ @ np.conj(np.swapaxes(NQ, -1, -2)))[..., -1]
     if sketches.per_slice:
         weights = member_norm_sq  # independent subsystems: per-slice norms
     else:
@@ -205,17 +207,19 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None,
     directions, and keep the smallest value seen.  The sampled value can
     only overestimate the true minimum, while the fixed-sampling constant
     from the expected projector is an exact lower bound; both are returned
-    as ``(estimate, lower_bound)``.
+    as ``(estimate, lower_bound)``.  Spatial sets only.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n, l = A.shape
     _check_assembly_size(n, l)
+    if sketches.per_slice:
+        raise ValueError("estimate_delta_inf applies to spatial sketch sets")
     Q = _as_weight(Q, n, l)
     if rng is None:
         rng = np.random.default_rng(0)
     if p is None:
         p = sketching.prob_uniform(sketches.q)
-    projs = [bcirc(projector_tensor(A, Q, S)) for S in sketches.members]
+    _, K = _slice_factors(A, Q, sketches)
     basis = _range_basis(A, Q)
     V = basis @ rng.standard_normal((basis.shape[1], n_samples))
     if extra_dirs is not None:
@@ -223,10 +227,12 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None,
         V = np.hstack([V, extra])
     norms = np.linalg.norm(V, axis=0)
     V = V[:, norms > 1e-12] / norms[norms > 1e-12]
-    energies = np.stack([np.sum(V * (P @ V), axis=0) for P in projs])  # (q, s)
+    # v^T bcirc(Z_i) v = (1/l) sum_k ||K_i[k] v_k||^2, v_k the depth transform
+    # of v's frontal slices; summed one slice at a time to keep memory at (q, s)
+    Vh = np.fft.fft(V.reshape(l, n, -1), axis=0)
+    energies = sum(np.sum(np.abs(K[k] @ Vh[k]) ** 2, axis=1) for k in range(l)) / l
     estimate = float(np.min(np.max(energies, axis=0)))
-    _, lower = expected_projector(A, Q, sketches, p)
-    return estimate, lower
+    return estimate, float(_expected_slice_lambdas(K, p).min())
 
 
 @dataclass
@@ -290,15 +296,12 @@ def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):
     """Assemble every rate constant for one configuration."""
     if p is None:
         p = sketching.prob_uniform(sketches.q)
+    lams, delta_p = per_slice_rates(A, Q, sketches, p)
     if sketches.per_slice:
-        lams, per_slice_min = per_slice_rates(A, Q, sketches, p)
         # per-slice families have no single spatial expected projector; the
         # per-slice minimum plays the role of the fixed-sampling constant
-        delta_p = per_slice_min
         delta_inf_est = float("nan")
     else:
-        _, delta_p = expected_projector(A, Q, sketches, p)
-        lams, per_slice_min = per_slice_rates(A, Q, sketches, p)
         delta_inf_est, _ = estimate_delta_inf(
             A, Q, sketches, p=p, n_samples=n_samples, rng=rng
         )
@@ -306,7 +309,7 @@ def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):
         delta_p_sq=delta_p,
         delta_inf_sq_lower=delta_p,
         delta_inf_sq_estimate=delta_inf_est,
-        per_slice_min_rate=per_slice_min,
+        per_slice_min_rate=delta_p,
         per_slice_lambdas=tuple(float(x) for x in lams),
         q=sketches.q,
         closed_form_bounds=closed_form_rate_bounds(A, Q, sketches),
@@ -445,17 +448,3 @@ def flops_per_iteration(method, tau, q, n, p, l):
         return (4 * p + 5) * q * l + 2 * n * p * l
     raise ValueError(f"no cost formula for method {method!r}")
 
-
-def weighted_2norm(M, Q):
-    """Weighted spectral norm of a square tubal matrix.
-
-    Defined but unused by the iterations; provided for completeness as
-    sigma_max of bcirc(Q)^{1/2} bcirc(M) bcirc(Q)^{-1/2}.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("weighted_2norm is defined here for square tubal matrices")
-    Q = _as_weight(Q, M.shape[0], M.shape[2])
-    half = bcirc(Q.sqrt_tensor())
-    inv_half = bcirc(Q.inv_sqrt_tensor())
-    return float(np.linalg.norm(half @ bcirc(M) @ inv_half, ord=2))

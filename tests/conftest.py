@@ -8,7 +8,14 @@ meaningful.
 
 import numpy as np
 
-from tubalsketch.t_algebra import PINV_RELCUT, bcirc, identity, tprod_oracle, ttranspose
+from tubalsketch.t_algebra import (
+    PINV_RELCUT,
+    WeightQ,
+    bcirc,
+    identity,
+    tprod_oracle,
+    ttranspose,
+)
 
 
 def rand_tubal(rng, m, n, l):
@@ -125,3 +132,69 @@ def rank_loop_complete(A, sketches, relcut=1e-10):
         if np.linalg.matrix_rank(stacked, tol=relcut * max(stacked.shape)) < n:
             return False
     return True
+
+
+def _weight_and_slices(A, Q):
+    A = np.asarray(A, dtype=np.float64)
+    m, n, l = A.shape
+    if Q is None:
+        Q = WeightQ.identity(n, l)
+    elif not isinstance(Q, WeightQ):
+        Q = WeightQ.from_tensor(Q)
+    return Q, np.moveaxis(np.fft.fft(A.astype(np.complex128), axis=2), 2, 0)
+
+
+def slice_rates_loop(A, Q, sketches, p):
+    """lambda_min of sum_i p_i Z_hat_i[k] per slice k, one dense projector per
+    member and slice, each slice's pinv cut on its own scale (the reference
+    for per-slice sets)."""
+    Q, Ah = _weight_and_slices(A, Q)
+    p = np.broadcast_to(np.asarray(p, dtype=np.float64), (sketches.l, sketches.q))
+    lams = np.empty(sketches.l)
+    for k in range(sketches.l):
+        E = 0
+        for i, S_k in enumerate(sketches.slice_family(k)):
+            NQ = S_k.conj().T @ Ah[k] @ Q.inv_sqrt[k]
+            M = NQ @ NQ.conj().T
+            G = np.linalg.pinv(M, rcond=M.shape[0] * PINV_RELCUT)
+            E = E + p[k, i] * (NQ.conj().T @ G @ NQ)
+        lams[k] = np.linalg.eigvalsh(0.5 * (E + E.conj().T))[0]
+    return lams
+
+
+def closed_form_bounds_loop(A, Q, sketches):
+    """closed_form_rate_bounds with one stacked Gram per slice and one member
+    Gram per member and slice, built from the dense members."""
+    Q, Ah = _weight_and_slices(A, Q)
+    l, q = sketches.l, sketches.q
+    num = np.empty(l)
+    member_norm_sq = np.empty((l, q))
+    member_lmax = np.empty((l, q))
+    for k in range(l):
+        family = sketches.slice_family(k)
+        stacked = np.hstack([np.asarray(S, dtype=np.complex128) for S in family])
+        QAS = Q.inv_sqrt[k] @ Ah[k].conj().T @ stacked
+        G = QAS.conj().T @ QAS
+        num[k] = max(float(np.linalg.eigvalsh(0.5 * (G + G.conj().T))[0].real), 0.0)
+        for i, S_k in enumerate(family):
+            K = Q.inv_sqrt[k] @ Ah[k].conj().T @ np.asarray(S_k, np.complex128)
+            member_norm_sq[k, i] = np.linalg.norm(K) ** 2
+            gram = K.conj().T @ K
+            member_lmax[k, i] = float(
+                np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
+            )
+    if sketches.per_slice:
+        weights = member_norm_sq
+    else:
+        weights = np.broadcast_to(
+            np.mean(member_norm_sq, axis=0, keepdims=True), (l, q)
+        )
+    p = weights / weights.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dmin = np.where(member_lmax > 0, p / member_lmax, np.inf).min(axis=1)
+    dmin[~np.isfinite(dmin)] = 0.0
+    return {
+        "norm_weighted": float(np.min(num * dmin)),
+        "uniform": float(np.min(num / (q * member_norm_sq.max(axis=1)))),
+        "norm_weighted_display": float(np.min(num / weights.sum(axis=1))),
+    }

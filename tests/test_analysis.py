@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import rand_tubal, spd_weight_tensor
+from conftest import (
+    closed_form_bounds_loop,
+    rand_tubal,
+    slice_rates_loop,
+    spd_weight_tensor,
+)
 from tubalsketch.analysis import (
     BOUNDS,
+    _range_basis,
     RateReport,
     compute_rate_report,
     closed_form_rate_bounds,
@@ -13,11 +19,11 @@ from tubalsketch.analysis import (
     per_slice_rates,
     projector_tensor,
     verify_bounds,
-    weighted_2norm,
 )
 from tubalsketch.sketching import (
     make_block_sketches,
     make_fourier_sketches,
+    make_gaussian_sketches,
     make_slice_sketches,
     prob_sketch_norm,
     prob_uniform,
@@ -358,18 +364,101 @@ class TestFlopFormulas:
 
 
 class TestWeightedSpectralNorm:
-    def test_identity_weight(self):
-        rng = np.random.default_rng(16)
-        M = rand_tubal(rng, 3, 3, 2)
-        got = weighted_2norm(M, None)
-        assert abs(got - np.linalg.norm(bcirc(M), ord=2)) < 1e-10
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            weighted_2norm(np.zeros((2, 3, 2)), None)
-
     def test_projector_has_unit_weighted_norm(self):
         rng = np.random.default_rng(17)
         A = rand_tubal(rng, 4, 3, 2)
         Z = projector_tensor(A, None, make_slice_sketches(4, 2).members[0])
-        assert abs(weighted_2norm(Z, None) - 1.0) < 1e-8
+        assert abs(np.linalg.norm(bcirc(Z), ord=2) - 1.0) < 1e-8
+
+
+# square 5x5x3 slices: the stacked Gram is definite, so the closed-form
+# bounds are nonzero for every set whose family has at most n columns
+SPATIAL_SETS = {
+    "slice": lambda: make_slice_sketches(5, 3),
+    "ragged-block": lambda: make_block_sketches(5, 3, [[0, 2, 4], [1], [3]]),
+    "gaussian": lambda: make_gaussian_sketches(5, 2, 4, 3, np.random.default_rng(21)),
+}
+ALL_SETS = {**SPATIAL_SETS, "fourier-row": lambda: make_fourier_sketches(5, 1, 5, 3, "row")}
+
+
+def _system(weighted):
+    rng = np.random.default_rng(20)
+    A = rand_tubal(rng, 5, 5, 3)
+    return A, spd_weight_tensor(rng, 5, 3) if weighted else None
+
+
+def _max_energy_reference(A, Qt, sketches, V):
+    """min over the unit columns v of V of max_i v^T bcirc(Z_i) v, with every
+    Z_i assembled by oracle products."""
+    P = [bcirc(projector_tensor(A, Qt, sketches.member(i))) for i in range(sketches.q)]
+    return float(np.min(np.max([np.sum(V * (Pi @ V), axis=0) for Pi in P], axis=0)))
+
+
+class TestFourierReportOracles:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", list(ALL_SETS))
+    def test_fixed_sampling_constant(self, name, weighted):
+        A, Qt = _system(weighted)
+        s = ALL_SETS[name]()
+        p = np.random.default_rng(22).dirichlet(np.ones(s.q))
+        rep = compute_rate_report(A, Qt, s, p=p, n_samples=50,
+                                  rng=np.random.default_rng(23))
+        if s.per_slice:
+            lam = slice_rates_loop(A, Qt, s, p).min()
+        else:
+            _, lam = expected_projector(A, Qt, s, p)
+        assert abs(rep.delta_p_sq - lam) < 1e-10
+        assert abs(rep.per_slice_min_rate - lam) < 1e-10
+        assert lam > 1e-7  # complete family: a nonsingular expected projector
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", list(SPATIAL_SETS))
+    def test_max_energy_matches_bcirc_projectors(self, name, weighted):
+        A, Qt = _system(weighted)
+        s = SPATIAL_SETS[name]()
+        Q = WeightQ.identity(5, 3) if Qt is None else WeightQ.from_tensor(Qt)
+        basis = _range_basis(A, Q)
+        V = basis @ np.random.default_rng(24).standard_normal((basis.shape[1], 60))
+        est, _ = estimate_delta_inf(A, Qt, s, n_samples=60,
+                                    rng=np.random.default_rng(24))
+        V /= np.linalg.norm(V, axis=0)
+        assert est == pytest.approx(_max_energy_reference(A, Qt, s, V), rel=1e-12)
+        # caller-supplied directions alone, together and one at a time
+        dirs = np.random.default_rng(25).standard_normal((15, 4))
+        D = basis @ (basis.T @ dirs)
+        D /= np.linalg.norm(D, axis=0)
+        est, _ = estimate_delta_inf(A, Qt, s, n_samples=0, extra_dirs=dirs)
+        assert est == pytest.approx(_max_energy_reference(A, Qt, s, D), rel=1e-12)
+        for j in range(dirs.shape[1]):
+            est, _ = estimate_delta_inf(A, Qt, s, n_samples=0,
+                                        extra_dirs=dirs[:, j:j + 1])
+            assert est == pytest.approx(
+                _max_energy_reference(A, Qt, s, D[:, j:j + 1]), rel=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", list(ALL_SETS))
+    def test_closed_form_bounds_match_member_loop(self, name, weighted):
+        A, Qt = _system(weighted)
+        s = ALL_SETS[name]()
+        got = closed_form_rate_bounds(A, Qt, s)
+        want = closed_form_bounds_loop(A, Qt, s)
+        assert set(got) == set(want)
+        for key in want:
+            assert abs(got[key] - want[key]) < 1e-12, key
+        if name != "gaussian":  # 8 stacked columns > n: singular stacked Gram
+            assert want["uniform"] > 0
+
+    def test_vanishing_fourier_slices_follow_the_oracle_cutoff(self):
+        # slices 1 and 3 are 1e-13 of the others: rounding-level, so the
+        # spatial pinv treats them as zero and the expected projector is
+        # singular; the per-slice constants must say the same
+        A0 = np.random.default_rng(0).standard_normal((6, 3))
+        A = A0[:, :, None] * np.fft.ifft([1, 1e-13, 1, 1e-13]).real
+        s = make_slice_sketches(6, 4)
+        _, lam = expected_projector(A, None, s, prob_uniform(6))
+        lams, lam_min = per_slice_rates(A, None, s, prob_uniform(6))
+        assert abs(lam_min - lam) < 1e-10
+        rep = compute_rate_report(A, None, s, n_samples=50,
+                                  rng=np.random.default_rng(1))
+        assert abs(rep.per_slice_min_rate - lam) < 1e-10
+        assert abs(rep.delta_p_sq - lam) < 1e-10
