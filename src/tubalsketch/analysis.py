@@ -153,7 +153,8 @@ def closed_form_rate_bounds(A, Q, sketches):
 
     Keys 'norm_weighted' (probabilities proportional to
     ||Q^{-1/2} * A^T * S_i||_F^2) and 'uniform' are certified lower bounds:
-    per slice k they multiply lambda_min of the stacked sketched Gram by the
+    per slice k they multiply lambda_min of the n x n Gram of the stacked
+    sketched family, sum_i N_i^H N_i with N_i = S_i^H A_k Q_k^{-1/2}, by the
     exact smallest entry of the probability-scaled member-Gram inverse.
     For the norm-weighted rule the customary shortcut replaces that entry
     with one over the global family norm; that is only correct when the
@@ -164,8 +165,8 @@ def closed_form_rate_bounds(A, Q, sketches):
     """
     NQ, _ = _slice_factors(A, Q, sketches)
     l, q, tau, _ = NQ.shape
-    stacked = NQ[:, np.arange(tau) < np.array(sketches.taus)[:, None]]  # no padding rows
-    gram = stacked @ np.conj(np.swapaxes(stacked, -1, -2))
+    stacked = NQ.reshape(l, q * tau, -1)  # ragged padding rows are zero
+    gram = np.conj(np.swapaxes(stacked, -1, -2)) @ stacked
     num = np.clip(np.linalg.eigvalsh(gram)[:, 0], 0.0, None)
     member_norm_sq = np.sum(np.abs(NQ) ** 2, axis=(2, 3))  # ||Q_k^{-1/2} A_k^H S_{k_i}||_F^2
     member_lmax = np.linalg.eigvalsh(NQ @ np.conj(np.swapaxes(NQ, -1, -2)))[..., -1]

@@ -12,18 +12,21 @@ ATSP-PR         finite spatial set, probabilities proportional to the losses
 ATSP-CS         finite spatial set, loss-capped sampling with parameter theta
 TSP-I           per-slice sketches, real Re/Im-stacked sketched system
 TSP-II          per-slice sketches, fixed probabilities, real part taken at
-                the end (direct updates, no factor caching)
+                the end (per-member factors cached, residual computed
+                directly from the iterate)
 NTSP-II         as TSP-II through the cached per-slice fast path
 ATSP-MD-II      per-slice max-loss selection, cached fast path
 ATSP-PR-II      per-slice proportional selection, cached fast path
 ATSP-CS-II      per-slice capped selection, cached fast path
 ==============  ==============================================================
 
-Every finite-set method runs through a cached fast path: the projector
-factors are precomputed once, the sketched residuals are kept current by a
-rank-one-style recursion, and each iteration touches only small matrices.
-:func:`audit_residuals` recomputes the residuals from scratch for drift
-checks.  All iterations operate on the Fourier slices; spatial-domain
+The finite spatial sets and the four cached per-slice methods run through
+a cached fast path: the projector factors are precomputed once, the
+sketched residuals are kept current by a rank-one-style recursion, and each
+iteration touches only small matrices.  :func:`audit_residuals` recomputes
+the residuals from scratch for drift checks.  TSP-II precomputes the same
+per-member factors but forms each drawn member's residual from the
+iterate.  All iterations operate on the Fourier slices; spatial-domain
 reference steps for cross-checking live in :func:`sp_step_direct`.
 """
 
@@ -275,6 +278,7 @@ class _BaseState:
             if self.x_star_norm == 0:
                 raise ValueError("x_star must be nonzero for relative errors")
         self.b_norm = np.linalg.norm(B)
+        self.q_is_identity = Q.is_identity
         self.max_imag_residue = 0.0
         self.audit_max = 0.0
 
@@ -282,19 +286,30 @@ class _BaseState:
     def epsilon(self):
         """Relative solution error when the solution is known, else the
         relative residual."""
-        if self.x_star is not None:
-            diff = self.Xh - self.Xsh
-            return float(np.linalg.norm(diff) / np.sqrt(self.l) / self.x_star_norm)
-        res = self.Ah @ self.Xh - self.Bh
-        return float(np.linalg.norm(res) / np.sqrt(self.l) / max(self.b_norm, 1e-300))
+        return self._errors()[0]
 
-    def q_error(self):
-        """Weighted squared error ||X - X_star||_{F(Q)}^2 (needs x_star)."""
+    def _errors(self):
+        """(epsilon, ||Xh - Xsh||_F), the norm being None without x_star."""
+        if self.x_star is not None:
+            diff_norm = np.linalg.norm(self.Xh - self.Xsh)
+            return float(diff_norm / np.sqrt(self.l) / self.x_star_norm), diff_norm
+        res = self.Ah @ self.Xh - self.Bh
+        eps = float(np.linalg.norm(res) / np.sqrt(self.l) / max(self.b_norm, 1e-300))
+        return eps, None
+
+    def q_error(self, diff_norm=None):
+        """Weighted squared error ||X - X_star||_{F(Q)}^2 (needs x_star).
+
+        ``diff_norm`` is ||Xh - Xsh||_F of the current iterate when the
+        caller already has it; it is only used under the identity weight.
+        """
         if self.x_star is None:
             return float("nan")
+        if self.q_is_identity:
+            if diff_norm is None:
+                diff_norm = np.linalg.norm(self.Xh - self.Xsh)
+            return float(diff_norm ** 2 / self.l)
         diff = self.Xh - self.Xsh
-        if self.Q.is_identity:
-            return float(np.linalg.norm(diff) ** 2 / self.l)
         return float(
             sum(np.linalg.norm(self.Q.sqrt[k] @ diff[k]) ** 2 for k in range(self.l))
             / self.l
@@ -340,6 +355,12 @@ class _FiniteSetState(_BaseState):
             self.index_rng = _rng(config.seed, 1)
         self.base_cdf = np.cumsum(self.base_probs, axis=-1)
 
+    def _member_tables(self):
+        """N = S^H A, Q^{-1} N^H and S^H B of every member, each (l, q, ...)."""
+        sk = self.sketches
+        QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))  # (l, n, m)
+        return sk.sketch(self.Ah), sk.sketch_cols(QiAH), sk.sketch(self.Bh)
+
 
 class _SetState(_FiniteSetState):
     """Cached fast path of the finite-set methods.
@@ -358,11 +379,9 @@ class _SetState(_FiniteSetState):
         super().__init__(A, B, config, x_star)
         if config.check_sampling:
             sketching.warn_if_not_complete(A, self.sketches)
-        sk = self.sketches
-        QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))  # (l, n, m)
         N, AQS, self.SB = (  # (l, q, ...) from the sketch set, to the state's order
             np.ascontiguousarray(np.moveaxis(T, 1, self.member_axis))
-            for T in (sk.sketch(self.Ah), sk.sketch_cols(QiAH), sk.sketch(self.Bh)))
+            for T in self._member_tables())
         self.C = _batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
         self.step_map = AQS @ self.C
         CH = np.conj(np.swapaxes(self.C, -1, -2))
@@ -395,8 +414,14 @@ class _SpatialSetState(_SetState):
         return self._energy(self.R) / self.l
 
     def select(self, losses):
+        """Member index; ``solve`` has already checked that some loss is
+        positive, so 'md' and 'pr' need no further validation."""
         if self.rule == "fixed":
             return sketching.draw_from_cdf(self.base_cdf, self.index_rng)
+        if self.rule == "md":
+            return np.argmax(losses)
+        if self.rule == "pr":
+            return sketching.draw_from_cdf(np.cumsum(losses / losses.sum()), self.index_rng)
         return select_index(
             losses, self.rule, self.index_rng, self.base_probs, self.config.theta
         )
@@ -477,7 +502,7 @@ class _FreshGaussianState(_BaseState):
         S0 = self.sketch_rng.standard_normal((self.m, self.tau))
         self.last_sketch = S0
         self.apply_sketch(S0)
-        return None, None, None
+        return None
 
     def apply_sketch(self, S0):
         # only the first frontal slice is nonzero, so every Fourier slice of
@@ -508,7 +533,7 @@ class _StackedState(_FiniteSetState):
     def iterate_once(self):
         idx = self.draw_indices()
         self.apply_indices(idx)
-        return idx, None, None
+        return idx
 
     def apply_indices(self, idx):
         Acheck = self.sketches.sketch(self.Ah, idx)  # (l, tau, n) sketched Fourier slices
@@ -530,25 +555,32 @@ class _StackedState(_FiniteSetState):
 
 
 class _PerSliceFreshState(_FiniteSetState):
-    """Direct per-slice updates with fixed probabilities (no caching);
-    the real part of the final inverse transform is the answer."""
+    """Direct per-slice updates with fixed probabilities; the real part of
+    the final inverse transform is the answer.
+
+    Setup tabulates N = S^H A, Q^{-1} N^H, S^H B and G = pinv(N Q^{-1} N^H)
+    for every slice and member, (l, q, ...).  An iteration gathers the drawn
+    member of each slice and computes its residual N X - S^H B directly from
+    the iterate; no sketched residuals are carried between iterations.
+    """
 
     per_slice_selection = True
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        self.QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))
+        self.N, self.AQS, self.SB = self._member_tables()
+        self.G = _batched_hpinv(self.N @ self.AQS)
+        self.slices = np.arange(self.l)
 
     def iterate_once(self):
         idx = _draw_per_slice(self.base_cdf, self.slice_rngs)
         self.apply_indices(idx)
-        return idx, None, None
+        return idx
 
     def apply_indices(self, idx):
-        N = self.sketches.sketch(self.Ah, idx)
-        AQS = self.sketches.sketch_cols(self.QiAH, idx)
-        G = _batched_hpinv(N @ AQS)
-        self.Xh -= AQS @ (G @ ((N @ self.Xh) - self.sketches.sketch(self.Bh, idx)))
+        member = (self.slices, idx)
+        resid = (self.N[member] @ self.Xh) - self.SB[member]
+        self.Xh -= self.AQS[member] @ (self.G[member] @ resid)
         self.t += 1
 
     def x(self):
@@ -621,65 +653,59 @@ def solve(A, B, config, x_star=None):
     if config.keep_iterates:
         record.iterates = []
 
-    eps = state.epsilon()
+    eps, diff_norm = state._errors()
     eps0 = max(eps, 1e-300)
 
-    def log_row(current_eps, chosen, lmax, lsum, elapsed, var):
+    def log_row(errors, elapsed, chosen=None, losses=None, lmax=np.nan):
+        """Append one trace row; ``losses`` are those ``chosen`` was
+        selected from, and the per-row bookkeeping is done only here."""
         rows_t.append(state.t)
-        rows_eps.append(current_eps)
-        rows_qerr.append(state.q_error())
+        rows_eps.append(errors[0])
+        rows_qerr.append(state.q_error(errors[1]))
+        if chosen is not None:
+            chosen = (tuple(int(c) for c in chosen) if state.per_slice_selection
+                      else int(chosen))
         record.chosen.append(chosen)
-        rows_lmax.append(lmax)
-        rows_lsum.append(lsum)
+        rows_lmax.append(float(lmax))
+        rows_lsum.append(np.nan if losses is None else float(losses.sum()))
+        rows_var.append(_variance_factor(np.ravel(losses))
+                        if is_pr and losses is not None else np.nan)
         rows_sec.append(elapsed)
-        rows_var.append(var)
         if config.keep_iterates:
             record.iterates.append(state.x())
 
-    log_row(eps, None, np.nan, np.nan, 0.0, np.nan)
+    log_row((eps, diff_norm), 0.0)
     converged = eps < config.tol
     start = time.perf_counter()
+    losses, lmax = None, np.nan
 
     while not converged and state.t < config.max_iters:
         if cached:
             losses = state.losses()
-            lmax = float(losses.max())
-            lsum = float(losses.sum())
+            lmax = losses.max()
             if lmax <= 0.0:
                 converged = True
                 break
-            var = _variance_factor(np.ravel(losses)) if is_pr else np.nan
             chosen = state.select(losses)
             state.step(chosen)
-            if state.per_slice_selection:
-                chosen = tuple(int(c) for c in chosen)
-            else:
-                chosen = int(chosen)
         else:
-            chosen, lmax, lsum = state.iterate_once()
-            if chosen is not None:
-                chosen = tuple(int(c) for c in chosen)
-            lmax = np.nan if lmax is None else lmax
-            lsum = np.nan if lsum is None else lsum
-            var = np.nan
+            chosen = state.iterate_once()
 
         if config.audit_every and cached and state.t % config.audit_every == 0:
             state.audit()
 
-        eps = state.epsilon()
+        eps, diff_norm = state._errors()
         if not np.isfinite(eps) or eps > 1e3 * eps0:
             raise DivergenceError(
                 f"{method} diverged at iteration {state.t}: "
                 f"error {eps:.3e} vs initial {eps0:.3e}"
             )
         if state.t % config.record_every == 0 or eps < config.tol:
-            log_row(eps, chosen, lmax, lsum, time.perf_counter() - start, var)
+            log_row((eps, diff_norm), time.perf_counter() - start, chosen, losses, lmax)
         converged = eps < config.tol
 
     if rows_t[-1] != state.t:
-        log_row(
-            state.epsilon(), None, np.nan, np.nan, time.perf_counter() - start, np.nan
-        )
+        log_row(state._errors(), time.perf_counter() - start)
 
     record.t = np.array(rows_t, dtype=int)
     record.epsilon = np.array(rows_eps)

@@ -174,7 +174,7 @@ def closed_form_bounds_loop(A, Q, sketches):
         family = sketches.slice_family(k)
         stacked = np.hstack([np.asarray(S, dtype=np.complex128) for S in family])
         QAS = Q.inv_sqrt[k] @ Ah[k].conj().T @ stacked
-        G = QAS.conj().T @ QAS
+        G = QAS @ QAS.conj().T
         num[k] = max(float(np.linalg.eigvalsh(0.5 * (G + G.conj().T))[0].real), 0.0)
         for i, S_k in enumerate(family):
             K = Q.inv_sqrt[k] @ Ah[k].conj().T @ np.asarray(S_k, np.complex128)

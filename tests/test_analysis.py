@@ -20,6 +20,7 @@ from tubalsketch.analysis import (
     projector_tensor,
     verify_bounds,
 )
+from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
     make_block_sketches,
     make_fourier_sketches,
@@ -102,17 +103,19 @@ class TestPerSliceRates:
 class TestCorollaryRates:
     def test_display_value_matches_published_closed_form(self):
         # row sketches, identity weight: smallest eigenvalue of each Fourier
-        # slice's outer Gram over the total squared norm
+        # slice's n x n Gram over the total squared norm (nonzero on this
+        # tall system, where the m x m outer Gram is singular)
         rng = np.random.default_rng(4)
         A = rand_tubal(rng, 5, 3, 4)
         s = make_slice_sketches(5, 4)
         rates = closed_form_rate_bounds(A, None, s)
         Ah = dft3(A)
         per_k = [
-            np.linalg.eigvalsh(Ah[:, :, k] @ Ah[:, :, k].conj().T)[0].real
+            np.linalg.eigvalsh(Ah[:, :, k].conj().T @ Ah[:, :, k])[0].real
             for k in range(4)
         ]
         expect = min(per_k) / np.linalg.norm(A) ** 2
+        assert expect > 0
         assert abs(rates["norm_weighted_display"] - expect) < 1e-12
 
     def test_identity_system_value(self):
@@ -138,6 +141,21 @@ class TestCorollaryRates:
             _, exact_unif = expected_projector(A, Qt, s, prob_uniform(m))
             assert rates["norm_weighted"] <= exact_norm + 1e-10
             assert rates["uniform"] <= exact_unif + 1e-10
+
+    def test_tall_system_bounds_are_positive_and_certified(self):
+        # 50x20x5 with slice sketches: every Fourier slice is tall, so the
+        # stacked family's m x m Gram is singular while the n x n one is not
+        A, _, _ = gen_gaussian(ProblemSpec(m=50, n=20, p=1, l=5, seed=3))
+        s = make_slice_sketches(50, 5)
+        _, exact_norm = expected_projector(
+            A, None, s, prob_sketch_norm(A, WeightQ.identity(20, 5), s))
+        _, exact_unif = expected_projector(A, None, s, prob_uniform(50))
+        rates = closed_form_rate_bounds(A, None, s)
+        for key, exact in (("norm_weighted", exact_norm), ("uniform", exact_unif),
+                           ("norm_weighted_display", exact_norm)):
+            assert 0 < rates[key] <= exact, key
+        for key, want in closed_form_bounds_loop(A, None, s).items():
+            assert abs(rates[key] - want) < 1e-12, key
 
     def test_display_shortcut_can_overshoot_for_depth_above_one(self):
         # the global-norm shortcut averages member Gram maxima across
@@ -167,12 +185,12 @@ class TestCorollaryRates:
         lams, lam_min = per_slice_rates(A, None, f, prob_uniform(4))
         assert 0 < rates["uniform"] <= lam_min + 1e-10
         assert 0 < rates["norm_weighted"] <= lam_min + 1e-10
-        # tall slices make the stacked Gram singular and the bound trivial
+        # tall slices: the n x n stacked Gram is still definite
         A_tall = rand_tubal(rng, 5, 3, 2)
         f_tall = make_fourier_sketches(5, 1, 5, 2, "row")
         tall = closed_form_rate_bounds(A_tall, None, f_tall)
         _, lam_tall = per_slice_rates(A_tall, None, f_tall, prob_uniform(5))
-        assert 0 <= tall["uniform"] <= lam_tall + 1e-10
+        assert 0 < tall["uniform"] <= lam_tall + 1e-10
 
 
 class TestWorstDirectionEstimate:

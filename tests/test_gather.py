@@ -5,7 +5,10 @@ and applied by gathering rows.  For finite data a one-hot product equals
 the gather exactly, so the cached tables and seeded runs must match the
 dense-member route bit for bit.  ``data/seeded_records.json`` holds runs
 recorded with the dense-member implementation, made by the recipe in
-:func:`seeded_cases` with ``seed=11, tol=1e-10, max_iters=30``.
+:func:`seeded_cases` with ``seed=11, tol=1e-10, max_iters=30``.  Its
+``q_error``, ``loss_max``, ``loss_sum`` and ``pr_variance_factor`` rows
+(NaN stored as null) were recorded later, before the record row began to
+reuse the error norm and to skip loss bookkeeping between logged rows.
 """
 
 import json
@@ -78,6 +81,9 @@ def test_seeded_records_match_dense_member_runs():
         chosen = [c if c is None or isinstance(c, int) else list(c) for c in rec.chosen]
         assert chosen == want["chosen"], name
         assert [float(v) for v in X.ravel()] == want["x"], name
+        for f in ("q_error", "loss_max", "loss_sum", "pr_variance_factor"):
+            got = [None if np.isnan(v) else float(v) for v in getattr(rec, f)]
+            assert got == want[f], (name, f)
 
 
 def _sets():
@@ -88,17 +94,24 @@ def _sets():
     }
 
 
-@pytest.mark.parametrize("kind", ["slice", "block", "fourier-row"])
+@pytest.mark.parametrize("kind", ["slice", "block", "fourier-row", "fourier-row/TSP-II"])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_cached_tables_equal_dense_products(kind, weighted):
     A, Xs, B = gen_gaussian(ProblemSpec(m=9, n=4, p=2, l=3, seed=50))
     Q = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(51), 4, 3))
          if weighted else WeightQ.identity(4, 3))
+    kind, _, method = kind.partition("/")
     sketches = _sets()[kind]
-    method = "ATSP-MD-II" if sketches.per_slice else "ATSP-MD"
+    method = method or ("ATSP-MD-II" if sketches.per_slice else "ATSP-MD")
     st = make_state(A, B, SolverConfig(method=method, sketches=sketches, weight=Q),
                     x_star=Xs)
     want = dense_set_tables(A, B, sketches, Q)
+    if method == "TSP-II":  # per-member tables of the direct-residual method
+        for name in ("N", "AQS", "SB"):
+            np.testing.assert_array_equal(getattr(st, name), want[name], err_msg=name)
+        C = want["C"]
+        np.testing.assert_array_equal(st.G, C @ np.conj(np.swapaxes(C, -1, -2)))
+        return
     AQS = sketches.sketch_cols(Q.inv @ np.conj(np.swapaxes(st.Ah, -1, -2)))
     if not sketches.per_slice:
         AQS = np.swapaxes(AQS, 0, 1)
