@@ -11,6 +11,8 @@ ATSP-MD         finite spatial set, largest sketched loss wins
 ATSP-PR         finite spatial set, probabilities proportional to the losses
 ATSP-CS         finite spatial set, loss-capped sampling with parameter theta
 TSP-I           per-slice sketches, real Re/Im-stacked sketched system
+                (projected on slices 0..l//2 from each slice's drawn member
+                and the conjugated one of its mirror slice)
 TSP-II          per-slice sketches, fixed probabilities, real part taken at
                 the end (per-member factors cached, residual computed
                 directly from the iterate)
@@ -26,8 +28,10 @@ sketched residuals are kept current by a rank-one-style recursion, and each
 iteration touches only small matrices.  :func:`audit_residuals` recomputes
 the residuals from scratch for drift checks.  TSP-II precomputes the same
 per-member factors but forms each drawn member's residual from the
-iterate.  All iterations operate on the Fourier slices; spatial-domain
-reference steps for cross-checking live in :func:`sp_step_direct`.
+iterate.  TSP-I gathers per-member tables too, two per slice (see
+:class:`_StackedState`), and works on half the spectrum.  All iterations
+operate on the Fourier slices; spatial-domain reference steps for
+cross-checking live in :func:`sp_step_direct`.
 """
 
 from __future__ import annotations
@@ -156,11 +160,13 @@ def _batched_inv_factor(M, relcut=PINV_RELCUT, slice_axis=None):
     """
     M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
     lam, U = np.linalg.eigh(M)
-    lmax = np.clip(lam[..., -1:], 0.0, None)
+    # np.maximum, not np.clip: the same values with less overhead per call,
+    # which TSP and TSP-I pay every iteration
+    lmax = np.maximum(lam[..., -1:], 0.0)
     if slice_axis is not None:
         lmax = lmax.max(axis=slice_axis, keepdims=True)
     cut = lmax * (M.shape[-1] * relcut)
-    inv = np.where(lam > cut, 1.0 / np.sqrt(np.clip(lam, 1e-300, None)), 0.0)
+    inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
     return U * inv[..., None, :]
 
 
@@ -190,12 +196,20 @@ def select_index(losses, rule, rng=None, base_probs=None, theta=0.5):
     if rule == "cs":
         if base_probs is None:
             base_probs = sketching.prob_uniform(losses.size)
-        threshold = theta * losses.max() + (1.0 - theta) * float(base_probs @ losses)
-        capped = np.where(losses >= threshold, losses, 0.0)
-        if not np.any(capped > 0):  # float hedge; the max always qualifies
+        capped = _capped_losses(losses, base_probs, theta)
+        if capped is None:
             return int(np.argmax(losses))
         return sketching.sample_index(capped / capped.sum(), rng)
     raise ValueError(f"unknown selection rule {rule!r}")
+
+
+def _capped_losses(losses, base_probs, theta):
+    """The 'cs' rule's weights: losses of at least theta * max + (1 - theta)
+    * E_p[loss], the others zeroed; None if none qualifies (a float hedge,
+    the max always qualifies)."""
+    threshold = theta * losses.max() + (1.0 - theta) * float(base_probs @ losses)
+    capped = np.where(losses >= threshold, losses, 0.0)
+    return capped if np.any(capped > 0) else None
 
 
 def _resolve_probs(spec, A, Q, sketches):
@@ -227,23 +241,51 @@ def _per_slice_probs(p, l, q):
     return p
 
 
-def _draw_per_slice(cum, rngs, active=None):
+_UNIFORM_BLOCK = 64
+
+
+class _SliceUniforms:
+    """One uniform stream per Fourier slice, read from blocks.
+
+    Slice k's values come from ``rngs[k].random(block)``, which yields the
+    values of ``block`` scalar ``random()`` calls, so the streams are those
+    of one scalar call per draw, and a slice that draws nothing consumes
+    nothing.
+    """
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+        self.end = (np.arange(len(rngs)) + 1) * _UNIFORM_BLOCK
+        self.flat = np.empty(self.end[-1])  # slice k's block at [end[k] - block, end[k])
+        self.off = self.end.copy()  # next unread value of each slice
+        self.left = 0  # at most the fewest unread values of any slice
+
+    def take(self, rows=slice(None)):
+        """The next uniform of each slice in ``rows`` (all by default)."""
+        if self.left == 0:
+            for k in np.nonzero(self.off == self.end)[0]:
+                self.off[k] = self.end[k] - _UNIFORM_BLOCK
+                self.flat[self.off[k]:self.end[k]] = self.rngs[k].random(_UNIFORM_BLOCK)
+            self.left = int(np.min(self.end - self.off))
+        u = self.flat[self.off[rows]]
+        self.off[rows] += 1
+        self.left -= 1
+        return u
+
+
+def _draw_per_slice(cum, uniforms, active=None):
     """Inverse-CDF draws from one cumulative-weight row per slice, batched.
 
     ``cum`` is (l, q), the row-wise cumsum of nonnegative weights with
     positive totals on active rows; rows flagged inactive come back as -1.
-    One uniform variate is consumed from each active slice's generator, so
-    streams stay per-slice.
+    One uniform is taken from each active slice's stream in ``uniforms``
+    (a :class:`_SliceUniforms`), so streams stay per-slice.
     """
     l, q = cum.shape
-    idx = np.full(l, -1, dtype=int)
-    if active is None:
-        active = np.ones(l, dtype=bool)
-    rows = np.nonzero(active)[0]
-    if rows.size == 0:
-        return idx
+    rows = slice(None) if active is None else np.nonzero(active)[0]
     cum = cum[rows]
-    targets = np.array([rngs[k].random() for k in rows]) * cum[:, -1]
+    targets = uniforms.take(rows) * cum[:, -1]
+    idx = np.full(l, -1)
     idx[rows] = np.minimum((cum <= targets[:, None]).sum(axis=1), q - 1)
     return idx
 
@@ -347,7 +389,7 @@ class _FiniteSetState(_BaseState):
         probs = _resolve_probs(config.probabilities, A, self.Q, sketches)
         if self.per_slice_selection:
             self.base_probs = _per_slice_probs(probs, self.l, self.q)
-            self.slice_rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
+            self.uniforms = _SliceUniforms([_rng(config.seed, 2, k) for k in range(self.l)])
         else:
             self.base_probs = sketching.as_prob_vector(probs)
             if self.base_probs.size != self.q:
@@ -415,16 +457,17 @@ class _SpatialSetState(_SetState):
 
     def select(self, losses):
         """Member index; ``solve`` has already checked that some loss is
-        positive, so 'md' and 'pr' need no further validation."""
+        positive, so no rule needs further validation."""
         if self.rule == "fixed":
             return sketching.draw_from_cdf(self.base_cdf, self.index_rng)
         if self.rule == "md":
             return np.argmax(losses)
-        if self.rule == "pr":
-            return sketching.draw_from_cdf(np.cumsum(losses / losses.sum()), self.index_rng)
-        return select_index(
-            losses, self.rule, self.index_rng, self.base_probs, self.config.theta
-        )
+        weights = losses
+        if self.rule == "cs":
+            weights = _capped_losses(losses, self.base_probs, self.config.theta)
+            if weights is None:
+                return np.argmax(losses)
+        return sketching.draw_from_cdf(np.cumsum(weights / weights.sum()), self.index_rng)
 
     def step(self, i):
         Ri = self.R[i]
@@ -451,12 +494,12 @@ class _PerSliceSetState(_SetState):
     def select(self, losses):
         """Per-slice index choices; -1 marks an already-solved slice."""
         if self.rule == "fixed":
-            return _draw_per_slice(self.base_cdf, self.slice_rngs)
+            return _draw_per_slice(self.base_cdf, self.uniforms)
         active = losses.max(axis=1) > 0
         if self.rule == "md":
             return np.where(active, np.argmax(losses, axis=1), -1)
         if self.rule == "pr":
-            return _draw_per_slice(np.cumsum(losses, axis=1), self.slice_rngs, active)
+            return _draw_per_slice(np.cumsum(losses, axis=1), self.uniforms, active)
         theta = self.config.theta
         threshold = (
             theta * losses.max(axis=1)
@@ -466,7 +509,7 @@ class _PerSliceSetState(_SetState):
         hedge = np.nonzero(active & ~(capped.max(axis=1) > 0))[0]
         if hedge.size:  # float hedge; the max always qualifies
             capped[hedge, np.argmax(losses[hedge], axis=1)] = 1.0
-        return _draw_per_slice(np.cumsum(capped, axis=1), self.slice_rngs, active)
+        return _draw_per_slice(np.cumsum(capped, axis=1), self.uniforms, active)
 
     def step(self, idx):
         idx = np.asarray(idx, dtype=int)
@@ -518,17 +561,37 @@ class _FreshGaussianState(_BaseState):
 class _StackedState(_FiniteSetState):
     """Per-slice sketches folded back into a real sketched system.
 
-    Each iteration draws one sketch per Fourier slice, inverse-transforms
-    the sketched system, stacks its real and imaginary parts into a real
-    system of doubled sketch size, and projects onto that system's solution
-    set.  The stacking keeps every iterate real even though the per-slice
-    sketches break conjugate symmetry.
+    Stacking the real and imaginary parts of the inverse-transformed
+    sketched system gives, in Fourier slice k, the rows of
+    [S_k^H A_k; conj(S_{-k}^H A_{-k})] (S_k the member slice k drew) mixed
+    by a fixed invertible 2tau x 2tau map.  A projection depends only on
+    that row space, so slice k is projected onto its own drawn member
+    together with the conjugate of slice -k's.  Setup tabulates N = S^H A,
+    N Q^{-1} and S^H B of every member for slices 0..l//2, each next to the
+    conjugated table of the mirror slice -k; an iteration gathers the two
+    drawn members, factors their 2tau x 2tau Gram, projects slices 0..l//2
+    and sets X_{l-k} = conj(X_k) for the others.  The stacked system is
+    real, so every iterate stays real; no transform runs in the loop.
     """
 
     per_slice_selection = True
 
+    def __init__(self, A, B, config, x_star):
+        super().__init__(A, B, config, x_star)
+        self.neg = -np.arange(self.l) % self.l  # slice -k
+        half = np.arange(self.l // 2 + 1)
+        self.pair_slices = np.stack([half, self.neg[half]], axis=1).ravel()
+        # rows of the flattened (h, 2, q) tables: slice k's members, slice -k's
+        self.pair_rows = (2 * half[:, None] + np.arange(2)).ravel() * self.q
+        N, AQS, SB = self._member_tables()
+        NQ = np.conj(np.swapaxes(AQS, -1, -2))  # N Q^{-1}, a row block like N
+        self.tables = [
+            np.stack([T[half], np.conj(T[self.neg[half]])], axis=1).reshape(-1, *T.shape[2:])
+            for T in (N, NQ, SB)
+        ]
+
     def draw_indices(self):
-        return _draw_per_slice(self.base_cdf, self.slice_rngs)
+        return _draw_per_slice(self.base_cdf, self.uniforms)
 
     def iterate_once(self):
         idx = self.draw_indices()
@@ -536,21 +599,18 @@ class _StackedState(_FiniteSetState):
         return idx
 
     def apply_indices(self, idx):
-        Acheck = self.sketches.sketch(self.Ah, idx)  # (l, tau, n) sketched Fourier slices
-        Bcheck = self.sketches.sketch(self.Bh, idx)
-        Atil = np.fft.ifft(Acheck, axis=0)
-        Btil = np.fft.ifft(Bcheck, axis=0)
-        As = np.concatenate([Atil.real, Atil.imag], axis=1)  # real (l, 2tau, n)
-        Bs = np.concatenate([Btil.real, Btil.imag], axis=1)
-        Ash = np.fft.fft(As.astype(np.complex128), axis=0)
-        Bsh = np.fft.fft(Bs.astype(np.complex128), axis=0)
-        AshH = np.conj(np.swapaxes(Ash, -1, -2))
-        QiAH = self.Q.inv @ AshH  # (l, n, 2tau)
-        G = _batched_hpinv(Ash @ QiAH)
-        self.Xh -= QiAH @ (G @ ((Ash @ self.Xh) - Bsh))
+        rows = self.pair_rows + idx[self.pair_slices]
+        h = rows.size // 2
+        N, NQ, SB = (T[rows].reshape(h, -1, T.shape[-1]) for T in self.tables)
+        AQS = np.conj(np.swapaxes(NQ, -1, -2))  # (h, n, 2tau)
+        G = _batched_hpinv(N @ AQS)
+        X = self.Xh[:h]
+        X -= AQS @ (G @ (N @ X - SB))
+        self.Xh[h:] = np.conj(self.Xh[self.neg[h:]])
         self.t += 1
-        imag = np.linalg.norm(np.fft.ifft(self.Xh, axis=0).imag)
-        scale = max(np.linalg.norm(self.Xh) / np.sqrt(self.l), 1e-300)
+        # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval
+        imag = np.linalg.norm(self.Xh - np.conj(self.Xh[self.neg]))
+        scale = max(2.0 * np.linalg.norm(self.Xh), 1e-300)
         self.max_imag_residue = max(self.max_imag_residue, float(imag / scale))
 
 
@@ -573,7 +633,7 @@ class _PerSliceFreshState(_FiniteSetState):
         self.slices = np.arange(self.l)
 
     def iterate_once(self):
-        idx = _draw_per_slice(self.base_cdf, self.slice_rngs)
+        idx = _draw_per_slice(self.base_cdf, self.uniforms)
         self.apply_indices(idx)
         return idx
 

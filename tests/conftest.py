@@ -62,6 +62,31 @@ def row_action_step_oracle(A, B, X, i):
     return X - tprod_oracle(ttranspose(Ai), tprod_oracle(pinv_gram, resid))
 
 
+def stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx):
+    """One TSP-I step on the Re/Im-stacked sketched system.
+
+    Slice k is sketched by its drawn dense member ``members[k][idx[k]]``; the
+    sketched slices are inverse-transformed, their real and imaginary parts
+    stacked into a real system of doubled sketch size, which is transformed
+    back and projected onto slice by slice.  Arrays are slices-first
+    (l, ., .); returns the new Xh.
+    """
+    from tubalsketch.solvers import _batched_hpinv
+
+    S = [np.asarray(members[k][i], dtype=np.complex128) for k, i in enumerate(idx)]
+    Acheck = np.stack([S_k.conj().T @ Ah[k] for k, S_k in enumerate(S)])
+    Bcheck = np.stack([S_k.conj().T @ Bh[k] for k, S_k in enumerate(S)])
+    Atil = np.fft.ifft(Acheck, axis=0)
+    Btil = np.fft.ifft(Bcheck, axis=0)
+    As = np.concatenate([Atil.real, Atil.imag], axis=1)  # real (l, 2tau, n)
+    Bs = np.concatenate([Btil.real, Btil.imag], axis=1)
+    Ash = np.fft.fft(As.astype(np.complex128), axis=0)
+    Bsh = np.fft.fft(Bs.astype(np.complex128), axis=0)
+    QiAH = Qinv @ np.conj(np.swapaxes(Ash, -1, -2))  # (l, n, 2tau)
+    G = _batched_hpinv(Ash @ QiAH)
+    return Xh - QiAH @ (G @ ((Ash @ Xh) - Bsh))
+
+
 def tpinv_via_bcirc(X):
     """Moore-Penrose inverse through the block-circulant route."""
     m, n, l = X.shape

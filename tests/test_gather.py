@@ -9,6 +9,10 @@ recorded with the dense-member implementation, made by the recipe in
 ``q_error``, ``loss_max``, ``loss_sum`` and ``pr_variance_factor`` rows
 (NaN stored as null) were recorded later, before the record row began to
 reuse the error norm and to skip loss bookkeeping between logged rows.
+TSP-I's runs are matched in their draws exactly and in their values within
+1e-12 relative: its step now projects from mirrored member tables on half
+the spectrum instead of the transformed stacked system they were recorded
+with.
 """
 
 import json
@@ -77,13 +81,19 @@ def test_seeded_records_match_dense_member_runs():
         X, rec = solve(A, B, cfg, x_star=Xs)
         want = expected[name]
         assert rec.iterations == want["iterations"], name
-        assert [float(e) for e in rec.epsilon] == want["epsilon"], name
         chosen = [c if c is None or isinstance(c, int) else list(c) for c in rec.chosen]
         assert chosen == want["chosen"], name
-        assert [float(v) for v in X.ravel()] == want["x"], name
-        for f in ("q_error", "loss_max", "loss_sum", "pr_variance_factor"):
+        for f in ("loss_max", "loss_sum", "pr_variance_factor"):
             got = [None if np.isnan(v) else float(v) for v in getattr(rec, f)]
             assert got == want[f], (name, f)
+        for f, got in (("epsilon", rec.epsilon), ("q_error", rec.q_error), ("x", X.ravel())):
+            if kw["method"] == "TSP-I":
+                # the mirrored-table step projects onto the same row space as
+                # the recorded stacked step, in a different rounding order
+                ref = np.array(want[f])
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (name, f)
+            else:
+                assert [float(v) for v in got] == want[f], (name, f)
 
 
 def _sets():

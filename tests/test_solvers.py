@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import rand_tubal, row_action_step_oracle, spd_weight_tensor
+from conftest import (
+    rand_tubal,
+    row_action_step_oracle,
+    spd_weight_tensor,
+    stacked_step_oracle,
+)
+from tubalsketch import sketching
 from tubalsketch.analysis import projector_tensor
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
@@ -12,8 +18,11 @@ from tubalsketch.sketching import (
     prob_uniform,
 )
 from tubalsketch.solvers import (
+    _UNIFORM_BLOCK,
     DivergenceError,
     SolverConfig,
+    _draw_per_slice,
+    _SliceUniforms,
     audit_residuals,
     make_state,
     select_index,
@@ -77,6 +86,42 @@ class TestSelectIndex:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             select_index([1.0], "best")
+
+    def test_spatial_capped_solve_skips_sample_index(self, monkeypatch):
+        calls = []
+        sample_index = sketching.sample_index
+        monkeypatch.setattr(sketching, "sample_index",
+                            lambda *a: calls.append(a) or sample_index(*a))
+        select_index([1.0, 3.0, 2.0], "cs", np.random.default_rng(4), prob_uniform(3))
+        assert len(calls) == 1  # the public rule still validates and counts
+        A, Xs, B = small_problem(5)
+        cfg = SolverConfig(method="ATSP-CS", sketches=make_slice_sketches(10, 4),
+                           seed=6, max_iters=200)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.iterations == 200
+        assert len(calls) == 1
+
+
+class TestSliceDraws:
+    def test_buffered_draws_match_scalar_stream(self):
+        # more draws than one block, random active masks: refills happen
+        # while the slices' streams are out of step
+        l, q = 5, 7
+        rng = np.random.default_rng(70)
+        cum = np.cumsum(rng.random((l, q)), axis=1)
+        uniforms = _SliceUniforms([np.random.default_rng([71, k]) for k in range(l)])
+        ref = [np.random.default_rng([71, k]) for k in range(l)]
+        for t in range(4 * _UNIFORM_BLOCK):
+            active = None if t % 5 == 0 else rng.random(l) < 0.6
+            rows = range(l) if active is None else np.nonzero(active)[0]
+            u = {k: ref[k].random() for k in rows}
+            if t % 3 == 0:
+                assert list(uniforms.take(np.array(list(rows), dtype=int))) == list(u.values())
+                continue
+            want = np.full(l, -1)
+            for k, uk in u.items():
+                want[k] = min(int(np.sum(cum[k] <= uk * cum[k, -1])), q - 1)
+            np.testing.assert_array_equal(_draw_per_slice(cum, uniforms, active), want)
 
 
 class TestProjectionStep:
@@ -503,6 +548,44 @@ class TestPerSliceVariants:
             Bs = np.concatenate([Btil.real, Btil.imag], axis=0)
             X_ref = sp_step_direct(As, Bs, X_ref, eye_sketch, Qt)
             assert fnorm(st.x() - X_ref) < 1e-9 * max(fnorm(X_ref), 1.0)
+
+    @pytest.mark.parametrize("l", [1, 2, 4, 5])
+    @pytest.mark.parametrize("kind", ["row", "gaussian"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_mirrored_table_step_matches_stacked_oracle(self, l, kind, weighted):
+        # odd and even l, with the self-mirrored slices 0 and l/2
+        rng = np.random.default_rng(60 + l)
+        A, Xs, B = small_problem(60 + l, m=7, n=4, p=2, l=l)
+        Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, l)) if weighted else None
+        f = (make_fourier_sketches(7, 1, 7, l, "row") if kind == "row"
+             else make_fourier_sketches(7, 2, 4, l, "gaussian", rng))
+        st = make_state(A, B, SolverConfig(method="TSP-I", sketches=f, weight=Q,
+                                           seed=61), x_star=Xs)
+        Ah, Bh = (np.fft.fft(np.moveaxis(T.astype(np.complex128), 2, 0), axis=0)
+                  for T in (A, B))
+        members = f.members
+        Xh = np.zeros_like(st.Xh)
+        for _ in range(300):
+            idx = st.iterate_once()
+            Xh = stacked_step_oracle(Ah, Bh, st.Q.inv, members, Xh, idx)
+            assert np.linalg.norm(st.Xh - Xh) <= 1e-12 * np.linalg.norm(Xh)
+        assert st.max_imag_residue <= 1e-12
+
+    def test_stacked_loop_runs_no_transform(self, monkeypatch):
+        A, Xs, B = small_problem(62, m=8, n=4, p=2, l=5)
+        f = make_fourier_sketches(8, 1, 8, 5, "row")
+        st = make_state(A, B, SolverConfig(method="TSP-I", sketches=f, seed=63),
+                        x_star=Xs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("depth transform inside the TSP-I loop")
+
+        monkeypatch.setattr(np.fft, "fft", forbidden)
+        monkeypatch.setattr(np.fft, "ifft", forbidden)
+        for _ in range(20):
+            st.iterate_once()
+            st._errors()
+        assert st.t == 20
 
     def test_stacked_single_slice_is_plain_projection(self):
         # with one frontal slice the imaginary block vanishes and the
