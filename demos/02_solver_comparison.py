@@ -14,7 +14,6 @@ from tubalsketch import (
     make_slice_sketches,
     make_state,
     solve,
-    sp_step,
 )
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 
@@ -31,7 +30,7 @@ for t in range(5):
     losses = state.losses()
     i = int(np.argmax(losses))
     before = state.q_error()
-    sp_step(state, i)
+    state.step(i)
     after = state.q_error()
     print(f"  step {t}: picked sketch {i:2d}, "
           f"error^2 {before:9.3f} -> {after:9.3f}, "

@@ -34,13 +34,9 @@ from .solvers import (
     DivergenceError,
     RunRecord,
     SolverConfig,
-    audit_residuals,
     make_state,
     select_index,
-    sketched_loss,
     solve,
-    sp_step,
-    sp_step_direct,
 )
 from .analysis import (
     RateReport,

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketching
-from .solvers import _batched_inv_factor
 from .t_algebra import (
     WeightQ,
+    batched_inv_factor,
     bcirc,
-    dft3,
+    fft_slices,
     tpinv,
     tprod_oracle,
     ttranspose,
@@ -117,9 +117,9 @@ def _slice_factors(A, Q, sketches):
     """
     A = np.asarray(A, dtype=np.float64)
     Q = _as_weight(Q, A.shape[1], A.shape[2])
-    NQ = sketches.sketch(np.moveaxis(dft3(A), 2, 0) @ Q.inv_sqrt)
-    C = _batched_inv_factor(NQ @ np.conj(np.swapaxes(NQ, -1, -2)),
-                            slice_axis=None if sketches.per_slice else 0)
+    NQ = sketches.sketch(fft_slices(A) @ Q.inv_sqrt)
+    C = batched_inv_factor(NQ @ np.conj(np.swapaxes(NQ, -1, -2)),
+                           slice_axis=None if sketches.per_slice else 0)
     return NQ, np.conj(np.swapaxes(C, -1, -2)) @ NQ
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.linalg import circulant
 
 from . import io as tio
 from . import sketching
@@ -36,9 +36,6 @@ __all__ = [
     "build_sketches",
     "run_experiment",
 ]
-
-WORKERS_ENV = "TUBALSKETCH_WORKERS"
-
 
 @dataclass
 class ProblemSpec:
@@ -76,15 +73,6 @@ def gaussian_kernel(size, sigma):
     g = np.exp(-(r**2) / (2.0 * sigma**2))
     ker = np.outer(g, g)
     return ker / ker.sum()
-
-
-def circulant(col):
-    col = np.asarray(col, dtype=np.float64)
-    n = col.size
-    out = np.empty((n, n))
-    for j in range(n):
-        out[:, j] = np.roll(col, j)
-    return out
 
 
 def conv2d_circular(img, ker):
@@ -260,43 +248,18 @@ def run_experiment(config):
     solver loop.
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    problems = {}
+    runs = [{} for _ in config.methods]  # per method: trial -> RunRecord
+    diverged = [[] for _ in config.methods]
     for trial in range(config.trials):
         prng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 7, trial])
         )
-        problems[trial] = generate_problem(config.problem, prng)
-    tasks = [
-        (mi, trial)
-        for trial in range(config.trials)
-        for mi in range(len(config.methods))
-    ]
-
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    results = {}
-    failures = {}
-
-    def run_task(task):
-        mi, trial = task
-        A, x_star, B = problems[trial]
-        return _run_one(config, config.methods[mi], trial, A, x_star, B)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {task: pool.submit(run_task, task) for task in tasks}
-            for task, fut in futures.items():
-                try:
-                    _, record = fut.result()
-                    results[task] = record
-                except DivergenceError as exc:
-                    failures[task] = str(exc)
-    else:
-        for task in tasks:
+        A, x_star, B = generate_problem(config.problem, prng)
+        for mi, mspec in enumerate(config.methods):
             try:
-                _, record = run_task(task)
-                results[task] = record
+                _, runs[mi][trial] = _run_one(config, mspec, trial, A, x_star, B)
             except DivergenceError as exc:
-                failures[task] = str(exc)
+                diverged[mi].append(f"trial {trial}: {exc}")
 
     summary = {
         "problem": asdict(config.problem),
@@ -305,26 +268,16 @@ def run_experiment(config):
         "seed": config.seed,
         "methods": [],
     }
-    for mi, mspec in enumerate(config.methods):
-        records = [
-            results[(mi, trial)]
-            for trial in range(config.trials)
-            if (mi, trial) in results
-        ]
-        diagnostics = [
-            f"trial {trial}: {failures[(mi, trial)]}"
-            for trial in range(config.trials)
-            if (mi, trial) in failures
-        ]
-        for trial in range(config.trials):
-            if (mi, trial) in results:
-                tio.write_trace(
-                    os.path.join(
-                        config.output_dir,
-                        f"trace_{_slug(mspec.label)}_trial{trial}.csv",
-                    ),
-                    results[(mi, trial)],
-                )
+    for mspec, by_trial, diagnostics in zip(config.methods, runs, diverged):
+        for trial, record in by_trial.items():
+            tio.write_trace(
+                os.path.join(
+                    config.output_dir,
+                    f"trace_{_slug(mspec.label)}_trial{trial}.csv",
+                ),
+                record,
+            )
+        records = list(by_trial.values())
         entry = {
             "label": mspec.label,
             "method": mspec.method.upper(),

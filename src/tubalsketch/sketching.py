@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .t_algebra import dft3
+from .t_algebra import fft_slices
 
 __all__ = [
     "SketchSet",
@@ -138,7 +138,7 @@ class SketchSet:
 
     def member_hat(self, i):
         """Depth transform of spatial member i, slices-first (l, m, tau)."""
-        return np.moveaxis(dft3(self.member(i)), 2, 0)
+        return fft_slices(self.member(i))
 
     def slice_family(self, k):
         """Family of slice k: per-slice members, or the (constant) Fourier
@@ -293,7 +293,7 @@ def prob_sketch_norm(A, Q, sketches):
     """p_i proportional to ||Q^{-1/2} * A^T * S_i||_F^2 (spatial sets)."""
     if sketches.per_slice:
         raise ValueError("prob_sketch_norm applies to spatial sketch sets")
-    Ah = np.moveaxis(dft3(A), 2, 0)
+    Ah = fft_slices(A)
     K = sketches.sketch_cols(Q.inv_sqrt @ np.conj(np.swapaxes(Ah, -1, -2)))
     return _normalize(np.sum(np.abs(K) ** 2, axis=(0, 2, 3)), "sketch-norm")
 
@@ -304,7 +304,7 @@ def prob_fourier_row_norm(A, Q=None):
     With Q omitted this is the squared row norm of each Fourier slice of A.
     Returns an (l, m) array of per-slice simplex points.
     """
-    Ah = np.moveaxis(dft3(A), 2, 0)
+    Ah = fft_slices(A)
     l, m = Ah.shape[0], Ah.shape[1]
     p = np.empty((l, m))
     for k in range(l):
@@ -333,7 +333,7 @@ def is_complete_discrete_sampling(A, sketches, relcut=1e-10):
     this property; the solvers only warn when it fails because the
     pseudoinverse still defines a valid iteration.
     """
-    SA = sketches.sketch(np.moveaxis(dft3(A), 2, 0))  # (l, q, tau, n)
+    SA = sketches.sketch(fft_slices(A))  # (l, q, tau, n)
     l, q, tau, n = SA.shape
     sv = np.linalg.svd(SA.reshape(l, q * tau, n), compute_uv=False)
     top = sv[:, :1]

@@ -22,16 +22,29 @@ ATSP-PR-II      per-slice proportional selection, cached fast path
 ATSP-CS-II      per-slice capped selection, cached fast path
 ==============  ==============================================================
 
-The finite spatial sets and the four cached per-slice methods run through
-a cached fast path: the projector factors are precomputed once, the
-sketched residuals are kept current by a rank-one-style recursion, and each
-iteration touches only small matrices.  :func:`audit_residuals` recomputes
-the residuals from scratch for drift checks.  TSP-II precomputes the same
+Every method is the same sketch-and-project update; they differ only in
+how the sketch is chosen.  Every solver state therefore offers the same
+three calls, and :func:`solve` runs one loop body over them:
+
+* ``losses()``: the current sketched losses, or None for the methods that
+  keep no sketched residuals (TSP, TSP-I, TSP-II);
+* ``select(losses)``: the iteration's choice: a fresh Gaussian sketch
+  (TSP), one member index (spatial sets) or one member index per Fourier
+  slice (per-slice sets, -1 for an already-solved slice);
+* ``step(choice)``: apply that choice to the iterate.
+
+A state that keeps sketched residuals also offers ``audit()``, which
+recomputes them from scratch and returns the worst deviation from the
+recursed values; :func:`solve` stops once all its losses are zero and
+audits it every ``audit_every`` iterations.  The finite spatial sets and
+the four cached per-slice methods precompute their projector factors once
+and keep the sketched residuals current by a rank-one-style recursion, so
+each iteration touches only small matrices.  TSP-II precomputes the same
 per-member factors but forms each drawn member's residual from the
 iterate.  TSP-I gathers per-member tables too, two per slice (see
 :class:`_StackedState`), and works on half the spectrum.  All iterations
-operate on the Fourier slices; spatial-domain reference steps for
-cross-checking live in :func:`sp_step_direct`.
+operate on the Fourier slices; the test suite checks them against
+spatial-domain block-circulant steps.
 """
 
 from __future__ import annotations
@@ -42,7 +55,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketching
-from .t_algebra import PINV_RELCUT, WeightQ, bcirc, fold, unfold
+from .t_algebra import (
+    WeightQ,
+    batched_hpinv,
+    batched_inv_factor,
+    fft_slices,
+    ifft_slices,
+)
 
 __all__ = [
     "METHODS",
@@ -51,25 +70,8 @@ __all__ = [
     "DivergenceError",
     "solve",
     "make_state",
-    "sketched_loss",
-    "sp_step",
     "select_index",
-    "audit_residuals",
-    "sp_step_direct",
 ]
-
-SPATIAL_FRESH = ("TSP",)
-SPATIAL_SET = ("NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS")
-STACKED = ("TSP-I",)
-PER_SLICE_FRESH = ("TSP-II",)
-PER_SLICE_SET = ("NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
-METHODS = SPATIAL_FRESH + SPATIAL_SET + STACKED + PER_SLICE_FRESH + PER_SLICE_SET
-
-_RULES = {
-    "NTSP": "fixed", "ATSP-MD": "md", "ATSP-PR": "pr", "ATSP-CS": "cs",
-    "NTSP-II": "fixed", "ATSP-MD-II": "md", "ATSP-PR-II": "pr",
-    "ATSP-CS-II": "cs", "TSP-II": "fixed", "TSP-I": "fixed",
-}
 
 
 class DivergenceError(RuntimeError):
@@ -84,7 +86,9 @@ class SolverConfig:
     'uniform', 'slice-norm', 'sketch-norm', 'fourier-row-norm', or None
     (uniform).  It is the fixed distribution of the nonadaptive methods and
     the reference distribution of the capped rule.  ``tau`` is only read by
-    the fresh-draw TSP method.
+    the fresh-draw TSP method.  Building a state rejects ``record_every <
+    1``, ``audit_every < 0``, ``max_iters < 0`` and ``theta`` outside [0, 1]
+    with a ``ValueError`` that names the field.
     """
 
     method: str = "NTSP"
@@ -132,49 +136,6 @@ def _rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _hat(X):
-    """(a, b, l) tensor -> slices-first Fourier stack (l, a, b)."""
-    return np.fft.fft(np.moveaxis(np.asarray(X, dtype=np.complex128), 2, 0), axis=0)
-
-
-def _unhat(Xh, imag_tol=1e-9, force_real=False):
-    Y = np.fft.ifft(Xh, axis=0)
-    if not force_real:
-        imag, real = np.linalg.norm(Y.imag), np.linalg.norm(Y.real)
-        if imag > imag_tol * real + 1e-300:
-            raise ValueError(
-                f"iterate lost conjugate symmetry: |imag|={imag:.3e}, |real|={real:.3e}"
-            )
-    return np.ascontiguousarray(np.moveaxis(Y.real, 0, 2))
-
-
-def _batched_inv_factor(M, relcut=PINV_RELCUT, slice_axis=None):
-    """Factor C with C C^H = pinv(M) for a stack of Hermitian PSD matrices.
-
-    Rank-deficient (including all-zero) matrices yield zero columns, which
-    downstream become zero residual rows and skipped update components.
-    ``slice_axis`` names the stack axis that holds the Fourier slices of one
-    and the same sketched system; the rank cutoff is then relative to that
-    system's largest eigenvalue, so slices that vanish up to transform
-    rounding are dropped instead of inverted.
-    """
-    M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-    lam, U = np.linalg.eigh(M)
-    # np.maximum, not np.clip: the same values with less overhead per call,
-    # which TSP and TSP-I pay every iteration
-    lmax = np.maximum(lam[..., -1:], 0.0)
-    if slice_axis is not None:
-        lmax = lmax.max(axis=slice_axis, keepdims=True)
-    cut = lmax * (M.shape[-1] * relcut)
-    inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
-    return U * inv[..., None, :]
-
-
-def _batched_hpinv(M, relcut=PINV_RELCUT, slice_axis=None):
-    C = _batched_inv_factor(M, relcut, slice_axis)
-    return C @ np.conj(np.swapaxes(C, -1, -2))
-
-
 def select_index(losses, rule, rng=None, base_probs=None, theta=0.5):
     """Pick the sketch index for one iteration from the current losses.
 
@@ -197,19 +158,19 @@ def select_index(losses, rule, rng=None, base_probs=None, theta=0.5):
         if base_probs is None:
             base_probs = sketching.prob_uniform(losses.size)
         capped = _capped_losses(losses, base_probs, theta)
-        if capped is None:
-            return int(np.argmax(losses))
         return sketching.sample_index(capped / capped.sum(), rng)
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
 def _capped_losses(losses, base_probs, theta):
-    """The 'cs' rule's weights: losses of at least theta * max + (1 - theta)
-    * E_p[loss], the others zeroed; None if none qualifies (a float hedge,
-    the max always qualifies)."""
-    threshold = theta * losses.max() + (1.0 - theta) * float(base_probs @ losses)
-    capped = np.where(losses >= threshold, losses, 0.0)
-    return capped if np.any(capped > 0) else None
+    """The 'cs' rule's weights along the last axis: losses of at least
+    theta * max + (1 - theta) * E_p[loss], the others zeroed.  The threshold
+    is clamped at the max, so the max qualifies even when rounding lifts
+    the threshold above it (all losses equal, say)."""
+    lmax = losses.max(axis=-1, keepdims=True)
+    mean = np.sum(base_probs * losses, axis=-1, keepdims=True)
+    threshold = np.minimum(theta * lmax + (1.0 - theta) * mean, lmax)
+    return np.where(losses >= threshold, losses, 0.0)
 
 
 def _resolve_probs(spec, A, Q, sketches):
@@ -291,7 +252,11 @@ def _draw_per_slice(cum, uniforms, active=None):
 
 
 class _BaseState:
-    """Shared bookkeeping: Fourier data, error tracking, iterate export."""
+    """Shared bookkeeping: Fourier data, error tracking, iterate export.
+
+    Subclasses implement ``select`` and ``step``, and ``losses`` and
+    ``audit`` when they keep sketched residuals (see the module docstring).
+    """
 
     def __init__(self, A, B, config, x_star):
         A = np.asarray(A, dtype=np.float64)
@@ -299,6 +264,14 @@ class _BaseState:
         for name, value in (("A", A), ("B", B), ("x_star", x_star)):
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} contains NaN or inf")
+        for name, ok in (
+            ("record_every", config.record_every >= 1),
+            ("audit_every", config.audit_every >= 0),
+            ("theta", 0.0 <= config.theta <= 1.0),
+            ("max_iters", config.max_iters >= 0),
+        ):
+            if not ok:
+                raise ValueError(f"{name}={getattr(config, name)!r} is out of range")
         if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] or A.shape[2] != B.shape[2]:
             raise ValueError(f"incompatible system shapes {A.shape} and {B.shape}")
         self.method = config.canonical_method()
@@ -309,13 +282,13 @@ class _BaseState:
         if Q.n != self.n or Q.l != self.l:
             raise ValueError("weight dimensions do not match the system")
         self.Q = Q
-        self.Ah = _hat(A)
-        self.Bh = _hat(B)
+        self.Ah = fft_slices(A)
+        self.Bh = fft_slices(B)
         self.Xh = np.zeros((self.l, self.n, self.p), dtype=np.complex128)
         self.t = 0
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
         if self.x_star is not None:
-            self.Xsh = _hat(self.x_star)
+            self.Xsh = fft_slices(self.x_star)
             self.x_star_norm = np.linalg.norm(self.x_star)
             if self.x_star_norm == 0:
                 raise ValueError("x_star must be nonzero for relative errors")
@@ -358,14 +331,24 @@ class _BaseState:
         )
 
     def x(self):
-        return _unhat(self.Xh)
+        return ifft_slices(self.Xh)
 
-    # defaults for paths without cached residuals
+    # -- defaults for the methods without sketched residuals ---------------
     def losses(self):
         return None
 
     def audit(self):
         raise ValueError("this method keeps no cached residuals to audit")
+
+    def trace_choice(self, choice):
+        """A choice as the trace records it; fresh sketches are not recorded."""
+        return None
+
+    def variance_factor(self, losses):
+        """The proportional rule's improvement factor for ``losses``; NaN
+        except for ATSP-PR, the one method where it is meaningful (a single
+        family shared by all slices)."""
+        return np.nan
 
 
 class _FiniteSetState(_BaseState):
@@ -385,7 +368,7 @@ class _FiniteSetState(_BaseState):
             raise ValueError("sketch set dimensions do not match the system")
         self.sketches = sketches
         self.q = sketches.q
-        self.rule = _RULES[self.method]
+        self.rule = _METHOD_TABLE[self.method][1]
         probs = _resolve_probs(config.probabilities, A, self.Q, sketches)
         if self.per_slice_selection:
             self.base_probs = _per_slice_probs(probs, self.l, self.q)
@@ -402,6 +385,9 @@ class _FiniteSetState(_BaseState):
         sk = self.sketches
         QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))  # (l, n, m)
         return sk.sketch(self.Ah), sk.sketch_cols(QiAH), sk.sketch(self.Bh)
+
+    def trace_choice(self, choice):
+        return tuple(int(c) for c in choice) if self.per_slice_selection else int(choice)
 
 
 class _SetState(_FiniteSetState):
@@ -424,7 +410,7 @@ class _SetState(_FiniteSetState):
         N, AQS, self.SB = (  # (l, q, ...) from the sketch set, to the state's order
             np.ascontiguousarray(np.moveaxis(T, 1, self.member_axis))
             for T in self._member_tables())
-        self.C = _batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
+        self.C = batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
         self.step_map = AQS @ self.C
         CH = np.conj(np.swapaxes(self.C, -1, -2))
         self.cross = np.einsum(self.cross_spec, CH @ N, self.step_map, optimize=True)
@@ -465,8 +451,6 @@ class _SpatialSetState(_SetState):
         weights = losses
         if self.rule == "cs":
             weights = _capped_losses(losses, self.base_probs, self.config.theta)
-            if weights is None:
-                return np.argmax(losses)
         return sketching.draw_from_cdf(np.cumsum(weights / weights.sum()), self.index_rng)
 
     def step(self, i):
@@ -474,6 +458,15 @@ class _SpatialSetState(_SetState):
         self.Xh -= self.step_map[i] @ Ri
         self.R -= self.cross[:, i] @ Ri[None]
         self.t += 1
+
+    def variance_factor(self, losses):
+        if self.rule != "pr":
+            return np.nan
+        total = losses.sum()
+        if total <= 0:
+            return np.nan
+        pt = losses / total
+        return float(1.0 + self.q * self.q * (np.mean(pt**2) - np.mean(pt) ** 2))
 
 
 class _PerSliceSetState(_SetState):
@@ -498,18 +491,10 @@ class _PerSliceSetState(_SetState):
         active = losses.max(axis=1) > 0
         if self.rule == "md":
             return np.where(active, np.argmax(losses, axis=1), -1)
-        if self.rule == "pr":
-            return _draw_per_slice(np.cumsum(losses, axis=1), self.uniforms, active)
-        theta = self.config.theta
-        threshold = (
-            theta * losses.max(axis=1)
-            + (1.0 - theta) * np.sum(self.base_probs * losses, axis=1)
-        )
-        capped = np.where(losses >= threshold[:, None], losses, 0.0)
-        hedge = np.nonzero(active & ~(capped.max(axis=1) > 0))[0]
-        if hedge.size:  # float hedge; the max always qualifies
-            capped[hedge, np.argmax(losses[hedge], axis=1)] = 1.0
-        return _draw_per_slice(np.cumsum(capped, axis=1), self.uniforms, active)
+        weights = losses
+        if self.rule == "cs":
+            weights = _capped_losses(losses, self.base_probs, self.config.theta)
+        return _draw_per_slice(np.cumsum(weights, axis=1), self.uniforms, active)
 
     def step(self, idx):
         idx = np.asarray(idx, dtype=int)
@@ -524,13 +509,11 @@ class _PerSliceSetState(_SetState):
     def x(self):
         # the real-part strategy: per-slice sketching breaks conjugate
         # symmetry, taking the real part is the method's final answer
-        return _unhat(self.Xh, force_real=True)
+        return ifft_slices(self.Xh, force_real=True)
 
 
 class _FreshGaussianState(_BaseState):
     """Fresh spatial Gaussian sketch every iteration; no caching."""
-
-    per_slice_selection = False
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
@@ -539,20 +522,18 @@ class _FreshGaussianState(_BaseState):
         self.tau = config.tau
         self.sketch_rng = _rng(config.seed, 0)
         self.QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))
-        self.last_sketch = None
 
-    def iterate_once(self):
-        S0 = self.sketch_rng.standard_normal((self.m, self.tau))
-        self.last_sketch = S0
-        self.apply_sketch(S0)
-        return None
+    def select(self, losses):
+        """A fresh (m, tau) Gaussian matrix, the first frontal slice of the
+        sketch (its other slices are zero)."""
+        return self.sketch_rng.standard_normal((self.m, self.tau))
 
-    def apply_sketch(self, S0):
+    def step(self, S0):
         # only the first frontal slice is nonzero, so every Fourier slice of
         # the sketch equals S0
         N = S0.T @ self.Ah  # (l, tau, n)
         AQS = self.QiAH @ S0.astype(np.complex128)  # (l, n, tau)
-        G = _batched_hpinv(N @ AQS, slice_axis=0)
+        G = batched_hpinv(N @ AQS, slice_axis=0)
         resid = (N @ self.Xh) - (S0.T @ self.Bh)
         self.Xh -= AQS @ (G @ resid)
         self.t += 1
@@ -590,20 +571,15 @@ class _StackedState(_FiniteSetState):
             for T in (N, NQ, SB)
         ]
 
-    def draw_indices(self):
+    def select(self, losses):
         return _draw_per_slice(self.base_cdf, self.uniforms)
 
-    def iterate_once(self):
-        idx = self.draw_indices()
-        self.apply_indices(idx)
-        return idx
-
-    def apply_indices(self, idx):
+    def step(self, idx):
         rows = self.pair_rows + idx[self.pair_slices]
         h = rows.size // 2
         N, NQ, SB = (T[rows].reshape(h, -1, T.shape[-1]) for T in self.tables)
         AQS = np.conj(np.swapaxes(NQ, -1, -2))  # (h, n, 2tau)
-        G = _batched_hpinv(N @ AQS)
+        G = batched_hpinv(N @ AQS)
         X = self.Xh[:h]
         X -= AQS @ (G @ (N @ X - SB))
         self.Xh[h:] = np.conj(self.Xh[self.neg[h:]])
@@ -629,68 +605,43 @@ class _PerSliceFreshState(_FiniteSetState):
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         self.N, self.AQS, self.SB = self._member_tables()
-        self.G = _batched_hpinv(self.N @ self.AQS)
+        self.G = batched_hpinv(self.N @ self.AQS)
         self.slices = np.arange(self.l)
 
-    def iterate_once(self):
-        idx = _draw_per_slice(self.base_cdf, self.uniforms)
-        self.apply_indices(idx)
-        return idx
+    def select(self, losses):
+        return _draw_per_slice(self.base_cdf, self.uniforms)
 
-    def apply_indices(self, idx):
+    def step(self, idx):
         member = (self.slices, idx)
         resid = (self.N[member] @ self.Xh) - self.SB[member]
         self.Xh -= self.AQS[member] @ (self.G[member] @ resid)
         self.t += 1
 
     def x(self):
-        return _unhat(self.Xh, force_real=True)
+        return ifft_slices(self.Xh, force_real=True)
 
 
-_STATE_CLASSES = {}
-_STATE_CLASSES.update({name: _FreshGaussianState for name in SPATIAL_FRESH})
-_STATE_CLASSES.update({name: _SpatialSetState for name in SPATIAL_SET})
-_STATE_CLASSES.update({name: _StackedState for name in STACKED})
-_STATE_CLASSES.update({name: _PerSliceFreshState for name in PER_SLICE_FRESH})
-_STATE_CLASSES.update({name: _PerSliceSetState for name in PER_SLICE_SET})
+# name: (state class, selection rule); TSP has no rule, its choice is a
+# fresh Gaussian sketch
+_METHOD_TABLE = {
+    "TSP": (_FreshGaussianState, None),
+    "NTSP": (_SpatialSetState, "fixed"),
+    "ATSP-MD": (_SpatialSetState, "md"),
+    "ATSP-PR": (_SpatialSetState, "pr"),
+    "ATSP-CS": (_SpatialSetState, "cs"),
+    "TSP-I": (_StackedState, "fixed"),
+    "TSP-II": (_PerSliceFreshState, "fixed"),
+    "NTSP-II": (_PerSliceSetState, "fixed"),
+    "ATSP-MD-II": (_PerSliceSetState, "md"),
+    "ATSP-PR-II": (_PerSliceSetState, "pr"),
+    "ATSP-CS-II": (_PerSliceSetState, "cs"),
+}
+METHODS = tuple(_METHOD_TABLE)
 
 
 def make_state(A, B, config, x_star=None):
     """Build the solver state for ``config`` without running it."""
-    return _STATE_CLASSES[config.canonical_method()](A, B, config, x_star)
-
-
-def sketched_loss(state, i):
-    """Current sketched loss of member ``i`` (cached fast paths only).
-
-    For per-slice states pass a ``(k, i)`` pair to address slice k's family.
-    """
-    losses = state.losses()
-    if losses is None:
-        raise ValueError("this method does not maintain cached sketched losses")
-    return float(losses[i])
-
-
-def sp_step(state, i):
-    """Advance a cached-path state one iteration with member (or per-slice
-    members) ``i``."""
-    state.step(i)
-    return state
-
-
-def audit_residuals(state):
-    """Recompute every cached sketched residual from the iterate and return
-    the worst Frobenius deviation from the recursed values."""
-    return state.audit()
-
-
-def _variance_factor(losses):
-    total = losses.sum()
-    if total <= 0:
-        return float("nan")
-    pt = losses / total
-    q = losses.size
-    return float(1.0 + q * q * (np.mean(pt**2) - np.mean(pt) ** 2))
+    return _METHOD_TABLE[config.canonical_method()][0](A, B, config, x_star)
 
 
 def solve(A, B, config, x_star=None):
@@ -703,10 +654,6 @@ def solve(A, B, config, x_star=None):
     state = make_state(A, B, config, x_star)
     method = state.method
     record = RunRecord(method=method)
-    cached = isinstance(state, _SetState)
-    # the proportional-rule variance factor is only meaningful for the
-    # spatial variant (a single family shared by all slices)
-    is_pr = method == "ATSP-PR"
 
     rows_t, rows_eps, rows_qerr, rows_lmax, rows_lsum, rows_sec = [], [], [], [], [], []
     rows_var = []
@@ -722,14 +669,10 @@ def solve(A, B, config, x_star=None):
         rows_t.append(state.t)
         rows_eps.append(errors[0])
         rows_qerr.append(state.q_error(errors[1]))
-        if chosen is not None:
-            chosen = (tuple(int(c) for c in chosen) if state.per_slice_selection
-                      else int(chosen))
-        record.chosen.append(chosen)
+        record.chosen.append(None if chosen is None else state.trace_choice(chosen))
         rows_lmax.append(float(lmax))
         rows_lsum.append(np.nan if losses is None else float(losses.sum()))
-        rows_var.append(_variance_factor(np.ravel(losses))
-                        if is_pr and losses is not None else np.nan)
+        rows_var.append(np.nan if losses is None else state.variance_factor(losses))
         rows_sec.append(elapsed)
         if config.keep_iterates:
             record.iterates.append(state.x())
@@ -737,21 +680,18 @@ def solve(A, B, config, x_star=None):
     log_row((eps, diff_norm), 0.0)
     converged = eps < config.tol
     start = time.perf_counter()
-    losses, lmax = None, np.nan
+    lmax = np.nan
 
     while not converged and state.t < config.max_iters:
-        if cached:
-            losses = state.losses()
+        losses = state.losses()
+        if losses is not None:
             lmax = losses.max()
             if lmax <= 0.0:
                 converged = True
                 break
-            chosen = state.select(losses)
-            state.step(chosen)
-        else:
-            chosen = state.iterate_once()
-
-        if config.audit_every and cached and state.t % config.audit_every == 0:
+        chosen = state.select(losses)
+        state.step(chosen)
+        if losses is not None and config.audit_every and state.t % config.audit_every == 0:
             state.audit()
 
         eps, diff_norm = state._errors()
@@ -779,27 +719,3 @@ def solve(A, B, config, x_star=None):
     record.audit_max = state.audit_max
     record.max_imag_residue = state.max_imag_residue
     return state.x(), record
-
-
-def sp_step_direct(A, B, X, S, Q=None, relcut=PINV_RELCUT):
-    """One sketch-and-project step evaluated on the block-circulant matrices.
-
-    This is the slow spatial-domain route (no depth transform anywhere); it
-    exists as the independent cross-check for the Fourier fast paths.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    l = A.shape[2]
-    Ab = bcirc(A)
-    Sb = bcirc(np.asarray(S, dtype=np.float64))
-    Xu = unfold(X)
-    Bu = unfold(B)
-    if Q is None:
-        Qb_inv = np.eye(Ab.shape[1])
-    else:
-        Qbase = Q.base if isinstance(Q, WeightQ) else Q
-        Qb_inv = np.linalg.inv(bcirc(Qbase))
-    N = Sb.T @ Ab
-    M = N @ Qb_inv @ N.T
-    G = np.linalg.pinv(M, rcond=M.shape[0] * relcut)
-    step = Qb_inv @ N.T @ (G @ ((N @ Xu) - Sb.T @ Bu))
-    return fold(Xu - step, l)

@@ -12,7 +12,8 @@ and the inverse carries the 1/l factor.  Under this scaling
 so every Fourier-domain norm formula in the package carries an explicit
 1/l.  ``bcirc`` is block-diagonalized by the unitary depth DFT, which is
 what makes the per-slice implementations below equivalent to the
-block-circulant ones.
+block-circulant ones.  They work on the slices-first stack (l, m, n) of
+``fft_slices``, which ``ifft_slices`` maps back.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ __all__ = [
     "identity",
     "dft3",
     "idft3",
-    "idft3_complex",
+    "fft_slices",
+    "ifft_slices",
     "tprod",
     "tprod_oracle",
     "ttranspose",
     "tpinv",
+    "batched_inv_factor",
+    "batched_hpinv",
     "is_t_spd",
     "t_sqrt",
     "fnorm",
@@ -103,24 +107,33 @@ def idft3(F, imag_tol=IMAG_TOL):
     relative to the real part, since that signals broken conjugate
     symmetry rather than rounding noise.
     """
-    Y = np.fft.ifft(np.asarray(F, dtype=np.complex128), axis=2)
-    imag = np.linalg.norm(Y.imag)
-    real = np.linalg.norm(Y.real)
-    if imag > imag_tol * real + 1e-300:
-        raise ValueError(
-            f"inverse transform is not real: |imag|={imag:.3e}, |real|={real:.3e}"
-        )
-    return np.ascontiguousarray(Y.real)
+    return ifft_slices(np.moveaxis(np.asarray(F, dtype=np.complex128), 2, 0), imag_tol)
 
 
-def idft3_complex(F):
-    """Inverse depth DFT without any realness check (complex result)."""
-    return np.fft.ifft(np.asarray(F, dtype=np.complex128), axis=2)
+def fft_slices(X):
+    """Depth DFT of an (a, b, l) tensor as a slices-first stack (l, a, b).
+
+    This is the layout every per-slice computation of the package works in:
+    ``fft_slices(X)[k]`` is Fourier slice k, equal to ``dft3(X)[:, :, k]``.
+    """
+    return np.fft.fft(np.moveaxis(np.asarray(X, dtype=np.complex128), 2, 0), axis=0)
 
 
-def _slice_matmul(Fx, Fy):
-    # per-frontal-slice products of two complex (.., .., l) slice stacks
-    return np.moveaxis(np.moveaxis(Fx, 2, 0) @ np.moveaxis(Fy, 2, 0), 0, 2)
+def ifft_slices(F, imag_tol=IMAG_TOL, force_real=False):
+    """Inverse of :func:`fft_slices`: slices-first (l, a, b) to real (a, b, l).
+
+    Raises ``ValueError`` if the imaginary residue exceeds ``imag_tol``
+    relative to the real part; ``force_real`` skips that check and keeps
+    the real part, for iterates whose conjugate symmetry is not maintained.
+    """
+    Y = np.fft.ifft(F, axis=0)
+    if not force_real:
+        imag, real = np.linalg.norm(Y.imag), np.linalg.norm(Y.real)
+        if imag > imag_tol * real + 1e-300:
+            raise ValueError(
+                f"inverse transform is not real: |imag|={imag:.3e}, |real|={real:.3e}"
+            )
+    return np.ascontiguousarray(np.moveaxis(Y.real, 0, 2))
 
 
 def tprod(X, Y):
@@ -128,7 +141,7 @@ def tprod(X, Y):
     X, Y = _as_tubal(X, "X"), _as_tubal(Y, "Y")
     if X.shape[1] != Y.shape[0] or X.shape[2] != Y.shape[2]:
         raise ValueError(f"t-product shape mismatch: {X.shape} * {Y.shape}")
-    return idft3(_slice_matmul(dft3(X), dft3(Y)))
+    return ifft_slices(fft_slices(X) @ fft_slices(Y))
 
 
 def tprod_oracle(X, Y):
@@ -163,14 +176,43 @@ def tpinv(X, relcut=PINV_RELCUT):
     """
     X = _as_tubal(X)
     m, n, l = X.shape
-    F = np.moveaxis(dft3(X), 2, 0)
+    F = fft_slices(X)
     u, s, vh = np.linalg.svd(F, full_matrices=False)
     cut = max(m, n) * relcut * (s.max() if s.size else 0.0)
     sinv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     out = np.conj(np.swapaxes(vh, -1, -2)) @ (
         sinv[..., None] * np.conj(np.swapaxes(u, -1, -2))
     )
-    return idft3(np.moveaxis(out, 0, 2))
+    return ifft_slices(out)
+
+
+def batched_inv_factor(M, relcut=PINV_RELCUT, slice_axis=None):
+    """Factor C with C C^H = pinv(M) for a stack of Hermitian PSD matrices.
+
+    Rank-deficient (including all-zero) matrices yield zero columns, which
+    downstream become zero residual rows and skipped update components.
+    ``slice_axis`` names the stack axis that holds the Fourier slices of one
+    and the same sketched system; the rank cutoff is then relative to that
+    system's largest eigenvalue, so slices that vanish up to transform
+    rounding are dropped instead of inverted.
+    """
+    M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
+    lam, U = np.linalg.eigh(M)
+    # np.maximum, not np.clip: the same values with less overhead per call,
+    # which TSP and TSP-I pay every iteration
+    lmax = np.maximum(lam[..., -1:], 0.0)
+    if slice_axis is not None:
+        lmax = lmax.max(axis=slice_axis, keepdims=True)
+    cut = lmax * (M.shape[-1] * relcut)
+    inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
+    return U * inv[..., None, :]
+
+
+def batched_hpinv(M, relcut=PINV_RELCUT, slice_axis=None):
+    """pinv of a stack of Hermitian PSD matrices, as C C^H of
+    :func:`batched_inv_factor`."""
+    C = batched_inv_factor(M, relcut, slice_axis)
+    return C @ np.conj(np.swapaxes(C, -1, -2))
 
 
 def is_t_spd(X, tol=1e-10):
@@ -247,7 +289,7 @@ class WeightQ:
         Q = _as_tubal(Q, "Q")
         if not is_t_spd(Q, tol=tol):
             raise ValueError("weight must be T-symmetric T-positive definite")
-        hat = np.moveaxis(dft3(Q), 2, 0)
+        hat = fft_slices(Q)
         inv = np.empty_like(hat)
         inv_sqrt = np.empty_like(hat)
         sqrt = np.empty_like(hat)
@@ -264,11 +306,11 @@ class WeightQ:
 
     def inv_sqrt_tensor(self):
         """Q^{-1/2} as a real tensor (n, n, l)."""
-        return idft3(np.moveaxis(self.inv_sqrt, 0, 2))
+        return ifft_slices(self.inv_sqrt)
 
     def sqrt_tensor(self):
         """Q^{1/2} as a real tensor (n, n, l)."""
-        return idft3(np.moveaxis(self.sqrt, 0, 2))
+        return ifft_slices(self.sqrt)
 
 
 def weighted_fnorm(M, Q):
@@ -278,7 +320,7 @@ def weighted_fnorm(M, Q):
         Q = WeightQ.from_tensor(Q)
     if M.shape[0] != Q.n or M.shape[2] != Q.l:
         raise ValueError(f"weight of size ({Q.n}, {Q.l}) cannot norm shape {M.shape}")
-    Mh = np.moveaxis(dft3(M), 2, 0)
+    Mh = fft_slices(M)
     total = sum(
         np.linalg.norm(Q.sqrt[k] @ Mh[k]) ** 2 for k in range(Q.l)
     )

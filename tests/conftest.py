@@ -11,10 +11,14 @@ import numpy as np
 from tubalsketch.t_algebra import (
     PINV_RELCUT,
     WeightQ,
+    batched_hpinv,
+    batched_inv_factor,
     bcirc,
+    fold,
     identity,
     tprod_oracle,
     ttranspose,
+    unfold,
 )
 
 
@@ -62,6 +66,30 @@ def row_action_step_oracle(A, B, X, i):
     return X - tprod_oracle(ttranspose(Ai), tprod_oracle(pinv_gram, resid))
 
 
+def sp_step_direct(A, B, X, S, Q=None, relcut=PINV_RELCUT):
+    """One sketch-and-project step evaluated on the block-circulant matrices.
+
+    This is the slow spatial-domain route (no depth transform anywhere); it
+    is the independent cross-check for the Fourier fast paths.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    l = A.shape[2]
+    Ab = bcirc(A)
+    Sb = bcirc(np.asarray(S, dtype=np.float64))
+    Xu = unfold(X)
+    Bu = unfold(B)
+    if Q is None:
+        Qb_inv = np.eye(Ab.shape[1])
+    else:
+        Qbase = Q.base if isinstance(Q, WeightQ) else Q
+        Qb_inv = np.linalg.inv(bcirc(Qbase))
+    N = Sb.T @ Ab
+    M = N @ Qb_inv @ N.T
+    G = np.linalg.pinv(M, rcond=M.shape[0] * relcut)
+    step = Qb_inv @ N.T @ (G @ ((N @ Xu) - Sb.T @ Bu))
+    return fold(Xu - step, l)
+
+
 def stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx):
     """One TSP-I step on the Re/Im-stacked sketched system.
 
@@ -71,8 +99,6 @@ def stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx):
     back and projected onto slice by slice.  Arrays are slices-first
     (l, ., .); returns the new Xh.
     """
-    from tubalsketch.solvers import _batched_hpinv
-
     S = [np.asarray(members[k][i], dtype=np.complex128) for k, i in enumerate(idx)]
     Acheck = np.stack([S_k.conj().T @ Ah[k] for k, S_k in enumerate(S)])
     Bcheck = np.stack([S_k.conj().T @ Bh[k] for k, S_k in enumerate(S)])
@@ -83,7 +109,7 @@ def stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx):
     Ash = np.fft.fft(As.astype(np.complex128), axis=0)
     Bsh = np.fft.fft(Bs.astype(np.complex128), axis=0)
     QiAH = Qinv @ np.conj(np.swapaxes(Ash, -1, -2))  # (l, n, 2tau)
-    G = _batched_hpinv(Ash @ QiAH)
+    G = batched_hpinv(Ash @ QiAH)
     return Xh - QiAH @ (G @ ((Ash @ Xh) - Bsh))
 
 
@@ -115,8 +141,6 @@ def dense_set_tables(A, B, sketches, Q):
     multiplied out in full, as the setup did before sketches became row
     indices.  Returns N, AQS, SB, C, cross and step_map in the state's
     layout: (q, l, ...) for spatial sets, (l, q, ...) for per-slice sets."""
-    from tubalsketch.solvers import _batched_inv_factor
-
     Ah = np.fft.fft(np.moveaxis(np.asarray(A, dtype=np.complex128), 2, 0), axis=0)
     Bh = np.fft.fft(np.moveaxis(np.asarray(B, dtype=np.complex128), 2, 0), axis=0)
     QiAH = Q.inv @ np.conj(np.swapaxes(Ah, -1, -2))
@@ -126,14 +150,14 @@ def dense_set_tables(A, B, sketches, Q):
         N = np.conj(np.swapaxes(S, -1, -2)) @ Ah[:, None]
         AQS = QiAH[:, None] @ S
         SB = np.conj(np.swapaxes(S, -1, -2)) @ Bh[:, None]
-        C = _batched_inv_factor(N @ AQS)
+        C = batched_inv_factor(N @ AQS)
         spec = "kiab,kjbc->kijac"
     else:
         Sh = np.stack([sketches.member_hat(i) for i in range(sketches.q)])
         N = np.conj(np.swapaxes(Sh, -1, -2)) @ Ah  # (q, l, tau, n)
         AQS = QiAH[None] @ Sh
         SB = np.conj(np.swapaxes(Sh, -1, -2)) @ Bh
-        C = _batched_inv_factor(N @ AQS, slice_axis=1)
+        C = batched_inv_factor(N @ AQS, slice_axis=1)
         spec = "ikab,jkbc->ijkac"
     step_map = AQS @ C
     CH = np.conj(np.swapaxes(C, -1, -2))

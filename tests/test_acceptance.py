@@ -10,9 +10,15 @@ under test.
 import time
 
 import numpy as np
+from scipy.linalg import circulant
 from scipy.stats import chisquare
 
-from conftest import rand_tubal, row_action_step_oracle, spd_weight_tensor
+from conftest import (
+    rand_tubal,
+    row_action_step_oracle,
+    sp_step_direct,
+    spd_weight_tensor,
+)
 from tubalsketch.analysis import (
     compute_rate_report,
     estimate_delta_inf,
@@ -24,7 +30,6 @@ from tubalsketch.harness import (
     MethodSpec,
     ProblemSpec,
     ExperimentConfig,
-    circulant,
     conv2d_circular,
     gen_deblur,
     gen_gaussian,
@@ -41,8 +46,6 @@ from tubalsketch.solvers import (
     make_state,
     select_index,
     solve,
-    sp_step,
-    sp_step_direct,
 )
 from tubalsketch.t_algebra import (
     WeightQ,
@@ -134,7 +137,7 @@ def test_02_exact_decrease_identity():
                     break
                 i = st.select(losses)
                 before = st.q_error()
-                sp_step(st, i)
+                st.step(i)
                 gap = abs(before - st.q_error() - losses[i])
                 worst = max(worst, gap / scale)
     assert worst < 1e-8
@@ -165,9 +168,10 @@ def test_03_single_row_closed_form_and_route_agreement():
     X_direct = np.zeros_like(Xs)
     worst_routes = 0.0
     for _ in range(100):
-        st.iterate_once()
+        S0 = st.select(st.losses())
+        st.step(S0)
         S = np.zeros((8, 2, 3))
-        S[:, :, 0] = st.last_sketch
+        S[:, :, 0] = S0
         X_direct = sp_step_direct(A, B, X_direct, S)
         worst_routes = max(
             worst_routes, fnorm(st.x() - X_direct) / max(fnorm(X_direct), 1.0)
@@ -268,7 +272,7 @@ def test_07_post_step_annihilation_and_rate_chain():
                                            seed=400 + case), x_star=Xs)
         for _ in range(30):
             i = st.select(st.losses())
-            sp_step(st, i)
+            st.step(i)
             worst_loss = max(worst_loss, st.losses()[i])
         per_slice = make_fourier_sketches(8, 1, 8, 3, "row")
         pst = make_state(A, B, SolverConfig(method="ATSP-MD-II",
@@ -278,7 +282,7 @@ def test_07_post_step_annihilation_and_rate_chain():
             idx = pst.select(pst.losses())
             if np.all(idx < 0):
                 break
-            sp_step(pst, idx)
+            pst.step(idx)
             losses = pst.losses()
             for k in range(3):
                 if idx[k] >= 0:
@@ -318,8 +322,8 @@ def test_08_stacked_realness_and_real_part_equivalence():
     worst = 0.0
     for _ in range(60):
         i = int(rng.integers(0, 10))
-        st.apply_indices(np.full(4, i))
-        sp_step(ref, i)
+        st.step(np.full(4, i))
+        ref.step(i)
         worst = max(worst, fnorm(st.x() - ref.x()) / max(fnorm(ref.x()), 1.0))
     assert worst < 1e-8
     report(8, "stacked-realness-and-real-part-equivalence",
@@ -344,7 +348,7 @@ def test_09_cached_residual_audit():
     )
     for st in (spatial, per_slice):
         for _ in range(100):
-            sp_step(st, st.select(st.losses()))
+            st.step(st.select(st.losses()))
     dev_spatial = spatial.audit()
     dev_slice = per_slice.audit()
     assert dev_spatial < 1e-8 and dev_slice < 1e-8

@@ -167,13 +167,6 @@ class TestRunExperiment:
             curve = os.path.join(config.output_dir, entry["curve_file"])
             assert os.path.exists(curve)
 
-    def test_worker_env_var_gives_same_results(self, tmp_path, monkeypatch):
-        serial = run_experiment(tiny_experiment(tmp_path / "s"))
-        monkeypatch.setenv("TUBALSKETCH_WORKERS", "3")
-        threaded = run_experiment(tiny_experiment(tmp_path / "t"))
-        for a, b in zip(serial["methods"], threaded["methods"]):
-            assert a["mean_iterations"] == b["mean_iterations"]
-
     def test_config_from_dict(self):
         config = ExperimentConfig.from_dict(
             {

@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     rand_tubal,
     row_action_step_oracle,
+    sp_step_direct,
     spd_weight_tensor,
     stacked_step_oracle,
 )
@@ -23,13 +24,9 @@ from tubalsketch.solvers import (
     SolverConfig,
     _draw_per_slice,
     _SliceUniforms,
-    audit_residuals,
     make_state,
     select_index,
-    sketched_loss,
     solve,
-    sp_step,
-    sp_step_direct,
 )
 from tubalsketch.t_algebra import (
     WeightQ,
@@ -73,6 +70,24 @@ class TestSelectIndex:
         draws = {select_index([1.0, 3.0, 2.0], "cs", rng, prob_uniform(3), 0.5)
                  for _ in range(200)}
         assert draws == {1}
+
+    def test_capped_rule_on_equal_losses_draws_from_the_tied_set(self):
+        # theta * max + (1 - theta) * E_p[loss] rounds above the common loss
+        # here; clamped at the max, the threshold keeps every index eligible
+        rng = np.random.default_rng(5)
+        draws = {select_index(np.full(5, 0.1), "cs", rng, prob_uniform(5), theta=0.1)
+                 for _ in range(200)}
+        assert draws == set(range(5))
+        A, Xs, B = small_problem(5)
+        spatial = make_state(A, B, SolverConfig(
+            method="ATSP-CS", sketches=make_slice_sketches(10, 4), theta=0.1, seed=6))
+        assert {int(spatial.select(np.full(10, 0.1))) for _ in range(300)} == set(range(10))
+        per_slice = make_state(A, B, SolverConfig(
+            method="ATSP-CS-II", sketches=make_fourier_sketches(10, 1, 10, 4, "row"),
+            theta=0.1, seed=6))
+        draws = np.array([per_slice.select(np.full((4, 10), 0.1)) for _ in range(300)])
+        for k in range(4):
+            assert set(draws[:, k]) == set(range(10)), k
 
     def test_fixed_rule_uses_reference_distribution(self):
         rng = np.random.default_rng(3)
@@ -148,7 +163,7 @@ class TestProjectionStep:
             losses = st.losses()
             i = st.select(losses)
             before = st.q_error()
-            sp_step(st, i)
+            st.step(i)
             after = st.q_error()
             assert abs(before - after - losses[i]) < 1e-8 * scale
 
@@ -159,8 +174,8 @@ class TestProjectionStep:
                         x_star=Xs)
         for _ in range(25):
             i = st.select(st.losses())
-            sp_step(st, i)
-            assert sketched_loss(st, i) < 1e-10
+            st.step(i)
+            assert st.losses()[i] < 1e-10
 
     def test_fast_path_matches_direct_block_step(self):
         rng = np.random.default_rng(8)
@@ -174,7 +189,7 @@ class TestProjectionStep:
         rng_idx = np.random.default_rng(9)
         for _ in range(12):
             i = int(rng_idx.integers(0, 3))
-            sp_step(st, i)
+            st.step(i)
             X_ref = sp_step_direct(A, B, X_ref, s.members[i], Qt)
             assert fnorm(st.x() - X_ref) < 1e-9 * max(fnorm(X_ref), 1.0)
 
@@ -189,14 +204,14 @@ class TestProjectionStep:
         st = make_state(A, B, SolverConfig(method="ATSP-MD", sketches=s,
                                            weight=Q, seed=3), x_star=Xs)
         for _ in range(3):
-            sp_step(st, st.select(st.losses()))
+            st.step(st.select(st.losses()))
         X = st.x()
         for i in range(0, 6, 2):
             Z = projector_tensor(A, Q, s.members[i])
             gam = tprod_oracle(Q.sqrt_tensor(), X - Xs)
             # project the weighted error, then take the plain norm
             expect = fnorm(tprod_oracle(Z, gam)) ** 2
-            assert abs(sketched_loss(st, i) - expect) < 1e-8 * max(expect, 1.0)
+            assert abs(st.losses()[i] - expect) < 1e-8 * max(expect, 1.0)
 
 
 class TestTrkSpecialization:
@@ -219,9 +234,10 @@ class TestTrkSpecialization:
                         x_star=Xs)
         X_ref = np.zeros_like(Xs)
         for _ in range(20):
-            st.iterate_once()
+            S0 = st.select(st.losses())
+            st.step(S0)
             S = np.zeros((7, 2, 3))
-            S[:, :, 0] = st.last_sketch
+            S[:, :, 0] = S0
             X_ref = sp_step_direct(A, B, X_ref, S)
             assert fnorm(st.x() - X_ref) < 1e-9 * max(fnorm(X_ref), 1.0)
 
@@ -269,7 +285,7 @@ class TestRunBehaviour:
             # proportional-sampling expected decreases for the same losses
             assert losses.max() >= prob_uniform(10) @ losses - 1e-15
             assert losses.max() >= (losses**2).sum() / losses.sum() - 1e-15
-            sp_step(st, int(np.argmax(losses)))
+            st.step(int(np.argmax(losses)))
 
     def test_greedy_choices_match_oracle_replay(self):
         # recompute every member's loss from scratch with oracle products at
@@ -351,7 +367,7 @@ class TestRunBehaviour:
         st = make_state(A, B, cfg, x_star=Xs)
         assert np.all(st.C[4] == 0)
         before = st.q_error()
-        sp_step(st, 4)
+        st.step(4)
         assert st.q_error() == before
         assert st.losses()[4] == 0.0
         X, rec = solve(A, B, cfg, x_star=Xs)
@@ -402,6 +418,21 @@ class TestRunBehaviour:
                 with pytest.raises(ValueError, match=f"^{name} contains NaN or inf"):
                     solve(args["A"], args["B"], cfg, x_star=args["x_star"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", 0),
+        ("audit_every", -1),
+        ("theta", -0.1),
+        ("theta", 1.5),
+        ("theta", float("nan")),
+        ("max_iters", -1),
+    ])
+    def test_bad_config_value_rejected_up_front(self, field, value):
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        cfg = SolverConfig(method="NTSP", sketches=make_slice_sketches(6, 2),
+                           **{field: value})
+        with pytest.raises(ValueError, match=f"^{field}="):
+            solve(A, B, cfg, x_star=Xs)
+
     def test_trace_cadence(self):
         A, Xs, B = small_problem(19, m=8, n=4, p=2, l=3)
         s = make_slice_sketches(8, 3)
@@ -418,7 +449,7 @@ class TestResidualAudit:
         st = make_state(A, B, SolverConfig(method="NTSP",
                                            sketches=make_slice_sketches(10, 4),
                                            seed=11), x_star=Xs)
-        assert audit_residuals(st) < 1e-14
+        assert st.audit() < 1e-14
 
     def test_small_after_many_steps(self):
         A, Xs, B = small_problem(21)
@@ -429,8 +460,8 @@ class TestResidualAudit:
             st = make_state(A, B, SolverConfig(method=method, sketches=sketches,
                                                seed=12), x_star=Xs)
             for _ in range(100):
-                sp_step(st, st.select(st.losses()))
-            assert audit_residuals(st) < 1e-8
+                st.step(st.select(st.losses()))
+            assert st.audit() < 1e-8
 
     def test_detects_injected_corruption(self):
         A, Xs, B = small_problem(22)
@@ -438,10 +469,10 @@ class TestResidualAudit:
                                            sketches=make_slice_sketches(10, 4),
                                            seed=13), x_star=Xs)
         for _ in range(5):
-            sp_step(st, st.select(st.losses()))
+            st.step(st.select(st.losses()))
         bump = 0.37
         st.R[2, 1, 0, 0] += bump
-        assert audit_residuals(st) > bump / 2
+        assert st.audit() > bump / 2
 
     def test_solve_audit_cadence(self):
         A, Xs, B = small_problem(23)
@@ -473,8 +504,8 @@ class TestPerSliceVariants:
         ref = make_state(A, B, SolverConfig(method="NTSP", sketches=spatial,
                                             seed=16), x_star=Xs)
         for i in (2, 0, 5, 3):
-            st.apply_indices(np.full(4, i))
-            sp_step(ref, i)
+            st.step(np.full(4, i))
+            ref.step(i)
             assert fnorm(st.x() - ref.x()) < 1e-8 * max(fnorm(ref.x()), 1.0)
 
     def test_real_part_run_with_shared_draws_matches_spatial(self):
@@ -488,8 +519,8 @@ class TestPerSliceVariants:
         rng = np.random.default_rng(18)
         for _ in range(40):
             i = int(rng.integers(0, 8))
-            st.apply_indices(np.full(4, i))
-            sp_step(ref, i)
+            st.step(np.full(4, i))
+            ref.step(i)
         assert fnorm(st.x() - ref.x()) < 1e-8 * max(fnorm(ref.x()), 1.0)
 
     def test_cached_and_direct_per_slice_paths_agree(self):
@@ -533,8 +564,8 @@ class TestPerSliceVariants:
         eye_sketch[:, :, 0] = np.eye(4)  # full sketch of the stacked system
         X_ref = np.zeros_like(Xs)
         for _ in range(8):
-            idx = st.draw_indices()
-            st.apply_indices(idx)
+            idx = st.select(st.losses())
+            st.step(idx)
             Acheck = np.stack(
                 [f.members[k][idx[k]].conj().T @ Ah[:, :, k] for k in range(3)],
                 axis=2,
@@ -566,7 +597,8 @@ class TestPerSliceVariants:
         members = f.members
         Xh = np.zeros_like(st.Xh)
         for _ in range(300):
-            idx = st.iterate_once()
+            idx = st.select(st.losses())
+            st.step(idx)
             Xh = stacked_step_oracle(Ah, Bh, st.Q.inv, members, Xh, idx)
             assert np.linalg.norm(st.Xh - Xh) <= 1e-12 * np.linalg.norm(Xh)
         assert st.max_imag_residue <= 1e-12
@@ -583,7 +615,7 @@ class TestPerSliceVariants:
         monkeypatch.setattr(np.fft, "fft", forbidden)
         monkeypatch.setattr(np.fft, "ifft", forbidden)
         for _ in range(20):
-            st.iterate_once()
+            st.step(st.select(st.losses()))
             st._errors()
         assert st.t == 20
 
@@ -597,7 +629,7 @@ class TestPerSliceVariants:
                         x_star=Xs)
         X_ref = np.zeros_like(Xs)
         for i in (1, 0, 2, 1):
-            st.apply_indices(np.array([i]))
+            st.step(np.array([i]))
             S = f.members[0][i][:, :, None]
             X_ref = sp_step_direct(A, B, X_ref, S)
             assert fnorm(st.x() - X_ref) < 1e-10 * max(fnorm(X_ref), 1.0)
@@ -630,7 +662,7 @@ class TestPerSliceVariants:
                 idx = st.select(losses)
                 if np.all(idx < 0):
                     break
-                sp_step(st, idx)
+                st.step(idx)
                 now = np.linalg.norm(st.Xh - st.Xsh, axis=(1, 2))
                 assert np.all(now <= slice_err * (1 + 1e-9) + 1e-15)
                 slice_err = now
@@ -648,7 +680,7 @@ class TestPerSliceVariants:
             idx = st.select(st.losses())
             if np.all(idx < 0):
                 break
-            sp_step(st, idx)
+            st.step(idx)
         assert np.all(st.losses().max(axis=1) <= 1e-16)
 
 
