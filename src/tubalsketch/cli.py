@@ -221,7 +221,9 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run one command; a ``ValueError`` becomes a one-line usage error."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "gen": _cmd_gen,
         "solve": _cmd_solve,
@@ -229,7 +231,10 @@ def main(argv=None):
         "rates": _cmd_rates,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

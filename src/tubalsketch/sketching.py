@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .t_algebra import fft_slices
+from .t_algebra import fft_slices, rfft_slices
 
 __all__ = [
     "SketchSet",
@@ -329,11 +329,13 @@ def is_complete_discrete_sampling(A, sketches, relcut=1e-10):
 
     Singular values count when they exceed ``relcut`` times the larger
     dimension times the slice's largest stacked singular value, so the
-    verdict does not change when A is scaled.  The rate certificates assume
-    this property; the solvers only warn when it fails because the
-    pseudoinverse still defines a valid iteration.
+    verdict does not change when A is scaled.  Spatial sets are checked on
+    slices 0..l//2: slice l-k of a real A is the conjugate of slice k, with
+    the same singular values.  The rate certificates assume this property;
+    the solvers only warn when it fails because the pseudoinverse still
+    defines a valid iteration.
     """
-    SA = sketches.sketch(fft_slices(A))  # (l, q, tau, n)
+    SA = sketches.sketch((fft_slices if sketches.per_slice else rfft_slices)(A))
     l, q, tau, n = SA.shape
     sv = np.linalg.svd(SA.reshape(l, q * tau, n), compute_uv=False)
     top = sv[:, :1]

@@ -42,9 +42,17 @@ and keep the sketched residuals current by a rank-one-style recursion, so
 each iteration touches only small matrices.  TSP-II precomputes the same
 per-member factors but forms each drawn member's residual from the
 iterate.  TSP-I gathers per-member tables too, two per slice (see
-:class:`_StackedState`), and works on half the spectrum.  All iterations
-operate on the Fourier slices; the test suite checks them against
-spatial-domain block-circulant steps.
+:class:`_StackedState`).  All iterations operate on the Fourier slices;
+the test suite checks them against spatial-domain block-circulant steps.
+
+TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
+l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
+h = l//2 + 1, and weight slice k by its multiplicity w_k (1 for slice 0
+and, for even l, slice l/2; 2 for the others) in every loss and norm.
+The -II methods keep all l slices.  Set states keep every table slices
+first: the residuals R as (slices, q, tau, p), and the cross products as
+(slices, q, q tau, tau), where cross[k, j] stacks C_i^H N_i Q^{-1} N_j^H C_j
+over i, so the update after drawing j is one matmul per slice.
 """
 
 from __future__ import annotations
@@ -61,6 +69,8 @@ from .t_algebra import (
     batched_inv_factor,
     fft_slices,
     ifft_slices,
+    irfft_slices,
+    rfft_slices,
 )
 
 __all__ = [
@@ -127,6 +137,7 @@ class RunRecord:
     pr_variance_factor: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
     converged: bool = False
+    stop_reason: str = ""  # 'tol', 'zero_loss' (all sketched losses 0) or 'max_iters'
     audit_max: float = 0.0
     max_imag_residue: float = 0.0
     iterates: list | None = None
@@ -258,6 +269,8 @@ class _BaseState:
     ``audit`` when they keep sketched residuals (see the module docstring).
     """
 
+    half_spectrum = True  # keep slices 0..h-1 with multiplicities w
+
     def __init__(self, A, B, config, x_star):
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
@@ -282,13 +295,17 @@ class _BaseState:
         if Q.n != self.n or Q.l != self.l:
             raise ValueError("weight dimensions do not match the system")
         self.Q = Q
-        self.Ah = fft_slices(A)
-        self.Bh = fft_slices(B)
-        self.Xh = np.zeros((self.l, self.n, self.p), dtype=np.complex128)
+        transform = rfft_slices if self.half_spectrum else fft_slices
+        self.Ah, self.Bh = transform(A), transform(B)
+        self.h = self.Ah.shape[0]
+        self.w = np.ones(self.h)
+        self.w[1:self.l - self.h + 1] = 2.0  # slices with a distinct mirror l - k
+        self.Qinv = np.ascontiguousarray(Q.inv[:self.h])
+        self.Xh = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
         self.t = 0
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
         if self.x_star is not None:
-            self.Xsh = fft_slices(self.x_star)
+            self.Xsh = transform(self.x_star)
             self.x_star_norm = np.linalg.norm(self.x_star)
             if self.x_star_norm == 0:
                 raise ValueError("x_star must be nonzero for relative errors")
@@ -298,6 +315,13 @@ class _BaseState:
         self.audit_max = 0.0
 
     # -- error tracking ----------------------------------------------------
+    def _norm(self, T):
+        """Frobenius norm over all l slices of a stack holding slices 0..h-1."""
+        if self.h == self.l:
+            return np.linalg.norm(T)
+        v = T.reshape(self.h, -1).view(np.float64)
+        return np.sqrt(self.w @ np.einsum("ki,ki->k", v, v))
+
     def epsilon(self):
         """Relative solution error when the solution is known, else the
         relative residual."""
@@ -306,10 +330,10 @@ class _BaseState:
     def _errors(self):
         """(epsilon, ||Xh - Xsh||_F), the norm being None without x_star."""
         if self.x_star is not None:
-            diff_norm = np.linalg.norm(self.Xh - self.Xsh)
+            diff_norm = self._norm(self.Xh - self.Xsh)
             return float(diff_norm / np.sqrt(self.l) / self.x_star_norm), diff_norm
         res = self.Ah @ self.Xh - self.Bh
-        eps = float(np.linalg.norm(res) / np.sqrt(self.l) / max(self.b_norm, 1e-300))
+        eps = float(self._norm(res) / np.sqrt(self.l) / max(self.b_norm, 1e-300))
         return eps, None
 
     def q_error(self, diff_norm=None):
@@ -322,16 +346,20 @@ class _BaseState:
             return float("nan")
         if self.q_is_identity:
             if diff_norm is None:
-                diff_norm = np.linalg.norm(self.Xh - self.Xsh)
+                diff_norm = self._norm(self.Xh - self.Xsh)
             return float(diff_norm ** 2 / self.l)
         diff = self.Xh - self.Xsh
         return float(
-            sum(np.linalg.norm(self.Q.sqrt[k] @ diff[k]) ** 2 for k in range(self.l))
+            sum(self.w[k] * np.linalg.norm(self.Q.sqrt[k] @ diff[k]) ** 2
+                for k in range(self.h))
             / self.l
         )
 
     def x(self):
-        return ifft_slices(self.Xh)
+        if self.half_spectrum:
+            return irfft_slices(self.Xh, self.l)
+        # per-slice sketching breaks conjugate symmetry; the real part is the answer
+        return ifft_slices(self.Xh, force_real=True)
 
     # -- defaults for the methods without sketched residuals ---------------
     def losses(self):
@@ -380,11 +408,15 @@ class _FiniteSetState(_BaseState):
             self.index_rng = _rng(config.seed, 1)
         self.base_cdf = np.cumsum(self.base_probs, axis=-1)
 
-    def _member_tables(self):
-        """N = S^H A, Q^{-1} N^H and S^H B of every member, each (l, q, ...)."""
+    def _member_tables(self, Ah, Bh, Qinv):
+        """N = S^H A, Q^{-1} N^H and S^H B of every member, (slices, q, ...)."""
         sk = self.sketches
-        QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))  # (l, n, m)
-        return sk.sketch(self.Ah), sk.sketch_cols(QiAH), sk.sketch(self.Bh)
+        QiAH = Qinv @ np.conj(np.swapaxes(Ah, -1, -2))  # (slices, n, m)
+        return sk.sketch(Ah), sk.sketch_cols(QiAH), sk.sketch(Bh)
+
+    def select(self, losses):
+        """Fixed-probability draws, one member per slice (TSP-I, TSP-II)."""
+        return _draw_per_slice(self.base_cdf, self.uniforms)
 
     def trace_choice(self, choice):
         return tuple(int(c) for c in choice) if self.per_slice_selection else int(choice)
@@ -399,32 +431,27 @@ class _SetState(_FiniteSetState):
     residuals R_i = C_i^H (N_i X - S_i^H B), so that one iteration costs a
     couple of small batched matmuls.  Selection sets build N, Q^{-1} N^H and
     S^H B by gathering rows; ragged blocks are padded with zero rows, which
-    get zero factor columns.  Spatial sets keep the member axis first,
-    (q, l, ...); per-slice sets keep the slice axis first, (l, q, ...).
+    get zero factor columns.
     """
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         if config.check_sampling:
             sketching.warn_if_not_complete(A, self.sketches)
-        N, AQS, self.SB = (  # (l, q, ...) from the sketch set, to the state's order
-            np.ascontiguousarray(np.moveaxis(T, 1, self.member_axis))
-            for T in self._member_tables())
+        N, AQS, self.SB = (
+            np.ascontiguousarray(T) for T in self._member_tables(self.Ah, self.Bh, self.Qinv))
         self.C = batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
         self.step_map = AQS @ self.C
         CH = np.conj(np.swapaxes(self.C, -1, -2))
-        self.cross = np.einsum(self.cross_spec, CH @ N, self.step_map, optimize=True)
+        cross = np.einsum("kiab,kjbc->kjiac", CH @ N, self.step_map, optimize=True)
+        self.cross = np.ascontiguousarray(cross).reshape(self.h, self.q, -1, cross.shape[-1])
         self.N = N
-        self.R = CH @ ((N @ np.expand_dims(self.Xh, self.member_axis)) - self.SB)
-
-    def _energy(self, T):
-        """Squared Frobenius norm of each member's block of T."""
-        return np.sum(np.abs(T) ** 2, axis=self.member_entries)
+        self.R = np.ascontiguousarray(CH @ ((N @ self.Xh[:, None]) - self.SB))
 
     def audit(self):
         """Max Frobenius deviation between recursed and fresh residuals."""
         CH = np.conj(np.swapaxes(self.C, -1, -2))
-        fresh = CH @ ((self.N @ np.expand_dims(self.Xh, self.member_axis)) - self.SB)
+        fresh = CH @ ((self.N @ self.Xh[:, None]) - self.SB)
         worst = float(np.sqrt(np.max(self._energy(fresh - self.R))))
         self.audit_max = max(self.audit_max, worst)
         return worst
@@ -432,11 +459,15 @@ class _SetState(_FiniteSetState):
 
 class _SpatialSetState(_SetState):
     """Spatial sets: one family shared by all slices; the sketched loss of
-    member i is (1/l) sum_k ||R_i[k]||_F^2."""
+    member i is (1/l) sum_k w_k ||R_i[k]||_F^2 over slices 0..h-1."""
 
     per_slice_selection = False
-    member_axis, slice_axis, member_entries = 0, 1, (1, 2, 3)
-    cross_spec = "ikab,jkbc->ijkac"  # cross[i, j] = C_i^H N_i (Q^{-1} A^H S_j C_j)
+    slice_axis = 0
+
+    def _energy(self, T):
+        """Squared Frobenius norm of each member's block of T over all l slices."""
+        v = T.reshape(self.h, self.q, -1).view(np.float64)
+        return self.w @ np.einsum("kij,kij->ki", v, v)
 
     def losses(self):
         return self._energy(self.R) / self.l
@@ -454,9 +485,10 @@ class _SpatialSetState(_SetState):
         return sketching.draw_from_cdf(np.cumsum(weights / weights.sum()), self.index_rng)
 
     def step(self, i):
-        Ri = self.R[i]
-        self.Xh -= self.step_map[i] @ Ri
-        self.R -= self.cross[:, i] @ Ri[None]
+        Ri = self.R[:, i]
+        self.Xh -= self.step_map[:, i] @ Ri
+        R = self.R.reshape(self.h, -1, self.p)  # a view: R is C-contiguous
+        R -= self.cross[:, i] @ Ri
         self.t += 1
 
     def variance_factor(self, losses):
@@ -476,9 +508,13 @@ class _PerSliceSetState(_SetState):
     ||R[k, i]||_F^2 (no 1/l: the subsystems are independent).
     """
 
+    half_spectrum = False
     per_slice_selection = True
-    member_axis, slice_axis, member_entries = 1, None, (2, 3)
-    cross_spec = "kiab,kjbc->kijac"  # (l, q, q, tau, tau)
+    slice_axis = None
+
+    def _energy(self, T):
+        """Squared Frobenius norm of each (slice, member) block of T."""
+        return np.sum(np.abs(T) ** 2, axis=(2, 3))
 
     def losses(self):
         """(l, q) per-slice candidate losses."""
@@ -503,13 +539,9 @@ class _PerSliceSetState(_SetState):
             ks, sel = active, idx[active]
             Rsel = self.R[ks, sel]
             self.Xh[ks] -= self.step_map[ks, sel] @ Rsel
-            self.R[ks] -= self.cross[ks, :, sel] @ Rsel[:, None]
+            R = self.R.reshape(self.l, -1, self.p)
+            R[ks] -= self.cross[ks, sel] @ Rsel
         self.t += 1
-
-    def x(self):
-        # the real-part strategy: per-slice sketching breaks conjugate
-        # symmetry, taking the real part is the method's final answer
-        return ifft_slices(self.Xh, force_real=True)
 
 
 class _FreshGaussianState(_BaseState):
@@ -521,7 +553,7 @@ class _FreshGaussianState(_BaseState):
             raise ValueError(f"tau={config.tau} out of range for m={self.m}")
         self.tau = config.tau
         self.sketch_rng = _rng(config.seed, 0)
-        self.QiAH = self.Q.inv @ np.conj(np.swapaxes(self.Ah, -1, -2))
+        self.QiAH = self.Qinv @ np.conj(np.swapaxes(self.Ah, -1, -2))
 
     def select(self, losses):
         """A fresh (m, tau) Gaussian matrix, the first frontal slice of the
@@ -550,43 +582,38 @@ class _StackedState(_FiniteSetState):
     together with the conjugate of slice -k's.  Setup tabulates N = S^H A,
     N Q^{-1} and S^H B of every member for slices 0..l//2, each next to the
     conjugated table of the mirror slice -k; an iteration gathers the two
-    drawn members, factors their 2tau x 2tau Gram, projects slices 0..l//2
-    and sets X_{l-k} = conj(X_k) for the others.  The stacked system is
-    real, so every iterate stays real; no transform runs in the loop.
+    drawn members, factors their 2tau x 2tau Gram and projects the iterate,
+    which holds slices 0..l//2 only.  The stacked system is real, so every
+    iterate stays real; no transform runs in the loop.
     """
 
     per_slice_selection = True
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        self.neg = -np.arange(self.l) % self.l  # slice -k
-        half = np.arange(self.l // 2 + 1)
-        self.pair_slices = np.stack([half, self.neg[half]], axis=1).ravel()
+        half = np.arange(self.h)
+        self.pair_slices = np.stack([half, -half % self.l], axis=1).ravel()
         # rows of the flattened (h, 2, q) tables: slice k's members, slice -k's
         self.pair_rows = (2 * half[:, None] + np.arange(2)).ravel() * self.q
-        N, AQS, SB = self._member_tables()
+        N, AQS, SB = self._member_tables(fft_slices(A), fft_slices(B), self.Q.inv)
         NQ = np.conj(np.swapaxes(AQS, -1, -2))  # N Q^{-1}, a row block like N
         self.tables = [
-            np.stack([T[half], np.conj(T[self.neg[half]])], axis=1).reshape(-1, *T.shape[2:])
+            np.stack([T[half], np.conj(T[-half % self.l])], axis=1).reshape(-1, *T.shape[2:])
             for T in (N, NQ, SB)
         ]
-
-    def select(self, losses):
-        return _draw_per_slice(self.base_cdf, self.uniforms)
+        self.own = [0, self.l // 2] if self.l % 2 == 0 else [0]  # slices k = -k
 
     def step(self, idx):
         rows = self.pair_rows + idx[self.pair_slices]
-        h = rows.size // 2
-        N, NQ, SB = (T[rows].reshape(h, -1, T.shape[-1]) for T in self.tables)
+        N, NQ, SB = (T[rows].reshape(self.h, -1, T.shape[-1]) for T in self.tables)
         AQS = np.conj(np.swapaxes(NQ, -1, -2))  # (h, n, 2tau)
         G = batched_hpinv(N @ AQS)
-        X = self.Xh[:h]
-        X -= AQS @ (G @ (N @ X - SB))
-        self.Xh[h:] = np.conj(self.Xh[self.neg[h:]])
+        self.Xh -= AQS @ (G @ (N @ self.Xh - SB))
         self.t += 1
-        # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval
-        imag = np.linalg.norm(self.Xh - np.conj(self.Xh[self.neg]))
-        scale = max(2.0 * np.linalg.norm(self.Xh), 1e-300)
+        # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval: only the slices
+        # that are their own mirror can carry an imaginary part
+        imag = np.linalg.norm(self.Xh[self.own].imag)
+        scale = max(self._norm(self.Xh), 1e-300)
         self.max_imag_residue = max(self.max_imag_residue, float(imag / scale))
 
 
@@ -600,25 +627,20 @@ class _PerSliceFreshState(_FiniteSetState):
     the iterate; no sketched residuals are carried between iterations.
     """
 
+    half_spectrum = False
     per_slice_selection = True
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        self.N, self.AQS, self.SB = self._member_tables()
+        self.N, self.AQS, self.SB = self._member_tables(self.Ah, self.Bh, self.Qinv)
         self.G = batched_hpinv(self.N @ self.AQS)
         self.slices = np.arange(self.l)
-
-    def select(self, losses):
-        return _draw_per_slice(self.base_cdf, self.uniforms)
 
     def step(self, idx):
         member = (self.slices, idx)
         resid = (self.N[member] @ self.Xh) - self.SB[member]
         self.Xh -= self.AQS[member] @ (self.G[member] @ resid)
         self.t += 1
-
-    def x(self):
-        return ifft_slices(self.Xh, force_real=True)
 
 
 # name: (state class, selection rule); TSP has no rule, its choice is a
@@ -637,6 +659,7 @@ _METHOD_TABLE = {
     "ATSP-CS-II": (_PerSliceSetState, "cs"),
 }
 METHODS = tuple(_METHOD_TABLE)
+_ROW_FIELDS = ("t", "epsilon", "q_error", "loss_max", "loss_sum", "seconds", "pr_variance_factor")
 
 
 def make_state(A, B, config, x_star=None):
@@ -655,8 +678,7 @@ def solve(A, B, config, x_star=None):
     method = state.method
     record = RunRecord(method=method)
 
-    rows_t, rows_eps, rows_qerr, rows_lmax, rows_lsum, rows_sec = [], [], [], [], [], []
-    rows_var = []
+    columns = tuple([] for _ in _ROW_FIELDS)
     if config.keep_iterates:
         record.iterates = []
 
@@ -666,14 +688,12 @@ def solve(A, B, config, x_star=None):
     def log_row(errors, elapsed, chosen=None, losses=None, lmax=np.nan):
         """Append one trace row; ``losses`` are those ``chosen`` was
         selected from, and the per-row bookkeeping is done only here."""
-        rows_t.append(state.t)
-        rows_eps.append(errors[0])
-        rows_qerr.append(state.q_error(errors[1]))
+        values = (state.t, errors[0], state.q_error(errors[1]), float(lmax),
+                  np.nan if losses is None else float(losses.sum()), elapsed,
+                  np.nan if losses is None else state.variance_factor(losses))
+        for column, value in zip(columns, values):
+            column.append(value)
         record.chosen.append(None if chosen is None else state.trace_choice(chosen))
-        rows_lmax.append(float(lmax))
-        rows_lsum.append(np.nan if losses is None else float(losses.sum()))
-        rows_var.append(np.nan if losses is None else state.variance_factor(losses))
-        rows_sec.append(elapsed)
         if config.keep_iterates:
             record.iterates.append(state.x())
 
@@ -688,6 +708,7 @@ def solve(A, B, config, x_star=None):
             lmax = losses.max()
             if lmax <= 0.0:
                 converged = True
+                record.stop_reason = "zero_loss"
                 break
         chosen = state.select(losses)
         state.step(chosen)
@@ -704,18 +725,14 @@ def solve(A, B, config, x_star=None):
             log_row((eps, diff_norm), time.perf_counter() - start, chosen, losses, lmax)
         converged = eps < config.tol
 
-    if rows_t[-1] != state.t:
+    if columns[0][-1] != state.t:
         log_row(state._errors(), time.perf_counter() - start)
 
-    record.t = np.array(rows_t, dtype=int)
-    record.epsilon = np.array(rows_eps)
-    record.q_error = np.array(rows_qerr)
-    record.loss_max = np.array(rows_lmax)
-    record.loss_sum = np.array(rows_lsum)
-    record.seconds = np.array(rows_sec)
-    record.pr_variance_factor = np.array(rows_var)
+    for name, column in zip(_ROW_FIELDS, columns):
+        setattr(record, name, np.array(column, dtype=int if name == "t" else float))
     record.iterations = state.t
     record.converged = bool(converged)
+    record.stop_reason = record.stop_reason or ("tol" if converged else "max_iters")
     record.audit_max = state.audit_max
     record.max_imag_residue = state.max_imag_residue
     return state.x(), record

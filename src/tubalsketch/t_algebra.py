@@ -13,7 +13,8 @@ so every Fourier-domain norm formula in the package carries an explicit
 1/l.  ``bcirc`` is block-diagonalized by the unitary depth DFT, which is
 what makes the per-slice implementations below equivalent to the
 block-circulant ones.  They work on the slices-first stack (l, m, n) of
-``fft_slices``, which ``ifft_slices`` maps back.
+``fft_slices``, which ``ifft_slices`` maps back; ``rfft_slices`` and
+``irfft_slices`` do the same with slices 0..l//2 of a real tensor.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = [
     "idft3",
     "fft_slices",
     "ifft_slices",
+    "rfft_slices",
+    "irfft_slices",
     "tprod",
     "tprod_oracle",
     "ttranspose",
@@ -136,6 +139,23 @@ def ifft_slices(F, imag_tol=IMAG_TOL, force_real=False):
     return np.ascontiguousarray(np.moveaxis(Y.real, 0, 2))
 
 
+def rfft_slices(X):
+    """Slices 0..l//2 of :func:`fft_slices` as a C-contiguous stack, cut
+    from the full transform, so equal to its slices bit for bit."""
+    F = fft_slices(X)
+    return np.ascontiguousarray(F[:F.shape[0] // 2 + 1])
+
+
+def irfft_slices(F, l):
+    """Inverse of :func:`rfft_slices`: slices 0..l//2 to the real (a, b, l).
+
+    The other slices are the conjugate mirrors, so the slices that are
+    their own mirror, 0 and l/2, must be real; unlike ``numpy.fft.irfft``,
+    this raises ``ValueError`` as :func:`ifft_slices` does when they are not.
+    """
+    return ifft_slices(np.concatenate([F, np.conj(F[1:l - len(F) + 1][::-1])]))
+
+
 def tprod(X, Y):
     """t-product of X (m, n, l) and Y (n, p, l) via per-slice Fourier products."""
     X, Y = _as_tubal(X, "X"), _as_tubal(Y, "Y")
@@ -220,40 +240,23 @@ def is_t_spd(X, tol=1e-10):
     X = _as_tubal(X)
     if X.shape[0] != X.shape[1]:
         raise ValueError(f"square frontal slices required, got shape {X.shape}")
-    F = dft3(X)
-    for k in range(F.shape[2]):
-        M = F[:, :, k]
-        if np.linalg.norm(M - M.conj().T) > tol * max(1.0, np.linalg.norm(M)):
-            return False
-        lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-        if lam[0] <= tol:
-            return False
-    return True
+    F = fft_slices(X)
+    FH = np.conj(np.swapaxes(F, -1, -2))
+    scale = np.maximum(1.0, np.linalg.norm(F, axis=(1, 2)))
+    if np.any(np.linalg.norm(F - FH, axis=(1, 2)) > tol * scale):
+        return False
+    return bool(np.all(np.linalg.eigvalsh(0.5 * (F + FH))[:, 0] > tol))
 
 
 def t_sqrt(X, tol=1e-10):
     """Square root R of a T-SPD tensor, tprod(R, R) == X."""
-    X = _as_tubal(X)
     if not is_t_spd(X, tol=tol):
         raise ValueError("t_sqrt requires a T-symmetric T-positive definite input")
-    F = dft3(X)
-    out = np.empty_like(F)
-    for k in range(F.shape[2]):
-        lam, U = np.linalg.eigh(0.5 * (F[:, :, k] + F[:, :, k].conj().T))
-        out[:, :, k] = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
-    return idft3(out)
+    return WeightQ.from_tensor(X, tol=tol).sqrt_tensor()
 
 
 def fnorm(X):
     return float(np.linalg.norm(X))
-
-
-def _hermitian_powers(M, powers, pd_floor=0.0):
-    """Eigendecomposition-based matrix powers of a Hermitian matrix."""
-    lam, U = np.linalg.eigh(0.5 * (M + M.conj().T))
-    if pd_floor and lam[0] <= pd_floor:
-        raise ValueError(f"matrix is not positive definite: lambda_min={lam[0]:.3e}")
-    return tuple((U * lam ** p) @ U.conj().T for p in powers)
 
 
 @dataclass(frozen=True)
@@ -290,13 +293,11 @@ class WeightQ:
         if not is_t_spd(Q, tol=tol):
             raise ValueError("weight must be T-symmetric T-positive definite")
         hat = fft_slices(Q)
-        inv = np.empty_like(hat)
-        inv_sqrt = np.empty_like(hat)
-        sqrt = np.empty_like(hat)
-        for k in range(hat.shape[0]):
-            inv[k], inv_sqrt[k], sqrt[k] = _hermitian_powers(
-                hat[k], (-1.0, -0.5, 0.5), pd_floor=tol
-            )
+        # per-slice powers from one eigendecomposition; is_t_spd has checked
+        # that every eigenvalue exceeds tol
+        lam, U = np.linalg.eigh(0.5 * (hat + np.conj(np.swapaxes(hat, -1, -2))))
+        UH = np.conj(np.swapaxes(U, -1, -2))
+        inv, inv_sqrt, sqrt = ((U * lam[:, None, :] ** p) @ UH for p in (-1.0, -0.5, 0.5))
         return cls(Q, hat, inv, inv_sqrt, sqrt)
 
     @classmethod
@@ -320,8 +321,4 @@ def weighted_fnorm(M, Q):
         Q = WeightQ.from_tensor(Q)
     if M.shape[0] != Q.n or M.shape[2] != Q.l:
         raise ValueError(f"weight of size ({Q.n}, {Q.l}) cannot norm shape {M.shape}")
-    Mh = fft_slices(M)
-    total = sum(
-        np.linalg.norm(Q.sqrt[k] @ Mh[k]) ** 2 for k in range(Q.l)
-    )
-    return float(np.sqrt(total / Q.l))
+    return float(np.linalg.norm(Q.sqrt @ fft_slices(M)) / np.sqrt(Q.l))

@@ -113,6 +113,53 @@ def stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx):
     return Xh - QiAH @ (G @ ((Ash @ Xh) - Bsh))
 
 
+def _full_spectrum(A, B, X, Q):
+    Ah, Bh, Xh = (naive_dft3(np.asarray(T, dtype=np.float64)) for T in (A, B, X))
+    l = Ah.shape[2]
+    if Q is None:
+        Qinv = [np.eye(Ah.shape[1])] * l
+    else:
+        Qh = naive_dft3(Q.base if isinstance(Q, WeightQ) else Q)
+        Qinv = [np.linalg.inv(Qh[:, :, k]) for k in range(l)]
+    return Ah, Bh, Xh, Qinv
+
+
+def _slice_system(Ah, Bh, Xh, Qinv, Sh, k):
+    """(Q^{-1} N^H, pinv(N Q^{-1} N^H), N X - S^H B) of Fourier slice k."""
+    SH = Sh[:, :, k].conj().T
+    N = SH @ Ah[:, :, k]
+    QiNH = Qinv[k] @ N.conj().T
+    return QiNH, np.linalg.pinv(N @ QiNH), N @ Xh[:, :, k] - SH @ Bh[:, :, k]
+
+
+def full_spectrum_step(A, B, X, S, Q=None):
+    """One sketch-and-project step on the spatial tensors, projected on
+    every one of the l Fourier slices separately (no conjugate symmetry
+    used), with the depth transform by direct summation."""
+    Ah, Bh, Xh, Qinv = _full_spectrum(A, B, X, Q)
+    Sh = naive_dft3(np.asarray(S, dtype=np.float64))
+    for k in range(Ah.shape[2]):
+        QiNH, G, r = _slice_system(Ah, Bh, Xh, Qinv, Sh, k)
+        Xh[:, :, k] -= QiNH @ (G @ r)
+    out = naive_idft3(Xh)
+    assert np.linalg.norm(out.imag) <= 1e-12 * max(np.linalg.norm(out.real), 1.0)
+    return out.real
+
+
+def full_spectrum_losses(A, B, X, members, Q=None):
+    """Sketched loss of every spatial member at X: (1/l) sum over all l
+    Fourier slices of tr(r^H pinv(N Q^{-1} N^H) r), r = N X - S^H B."""
+    Ah, Bh, Xh, Qinv = _full_spectrum(A, B, X, Q)
+    l = Ah.shape[2]
+    losses = np.zeros(len(members))
+    for i, S in enumerate(members):
+        Sh = naive_dft3(np.asarray(S, dtype=np.float64))
+        for k in range(l):
+            _, G, r = _slice_system(Ah, Bh, Xh, Qinv, Sh, k)
+            losses[i] += np.trace(r.conj().T @ G @ r).real / l
+    return losses
+
+
 def tpinv_via_bcirc(X):
     """Moore-Penrose inverse through the block-circulant route."""
     m, n, l = X.shape
@@ -139,8 +186,9 @@ def circ_conv_tubes(x, y):
 def dense_set_tables(A, B, sketches, Q):
     """Cached-path tables from dense members: every member's depth transform
     multiplied out in full, as the setup did before sketches became row
-    indices.  Returns N, AQS, SB, C, cross and step_map in the state's
-    layout: (q, l, ...) for spatial sets, (l, q, ...) for per-slice sets."""
+    indices.  Returns N, AQS, SB, C, cross and step_map on all l slices in
+    the state's layout, (l, q, ...), with cross[k, j] the (q tau, tau)
+    column j of the cross products of slice k."""
     Ah = np.fft.fft(np.moveaxis(np.asarray(A, dtype=np.complex128), 2, 0), axis=0)
     Bh = np.fft.fft(np.moveaxis(np.asarray(B, dtype=np.complex128), 2, 0), axis=0)
     QiAH = Q.inv @ np.conj(np.swapaxes(Ah, -1, -2))
@@ -162,7 +210,13 @@ def dense_set_tables(A, B, sketches, Q):
     step_map = AQS @ C
     CH = np.conj(np.swapaxes(C, -1, -2))
     cross = np.einsum(spec, CH @ N, step_map, optimize=True)
-    return {"N": N, "AQS": AQS, "SB": SB, "C": C, "cross": cross, "step_map": step_map}
+    # to (l, q_j, q_i, tau, tau), then to (l, q, q tau, tau)
+    cross = np.moveaxis(cross, (0, 1, 2), (2, 1, 0) if spec[0] == "i" else (0, 2, 1))
+    tables = {"N": N, "AQS": AQS, "SB": SB, "C": C, "step_map": step_map}
+    if not sketches.per_slice:
+        tables = {name: np.swapaxes(T, 0, 1) for name, T in tables.items()}
+    q, tau = cross.shape[1], cross.shape[-1]
+    return {**tables, "cross": cross.reshape(sketches.l, q, q * tau, tau)}
 
 
 def rank_loop_complete(A, sketches, relcut=1e-10):

@@ -73,6 +73,21 @@ class TestSolve:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--record-every", 0, "record_every=0 is out of range"),
+        ("--prob", "bogus", "unknown probability rule 'bogus'"),
+    ])
+    def test_bad_value_is_a_one_line_usage_error(self, system_files, capsys,
+                                                 flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--method", "NTSP", "--sketch", "slice",
+                    "--in", f"{system_files}_A.tns", f"{system_files}_B.tns",
+                    flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"tubalsketch: error: {message}"
+        assert "Traceback" not in err
+
     def test_sketch_replay_file(self, system_files, tmp_path):
         sk = tmp_path / "sketches.json"
         code = run_cli(

@@ -258,24 +258,32 @@ class TestCompleteDiscreteSampling:
                 assert is_complete_discrete_sampling(c * A, s), c
                 assert not is_complete_discrete_sampling(c * Z, s), c
 
-    def test_verdicts_match_rank_loop_oracle(self):
+    @pytest.mark.parametrize("l", [3, 4])
+    def test_verdicts_match_rank_loop_oracle(self, l):
+        # odd and even l: spatial sets are checked on slices 0..l//2 only
         rng = np.random.default_rng(23)
-        A = rand_tubal(rng, 6, 3, 3)
+        A = rand_tubal(rng, 6, 3, l)
         # every Fourier slice of rank 2 < n = 3
-        low_rank = tprod_oracle(rand_tubal(rng, 6, 2, 3), rand_tubal(rng, 2, 3, 3))
+        low_rank = tprod_oracle(rand_tubal(rng, 6, 2, l), rand_tubal(rng, 2, 3, l))
         zero_row = A.copy()
         zero_row[2] = 0.0
-        wide = rand_tubal(rng, 6, 8, 3)  # more unknowns than rows
+        wide = rand_tubal(rng, 6, 8, l)  # more unknowns than rows
+        # only Fourier slice l//2 (and its mirror) of rank 2: real for even l
+        U = rng.standard_normal((6, 2)) + 1j * (l % 2) * rng.standard_normal((6, 2))
+        M = U @ rng.standard_normal((2, 3))
+        F = np.fft.fft(A, axis=2)
+        F[:, :, l // 2], F[:, :, -(l // 2)] = M, np.conj(M)
+        one_slice = np.fft.ifft(F, axis=2).real
         sets = [
-            make_slice_sketches(6, 3),
-            make_block_sketches(6, 3, [[0, 5], [1, 2, 3], [4]]),
-            make_gaussian_sketches(6, 2, 4, 3, np.random.default_rng(24)),
-            make_fourier_sketches(6, 1, 6, 3, "row"),
-            make_fourier_sketches(6, 2, 3, 3, "gaussian", np.random.default_rng(25)),
-            make_fourier_sketches(6, 2, 2, 3, "gaussian", np.random.default_rng(26)),
+            make_slice_sketches(6, l),
+            make_block_sketches(6, l, [[0, 5], [1, 2, 3], [4]]),
+            make_gaussian_sketches(6, 2, 4, l, np.random.default_rng(24)),
+            make_fourier_sketches(6, 1, 6, l, "row"),
+            make_fourier_sketches(6, 2, 3, l, "gaussian", np.random.default_rng(25)),
+            make_fourier_sketches(6, 2, 2, l, "gaussian", np.random.default_rng(26)),
         ]
         verdicts = []
-        for system in (A, low_rank, zero_row, wide):
+        for system in (A, low_rank, zero_row, wide, one_slice):
             for s in sets:
                 got = is_complete_discrete_sampling(system, s)
                 assert got == rank_loop_complete(system, s), (s.kind, got)

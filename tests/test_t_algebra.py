@@ -13,11 +13,14 @@ from tubalsketch.t_algebra import (
     WeightQ,
     bcirc,
     dft3,
+    fft_slices,
     fnorm,
     fold,
     identity,
     idft3,
+    irfft_slices,
     is_t_spd,
+    rfft_slices,
     t_sqrt,
     tpinv,
     tprod,
@@ -100,6 +103,23 @@ class TestDepthTransform:
         F[0, 0, 1] = 1.0  # no conjugate partner, inverse is complex
         with pytest.raises(ValueError, match="not real"):
             idft3(F)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_half_spectrum_pair(self, l):
+        X = rand_tubal(np.random.default_rng(8), 3, 2, l)
+        F = rfft_slices(X)
+        assert F.shape == (l // 2 + 1, 3, 2) and F.flags.c_contiguous
+        np.testing.assert_array_equal(F, fft_slices(X)[:l // 2 + 1])
+        np.testing.assert_allclose(irfft_slices(F, l), X, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("l, k", [(1, 0), (4, 0), (4, 2), (5, 0)])
+    def test_irfft_slices_rejects_imaginary_self_mirrored_slice(self, l, k):
+        # slices 0 and l/2 are their own mirror: an imaginary part there is
+        # broken symmetry, which irfft alone would drop silently
+        F = rfft_slices(rand_tubal(np.random.default_rng(9), 3, 2, l))
+        F[k, 1, 0] += 1e-6j
+        with pytest.raises(ValueError, match="not real"):
+            irfft_slices(F, l)
 
     def test_norm_carries_explicit_depth_factor(self):
         rng = np.random.default_rng(7)
