@@ -341,7 +341,9 @@ def is_complete_discrete_sampling(A, sketches, relcut=1e-10):
     top = sv[:, :1]
     if np.any(np.sum(sv > relcut * max(q * tau, n) * top, axis=1) < n):
         return False
-    ranks = np.linalg.matrix_rank(SA, tol=relcut * max(tau, n) * top)
+    tol = relcut * max(tau, n) * top  # a 1 x n member has rank 1 iff its norm exceeds tol
+    ranks = (np.linalg.norm(SA[:, :, 0], axis=-1) > tol if tau == 1
+             else np.linalg.matrix_rank(SA, tol=tol))
     return bool(np.all(ranks >= np.array(sketches.taus)))
 
 

@@ -36,23 +36,22 @@ three calls, and :func:`solve` runs one loop body over them:
 A state that keeps sketched residuals also offers ``audit()``, which
 recomputes them from scratch and returns the worst deviation from the
 recursed values; :func:`solve` stops once all its losses are zero and
-audits it every ``audit_every`` iterations.  The finite spatial sets and
-the four cached per-slice methods precompute their projector factors once
-and keep the sketched residuals current by a rank-one-style recursion, so
-each iteration touches only small matrices.  TSP-II precomputes the same
-per-member factors but forms each drawn member's residual from the
-iterate.  TSP-I gathers per-member tables too, two per slice (see
-:class:`_StackedState`).  All iterations operate on the Fourier slices;
+audits it every ``audit_every`` iterations.  Fixed rules draw the members
+of 64 iterations at once.  All iterations operate on the Fourier slices;
 the test suite checks them against spatial-domain block-circulant steps.
 
 TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
 l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
 h = l//2 + 1, and weight slice k by its multiplicity w_k (1 for slice 0
 and, for even l, slice l/2; 2 for the others) in every loss and norm.
-The -II methods keep all l slices.  Set states keep every table slices
-first: the residuals R as (slices, q, tau, p), and the cross products as
-(slices, q, q tau, tau), where cross[k, j] stacks C_i^H N_i Q^{-1} N_j^H C_j
-over i, so the update after drawing j is one matmul per slice.
+The -II methods keep all l slices.  A state keeps its iterate Xh as the
+first n rows of a block Z, slices first.  The finite spatial sets and the
+four cached per-slice methods keep their sketched residuals R below it and
+one table U, (slices, q, n + q tau, tau), whose block U[k, j] stacks member
+j's step map over its cross products C_i^H N_i Q^{-1} N_j^H C_j with every
+member i, so drawing j updates both at once: Z -= U[:, j] @ R[:, j].
+TSP-II forms each drawn member's residual from the iterate; TSP-I gathers
+per-member tables, two per slice (see :class:`_StackedState`).
 """
 
 from __future__ import annotations
@@ -136,6 +135,7 @@ class RunRecord:
     seconds: np.ndarray = field(default_factory=lambda: np.empty(0))
     pr_variance_factor: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
+    setup_s: float = 0.0  # seconds spent in make_state
     converged: bool = False
     stop_reason: str = ""  # 'tol', 'zero_loss' (all sketched losses 0) or 'max_iters'
     audit_max: float = 0.0
@@ -301,7 +301,7 @@ class _BaseState:
         self.w = np.ones(self.h)
         self.w[1:self.l - self.h + 1] = 2.0  # slices with a distinct mirror l - k
         self.Qinv = np.ascontiguousarray(Q.inv[:self.h])
-        self.Xh = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
+        self.Z = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
         self.t = 0
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
         if self.x_star is not None:
@@ -313,6 +313,8 @@ class _BaseState:
         self.q_is_identity = Q.is_identity
         self.max_imag_residue = 0.0
         self.audit_max = 0.0
+
+    Xh = property(lambda self: self.Z[:, :self.n])  # the iterate: Z's first n rows
 
     # -- error tracking ----------------------------------------------------
     def _norm(self, T):
@@ -401,12 +403,14 @@ class _FiniteSetState(_BaseState):
         if self.per_slice_selection:
             self.base_probs = _per_slice_probs(probs, self.l, self.q)
             self.uniforms = _SliceUniforms([_rng(config.seed, 2, k) for k in range(self.l)])
+            self.slices = np.arange(self.l)
         else:
             self.base_probs = sketching.as_prob_vector(probs)
             if self.base_probs.size != self.q:
                 raise ValueError("probability vector length does not match q")
             self.index_rng = _rng(config.seed, 1)
         self.base_cdf = np.cumsum(self.base_probs, axis=-1)
+        self.drawn = _UNIFORM_BLOCK  # fixed-rule draws used from the current block
 
     def _member_tables(self, Ah, Bh, Qinv):
         """N = S^H A, Q^{-1} N^H and S^H B of every member, (slices, q, ...)."""
@@ -415,8 +419,17 @@ class _FiniteSetState(_BaseState):
         return sk.sketch(Ah), sk.sketch_cols(QiAH), sk.sketch(Bh)
 
     def select(self, losses):
-        """Fixed-probability draws, one member per slice (TSP-I, TSP-II)."""
-        return _draw_per_slice(self.base_cdf, self.uniforms)
+        """The next fixed-rule draw (one per slice for per-slice sets), made
+        ``_UNIFORM_BLOCK`` iterations at a time from the uniforms of scalar draws."""
+        if self.drawn == _UNIFORM_BLOCK:
+            cdfs = np.atleast_2d(self.base_cdf)
+            u = ([r.random(_UNIFORM_BLOCK) * c[-1] for r, c in zip(self.uniforms.rngs, cdfs)]
+                 if self.per_slice_selection else [self.index_rng.random(_UNIFORM_BLOCK)])
+            draws = [np.searchsorted(c, x, side="right") for c, x in zip(cdfs, u)]
+            self.draws, self.drawn = np.minimum(np.transpose(draws), self.q - 1), 0
+        self.drawn += 1
+        choice = self.draws[self.drawn - 1]
+        return choice if self.per_slice_selection else choice[0]
 
     def trace_choice(self, choice):
         return tuple(int(c) for c in choice) if self.per_slice_selection else int(choice)
@@ -428,10 +441,10 @@ class _SetState(_FiniteSetState):
     Per member i and slice k the setup stores the sketched system N = S^H A,
     a factor C with C C^H = pinv(N Q^{-1} N^H), the step map Q^{-1} N^H C,
     the cross products C_i^H N_i Q^{-1} N_j^H C_j, and the running sketched
-    residuals R_i = C_i^H (N_i X - S_i^H B), so that one iteration costs a
-    couple of small batched matmuls.  Selection sets build N, Q^{-1} N^H and
-    S^H B by gathering rows; ragged blocks are padded with zero rows, which
-    get zero factor columns.
+    residuals R_i = C_i^H (N_i X - S_i^H B), as views of the block Z and of
+    the table U = [step_map; cross] (see the module docstring).  Selection
+    sets build N, Q^{-1} N^H and S^H B by gathering rows; ragged blocks are
+    padded with zero rows, which get zero factor columns.
     """
 
     def __init__(self, A, B, config, x_star):
@@ -441,12 +454,23 @@ class _SetState(_FiniteSetState):
         N, AQS, self.SB = (
             np.ascontiguousarray(T) for T in self._member_tables(self.Ah, self.Bh, self.Qinv))
         self.C = batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
-        self.step_map = AQS @ self.C
+        h, q, tau, n = N.shape
         CH = np.conj(np.swapaxes(self.C, -1, -2))
-        cross = np.einsum("kiab,kjbc->kjiac", CH @ N, self.step_map, optimize=True)
-        self.cross = np.ascontiguousarray(cross).reshape(self.h, self.q, -1, cross.shape[-1])
+        self.U = np.empty((h, q, n + q * tau, tau), dtype=np.complex128)
+        cross = self.U[:, :, n:].reshape(h, q, q, tau, tau)  # [k, j, i, a, c], a view
+        for k in range(h):  # one slice at a time: no table-sized temporary
+            self.U[k, :, :n] = AQS[k] @ self.C[k]
+            # cross[k, j, i, a, c] = sum_b (C^H N)[k, i, a, b] step_map[k, j, b, c]
+            jc = np.swapaxes(self.U[k, :, :n], 1, 2).reshape(q * tau, n)
+            ia = np.moveaxis(CH[k] @ N[k], 2, 0).reshape(n, q * tau)
+            cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
         self.N = N
-        self.R = np.ascontiguousarray(CH @ ((N @ self.Xh[:, None]) - self.SB))
+        self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
+        self.R[...] = CH @ ((N @ self.Xh[:, None]) - self.SB)
+
+    R = property(lambda self: self.Z[:, self.n:].reshape(self.h, self.q, -1, self.p))
+    step_map = property(lambda self: self.U[:, :, :self.n])  # (slices, q, n, tau)
+    cross = property(lambda self: self.U[:, :, self.n:])  # (slices, q, q tau, tau)
 
     def audit(self):
         """Max Frobenius deviation between recursed and fresh residuals."""
@@ -476,7 +500,7 @@ class _SpatialSetState(_SetState):
         """Member index; ``solve`` has already checked that some loss is
         positive, so no rule needs further validation."""
         if self.rule == "fixed":
-            return sketching.draw_from_cdf(self.base_cdf, self.index_rng)
+            return super().select(losses)
         if self.rule == "md":
             return np.argmax(losses)
         weights = losses
@@ -485,10 +509,7 @@ class _SpatialSetState(_SetState):
         return sketching.draw_from_cdf(np.cumsum(weights / weights.sum()), self.index_rng)
 
     def step(self, i):
-        Ri = self.R[:, i]
-        self.Xh -= self.step_map[:, i] @ Ri
-        R = self.R.reshape(self.h, -1, self.p)  # a view: R is C-contiguous
-        R -= self.cross[:, i] @ Ri
+        self.Z -= self.U[:, i] @ self.R[:, i]
         self.t += 1
 
     def variance_factor(self, losses):
@@ -523,7 +544,7 @@ class _PerSliceSetState(_SetState):
     def select(self, losses):
         """Per-slice index choices; -1 marks an already-solved slice."""
         if self.rule == "fixed":
-            return _draw_per_slice(self.base_cdf, self.uniforms)
+            return super().select(losses)
         active = losses.max(axis=1) > 0
         if self.rule == "md":
             return np.where(active, np.argmax(losses, axis=1), -1)
@@ -534,13 +555,9 @@ class _PerSliceSetState(_SetState):
 
     def step(self, idx):
         idx = np.asarray(idx, dtype=int)
-        active = np.nonzero(idx >= 0)[0]
-        if active.size:
-            ks, sel = active, idx[active]
-            Rsel = self.R[ks, sel]
-            self.Xh[ks] -= self.step_map[ks, sel] @ Rsel
-            R = self.R.reshape(self.l, -1, self.p)
-            R[ks] -= self.cross[ks, sel] @ Rsel
+        rows = slice(None) if idx.min() >= 0 else np.nonzero(idx >= 0)[0]  # all active: in place
+        ks, sel = self.slices[rows], idx[rows]
+        self.Z[rows] -= self.U[ks, sel] @ self.R[ks, sel]
         self.t += 1
 
 
@@ -567,7 +584,7 @@ class _FreshGaussianState(_BaseState):
         AQS = self.QiAH @ S0.astype(np.complex128)  # (l, n, tau)
         G = batched_hpinv(N @ AQS, slice_axis=0)
         resid = (N @ self.Xh) - (S0.T @ self.Bh)
-        self.Xh -= AQS @ (G @ resid)
+        self.Z -= AQS @ (G @ resid)
         self.t += 1
 
 
@@ -601,20 +618,21 @@ class _StackedState(_FiniteSetState):
             np.stack([T[half], np.conj(T[-half % self.l])], axis=1).reshape(-1, *T.shape[2:])
             for T in (N, NQ, SB)
         ]
-        self.own = [0, self.l // 2] if self.l % 2 == 0 else [0]  # slices k = -k
+        self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
 
     def step(self, idx):
         rows = self.pair_rows + idx[self.pair_slices]
         N, NQ, SB = (T[rows].reshape(self.h, -1, T.shape[-1]) for T in self.tables)
         AQS = np.conj(np.swapaxes(NQ, -1, -2))  # (h, n, 2tau)
         G = batched_hpinv(N @ AQS)
-        self.Xh -= AQS @ (G @ (N @ self.Xh - SB))
+        self.Z -= AQS @ (G @ (N @ self.Xh - SB))
         self.t += 1
         # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval: only the slices
         # that are their own mirror can carry an imaginary part
-        imag = np.linalg.norm(self.Xh[self.own].imag)
-        scale = max(self._norm(self.Xh), 1e-300)
-        self.max_imag_residue = max(self.max_imag_residue, float(imag / scale))
+        imag = self.Xh[self.own].imag
+        if imag.any():  # exactly zero while slices 0 and l/2 stay real
+            scale = max(self._norm(self.Xh), 1e-300)
+            self.max_imag_residue = max(self.max_imag_residue, float(np.linalg.norm(imag) / scale))
 
 
 class _PerSliceFreshState(_FiniteSetState):
@@ -634,12 +652,11 @@ class _PerSliceFreshState(_FiniteSetState):
         super().__init__(A, B, config, x_star)
         self.N, self.AQS, self.SB = self._member_tables(self.Ah, self.Bh, self.Qinv)
         self.G = batched_hpinv(self.N @ self.AQS)
-        self.slices = np.arange(self.l)
 
     def step(self, idx):
         member = (self.slices, idx)
         resid = (self.N[member] @ self.Xh) - self.SB[member]
-        self.Xh -= self.AQS[member] @ (self.G[member] @ resid)
+        self.Z -= self.AQS[member] @ (self.G[member] @ resid)
         self.t += 1
 
 
@@ -674,9 +691,10 @@ def solve(A, B, config, x_star=None):
     ``config.tol`` when ``x_star`` is given, and the relative residual
     otherwise.  Iteration timing excludes all precomputation.
     """
+    start = time.perf_counter()
     state = make_state(A, B, config, x_star)
     method = state.method
-    record = RunRecord(method=method)
+    record = RunRecord(method=method, setup_s=time.perf_counter() - start)
 
     columns = tuple([] for _ in _ROW_FIELDS)
     if config.keep_iterates:

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from conftest import (
     spd_weight_tensor,
     stacked_step_oracle,
 )
-from tubalsketch import sketching
+from tubalsketch import sketching, solvers
 from tubalsketch.analysis import projector_tensor
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
@@ -137,6 +140,30 @@ class TestSliceDraws:
             for k, uk in u.items():
                 want[k] = min(int(np.sum(cum[k] <= uk * cum[k, -1])), q - 1)
             np.testing.assert_array_equal(_draw_per_slice(cum, uniforms, active), want)
+
+    @pytest.mark.parametrize("method", ["NTSP", "TSP-I", "TSP-II", "NTSP-II"])
+    def test_block_draws_match_scalar_streams(self, method):
+        # fixed-rule draws come in blocks; the run stops in the middle of one
+        A, Xs, B = small_problem(80)
+        per_slice = method != "NTSP"
+        s = make_fourier_sketches(10, 1, 10, 4, "row") if per_slice else make_slice_sketches(10, 4)
+        probs = np.random.default_rng(81).random(10)
+        probs /= probs.sum()
+        iters = 5 * _UNIFORM_BLOCK // 2
+        cfg = SolverConfig(method=method, sketches=s, probabilities=probs, seed=82,
+                           tol=0.0, max_iters=iters)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.iterations == iters
+        cdf = np.cumsum(probs)
+        if per_slice:  # slice k's scalar stream is SeedSequence([seed, 2, k])
+            rngs = [np.random.default_rng([82, 2, k]) for k in range(4)]
+            want = [tuple(min(int(np.sum(cdf <= r.random() * cdf[-1])), 9) for r in rngs)
+                    for _ in range(iters)]
+        else:  # the spatial stream is SeedSequence([seed, 1])
+            rng = np.random.default_rng([82, 1])
+            want = [min(int(np.searchsorted(cdf, rng.random(), side="right")), 9)
+                    for _ in range(iters)]
+        assert rec.chosen[1:] == want
 
 
 class TestProjectionStep:
@@ -506,7 +533,72 @@ class TestResidualAudit:
         assert rec.audit_max < 1e-8
 
 
+class TestSetLayout:
+    @pytest.mark.parametrize("method", ["ATSP-MD", "ATSP-MD-II"])
+    def test_tables_are_views_of_one_block_and_one_table(self, method):
+        A, Xs, B = small_problem(84)
+        s = (make_fourier_sketches(10, 2, 6, 4, "gaussian", np.random.default_rng(85))
+             if method.endswith("-II") else make_block_sketches(10, 4, [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9]]))
+        st = make_state(A, B, SolverConfig(method=method, sketches=s, seed=86), x_star=Xs)
+        h, n, p, q, tau = st.h, 5, 3, s.q, max(s.taus)
+        assert st.Z.shape == (h, n + q * tau, p) and st.Z.flags.c_contiguous
+        assert st.U.shape == (h, q, n + q * tau, tau) and st.U.flags.c_contiguous
+        assert st.Xh.shape == (h, n, p) and st.R.shape == (h, q, tau, p)
+        assert st.step_map.shape == (h, q, n, tau) and st.cross.shape == (h, q, q * tau, tau)
+        for view, block in ((st.Xh, st.Z), (st.R, st.Z), (st.step_map, st.U), (st.cross, st.U)):
+            assert np.shares_memory(view, block)
+        # every array the state holds is its own table, so sizing it counts each once
+        held = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[:i])
+        X0 = st.Xh.copy()
+        st.step(st.select(st.losses()))
+        assert not np.array_equal(st.Xh, X0)
+        assert st.audit() < 1e-12
+
+    def test_setup_transient_below_half_of_cross(self):
+        # the cross table is filled one slice at a time, so setup never
+        # holds a second table-sized array
+        A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=87))
+        cfg = SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8))
+        tracemalloc.start()
+        try:
+            st = make_state(A, B, cfg, x_star=Xs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 0.5 * st.cross.nbytes
+
+    def test_record_keeps_setup_seconds(self, monkeypatch):
+        make_state = solvers.make_state
+
+        def slow_make_state(*args):
+            time.sleep(0.05)
+            return make_state(*args)
+
+        monkeypatch.setattr(solvers, "make_state", slow_make_state)
+        A, Xs, B = small_problem(88)
+        cfg = SolverConfig(method="NTSP", sketches=make_slice_sketches(10, 4), max_iters=5)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.setup_s >= 0.05 > rec.seconds[-1]  # setup is not loop time
+
+
 class TestPerSliceVariants:
+    @pytest.mark.parametrize("l", [4, 5])
+    def test_stacked_imag_residue_reported(self, l):
+        # the diagnostic is skipped while slices 0 and l/2 are real; an
+        # imaginary part put into one of them must still be reported
+        A, Xs, B = small_problem(64, m=7, n=4, p=2, l=l)
+        f = make_fourier_sketches(7, 1, 7, l, "row")
+        st = make_state(A, B, SolverConfig(method="TSP-I", sketches=f, seed=65), x_star=Xs)
+        st.step(st.select(None))
+        assert st.max_imag_residue == 0.0
+        st.Xh[l // 2 if l % 2 == 0 else 0] += 0.25j
+        st.step(st.select(None))
+        own = [0, l // 2] if l % 2 == 0 else [0]
+        want = np.linalg.norm(st.Xh[own].imag) / st._norm(st.Xh)
+        assert want > 0
+        assert st.max_imag_residue == pytest.approx(want, rel=1e-12)
+
     def test_stacked_iterates_stay_real(self):
         A, Xs, B = small_problem(24)
         f = make_fourier_sketches(10, 1, 10, 4, "row")
