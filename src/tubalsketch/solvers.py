@@ -232,8 +232,8 @@ class _SliceUniforms:
         self.off = self.end.copy()  # next unread value of each slice
         self.left = 0  # at most the fewest unread values of any slice
 
-    def take(self, rows=slice(None)):
-        """The next uniform of each slice in ``rows`` (all by default)."""
+    def take(self, rows):
+        """The next uniform of each slice in ``rows``."""
         if self.left == 0:
             for k in np.nonzero(self.off == self.end)[0]:
                 self.off[k] = self.end[k] - _UNIFORM_BLOCK
@@ -245,7 +245,7 @@ class _SliceUniforms:
         return u
 
 
-def _draw_per_slice(cum, uniforms, active=None):
+def _draw_per_slice(cum, uniforms, active):
     """Inverse-CDF draws from one cumulative-weight row per slice, batched.
 
     ``cum`` is (l, q), the row-wise cumsum of nonnegative weights with
@@ -254,7 +254,7 @@ def _draw_per_slice(cum, uniforms, active=None):
     (a :class:`_SliceUniforms`), so streams stay per-slice.
     """
     l, q = cum.shape
-    rows = slice(None) if active is None else np.nonzero(active)[0]
+    rows = np.nonzero(active)[0]
     cum = cum[rows]
     targets = uniforms.take(rows) * cum[:, -1]
     idx = np.full(l, -1)

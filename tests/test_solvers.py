@@ -130,8 +130,8 @@ class TestSliceDraws:
         uniforms = _SliceUniforms([np.random.default_rng([71, k]) for k in range(l)])
         ref = [np.random.default_rng([71, k]) for k in range(l)]
         for t in range(4 * _UNIFORM_BLOCK):
-            active = None if t % 5 == 0 else rng.random(l) < 0.6
-            rows = range(l) if active is None else np.nonzero(active)[0]
+            active = np.ones(l, bool) if t % 5 == 0 else rng.random(l) < 0.6
+            rows = np.nonzero(active)[0]
             u = {k: ref[k].random() for k in rows}
             if t % 3 == 0:
                 assert list(uniforms.take(np.array(list(rows), dtype=int))) == list(u.values())
