@@ -241,14 +241,14 @@ def _mean_curves(records):
 def run_experiment(config):
     """Run every configured method on ``trials`` fresh problems.
 
-    Writes one trace CSV per (method, trial), one mean-curve CSV per method,
-    and a JSON summary; returns the summary dict.  Problems are regenerated
-    per trial from trial-specific seeds and shared by all methods of that
-    trial; iteration timing excludes precomputation by construction of the
-    solver loop.
+    Writes one trace CSV per (method, trial), a diverged trial's partial run
+    included, one mean-curve CSV per method and a JSON summary; returns the
+    summary dict.  Problems are regenerated per trial from trial-specific
+    seeds and shared by all methods of that trial; iteration timing excludes
+    precomputation by construction of the solver loop.
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    runs = [{} for _ in config.methods]  # per method: trial -> RunRecord
+    runs = [{} for _ in config.methods]  # per method: trial -> RunRecord, diverged or not
     diverged = [[] for _ in config.methods]
     for trial in range(config.trials):
         prng = np.random.default_rng(
@@ -260,6 +260,7 @@ def run_experiment(config):
                 _, runs[mi][trial] = _run_one(config, mspec, trial, A, x_star, B)
             except DivergenceError as exc:
                 diverged[mi].append(f"trial {trial}: {exc}")
+                runs[mi][trial] = exc.record
 
     summary = {
         "problem": asdict(config.problem),
@@ -277,7 +278,7 @@ def run_experiment(config):
                 ),
                 record,
             )
-        records = list(by_trial.values())
+        records = [r for r in by_trial.values() if r.stop_reason != "diverged"]
         entry = {
             "label": mspec.label,
             "method": mspec.method.upper(),

@@ -140,13 +140,6 @@ class SketchSet:
         """Depth transform of spatial member i, slices-first (l, m, tau)."""
         return fft_slices(self.member(i))
 
-    def slice_family(self, k):
-        """Family of slice k: per-slice members, or the (constant) Fourier
-        slice of each spatial member."""
-        if self.per_slice:
-            return self.members[k]
-        return [self.member_hat(i)[k] for i in range(self.q)]
-
     def sketch(self, Xh, idx=None):
         """S^H X per Fourier slice of the slices-first stack Xh (l, m, b).
 
@@ -323,7 +316,7 @@ def draw_from_cdf(cdf, rng):
     return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.size - 1)
 
 
-def is_complete_discrete_sampling(A, sketches, relcut=1e-10):
+def is_complete_discrete_sampling(A, sketches, relcut=1e-10, sketched=None):
     """Check, per Fourier slice, full row rank of every sketched system and
     full column reach of the stacked family.
 
@@ -333,9 +326,10 @@ def is_complete_discrete_sampling(A, sketches, relcut=1e-10):
     slices 0..l//2: slice l-k of a real A is the conjugate of slice k, with
     the same singular values.  The rate certificates assume this property;
     the solvers only warn when it fails because the pseudoinverse still
-    defines a valid iteration.
+    defines a valid iteration.  ``sketched``: those slices sketched, if held.
     """
-    SA = sketches.sketch((fft_slices if sketches.per_slice else rfft_slices)(A))
+    SA = sketched if sketched is not None else sketches.sketch(
+        (fft_slices if sketches.per_slice else rfft_slices)(A))
     l, q, tau, n = SA.shape
     sv = np.linalg.svd(SA.reshape(l, q * tau, n), compute_uv=False)
     top = sv[:, :1]
@@ -347,8 +341,8 @@ def is_complete_discrete_sampling(A, sketches, relcut=1e-10):
     return bool(np.all(ranks >= np.array(sketches.taus)))
 
 
-def warn_if_not_complete(A, sketches):
-    if not is_complete_discrete_sampling(A, sketches):
+def warn_if_not_complete(A, sketches, sketched=None):
+    if not is_complete_discrete_sampling(A, sketches, sketched=sketched):
         warnings.warn(
             "sketch family is not complete discrete sampling for this system; "
             "the iteration is still defined but the rate certificates may not hold",

@@ -33,12 +33,15 @@ three calls, and :func:`solve` runs one loop body over them:
   slice (per-slice sets, -1 for an already-solved slice);
 * ``step(choice)``: apply that choice to the iterate.
 
-A state that keeps sketched residuals also offers ``audit()``, which
-recomputes them from scratch and returns the worst deviation from the
-recursed values; :func:`solve` stops once all its losses are zero and
-audits it every ``audit_every`` iterations.  Fixed rules draw the members
-of 64 iterations at once.  All iterations operate on the Fourier slices;
-the test suite checks them against spatial-domain block-circulant steps.
+An iteration computes only what its rule reads.  Adaptive rules (ATSP-*)
+compute the losses, stop once all are zero and select from them.  Fixed
+rules draw 64 iterations of members at once; a set state (NTSP, NTSP-II)
+copies its residuals before each draw, for the zero-loss stop and the
+losses of logged rows.  With x_star, the error is one subtraction into a
+buffer and two dot products.  States that keep sketched residuals also
+offer ``audit()``, the worst deviation of the recursed residuals from
+fresh ones, run every ``audit_every`` iterations.  All iterations operate
+on the Fourier slices; the tests check them against block-circulant steps.
 
 TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
 l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
@@ -50,8 +53,7 @@ four cached per-slice methods keep their sketched residuals R below it and
 one table U, (slices, q, n + q tau, tau), whose block U[k, j] stacks member
 j's step map over its cross products C_i^H N_i Q^{-1} N_j^H C_j with every
 member i, so drawing j updates both at once: Z -= U[:, j] @ R[:, j].
-TSP-II forms each drawn member's residual from the iterate; TSP-I gathers
-per-member tables, two per slice (see :class:`_StackedState`).
+TSP-I gathers per-member tables, two per slice (see :class:`_StackedState`).
 """
 
 from __future__ import annotations
@@ -84,7 +86,12 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the tracked error grows far beyond its initial value."""
+    """Raised when the tracked error grows far beyond its initial value;
+    ``record`` is the partial RunRecord, its last row the diverged one."""
+
+    def __init__(self, message, record=None):
+        super().__init__(message)
+        self.record = record
 
 
 @dataclass
@@ -137,7 +144,7 @@ class RunRecord:
     iterations: int = 0
     setup_s: float = 0.0  # seconds spent in make_state
     converged: bool = False
-    stop_reason: str = ""  # 'tol', 'zero_loss' (all sketched losses 0) or 'max_iters'
+    stop_reason: str = ""  # 'tol', 'zero_loss' (all sketched losses 0), 'max_iters', 'diverged'
     audit_max: float = 0.0
     max_imag_residue: float = 0.0
     iterates: list | None = None
@@ -173,13 +180,13 @@ def select_index(losses, rule, rng=None, base_probs=None, theta=0.5):
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
-def _capped_losses(losses, base_probs, theta):
+def _capped_losses(losses, base_probs, theta, lmax=None):
     """The 'cs' rule's weights along the last axis: losses of at least
     theta * max + (1 - theta) * E_p[loss], the others zeroed.  The threshold
-    is clamped at the max, so the max qualifies even when rounding lifts
-    the threshold above it (all losses equal, say)."""
-    lmax = losses.max(axis=-1, keepdims=True)
-    mean = np.sum(base_probs * losses, axis=-1, keepdims=True)
+    is clamped at the max (``lmax`` with kept dims, when given), so the max
+    qualifies even when rounding lifts the threshold over it (equal losses)."""
+    lmax = losses.max(axis=-1, keepdims=True) if lmax is None else lmax
+    mean = np.add.reduce(base_probs * losses, axis=-1, keepdims=True)
     threshold = np.minimum(theta * lmax + (1.0 - theta) * mean, lmax)
     return np.where(losses >= threshold, losses, 0.0)
 
@@ -254,7 +261,8 @@ def _draw_per_slice(cum, uniforms, active):
     (a :class:`_SliceUniforms`), so streams stay per-slice.
     """
     l, q = cum.shape
-    rows = np.nonzero(active)[0]
+    rows = np.flatnonzero(active)
+    rows = slice(None) if rows.size == l else rows  # all active: no gathers
     cum = cum[rows]
     targets = uniforms.take(rows) * cum[:, -1]
     idx = np.full(l, -1)
@@ -270,6 +278,8 @@ class _BaseState:
     """
 
     half_spectrum = True  # keep slices 0..h-1 with multiplicities w
+    adaptive = False  # select() reads the losses
+    before = None  # fixed rules' residuals of the next draw (see _SetState.zero_loss)
 
     def __init__(self, A, B, config, x_star):
         A = np.asarray(A, dtype=np.float64)
@@ -303,6 +313,7 @@ class _BaseState:
         self.Qinv = np.ascontiguousarray(Q.inv[:self.h])
         self.Z = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
         self.t = 0
+        self.sqrt_l = np.sqrt(self.l)
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
         if self.x_star is not None:
             self.Xsh = transform(self.x_star)
@@ -315,6 +326,18 @@ class _BaseState:
         self.audit_max = 0.0
 
     Xh = property(lambda self: self.Z[:, :self.n])  # the iterate: Z's first n rows
+
+    def _loop_buffers(self):
+        """Made after setup's temporaries are freed.  _errors adds the dot
+        products of two views of ``diff``: on the full spectrum its real and
+        imaginary parts, read as np.linalg.norm reads the Xh - Xsh temporary,
+        else all slices and again those with a mirror."""
+        if self.x_star is not None:
+            full = self.h == self.l
+            self.diff = self.Xh - self.Xsh if full else np.empty_like(self.Xh, order="C")
+            flat = self.diff.ravel(order="K")  # a view: the buffer is dense
+            self.err_views = (flat.real, flat.imag) if full else (
+                flat.view(np.float64), self.diff[1:self.l - self.h + 1].ravel().view(np.float64))
 
     # -- error tracking ----------------------------------------------------
     def _norm(self, T):
@@ -332,10 +355,12 @@ class _BaseState:
     def _errors(self):
         """(epsilon, ||Xh - Xsh||_F), the norm being None without x_star."""
         if self.x_star is not None:
-            diff_norm = self._norm(self.Xh - self.Xsh)
-            return float(diff_norm / np.sqrt(self.l) / self.x_star_norm), diff_norm
+            np.subtract(self.Xh, self.Xsh, out=self.diff)
+            a, b = self.err_views
+            diff_norm = np.sqrt(a.dot(a) + b.dot(b))
+            return float(diff_norm / self.sqrt_l / self.x_star_norm), diff_norm
         res = self.Ah @ self.Xh - self.Bh
-        eps = float(self._norm(res) / np.sqrt(self.l) / max(self.b_norm, 1e-300))
+        eps = float(self._norm(res) / self.sqrt_l / max(self.b_norm, 1e-300))
         return eps, None
 
     def q_error(self, diff_norm=None):
@@ -348,14 +373,11 @@ class _BaseState:
             return float("nan")
         if self.q_is_identity:
             if diff_norm is None:
-                diff_norm = self._norm(self.Xh - self.Xsh)
+                diff_norm = self._errors()[1]
             return float(diff_norm ** 2 / self.l)
         diff = self.Xh - self.Xsh
-        return float(
-            sum(self.w[k] * np.linalg.norm(self.Q.sqrt[k] @ diff[k]) ** 2
-                for k in range(self.h))
-            / self.l
-        )
+        return float(sum(self.w[k] * np.linalg.norm(self.Q.sqrt[k] @ diff[k]) ** 2
+                         for k in range(self.h)) / self.l)
 
     def x(self):
         if self.half_spectrum:
@@ -364,11 +386,14 @@ class _BaseState:
         return ifft_slices(self.Xh, force_real=True)
 
     # -- defaults for the methods without sketched residuals ---------------
-    def losses(self):
+    def losses(self, v=None):
         return None
 
     def audit(self):
         raise ValueError("this method keeps no cached residuals to audit")
+
+    def zero_loss(self):
+        return False
 
     def trace_choice(self, choice):
         """A choice as the trace records it; fresh sketches are not recorded."""
@@ -444,15 +469,16 @@ class _SetState(_FiniteSetState):
     residuals R_i = C_i^H (N_i X - S_i^H B), as views of the block Z and of
     the table U = [step_map; cross] (see the module docstring).  Selection
     sets build N, Q^{-1} N^H and S^H B by gathering rows; ragged blocks are
-    padded with zero rows, which get zero factor columns.
+    padded with zero rows, which get zero factor columns.  The completeness
+    check runs on N.  ``views``: R, the view the losses read, ``before`` flat.
     """
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        if config.check_sampling:
-            sketching.warn_if_not_complete(A, self.sketches)
         N, AQS, self.SB = (
             np.ascontiguousarray(T) for T in self._member_tables(self.Ah, self.Bh, self.Qinv))
+        if config.check_sampling:
+            sketching.warn_if_not_complete(A, self.sketches, N)
         self.C = batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
         h, q, tau, n = N.shape
         CH = np.conj(np.swapaxes(self.C, -1, -2))
@@ -467,6 +493,10 @@ class _SetState(_FiniteSetState):
         self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
         self.R[...] = CH @ ((N @ self.Xh[:, None]) - self.SB)
+        self.adaptive = self.rule != "fixed"
+        R, v = self.R, self._energy_view(self.R)
+        self.before = None if self.adaptive else np.empty(v.shape, v.dtype)
+        self.views = (R, v, None if self.adaptive else self.before.reshape(-1).view(np.float64))
 
     R = property(lambda self: self.Z[:, self.n:].reshape(self.h, self.q, -1, self.p))
     step_map = property(lambda self: self.U[:, :, :self.n])  # (slices, q, n, tau)
@@ -476,9 +506,16 @@ class _SetState(_FiniteSetState):
         """Max Frobenius deviation between recursed and fresh residuals."""
         CH = np.conj(np.swapaxes(self.C, -1, -2))
         fresh = CH @ ((self.N @ self.Xh[:, None]) - self.SB)
-        worst = float(np.sqrt(np.max(self._energy(fresh - self.R))))
+        worst = float(np.sqrt(np.max(self._energy(self._energy_view(fresh - self.R)))))
         self.audit_max = max(self.audit_max, worst)
         return worst
+
+    def zero_loss(self):
+        """Fixed rules, before each draw: keep its residuals in ``before``; are
+        all losses zero?  Computed once their squares sum below 1e-300."""
+        _, v, flat = self.views
+        np.copyto(self.before, v)
+        return flat.dot(flat) < 1e-300 and self.losses(self.before).max() <= 0.0
 
 
 class _SpatialSetState(_SetState):
@@ -488,13 +525,16 @@ class _SpatialSetState(_SetState):
     per_slice_selection = False
     slice_axis = 0
 
-    def _energy(self, T):
-        """Squared Frobenius norm of each member's block of T over all l slices."""
-        v = T.reshape(self.h, self.q, -1).view(np.float64)
+    _energy_view = lambda self, T: T.reshape(self.h, self.q, -1).view(np.float64)  # noqa: E731
+
+    def _energy(self, v):
+        """Squared Frobenius norm of each member's block over all l slices."""
         return self.w @ np.einsum("kij,kij->ki", v, v)
 
-    def losses(self):
-        return self._energy(self.R) / self.l
+    def losses(self, v=None):
+        """(q,) sketched losses, of residuals ``v`` in ``_energy_view``
+        layout when given."""
+        return self._energy(self.views[1] if v is None else v) / self.l
 
     def select(self, losses):
         """Member index; ``solve`` has already checked that some loss is
@@ -509,7 +549,7 @@ class _SpatialSetState(_SetState):
         return sketching.draw_from_cdf(np.cumsum(weights / weights.sum()), self.index_rng)
 
     def step(self, i):
-        self.Z -= self.U[:, i] @ self.R[:, i]
+        self.Z -= self.U[:, i] @ self.views[0][:, i]
         self.t += 1
 
     def variance_factor(self, losses):
@@ -533,31 +573,34 @@ class _PerSliceSetState(_SetState):
     per_slice_selection = True
     slice_axis = None
 
+    _energy_view = lambda self, T: T  # noqa: E731
+
     def _energy(self, T):
         """Squared Frobenius norm of each (slice, member) block of T."""
-        return np.sum(np.abs(T) ** 2, axis=(2, 3))
+        return np.add.reduce(np.square(np.abs(T)), axis=(2, 3))
 
-    def losses(self):
-        """(l, q) per-slice candidate losses."""
-        return self._energy(self.R)
+    def losses(self, v=None):
+        """(l, q) per-slice candidate losses, of residuals ``v`` when given."""
+        return self._energy(self.views[1] if v is None else v)
 
     def select(self, losses):
         """Per-slice index choices; -1 marks an already-solved slice."""
         if self.rule == "fixed":
             return super().select(losses)
-        active = losses.max(axis=1) > 0
+        lmax = losses.max(axis=1, keepdims=True)
+        active = lmax[:, 0] > 0
         if self.rule == "md":
             return np.where(active, np.argmax(losses, axis=1), -1)
         weights = losses
         if self.rule == "cs":
-            weights = _capped_losses(losses, self.base_probs, self.config.theta)
+            weights = _capped_losses(losses, self.base_probs, self.config.theta, lmax)
         return _draw_per_slice(np.cumsum(weights, axis=1), self.uniforms, active)
 
     def step(self, idx):
         idx = np.asarray(idx, dtype=int)
         rows = slice(None) if idx.min() >= 0 else np.nonzero(idx >= 0)[0]  # all active: in place
         ks, sel = self.slices[rows], idx[rows]
-        self.Z[rows] -= self.U[ks, sel] @ self.R[ks, sel]
+        self.Z[rows] -= self.U[ks, sel] @ self.views[0][ks, sel]
         self.t += 1
 
 
@@ -681,7 +724,9 @@ _ROW_FIELDS = ("t", "epsilon", "q_error", "loss_max", "loss_sum", "seconds", "pr
 
 def make_state(A, B, config, x_star=None):
     """Build the solver state for ``config`` without running it."""
-    return _METHOD_TABLE[config.canonical_method()][0](A, B, config, x_star)
+    state = _METHOD_TABLE[config.canonical_method()][0](A, B, config, x_star)
+    state._loop_buffers()
+    return state
 
 
 def solve(A, B, config, x_star=None):
@@ -703,12 +748,12 @@ def solve(A, B, config, x_star=None):
     eps, diff_norm = state._errors()
     eps0 = max(eps, 1e-300)
 
-    def log_row(errors, elapsed, chosen=None, losses=None, lmax=np.nan):
+    def log_row(errors, elapsed, chosen=None, losses=None):
         """Append one trace row; ``losses`` are those ``chosen`` was
-        selected from, and the per-row bookkeeping is done only here."""
-        values = (state.t, errors[0], state.q_error(errors[1]), float(lmax),
-                  np.nan if losses is None else float(losses.sum()), elapsed,
-                  np.nan if losses is None else state.variance_factor(losses))
+        selected next to, and the per-row bookkeeping is done only here."""
+        values = (state.t, errors[0], state.q_error(errors[1]),
+                  *([np.nan] * 2 if losses is None else [float(losses.max()), float(losses.sum())]),
+                  elapsed, np.nan if losses is None else state.variance_factor(losses))
         for column, value in zip(columns, values):
             column.append(value)
         record.chosen.append(None if chosen is None else state.trace_choice(chosen))
@@ -718,29 +763,25 @@ def solve(A, B, config, x_star=None):
     log_row((eps, diff_norm), 0.0)
     converged = eps < config.tol
     start = time.perf_counter()
-    lmax = np.nan
 
-    while not converged and state.t < config.max_iters:
-        losses = state.losses()
-        if losses is not None:
-            lmax = losses.max()
-            if lmax <= 0.0:
-                converged = True
-                record.stop_reason = "zero_loss"
-                break
+    while not converged and not record.stop_reason and state.t < config.max_iters:
+        # adaptive rules select from the losses; fixed rules compute them
+        # for logged rows only, from the residuals their draw was made next to
+        losses = state.losses() if state.adaptive else None
+        if state.zero_loss() if losses is None else losses.max() <= 0.0:
+            converged, record.stop_reason = True, "zero_loss"
+            break
         chosen = state.select(losses)
         state.step(chosen)
-        if losses is not None and config.audit_every and state.t % config.audit_every == 0:
+        if isinstance(state, _SetState) and config.audit_every and not state.t % config.audit_every:
             state.audit()
 
         eps, diff_norm = state._errors()
-        if not np.isfinite(eps) or eps > 1e3 * eps0:
-            raise DivergenceError(
-                f"{method} diverged at iteration {state.t}: "
-                f"error {eps:.3e} vs initial {eps0:.3e}"
-            )
-        if state.t % config.record_every == 0 or eps < config.tol:
-            log_row((eps, diff_norm), time.perf_counter() - start, chosen, losses, lmax)
+        if not eps <= 1e3 * eps0:  # also NaN
+            record.stop_reason = "diverged"
+        if record.stop_reason or state.t % config.record_every == 0 or eps < config.tol:
+            log_row((eps, diff_norm), time.perf_counter() - start, chosen,
+                    losses if state.adaptive else state.losses(state.before))
         converged = eps < config.tol
 
     if columns[0][-1] != state.t:
@@ -753,4 +794,8 @@ def solve(A, B, config, x_star=None):
     record.stop_reason = record.stop_reason or ("tol" if converged else "max_iters")
     record.audit_max = state.audit_max
     record.max_imag_residue = state.max_imag_residue
+    if record.stop_reason == "diverged":
+        raise DivergenceError(
+            f"{method} diverged at iteration {state.t}: "
+            f"error {eps:.3e} vs initial {eps0:.3e}", record)
     return state.x(), record

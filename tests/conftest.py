@@ -219,6 +219,14 @@ def dense_set_tables(A, B, sketches, Q):
     return {**tables, "cross": cross.reshape(sketches.l, q, q * tau, tau)}
 
 
+def slice_family(sketches, k):
+    """Family of slice k: per-slice members, or the (constant) Fourier
+    slice of each spatial member."""
+    if sketches.per_slice:
+        return sketches.members[k]
+    return [sketches.member_hat(i)[k] for i in range(sketches.q)]
+
+
 def rank_loop_complete(A, sketches, relcut=1e-10):
     """Complete-discrete-sampling verdict from one rank call per member and
     slice on dense members, with the absolute tolerance relcut * max(shape)."""
@@ -226,7 +234,7 @@ def rank_loop_complete(A, sketches, relcut=1e-10):
     n = Ah.shape[2]
     for k in range(sketches.l):
         stacked = []
-        for S in sketches.slice_family(k):
+        for S in slice_family(sketches, k):
             SA = S.conj().T @ Ah[k]
             if np.linalg.matrix_rank(SA, tol=relcut * max(SA.shape)) < S.shape[1]:
                 return False
@@ -256,7 +264,7 @@ def slice_rates_loop(A, Q, sketches, p):
     lams = np.empty(sketches.l)
     for k in range(sketches.l):
         E = 0
-        for i, S_k in enumerate(sketches.slice_family(k)):
+        for i, S_k in enumerate(slice_family(sketches, k)):
             NQ = S_k.conj().T @ Ah[k] @ Q.inv_sqrt[k]
             M = NQ @ NQ.conj().T
             G = np.linalg.pinv(M, rcond=M.shape[0] * PINV_RELCUT)
@@ -274,7 +282,7 @@ def closed_form_bounds_loop(A, Q, sketches):
     member_norm_sq = np.empty((l, q))
     member_lmax = np.empty((l, q))
     for k in range(l):
-        family = sketches.slice_family(k)
+        family = slice_family(sketches, k)
         stacked = np.hstack([np.asarray(S, dtype=np.complex128) for S in family])
         QAS = Q.inv_sqrt[k] @ Ah[k].conj().T @ stacked
         G = QAS @ QAS.conj().T

@@ -167,6 +167,26 @@ class TestRunExperiment:
             curve = os.path.join(config.output_dir, entry["curve_file"])
             assert os.path.exists(curve)
 
+    def test_diverged_trial_keeps_its_trace(self, tmp_path, monkeypatch):
+        # a decoy solution 1e-9 times the true one: the iterates head for
+        # the true solution, so the error against the decoy blows up
+        from tubalsketch import harness
+
+        def decoy_problem(spec, rng=None):
+            A, x_star, B = generate_problem(spec, rng)
+            return A, x_star * 1e-9, B
+
+        monkeypatch.setattr(harness, "generate_problem", decoy_problem)
+        config = tiny_experiment(tmp_path, methods=[MethodSpec(method="NTSP")], trials=1,
+                                 tol=1e-14, record_every=1000)
+        summary = run_experiment(config)
+        entry = summary["methods"][0]
+        assert entry["trials_run"] == 0 and len(entry["diverged"]) == 1
+        trace = read_trace(os.path.join(config.output_dir, "trace_ntsp_trial0.csv"))
+        assert trace["t"][0] == 0 and 0 < trace["t"][-1] < 1000
+        assert f"iteration {trace['t'][-1]}:" in entry["diverged"][0]
+        assert trace["epsilon"][-1] > 1e3 * trace["epsilon"][0]
+
     def test_config_from_dict(self):
         config = ExperimentConfig.from_dict(
             {

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -34,6 +35,7 @@ from tubalsketch.solvers import (
 from tubalsketch.t_algebra import (
     WeightQ,
     fnorm,
+    identity,
     tprod,
     tprod_oracle,
     ttranspose,
@@ -358,9 +360,14 @@ class TestRunBehaviour:
         s = make_slice_sketches(10, 4)
         decoy = Xs * 1e-9  # iterates head to Xs, far away relative to decoy
         cfg = SolverConfig(method="NTSP", sketches=s, seed=8, max_iters=5000,
-                           tol=1e-14)
-        with pytest.raises(DivergenceError):
+                           tol=1e-14, record_every=1000)
+        with pytest.raises(DivergenceError) as info:
             solve(A, B, cfg, x_star=decoy)
+        rec = info.value.record  # the partial run, its last row the diverged one
+        assert rec.stop_reason == "diverged" and not rec.converged
+        assert rec.t[0] == 0 and rec.t[-1] == rec.iterations < 1000
+        assert rec.epsilon[-1] > 1e3 * rec.epsilon[0]
+        assert f"iteration {rec.iterations}:" in str(info.value)
 
     def test_all_methods_converge_on_small_instance(self):
         A, Xs, B = small_problem(17, m=12, n=6, p=3, l=4)
@@ -410,6 +417,25 @@ class TestRunBehaviour:
         with pytest.warns(UserWarning, match="complete discrete sampling"):
             X, rec = solve(A, B, cfg, x_star=Xs)
         assert rec.iterations == 50
+
+    def test_completeness_check_reads_the_state_stack(self, monkeypatch):
+        # the check runs on the sketched stack N the state holds, and gives
+        # the verdict of the public call, which transforms A itself
+        import warnings as warnings_module
+
+        seen = []
+        check = sketching.is_complete_discrete_sampling
+        monkeypatch.setattr(sketching, "is_complete_discrete_sampling",
+                            lambda A, s, **kw: seen.append(kw["sketched"]) or check(A, s, **kw))
+        for m, method, s in ((3, "NTSP", make_slice_sketches(3, 3)),
+                             (8, "ATSP-MD", make_block_sketches(8, 3, [[0, 1, 2], [3, 4], [5, 6, 7]])),
+                             (8, "NTSP-II", make_fourier_sketches(8, 1, 8, 3, "row"))):
+            A, Xs, B = small_problem(39, m=m, n=4, p=2, l=3)
+            with warnings_module.catch_warnings():
+                warnings_module.simplefilter("ignore")
+                st = make_state(A, B, SolverConfig(method=method, sketches=s))
+            assert seen[-1] is st.N
+            assert check(A, s, sketched=st.N) == check(A, s) == (m == 8), method
 
     def test_complete_family_does_not_warn(self):
         import warnings as warnings_module
@@ -473,15 +499,62 @@ class TestRunBehaviour:
         X, rec = solve(A, B, cfg, x_star=Xs)
         assert not rec.converged and rec.stop_reason == "max_iters"
 
-    def test_stop_reason_zero_loss(self):
+    @pytest.mark.parametrize("method", ["ATSP-PR", "NTSP", "NTSP-II"])
+    def test_stop_reason_zero_loss(self, method):
         # B = O: every sketched residual is exactly zero from the start, and
         # tol=0 keeps the zero residual from stopping the run first
         A, Xs, B = small_problem(19, m=8, n=4, p=2, l=3)
-        cfg = SolverConfig(method="ATSP-PR", sketches=make_slice_sketches(8, 3),
-                           seed=10, tol=0.0)
+        s = (make_fourier_sketches(8, 1, 8, 3, "row") if method.endswith("-II")
+             else make_slice_sketches(8, 3))
+        cfg = SolverConfig(method=method, sketches=s, seed=10, tol=0.0)
         X, rec = solve(A, np.zeros_like(B), cfg)
         assert rec.converged and rec.iterations == 0
         assert rec.stop_reason == "zero_loss"
+
+    @pytest.mark.parametrize("method", ["ATSP-PR", "NTSP", "NTSP-II"])
+    def test_zero_loss_stop_mid_run_on_the_same_iteration(self, method):
+        # A = I: drawing member i zeroes R_i exactly and leaves the others,
+        # so the losses reach zero once every member has been drawn; the
+        # fixed rules, which compute no losses, must stop on that iteration
+        m, l = 6, 3
+        A = identity(m, l)
+        Xs = rand_tubal(np.random.default_rng(26), m, 2, l)
+        B = tprod(A, Xs)
+        s = (make_fourier_sketches(m, 1, m, l, "row") if method.endswith("-II")
+             else make_slice_sketches(m, l))
+        cfg = SolverConfig(method=method, sketches=s, seed=27, tol=0.0, max_iters=500)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        st = make_state(A, B, cfg, x_star=Xs)
+        while (losses := st.losses()).max() > 0.0:
+            st.step(st.select(losses))
+        assert rec.stop_reason == "zero_loss"
+        assert rec.iterations == st.t >= m
+        np.testing.assert_array_equal(X, st.x())
+
+    @pytest.mark.parametrize("method", ["NTSP", "NTSP-II"])
+    def test_fixed_rule_losses_only_on_logged_rows(self, method, monkeypatch):
+        # fixed rules compute their losses for logged rows only, from the
+        # residuals their draw was made next to: every row must hold the
+        # values of a run that logs each iteration, the final tol row too
+        A, Xs, B = small_problem(28, m=8, n=4, p=2, l=3)
+        s = (make_fourier_sketches(8, 1, 8, 3, "row") if method.endswith("-II")
+             else make_slice_sketches(8, 3))
+        cfg = SolverConfig(method=method, sketches=s, seed=29, tol=1e-10, max_iters=20_000)
+        X1, every = solve(A, B, cfg, x_star=Xs)
+        cls = solvers._METHOD_TABLE[method][0]
+        calls = []
+        losses = cls.losses
+        monkeypatch.setattr(cls, "losses", lambda st, v=None: calls.append(st.t) or losses(st, v))
+        X25, sparse = solve(A, B, dataclasses.replace(cfg, record_every=25), x_star=Xs)
+        assert sparse.stop_reason == every.stop_reason == "tol"
+        assert sparse.iterations == every.iterations and sparse.t[-1] % 25 != 0
+        assert all(t % 25 == 0 for t in sparse.t[1:-1]) and len(sparse.t) > 3
+        rows = np.searchsorted(every.t, sparse.t)
+        for f in ("epsilon", "loss_max", "loss_sum"):
+            np.testing.assert_array_equal(getattr(sparse, f), getattr(every, f)[rows], err_msg=f)
+        assert sparse.chosen == [every.chosen[r] for r in rows]
+        assert calls == list(sparse.t[1:])  # one call per logged row after t = 0
+        np.testing.assert_array_equal(X25, X1)
 
     def test_trace_cadence(self):
         A, Xs, B = small_problem(19, m=8, n=4, p=2, l=3)
@@ -524,12 +597,20 @@ class TestResidualAudit:
         st.R[1, 2, 0, 0] += bump
         assert st.audit() > bump / 2
 
-    def test_solve_audit_cadence(self):
+    @pytest.mark.parametrize("method", ["ATSP-MD", "NTSP", "NTSP-II"])
+    def test_solve_audit_cadence(self, method, monkeypatch):
+        # fixed rules hold no loss vector in the loop; they are audited too
         A, Xs, B = small_problem(23)
-        s = make_slice_sketches(10, 4)
-        cfg = SolverConfig(method="ATSP-MD", sketches=s, seed=14, tol=1e-10,
+        s = (make_fourier_sketches(10, 1, 10, 4, "row") if method.endswith("-II")
+             else make_slice_sketches(10, 4))
+        cfg = SolverConfig(method=method, sketches=s, seed=14, tol=1e-10,
                            audit_every=50, record_every=50)
+        audited = []
+        audit = solvers._SetState.audit
+        monkeypatch.setattr(solvers._SetState, "audit", lambda st: audited.append(st.t) or audit(st))
         X, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.iterations >= 100
+        assert audited == list(range(50, rec.iterations + 1, 50))
         assert rec.audit_max < 1e-8
 
 
