@@ -48,13 +48,6 @@ MAX_ASSEMBLY_DIM = 400
 BOUNDS = ("nonadaptive", "max-distance", "proportional", "capped")
 
 
-def _check_assembly_size(n, l):
-    if n * l > MAX_ASSEMBLY_DIM:
-        raise ValueError(
-            f"explicit projector assembly capped at nl <= {MAX_ASSEMBLY_DIM}, got {n * l}"
-        )
-
-
 def _as_weight(Q, n, l):
     if Q is None:
         return WeightQ.identity(n, l)
@@ -92,7 +85,10 @@ def expected_projector(A, Q, sketches, p):
     """
     A = np.asarray(A, dtype=np.float64)
     m, n, l = A.shape
-    _check_assembly_size(n, l)
+    if n * l > MAX_ASSEMBLY_DIM:
+        raise ValueError(
+            f"explicit projector assembly capped at nl <= {MAX_ASSEMBLY_DIM}, got {n * l}"
+        )
     if sketches.per_slice:
         raise ValueError("expected_projector applies to spatial sketch sets")
     p = sketching.as_prob_vector(p)
@@ -190,49 +186,46 @@ def closed_form_rate_bounds(A, Q, sketches):
     }
 
 
-def _range_basis(A, Q):
-    """Orthonormal basis of Range(bcirc(Q)^{-1/2} bcirc(A)^T)."""
-    K = bcirc(Q.inv_sqrt_tensor()) @ bcirc(A).T
-    u, s, _ = np.linalg.svd(K, full_matrices=False)
-    keep = s > max(K.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    return u[:, keep]
-
-
-def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None,
-                       extra_dirs=None):
+def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
     """Sampled estimate of the worst-direction max projected energy.
 
-    The exact quantity (a min over the whole range space of a max over the
+    The exact quantity (a min over the range space of a max over the
     family) has no cheap closed form; we evaluate the max on sampled unit
-    directions of the range space, optionally augmented with caller-supplied
-    directions, and keep the smallest value seen.  The sampled value can
-    only overestimate the true minimum, while the fixed-sampling constant
-    from the expected projector is an exact lower bound; both are returned
-    as ``(estimate, lower_bound)``.  Spatial sets only.
+    directions of the range space and keep the smallest value seen.  That
+    can only overestimate the true minimum, while the fixed-sampling
+    constant from the expected projector is an exact lower bound; both are
+    returned as ``(estimate, lower_bound)``.  Spatial sets only.  The range,
+    Range(bcirc(Q)^{-1/2} bcirc(A)^T), is slice k's row space of
+    A_k Q_k^{-1/2} in the Fourier domain; real Gaussian directions projected
+    onto it slice by slice stay real and, normalized, uniform on its sphere.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n, l = A.shape
-    _check_assembly_size(n, l)
     if sketches.per_slice:
         raise ValueError("estimate_delta_inf applies to spatial sketch sets")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     Q = _as_weight(Q, n, l)
     if rng is None:
         rng = np.random.default_rng(0)
     if p is None:
         p = sketching.prob_uniform(sketches.q)
     _, K = _slice_factors(A, Q, sketches)
-    basis = _range_basis(A, Q)
-    V = basis @ rng.standard_normal((basis.shape[1], n_samples))
-    if extra_dirs is not None:
-        extra = basis @ (basis.T @ np.asarray(extra_dirs, dtype=np.float64))
-        V = np.hstack([V, extra])
-    norms = np.linalg.norm(V, axis=0)
-    V = V[:, norms > 1e-12] / norms[norms > 1e-12]
-    # v^T bcirc(Z_i) v = (1/l) sum_k ||K_i[k] v_k||^2, v_k the depth transform
-    # of v's frontal slices; summed one slice at a time to keep memory at (q, s)
-    Vh = np.fft.fft(V.reshape(l, n, -1), axis=0)
-    energies = sum(np.sum(np.abs(K[k] @ Vh[k]) ** 2, axis=1) for k in range(l)) / l
-    estimate = float(np.min(np.max(energies, axis=0)))
+    # the bcirc matrix's singular values are those of all slices together,
+    # so its rank cutoff applies to the whole stack at once
+    _, s, vh = np.linalg.svd(fft_slices(A) @ Q.inv_sqrt, full_matrices=False)
+    vh = vh * (s > max(m, n) * l * np.finfo(float).eps * s.max())[..., None]
+    # slice k of the projected direction is P_k g_k, P_k = vh_k^H vh_k; then
+    # v^T bcirc(Z_i) v = (1/l) sum_k ||K_i[k] v_k||^2 and ||v||^2 =
+    # (1/l) sum_k ||v_k||^2, summed one slice at a time to keep memory at (q, s)
+    G = np.fft.fft(rng.standard_normal((l, n, n_samples)), axis=0)
+    energies, norms_sq = 0.0, 0.0
+    for k in range(l):
+        Vk = np.conj(vh[k].T) @ (vh[k] @ G[k])
+        norms_sq = norms_sq + np.sum(np.abs(Vk) ** 2, axis=0)
+        energies = energies + np.sum(np.abs(K[k] @ Vk) ** 2, axis=1)
+    live = norms_sq > 1e-24 * l
+    estimate = float(np.min(np.max(energies[:, live], axis=0) / norms_sq[live]))
     return estimate, float(_expected_slice_lambdas(K, p).min())
 
 

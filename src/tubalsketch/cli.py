@@ -8,9 +8,8 @@ Typical round trip::
     tubalsketch rates --in sys1_A.tns --sketch slice --out rates.json
     tubalsketch verify --rates rates.json --bound max-distance --traces run.csv
 
-``verify`` interprets traces with the identity weight and a zero initial
-iterate (the harness defaults), where the squared relative error is a
-valid stand-in for the weighted squared error.
+``verify`` reads the weighted squared error each trace recorded, so its
+traces must come from runs solved with ``--xstar``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ import numpy as np
 from . import analysis
 from . import harness
 from . import io as tio
+from .sketching import resolve_probabilities
 from .solvers import RunRecord, SolverConfig, solve
+from .t_algebra import WeightQ
 
 
 def _add_sketch_args(cmd):
@@ -172,13 +173,8 @@ def _cmd_bench(args):
 def _cmd_rates(args):
     A = tio.load_tensor(args.a_path)
     sketches = _sketches_from_args(args, A.shape[0], A.shape[2])
-    p = None
-    if args.prob:
-        from .solvers import _resolve_probs
-        from .t_algebra import WeightQ
-
-        p = _resolve_probs(args.prob, A, WeightQ.identity(A.shape[1], A.shape[2]),
-                           sketches)
+    p = resolve_probabilities(args.prob, A, WeightQ.identity(A.shape[1], A.shape[2]),
+                              sketches)
     report = analysis.compute_rate_report(
         A, None, sketches, p=p, n_samples=args.samples,
         rng=np.random.default_rng(args.seed),
@@ -198,9 +194,7 @@ def _records_from_traces(paths):
         rec = RunRecord(method="trace")
         rec.t = data["t"]
         rec.epsilon = data["epsilon"]
-        # identity weight, zero start: epsilon^2 tracks the weighted
-        # squared error up to the constant ||x_star||^2, which cancels
-        rec.q_error = data["epsilon"] ** 2
+        rec.q_error = data["q_error"]
         records.append(rec)
     return records
 

@@ -10,11 +10,14 @@ Tensor format (``.tns``): a self-describing text file
 CSV import of slice stacks: a headerless numeric CSV with m*l rows and n
 columns, the l frontal slices stacked top to bottom.
 
-Trace CSV columns: ``t, epsilon, chosen_index, loss_max, loss_sum, seconds``.
-Row t describes the iterate after t iterations; ``chosen_index`` is the
-index applied at iteration t (semicolon-joined per-slice indices for the
-per-slice methods; empty at t=0 and on a final summary row that was not
-itself a recorded step).
+Trace CSV columns: ``t, epsilon, chosen_index, loss_max, loss_sum, seconds,
+q_error, stop_reason``.  Row t describes the iterate after t iterations;
+``chosen_index`` is the index applied at iteration t (semicolon-joined
+per-slice indices for the per-slice methods; empty at t=0 and on a final
+summary row that was not itself a recorded step).  ``q_error`` is the
+weighted squared error, ``nan`` for a run solved without x_star;
+``stop_reason`` is empty except on the last row, where it says why the run
+stopped (``tol``, ``zero_loss``, ``max_iters`` or ``diverged``).
 
 Sketch sets serialize to JSON with full dense member entries, so a run can
 be replayed exactly without regenerating randomness.
@@ -41,7 +44,8 @@ __all__ = [
     "load_experiment_dict",
 ]
 
-TRACE_COLUMNS = ("t", "epsilon", "chosen_index", "loss_max", "loss_sum", "seconds")
+TRACE_COLUMNS = ("t", "epsilon", "chosen_index", "loss_max", "loss_sum", "seconds",
+                 "q_error", "stop_reason")
 
 
 def save_tensor(path, X):
@@ -116,35 +120,31 @@ def _chosen_str(chosen):
 
 
 def write_trace(path, record):
+    last = record.t.size - 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for row in range(record.t.size):
-            writer.writerow(
-                [
-                    int(record.t[row]),
-                    repr(float(record.epsilon[row])),
-                    _chosen_str(record.chosen[row]),
-                    repr(float(record.loss_max[row])),
-                    repr(float(record.loss_sum[row])),
-                    repr(float(record.seconds[row])),
-                ]
-            )
+            floats = (repr(float(getattr(record, name)[row]))
+                      for name in ("loss_max", "loss_sum", "seconds", "q_error"))
+            writer.writerow([int(record.t[row]), repr(float(record.epsilon[row])),
+                             _chosen_str(record.chosen[row]), *floats,
+                             record.stop_reason if row == last else ""])
 
 
 def read_trace(path):
-    """Trace CSV back as a dict of arrays (chosen_index stays as strings)."""
+    """Trace CSV back as a dict of arrays (chosen_index and stop_reason stay
+    as lists of strings)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: trace CSV lacks the columns {missing}")
         rows = list(reader)
-    out = {
-        "t": np.array([int(r["t"]) for r in rows]),
-        "epsilon": np.array([float(r["epsilon"]) for r in rows]),
-        "chosen_index": [r["chosen_index"] for r in rows],
-        "loss_max": np.array([float(r["loss_max"]) for r in rows]),
-        "loss_sum": np.array([float(r["loss_sum"]) for r in rows]),
-        "seconds": np.array([float(r["seconds"]) for r in rows]),
-    }
+    out = {name: [r[name] for r in rows] for name in ("chosen_index", "stop_reason")}
+    out["t"] = np.array([int(r["t"]) for r in rows])
+    for name in ("epsilon", "loss_max", "loss_sum", "seconds", "q_error"):
+        out[name] = np.array([float(r[name]) for r in rows])
     return out
 
 

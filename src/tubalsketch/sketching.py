@@ -32,6 +32,7 @@ __all__ = [
     "prob_slice_norm",
     "prob_sketch_norm",
     "prob_fourier_row_norm",
+    "resolve_probabilities",
     "as_prob_vector",
     "sample_index",
     "draw_from_cdf",
@@ -304,6 +305,26 @@ def prob_fourier_row_norm(A, Q=None):
         cols = Ah[k].conj().T if Q is None else Q.inv_sqrt[k] @ Ah[k].conj().T
         p[k] = _normalize(np.sum(np.abs(cols) ** 2, axis=0), "fourier-row")
     return p
+
+
+def resolve_probabilities(spec, A, Q, sketches):
+    """Probabilities of a rule name (None is 'uniform'; the others are the
+    ``prob_*`` rules above, ``Q`` a WeightQ) or of an explicit vector."""
+    if spec is None or (isinstance(spec, str) and spec == "uniform"):
+        return prob_uniform(sketches.q)
+    if isinstance(spec, str):
+        if spec == "slice-norm":
+            if sketches.kind != "slice":
+                raise ValueError("slice-norm probabilities require slice sketches")
+            return prob_slice_norm(A)
+        if spec == "sketch-norm":
+            return prob_sketch_norm(A, Q, sketches)
+        if spec == "fourier-row-norm":
+            if not sketches.per_slice:
+                raise ValueError("fourier-row-norm requires a per-slice sketch set")
+            return prob_fourier_row_norm(A, Q)
+        raise ValueError(f"unknown probability rule {spec!r}")
+    return np.asarray(spec, dtype=np.float64)
 
 
 def sample_index(p, rng):

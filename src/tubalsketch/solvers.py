@@ -191,24 +191,6 @@ def _capped_losses(losses, base_probs, theta, lmax=None):
     return np.where(losses >= threshold, losses, 0.0)
 
 
-def _resolve_probs(spec, A, Q, sketches):
-    if spec is None or (isinstance(spec, str) and spec == "uniform"):
-        return sketching.prob_uniform(sketches.q)
-    if isinstance(spec, str):
-        if spec == "slice-norm":
-            if sketches.kind != "slice":
-                raise ValueError("slice-norm probabilities require slice sketches")
-            return sketching.prob_slice_norm(A)
-        if spec == "sketch-norm":
-            return sketching.prob_sketch_norm(A, Q, sketches)
-        if spec == "fourier-row-norm":
-            if not sketches.per_slice:
-                raise ValueError("fourier-row-norm requires a per-slice sketch set")
-            return sketching.prob_fourier_row_norm(A, Q)
-        raise ValueError(f"unknown probability rule {spec!r}")
-    return np.asarray(spec, dtype=np.float64)
-
-
 def _per_slice_probs(p, l, q):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 1:
@@ -424,7 +406,7 @@ class _FiniteSetState(_BaseState):
         self.sketches = sketches
         self.q = sketches.q
         self.rule = _METHOD_TABLE[self.method][1]
-        probs = _resolve_probs(config.probabilities, A, self.Q, sketches)
+        probs = sketching.resolve_probabilities(config.probabilities, A, self.Q, sketches)
         if self.per_slice_selection:
             self.base_probs = _per_slice_probs(probs, self.l, self.q)
             self.uniforms = _SliceUniforms([_rng(config.seed, 2, k) for k in range(self.l)])

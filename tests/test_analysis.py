@@ -9,7 +9,6 @@ from conftest import (
 )
 from tubalsketch.analysis import (
     BOUNDS,
-    _range_basis,
     RateReport,
     compute_rate_report,
     closed_form_rate_bounds,
@@ -217,19 +216,19 @@ class TestWorstDirectionEstimate:
             )
             assert 0 < lower <= est <= 1 + 1e-12
 
-    def test_extra_directions_only_tighten_the_estimate(self):
-        # feeding run error directions into the search can only lower the
-        # sampled minimum, and the chain ordering still holds
-        rng = np.random.default_rng(9)
-        A = rand_tubal(rng, 5, 3, 2)
-        s = make_slice_sketches(5, 2)
-        base, lower = estimate_delta_inf(A, None, s, n_samples=150,
-                                         rng=np.random.default_rng(1))
-        dirs = rng.standard_normal((6, 40))  # forty candidate directions
-        tightened, _ = estimate_delta_inf(A, None, s, n_samples=150,
-                                          rng=np.random.default_rng(1),
-                                          extra_dirs=dirs)
-        assert lower <= tightened <= base + 1e-15
+    def test_rejects_no_samples(self):
+        A = rand_tubal(np.random.default_rng(9), 5, 3, 2)
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_delta_inf(A, None, make_slice_sketches(5, 2), n_samples=0)
+
+    def test_report_beyond_the_assembly_cap(self):
+        # nl = 480 > MAX_ASSEMBLY_DIM: every constant comes from the slices
+        A = np.random.default_rng(10).standard_normal((100, 30, 16))
+        s = make_slice_sketches(100, 16)
+        rep = compute_rate_report(A, None, s, rng=np.random.default_rng(1))
+        _, lam = per_slice_rates(A, None, s, prob_uniform(100))
+        assert rep.delta_p_sq == lam
+        assert 0 < rep.delta_p_sq <= rep.delta_inf_sq_estimate <= 1
 
 
 class TestRateReport:
@@ -405,11 +404,34 @@ def _system(weighted):
     return A, spd_weight_tensor(rng, 5, 3) if weighted else None
 
 
+def _range_basis(A, Q):
+    """Orthonormal basis of Range(bcirc(Q)^{-1/2} bcirc(A)^T), assembled."""
+    K = bcirc(Q.inv_sqrt_tensor()) @ bcirc(A).T
+    u, s, _ = np.linalg.svd(K, full_matrices=False)
+    keep = s > max(K.shape) * np.finfo(float).eps * s[0]
+    return u[:, keep]
+
+
 def _max_energy_reference(A, Qt, sketches, V):
     """min over the unit columns v of V of max_i v^T bcirc(Z_i) v, with every
     Z_i assembled by oracle products."""
     P = [bcirc(projector_tensor(A, Qt, sketches.member(i))) for i in range(sketches.q)]
     return float(np.min(np.max([np.sum(V * (Pi @ V), axis=0) for Pi in P], axis=0)))
+
+
+def _check_max_energy(A, Qt, s, seed=24, n_samples=60):
+    """The estimate against the oracle on the estimator's own Gaussian draws,
+    projected onto the range by the assembled basis; returns the basis rank."""
+    _, n, l = A.shape
+    Q = WeightQ.identity(n, l) if Qt is None else WeightQ.from_tensor(Qt)
+    basis = _range_basis(A, Q)
+    G = np.random.default_rng(seed).standard_normal((l, n, n_samples))
+    V = basis @ (basis.T @ G.reshape(l * n, n_samples))
+    V /= np.linalg.norm(V, axis=0)
+    est, _ = estimate_delta_inf(A, Qt, s, n_samples=n_samples,
+                                rng=np.random.default_rng(seed))
+    assert est == pytest.approx(_max_energy_reference(A, Qt, s, V), rel=1e-12)
+    return basis.shape[1]
 
 
 class TestFourierReportOracles:
@@ -433,25 +455,18 @@ class TestFourierReportOracles:
     @pytest.mark.parametrize("name", list(SPATIAL_SETS))
     def test_max_energy_matches_bcirc_projectors(self, name, weighted):
         A, Qt = _system(weighted)
-        s = SPATIAL_SETS[name]()
-        Q = WeightQ.identity(5, 3) if Qt is None else WeightQ.from_tensor(Qt)
-        basis = _range_basis(A, Q)
-        V = basis @ np.random.default_rng(24).standard_normal((basis.shape[1], 60))
-        est, _ = estimate_delta_inf(A, Qt, s, n_samples=60,
-                                    rng=np.random.default_rng(24))
-        V /= np.linalg.norm(V, axis=0)
-        assert est == pytest.approx(_max_energy_reference(A, Qt, s, V), rel=1e-12)
-        # caller-supplied directions alone, together and one at a time
-        dirs = np.random.default_rng(25).standard_normal((15, 4))
-        D = basis @ (basis.T @ dirs)
-        D /= np.linalg.norm(D, axis=0)
-        est, _ = estimate_delta_inf(A, Qt, s, n_samples=0, extra_dirs=dirs)
-        assert est == pytest.approx(_max_energy_reference(A, Qt, s, D), rel=1e-12)
-        for j in range(dirs.shape[1]):
-            est, _ = estimate_delta_inf(A, Qt, s, n_samples=0,
-                                        extra_dirs=dirs[:, j:j + 1])
-            assert est == pytest.approx(
-                _max_energy_reference(A, Qt, s, D[:, j:j + 1]), rel=1e-12)
+        assert _check_max_energy(A, Qt, SPATIAL_SETS[name]()) == 15
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["slice", "gaussian"])
+    def test_max_energy_on_a_rank_deficient_system(self, kind, weighted):
+        # 3x5x3: every slice has rank 3 < n, so the projection is not the identity
+        rng = np.random.default_rng(26)
+        A = rand_tubal(rng, 3, 5, 3)
+        Qt = spd_weight_tensor(rng, 5, 3) if weighted else None
+        s = (make_slice_sketches(3, 3) if kind == "slice"
+             else make_gaussian_sketches(3, 2, 4, 3, np.random.default_rng(27)))
+        assert _check_max_energy(A, Qt, s) == 9
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", list(ALL_SETS))
@@ -465,6 +480,13 @@ class TestFourierReportOracles:
             assert abs(got[key] - want[key]) < 1e-12, key
         if name != "gaussian":  # 8 stacked columns > n: singular stacked Gram
             assert want["uniform"] > 0
+
+    def test_max_energy_cuts_rounding_level_slices_like_bcirc(self):
+        # slices 1 and 3 are 1e-15 of the others: below the bcirc matrix's
+        # rank cutoff, so they hold no range directions
+        A0 = np.random.default_rng(0).standard_normal((6, 3))
+        A = A0[:, :, None] * np.fft.ifft([1, 1e-15, 1, 1e-15]).real
+        assert _check_max_energy(A, None, make_slice_sketches(6, 4)) == 6
 
     def test_vanishing_fourier_slices_follow_the_oracle_cutoff(self):
         # slices 1 and 3 are 1e-13 of the others: rounding-level, so the

@@ -106,6 +106,31 @@ class TestRatesAndVerify:
         report = json.load(open(out))
         assert 0 < report["delta_p_sq"] <= report["delta_inf_sq_estimate"] <= 1
 
+    def test_rates_rejects_no_samples(self, system_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rates", "--in", f"{system_files}_A.tns", "--sketch",
+                    "slice", "--samples", 0)
+        assert exc.value.code == 2
+        assert "n_samples must be at least 1" in capsys.readouterr().err
+
+    def test_verify_rejects_residual_mode_trace(self, system_files, tmp_path,
+                                                capsys):
+        # without --xstar the trace holds residuals, not errors: verify must
+        # refuse it rather than judge residuals against an error envelope
+        rates = tmp_path / "rates.json"
+        run_cli("rates", "--in", f"{system_files}_A.tns", "--sketch", "slice",
+                "--samples", 100, "--out", rates)
+        trace = tmp_path / "md.csv"
+        run_cli("solve", "--method", "ATSP-MD", "--sketch", "slice",
+                "--in", f"{system_files}_A.tns", f"{system_files}_B.tns",
+                "--tol", "1e-9", "--seed", 6, "--trace", trace)
+        assert np.all(np.isnan(read_trace(trace)["q_error"]))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--rates", rates, "--bound", "max-distance",
+                    "--traces", trace)
+        assert exc.value.code == 2
+        assert "x_star known" in capsys.readouterr().err
+
     def test_verify_passes_on_max_rule_trace(self, system_files, tmp_path):
         rates = tmp_path / "rates.json"
         run_cli("rates", "--in", f"{system_files}_A.tns", "--sketch", "slice",

@@ -186,6 +186,7 @@ class TestRunExperiment:
         assert trace["t"][0] == 0 and 0 < trace["t"][-1] < 1000
         assert f"iteration {trace['t'][-1]}:" in entry["diverged"][0]
         assert trace["epsilon"][-1] > 1e3 * trace["epsilon"][0]
+        assert trace["stop_reason"] == [""] * (trace["t"].size - 1) + ["diverged"]
 
     def test_config_from_dict(self):
         config = ExperimentConfig.from_dict(

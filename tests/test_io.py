@@ -165,6 +165,27 @@ class TestTraceFormat:
         assert data["chosen_index"][0] == ""
         assert data["chosen_index"][1] == str(rec.chosen[1])
 
+    @pytest.mark.parametrize("with_x_star", [True, False])
+    def test_error_and_stop_reason_columns(self, tmp_path, with_x_star):
+        A, Xs, B = gen_gaussian(ProblemSpec(m=6, n=3, p=2, l=2, seed=7))
+        cfg = SolverConfig(method="NTSP", sketches=make_slice_sketches(6, 2),
+                           tol=1e-12, seed=8, max_iters=30, record_every=4)
+        _, rec = solve(A, B, cfg, x_star=Xs if with_x_star else None)
+        path = tmp_path / "trace.csv"
+        write_trace(path, rec)
+        data = read_trace(path)
+        np.testing.assert_array_equal(data["q_error"], rec.q_error)
+        assert np.all(np.isnan(data["q_error"])) != with_x_star
+        assert data["stop_reason"] == [""] * (rec.t.size - 1) + ["max_iters"]
+
+    def test_trace_without_error_columns_is_rejected(self, tmp_path):
+        # the column layout of traces written before q_error and stop_reason
+        path = tmp_path / "old.csv"
+        path.write_text("t,epsilon,chosen_index,loss_max,loss_sum,seconds\n"
+                        "0,1.0,,nan,nan,0.0\n")
+        with pytest.raises(ValueError, match=r"lacks the columns \['q_error', 'stop_reason'\]"):
+            read_trace(path)
+
     def test_per_slice_indices_are_joined(self, tmp_path):
         A, Xs, B = gen_gaussian(ProblemSpec(m=6, n=3, p=2, l=3, seed=9))
         f = make_fourier_sketches(6, 1, 6, 3, "row")
