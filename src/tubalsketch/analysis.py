@@ -104,19 +104,22 @@ def expected_projector(A, Q, sketches, p):
 def _slice_factors(A, Q, sketches):
     """Per-slice factors of every member's sketched projector.
 
-    Returns NQ = S_i^H A_k Q_k^{-1/2} and K = C^H NQ, both (l, q, tau, n),
-    where C C^H = pinv(NQ NQ^H), so that slice k of member i's projector is
-    K[k, i]^H K[k, i].  For spatial sets the pinv cutoff is relative to the
-    member's largest slice, as in ``tpinv`` and the solvers, so a slice that
-    vanishes up to rounding gets a zero projector; per-slice sets cut each
-    slice on its own scale.
+    Returns AQ = A_k Q_k^{-1/2}, (l, m, n), and NQ = S_i^H AQ and K = C^H NQ,
+    both (l, q, tau, n), where C C^H = pinv(NQ NQ^H), so that slice k of
+    member i's projector is K[k, i]^H K[k, i].  For spatial sets the pinv
+    cutoff is relative to the member's largest slice, as in ``tpinv`` and
+    the solvers, so a slice that vanishes up to rounding gets a zero
+    projector; per-slice sets cut each slice on its own scale.
+    :func:`compute_rate_report` builds them once and passes them to the
+    functions below as ``factors``.
     """
     A = np.asarray(A, dtype=np.float64)
     Q = _as_weight(Q, A.shape[1], A.shape[2])
-    NQ = sketches.sketch(fft_slices(A) @ Q.inv_sqrt)
+    AQ = fft_slices(A) @ Q.inv_sqrt
+    NQ = sketches.sketch(AQ)
     C = batched_inv_factor(NQ @ np.conj(np.swapaxes(NQ, -1, -2)),
                            slice_axis=None if sketches.per_slice else 0)
-    return NQ, np.conj(np.swapaxes(C, -1, -2)) @ NQ
+    return AQ, NQ, np.conj(np.swapaxes(C, -1, -2)) @ NQ
 
 
 def _expected_slice_lambdas(K, p):
@@ -133,18 +136,21 @@ def _expected_slice_lambdas(K, p):
     return np.linalg.eigvalsh(np.conj(np.swapaxes(Kp, -1, -2)) @ Kp)[:, 0]
 
 
-def per_slice_rates(A, Q, sketches, p):
+def per_slice_rates(A, Q, sketches, p, factors=None):
     """lambda_min(E[Z_hat_k]) for every Fourier slice k, and their minimum.
 
     Works for spatial sets (every slice sees the same family; the minimum
     is then the smallest eigenvalue of the expected projector) and for
-    per-slice sets (p may then be per-slice, shape (l, q)).
+    per-slice sets (p may then be per-slice, shape (l, q)).  ``factors``
+    are the ``_slice_factors`` of the same inputs, built here when None.
     """
-    lams = _expected_slice_lambdas(_slice_factors(A, Q, sketches)[1], p)
+    if factors is None:
+        factors = _slice_factors(A, Q, sketches)
+    lams = _expected_slice_lambdas(factors[2], p)
     return lams, float(lams.min())
 
 
-def closed_form_rate_bounds(A, Q, sketches):
+def closed_form_rate_bounds(A, Q, sketches, factors=None):
     """Closed-form lower bounds on the fixed-sampling rate constant.
 
     Keys 'norm_weighted' (probabilities proportional to
@@ -157,9 +163,12 @@ def closed_form_rate_bounds(A, Q, sketches):
     member Gram maxima do not vary across slices, and for depth > 1 it can
     exceed the exact constant, so the shortcut value is reported separately
     as 'norm_weighted_display'.  All bounds assume the
-    complete-discrete-sampling property.
+    complete-discrete-sampling property.  ``factors`` as in
+    :func:`per_slice_rates`.
     """
-    NQ, _ = _slice_factors(A, Q, sketches)
+    if factors is None:
+        factors = _slice_factors(A, Q, sketches)
+    NQ = factors[1]
     l, q, tau, _ = NQ.shape
     stacked = NQ.reshape(l, q * tau, -1)  # ragged padding rows are zero
     gram = np.conj(np.swapaxes(stacked, -1, -2)) @ stacked
@@ -186,7 +195,7 @@ def closed_form_rate_bounds(A, Q, sketches):
     }
 
 
-def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
+def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None, factors=None):
     """Sampled estimate of the worst-direction max projected energy.
 
     The exact quantity (a min over the range space of a max over the
@@ -198,6 +207,7 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
     Range(bcirc(Q)^{-1/2} bcirc(A)^T), is slice k's row space of
     A_k Q_k^{-1/2} in the Fourier domain; real Gaussian directions projected
     onto it slice by slice stay real and, normalized, uniform on its sphere.
+    ``factors`` as in :func:`per_slice_rates`.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n, l = A.shape
@@ -205,15 +215,14 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
         raise ValueError("estimate_delta_inf applies to spatial sketch sets")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    Q = _as_weight(Q, n, l)
     if rng is None:
         rng = np.random.default_rng(0)
     if p is None:
         p = sketching.prob_uniform(sketches.q)
-    _, K = _slice_factors(A, Q, sketches)
+    AQ, _, K = _slice_factors(A, Q, sketches) if factors is None else factors
     # the bcirc matrix's singular values are those of all slices together,
     # so its rank cutoff applies to the whole stack at once
-    _, s, vh = np.linalg.svd(fft_slices(A) @ Q.inv_sqrt, full_matrices=False)
+    _, s, vh = np.linalg.svd(AQ, full_matrices=False)
     vh = vh * (s > max(m, n) * l * np.finfo(float).eps * s.max())[..., None]
     # slice k of the projected direction is P_k g_k, P_k = vh_k^H vh_k; then
     # v^T bcirc(Z_i) v = (1/l) sum_k ||K_i[k] v_k||^2 and ||v||^2 =
@@ -287,17 +296,19 @@ class RateReport:
 
 
 def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):
-    """Assemble every rate constant for one configuration."""
+    """Assemble every rate constant for one configuration, from one build
+    of the per-slice factors."""
     if p is None:
         p = sketching.prob_uniform(sketches.q)
-    lams, delta_p = per_slice_rates(A, Q, sketches, p)
+    factors = _slice_factors(A, Q, sketches)
+    lams, delta_p = per_slice_rates(A, Q, sketches, p, factors=factors)
     if sketches.per_slice:
         # per-slice families have no single spatial expected projector; the
         # per-slice minimum plays the role of the fixed-sampling constant
         delta_inf_est = float("nan")
     else:
         delta_inf_est, _ = estimate_delta_inf(
-            A, Q, sketches, p=p, n_samples=n_samples, rng=rng
+            A, Q, sketches, p=p, n_samples=n_samples, rng=rng, factors=factors
         )
     return RateReport(
         delta_p_sq=delta_p,
@@ -306,7 +317,7 @@ def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):
         per_slice_min_rate=delta_p,
         per_slice_lambdas=tuple(float(x) for x in lams),
         q=sketches.q,
-        closed_form_bounds=closed_form_rate_bounds(A, Q, sketches),
+        closed_form_bounds=closed_form_rate_bounds(A, Q, sketches, factors=factors),
     )
 
 

@@ -37,7 +37,8 @@ An iteration computes only what its rule reads.  Adaptive rules (ATSP-*)
 compute the losses, stop once all are zero and select from them.  Fixed
 rules draw 64 iterations of members at once; a set state (NTSP, NTSP-II)
 copies its residuals before each draw, for the zero-loss stop and the
-losses of logged rows.  With x_star, the error is one subtraction into a
+losses of logged rows, and TSP-I factors the projections of all 64 draws
+in one batch.  With x_star, the error is one subtraction into a
 buffer and two dot products.  States that keep sketched residuals also
 offer ``audit()``, the worst deviation of the recursed residuals from
 fresh ones, run every ``audit_every`` iterations.  All iterations operate
@@ -53,7 +54,8 @@ four cached per-slice methods keep their sketched residuals R below it and
 one table U, (slices, q, n + q tau, tau), whose block U[k, j] stacks member
 j's step map over its cross products C_i^H N_i Q^{-1} N_j^H C_j with every
 member i, so drawing j updates both at once: Z -= U[:, j] @ R[:, j].
-TSP-I gathers per-member tables, two per slice (see :class:`_StackedState`).
+TSP-I gathers per-member tables, two per slice, and keeps the factored
+projections of one block of draws (see :class:`_StackedState`).
 """
 
 from __future__ import annotations
@@ -622,10 +624,18 @@ class _StackedState(_FiniteSetState):
     by a fixed invertible 2tau x 2tau map.  A projection depends only on
     that row space, so slice k is projected onto its own drawn member
     together with the conjugate of slice -k's.  Setup tabulates N = S^H A,
-    N Q^{-1} and S^H B of every member for slices 0..l//2, each next to the
-    conjugated table of the mirror slice -k; an iteration gathers the two
-    drawn members, factors their 2tau x 2tau Gram and projects the iterate,
-    which holds slices 0..l//2 only.  The stacked system is real, so every
+    the rows of Q^{-1} N^H and S^H B of every member for slices 0..l//2,
+    each next to the conjugated table of the mirror slice -k.
+
+    The rule is fixed, so ``select`` draws ``_UNIFORM_BLOCK`` iterations at
+    once; with each new block of draws it gathers the two drawn members of
+    every slice for every draw and factors all their 2tau x 2tau Grams in
+    one batch.  The block holds 64 h 2tau (2n + p) complex entries (N,
+    Q^{-1} N^H and S^H B) plus the pinvs, about 290 KB at 50x20x5 with
+    tau = 1; the old block is released before the next is built.  A step
+    then projects the iterate, which holds slices 0..l//2 only, with three
+    small products.  Any other choice passed to ``step`` is gathered and
+    factored as a block of one.  The stacked system is real, so every
     iterate stays real; no transform runs in the loop.
     """
 
@@ -638,18 +648,34 @@ class _StackedState(_FiniteSetState):
         # rows of the flattened (h, 2, q) tables: slice k's members, slice -k's
         self.pair_rows = (2 * half[:, None] + np.arange(2)).ravel() * self.q
         N, AQS, SB = self._member_tables(fft_slices(A), fft_slices(B), self.Q.inv)
-        NQ = np.conj(np.swapaxes(AQS, -1, -2))  # N Q^{-1}, a row block like N
         self.tables = [
             np.stack([T[half], np.conj(T[-half % self.l])], axis=1).reshape(-1, *T.shape[2:])
-            for T in (N, NQ, SB)
+            for T in (N, np.swapaxes(AQS, -1, -2), SB)  # Q^{-1} N^H as rows: a view
         ]
         self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
+        self.choice = self.block = None
+
+    def _projections(self, draws):
+        """N, Q^{-1} N^H, S^H B and pinv(N Q^{-1} N^H) of the member pairs
+        that each row of ``draws`` (b, l) picks, each (b, h, ...)."""
+        rows = self.pair_rows + draws[:, self.pair_slices]
+        N, NQt, SB = (T[rows].reshape(len(draws), self.h, -1, T.shape[-1]) for T in self.tables)
+        AQS = np.swapaxes(NQt, -1, -2)  # (b, h, n, 2tau)
+        return N, AQS, SB, batched_hpinv(N @ AQS)
+
+    def select(self, losses):
+        if self.drawn == _UNIFORM_BLOCK:
+            self.block = None  # release the old block before building the next
+        self.choice = super().select(losses)
+        if self.block is None:
+            self.block = self._projections(self.draws)
+        return self.choice
 
     def step(self, idx):
-        rows = self.pair_rows + idx[self.pair_slices]
-        N, NQ, SB = (T[rows].reshape(self.h, -1, T.shape[-1]) for T in self.tables)
-        AQS = np.conj(np.swapaxes(NQ, -1, -2))  # (h, n, 2tau)
-        G = batched_hpinv(N @ AQS)
+        if idx is self.choice:
+            N, AQS, SB, G = (T[self.drawn - 1] for T in self.block)
+        else:
+            N, AQS, SB, G = (T[0] for T in self._projections(np.asarray(idx)[None]))
         self.Z -= AQS @ (G @ (N @ self.Xh - SB))
         self.t += 1
         # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval: only the slices

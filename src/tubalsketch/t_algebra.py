@@ -219,7 +219,7 @@ def batched_inv_factor(M, relcut=PINV_RELCUT, slice_axis=None):
     M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
     lam, U = np.linalg.eigh(M)
     # np.maximum, not np.clip: the same values with less overhead per call,
-    # which TSP and TSP-I pay every iteration
+    # which TSP pays every iteration
     lmax = np.maximum(lam[..., -1:], 0.0)
     if slice_axis is not None:
         lmax = lmax.max(axis=slice_axis, keepdims=True)

@@ -250,6 +250,32 @@ class TestRateReport:
         env = rep.envelope("nonadaptive", np.arange(4))
         np.testing.assert_allclose(env, rep.rate("nonadaptive") ** np.arange(4))
 
+    @pytest.mark.parametrize("per_slice", [False, True])
+    def test_report_from_one_factor_build_equals_separate_calls(self, monkeypatch, per_slice):
+        from tubalsketch import analysis
+
+        rng = np.random.default_rng(30)
+        A = rand_tubal(rng, 7, 4, 3)
+        Qt = spd_weight_tensor(rng, 4, 3)
+        s = (make_fourier_sketches(7, 1, 7, 3, "row") if per_slice
+             else make_gaussian_sketches(7, 2, 5, 3, rng))
+        p = prob_uniform(s.q)
+        lams, delta_p = per_slice_rates(A, Qt, s, p)
+        est = (float("nan") if per_slice else
+               estimate_delta_inf(A, Qt, s, p=p, n_samples=80, rng=np.random.default_rng(3))[0])
+        bounds = closed_form_rate_bounds(A, Qt, s)
+
+        builds = []
+        build = analysis._slice_factors
+        monkeypatch.setattr(analysis, "_slice_factors",
+                            lambda *args: builds.append(1) or build(*args))
+        rep = compute_rate_report(A, Qt, s, p=p, n_samples=80, rng=np.random.default_rng(3))
+        assert len(builds) == 1
+        assert rep.per_slice_lambdas == tuple(float(x) for x in lams)
+        assert rep.delta_p_sq == delta_p
+        assert rep.closed_form_bounds == bounds
+        np.testing.assert_array_equal(rep.delta_inf_sq_estimate, est)  # NaN equals NaN
+
     def test_unknown_bound(self):
         rep = RateReport(0.1, 0.1, 0.2, 0.1, (0.1,), 3)
         with pytest.raises(ValueError):

@@ -800,6 +800,35 @@ class TestPerSliceVariants:
             assert np.linalg.norm(st.Xh - half) <= 1e-12 * np.linalg.norm(half)
         assert st.max_imag_residue <= 1e-12
 
+    @pytest.mark.parametrize("l", [4, 5])
+    @pytest.mark.parametrize("kind", ["row", "gaussian"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_block_factored_run_matches_per_choice_replay(self, monkeypatch, l, kind, weighted):
+        # select factors the pair Grams of all 64 draws of a block in one
+        # batched_hpinv call; a copy of a choice is not the one select
+        # returned, so the replay gathers and factors every choice alone
+        rng = np.random.default_rng(80 + l)
+        A, Xs, B = small_problem(80 + l, m=7, n=4, p=2, l=l)
+        Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, l)) if weighted else None
+        f = (make_fourier_sketches(7, 1, 7, l, "row") if kind == "row"
+             else make_fourier_sketches(7, 2, 4, l, "gaussian", rng))
+        t = 2 * _UNIFORM_BLOCK + 10  # crosses two block boundaries
+        cfg = SolverConfig(method="TSP-I", sketches=f, weight=Q, seed=81, tol=0.0,
+                           max_iters=t, keep_iterates=True)
+        calls = []
+        factor = solvers.batched_hpinv
+        monkeypatch.setattr(solvers, "batched_hpinv", lambda M: calls.append(M.shape) or factor(M))
+        _, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.iterations == t
+        assert len(calls) == -(-t // _UNIFORM_BLOCK)
+        assert calls[0][0] == _UNIFORM_BLOCK
+
+        replay = make_state(A, B, cfg, x_star=Xs)
+        for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
+            replay.step(np.array(choice))
+            assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
+        assert len(calls) == -(-t // _UNIFORM_BLOCK) + t
+
     def test_stacked_loop_runs_no_transform(self, monkeypatch):
         A, Xs, B = small_problem(62, m=8, n=4, p=2, l=5)
         f = make_fourier_sketches(8, 1, 8, 5, "row")
