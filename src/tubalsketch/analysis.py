@@ -232,7 +232,8 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None, facto
     for k in range(l):
         Vk = np.conj(vh[k].T) @ (vh[k] @ G[k])
         norms_sq = norms_sq + np.sum(np.abs(Vk) ** 2, axis=0)
-        energies = energies + np.sum(np.abs(K[k] @ Vk) ** 2, axis=1)
+        KV = (K[k].reshape(-1, n) @ Vk).reshape(K.shape[1], -1, n_samples)  # one GEMM
+        energies = energies + np.sum(np.abs(KV) ** 2, axis=1)
     live = norms_sq > 1e-24 * l
     estimate = float(np.min(np.max(energies[:, live], axis=0) / norms_sq[live]))
     return estimate, float(_expected_slice_lambdas(K, p).min())

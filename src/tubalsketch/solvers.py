@@ -11,11 +11,10 @@ ATSP-MD         finite spatial set, largest sketched loss wins
 ATSP-PR         finite spatial set, probabilities proportional to the losses
 ATSP-CS         finite spatial set, loss-capped sampling with parameter theta
 TSP-I           per-slice sketches, real Re/Im-stacked sketched system
-                (projected on slices 0..l//2 from each slice's drawn member
-                and the conjugated one of its mirror slice)
+                (direct projection of slices 0..l//2 on each slice's drawn
+                member and the conjugated one of its mirror slice)
 TSP-II          per-slice sketches, fixed probabilities, real part taken at
-                the end (per-member factors cached, residual computed
-                directly from the iterate)
+                the end (direct projection on each slice's drawn member)
 NTSP-II         as TSP-II through the cached per-slice fast path
 ATSP-MD-II      per-slice max-loss selection, cached fast path
 ATSP-PR-II      per-slice proportional selection, cached fast path
@@ -27,7 +26,8 @@ how the sketch is chosen.  Every solver state therefore offers the same
 three calls, and :func:`solve` runs one loop body over them:
 
 * ``losses()``: the current sketched losses, or None for the methods that
-  keep no sketched residuals (TSP, TSP-I, TSP-II);
+  keep no sketched residuals (TSP, and TSP-I and TSP-II, which project
+  straight from the iterate);
 * ``select(losses)``: the iteration's choice: a fresh Gaussian sketch
   (TSP), one member index (spatial sets) or one member index per Fourier
   slice (per-slice sets, -1 for an already-solved slice);
@@ -37,8 +37,8 @@ An iteration computes only what its rule reads.  Adaptive rules (ATSP-*)
 compute the losses, stop once all are zero and select from them.  Fixed
 rules draw 64 iterations of members at once; a set state (NTSP, NTSP-II)
 copies its residuals before each draw, for the zero-loss stop and the
-losses of logged rows, and TSP-I factors the projections of all 64 draws
-in one batch.  With x_star, the error is one subtraction into a
+losses of logged rows, and TSP-I and TSP-II gather the projections of all
+64 draws at once.  With x_star, the error is one subtraction into a
 buffer and two dot products.  States that keep sketched residuals also
 offer ``audit()``, the worst deviation of the recursed residuals from
 fresh ones, run every ``audit_every`` iterations.  All iterations operate
@@ -54,8 +54,8 @@ four cached per-slice methods keep their sketched residuals R below it and
 one table U, (slices, q, n + q tau, tau), whose block U[k, j] stacks member
 j's step map over its cross products C_i^H N_i Q^{-1} N_j^H C_j with every
 member i, so drawing j updates both at once: Z -= U[:, j] @ R[:, j].
-TSP-I gathers per-member tables, two per slice, and keeps the factored
-projections of one block of draws (see :class:`_StackedState`).
+TSP-I and TSP-II keep per-member tables and the gathered projections of
+one block of draws (see :class:`_DirectState`).
 """
 
 from __future__ import annotations
@@ -615,53 +615,44 @@ class _FreshGaussianState(_BaseState):
         self.t += 1
 
 
-class _StackedState(_FiniteSetState):
-    """Per-slice sketches folded back into a real sketched system.
+class _DirectState(_FiniteSetState):
+    """Direct per-slice projections with fixed probabilities (TSP-II); the
+    real part of the final inverse transform is the answer.
 
-    Stacking the real and imaginary parts of the inverse-transformed
-    sketched system gives, in Fourier slice k, the rows of
-    [S_k^H A_k; conj(S_{-k}^H A_{-k})] (S_k the member slice k drew) mixed
-    by a fixed invertible 2tau x 2tau map.  A projection depends only on
-    that row space, so slice k is projected onto its own drawn member
-    together with the conjugate of slice -k's.  Setup tabulates N = S^H A,
-    the rows of Q^{-1} N^H and S^H B of every member for slices 0..l//2,
-    each next to the conjugated table of the mirror slice -k.
-
-    The rule is fixed, so ``select`` draws ``_UNIFORM_BLOCK`` iterations at
-    once; with each new block of draws it gathers the two drawn members of
-    every slice for every draw and factors all their 2tau x 2tau Grams in
-    one batch.  The block holds 64 h 2tau (2n + p) complex entries (N,
-    Q^{-1} N^H and S^H B) plus the pinvs, about 290 KB at 50x20x5 with
-    tau = 1; the old block is released before the next is built.  A step
-    then projects the iterate, which holds slices 0..l//2 only, with three
-    small products.  Any other choice passed to ``step`` is gathered and
-    factored as a block of one.  The stacked system is real, so every
-    iterate stays real; no transform runs in the loop.
+    Slice k is projected straight from the iterate onto the members its
+    group draws: Z -= Q^{-1} N^H G (N X - S^H B), G = pinv(N Q^{-1} N^H).
+    The ``tables`` are (g, q, ...): row j is read at the draw of slice
+    ``table_slices[j]``, and a group is g/h consecutive rows.  Here a group
+    is one slice, and the tables are the member tables N = S^H A, Q^{-1} N^H
+    (as rows), S^H B and G, not copied, with G factored at setup.  With
+    each block of ``_UNIFORM_BLOCK`` draws, ``select`` releases the old
+    block and gathers the tables of every draw: 64 l tau (2n + p) complex
+    entries plus 64 l tau^2 for G, about 235 KB at 50x20x5 with tau = 1,
+    64/q times the tables.  A step is three small products; any other
+    choice passed to ``step`` is gathered as a block of one.
     """
 
+    half_spectrum = False
     per_slice_selection = True
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        half = np.arange(self.h)
-        self.pair_slices = np.stack([half, -half % self.l], axis=1).ravel()
-        # rows of the flattened (h, 2, q) tables: slice k's members, slice -k's
-        self.pair_rows = (2 * half[:, None] + np.arange(2)).ravel() * self.q
-        N, AQS, SB = self._member_tables(fft_slices(A), fft_slices(B), self.Q.inv)
-        self.tables = [
-            np.stack([T[half], np.conj(T[-half % self.l])], axis=1).reshape(-1, *T.shape[2:])
-            for T in (N, np.swapaxes(AQS, -1, -2), SB)  # Q^{-1} N^H as rows: a view
-        ]
-        self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
+        self.table_slices, self.tables = self._tables(A, B)
         self.choice = self.block = None
 
+    def _tables(self, A, B):
+        N, AQS, SB = self._member_tables(self.Ah, self.Bh, self.Qinv)
+        return self.slices, [N, np.swapaxes(AQS, -1, -2), SB, batched_hpinv(N @ AQS)]
+
     def _projections(self, draws):
-        """N, Q^{-1} N^H, S^H B and pinv(N Q^{-1} N^H) of the member pairs
-        that each row of ``draws`` (b, l) picks, each (b, h, ...)."""
-        rows = self.pair_rows + draws[:, self.pair_slices]
-        N, NQt, SB = (T[rows].reshape(len(draws), self.h, -1, T.shape[-1]) for T in self.tables)
-        AQS = np.swapaxes(NQt, -1, -2)  # (b, h, n, 2tau)
-        return N, AQS, SB, batched_hpinv(N @ AQS)
+        """N, Q^{-1} N^H, S^H B and G of the groups that each row of
+        ``draws`` (b, l) picks, each (b, h, ...); G is gathered when the
+        tables hold it, else factored for the whole block in one batch."""
+        picked = (np.arange(len(self.table_slices)), draws[:, self.table_slices])
+        N, NQt, SB, *G = (T[picked].reshape(len(draws), self.h, -1, T.shape[-1])
+                          for T in self.tables)
+        AQS = np.swapaxes(NQt, -1, -2)  # (b, h, n, tau per group)
+        return N, AQS, SB, G[0] if G else batched_hpinv(N @ AQS)
 
     def select(self, losses):
         if self.drawn == _UNIFORM_BLOCK:
@@ -678,37 +669,41 @@ class _StackedState(_FiniteSetState):
             N, AQS, SB, G = (T[0] for T in self._projections(np.asarray(idx)[None]))
         self.Z -= AQS @ (G @ (N @ self.Xh - SB))
         self.t += 1
+
+
+class _StackedState(_DirectState):
+    """Per-slice sketches folded back into a real sketched system (TSP-I).
+
+    Stacking the real and imaginary parts of the inverse-transformed
+    sketched system gives, in Fourier slice k, the rows of
+    [S_k^H A_k; conj(S_{-k}^H A_{-k})] (S_k the member slice k drew) mixed
+    by a fixed invertible 2tau x 2tau map.  A projection depends only on
+    that row space, so slice k's group, for k = 0..l//2, is its own member
+    and the conjugated one of slice -k, whose tables are conjugated once
+    at setup.  No G is cached: a block factors its Grams in one batch and
+    holds 64 h 2tau (2n + p) complex entries plus the pinvs, about 290 KB
+    at 50x20x5 with tau = 1.  The stacked system is real, so every iterate
+    stays real and no transform runs in the loop.
+    """
+
+    half_spectrum = True
+
+    def _tables(self, A, B):
+        half = np.arange(self.h)
+        self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
+        N, AQS, SB = self._member_tables(fft_slices(A), fft_slices(B), self.Q.inv)
+        return np.stack([half, -half % self.l], axis=1).ravel(), [
+            np.stack([T[half], np.conj(T[-half % self.l])], axis=1).reshape(-1, *T.shape[1:])
+            for T in (N, np.swapaxes(AQS, -1, -2), SB)]
+
+    def step(self, idx):
+        super().step(idx)
         # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval: only the slices
         # that are their own mirror can carry an imaginary part
         imag = self.Xh[self.own].imag
         if imag.any():  # exactly zero while slices 0 and l/2 stay real
             scale = max(self._norm(self.Xh), 1e-300)
             self.max_imag_residue = max(self.max_imag_residue, float(np.linalg.norm(imag) / scale))
-
-
-class _PerSliceFreshState(_FiniteSetState):
-    """Direct per-slice updates with fixed probabilities; the real part of
-    the final inverse transform is the answer.
-
-    Setup tabulates N = S^H A, Q^{-1} N^H, S^H B and G = pinv(N Q^{-1} N^H)
-    for every slice and member, (l, q, ...).  An iteration gathers the drawn
-    member of each slice and computes its residual N X - S^H B directly from
-    the iterate; no sketched residuals are carried between iterations.
-    """
-
-    half_spectrum = False
-    per_slice_selection = True
-
-    def __init__(self, A, B, config, x_star):
-        super().__init__(A, B, config, x_star)
-        self.N, self.AQS, self.SB = self._member_tables(self.Ah, self.Bh, self.Qinv)
-        self.G = batched_hpinv(self.N @ self.AQS)
-
-    def step(self, idx):
-        member = (self.slices, idx)
-        resid = (self.N[member] @ self.Xh) - self.SB[member]
-        self.Z -= self.AQS[member] @ (self.G[member] @ resid)
-        self.t += 1
 
 
 # name: (state class, selection rule); TSP has no rule, its choice is a
@@ -720,7 +715,7 @@ _METHOD_TABLE = {
     "ATSP-PR": (_SpatialSetState, "pr"),
     "ATSP-CS": (_SpatialSetState, "cs"),
     "TSP-I": (_StackedState, "fixed"),
-    "TSP-II": (_PerSliceFreshState, "fixed"),
+    "TSP-II": (_DirectState, "fixed"),
     "NTSP-II": (_PerSliceSetState, "fixed"),
     "ATSP-MD-II": (_PerSliceSetState, "md"),
     "ATSP-PR-II": (_PerSliceSetState, "pr"),

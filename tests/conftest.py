@@ -113,6 +113,15 @@ def stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx):
     return Xh - QiAH @ (G @ ((Ash @ Xh) - Bsh))
 
 
+def direct_step_oracle(tables, Xh, idx):
+    """One TSP-II step from per-member tables (l, q, ...) ``tables["N"]``,
+    ``["AQS"]``, ``["SB"]`` and ``["G"]``: gather member idx[k] of every
+    slice k and project Xh (l, n, p) onto it, Xh - AQS G (N Xh - SB)."""
+    member = (np.arange(len(idx)), idx)
+    N, AQS, SB, G = (tables[name][member] for name in ("N", "AQS", "SB", "G"))
+    return Xh - AQS @ (G @ ((N @ Xh) - SB))
+
+
 def _full_spectrum(A, B, X, Q):
     Ah, Bh, Xh = (naive_dft3(np.asarray(T, dtype=np.float64)) for T in (A, B, X))
     l = Ah.shape[2]

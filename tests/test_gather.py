@@ -121,11 +121,12 @@ def test_cached_tables_equal_dense_products(kind, weighted):
     st = make_state(A, B, SolverConfig(method=method, sketches=sketches, weight=Q),
                     x_star=Xs)
     want = dense_set_tables(A, B, sketches, Q)
-    if method == "TSP-II":  # per-member tables of the direct-residual method
-        for name in ("N", "AQS", "SB"):
-            np.testing.assert_array_equal(getattr(st, name), want[name], err_msg=name)
+    if method == "TSP-II":  # the direct state's member tables, Q^{-1} N^H as rows
         C = want["C"]
-        np.testing.assert_array_equal(st.G, C @ np.conj(np.swapaxes(C, -1, -2)))
+        dense = (want["N"], np.swapaxes(want["AQS"], -1, -2), want["SB"],
+                 C @ np.conj(np.swapaxes(C, -1, -2)))
+        for name, got, ref in zip(("N", "AQS", "SB", "G"), st.tables, dense, strict=True):
+            np.testing.assert_array_equal(got, ref, err_msg=name)
         return
     h = st.Ah.shape[0]  # spatial sets keep Fourier slices 0..l//2
     AQS = sketches.sketch_cols(st.Qinv @ np.conj(np.swapaxes(st.Ah, -1, -2)))

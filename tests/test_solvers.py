@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_set_tables,
+    direct_step_oracle,
     rand_tubal,
     row_action_step_oracle,
     sp_step_direct,
@@ -36,6 +38,7 @@ from tubalsketch.t_algebra import (
     WeightQ,
     fnorm,
     identity,
+    ifft_slices,
     tprod,
     tprod_oracle,
     ttranspose,
@@ -804,30 +807,47 @@ class TestPerSliceVariants:
     @pytest.mark.parametrize("kind", ["row", "gaussian"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_block_factored_run_matches_per_choice_replay(self, monkeypatch, l, kind, weighted):
-        # select factors the pair Grams of all 64 draws of a block in one
-        # batched_hpinv call; a copy of a choice is not the one select
-        # returned, so the replay gathers and factors every choice alone
+        # select gathers the projections of all 64 draws of a block: TSP-I
+        # factors their pair Grams in one batched_hpinv call, TSP-II gathers
+        # the factors it made at setup.  A copy of a choice is not the one
+        # select returned, so the replay gathers (and factors) every choice
+        # alone; TSP-II's run also equals the direct oracle to the bit
         rng = np.random.default_rng(80 + l)
         A, Xs, B = small_problem(80 + l, m=7, n=4, p=2, l=l)
         Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, l)) if weighted else None
         f = (make_fourier_sketches(7, 1, 7, l, "row") if kind == "row"
              else make_fourier_sketches(7, 2, 4, l, "gaussian", rng))
         t = 2 * _UNIFORM_BLOCK + 10  # crosses two block boundaries
-        cfg = SolverConfig(method="TSP-I", sketches=f, weight=Q, seed=81, tol=0.0,
-                           max_iters=t, keep_iterates=True)
+        blocks = -(-t // _UNIFORM_BLOCK)
         calls = []
         factor = solvers.batched_hpinv
         monkeypatch.setattr(solvers, "batched_hpinv", lambda M: calls.append(M.shape) or factor(M))
-        _, rec = solve(A, B, cfg, x_star=Xs)
-        assert rec.iterations == t
-        assert len(calls) == -(-t // _UNIFORM_BLOCK)
-        assert calls[0][0] == _UNIFORM_BLOCK
+        for method in ("TSP-I", "TSP-II"):
+            cfg = SolverConfig(method=method, sketches=f, weight=Q, seed=81, tol=0.0,
+                               max_iters=t, keep_iterates=True)
+            calls.clear()
+            _, rec = solve(A, B, cfg, x_star=Xs)
+            assert rec.iterations == t
+            if method == "TSP-I":
+                assert len(calls) == blocks
+                assert calls[0][0] == _UNIFORM_BLOCK
+            else:  # once, at setup, on every member's Gram
+                assert calls == [(l, f.q, f.tau, f.tau)]
 
-        replay = make_state(A, B, cfg, x_star=Xs)
+            replay = make_state(A, B, cfg, x_star=Xs)
+            for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
+                replay.step(np.array(choice))
+                assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
+            assert len(calls) == (blocks + t if method == "TSP-I" else 2)
+
+        # rec is TSP-II's run; replay it through the oracle on dense-member tables
+        tables = dense_set_tables(A, B, f, Q or WeightQ.identity(4, l))
+        C = tables["C"]
+        tables["G"] = C @ np.conj(np.swapaxes(C, -1, -2))
+        Xh = np.zeros((l, 4, 2), dtype=np.complex128)
         for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
-            replay.step(np.array(choice))
-            assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
-        assert len(calls) == -(-t // _UNIFORM_BLOCK) + t
+            Xh = direct_step_oracle(tables, Xh, np.array(choice))
+            assert np.array_equal(ifft_slices(Xh, force_real=True), X)
 
     def test_stacked_loop_runs_no_transform(self, monkeypatch):
         A, Xs, B = small_problem(62, m=8, n=4, p=2, l=5)
