@@ -334,7 +334,7 @@ def sample_index(p, rng):
 
 def draw_from_cdf(cdf, rng):
     """:func:`sample_index` for a vector validated once, given as its cumsum."""
-    return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.size - 1)
+    return min(int(cdf.searchsorted(rng.random(), "right")), cdf.size - 1)
 
 
 def is_complete_discrete_sampling(A, sketches, relcut=1e-10, sketched=None):

@@ -53,9 +53,11 @@ first n rows of a block Z, slices first.  The finite spatial sets and the
 four cached per-slice methods keep their sketched residuals R below it and
 one table U, (slices, q, n + q tau, tau), whose block U[k, j] stacks member
 j's step map over its cross products C_i^H N_i Q^{-1} N_j^H C_j with every
-member i, so drawing j updates both at once: Z -= U[:, j] @ R[:, j].
-TSP-I and TSP-II keep per-member tables and the gathered projections of
-one block of draws (see :class:`_DirectState`).
+member i, so drawing j updates both at once: Z -= U[:, j] @ R[:, j].  The
+spatial states run this as one zgemm per slice that writes into Z itself;
+the per-slice states keep numpy's batched matmul.  TSP-I and TSP-II keep
+per-member tables and the gathered projections of one block of draws (see
+:class:`_DirectState`).
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from . import sketching
 from .t_algebra import (
@@ -245,12 +248,15 @@ def _draw_per_slice(cum, uniforms, active):
     (a :class:`_SliceUniforms`), so streams stay per-slice.
     """
     l, q = cum.shape
-    rows = np.flatnonzero(active)
-    rows = slice(None) if rows.size == l else rows  # all active: no gathers
+    every = active.all()
+    rows = slice(None) if every else np.flatnonzero(active)  # all active: no gathers
     cum = cum[rows]
     targets = uniforms.take(rows) * cum[:, -1]
+    drawn = np.minimum((cum <= targets[:, None]).sum(axis=1), q - 1)
+    if every:
+        return drawn
     idx = np.full(l, -1)
-    idx[rows] = np.minimum((cum <= targets[:, None]).sum(axis=1), q - 1)
+    idx[rows] = drawn
     return idx
 
 
@@ -455,6 +461,9 @@ class _SetState(_FiniteSetState):
     sets build N, Q^{-1} N^H and S^H B by gathering rows; ragged blocks are
     padded with zero rows, which get zero factor columns.  The completeness
     check runs on N.  ``views``: R, the view the losses read, ``before`` flat.
+    A step subtracts U[k, j] @ R[k, j] from Z[k] for the member j drawn in
+    slice k: one zgemm per slice for spatial sets, one batched matmul for
+    per-slice sets.
     """
 
     def __init__(self, A, B, config, x_star):
@@ -511,6 +520,10 @@ class _SpatialSetState(_SetState):
 
     _energy_view = lambda self, T: T.reshape(self.h, self.q, -1).view(np.float64)  # noqa: E731
 
+    def __init__(self, A, B, config, x_star):
+        super().__init__(A, B, config, x_star)
+        self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
+
     def _energy(self, v):
         """Squared Frobenius norm of each member's block over all l slices."""
         return self.w @ np.einsum("kij,kij->ki", v, v)
@@ -526,14 +539,22 @@ class _SpatialSetState(_SetState):
         if self.rule == "fixed":
             return super().select(losses)
         if self.rule == "md":
-            return np.argmax(losses)
+            return losses.argmax()
         weights = losses
         if self.rule == "cs":
             weights = _capped_losses(losses, self.base_probs, self.config.theta)
-        return sketching.draw_from_cdf(np.cumsum(weights / weights.sum()), self.index_rng)
+        return sketching.draw_from_cdf((weights / weights.sum()).cumsum(), self.index_rng)
 
     def step(self, i):
-        self.Z -= self.U[:, i] @ self.views[0][:, i]
+        """Z[k] -= U[k, i] @ R[k, i] for each slice k, as one zgemm that
+        writes straight into Z: in Z[k].T -= R[k, i].T @ U[k, i].T all three
+        are F-contiguous views.  (numpy's matmul runs an inner dimension of 1,
+        tau = 1, in an unblocked loop and subtracts a Z-sized temporary.)
+        R[:, i] is rows of Z, and BLAS makes no promise for an input that
+        overlaps its output, so it is copied first."""
+        R = self.views[0][:, i].copy().transpose(0, 2, 1)
+        for z, r, u in zip(self.Zt, R, self.U[:, i].transpose(0, 2, 1)):
+            zgemm(-1.0, r, u, 1.0, z, 0, 0, 1)  # trans_a = trans_b = 0, overwrite_c
         self.t += 1
 
     def variance_factor(self, losses):
@@ -571,10 +592,11 @@ class _PerSliceSetState(_SetState):
         """Per-slice index choices; -1 marks an already-solved slice."""
         if self.rule == "fixed":
             return super().select(losses)
+        if self.rule == "md":
+            top = losses.argmax(axis=1)
+            return np.where(losses[self.slices, top] > 0, top, -1)
         lmax = losses.max(axis=1, keepdims=True)
         active = lmax[:, 0] > 0
-        if self.rule == "md":
-            return np.where(active, np.argmax(losses, axis=1), -1)
         weights = losses
         if self.rule == "cs":
             weights = _capped_losses(losses, self.base_probs, self.config.theta, lmax)

@@ -246,6 +246,54 @@ class TestProjectionStep:
             assert abs(st.losses()[i] - expect) < 1e-8 * max(expect, 1.0)
 
 
+class TestSpatialBlockStep:
+    """The spatial set step Z[k] -= U[k, i] @ R[k, i] runs as one zgemm per
+    slice that writes into Z itself."""
+
+    @staticmethod
+    def _state(kind, weighted, l, seed=95):
+        A, Xs, B = small_problem(seed, m=12, n=5, p=3, l=l)
+        rng = np.random.default_rng(seed)
+        if kind == "slice":
+            s = make_slice_sketches(12, l)
+        elif kind == "ragged-block":  # tau = 3: the shorter blocks get padding rows
+            s = make_block_sketches(12, l, [[0, 1, 2], [3], [4, 5, 6], [7, 8], [9, 10, 11]])
+        else:
+            s = make_gaussian_sketches(12, 3, 5, l, rng)
+        Q = WeightQ.from_tensor(spd_weight_tensor(rng, 5, l)) if weighted else None
+        cfg = SolverConfig(method="ATSP-MD", sketches=s, weight=Q, seed=seed)
+        return make_state(A, B, cfg, x_star=Xs)
+
+    @pytest.mark.parametrize("l", [4, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian"])
+    def test_step_matches_matmul_oracle_in_place(self, kind, weighted, l):
+        st = self._state(kind, weighted, l)
+        for _ in range(4):  # the first step starts from X = O, the others do not
+            i = st.select(st.losses())
+            Z, Z0, R0 = st.Z, st.Z.copy(), st.R.copy()
+            want = Z0 - st.U[:, i] @ R0[:, i]
+            st.step(i)
+            # a copy of a non-F-contiguous output would leave Z unchanged
+            assert st.Z is Z and not np.array_equal(Z, Z0)
+            assert np.linalg.norm(Z - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(st.R[:, i]) <= 1e-13 * np.linalg.norm(R0[:, i])
+
+    def test_step_allocates_no_block_sized_temporary(self):
+        A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=96))
+        cfg = SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8))
+        st = make_state(A, B, cfg, x_star=Xs)
+        st.step(st.select(st.losses()))
+        i = st.select(st.losses())
+        tracemalloc.start()
+        try:
+            st.step(i)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * st.Z.nbytes
+
+
 class TestTrkSpecialization:
     def test_matches_closed_form_update(self):
         A, Xs, B = small_problem(11, m=8, n=4, p=2, l=3)
