@@ -30,19 +30,20 @@ three calls, and :func:`solve` runs one loop body over them:
   straight from the iterate);
 * ``select(losses)``: the iteration's choice: a fresh Gaussian sketch
   (TSP), one member index (spatial sets) or one member index per Fourier
-  slice (per-slice sets, -1 for an already-solved slice);
+  slice (per-slice sets, -1 for an already-solved slice), or None when no
+  sketched loss is positive, on which :func:`solve` stops ("zero_loss");
 * ``step(choice)``: apply that choice to the iterate.
 
 An iteration computes only what its rule reads.  Adaptive rules (ATSP-*)
-compute the losses, stop once all are zero and select from them.  Fixed
-rules draw 64 iterations of members at once; a set state (NTSP, NTSP-II)
-copies its residuals before each draw, for the zero-loss stop and the
-losses of logged rows, and TSP-I and TSP-II gather the projections of all
-64 draws at once.  With x_star, the error is one subtraction into a
+select from the losses and see a zero loss in values they compute anyway.
+Fixed rules draw 64 iterations of members at once; a set state (NTSP,
+NTSP-II) copies its residuals before each draw, for its zero-loss test and
+the losses of logged rows, and TSP-I and TSP-II gather the projections of
+all 64 draws at once.  With x_star, the error is one subtraction into a
 buffer and two dot products.  States that keep sketched residuals also
-offer ``audit()``, the worst deviation of the recursed residuals from
-fresh ones, run every ``audit_every`` iterations.  All iterations operate
-on the Fourier slices; the tests check them against block-circulant steps.
+offer ``audit()``, the worst deviation of the recursed residuals from fresh
+ones, run every ``audit_every`` iterations.  Iterations run on the Fourier
+slices; the tests check them against block-circulant steps.
 
 TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
 l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
@@ -269,7 +270,7 @@ class _BaseState:
 
     half_spectrum = True  # keep slices 0..h-1 with multiplicities w
     adaptive = False  # select() reads the losses
-    before = None  # fixed rules' residuals of the next draw (see _SetState.zero_loss)
+    before = None  # fixed rules' residuals of the next draw (see _SetState.select)
 
     def __init__(self, A, B, config, x_star):
         A = np.asarray(A, dtype=np.float64)
@@ -382,9 +383,6 @@ class _BaseState:
     def audit(self):
         raise ValueError("this method keeps no cached residuals to audit")
 
-    def zero_loss(self):
-        return False
-
     def trace_choice(self, choice):
         """A choice as the trace records it; fresh sketches are not recorded."""
         return None
@@ -430,8 +428,8 @@ class _FiniteSetState(_BaseState):
     def _member_tables(self, Ah, Bh, Qinv):
         """N = S^H A, Q^{-1} N^H and S^H B of every member, (slices, q, ...)."""
         sk = self.sketches
-        QiAH = Qinv @ np.conj(np.swapaxes(Ah, -1, -2))  # (slices, n, m)
-        return sk.sketch(Ah), sk.sketch_cols(QiAH), sk.sketch(Bh)
+        AH = np.conj(np.swapaxes(Ah, -1, -2), order="C")  # (slices, n, m); Q^{-1} = I is skipped
+        return sk.sketch(Ah), sk.sketch_cols(AH if self.q_is_identity else Qinv @ AH), sk.sketch(Bh)
 
     def select(self, losses):
         """The next fixed-rule draw (one per slice for per-slice sets), made
@@ -503,47 +501,56 @@ class _SetState(_FiniteSetState):
         self.audit_max = max(self.audit_max, worst)
         return worst
 
-    def zero_loss(self):
-        """Fixed rules, before each draw: keep its residuals in ``before``; are
-        all losses zero?  Computed once their squares sum below 1e-300."""
-        _, v, flat = self.views
-        np.copyto(self.before, v)
-        return flat.dot(flat) < 1e-300 and self.losses(self.before).max() <= 0.0
+    def select(self, losses):
+        """Fixed rules: the draw after copying R to ``before``, None if every loss is 0."""
+        np.copyto(self.before, self.views[1])
+        zero = self.views[2].dot(self.views[2]) < 1e-300 and self.losses(self.before).max() <= 0.0
+        return None if zero else super().select(losses)
 
 
 class _SpatialSetState(_SetState):
     """Spatial sets: one family shared by all slices; the sketched loss of
-    member i is (1/l) sum_k w_k ||R_i[k]||_F^2 over slices 0..h-1."""
+    member i is (1/l) sum_k w_k ||R_i[k]||_F^2 over slices 0..h-1, computed
+    by ``_energy`` in one pass over R, into buffers made after setup."""
 
     per_slice_selection = False
     slice_axis = 0
 
-    _energy_view = lambda self, T: T.reshape(self.h, self.q, -1).view(np.float64)  # noqa: E731
+    _energy_view = lambda self, T: T.reshape(self.h, -1).view(np.float64)  # noqa: E731
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
 
-    def _energy(self, v):
-        """Squared Frobenius norm of each member's block over all l slices."""
-        return self.w @ np.einsum("kij,kij->ki", v, v)
+    def _loop_buffers(self):
+        super()._loop_buffers()
+        self.sq, self.w_loss = np.empty(self.views[1].shape), self.w / self.l
+        self.wsq, self.ones = np.empty(self.sq.shape[1]), np.ones(self.sq.shape[1] // self.q)
+
+    def _energy(self, v, w=None):
+        """Fresh (q,) sums over slices k of w_k ||v[k, member]||^2 (w_k from ``w``
+        if given): squares into ``sq``, a gemv over the slices, a gemv per member."""
+        np.square(v, out=self.sq)
+        np.dot(self.w if w is None else w, self.sq, out=self.wsq)
+        return self.wsq.reshape(self.q, -1) @ self.ones
 
     def losses(self, v=None):
-        """(q,) sketched losses, of residuals ``v`` in ``_energy_view``
-        layout when given."""
-        return self._energy(self.views[1] if v is None else v) / self.l
+        """(q,) sketched losses, of residuals ``v`` (``_energy_view``) if given."""
+        return self._energy(self.views[1] if v is None else v, self.w_loss)
 
     def select(self, losses):
-        """Member index; ``solve`` has already checked that some loss is
-        positive, so no rule needs further validation."""
+        """Member index, or None when no loss is positive."""
         if self.rule == "fixed":
             return super().select(losses)
         if self.rule == "md":
-            return losses.argmax()
+            i = losses.argmax()
+            return None if losses[i] <= 0.0 else i
         weights = losses
         if self.rule == "cs":
             weights = _capped_losses(losses, self.base_probs, self.config.theta)
-        return sketching.draw_from_cdf((weights / weights.sum()).cumsum(), self.index_rng)
+        total = weights.sum()
+        return None if total <= 0.0 else sketching.draw_from_cdf(
+            (weights / total).cumsum(), self.index_rng)
 
     def step(self, i):
         """Z[k] -= U[k, i] @ R[k, i] for each slice k, as one zgemm that
@@ -589,18 +596,20 @@ class _PerSliceSetState(_SetState):
         return self._energy(self.views[1] if v is None else v)
 
     def select(self, losses):
-        """Per-slice index choices; -1 marks an already-solved slice."""
+        """Per-slice index choices (-1: slice solved), or None if all are."""
         if self.rule == "fixed":
             return super().select(losses)
         if self.rule == "md":
             top = losses.argmax(axis=1)
-            return np.where(losses[self.slices, top] > 0, top, -1)
+            active = losses[self.slices, top] > 0
+            return np.where(active, top, -1) if active.any() else None
         lmax = losses.max(axis=1, keepdims=True)
         active = lmax[:, 0] > 0
         weights = losses
         if self.rule == "cs":
             weights = _capped_losses(losses, self.base_probs, self.config.theta, lmax)
-        return _draw_per_slice(np.cumsum(weights, axis=1), self.uniforms, active)
+        cum = np.cumsum(weights, axis=1)
+        return _draw_per_slice(cum, self.uniforms, active) if active.any() else None
 
     def step(self, idx):
         idx = np.asarray(idx, dtype=int)
@@ -619,7 +628,8 @@ class _FreshGaussianState(_BaseState):
             raise ValueError(f"tau={config.tau} out of range for m={self.m}")
         self.tau = config.tau
         self.sketch_rng = _rng(config.seed, 0)
-        self.QiAH = self.Qinv @ np.conj(np.swapaxes(self.Ah, -1, -2))
+        self.QiAH = np.conj(np.swapaxes(self.Ah, -1, -2), order="C")
+        self.QiAH = self.QiAH if self.q_is_identity else self.Qinv @ self.QiAH
 
     def select(self, losses):
         """A fresh (m, tau) Gaussian matrix, the first frontal slice of the
@@ -793,10 +803,10 @@ def solve(A, B, config, x_star=None):
         # adaptive rules select from the losses; fixed rules compute them
         # for logged rows only, from the residuals their draw was made next to
         losses = state.losses() if state.adaptive else None
-        if state.zero_loss() if losses is None else losses.max() <= 0.0:
+        chosen = state.select(losses)
+        if chosen is None:  # no sketched loss is positive
             converged, record.stop_reason = True, "zero_loss"
             break
-        chosen = state.select(losses)
         state.step(chosen)
         if isinstance(state, _SetState) and config.audit_every and not state.t % config.audit_every:
             state.audit()

@@ -46,6 +46,12 @@ from tubalsketch.t_algebra import (
 )
 
 
+ADAPTIVE_METHODS = ("ATSP-MD", "ATSP-PR", "ATSP-CS", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
+# every set method: each adaptive rule owns its zero-loss test, the fixed
+# rules share theirs
+ZERO_LOSS_METHODS = ("NTSP", "NTSP-II", *ADAPTIVE_METHODS)
+
+
 def small_problem(seed=3, m=10, n=5, p=3, l=4):
     return gen_gaussian(ProblemSpec(m=m, n=n, p=p, l=l, seed=seed))
 
@@ -109,6 +115,25 @@ class TestSelectIndex:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             select_index([1.0], "best")
+
+    @pytest.mark.parametrize("method", ADAPTIVE_METHODS)
+    def test_adaptive_select_returns_none_on_zero_losses(self, method):
+        # the rule itself reports that nothing is left to project on; one
+        # positive loss is chosen, and a per-slice rule marks only its
+        # all-zero slices solved
+        A, Xs, B = small_problem(5)
+        per_slice = method.endswith("-II")
+        s = make_fourier_sketches(10, 1, 10, 4, "row") if per_slice else make_slice_sketches(10, 4)
+        st = make_state(A, B, SolverConfig(method=method, sketches=s, seed=6))
+        shape = st.losses().shape
+        assert st.select(np.zeros(shape)) is None
+        losses = np.zeros(shape)
+        losses[..., 3] = 0.5
+        if per_slice:
+            losses[2] = 0.0
+            np.testing.assert_array_equal(st.select(losses), [3, 3, -1, 3])
+        else:
+            assert st.select(losses) == 3
 
     def test_spatial_capped_solve_skips_sample_index(self, monkeypatch):
         calls = []
@@ -550,7 +575,7 @@ class TestRunBehaviour:
         X, rec = solve(A, B, cfg, x_star=Xs)
         assert not rec.converged and rec.stop_reason == "max_iters"
 
-    @pytest.mark.parametrize("method", ["ATSP-PR", "NTSP", "NTSP-II"])
+    @pytest.mark.parametrize("method", ZERO_LOSS_METHODS)
     def test_stop_reason_zero_loss(self, method):
         # B = O: every sketched residual is exactly zero from the start, and
         # tol=0 keeps the zero residual from stopping the run first
@@ -562,7 +587,7 @@ class TestRunBehaviour:
         assert rec.converged and rec.iterations == 0
         assert rec.stop_reason == "zero_loss"
 
-    @pytest.mark.parametrize("method", ["ATSP-PR", "NTSP", "NTSP-II"])
+    @pytest.mark.parametrize("method", ZERO_LOSS_METHODS)
     def test_zero_loss_stop_mid_run_on_the_same_iteration(self, method):
         # A = I: drawing member i zeroes R_i exactly and leaves the others,
         # so the losses reach zero once every member has been drawn; the
@@ -663,6 +688,67 @@ class TestResidualAudit:
         assert rec.iterations >= 100
         assert audited == list(range(50, rec.iterations + 1, 50))
         assert rec.audit_max < 1e-8
+
+
+def spatial_loss_oracle(st, R):
+    """(1/l) sum_k w_k ||R[k, i]||_F^2 by einsum over the kept slices."""
+    return st.w @ np.einsum("kitp,kitp->ki", R.conj(), R).real / st.l
+
+
+class TestSpatialLosses:
+    @pytest.mark.parametrize("l", [4, 5])
+    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian-tau3"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_losses_and_audit_match_einsum_oracle(self, l, kind, weighted):
+        rng = np.random.default_rng(31 + l)
+        m, n = 10, 4
+        A, Xs, B = small_problem(32, m=m, n=n, p=2, l=l)
+        s = {
+            "slice": lambda: make_slice_sketches(m, l),
+            "ragged-block": lambda: make_block_sketches(m, l, [[0, 4, 7], [1, 2], [3, 5, 8, 9], [6]]),
+            "gaussian-tau3": lambda: make_gaussian_sketches(m, 3, 5, l, rng),
+        }[kind]()
+        weight = WeightQ.from_tensor(spd_weight_tensor(rng, n, l)) if weighted else None
+        fixed = make_state(A, B, SolverConfig(method="NTSP", sketches=s, weight=weight, seed=3), Xs)
+        adaptive = make_state(A, B, SolverConfig(method="ATSP-PR", sketches=s, weight=weight, seed=3), Xs)
+        for _ in range(6):
+            for st in (fixed, adaptive):
+                expect = spatial_loss_oracle(st, st.R)
+                assert np.max(np.abs(st.losses() - expect)) <= 1e-14 * expect.max()
+                i = st.select(st.losses())
+                if st is fixed:  # select copied the residuals its draw was made next to
+                    got = st.losses(st.before)
+                    assert np.max(np.abs(got - expect)) <= 1e-14 * expect.max()
+                st.step(i)
+        for st in (fixed, adaptive):
+            st.R[...] += 1e-3 * (rng.standard_normal(st.R.shape) + 1j * rng.standard_normal(st.R.shape))
+            CH = np.conj(np.swapaxes(st.C, -1, -2))
+            fresh = CH @ ((st.N @ st.Xh[:, None]) - st.SB)
+            expect = np.sqrt(st.l * spatial_loss_oracle(st, fresh - st.R).max())
+            assert abs(st.audit() - expect) <= 1e-14 * expect
+
+    def test_losses_allocate_only_their_result(self):
+        # the loss kernel writes into buffers made at setup; an einsum over
+        # the residuals would also allocate an (h, q) temporary, 9.6 KB here.
+        # numpy >= 2.3 copies a strided ufunc operand whose rows are shorter
+        # than half its ufunc buffer into that buffer (up to np.getbufsize()
+        # elements, 64 KB by default, whatever the problem size), so the
+        # buffer is shrunk below twice the residual rows for the measurement
+        A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=88))
+        st = make_state(A, B, SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8)),
+                        x_star=Xs)
+        bufsize = np.getbufsize()
+        np.setbufsize(1024)
+        try:
+            st.losses()
+            tracemalloc.start()
+            losses = st.losses()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert losses.shape == (st.q,)
+        assert peak <= losses.nbytes + 1024
 
 
 class TestSetLayout:
