@@ -35,7 +35,6 @@ __all__ = [
     "resolve_probabilities",
     "as_prob_vector",
     "sample_index",
-    "draw_from_cdf",
     "is_complete_discrete_sampling",
 ]
 
@@ -258,6 +257,8 @@ def as_prob_vector(w):
     p = np.asarray(w, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be a nonempty 1-D array")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-12:
@@ -328,13 +329,11 @@ def resolve_probabilities(spec, A, Q, sketches):
 
 
 def sample_index(p, rng):
-    """Inverse-CDF draw from a probability vector."""
-    return draw_from_cdf(np.cumsum(as_prob_vector(p)), rng)
-
-
-def draw_from_cdf(cdf, rng):
-    """:func:`sample_index` for a vector validated once, given as its cumsum."""
-    return min(int(cdf.searchsorted(rng.random(), "right")), cdf.size - 1)
+    """Inverse-CDF draw from a probability vector: the number of cumulative
+    sums at or below ``rng.random()`` times their total, capped at the last
+    index (the solvers' draw convention)."""
+    cdf = np.cumsum(as_prob_vector(p))
+    return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), cdf.size - 1)
 
 
 def is_complete_discrete_sampling(A, sketches, relcut=1e-10, sketched=None):

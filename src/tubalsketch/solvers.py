@@ -34,16 +34,19 @@ three calls, and :func:`solve` runs one loop body over them:
   sketched loss is positive, on which :func:`solve` stops ("zero_loss");
 * ``step(choice)``: apply that choice to the iterate.
 
-An iteration computes only what its rule reads.  Adaptive rules (ATSP-*)
-select from the losses and see a zero loss in values they compute anyway.
-Fixed rules draw 64 iterations of members at once; a set state (NTSP,
-NTSP-II) copies its residuals before each draw, for its zero-loss test and
-the losses of logged rows, and TSP-I and TSP-II gather the projections of
-all 64 draws at once.  With x_star, the error is one subtraction into a
-buffer and two dot products.  States that keep sketched residuals also
-offer ``audit()``, the worst deviation of the recursed residuals from fresh
-ones, run every ``audit_every`` iterations.  Iterations run on the Fourier
-slices; the tests check them against block-circulant steps.
+An iteration computes only what its rule reads.  Finite-set rules read a
+block of 64 iterations of uniforms, one stream per set or per Fourier
+slice, and draw by one inverse-CDF rule on unnormalised cumulative weights.
+Adaptive rules (ATSP-*) read one row per iteration and see a zero loss in
+values they compute anyway.  Fixed rules turn a block into draws when it is
+refilled; a set state (NTSP, NTSP-II) copies its residuals before each
+draw, for its zero-loss test and the losses of logged rows, and TSP-I and
+TSP-II gather the projections of all 64 draws at once.  With x_star, the
+error is a copy into a buffer, a subtraction and two dot products.  States
+that keep sketched residuals also offer ``audit()``, the worst deviation of
+the recursed residuals from fresh ones, run every ``audit_every``
+iterations.  Iterations run on the Fourier slices; the tests check them
+against block-circulant steps.
 
 TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
 l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
@@ -109,8 +112,9 @@ class SolverConfig:
     (uniform).  It is the fixed distribution of the nonadaptive methods and
     the reference distribution of the capped rule.  ``tau`` is only read by
     the fresh-draw TSP method.  Building a state rejects ``record_every <
-    1``, ``audit_every < 0``, ``max_iters < 0`` and ``theta`` outside [0, 1]
-    with a ``ValueError`` that names the field.
+    1``, ``audit_every < 0``, ``max_iters < 0``, a count that is not a whole
+    number, ``theta`` outside [0, 1] and ``tol < 0`` or NaN with a
+    ``ValueError`` that names the field.
     """
 
     method: str = "NTSP"
@@ -186,12 +190,12 @@ def select_index(losses, rule, rng=None, base_probs=None, theta=0.5):
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
-def _capped_losses(losses, base_probs, theta, lmax=None):
+def _capped_losses(losses, base_probs, theta):
     """The 'cs' rule's weights along the last axis: losses of at least
     theta * max + (1 - theta) * E_p[loss], the others zeroed.  The threshold
-    is clamped at the max (``lmax`` with kept dims, when given), so the max
-    qualifies even when rounding lifts the threshold over it (equal losses)."""
-    lmax = losses.max(axis=-1, keepdims=True) if lmax is None else lmax
+    is clamped at the max, so the max qualifies even when rounding lifts the
+    threshold over it (equal losses)."""
+    lmax = losses.max(axis=-1, keepdims=True)
     mean = np.add.reduce(base_probs * losses, axis=-1, keepdims=True)
     threshold = np.minimum(theta * lmax + (1.0 - theta) * mean, lmax)
     return np.where(losses >= threshold, losses, 0.0)
@@ -211,54 +215,17 @@ def _per_slice_probs(p, l, q):
 _UNIFORM_BLOCK = 64
 
 
-class _SliceUniforms:
-    """One uniform stream per Fourier slice, read from blocks.
-
-    Slice k's values come from ``rngs[k].random(block)``, which yields the
-    values of ``block`` scalar ``random()`` calls, so the streams are those
-    of one scalar call per draw, and a slice that draws nothing consumes
-    nothing.
-    """
-
-    def __init__(self, rngs):
-        self.rngs = rngs
-        self.end = (np.arange(len(rngs)) + 1) * _UNIFORM_BLOCK
-        self.flat = np.empty(self.end[-1])  # slice k's block at [end[k] - block, end[k])
-        self.off = self.end.copy()  # next unread value of each slice
-        self.left = 0  # at most the fewest unread values of any slice
-
-    def take(self, rows):
-        """The next uniform of each slice in ``rows``."""
-        if self.left == 0:
-            for k in np.nonzero(self.off == self.end)[0]:
-                self.off[k] = self.end[k] - _UNIFORM_BLOCK
-                self.flat[self.off[k]:self.end[k]] = self.rngs[k].random(_UNIFORM_BLOCK)
-            self.left = int(np.min(self.end - self.off))
-        u = self.flat[self.off[rows]]
-        self.off[rows] += 1
-        self.left -= 1
-        return u
-
-
-def _draw_per_slice(cum, uniforms, active):
-    """Inverse-CDF draws from one cumulative-weight row per slice, batched.
-
-    ``cum`` is (l, q), the row-wise cumsum of nonnegative weights with
-    positive totals on active rows; rows flagged inactive come back as -1.
-    One uniform is taken from each active slice's stream in ``uniforms``
-    (a :class:`_SliceUniforms`), so streams stay per-slice.
-    """
-    l, q = cum.shape
-    every = active.all()
-    rows = slice(None) if every else np.flatnonzero(active)  # all active: no gathers
-    cum = cum[rows]
-    targets = uniforms.take(rows) * cum[:, -1]
-    drawn = np.minimum((cum <= targets[:, None]).sum(axis=1), q - 1)
-    if every:
-        return drawn
-    idx = np.full(l, -1)
-    idx[rows] = drawn
-    return idx
+def _inverse_cdf(cum, u):
+    """The draw convention of every finite-set rule: min(#(cum <= u * total),
+    q - 1) for each row of the unnormalised cumulative weights ``cum``
+    (..., q), whose last column is the total, and the uniforms ``u``, which
+    broadcast against that column.  A cumsum of nonnegative weights is
+    sorted, so that count is #(cum[:-1] <= u * total): a binary search for
+    one row."""
+    targets = u * cum[..., -1]
+    if cum.ndim == 1:
+        return cum[:-1].searchsorted(targets, "right")
+    return (cum[..., :-1] <= targets[..., None]).sum(axis=-1)
 
 
 class _BaseState:
@@ -278,11 +245,14 @@ class _BaseState:
         for name, value in (("A", A), ("B", B), ("x_star", x_star)):
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} contains NaN or inf")
+        # counts are whole numbers; a float such as 1e5 from a config file is one
+        whole = lambda v: float(v).is_integer()  # noqa: E731
         for name, ok in (
-            ("record_every", config.record_every >= 1),
-            ("audit_every", config.audit_every >= 0),
+            ("record_every", whole(config.record_every) and config.record_every >= 1),
+            ("audit_every", whole(config.audit_every) and config.audit_every >= 0),
             ("theta", 0.0 <= config.theta <= 1.0),
-            ("max_iters", config.max_iters >= 0),
+            ("max_iters", whole(config.max_iters) and config.max_iters >= 0),
+            ("tol", config.tol >= 0.0),
         ):
             if not ok:
                 raise ValueError(f"{name}={getattr(config, name)!r} is out of range")
@@ -307,7 +277,7 @@ class _BaseState:
         self.sqrt_l = np.sqrt(self.l)
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
         if self.x_star is not None:
-            self.Xsh = transform(self.x_star)
+            self.Xsh = np.ascontiguousarray(transform(self.x_star))  # see _errors
             self.x_star_norm = np.linalg.norm(self.x_star)
             if self.x_star_norm == 0:
                 raise ValueError("x_star must be nonzero for relative errors")
@@ -320,13 +290,13 @@ class _BaseState:
 
     def _loop_buffers(self):
         """Made after setup's temporaries are freed.  _errors adds the dot
-        products of two views of ``diff``: on the full spectrum its real and
-        imaginary parts, read as np.linalg.norm reads the Xh - Xsh temporary,
-        else all slices and again those with a mirror."""
+        products of two views of the C-contiguous ``diff``: on the full
+        spectrum its real and imaginary parts, read as np.linalg.norm reads
+        an Xh - Xsh temporary, else all slices and again those with a mirror."""
         if self.x_star is not None:
             full = self.h == self.l
-            self.diff = self.Xh - self.Xsh if full else np.empty_like(self.Xh, order="C")
-            flat = self.diff.ravel(order="K")  # a view: the buffer is dense
+            self.diff = np.empty_like(self.Xh, order="C")
+            flat = self.diff.ravel()  # a view: the buffer is dense
             self.err_views = (flat.real, flat.imag) if full else (
                 flat.view(np.float64), self.diff[1:self.l - self.h + 1].ravel().view(np.float64))
 
@@ -346,7 +316,9 @@ class _BaseState:
     def _errors(self):
         """(epsilon, ||Xh - Xsh||_F), the norm being None without x_star."""
         if self.x_star is not None:
-            np.subtract(self.Xh, self.Xsh, out=self.diff)
+            # a ufunc reading the strided Xh would copy it into a fresh buffer
+            np.copyto(self.diff, self.Xh)
+            self.diff -= self.Xsh
             a, b = self.err_views
             diff_norm = np.sqrt(a.dot(a) + b.dot(b))
             return float(diff_norm / self.sqrt_l / self.x_star_norm), diff_norm
@@ -398,7 +370,9 @@ class _FiniteSetState(_BaseState):
     """Sketch-set validation and sampling setup of the finite-set methods.
 
     The fixed probabilities are validated once and kept with their
-    cumulative sums, from which every fixed-rule draw is made.
+    cumulative sums.  Every rule draws from ``rngs``, one uniform stream for
+    a spatial set or one per Fourier slice, read ``_UNIFORM_BLOCK``
+    iterations at a time (see :meth:`_row`), by :func:`_inverse_cdf`.
     """
 
     def __init__(self, A, B, config, x_star):
@@ -412,18 +386,19 @@ class _FiniteSetState(_BaseState):
         self.sketches = sketches
         self.q = sketches.q
         self.rule = _METHOD_TABLE[self.method][1]
+        self.adaptive = self.rule != "fixed"
         probs = sketching.resolve_probabilities(config.probabilities, A, self.Q, sketches)
         if self.per_slice_selection:
             self.base_probs = _per_slice_probs(probs, self.l, self.q)
-            self.uniforms = _SliceUniforms([_rng(config.seed, 2, k) for k in range(self.l)])
+            self.rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
             self.slices = np.arange(self.l)
         else:
             self.base_probs = sketching.as_prob_vector(probs)
             if self.base_probs.size != self.q:
                 raise ValueError("probability vector length does not match q")
-            self.index_rng = _rng(config.seed, 1)
-        self.base_cdf = np.cumsum(self.base_probs, axis=-1)
-        self.drawn = _UNIFORM_BLOCK  # fixed-rule draws used from the current block
+            self.rngs = [_rng(config.seed, 1)]
+        self.base_cdf = np.atleast_2d(np.cumsum(self.base_probs, axis=-1))
+        self.drawn = _UNIFORM_BLOCK  # rows of the current block used
 
     def _member_tables(self, Ah, Bh, Qinv):
         """N = S^H A, Q^{-1} N^H and S^H B of every member, (slices, q, ...)."""
@@ -431,18 +406,26 @@ class _FiniteSetState(_BaseState):
         AH = np.conj(np.swapaxes(Ah, -1, -2), order="C")  # (slices, n, m); Q^{-1} = I is skipped
         return sk.sketch(Ah), sk.sketch_cols(AH if self.q_is_identity else Qinv @ AH), sk.sketch(Bh)
 
-    def select(self, losses):
-        """The next fixed-rule draw (one per slice for per-slice sets), made
-        ``_UNIFORM_BLOCK`` iterations at a time from the uniforms of scalar draws."""
+    def _uniforms(self):
+        """The next (_UNIFORM_BLOCK, streams) block: column k holds the values
+        of as many scalar ``rngs[k].random()`` calls."""
+        return np.stack([r.random(_UNIFORM_BLOCK) for r in self.rngs], axis=1)
+
+    def _row(self):
+        """This iteration's row of ``block``, which one ``_uniforms()`` refills
+        every ``_UNIFORM_BLOCK`` iterations: the uniforms of every stream, or
+        for fixed rules the draws made from them then."""
         if self.drawn == _UNIFORM_BLOCK:
-            cdfs = np.atleast_2d(self.base_cdf)
-            u = ([r.random(_UNIFORM_BLOCK) * c[-1] for r, c in zip(self.uniforms.rngs, cdfs)]
-                 if self.per_slice_selection else [self.index_rng.random(_UNIFORM_BLOCK)])
-            draws = [np.searchsorted(c, x, side="right") for c, x in zip(cdfs, u)]
-            self.draws, self.drawn = np.minimum(np.transpose(draws), self.q - 1), 0
+            u = self._uniforms()
+            self.block = u if self.adaptive else np.stack(
+                [_inverse_cdf(c, x) for c, x in zip(self.base_cdf, u.T)], axis=1)
+            self.drawn = 0
         self.drawn += 1
-        choice = self.draws[self.drawn - 1]
-        return choice if self.per_slice_selection else choice[0]
+        return self.block[self.drawn - 1]
+
+    def select(self, losses):
+        """The next fixed-rule draw (one per slice for per-slice sets)."""
+        return self._row() if self.per_slice_selection else self._row()[0]
 
     def trace_choice(self, choice):
         return tuple(int(c) for c in choice) if self.per_slice_selection else int(choice)
@@ -484,7 +467,6 @@ class _SetState(_FiniteSetState):
         self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
         self.R[...] = CH @ ((N @ self.Xh[:, None]) - self.SB)
-        self.adaptive = self.rule != "fixed"
         R, v = self.R, self._energy_view(self.R)
         self.before = None if self.adaptive else np.empty(v.shape, v.dtype)
         self.views = (R, v, None if self.adaptive else self.before.reshape(-1).view(np.float64))
@@ -500,6 +482,11 @@ class _SetState(_FiniteSetState):
         worst = float(np.sqrt(np.max(self._energy(self._energy_view(fresh - self.R)))))
         self.audit_max = max(self.audit_max, worst)
         return worst
+
+    def _weights(self, losses):
+        """The pr and cs rules' draw weights along the last axis of ``losses``."""
+        return losses if self.rule == "pr" else _capped_losses(
+            losses, self.base_probs, self.config.theta)
 
     def select(self, losses):
         """Fixed rules: the draw after copying R to ``before``, None if every loss is 0."""
@@ -545,12 +532,8 @@ class _SpatialSetState(_SetState):
         if self.rule == "md":
             i = losses.argmax()
             return None if losses[i] <= 0.0 else i
-        weights = losses
-        if self.rule == "cs":
-            weights = _capped_losses(losses, self.base_probs, self.config.theta)
-        total = weights.sum()
-        return None if total <= 0.0 else sketching.draw_from_cdf(
-            (weights / total).cumsum(), self.index_rng)
+        cum = self._weights(losses).cumsum()
+        return None if cum[-1] <= 0.0 else _inverse_cdf(cum, self._row()[0])
 
     def step(self, i):
         """Z[k] -= U[k, i] @ R[k, i] for each slice k, as one zgemm that
@@ -603,13 +586,9 @@ class _PerSliceSetState(_SetState):
             top = losses.argmax(axis=1)
             active = losses[self.slices, top] > 0
             return np.where(active, top, -1) if active.any() else None
-        lmax = losses.max(axis=1, keepdims=True)
-        active = lmax[:, 0] > 0
-        weights = losses
-        if self.rule == "cs":
-            weights = _capped_losses(losses, self.base_probs, self.config.theta, lmax)
-        cum = np.cumsum(weights, axis=1)
-        return _draw_per_slice(cum, self.uniforms, active) if active.any() else None
+        cum = np.cumsum(self._weights(losses), axis=1)
+        active = cum[:, -1] > 0
+        return np.where(active, _inverse_cdf(cum, self._row()), -1) if active.any() else None
 
     def step(self, idx):
         idx = np.asarray(idx, dtype=int)
@@ -670,7 +649,7 @@ class _DirectState(_FiniteSetState):
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         self.table_slices, self.tables = self._tables(A, B)
-        self.choice = self.block = None
+        self.choice = self.gathered = None
 
     def _tables(self, A, B):
         N, AQS, SB = self._member_tables(self.Ah, self.Bh, self.Qinv)
@@ -688,15 +667,15 @@ class _DirectState(_FiniteSetState):
 
     def select(self, losses):
         if self.drawn == _UNIFORM_BLOCK:
-            self.block = None  # release the old block before building the next
+            self.gathered = None  # release the old block before building the next
         self.choice = super().select(losses)
-        if self.block is None:
-            self.block = self._projections(self.draws)
+        if self.gathered is None:
+            self.gathered = self._projections(self.block)
         return self.choice
 
     def step(self, idx):
         if idx is self.choice:
-            N, AQS, SB, G = (T[self.drawn - 1] for T in self.block)
+            N, AQS, SB, G = (T[self.drawn - 1] for T in self.gathered)
         else:
             N, AQS, SB, G = (T[0] for T in self._projections(np.asarray(idx)[None]))
         self.Z -= AQS @ (G @ (N @ self.Xh - SB))

@@ -28,14 +28,13 @@ from tubalsketch.solvers import (
     _UNIFORM_BLOCK,
     DivergenceError,
     SolverConfig,
-    _draw_per_slice,
-    _SliceUniforms,
     make_state,
     select_index,
     solve,
 )
 from tubalsketch.t_algebra import (
     WeightQ,
+    fft_slices,
     fnorm,
     identity,
     ifft_slices,
@@ -151,25 +150,60 @@ class TestSelectIndex:
 
 
 class TestSliceDraws:
-    def test_buffered_draws_match_scalar_stream(self):
-        # more draws than one block, random active masks: refills happen
-        # while the slices' streams are out of step
-        l, q = 5, 7
-        rng = np.random.default_rng(70)
-        cum = np.cumsum(rng.random((l, q)), axis=1)
-        uniforms = _SliceUniforms([np.random.default_rng([71, k]) for k in range(l)])
-        ref = [np.random.default_rng([71, k]) for k in range(l)]
-        for t in range(4 * _UNIFORM_BLOCK):
-            active = np.ones(l, bool) if t % 5 == 0 else rng.random(l) < 0.6
-            rows = np.nonzero(active)[0]
-            u = {k: ref[k].random() for k in rows}
-            if t % 3 == 0:
-                assert list(uniforms.take(np.array(list(rows), dtype=int))) == list(u.values())
-                continue
-            want = np.full(l, -1)
-            for k, uk in u.items():
-                want[k] = min(int(np.sum(cum[k] <= uk * cum[k, -1])), q - 1)
-            np.testing.assert_array_equal(_draw_per_slice(cum, uniforms, active), want)
+    @pytest.mark.parametrize("method", ["ATSP-PR", "ATSP-PR-II"])
+    def test_uniform_blocks_match_scalar_streams(self, method):
+        # every block's rows are the values of one scalar random() per
+        # stream and iteration: SeedSequence([seed, 1]) for a spatial set,
+        # [seed, 2, k] for slice k of a per-slice set
+        A, Xs, B = small_problem(72)
+        per_slice = method.endswith("-II")
+        s = make_fourier_sketches(10, 1, 10, 4, "row") if per_slice else make_slice_sketches(10, 4)
+        st = make_state(A, B, SolverConfig(method=method, sketches=s, seed=73), x_star=Xs)
+        keys = [(73, 2, k) for k in range(4)] if per_slice else [(73, 1)]
+        ref = [np.random.default_rng(key) for key in keys]
+        assert len(st.rngs) == len(keys)
+        for _ in range(3):
+            block = st._uniforms()
+            assert block.shape == (_UNIFORM_BLOCK, len(keys))
+            want = [[r.random() for r in ref] for _ in range(_UNIFORM_BLOCK)]
+            assert block.tolist() == want
+
+    @pytest.mark.parametrize("method", ["ATSP-PR-II", "ATSP-CS-II"])
+    def test_solved_slices_never_step_and_draws_match_lazy_streams(self, method):
+        # x_star and B are a + (-1)^j b along depth, so Fourier slices 1 and
+        # 3 are zero and solved from t = 0.  They record -1 and their Z[k]
+        # stays zero.  Every slice's stream is read each iteration, yet the
+        # draws equal a reference that reads slice k's scalar stream only
+        # when slice k draws
+        rng = np.random.default_rng(74)
+        l, m, n, p = 4, 10, 5, 3
+        A = rng.standard_normal((m, n, l))
+        sign = (-1.0) ** np.arange(l)
+        X0, X2 = rng.standard_normal((2, n, p))
+        Xs = X0[..., None] + X2[..., None] * sign
+        a, b = A.sum(axis=2) @ X0, (A * sign).sum(axis=2) @ X2
+        B = a[..., None] + b[..., None] * sign
+        assert not fft_slices(B)[[1, 3]].any()
+        iters = 2 * _UNIFORM_BLOCK + 5
+        cfg = SolverConfig(method=method, sketches=make_fourier_sketches(m, 1, m, l, "row"),
+                           seed=75, tol=0.0, max_iters=iters)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.iterations == iters
+        st = make_state(A, B, cfg, x_star=Xs)
+        streams = [np.random.default_rng([75, 2, k]) for k in range(l)]
+        for choice in rec.chosen[1:]:
+            losses = st.losses()
+            weights = losses if method == "ATSP-PR-II" else solvers._capped_losses(
+                losses, st.base_probs, cfg.theta)
+            want = []
+            for k, cum in enumerate(np.cumsum(weights, axis=1)):
+                want.append(-1 if cum[-1] <= 0 else
+                            min(int(np.sum(cum <= streams[k].random() * cum[-1])), m - 1))
+            assert choice == tuple(want)
+            assert choice[1] == choice[3] == -1 and min(choice[0], choice[2]) >= 0
+            st.step(np.array(choice))
+            assert not st.Z[[1, 3]].any()
+        np.testing.assert_array_equal(st.x(), X)
 
     @pytest.mark.parametrize("method", ["NTSP", "TSP-I", "TSP-II", "NTSP-II"])
     def test_block_draws_match_scalar_streams(self, method):
@@ -185,15 +219,13 @@ class TestSliceDraws:
         X, rec = solve(A, B, cfg, x_star=Xs)
         assert rec.iterations == iters
         cdf = np.cumsum(probs)
-        if per_slice:  # slice k's scalar stream is SeedSequence([seed, 2, k])
-            rngs = [np.random.default_rng([82, 2, k]) for k in range(4)]
-            want = [tuple(min(int(np.sum(cdf <= r.random() * cdf[-1])), 9) for r in rngs)
-                    for _ in range(iters)]
-        else:  # the spatial stream is SeedSequence([seed, 1])
-            rng = np.random.default_rng([82, 1])
-            want = [min(int(np.searchsorted(cdf, rng.random(), side="right")), 9)
-                    for _ in range(iters)]
-        assert rec.chosen[1:] == want
+        # slice k's scalar stream is SeedSequence([seed, 2, k]), the spatial
+        # one SeedSequence([seed, 1]); both draw by one inverse-CDF rule
+        rngs = [np.random.default_rng([82, 2, k] if per_slice else [82, 1])
+                for k in range(4 if per_slice else 1)]
+        want = [tuple(min(int(np.sum(cdf <= r.random() * cdf[-1])), 9) for r in rngs)
+                for _ in range(iters)]
+        assert rec.chosen[1:] == (want if per_slice else [w[0] for w in want])
 
 
 class TestProjectionStep:
@@ -554,12 +586,40 @@ class TestRunBehaviour:
         ("theta", 1.5),
         ("theta", float("nan")),
         ("max_iters", -1),
+        ("max_iters", 2.5),
+        ("record_every", 2.5),
+        ("audit_every", 0.5),
+        ("tol", -1e-8),
+        ("tol", float("nan")),
     ])
     def test_bad_config_value_rejected_up_front(self, field, value):
         A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
         cfg = SolverConfig(method="NTSP", sketches=make_slice_sketches(6, 2),
                            **{field: value})
         with pytest.raises(ValueError, match=f"^{field}="):
+            solve(A, B, cfg, x_star=Xs)
+
+    def test_whole_float_counts_accepted(self):
+        # counts read from a JSON or TOML file may arrive as floats such as 1e5
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        cfg = SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(6, 2), tol=0.0,
+                           max_iters=12.0, record_every=4.0, audit_every=6.0)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.iterations == 12 and list(rec.t) == [0, 4, 8, 12]
+
+    @pytest.mark.parametrize("method", ["NTSP", "ATSP-CS", "NTSP-II"])
+    def test_nan_probabilities_rejected_up_front(self, method):
+        # a NaN passes both the sign test and the sum test of the simplex
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        probs = np.full(6, 1 / 6)
+        probs[2] = np.nan
+        if method.endswith("-II"):  # one bad row of a per-slice array
+            probs = np.vstack([np.full(6, 1 / 6), probs])
+            s = make_fourier_sketches(6, 1, 6, 2, "row")
+        else:
+            s = make_slice_sketches(6, 2)
+        cfg = SolverConfig(method=method, sketches=s, probabilities=probs)
+        with pytest.raises(ValueError, match="finite"):
             solve(A, B, cfg, x_star=Xs)
 
     def test_stop_reason_tol(self):
@@ -749,6 +809,28 @@ class TestSpatialLosses:
             np.setbufsize(bufsize)
         assert losses.shape == (st.q,)
         assert peak <= losses.nbytes + 1024
+
+
+class TestErrorBuffer:
+    @pytest.mark.parametrize("method", ["ATSP-MD", "ATSP-MD-II"])
+    def test_errors_allocate_no_array(self, method):
+        # the iterate, a strided view of Z, is copied into the error buffer
+        # and the C-contiguous Xsh subtracted in place; a ufunc reading both
+        # would copy the strided operand into a fresh buffer (6-17 KB here)
+        A, Xs, B = gen_gaussian(ProblemSpec(m=50, n=20, p=5, l=5, seed=90))
+        s = (make_fourier_sketches(50, 1, 50, 5, "row") if method.endswith("-II")
+             else make_slice_sketches(50, 5))
+        st = make_state(A, B, SolverConfig(method=method, sketches=s), x_star=Xs)
+        st.step(st.select(st.losses()))
+        want = st._errors()
+        tracemalloc.start()
+        try:
+            got = st._errors()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 1024
 
 
 class TestSetLayout:
