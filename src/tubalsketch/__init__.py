@@ -7,7 +7,6 @@ from .t_algebra import (
     fnorm,
     fold,
     identity,
-    idft3,
     is_t_spd,
     t_sqrt,
     tpinv,

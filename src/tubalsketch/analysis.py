@@ -366,17 +366,16 @@ def verify_bounds(records, rates, bound, theta=0.5, slack=0.10, min_ensemble=30)
     if bound == "max-distance":
         worst, worst_t = -np.inf, -1
         limit = rate + 1e-9
-        for r in records:
+        for r in records:  # the first maximum wins: records in order, then t
             qe = r.q_error
             if np.any(np.isnan(qe)):
                 raise ValueError("bound verification needs runs with x_star known")
-            floor = 1e-20 * max(qe[0], 1e-300)
-            for t in range(len(qe) - 1):
-                if qe[t] <= floor:
-                    continue
-                ratio = qe[t + 1] / qe[t]
-                if ratio > worst:
-                    worst, worst_t = ratio, int(r.t[t])
+            ratios = np.full(qe.size - 1, -np.inf)
+            np.divide(qe[1:], qe[:-1], out=ratios,
+                      where=qe[:-1] > 1e-20 * max(qe[0], 1e-300))  # steps above the floor
+            if ratios.size and ratios.max() > worst:
+                t = int(np.argmax(ratios))
+                worst, worst_t = float(ratios[t]), int(r.t[t])
         passed = worst <= limit
         return BoundCheck(
             bound, bool(passed), float(worst), worst_t, rate,
@@ -420,37 +419,18 @@ def flops_per_iteration(method, tau, q, n, p, l):
     method = method.upper()
     if method == "NTSP":
         return 2 * tau * p * l * min(n, tau * q) + 2 * tau * n * p * l
-    if method == "ATSP-MD":
-        if tau > 1:
-            if l > 1:
-                return (2 * tau**2 * p * l + 2 * tau * p * l + 1) * q + 2 * tau * n * p * l
-            return (2 * tau**2 * p + 2 * tau * p) * q + 2 * tau * n * p
-        return 4 * p * l * q + 2 * n * p * l if l > 1 else (4 * p - 1) * q + 2 * n * p
-    if method == "ATSP-PR":
-        if tau > 1:
-            if l > 1:
-                return (2 * tau**2 * p * l + 2 * tau * p * l + 2) * q + 2 * tau * n * p * l
-            return (2 * tau**2 * p + 2 * tau * p + 1) * q + 2 * tau * n * p
-        return (4 * p * l + 2) * q + 2 * n * p * l if l > 1 else (4 * p + 1) * q + 2 * n * p
-    if method == "ATSP-CS":
-        if tau > 1:
-            if l > 1:
-                return (2 * tau**2 * p * l + 2 * tau * p * l + 6) * q + 2 * tau * n * p * l
-            return (2 * tau**2 * p + 2 * tau * p + 5) * q + 2 * tau * n * p
-        return (4 * p * l + 6) * q + 2 * n * p * l if l > 1 else (4 * p + 5) * q + 2 * n * p
     if method == "NTSP-II":
         return tau * p * l * n  # order of magnitude
-    if method == "ATSP-MD-II":
-        if tau > 1:
-            return (2 * tau**2 * p + 2 * tau * p) * q * l + 2 * tau * n * p * l
+    if method == "ATSP-MD-II" and tau == 1:
         return max(q, n) * p * l  # order of magnitude
-    if method == "ATSP-PR-II":
-        if tau > 1:
-            return (2 * tau**2 * p + 2 * tau * p + 1) * q * l + 2 * tau * n * p * l
-        return (4 * p + 1) * q * l + 2 * n * p * l
-    if method == "ATSP-CS-II":
-        if tau > 1:
-            return (2 * tau**2 * p + 2 * tau * p + 5) * q * l + 2 * tau * n * p * l
-        return (4 * p + 5) * q * l + 2 * n * p * l
-    raise ValueError(f"no cost formula for method {method!r}")
+    # the adaptive rules: per-member loss updates plus the rule's own work c,
+    # then one step; spatial losses pay one more flop per member when l > 1
+    c = {"ATSP-MD": 0, "ATSP-PR": 1, "ATSP-CS": 5}.get(method.removesuffix("-II"))
+    if c is None:
+        raise ValueError(f"no cost formula for method {method!r}")
+    step = 2 * tau * n * p * l
+    if method.endswith("-II"):
+        return (2 * tau**2 * p + 2 * tau * p + c) * q * l + step
+    c -= method == "ATSP-MD" and tau == 1
+    return (2 * tau**2 * p * l + 2 * tau * p * l + c + (l > 1)) * q + step
 

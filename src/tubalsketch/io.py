@@ -19,8 +19,9 @@ weighted squared error, ``nan`` for a run solved without x_star;
 ``stop_reason`` is empty except on the last row, where it says why the run
 stopped (``tol``, ``zero_loss``, ``max_iters`` or ``diverged``).
 
-Sketch sets serialize to JSON with full dense member entries, so a run can
-be replayed exactly without regenerating randomness.
+Sketch-set JSON holds exactly the fields of a :class:`SketchSet`: kind, m,
+l, q and its rows or mats as nested lists, floats at full precision, so a run
+replays exactly; ``SketchSet`` checks a file's fields as it checks any set.
 """
 
 from __future__ import annotations
@@ -84,31 +85,22 @@ def load_slices_csv(path, depth, delimiter=","):
 
 
 def save_sketches(path, sketches):
-    if sketches.per_slice:
-        members = [
-            [np.asarray(S).tolist() for S in family] for family in sketches.members
-        ]
-    else:
-        members = [np.asarray(S).tolist() for S in sketches.members]
-    payload = {
-        "kind": sketches.kind,
-        "m": sketches.m,
-        "l": sketches.l,
-        "q": sketches.q,
-        "members": members,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    with open(path, "w") as fh:  # numpy fields are written through .tolist()
+        json.dump({k: v for k, v in vars(sketches).items() if v is not None}, fh,
+                  default=lambda v: v.tolist())
 
 
 def load_sketches(path):
-    """Read a sketch set; selection members are turned back into row
-    indices and must be one-hot (see :meth:`SketchSet.from_members`)."""
+    """A set written by :func:`save_sketches`; bad fields raise ``ValueError``."""
     with open(path) as fh:
-        payload = json.load(fh)
-    return SketchSet.from_members(
-        payload["kind"], payload["m"], payload["l"], payload["q"], payload["members"]
-    )
+        fields = json.load(fh)
+    if "members" in fields:
+        raise ValueError(f"{path}: 'members' is the dense sketch format, which is no "
+                         "longer read; save the set again to store rows or mats")
+    try:
+        return SketchSet(**fields)
+    except TypeError as exc:  # a missing or unknown key
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _chosen_str(chosen):

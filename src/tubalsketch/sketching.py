@@ -68,31 +68,36 @@ class SketchSet:
     mats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        """Reject malformed fields; each check is one pass over ``rows`` or ``mats``."""
         if self.kind not in SPATIAL_KINDS + FOURIER_KINDS:
             raise ValueError(f"unknown sketch kind {self.kind!r}")
+        for name in ("m", "l", "q"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name}={value!r} must be a positive integer")
         gaussian = self.kind in GAUSSIAN_KINDS
         if (self.mats is None) == gaussian or (self.rows is None) != gaussian:
-            raise ValueError(f"{self.kind} sketch sets store {'mats' if gaussian else 'rows'}")
-
-    @classmethod
-    def from_members(cls, kind, m, l, q, members):
-        """Rebuild a set from its dense ``members`` view.
-
-        Selection members must have one-hot columns, and spatial members
-        must be zero beyond their first frontal slice.
-        """
-        per_slice = kind in FOURIER_KINDS
-        if per_slice:
-            mats = [[np.asarray(S, dtype=np.float64) for S in f] for f in members]
-        else:
-            mats = [[_first_slice(S) for S in members]]
-        if kind in GAUSSIAN_KINDS:
-            mats = np.asarray(mats, dtype=np.float64)
-            return cls(kind, m, l, q, mats=mats if per_slice else mats[0])
-        rows = [[_selected_rows(S, m) for S in family] for family in mats]
-        if any(f != rows[0] for f in rows):
-            raise ValueError("fourier-row families must agree across slices")
-        return cls(kind, m, l, q, rows=_row_array(rows[0], m))
+            raise ValueError(f"{self.kind} sketch sets store {'mats' if gaussian else 'rows'} only")
+        if gaussian:
+            mats = np.asarray(self.mats, dtype=np.float64)
+            shape = (self.l, self.q, self.m)[1 - self.per_slice:]
+            if mats.shape[:-1] != shape or not mats.size:
+                raise ValueError(f"mats has shape {mats.shape}, not {shape + ('tau',)}")
+            if not np.all(np.isfinite(mats)):
+                raise ValueError("mats contains NaN or inf")
+            object.__setattr__(self, "mats", mats)
+            return
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be integers, got dtype {rows.dtype}")
+        if rows.ndim != 2 or rows.shape[0] != self.q or not rows.size:
+            raise ValueError(f"rows has shape {rows.shape}, not (q={self.q}, tau)")
+        if rows.min() < 0 or rows.max() > self.m:
+            raise ValueError(f"rows must lie in [0, m={self.m}], got [{rows.min()}, {rows.max()}]")
+        empty = np.flatnonzero(np.all(rows == self.m, axis=1))
+        if empty.size:
+            raise ValueError(f"member {empty[0]} selects no row below m={self.m}")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def per_slice(self):
@@ -177,47 +182,25 @@ class SketchSet:
         return X
 
 
-def _first_slice(S):
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 3 or S[:, :, 1:].any():
-        raise ValueError("spatial sketch members must be zero beyond the first frontal slice")
-    return S[:, :, 0]
-
-
-def _row_array(blocks, m):
-    """(q, tau_max) row indices; shorter blocks are padded with the sentinel m."""
-    tau = max(len(b) for b in blocks)
-    return np.array([list(b) + [m] * (tau - len(b)) for b in blocks])
-
-
-def _selected_rows(S, m):
-    """Rows picked by the one-hot columns of an (m, tau) selection matrix."""
-    rows = np.argmax(S, axis=0) if S.ndim == 2 else None
-    if rows is None or S.shape[0] != m or not np.array_equal(S, np.eye(m)[:, rows]):
-        raise ValueError("selection sketch members must have one-hot columns")
-    return rows.tolist()
-
-
 def make_slice_sketches(m, l):
     """One sketch per horizontal slice: S_i is lateral slice i of the identity."""
     return SketchSet("slice", m, l, m, rows=np.arange(m)[:, None])
 
 
 def make_block_sketches(m, l, partition):
-    """Column-selection sketches for a disjoint cover of the row indices."""
-    seen = set()
-    blocks = []
-    for block in partition:
-        block = list(block)
-        if not block:
-            raise ValueError("empty block in partition")
-        if seen.intersection(block):
-            raise ValueError("overlapping blocks in partition")
-        seen.update(block)
-        blocks.append(block)
-    if seen != set(range(m)):
+    """Column-selection sketches for a disjoint cover of the row indices by
+    nonempty blocks; shorter blocks are padded with the sentinel m."""
+    blocks = [list(block) for block in partition]
+    flat = sorted(i for block in blocks for i in block)
+    if not all(blocks):
+        raise ValueError("empty block in partition")
+    if len(set(flat)) < len(flat):
+        raise ValueError("overlapping blocks in partition")
+    if flat != list(range(m)):
         raise ValueError("partition must cover every row index exactly once")
-    return SketchSet("block", m, l, len(blocks), rows=_row_array(blocks, m))
+    tau = max(map(len, blocks))
+    rows = np.array([block + [m] * (tau - len(block)) for block in blocks])
+    return SketchSet("block", m, l, len(blocks), rows=rows)
 
 
 def make_gaussian_sketches(m, tau, q, l, rng):

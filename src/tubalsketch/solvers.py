@@ -112,9 +112,9 @@ class SolverConfig:
     (uniform).  It is the fixed distribution of the nonadaptive methods and
     the reference distribution of the capped rule.  ``tau`` is only read by
     the fresh-draw TSP method.  Building a state rejects ``record_every <
-    1``, ``audit_every < 0``, ``max_iters < 0``, a count that is not a whole
-    number, ``theta`` outside [0, 1] and ``tol < 0`` or NaN with a
-    ``ValueError`` that names the field.
+    1``, ``audit_every < 0``, ``max_iters < 0``, ``seed < 0``, a count or
+    seed that is not a whole number, ``theta`` outside [0, 1] and ``tol <
+    0`` or NaN with a ``ValueError`` that names the field.
     """
 
     method: str = "NTSP"
@@ -253,6 +253,7 @@ class _BaseState:
             ("theta", 0.0 <= config.theta <= 1.0),
             ("max_iters", whole(config.max_iters) and config.max_iters >= 0),
             ("tol", config.tol >= 0.0),
+            ("seed", whole(config.seed) and config.seed >= 0),
         ):
             if not ok:
                 raise ValueError(f"{name}={getattr(config, name)!r} is out of range")
@@ -603,9 +604,9 @@ class _FreshGaussianState(_BaseState):
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        if config.tau < 1 or config.tau > self.m:
-            raise ValueError(f"tau={config.tau} out of range for m={self.m}")
-        self.tau = config.tau
+        if not float(config.tau).is_integer() or not 1 <= config.tau <= self.m:
+            raise ValueError(f"tau={config.tau!r} is not a whole number in [1, m={self.m}]")
+        self.tau = int(config.tau)
         self.sketch_rng = _rng(config.seed, 0)
         self.QiAH = np.conj(np.swapaxes(self.Ah, -1, -2), order="C")
         self.QiAH = self.QiAH if self.q_is_identity else self.Qinv @ self.QiAH

@@ -29,7 +29,6 @@ __all__ = [
     "bcirc",
     "identity",
     "dft3",
-    "idft3",
     "fft_slices",
     "ifft_slices",
     "rfft_slices",
@@ -101,16 +100,6 @@ def identity(n, l):
 def dft3(X):
     """Unnormalized DFT along the depth axis; returns complex (m, n, l)."""
     return np.fft.fft(np.asarray(X, dtype=np.complex128), axis=2)
-
-
-def idft3(F, imag_tol=IMAG_TOL):
-    """Inverse depth DFT of slices that should describe a real tensor.
-
-    Raises ``ValueError`` if the imaginary residue exceeds ``imag_tol``
-    relative to the real part, since that signals broken conjugate
-    symmetry rather than rounding noise.
-    """
-    return ifft_slices(np.moveaxis(np.asarray(F, dtype=np.complex128), 2, 0), imag_tol)
 
 
 def fft_slices(X):

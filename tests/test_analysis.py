@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from tubalsketch.sketching import (
     prob_sketch_norm,
     prob_uniform,
 )
-from tubalsketch.solvers import SolverConfig, solve
+from tubalsketch.solvers import RunRecord, SolverConfig, solve
 from tubalsketch.t_algebra import WeightQ, bcirc, dft3, identity, tprod
 
 
@@ -367,6 +370,29 @@ class TestVerifyBounds:
         with pytest.raises(ValueError, match="x_star"):
             verify_bounds([rec], rep, "max-distance")
 
+    def test_max_distance_tie_goes_to_the_first_record(self):
+        rates = SimpleNamespace(rate=lambda bound, theta=0.5: 0.8)
+        # both records reach the ratio 0.75, the first at t=3, the second at t=0
+        first = RunRecord("ATSP-MD", t=np.array([0, 3, 6]),
+                          q_error=np.array([1.0, 0.5, 0.375]))
+        second = RunRecord("ATSP-MD", t=np.array([0, 5, 10]),
+                           q_error=np.array([1.0, 0.75, 0.0625]))
+        check = verify_bounds([first, second], rates, "max-distance")
+        assert (check.passed, check.worst_ratio, check.worst_t) == (True, 0.75, 3)
+        check = verify_bounds([second, first], rates, "max-distance")
+        assert (check.worst_ratio, check.worst_t) == (0.75, 0)
+
+    def test_max_distance_skips_steps_from_the_floor(self):
+        # errors at or below 1e-20 of the start carry no rate information:
+        # the 1e-25 -> 1e-24 rise and the 0/0 steps are not checked
+        rates = SimpleNamespace(rate=lambda bound, theta=0.5: 0.6)
+        rec = RunRecord("ATSP-MD", t=np.arange(6),
+                        q_error=np.array([1.0, 0.5, 1e-25, 1e-24, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = verify_bounds([rec], rates, "max-distance")
+        assert (check.passed, check.worst_ratio, check.worst_t) == (True, 0.5, 0)
+
     def test_bound_names(self):
         assert set(BOUNDS) == {"nonadaptive", "max-distance", "proportional",
                                "capped"}
@@ -381,6 +407,25 @@ class TestFlopFormulas:
             (4 * p * l + 2) * q + 2 * n * p * l
         assert flops_per_iteration("ATSP-CS-II", 1, q, n, p, l) == \
             (4 * p + 5) * q * l + 2 * n * p * l
+
+    # recorded with the per-method branches this formula replaced: every cell
+    # at q=7, n=11, p=5, in the order (tau, l) = (1, 1), (1, 6), (3, 1), (3, 6)
+    PINNED = {
+        "NTSP": (180, 1080, 660, 3960),
+        "ATSP-MD": (243, 1500, 1170, 7027),
+        "ATSP-PR": (257, 1514, 1177, 7034),
+        "ATSP-CS": (285, 1542, 1205, 7062),
+        "NTSP-II": (55, 330, 165, 990),
+        "ATSP-MD-II": (55, 330, 1170, 7020),
+        "ATSP-PR-II": (257, 1542, 1177, 7062),
+        "ATSP-CS-II": (285, 1710, 1205, 7230),
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED))
+    def test_pinned_counts(self, method):
+        got = tuple(flops_per_iteration(method, tau, 7, 11, 5, l)
+                    for tau in (1, 3) for l in (1, 6))
+        assert got == self.PINNED[method]
 
     def test_monotone_in_every_argument(self):
         rng = np.random.default_rng(15)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tubalsketch.cli import main
-from tubalsketch.io import load_tensor, read_trace
+from tubalsketch.io import load_sketches, load_tensor, read_trace
+from tubalsketch.solvers import SolverConfig, solve
 
 
 def run_cli(*args):
@@ -89,13 +90,19 @@ class TestSolve:
         assert "Traceback" not in err
 
     def test_sketch_replay_file(self, system_files, tmp_path):
-        sk = tmp_path / "sketches.json"
+        sk, trace, out = (tmp_path / name for name in ("sketches.json", "run.csv", "x.tns"))
         code = run_cli(
             "solve", "--method", "NTSP", "--sketch", "gaussian", "--tau", 2,
             "--q", 6, "--in", f"{system_files}_A.tns", f"{system_files}_B.tns",
-            "--tol", "1e-6", "--seed", 5, "--save-sketches", sk,
+            "--tol", "1e-6", "--seed", 5, "--save-sketches", sk, "--trace", trace,
+            "--out", out,
         )
-        assert code == 0 and sk.exists()
+        assert code == 0
+        A, B = (load_tensor(f"{system_files}_{name}.tns") for name in "AB")
+        X, rec = solve(A, B, SolverConfig(method="NTSP", sketches=load_sketches(sk),
+                                          tol=1e-6, seed=5))
+        assert rec.iterations == read_trace(trace)["t"][-1]
+        assert np.array_equal(X, load_tensor(out))
 
 
 class TestRatesAndVerify:

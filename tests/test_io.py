@@ -15,6 +15,7 @@ from tubalsketch.io import (
     write_trace,
 )
 from tubalsketch.sketching import (
+    SketchSet,
     make_block_sketches,
     make_fourier_sketches,
     make_gaussian_sketches,
@@ -76,6 +77,40 @@ class TestSliceCsv:
             load_slices_csv(path, 2)
 
 
+SETS = {
+    "slice": lambda: make_slice_sketches(6, 2),
+    "ragged-block": lambda: make_block_sketches(6, 2, [[0, 3], [1, 2, 4], [5]]),
+    "gaussian": lambda: make_gaussian_sketches(6, 2, 4, 2, np.random.default_rng(5)),
+    "fourier-row": lambda: make_fourier_sketches(6, 1, 6, 2, "row"),
+    "fourier-gaussian": lambda: make_fourier_sketches(6, 2, 4, 2, "gaussian",
+                                                      np.random.default_rng(3)),
+}
+
+_MATS = np.ones((2, 4, 1)).tolist()
+BAD_FIELDS = [
+    (dict(kind="slice", m=3, l=2, q=3, rows=[[0], [1.5], [2]]),
+     "rows must be integers, got dtype float64"),
+    # -1 and -2 used to read the sentinel row and the last row
+    (dict(kind="block", m=6, l=4, q=3, rows=[[0, 1, 6], [2, 3, 6], [4, -1, -2]]),
+     r"rows must lie in \[0, m=6\], got \[-2, 6\]"),
+    (dict(kind="slice", m=3, l=2, q=3, rows=[[0], [1], [4]]),
+     r"rows must lie in \[0, m=3\], got \[0, 4\]"),
+    (dict(kind="slice", m=3, l=2, q=2, rows=[[0], [1], [2]]),
+     r"rows has shape \(3, 1\), not \(q=2, tau\)"),
+    (dict(kind="block", m=4, l=2, q=3, rows=[[0, 1], [4, 4], [2, 3]]),
+     "member 1 selects no row below m=4"),
+    (dict(kind="slice", m=3, l=2, q=3), "slice sketch sets store rows only"),
+    (dict(kind="gaussian", m=3, l=2, q=2, mats=_MATS),
+     r"mats has shape \(2, 4, 1\), not \(2, 3, 'tau'\)"),
+    (dict(kind="fourier-gaussian", m=4, l=2, q=2, mats=_MATS),
+     r"mats has shape \(2, 4, 1\), not \(2, 2, 4, 'tau'\)"),
+    (dict(kind="gaussian", m=4, l=2, q=2, mats=[[[1.0]] * 4, [[float("nan")]] * 4]),
+     "mats contains NaN or inf"),
+    (dict(kind="slice", m=0, l=2, q=1, rows=[[0]]), "m=0 must be a positive integer"),
+    (dict(kind="slice", m=3, l=2.0, q=1, rows=[[0]]), "l=2.0 must be a positive integer"),
+]
+
+
 class TestSketchSerialization:
     def test_spatial_round_trip(self, tmp_path):
         s = make_gaussian_sketches(5, 2, 3, 4, np.random.default_rng(2))
@@ -119,36 +154,47 @@ class TestSketchSerialization:
             assert (t.kind, t.m, t.l, t.q, t.taus) == (s.kind, s.m, s.l, s.q, s.taus)
             np.testing.assert_array_equal(t.rows, s.rows)
 
-    def test_rejects_members_that_are_not_selections(self, tmp_path):
-        def payload(kind, members, m=3, l=2, q=1):
-            return {"kind": kind, "m": m, "l": l, "q": q, "members": members}
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_file_holds_the_fields_and_replays(self, tmp_path, name):
+        s = SETS[name]()
+        path = tmp_path / "s.json"
+        save_sketches(path, s)
+        stored = "mats" if s.rows is None else "rows"
+        assert set(json.loads(path.read_text())) == {"kind", "m", "l", "q", stored}
+        t = load_sketches(path)
+        assert (t.kind, t.m, t.l, t.q) == (s.kind, s.m, s.l, s.q)
+        assert np.array_equal(getattr(t, stored), getattr(s, stored))
+        assert getattr(t, stored).dtype == getattr(s, stored).dtype
+        A, Xs, B = gen_gaussian(ProblemSpec(m=6, n=3, p=2, l=2, seed=4))
+        cfg = dict(method="ATSP-PR-II" if s.per_slice else "ATSP-PR", tol=1e-8,
+                   seed=6, max_iters=20_000)
+        X1, r1 = solve(A, B, SolverConfig(sketches=s, **cfg), x_star=Xs)
+        X2, r2 = solve(A, B, SolverConfig(sketches=t, **cfg), x_star=Xs)
+        assert np.array_equal(X1, X2) and r1.chosen == r2.chosen
 
-        one_hot = np.zeros((3, 1, 2))
-        one_hot[1, 0, 0] = 1.0
-        scaled = 2.0 * one_hot
-        two_ones = one_hot.copy()
-        two_ones[2, 0, 0] = 1.0
-        late = one_hot.copy()
-        late[0, 0, 1] = 1.0
-        gaussian_late = np.random.default_rng(12).standard_normal((3, 1, 2))
-        rows = [np.eye(3)[:, i:i + 1].tolist() for i in range(3)]
-        swapped = [rows[1], rows[0], rows[2]]
-        bad = [
-            payload("slice", [scaled.tolist()]),
-            payload("block", [two_ones.tolist()]),
-            payload("slice", [late.tolist()]),  # nonzero second frontal slice
-            payload("gaussian", [gaussian_late.tolist()]),
-            payload("fourier-row", [rows, swapped], q=3),  # families disagree
-            payload("fourier-row", [[[[0.5], [0.5], [0.0]]]] * 2),
-        ]
-        for data in bad:
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(data))
-            with pytest.raises(ValueError):
-                load_sketches(path)
-        path = tmp_path / "good.json"
-        path.write_text(json.dumps(payload("slice", [one_hot.tolist()])))
-        np.testing.assert_array_equal(load_sketches(path).rows, [[1]])
+    @pytest.mark.parametrize("fields, message", BAD_FIELDS)
+    def test_malformed_set_rejected_when_built(self, tmp_path, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SketchSet(**fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=message):
+            load_sketches(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        # keys the dataclass lacks are a TypeError when passed directly, so
+        # only the file reader has something to say about them
+        (dict(kind="slice", m=3, l=2, q=1, members=[[[[1.0, 0.0]]] * 3]),
+         "'members' is the dense sketch format"),
+        (dict(kind="slice", m=3, l=2, q=1, rows=[[0]], extra=1),
+         "unexpected keyword argument 'extra'"),
+        (dict(kind="slice", m=3, l=2, rows=[[0]]), "missing 1 required positional argument: 'q'"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, fields, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=message):
+            load_sketches(path)
 
 
 class TestTraceFormat:

@@ -591,6 +591,8 @@ class TestRunBehaviour:
         ("audit_every", 0.5),
         ("tol", -1e-8),
         ("tol", float("nan")),
+        ("seed", 2.5),
+        ("seed", -1),
     ])
     def test_bad_config_value_rejected_up_front(self, field, value):
         A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
@@ -606,6 +608,18 @@ class TestRunBehaviour:
                            max_iters=12.0, record_every=4.0, audit_every=6.0)
         X, rec = solve(A, B, cfg, x_star=Xs)
         assert rec.iterations == 12 and list(rec.t) == [0, 4, 8, 12]
+
+    def test_fractional_tau_rejected(self):
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        with pytest.raises(ValueError, match="^tau=2.5 "):
+            solve(A, B, SolverConfig(method="TSP", tau=2.5), x_star=Xs)
+
+    def test_whole_float_tau_runs_as_the_integer(self):
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        runs = [solve(A, B, SolverConfig(method="TSP", tau=tau, seed=3, max_iters=40,
+                                         tol=0.0), x_star=Xs) for tau in (2, 2.0)]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1].epsilon, runs[1][1].epsilon)
 
     @pytest.mark.parametrize("method", ["NTSP", "ATSP-CS", "NTSP-II"])
     def test_nan_probabilities_rejected_up_front(self, method):
