@@ -127,6 +127,8 @@ def _sketches_from_args(args, m, l):
 
 
 def _cmd_solve(args):
+    if args.save_sketches and args.method.upper() == "TSP":
+        raise ValueError("--save-sketches: TSP draws a fresh sketch every iteration")
     A = tio.load_tensor(args.inputs[0])
     B = tio.load_tensor(args.inputs[1])
     x_star = tio.load_tensor(args.xstar) if args.xstar else None
@@ -147,7 +149,7 @@ def _cmd_solve(args):
         tio.write_trace(args.trace, record)
     if args.out:
         tio.save_tensor(args.out, X)
-    if args.save_sketches and sketches is not None:
+    if args.save_sketches:
         tio.save_sketches(args.save_sketches, sketches)
     return 0 if record.converged else 2
 

@@ -15,7 +15,6 @@ All constructors are deterministic given a seeded ``numpy`` Generator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +156,7 @@ class SketchSet:
                 Xh if idx is not None else Xh[:, None])
         Xh = self._padded(Xh, 1)
         if idx is None:
-            return Xh[:, self.rows]
+            return np.take(Xh, self.rows, axis=1)  # C-contiguous, unlike Xh[:, rows]
         return Xh[np.arange(self.l)[:, None], self.rows[idx]]
 
     def sketch_cols(self, Yh, idx=None):
@@ -321,33 +320,37 @@ def sample_index(p, rng):
 
 def is_complete_discrete_sampling(A, sketches, relcut=1e-10, sketched=None):
     """Check, per Fourier slice, full row rank of every sketched system and
-    full column reach of the stacked family.
+    full column reach of the stacked family S (q tau x n).
 
-    Singular values count when they exceed ``relcut`` times the larger
-    dimension times the slice's largest stacked singular value, so the
-    verdict does not change when A is scaled.  Spatial sets are checked on
-    slices 0..l//2: slice l-k of a real A is the conjugate of slice k, with
-    the same singular values.  The rate certificates assume this property;
-    the solvers only warn when it fails because the pseudoinverse still
-    defines a valid iteration.  ``sketched``: those slices sketched, if held.
+    S reaches every column when n singular values exceed cut = relcut *
+    max(q tau, n) times the largest, so scaling A changes no verdict.  The
+    eigenvalues of the Grams S^H S decide first: a slice passes when
+    lambda_min > margin * lambda_max, margin = max(1e-6, 100 cut^2, 100 q tau
+    n eps).  The Gram's rounding is below margin/100 * lambda_max, so a pass
+    means sigma_min/sigma_max of about 10 cut or more, which the SVD, run
+    only on the undecided slices, passes too.  Members need full row rank at
+    the tolerance relcut * max(tau, n) * sqrt(lambda_max).  Spatial sets are
+    checked on slices 0..l//2 (slice l-k of a real A is the conjugate of
+    slice k).  The rate certificates assume this property; the solvers only
+    warn when it fails, as the pseudoinverse still defines a valid
+    iteration.  ``sketched``: those slices sketched, if held.
     """
     SA = sketched if sketched is not None else sketches.sketch(
         (fft_slices if sketches.per_slice else rfft_slices)(A))
     l, q, tau, n = SA.shape
-    sv = np.linalg.svd(SA.reshape(l, q * tau, n), compute_uv=False)
-    top = sv[:, :1]
-    if np.any(np.sum(sv > relcut * max(q * tau, n) * top, axis=1) < n):
+    if q * tau < n:  # the stacked family cannot reach every column
         return False
-    tol = relcut * max(tau, n) * top  # a 1 x n member has rank 1 iff its norm exceeds tol
-    ranks = (np.linalg.norm(SA[:, :, 0], axis=-1) > tol if tau == 1
+    S = SA.reshape(l, q * tau, n)
+    lam = np.linalg.eigvalsh(np.conj(np.swapaxes(S, -1, -2)) @ S)
+    cut = relcut * max(q * tau, n)
+    margin = max(1e-6, 100 * cut**2, 100 * q * tau * n * np.finfo(np.float64).eps)
+    undecided = lam[:, 0] <= margin * lam[:, -1]
+    if undecided.any():
+        sv = np.linalg.svd(S[undecided], compute_uv=False)
+        if np.any(np.sum(sv > cut * sv[:, :1], axis=1) < n):
+            return False
+    tol = relcut * max(tau, n) * np.sqrt(lam[:, -1:])
+    ranks = (np.linalg.norm(SA[:, :, 0], axis=-1) > tol if tau == 1  # 1 x n: rank 1 iff norm > tol
              else np.linalg.matrix_rank(SA, tol=tol))
     return bool(np.all(ranks >= np.array(sketches.taus)))
 
-
-def warn_if_not_complete(A, sketches, sketched=None):
-    if not is_complete_discrete_sampling(A, sketches, sketched=sketched):
-        warnings.warn(
-            "sketch family is not complete discrete sampling for this system; "
-            "the iteration is still defined but the rate certificates may not hold",
-            stacklevel=3,
-        )

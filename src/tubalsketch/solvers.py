@@ -54,19 +54,20 @@ h = l//2 + 1, and weight slice k by its multiplicity w_k (1 for slice 0
 and, for even l, slice l/2; 2 for the others) in every loss and norm.
 The -II methods keep all l slices.  A state keeps its iterate Xh as the
 first n rows of a block Z, slices first.  The finite spatial sets and the
-four cached per-slice methods keep their sketched residuals R below it and
-one table U, (slices, q, n + q tau, tau), whose block U[k, j] stacks member
-j's step map over its cross products C_i^H N_i Q^{-1} N_j^H C_j with every
-member i, so drawing j updates both at once: Z -= U[:, j] @ R[:, j].  The
-spatial states run this as one zgemm per slice that writes into Z itself;
-the per-slice states keep numpy's batched matmul.  TSP-I and TSP-II keep
-per-member tables and the gathered projections of one block of draws (see
-:class:`_DirectState`).
+four cached per-slice methods keep their sketched residuals R below it
+(R_0 = -C^H S^H B, as X_0 = 0) and one table U, (slices, q, n + q tau,
+tau), whose block U[k, j] stacks member j's step map over its cross
+products C_i^H N_i Q^{-1} N_j^H C_j with every member i, so drawing j
+updates both at once: Z -= U[:, j] @ R[:, j].  The spatial states run this
+as one zgemm per slice that writes into Z itself; the per-slice states keep
+numpy's batched matmul.  TSP-I and TSP-II keep per-member tables and the
+gathered projections of one block of draws (see :class:`_DirectState`).
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -403,9 +404,10 @@ class _FiniteSetState(_BaseState):
 
     def _member_tables(self, Ah, Bh, Qinv):
         """N = S^H A, Q^{-1} N^H and S^H B of every member, (slices, q, ...)."""
-        sk = self.sketches
-        AH = np.conj(np.swapaxes(Ah, -1, -2), order="C")  # (slices, n, m); Q^{-1} = I is skipped
-        return sk.sketch(Ah), sk.sketch_cols(AH if self.q_is_identity else Qinv @ AH), sk.sketch(Bh)
+        sk, N = self.sketches, self.sketches.sketch(Ah)
+        AQS = (np.conj(np.swapaxes(N, -1, -2), order="C") if self.q_is_identity  # Q^{-1} = I: N^H
+               else sk.sketch_cols(Qinv @ np.conj(np.swapaxes(Ah, -1, -2))))
+        return N, AQS, sk.sketch(Bh)
 
     def _uniforms(self):
         """The next (_UNIFORM_BLOCK, streams) block: column k holds the values
@@ -438,22 +440,25 @@ class _SetState(_FiniteSetState):
     Per member i and slice k the setup stores the sketched system N = S^H A,
     a factor C with C C^H = pinv(N Q^{-1} N^H), the step map Q^{-1} N^H C,
     the cross products C_i^H N_i Q^{-1} N_j^H C_j, and the running sketched
-    residuals R_i = C_i^H (N_i X - S_i^H B), as views of the block Z and of
-    the table U = [step_map; cross] (see the module docstring).  Selection
-    sets build N, Q^{-1} N^H and S^H B by gathering rows; ragged blocks are
-    padded with zero rows, which get zero factor columns.  The completeness
-    check runs on N.  ``views``: R, the view the losses read, ``before`` flat.
-    A step subtracts U[k, j] @ R[k, j] from Z[k] for the member j drawn in
-    slice k: one zgemm per slice for spatial sets, one batched matmul for
-    per-slice sets.
+    residuals R_i = C_i^H (N_i X - S_i^H B), R_0 = -C^H S^H B as X_0 = 0, as
+    views of the block Z and of the table U = [step_map; cross] (see the
+    module docstring).  Selection sets gather N and S^H B by rows; ragged
+    blocks are padded with zero rows, which get zero factor columns.  The
+    completeness check runs on N.  ``views``: R, the view the losses read,
+    ``before`` flat.  A step subtracts U[k, j] @ R[k, j] from Z[k] for the
+    member j drawn in slice k: one zgemm per slice for spatial sets, one
+    batched matmul for per-slice sets.
     """
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         N, AQS, self.SB = (
             np.ascontiguousarray(T) for T in self._member_tables(self.Ah, self.Bh, self.Qinv))
-        if config.check_sampling:
-            sketching.warn_if_not_complete(A, self.sketches, N)
+        if config.check_sampling and not sketching.is_complete_discrete_sampling(
+                A, self.sketches, sketched=N):
+            warnings.warn("sketch family is not complete discrete sampling for this system; the "
+                          "iteration is still defined but the rate certificates may not hold",
+                          stacklevel=2)
         self.C = batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
         h, q, tau, n = N.shape
         CH = np.conj(np.swapaxes(self.C, -1, -2))
@@ -467,7 +472,7 @@ class _SetState(_FiniteSetState):
             cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
         self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
-        self.R[...] = CH @ ((N @ self.Xh[:, None]) - self.SB)
+        self.R[...] = -(CH @ self.SB)  # X_0 = 0
         R, v = self.R, self._energy_view(self.R)
         self.before = None if self.adaptive else np.empty(v.shape, v.dtype)
         self.views = (R, v, None if self.adaptive else self.before.reshape(-1).view(np.float64))

@@ -104,6 +104,19 @@ class TestSolve:
         assert rec.iterations == read_trace(trace)["t"][-1]
         assert np.array_equal(X, load_tensor(out))
 
+    def test_tsp_rejects_save_sketches_before_solving(self, system_files, tmp_path,
+                                                      capsys, monkeypatch):
+        # TSP keeps no sketch set to save, so the flag is a usage error
+        monkeypatch.setattr("tubalsketch.cli.solve", lambda *a, **k: pytest.fail("solved"))
+        sk = tmp_path / "sketches.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--method", "TSP", "--in", f"{system_files}_A.tns",
+                    f"{system_files}_B.tns", "--save-sketches", sk)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "--save-sketches" in err and "fresh sketch every iteration" in err, err
+        assert not sk.exists()
+
 
 class TestRatesAndVerify:
     def test_rates_report(self, system_files, tmp_path):

@@ -31,7 +31,7 @@ from tubalsketch.sketching import (
     make_slice_sketches,
 )
 from tubalsketch.solvers import SolverConfig, make_state, solve
-from tubalsketch.t_algebra import WeightQ, identity, tprod_oracle, ttranspose
+from tubalsketch.t_algebra import WeightQ, batched_inv_factor, identity, tprod_oracle, ttranspose
 
 RECORDS = Path(__file__).parent / "data" / "seeded_records.json"
 HALF_SPECTRUM = ("TSP", "NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS", "TSP-I")
@@ -143,3 +143,54 @@ def test_ragged_blocks_pad_with_zero_rows():
     got = s.sketch(X)  # (l, q, tau, 1)
     np.testing.assert_array_equal(got[:, 0, :, 0], [[1, 4, 0], [6, 9, 0]])
     np.testing.assert_array_equal(s.members[0][:, :, 0], np.eye(5)[:, [0, 3]])
+
+
+def _five_sets(l):
+    return {
+        "slice": make_slice_sketches(9, l),
+        "block": make_block_sketches(9, l, [[0, 4, 8], [1, 2], [3, 5, 6, 7]]),  # ragged
+        "gaussian": make_gaussian_sketches(9, 2, 5, l, np.random.default_rng(52)),
+        "fourier-row": make_fourier_sketches(9, 1, 9, l, "row"),
+        "fourier-gaussian": make_fourier_sketches(9, 2, 5, l, "gaussian",
+                                                  np.random.default_rng(53)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["slice", "block", "gaussian", "fourier-row", "fourier-gaussian"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("l", [4, 5])
+def test_setup_tables_equal_the_gathered_and_multiplied_out_expressions(kind, weighted, l):
+    # Q^{-1} N^H is N^H under the identity weight and R_0 = -C^H S^H B; both
+    # must equal, bit for bit, Q^{-1} A^H gathered by columns and
+    # C^H (N X_0 - S^H B) with X_0 = 0
+    A, Xs, B = gen_gaussian(ProblemSpec(m=9, n=4, p=2, l=l, seed=54))
+    Q = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(55), 4, l))
+         if weighted else WeightQ.identity(4, l))
+    s = _five_sets(l)[kind]
+    st = make_state(A, B, SolverConfig(method="ATSP-MD-II" if s.per_slice else "ATSP-MD",
+                                       sketches=s, weight=Q), x_star=Xs)
+    h, q, tau, n = st.N.shape
+    if s.rows is None:
+        N, SB = s.sketch(st.Ah), s.sketch(st.Bh)
+    else:  # X[:, rows] of the stack padded with a zero row
+        N, SB = (s._padded(X, 1)[:, s.rows] for X in (st.Ah, st.Bh))
+    AQS = np.ascontiguousarray(s.sketch_cols(st.Qinv @ np.conj(np.swapaxes(st.Ah, -1, -2))))
+    C = batched_inv_factor(N @ AQS, slice_axis=None if s.per_slice else 0)
+    CH = np.conj(np.swapaxes(C, -1, -2))
+    step_map = AQS @ C
+    cross = np.empty((h, q, q, tau, tau), dtype=np.complex128)
+    for k in range(h):
+        jc = np.swapaxes(step_map[k], 1, 2).reshape(q * tau, n)
+        ia = np.moveaxis(CH[k] @ N[k], 2, 0).reshape(n, q * tau)
+        cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
+    R = CH @ ((N @ np.zeros_like(st.Xh)[:, None]) - SB)
+    for name, want in (("N", N), ("SB", SB), ("C", C), ("step_map", step_map),
+                       ("cross", cross.reshape(h, q, q * tau, tau)), ("R", R)):
+        np.testing.assert_array_equal(getattr(st, name), want, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["slice", "block", "fourier-row"])
+def test_selection_sketches_are_c_contiguous(kind):
+    s = _five_sets(4)[kind]
+    X = np.random.default_rng(56).standard_normal((4, 9, 3)) + 0j
+    assert s.sketch(X).flags.c_contiguous

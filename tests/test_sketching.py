@@ -15,7 +15,15 @@ from tubalsketch.sketching import (
     prob_uniform,
     sample_index,
 )
-from tubalsketch.t_algebra import WeightQ, dft3, tprod_oracle, ttranspose, unfold
+from tubalsketch.t_algebra import (
+    WeightQ,
+    dft3,
+    fft_slices,
+    rfft_slices,
+    tprod_oracle,
+    ttranspose,
+    unfold,
+)
 
 
 class TestSliceSketches:
@@ -284,3 +292,76 @@ class TestCompleteDiscreteSampling:
                 assert got == rank_loop_complete(system, s), (s.kind, got)
                 verdicts.append(got)
         assert any(verdicts) and not all(verdicts)
+
+    @staticmethod
+    def _one_slice_conditioned(l, ratio):
+        """A 6x3xl system whose Fourier slice l//2 (and its mirror) has
+        singular values 1, 0.5 and ``ratio``, built as in the oracle test."""
+        rng = np.random.default_rng(27)
+        A = rand_tubal(rng, 6, 3, l)
+        cplx = 1j * (l % 2)  # slice l/2 of a real tensor is real for even l
+        U, _ = np.linalg.qr(rng.standard_normal((6, 3)) + cplx * rng.standard_normal((6, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        M = (U * [1.0, 0.5, ratio]) @ V.T
+        F = np.fft.fft(A, axis=2)
+        F[:, :, l // 2], F[:, :, -(l // 2)] = M, np.conj(M)
+        return np.fft.ifft(F, axis=2).real
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        """Record the stacks passed to np.linalg.svd and np.linalg.eigvalsh."""
+        calls = {"svd": [], "eigvalsh": []}
+        for name, stacks in calls.items():
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=real, _s=stacks, **kw:
+                                _s.append(np.array(a)) or _f(a, *args, **kw))
+        return calls
+
+    @pytest.mark.parametrize("l", [3, 4])
+    def test_ill_conditioned_slice_verdicts_and_svd_fallback(self, l, monkeypatch):
+        # the Gram certifies the slices with sigma_min/sigma_max well above
+        # the cut, and only the others go to the SVD, whose verdict stands
+        sets = [
+            make_slice_sketches(6, l),
+            make_block_sketches(6, l, [[0, 5], [1, 2, 3], [4]]),
+            make_gaussian_sketches(6, 2, 4, l, np.random.default_rng(24)),
+            make_fourier_sketches(6, 1, 6, l, "row"),
+            make_fourier_sketches(6, 2, 3, l, "gaussian", np.random.default_rng(25)),
+        ]
+        calls = self._count_factorizations(monkeypatch)
+        verdicts = []
+        for ratio in (1e-1, 1e-4, 1e-7, 1e-9, 0.0):
+            A = self._one_slice_conditioned(l, ratio)
+            for s in sets:
+                S = s.sketch((fft_slices if s.per_slice else rfft_slices)(A))
+                S = S.reshape(S.shape[0], -1, 3)
+                sv = np.linalg.svd(S, compute_uv=False)
+                undecided = sv[:, -1] / sv[:, 0] < 1e-3  # lambda ratio below margin = 1e-6
+                calls["svd"].clear()
+                got = is_complete_discrete_sampling(A, s)
+                assert got == rank_loop_complete(A, s), (s.kind, ratio, got)
+                verdicts.append(got)
+                assert undecided.any() == (ratio < 1e-3), (s.kind, ratio)
+                if undecided.any():
+                    assert len(calls["svd"]) == 1, (s.kind, ratio)
+                    np.testing.assert_array_equal(calls["svd"][0], S[undecided])
+                else:
+                    assert not calls["svd"], (s.kind, ratio)
+        assert verdicts.count(False) == len(sets)  # the exactly singular slice fails
+
+    @pytest.mark.parametrize("shape", [(60, 10, 4), (600, 100, 8)])
+    def test_well_conditioned_slice_set_runs_no_svd(self, shape, monkeypatch):
+        A = rand_tubal(np.random.default_rng(28), *shape)
+        calls = self._count_factorizations(monkeypatch)
+        assert is_complete_discrete_sampling(A, make_slice_sketches(shape[0], shape[2]))
+        assert not calls["svd"] and len(calls["eigvalsh"]) == 1
+
+    def test_too_few_sketched_rows_fail_with_no_factorization(self, monkeypatch):
+        # q tau = 2 < n = 3: the stacked family cannot reach every column
+        A = rand_tubal(np.random.default_rng(29), 6, 3, 4)
+        calls = self._count_factorizations(monkeypatch)
+        for s in (make_gaussian_sketches(6, 1, 2, 4, np.random.default_rng(30)),
+                  make_fourier_sketches(6, 2, 1, 4, "gaussian", np.random.default_rng(31))):
+            assert not is_complete_discrete_sampling(A, s)
+            assert not rank_loop_complete(A, s)
+        assert calls == {"svd": [], "eigvalsh": []}
