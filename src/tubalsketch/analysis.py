@@ -181,13 +181,14 @@ def closed_form_rate_bounds(A, Q, sketches, factors=None):
         weights = np.broadcast_to(
             np.mean(member_norm_sq, axis=0, keepdims=True), (l, q)
         )
-    p = weights / weights.sum(axis=1, keepdims=True)
+    # a zero Fourier slice (num = 0, zero member norms) gives 0/0: its bounds are 0
     with np.errstate(divide="ignore", invalid="ignore"):
+        p = weights / weights.sum(axis=1, keepdims=True)
         dmin = np.where(member_lmax > 0, p / member_lmax, np.inf).min(axis=1)
+        uniform = float(np.min(np.nan_to_num(num / (q * member_norm_sq.max(axis=1)))))
+        display = float(np.min(np.nan_to_num(num / weights.sum(axis=1))))
     dmin[~np.isfinite(dmin)] = 0.0
     norm_weighted = float(np.min(num * dmin))
-    uniform = float(np.min(num / (q * member_norm_sq.max(axis=1))))
-    display = float(np.min(num / weights.sum(axis=1)))
     return {
         "norm_weighted": norm_weighted,
         "uniform": uniform,
@@ -285,15 +286,15 @@ class RateReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            delta_p_sq=d["delta_p_sq"],
-            delta_inf_sq_lower=d["delta_inf_sq_lower"],
-            delta_inf_sq_estimate=d["delta_inf_sq_estimate"],
-            per_slice_min_rate=d["per_slice_min_rate"],
-            per_slice_lambdas=tuple(d["per_slice_lambdas"]),
-            q=d["q"],
-            closed_form_bounds=dict(d.get("closed_form_bounds", {})),
-        )
+        """The report of a JSON dict; a missing key raises ``ValueError``."""
+        try:
+            scalars = {k: d[k] for k in ("delta_p_sq", "delta_inf_sq_lower",
+                                         "delta_inf_sq_estimate", "per_slice_min_rate", "q")}
+            lambdas = tuple(d["per_slice_lambdas"])
+        except KeyError as exc:
+            raise ValueError(f"rate report lacks the key {exc}") from exc
+        return cls(**scalars, per_slice_lambdas=lambdas,
+                   closed_form_bounds=dict(d.get("closed_form_bounds", {})))
 
 
 def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):

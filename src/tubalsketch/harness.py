@@ -151,7 +151,7 @@ class MethodSpec:
     label: str = ""
     sketch: str = "slice"  # slice | block | gaussian | fourier-row | fourier-gaussian
     tau: int = 1
-    q: int = 0  # 0: defaults to m for slice/row kinds
+    q: int = 0  # 0: defaults to m for gaussian kinds; block: the number of blocks
     block_size: int = 0  # block sketches: contiguous blocks of this size
     prob: object = None
     theta: float = 0.5
@@ -165,8 +165,10 @@ def build_sketches(mspec, m, l, rng):
     kind = mspec.sketch
     if kind == "slice":
         return sketching.make_slice_sketches(m, l)
-    if kind == "block":
-        size = mspec.block_size or max(1, m // max(mspec.q, 1) if mspec.q else 2)
+    if kind == "block":  # contiguous blocks: block_size rows each (default 2), else q blocks
+        if mspec.q and not mspec.block_size:
+            return sketching.make_block_sketches(m, l, np.array_split(np.arange(m), mspec.q))
+        size = mspec.block_size or 2
         partition = [range(i, min(i + size, m)) for i in range(0, m, size)]
         return sketching.make_block_sketches(m, l, partition)
     if kind == "gaussian":
@@ -193,10 +195,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config of a JSON dict; an unknown key raises ``ValueError``."""
         d = dict(d)
-        problem = ProblemSpec(**d.pop("problem", {}))
-        methods = [MethodSpec(**entry) for entry in d.pop("methods", [])]
-        return cls(problem=problem, methods=methods, **d)
+        try:
+            problem = ProblemSpec(**d.pop("problem", {}))
+            methods = [MethodSpec(**entry) for entry in d.pop("methods", [])]
+            return cls(problem=problem, methods=methods, **d)
+        except TypeError as exc:  # an unknown key
+            raise ValueError(f"experiment config: {exc}") from exc
 
 
 def _run_one(config, mspec, trial, A, x_star, B):

@@ -53,15 +53,17 @@ l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
 h = l//2 + 1, and weight slice k by its multiplicity w_k (1 for slice 0
 and, for even l, slice l/2; 2 for the others) in every loss and norm.
 The -II methods keep all l slices.  A state keeps its iterate Xh as the
-first n rows of a block Z, slices first.  The finite spatial sets and the
-four cached per-slice methods keep their sketched residuals R below it
-(R_0 = -C^H S^H B, as X_0 = 0) and one table U, (slices, q, n + q tau,
-tau), whose block U[k, j] stacks member j's step map over its cross
-products C_i^H N_i Q^{-1} N_j^H C_j with every member i, so drawing j
-updates both at once: Z -= U[:, j] @ R[:, j].  The spatial states run this
-as one zgemm per slice that writes into Z itself; the per-slice states keep
-numpy's batched matmul.  TSP-I and TSP-II keep per-member tables and the
-gathered projections of one block of draws (see :class:`_DirectState`).
+first n rows of a block Z, slices first.  The finite-set methods other
+than TSP-I and TSP-II share one set state: their sketched residuals R sit
+below Xh (R_0 = -C^H S^H B, as X_0 = 0), and block U[k, j] of one table U,
+(slices, q, n + q tau, tau), stacks member j's step map over its cross
+products C_i^H N_i Q^{-1} N_j^H C_j with every member i, so choosing j in
+slice k updates both at once: Z[k] -= U[k, j] @ R[k, j], one zgemm that
+writes into Z.  A spatial choice is one j for every slice.  Every set
+method's losses square R's float view into a buffer and sum it by gemv,
+per slice, or over the slices weighted by w_k / l for spatial sets.  TSP-I
+and TSP-II keep per-member tables and the gathered projections of one
+block of draws (see :class:`_DirectState`).
 """
 
 from __future__ import annotations
@@ -444,10 +446,9 @@ class _SetState(_FiniteSetState):
     views of the block Z and of the table U = [step_map; cross] (see the
     module docstring).  Selection sets gather N and S^H B by rows; ragged
     blocks are padded with zero rows, which get zero factor columns.  The
-    completeness check runs on N.  ``views``: R, the view the losses read,
-    ``before`` flat.  A step subtracts U[k, j] @ R[k, j] from Z[k] for the
-    member j drawn in slice k: one zgemm per slice for spatial sets, one
-    batched matmul for per-slice sets.
+    completeness check runs on N.  ``views``: R, its (slices, 2 q tau p)
+    float view, which the losses read, and ``before`` flat.  Spatial and
+    per-slice sets share the losses, the audit and the step.
     """
 
     def __init__(self, A, B, config, x_star):
@@ -459,7 +460,7 @@ class _SetState(_FiniteSetState):
             warnings.warn("sketch family is not complete discrete sampling for this system; the "
                           "iteration is still defined but the rate certificates may not hold",
                           stacklevel=2)
-        self.C = batched_inv_factor(N @ AQS, slice_axis=self.slice_axis)
+        self.C = batched_inv_factor(N @ AQS, slice_axis=None if self.per_slice_selection else 0)
         h, q, tau, n = N.shape
         CH = np.conj(np.swapaxes(self.C, -1, -2))
         self.U = np.empty((h, q, n + q * tau, tau), dtype=np.complex128)
@@ -472,20 +473,48 @@ class _SetState(_FiniteSetState):
             cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
         self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
+        self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
         self.R[...] = -(CH @ self.SB)  # X_0 = 0
-        R, v = self.R, self._energy_view(self.R)
-        self.before = None if self.adaptive else np.empty(v.shape, v.dtype)
-        self.views = (R, v, None if self.adaptive else self.before.reshape(-1).view(np.float64))
+        R, v = self.R, self.R.reshape(h, -1).view(np.float64)
+        self.before = None if self.adaptive else np.empty(v.shape)
+        self.views = (R, v, None if self.adaptive else self.before.reshape(-1))
 
     R = property(lambda self: self.Z[:, self.n:].reshape(self.h, self.q, -1, self.p))
     step_map = property(lambda self: self.U[:, :, :self.n])  # (slices, q, n, tau)
     cross = property(lambda self: self.U[:, :, self.n:])  # (slices, q, q tau, tau)
 
+    def _loop_buffers(self):
+        super()._loop_buffers()
+        self.sq = np.empty(self.views[1].shape)
+        self.ones = np.ones(self.sq.shape[1] // self.q)
+        # spatial sets sum the energies over the slices, by w_k / l for their losses
+        self.w_loss = None if self.per_slice_selection else self.w / self.l
+        self.wsq = None if self.per_slice_selection else np.empty(self.sq.shape[1])
+
+    def _energy(self, v, w):
+        """Squared Frobenius norms of the residuals ``v`` (like ``views[1]``):
+        squares into ``sq``, then one gemv over each (slice, member) row if
+        ``w`` is None, (l, q), else a gemv over the slices weighted by ``w``
+        and one per member, (q,)."""
+        np.square(v, out=self.sq)
+        if w is None:
+            return (self.sq.reshape(-1, self.ones.size) @ self.ones).reshape(self.h, self.q)
+        np.dot(w, self.sq, out=self.wsq)
+        return self.wsq.reshape(self.q, -1) @ self.ones
+
+    def losses(self, v=None):
+        """The sketched losses, of residuals ``v`` (like ``views[1]``) if given:
+        (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2 for spatial sets, (l, q) of
+        ||R_i[k]||_F^2 for per-slice sets (their subsystems are independent)."""
+        return self._energy(self.views[1] if v is None else v, self.w_loss)
+
     def audit(self):
         """Max Frobenius deviation between recursed and fresh residuals."""
         CH = np.conj(np.swapaxes(self.C, -1, -2))
         fresh = CH @ ((self.N @ self.Xh[:, None]) - self.SB)
-        worst = float(np.sqrt(np.max(self._energy(self._energy_view(fresh - self.R)))))
+        drift = (fresh - self.R).reshape(self.h, -1).view(np.float64)
+        w = None if self.per_slice_selection else self.w  # spatial: sum_k w_k ||.||^2
+        worst = float(np.sqrt(np.max(self._energy(drift, w))))
         self.audit_max = max(self.audit_max, worst)
         return worst
 
@@ -500,36 +529,31 @@ class _SetState(_FiniteSetState):
         zero = self.views[2].dot(self.views[2]) < 1e-300 and self.losses(self.before).max() <= 0.0
         return None if zero else super().select(losses)
 
+    def step(self, choice):
+        """Z[k] -= U[k, j] @ R[k, j] for each slice k and its chosen member j
+        (a per-slice -1 skips the slice, whose gathered block, member q - 1,
+        goes unused): one zgemm per slice that writes into
+        Z, as Z[k].T -= R[k, j].T @ U[k, j].T on F-contiguous views (numpy's
+        matmul runs tau = 1 unblocked, through a Z-sized temporary).  The
+        chosen R blocks, rows of Z, are copied first: BLAS makes no promise
+        for an input that overlaps its output."""
+        if self.per_slice_selection:
+            choice = np.asarray(choice)
+            R = self.views[0][self.slices, choice].transpose(0, 2, 1)  # a gathered copy
+            for z, r, U, j in zip(self.Zt, R, self.U, choice.tolist()):
+                if j >= 0:  # -1: the slice is solved
+                    zgemm(-1.0, r, U[j].T, 1.0, z, 0, 0, 1)
+        else:
+            R = self.views[0][:, choice].copy().transpose(0, 2, 1)
+            for z, r, u in zip(self.Zt, R, self.U[:, choice].transpose(0, 2, 1)):
+                zgemm(-1.0, r, u, 1.0, z, 0, 0, 1)  # trans_a = trans_b = 0, overwrite_c
+        self.t += 1
+
 
 class _SpatialSetState(_SetState):
-    """Spatial sets: one family shared by all slices; the sketched loss of
-    member i is (1/l) sum_k w_k ||R_i[k]||_F^2 over slices 0..h-1, computed
-    by ``_energy`` in one pass over R, into buffers made after setup."""
+    """Spatial sets: one family shared by all slices, one member for all."""
 
     per_slice_selection = False
-    slice_axis = 0
-
-    _energy_view = lambda self, T: T.reshape(self.h, -1).view(np.float64)  # noqa: E731
-
-    def __init__(self, A, B, config, x_star):
-        super().__init__(A, B, config, x_star)
-        self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
-
-    def _loop_buffers(self):
-        super()._loop_buffers()
-        self.sq, self.w_loss = np.empty(self.views[1].shape), self.w / self.l
-        self.wsq, self.ones = np.empty(self.sq.shape[1]), np.ones(self.sq.shape[1] // self.q)
-
-    def _energy(self, v, w=None):
-        """Fresh (q,) sums over slices k of w_k ||v[k, member]||^2 (w_k from ``w``
-        if given): squares into ``sq``, a gemv over the slices, a gemv per member."""
-        np.square(v, out=self.sq)
-        np.dot(self.w if w is None else w, self.sq, out=self.wsq)
-        return self.wsq.reshape(self.q, -1) @ self.ones
-
-    def losses(self, v=None):
-        """(q,) sketched losses, of residuals ``v`` (``_energy_view``) if given."""
-        return self._energy(self.views[1] if v is None else v, self.w_loss)
 
     def select(self, losses):
         """Member index, or None when no loss is positive."""
@@ -540,18 +564,6 @@ class _SpatialSetState(_SetState):
             return None if losses[i] <= 0.0 else i
         cum = self._weights(losses).cumsum()
         return None if cum[-1] <= 0.0 else _inverse_cdf(cum, self._row()[0])
-
-    def step(self, i):
-        """Z[k] -= U[k, i] @ R[k, i] for each slice k, as one zgemm that
-        writes straight into Z: in Z[k].T -= R[k, i].T @ U[k, i].T all three
-        are F-contiguous views.  (numpy's matmul runs an inner dimension of 1,
-        tau = 1, in an unblocked loop and subtracts a Z-sized temporary.)
-        R[:, i] is rows of Z, and BLAS makes no promise for an input that
-        overlaps its output, so it is copied first."""
-        R = self.views[0][:, i].copy().transpose(0, 2, 1)
-        for z, r, u in zip(self.Zt, R, self.U[:, i].transpose(0, 2, 1)):
-            zgemm(-1.0, r, u, 1.0, z, 0, 0, 1)  # trans_a = trans_b = 0, overwrite_c
-        self.t += 1
 
     def variance_factor(self, losses):
         if self.rule != "pr":
@@ -564,25 +576,10 @@ class _SpatialSetState(_SetState):
 
 
 class _PerSliceSetState(_SetState):
-    """Per-slice sets: every Fourier slice k owns its own family, losses,
-    selection and residual recursion; the step touches all slices at once
-    through batched matmuls.  The candidate loss of member i in slice k is
-    ||R[k, i]||_F^2 (no 1/l: the subsystems are independent).
-    """
+    """Per-slice sets: each Fourier slice owns its family, losses and choice."""
 
     half_spectrum = False
     per_slice_selection = True
-    slice_axis = None
-
-    _energy_view = lambda self, T: T  # noqa: E731
-
-    def _energy(self, T):
-        """Squared Frobenius norm of each (slice, member) block of T."""
-        return np.add.reduce(np.square(np.abs(T)), axis=(2, 3))
-
-    def losses(self, v=None):
-        """(l, q) per-slice candidate losses, of residuals ``v`` when given."""
-        return self._energy(self.views[1] if v is None else v)
 
     def select(self, losses):
         """Per-slice index choices (-1: slice solved), or None if all are."""
@@ -595,13 +592,6 @@ class _PerSliceSetState(_SetState):
         cum = np.cumsum(self._weights(losses), axis=1)
         active = cum[:, -1] > 0
         return np.where(active, _inverse_cdf(cum, self._row()), -1) if active.any() else None
-
-    def step(self, idx):
-        idx = np.asarray(idx, dtype=int)
-        rows = slice(None) if idx.min() >= 0 else np.nonzero(idx >= 0)[0]  # all active: in place
-        ks, sel = self.slices[rows], idx[rows]
-        self.Z[rows] -= self.U[ks, sel] @ self.views[0][ks, sel]
-        self.t += 1
 
 
 class _FreshGaussianState(_BaseState):

@@ -194,6 +194,18 @@ class TestCorollaryRates:
         _, lam_tall = per_slice_rates(A_tall, None, f_tall, prob_uniform(5))
         assert 0 < tall["uniform"] <= lam_tall + 1e-10
 
+    @pytest.mark.parametrize("kind", ["slice", "fourier-row"])
+    def test_zero_fourier_slice_gives_zero_bounds(self, kind):
+        # equal frontal slices: Fourier slices 1..3 are zero, so every
+        # closed-form bound is 0 there, with no 0/0 (a RuntimeWarning fails)
+        S = np.random.default_rng(61).standard_normal((6, 3))
+        A = np.repeat(S[:, :, None], 4, axis=2)
+        s = (make_slice_sketches(6, 4) if kind == "slice"
+             else make_fourier_sketches(6, 1, 6, 4, "row"))
+        rep = compute_rate_report(A, None, s, n_samples=50)
+        assert rep.closed_form_bounds == {"norm_weighted": 0.0, "uniform": 0.0,
+                                          "norm_weighted_display": 0.0}
+
 
 class TestWorstDirectionEstimate:
     def test_full_sketch_is_one(self):

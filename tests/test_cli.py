@@ -151,6 +151,23 @@ class TestRatesAndVerify:
         assert exc.value.code == 2
         assert "x_star known" in capsys.readouterr().err
 
+    def test_verify_rates_without_a_key_is_a_usage_error(self, system_files, tmp_path, capsys):
+        rates = tmp_path / "rates.json"
+        run_cli("rates", "--in", f"{system_files}_A.tns", "--sketch", "slice",
+                "--samples", 100, "--out", rates)
+        report = json.load(open(rates))
+        del report["per_slice_min_rate"]
+        json.dump(report, open(rates, "w"))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--rates", rates, "--bound", "max-distance",
+                    "--traces", tmp_path / "unread.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        want = "tubalsketch: error: rate report lacks the key 'per_slice_min_rate'"
+        assert err.splitlines()[-1] == want
+        assert "Traceback" not in err
+
     def test_verify_passes_on_max_rule_trace(self, system_files, tmp_path):
         rates = tmp_path / "rates.json"
         run_cli("rates", "--in", f"{system_files}_A.tns", "--sketch", "slice",
@@ -201,3 +218,14 @@ class TestBench:
         summary = json.load(open(out_dir / "summary.json"))
         assert {m["label"] for m in summary["methods"]} == {"fixed", "greedy"}
         assert os.path.exists(out_dir / "trace_greedy_trial0.csv")
+
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"methods": [{"method": "NTSP"}], "trails": 3}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--config", cfg_path, "--out", tmp_path / "results")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'trails'" in err.splitlines()[-1]
+        assert "Traceback" not in err
+        assert not (tmp_path / "results").exists()

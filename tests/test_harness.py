@@ -210,6 +210,11 @@ class TestBuildSketches:
                               6, 3, rng).q == 6
         assert build_sketches(MethodSpec(method="NTSP", sketch="block",
                                          block_size=2), 6, 3, rng).q == 3
+        # q without block_size: exactly q contiguous blocks
+        for q, taus in ((3, (4, 3, 3)), (4, (3, 3, 2, 2))):
+            b = build_sketches(MethodSpec(method="NTSP", sketch="block", q=q), 10, 3, rng)
+            assert b.q == q and b.taus == taus
+            np.testing.assert_array_equal(b.rows[0, :taus[0]], np.arange(taus[0]))
         assert build_sketches(MethodSpec(method="NTSP", sketch="gaussian",
                                          tau=2, q=4), 6, 3, rng).q == 4
         f = build_sketches(MethodSpec(method="NTSP-II", sketch="fourier-row"),

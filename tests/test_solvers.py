@@ -304,51 +304,71 @@ class TestProjectionStep:
 
 
 class TestSpatialBlockStep:
-    """The spatial set step Z[k] -= U[k, i] @ R[k, i] runs as one zgemm per
-    slice that writes into Z itself."""
+    """The set step Z[k] -= U[k, j] @ R[k, j] runs as one zgemm per kept
+    slice that writes into Z itself, for spatial and per-slice sets."""
 
     @staticmethod
     def _state(kind, weighted, l, seed=95):
         A, Xs, B = small_problem(seed, m=12, n=5, p=3, l=l)
         rng = np.random.default_rng(seed)
-        if kind == "slice":
-            s = make_slice_sketches(12, l)
-        elif kind == "ragged-block":  # tau = 3: the shorter blocks get padding rows
-            s = make_block_sketches(12, l, [[0, 1, 2], [3], [4, 5, 6], [7, 8], [9, 10, 11]])
-        else:
-            s = make_gaussian_sketches(12, 3, 5, l, rng)
+        s = {
+            "slice": lambda: make_slice_sketches(12, l),
+            # tau = 3: the shorter blocks get padding rows
+            "ragged-block": lambda: make_block_sketches(
+                12, l, [[0, 1, 2], [3], [4, 5, 6], [7, 8], [9, 10, 11]]),
+            "gaussian": lambda: make_gaussian_sketches(12, 3, 5, l, rng),
+            "fourier-row": lambda: make_fourier_sketches(12, 1, 12, l, "row"),
+            "fourier-gaussian": lambda: make_fourier_sketches(12, 3, 5, l, "gaussian", rng),
+        }[kind]()
         Q = WeightQ.from_tensor(spd_weight_tensor(rng, 5, l)) if weighted else None
-        cfg = SolverConfig(method="ATSP-MD", sketches=s, weight=Q, seed=seed)
+        cfg = SolverConfig(method="ATSP-MD-II" if s.per_slice else "ATSP-MD", sketches=s,
+                           weight=Q, seed=seed)
         return make_state(A, B, cfg, x_star=Xs)
 
     @pytest.mark.parametrize("l", [4, 5])
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian"])
+    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian", "fourier-row",
+                                      "fourier-gaussian"])
     def test_step_matches_matmul_oracle_in_place(self, kind, weighted, l):
         st = self._state(kind, weighted, l)
-        for _ in range(4):  # the first step starts from X = O, the others do not
-            i = st.select(st.losses())
+        for t in range(4):  # the first step starts from X = O, the others do not
+            choice = st.select(st.losses())
+            if st.per_slice_selection and t == 2:
+                choice = choice.copy()
+                choice[1] = -1  # slice 1 is solved: its step is skipped
+            picks = np.broadcast_to(choice, st.h)  # a spatial choice holds for every slice
+            kept = np.flatnonzero(picks >= 0)
+            js = picks[kept]
             Z, Z0, R0 = st.Z, st.Z.copy(), st.R.copy()
-            want = Z0 - st.U[:, i] @ R0[:, i]
-            st.step(i)
+            want = Z0.copy()
+            want[kept] -= st.U[kept, js] @ R0[kept, js]
+            st.step(choice)
             # a copy of a non-F-contiguous output would leave Z unchanged
             assert st.Z is Z and not np.array_equal(Z, Z0)
             assert np.linalg.norm(Z - want) <= 1e-13 * np.linalg.norm(want)
-            assert np.linalg.norm(st.R[:, i]) <= 1e-13 * np.linalg.norm(R0[:, i])
+            # the chosen blocks are annihilated as far as their Grams allow; a
+            # per-slice Gaussian member leaves ~1e-13 in the oracle's step too
+            slack = (np.linalg.norm(want[:, st.n:].reshape(R0.shape)[kept, js])
+                     if st.per_slice_selection else 0.0)
+            assert np.linalg.norm(st.R[kept, js]) <= 1e-13 * np.linalg.norm(R0[kept, js]) + slack
+            skipped = np.flatnonzero(picks < 0)
+            assert len(skipped) == (st.per_slice_selection and t == 2)
+            assert np.array_equal(Z[skipped], Z0[skipped])
 
     def test_step_allocates_no_block_sized_temporary(self):
         A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=96))
-        cfg = SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8))
-        st = make_state(A, B, cfg, x_star=Xs)
-        st.step(st.select(st.losses()))
-        i = st.select(st.losses())
-        tracemalloc.start()
-        try:
-            st.step(i)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.05 * st.Z.nbytes
+        for method, s in (("ATSP-MD", make_slice_sketches(240, 8)),
+                          ("ATSP-MD-II", make_fourier_sketches(240, 1, 240, 8, "row"))):
+            st = make_state(A, B, SolverConfig(method=method, sketches=s), x_star=Xs)
+            st.step(st.select(st.losses()))
+            i = st.select(st.losses())
+            tracemalloc.start()
+            try:
+                st.step(i)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.05 * st.Z.nbytes, method
 
 
 class TestTrkSpecialization:
@@ -764,14 +784,21 @@ class TestResidualAudit:
         assert rec.audit_max < 1e-8
 
 
-def spatial_loss_oracle(st, R):
-    """(1/l) sum_k w_k ||R[k, i]||_F^2 by einsum over the kept slices."""
-    return st.w @ np.einsum("kitp,kitp->ki", R.conj(), R).real / st.l
+def loss_oracle(st, R):
+    """The sketched losses by einsum: ||R[k, i]||_F^2 per slice for
+    per-slice sets, (1/l) sum_k w_k ||R[k, i]||_F^2 over the kept slices
+    for spatial sets."""
+    energy = np.einsum("kitp,kitp->ki", R.conj(), R).real
+    return energy if st.per_slice_selection else st.w @ energy / st.l
 
 
 class TestSpatialLosses:
+    """One loss kernel for every set method: R's float view squared into a
+    buffer and summed by gemv."""
+
     @pytest.mark.parametrize("l", [4, 5])
-    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian-tau3"])
+    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian-tau3", "fourier-row",
+                                      "fourier-gaussian-tau3"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_losses_and_audit_match_einsum_oracle(self, l, kind, weighted):
         rng = np.random.default_rng(31 + l)
@@ -781,13 +808,17 @@ class TestSpatialLosses:
             "slice": lambda: make_slice_sketches(m, l),
             "ragged-block": lambda: make_block_sketches(m, l, [[0, 4, 7], [1, 2], [3, 5, 8, 9], [6]]),
             "gaussian-tau3": lambda: make_gaussian_sketches(m, 3, 5, l, rng),
+            "fourier-row": lambda: make_fourier_sketches(m, 1, m, l, "row"),
+            "fourier-gaussian-tau3": lambda: make_fourier_sketches(m, 3, 5, l, "gaussian", rng),
         }[kind]()
         weight = WeightQ.from_tensor(spd_weight_tensor(rng, n, l)) if weighted else None
-        fixed = make_state(A, B, SolverConfig(method="NTSP", sketches=s, weight=weight, seed=3), Xs)
-        adaptive = make_state(A, B, SolverConfig(method="ATSP-PR", sketches=s, weight=weight, seed=3), Xs)
+        fixed, adaptive = (
+            make_state(A, B, SolverConfig(method=method + "-II" * s.per_slice, sketches=s,
+                                          weight=weight, seed=3), Xs)
+            for method in ("NTSP", "ATSP-PR"))
         for _ in range(6):
             for st in (fixed, adaptive):
-                expect = spatial_loss_oracle(st, st.R)
+                expect = loss_oracle(st, st.R)
                 assert np.max(np.abs(st.losses() - expect)) <= 1e-14 * expect.max()
                 i = st.select(st.losses())
                 if st is fixed:  # select copied the residuals its draw was made next to
@@ -798,7 +829,8 @@ class TestSpatialLosses:
             st.R[...] += 1e-3 * (rng.standard_normal(st.R.shape) + 1j * rng.standard_normal(st.R.shape))
             CH = np.conj(np.swapaxes(st.C, -1, -2))
             fresh = CH @ ((st.N @ st.Xh[:, None]) - st.SB)
-            expect = np.sqrt(st.l * spatial_loss_oracle(st, fresh - st.R).max())
+            scale = 1 if st.per_slice_selection else st.l  # spatial: sum_k w_k, no 1/l
+            expect = np.sqrt(scale * loss_oracle(st, fresh - st.R).max())
             assert abs(st.audit() - expect) <= 1e-14 * expect
 
     def test_losses_allocate_only_their_result(self):
@@ -809,20 +841,21 @@ class TestSpatialLosses:
         # elements, 64 KB by default, whatever the problem size), so the
         # buffer is shrunk below twice the residual rows for the measurement
         A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=88))
-        st = make_state(A, B, SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8)),
-                        x_star=Xs)
-        bufsize = np.getbufsize()
-        np.setbufsize(1024)
-        try:
-            st.losses()
-            tracemalloc.start()
-            losses = st.losses()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            np.setbufsize(bufsize)
-        assert losses.shape == (st.q,)
-        assert peak <= losses.nbytes + 1024
+        for method, s in (("ATSP-MD", make_slice_sketches(240, 8)),
+                          ("ATSP-MD-II", make_fourier_sketches(240, 1, 240, 8, "row"))):
+            st = make_state(A, B, SolverConfig(method=method, sketches=s), x_star=Xs)
+            bufsize = np.getbufsize()
+            np.setbufsize(1024)
+            try:
+                st.losses()
+                tracemalloc.start()
+                losses = st.losses()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                np.setbufsize(bufsize)
+            assert losses.shape == ((st.l, st.q) if st.per_slice_selection else (st.q,))
+            assert peak <= losses.nbytes + 1024, method
 
 
 class TestErrorBuffer:
