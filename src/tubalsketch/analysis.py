@@ -91,9 +91,7 @@ def expected_projector(A, Q, sketches, p):
         )
     if sketches.per_slice:
         raise ValueError("expected_projector applies to spatial sketch sets")
-    p = sketching.as_prob_vector(p)
-    if p.size != sketches.q:
-        raise ValueError("probability vector length does not match the sketch set")
+    p = sketching.as_prob_rows(p, 1, sketches.q)[0]
     E = np.zeros((n * l, n * l))
     for i in range(sketches.q):
         E += p[i] * bcirc(projector_tensor(A, Q, sketches.member(i)))
@@ -126,13 +124,7 @@ def _expected_slice_lambdas(K, p):
     """lambda_min of E_k = K_k^H diag(p_k) K_k for every slice k, where p is
     one simplex point or one per slice, shape (l, q)."""
     l, q, _, n = K.shape
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1:] != (q,):
-        raise ValueError("probability vector length does not match the sketch set")
-    p = np.broadcast_to(p, (l, q))
-    for row in p:
-        sketching.as_prob_vector(row)
-    Kp = (K * np.sqrt(p)[..., None, None]).reshape(l, -1, n)
+    Kp = (K * np.sqrt(sketching.as_prob_rows(p, l, q))[..., None, None]).reshape(l, -1, n)
     return np.linalg.eigvalsh(np.conj(np.swapaxes(Kp, -1, -2)) @ Kp)[:, 0]
 
 

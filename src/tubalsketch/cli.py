@@ -127,15 +127,12 @@ def _sketches_from_args(args, m, l):
 
 
 def _cmd_solve(args):
-    if args.save_sketches and args.method.upper() == "TSP":
-        raise ValueError("--save-sketches: TSP draws a fresh sketch every iteration")
     A = tio.load_tensor(args.inputs[0])
     B = tio.load_tensor(args.inputs[1])
     x_star = tio.load_tensor(args.xstar) if args.xstar else None
-    sketches = (
-        None if args.method.upper() == "TSP"
-        else _sketches_from_args(args, A.shape[0], A.shape[2])
-    )
+    sketches = _sketches_from_args(args, A.shape[0], A.shape[2])
+    if args.save_sketches and sketches is None:
+        raise ValueError("--save-sketches: TSP draws a fresh sketch every iteration")
     config = SolverConfig(
         method=args.method, sketches=sketches, probabilities=args.prob,
         theta=args.theta, tau=args.tau, max_iters=args.max_iters,

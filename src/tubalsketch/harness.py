@@ -20,7 +20,7 @@ from scipy.linalg import circulant
 
 from . import io as tio
 from . import sketching
-from .solvers import DivergenceError, SolverConfig, solve
+from .solvers import DivergenceError, SolverConfig, check_ranges, solve
 from .t_algebra import tprod
 
 __all__ = [
@@ -162,24 +162,36 @@ class MethodSpec:
 
 
 def build_sketches(mspec, m, l, rng):
+    """The sketch set of ``mspec`` for a system with m rows and depth l, or
+    None for TSP, which draws a fresh sketch every iteration.  A value the
+    kind cannot honour raises ``ValueError``: q other than 0 or m for slice
+    and fourier-row sets, tau other than 1 for slice, block and fourier-row
+    sets, block_size for any kind but block, and q with block_size."""
+    if mspec.method.upper() == "TSP":
+        return None
     kind = mspec.sketch
+    if kind not in sketching.SPATIAL_KINDS + sketching.FOURIER_KINDS:
+        raise ValueError(f"unknown sketch kind {kind!r}")
+    for name, bad, why in (
+            ("q", kind in ("slice", "fourier-row") and mspec.q not in (0, m), f"is not 0 or m={m}"),
+            ("tau", kind in ("slice", "block", "fourier-row") and mspec.tau != 1, "is not 1"),
+            ("block_size", kind != "block" and mspec.block_size, "is for block sketches"),
+            ("q", kind == "block" and mspec.q and mspec.block_size, "excludes block_size")):
+        if bad:
+            raise ValueError(f"{kind} sketches: {name}={getattr(mspec, name)!r} {why}")
     if kind == "slice":
         return sketching.make_slice_sketches(m, l)
     if kind == "block":  # contiguous blocks: block_size rows each (default 2), else q blocks
-        if mspec.q and not mspec.block_size:
+        if mspec.q:
             return sketching.make_block_sketches(m, l, np.array_split(np.arange(m), mspec.q))
         size = mspec.block_size or 2
         partition = [range(i, min(i + size, m)) for i in range(0, m, size)]
         return sketching.make_block_sketches(m, l, partition)
     if kind == "gaussian":
-        q = mspec.q or m
-        return sketching.make_gaussian_sketches(m, mspec.tau, q, l, rng)
+        return sketching.make_gaussian_sketches(m, mspec.tau, mspec.q or m, l, rng)
     if kind == "fourier-row":
         return sketching.make_fourier_sketches(m, 1, m, l, "row")
-    if kind == "fourier-gaussian":
-        q = mspec.q or m
-        return sketching.make_fourier_sketches(m, mspec.tau, q, l, "gaussian", rng)
-    raise ValueError(f"unknown sketch kind {kind!r}")
+    return sketching.make_fourier_sketches(m, mspec.tau, mspec.q or m, l, "gaussian", rng)
 
 
 @dataclass
@@ -192,6 +204,12 @@ class ExperimentConfig:
     record_every: int = 1
     seed: int = 0
     output_dir: str = "experiment_out"
+
+    def __post_init__(self):
+        """SolverConfig's range checks and trials >= 1; whole floats become ints."""
+        check_ranges(self)
+        for name in ("trials", "max_iters", "record_every", "seed"):
+            setattr(self, name, int(getattr(self, name)))
 
     @classmethod
     def from_dict(cls, d):
@@ -210,14 +228,9 @@ def _run_one(config, mspec, trial, A, x_star, B):
     sketch_rng = np.random.default_rng(
         np.random.SeedSequence([seed, zlib.crc32(mspec.label.encode())])
     )
-    sketches = (
-        None
-        if mspec.method.upper() == "TSP"
-        else build_sketches(mspec, A.shape[0], A.shape[2], sketch_rng)
-    )
     solver_config = SolverConfig(
         method=mspec.method,
-        sketches=sketches,
+        sketches=build_sketches(mspec, A.shape[0], A.shape[2], sketch_rng),
         weight=None,
         probabilities=mspec.prob,
         theta=mspec.theta,
@@ -240,7 +253,6 @@ def _mean_curves(records):
     for row, r in enumerate(records):
         eps[row] = np.interp(grid, r.t, r.epsilon)
         secs[row] = np.interp(grid, r.t, r.seconds)
-        eps[row, int(r.t[-1]):] = r.epsilon[-1]
     return grid, eps.mean(axis=0), secs.mean(axis=0)
 
 

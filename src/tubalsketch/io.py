@@ -73,9 +73,9 @@ def load_tensor(path):
     return data.reshape(m, n, l)
 
 
-def load_slices_csv(path, depth, delimiter=","):
+def load_slices_csv(path, depth):
     """Read a stack of l frontal slices from a headerless CSV."""
-    M = np.loadtxt(path, delimiter=delimiter, dtype=np.float64, ndmin=2)
+    M = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     if M.shape[0] % depth != 0:
         raise ValueError(
             f"{path}: {M.shape[0]} rows do not split into {depth} frontal slices"

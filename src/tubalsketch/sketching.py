@@ -32,7 +32,7 @@ __all__ = [
     "prob_sketch_norm",
     "prob_fourier_row_norm",
     "resolve_probabilities",
-    "as_prob_vector",
+    "as_prob_rows",
     "sample_index",
     "is_complete_discrete_sampling",
 ]
@@ -144,36 +144,23 @@ class SketchSet:
         """Depth transform of spatial member i, slices-first (l, m, tau)."""
         return fft_slices(self.member(i))
 
-    def sketch(self, Xh, idx=None):
-        """S^H X per Fourier slice of the slices-first stack Xh (l, m, b).
-
-        Returns (l, q, tau, b) for every member, or (l, tau, b) for member
-        idx[k] in slice k.  Selection sets gather rows, which for finite Xh
-        equals the one-hot product exactly.
-        """
+    def sketch(self, Xh):
+        """S^H X per Fourier slice of the slices-first stack Xh (l, m, b), as
+        (l, q, tau, b).  Selection sets gather rows, which for finite Xh
+        equals the one-hot product exactly."""
         if self.rows is None:
-            return np.conj(np.swapaxes(self._dense(idx), -1, -2)) @ (
-                Xh if idx is not None else Xh[:, None])
-        Xh = self._padded(Xh, 1)
-        if idx is None:
-            return np.take(Xh, self.rows, axis=1)  # C-contiguous, unlike Xh[:, rows]
-        return Xh[np.arange(self.l)[:, None], self.rows[idx]]
+            return np.conj(np.swapaxes(self._dense(), -1, -2)) @ Xh[:, None]
+        return np.take(self._padded(Xh, 1), self.rows, axis=1)  # C-contiguous, unlike Xh[:, rows]
 
-    def sketch_cols(self, Yh, idx=None):
-        """Y S per Fourier slice of Yh (l, a, m): (l, q, a, tau), or
-        (l, a, tau) for member idx[k] in slice k."""
+    def sketch_cols(self, Yh):
+        """Y S per Fourier slice of Yh (l, a, m), as (l, q, a, tau)."""
         if self.rows is None:
-            return (Yh if idx is not None else Yh[:, None]) @ self._dense(idx)
-        Yh = self._padded(Yh, 2)
-        if idx is None:
-            return np.moveaxis(Yh[..., self.rows], 2, 1)
-        return np.take_along_axis(Yh, self.rows[idx][:, None, :], axis=2)
+            return Yh[:, None] @ self._dense()
+        return np.moveaxis(self._padded(Yh, 2)[..., self.rows], 2, 1)
 
-    def _dense(self, idx):
-        S = self.mats if self.per_slice else self.mats[None]  # (l or 1, q, m, tau)
-        if idx is not None:
-            S = S[np.arange(self.l) if self.per_slice else 0, idx]
-        return S.astype(np.complex128)
+    def _dense(self):
+        """The mats as complex (l or 1, q, m, tau)."""
+        return (self.mats if self.per_slice else self.mats[None]).astype(np.complex128)
 
     def _padded(self, X, axis):
         if np.any(self.rows == self.m):  # ragged: the sentinel row m reads zeros
@@ -234,17 +221,21 @@ def make_fourier_sketches(m, tau, q, l, kind, rng=None):
     raise ValueError(f"unknown per-slice sketch kind {kind!r}")
 
 
-def as_prob_vector(w):
-    """Validate (and return) a point of the probability simplex."""
-    p = np.asarray(w, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be a nonempty 1-D array")
+def as_prob_rows(p, rows, q):
+    """Probabilities ``p``, one (q,) simplex point for every row or (rows, q)
+    of them, checked and returned as a (rows, q) array."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape not in ((q,), (rows, q)):
+        raise ValueError(f"probabilities have shape {p.shape}, not ({q},) or ({rows}, {q})")
+    p = np.array(np.broadcast_to(p, (rows, q)))
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    sums = p.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"probabilities of row {bad[0]} sum to {float(sums[bad[0]])!r}, not 1")
     return p
 
 
@@ -314,22 +305,22 @@ def sample_index(p, rng):
     """Inverse-CDF draw from a probability vector: the number of cumulative
     sums at or below ``rng.random()`` times their total, capped at the last
     index (the solvers' draw convention)."""
-    cdf = np.cumsum(as_prob_vector(p))
+    cdf = np.cumsum(as_prob_rows(p, 1, np.size(p))[0])
     return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), cdf.size - 1)
 
 
-def is_complete_discrete_sampling(A, sketches, relcut=1e-10, sketched=None):
+def is_complete_discrete_sampling(A, sketches, sketched=None):
     """Check, per Fourier slice, full row rank of every sketched system and
     full column reach of the stacked family S (q tau x n).
 
-    S reaches every column when n singular values exceed cut = relcut *
+    S reaches every column when n singular values exceed cut = 1e-10 *
     max(q tau, n) times the largest, so scaling A changes no verdict.  The
     eigenvalues of the Grams S^H S decide first: a slice passes when
     lambda_min > margin * lambda_max, margin = max(1e-6, 100 cut^2, 100 q tau
     n eps).  The Gram's rounding is below margin/100 * lambda_max, so a pass
     means sigma_min/sigma_max of about 10 cut or more, which the SVD, run
     only on the undecided slices, passes too.  Members need full row rank at
-    the tolerance relcut * max(tau, n) * sqrt(lambda_max).  Spatial sets are
+    the tolerance 1e-10 * max(tau, n) * sqrt(lambda_max).  Spatial sets are
     checked on slices 0..l//2 (slice l-k of a real A is the conjugate of
     slice k).  The rate certificates assume this property; the solvers only
     warn when it fails, as the pseudoinverse still defines a valid
@@ -342,14 +333,14 @@ def is_complete_discrete_sampling(A, sketches, relcut=1e-10, sketched=None):
         return False
     S = SA.reshape(l, q * tau, n)
     lam = np.linalg.eigvalsh(np.conj(np.swapaxes(S, -1, -2)) @ S)
-    cut = relcut * max(q * tau, n)
+    cut = 1e-10 * max(q * tau, n)
     margin = max(1e-6, 100 * cut**2, 100 * q * tau * n * np.finfo(np.float64).eps)
     undecided = lam[:, 0] <= margin * lam[:, -1]
     if undecided.any():
         sv = np.linalg.svd(S[undecided], compute_uv=False)
         if np.any(np.sum(sv > cut * sv[:, :1], axis=1) < n):
             return False
-    tol = relcut * max(tau, n) * np.sqrt(lam[:, -1:])
+    tol = 1e-10 * max(tau, n) * np.sqrt(lam[:, -1:])
     ranks = (np.linalg.norm(SA[:, :, 0], axis=-1) > tol if tau == 1  # 1 x n: rank 1 iff norm > tol
              else np.linalg.matrix_rank(SA, tol=tol))
     return bool(np.all(ranks >= np.array(sketches.taus)))

@@ -114,10 +114,10 @@ class SolverConfig:
     'uniform', 'slice-norm', 'sketch-norm', 'fourier-row-norm', or None
     (uniform).  It is the fixed distribution of the nonadaptive methods and
     the reference distribution of the capped rule.  ``tau`` is only read by
-    the fresh-draw TSP method.  Building a state rejects ``record_every <
-    1``, ``audit_every < 0``, ``max_iters < 0``, ``seed < 0``, a count or
-    seed that is not a whole number, ``theta`` outside [0, 1] and ``tol <
-    0`` or NaN with a ``ValueError`` that names the field.
+    the fresh-draw TSP method.  Building a state rejects a value that is not
+    a number, ``record_every < 1``, ``audit_every < 0``, ``max_iters < 0``,
+    ``seed < 0``, a count or seed that is not whole, ``theta`` outside [0, 1]
+    and ``tol < 0`` or NaN with a ``ValueError`` that names the field.
     """
 
     method: str = "NTSP"
@@ -204,15 +204,20 @@ def _capped_losses(losses, base_probs, theta):
     return np.where(losses >= threshold, losses, 0.0)
 
 
-def _per_slice_probs(p, l, q):
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim == 1:
-        p = np.broadcast_to(p, (l, q)).copy()
-    if p.shape != (l, q):
-        raise ValueError(f"per-slice probabilities must have shape ({l}, {q})")
-    for k in range(l):
-        sketching.as_prob_vector(p[k])
-    return p
+# field, least value, largest value, whole number (a float such as 1e5 is one)
+_RANGES = (("record_every", 1, np.inf, True), ("audit_every", 0, np.inf, True),
+           ("max_iters", 0, np.inf, True), ("seed", 0, np.inf, True),
+           ("trials", 1, np.inf, True), ("theta", 0.0, 1.0, False), ("tol", 0.0, np.inf, False))
+
+
+def check_ranges(config):
+    """Reject with a ``ValueError`` that names it each field of ``_RANGES``
+    that ``config`` holds (a SolverConfig or ExperimentConfig) out of range."""
+    for name, least, most, whole in _RANGES:
+        value = getattr(config, name, least)  # a field the config lacks passes
+        if not (isinstance(value, (int, float, np.integer, np.floating)) and least <= value <= most
+                and (float(value).is_integer() or not whole)):
+            raise ValueError(f"{name}={value!r} is out of range")
 
 
 _UNIFORM_BLOCK = 64
@@ -248,18 +253,6 @@ class _BaseState:
         for name, value in (("A", A), ("B", B), ("x_star", x_star)):
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} contains NaN or inf")
-        # counts are whole numbers; a float such as 1e5 from a config file is one
-        whole = lambda v: float(v).is_integer()  # noqa: E731
-        for name, ok in (
-            ("record_every", whole(config.record_every) and config.record_every >= 1),
-            ("audit_every", whole(config.audit_every) and config.audit_every >= 0),
-            ("theta", 0.0 <= config.theta <= 1.0),
-            ("max_iters", whole(config.max_iters) and config.max_iters >= 0),
-            ("tol", config.tol >= 0.0),
-            ("seed", whole(config.seed) and config.seed >= 0),
-        ):
-            if not ok:
-                raise ValueError(f"{name}={getattr(config, name)!r} is out of range")
         if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] or A.shape[2] != B.shape[2]:
             raise ValueError(f"incompatible system shapes {A.shape} and {B.shape}")
         self.method = config.canonical_method()
@@ -391,17 +384,15 @@ class _FiniteSetState(_BaseState):
         self.q = sketches.q
         self.rule = _METHOD_TABLE[self.method][1]
         self.adaptive = self.rule != "fixed"
-        probs = sketching.resolve_probabilities(config.probabilities, A, self.Q, sketches)
         if self.per_slice_selection:
-            self.base_probs = _per_slice_probs(probs, self.l, self.q)
             self.rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
             self.slices = np.arange(self.l)
         else:
-            self.base_probs = sketching.as_prob_vector(probs)
-            if self.base_probs.size != self.q:
-                raise ValueError("probability vector length does not match q")
             self.rngs = [_rng(config.seed, 1)]
-        self.base_cdf = np.atleast_2d(np.cumsum(self.base_probs, axis=-1))
+        probs = sketching.as_prob_rows(sketching.resolve_probabilities(
+            config.probabilities, A, self.Q, sketches), len(self.rngs), self.q)  # a row per stream
+        self.base_cdf = np.cumsum(probs, axis=1)
+        self.base_probs = probs if self.per_slice_selection else probs[0]
         self.drawn = _UNIFORM_BLOCK  # rows of the current block used
 
     def _member_tables(self, Ah, Bh, Qinv):
@@ -734,6 +725,7 @@ _ROW_FIELDS = ("t", "epsilon", "q_error", "loss_max", "loss_sum", "seconds", "pr
 
 def make_state(A, B, config, x_star=None):
     """Build the solver state for ``config`` without running it."""
+    check_ranges(config)
     state = _METHOD_TABLE[config.canonical_method()][0](A, B, config, x_star)
     state._loop_buffers()
     return state

@@ -111,17 +111,17 @@ def fft_slices(X):
     return np.fft.fft(np.moveaxis(np.asarray(X, dtype=np.complex128), 2, 0), axis=0)
 
 
-def ifft_slices(F, imag_tol=IMAG_TOL, force_real=False):
+def ifft_slices(F, force_real=False):
     """Inverse of :func:`fft_slices`: slices-first (l, a, b) to real (a, b, l).
 
-    Raises ``ValueError`` if the imaginary residue exceeds ``imag_tol``
+    Raises ``ValueError`` if the imaginary residue exceeds ``IMAG_TOL``
     relative to the real part; ``force_real`` skips that check and keeps
     the real part, for iterates whose conjugate symmetry is not maintained.
     """
     Y = np.fft.ifft(F, axis=0)
     if not force_real:
         imag, real = np.linalg.norm(Y.imag), np.linalg.norm(Y.real)
-        if imag > imag_tol * real + 1e-300:
+        if imag > IMAG_TOL * real + 1e-300:
             raise ValueError(
                 f"inverse transform is not real: |imag|={imag:.3e}, |real|={real:.3e}"
             )
@@ -176,7 +176,7 @@ def ttranspose(X):
     return out
 
 
-def tpinv(X, relcut=PINV_RELCUT):
+def tpinv(X):
     """Moore-Penrose inverse: per-frontal-slice pinv in the Fourier domain.
 
     The rank cutoff is relative to the largest singular value across all
@@ -187,7 +187,7 @@ def tpinv(X, relcut=PINV_RELCUT):
     m, n, l = X.shape
     F = fft_slices(X)
     u, s, vh = np.linalg.svd(F, full_matrices=False)
-    cut = max(m, n) * relcut * (s.max() if s.size else 0.0)
+    cut = max(m, n) * PINV_RELCUT * (s.max() if s.size else 0.0)
     sinv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     out = np.conj(np.swapaxes(vh, -1, -2)) @ (
         sinv[..., None] * np.conj(np.swapaxes(u, -1, -2))
@@ -195,7 +195,7 @@ def tpinv(X, relcut=PINV_RELCUT):
     return ifft_slices(out)
 
 
-def batched_inv_factor(M, relcut=PINV_RELCUT, slice_axis=None):
+def batched_inv_factor(M, slice_axis=None):
     """Factor C with C C^H = pinv(M) for a stack of Hermitian PSD matrices.
 
     Rank-deficient (including all-zero) matrices yield zero columns, which
@@ -212,15 +212,15 @@ def batched_inv_factor(M, relcut=PINV_RELCUT, slice_axis=None):
     lmax = np.maximum(lam[..., -1:], 0.0)
     if slice_axis is not None:
         lmax = lmax.max(axis=slice_axis, keepdims=True)
-    cut = lmax * (M.shape[-1] * relcut)
+    cut = lmax * (M.shape[-1] * PINV_RELCUT)
     inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
     return U * inv[..., None, :]
 
 
-def batched_hpinv(M, relcut=PINV_RELCUT, slice_axis=None):
+def batched_hpinv(M, slice_axis=None):
     """pinv of a stack of Hermitian PSD matrices, as C C^H of
     :func:`batched_inv_factor`."""
-    C = batched_inv_factor(M, relcut, slice_axis)
+    C = batched_inv_factor(M, slice_axis)
     return C @ np.conj(np.swapaxes(C, -1, -2))
 
 
@@ -237,11 +237,9 @@ def is_t_spd(X, tol=1e-10):
     return bool(np.all(np.linalg.eigvalsh(0.5 * (F + FH))[:, 0] > tol))
 
 
-def t_sqrt(X, tol=1e-10):
+def t_sqrt(X):
     """Square root R of a T-SPD tensor, tprod(R, R) == X."""
-    if not is_t_spd(X, tol=tol):
-        raise ValueError("t_sqrt requires a T-symmetric T-positive definite input")
-    return WeightQ.from_tensor(X, tol=tol).sqrt_tensor()
+    return WeightQ.from_tensor(X).sqrt_tensor()
 
 
 def fnorm(X):
@@ -277,13 +275,13 @@ class WeightQ:
         return bool(np.array_equal(self.base, identity(self.n, self.l)))
 
     @classmethod
-    def from_tensor(cls, Q, tol=1e-10):
+    def from_tensor(cls, Q):
         Q = _as_tubal(Q, "Q")
-        if not is_t_spd(Q, tol=tol):
-            raise ValueError("weight must be T-symmetric T-positive definite")
+        if not is_t_spd(Q):
+            raise ValueError("input must be T-symmetric T-positive definite")
         hat = fft_slices(Q)
         # per-slice powers from one eigendecomposition; is_t_spd has checked
-        # that every eigenvalue exceeds tol
+        # that every eigenvalue exceeds 1e-10
         lam, U = np.linalg.eigh(0.5 * (hat + np.conj(np.swapaxes(hat, -1, -2))))
         UH = np.conj(np.swapaxes(U, -1, -2))
         inv, inv_sqrt, sqrt = ((U * lam[:, None, :] ** p) @ UH for p in (-1.0, -0.5, 0.5))

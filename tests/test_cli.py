@@ -77,6 +77,8 @@ class TestSolve:
     @pytest.mark.parametrize("flag, value, message", [
         ("--record-every", 0, "record_every=0 is out of range"),
         ("--prob", "bogus", "unknown probability rule 'bogus'"),
+        ("--q", 3, "slice sketches: q=3 is not 0 or m=10"),
+        ("--block-size", 2, "slice sketches: block_size=2 is for block sketches"),
     ])
     def test_bad_value_is_a_one_line_usage_error(self, system_files, capsys,
                                                  flag, value, message):
@@ -229,3 +231,28 @@ class TestBench:
         assert "'trails'" in err.splitlines()[-1]
         assert "Traceback" not in err
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("2", "trials='2' is out of range"),
+        (0, "trials=0 is out of range"),
+    ])
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, value, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"methods": [{"method": "NTSP"}], "trials": value}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--config", cfg_path, "--out", tmp_path / "results")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"tubalsketch: error: {message}"
+        assert "Traceback" not in err
+        assert not (tmp_path / "results").exists()
+
+    def test_whole_float_counts_run(self, tmp_path):
+        config = {"problem": {"kind": "gaussian", "m": 6, "n": 3, "p": 2, "l": 2},
+                  "methods": [{"method": "ATSP-MD"}], "trials": 2.0, "max_iters": 1e4,
+                  "record_every": 10.0, "seed": 4.0, "tol": 1e-6}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("bench", "--config", cfg_path, "--out", tmp_path / "results") == 0
+        summary = json.load(open(tmp_path / "results" / "summary.json"))
+        assert summary["trials"] == 2 and summary["methods"][0]["converged"] == 2

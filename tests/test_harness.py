@@ -202,6 +202,14 @@ class TestRunExperiment:
         assert config.methods[1].theta == 0.7
         assert config.trials == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 0), ("trials", "2"), ("trials", 2.5), ("max_iters", -1),
+        ("record_every", 0), ("seed", -1), ("tol", float("nan")), ("tol", None),
+    ])
+    def test_config_values_checked_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            ExperimentConfig(methods=[MethodSpec(method="NTSP")], **{field: value})
+
 
 class TestBuildSketches:
     def test_kinds(self):
@@ -226,3 +234,32 @@ class TestBuildSketches:
         assert g.per_slice and g.q == 3
         with pytest.raises(ValueError):
             build_sketches(MethodSpec(method="NTSP", sketch="sparse"), 6, 3, rng)
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(sketch="slice", q=3), "slice sketches: q=3 is not 0 or m=6"),
+        (dict(sketch="fourier-row", q=3, tau=2), "fourier-row sketches: q=3 is not 0 or m=6"),
+        (dict(sketch="slice", tau=2), "slice sketches: tau=2 is not 1"),
+        (dict(sketch="block", tau=2), "block sketches: tau=2 is not 1"),
+        (dict(sketch="fourier-row", tau=2), "fourier-row sketches: tau=2 is not 1"),
+        (dict(sketch="slice", block_size=2), "slice sketches: block_size=2 is for block"),
+        (dict(sketch="gaussian", block_size=2), "gaussian sketches: block_size=2 is for block"),
+        (dict(sketch="fourier-gaussian", block_size=2),
+         "fourier-gaussian sketches: block_size=2 is for block"),
+        (dict(sketch="block", q=3, block_size=2), "block sketches: q=3 excludes block_size"),
+        (dict(sketch="sparse", block_size=2), "unknown sketch kind 'sparse'"),
+    ])
+    def test_value_the_kind_cannot_honour_is_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build_sketches(MethodSpec(method="NTSP", **spec), 6, 3, np.random.default_rng(0))
+
+    def test_values_the_kind_honours_are_kept(self):
+        rng = np.random.default_rng(14)
+        for spec, q in ((dict(sketch="slice", q=6), 6), (dict(sketch="fourier-row", q=6), 6),
+                        (dict(sketch="block", q=3), 3), (dict(sketch="block", block_size=3), 2),
+                        (dict(sketch="gaussian", q=3, tau=2), 3)):
+            assert build_sketches(MethodSpec(method="NTSP", **spec), 6, 3, rng).q == q, spec
+
+    def test_tsp_builds_no_set(self):
+        # TSP draws a fresh sketch every iteration, so the set fields are not read
+        for spec in (dict(tau=10), dict(sketch="slice", q=3), dict(block_size=2)):
+            assert build_sketches(MethodSpec(method="tsp", **spec), 6, 3, None) is None

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import rand_tubal, rank_loop_complete, spd_weight_tensor
 from tubalsketch.sketching import (
-    as_prob_vector,
+    as_prob_rows,
     is_complete_discrete_sampling,
     make_block_sketches,
     make_fourier_sketches,
@@ -179,7 +179,7 @@ class TestProbabilities:
         A = rand_tubal(rng, 4, 3, 3)
         Q = WeightQ.from_tensor(spd_weight_tensor(rng, 3, 3))
         p = prob_sketch_norm(A, Q, make_slice_sketches(4, 3))
-        as_prob_vector(p)
+        as_prob_rows(p, 1, 4)
 
     def test_fourier_row_norm(self):
         rng = np.random.default_rng(14)
@@ -196,16 +196,16 @@ class TestProbabilities:
 
     def test_simplex_validation(self):
         with pytest.raises(ValueError):
-            as_prob_vector([0.5, 0.6])
+            as_prob_rows([0.5, 0.6], 1, 2)
         with pytest.raises(ValueError):
-            as_prob_vector([1.5, -0.5])
-        as_prob_vector([0.3, 0.7])
+            as_prob_rows([1.5, -0.5], 1, 2)
+        as_prob_rows([0.3, 0.7], 1, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
         # a NaN passes both the sign test and the sum test
         with pytest.raises(ValueError, match="finite"):
-            as_prob_vector([bad, 1.0])
+            as_prob_rows([bad, 1.0], 1, 2)
 
 
 class TestSampling:

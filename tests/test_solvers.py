@@ -15,7 +15,7 @@ from conftest import (
     stacked_step_oracle,
 )
 from tubalsketch import sketching, solvers
-from tubalsketch.analysis import projector_tensor
+from tubalsketch.analysis import per_slice_rates, projector_tensor
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
     make_block_sketches,
@@ -613,6 +613,9 @@ class TestRunBehaviour:
         ("tol", float("nan")),
         ("seed", 2.5),
         ("seed", -1),
+        ("max_iters", "2"),
+        ("theta", "0.5"),
+        ("tol", None),
     ])
     def test_bad_config_value_rejected_up_front(self, field, value):
         A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
@@ -655,6 +658,27 @@ class TestRunBehaviour:
         cfg = SolverConfig(method=method, sketches=s, probabilities=probs)
         with pytest.raises(ValueError, match="finite"):
             solve(A, B, cfg, x_star=Xs)
+
+    @pytest.mark.parametrize("place", ["spatial solve", "per-slice solve", "per_slice_rates"])
+    @pytest.mark.parametrize("bad", ["shape", "nan", "sum"])
+    def test_one_probability_check(self, place, bad):
+        # a wrong shape, a NaN row and a row off the simplex get one message
+        # wherever probabilities enter: (q,) everywhere, (l, q) per slice
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        rows = 1 if place == "spatial solve" else 2
+        probs = np.full((rows, 6), 1 / 6)
+        probs[-1, 2] = np.nan if bad == "nan" else 0.0
+        probs = np.full(7, 1 / 7) if bad == "shape" else probs[0] if rows == 1 else probs
+        message = {"shape": rf"^probabilities have shape \(7,\), not \(6,\) or \({rows}, 6\)$",
+                   "nan": "^probabilities must be finite$",
+                   "sum": rf"^probabilities of row {rows - 1} sum to 0\.8\d*, not 1$"}[bad]
+        s = make_slice_sketches(6, 2) if rows == 1 else make_fourier_sketches(6, 1, 6, 2, "row")
+        with pytest.raises(ValueError, match=message):
+            if place == "per_slice_rates":
+                per_slice_rates(A, None, s, probs)
+            else:
+                solve(A, B, SolverConfig(method="NTSP" if rows == 1 else "NTSP-II",
+                                         sketches=s, probabilities=probs), x_star=Xs)
 
     def test_stop_reason_tol(self):
         A, Xs, B = small_problem(19, m=8, n=4, p=2, l=3)
