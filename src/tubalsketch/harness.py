@@ -51,6 +51,9 @@ class ProblemSpec:
     padded_size: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        check_ranges(self)
+
 
 def gen_gaussian(spec, rng=None):
     """A and X_star i.i.d. standard normal, B = A * X_star."""
@@ -159,6 +162,7 @@ class MethodSpec:
     def __post_init__(self):
         if not self.label:
             self.label = self.method.upper()
+        check_ranges(self)
 
 
 def build_sketches(mspec, m, l, rng):
@@ -208,8 +212,6 @@ class ExperimentConfig:
     def __post_init__(self):
         """SolverConfig's range checks and trials >= 1; whole floats become ints."""
         check_ranges(self)
-        for name in ("trials", "max_iters", "record_every", "seed"):
-            setattr(self, name, int(getattr(self, name)))
 
     @classmethod
     def from_dict(cls, d):

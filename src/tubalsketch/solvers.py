@@ -5,7 +5,7 @@ Eleven methods are exposed through :func:`solve`:
 ==============  ==============================================================
 name            behaviour
 ==============  ==============================================================
-TSP             fresh spatial Gaussian sketch drawn every iteration
+TSP             direct projection on a fresh spatial Gaussian sketch
 NTSP            finite spatial set, fixed sampling probabilities
 ATSP-MD         finite spatial set, largest sketched loss wins
 ATSP-PR         finite spatial set, probabilities proportional to the losses
@@ -61,9 +61,9 @@ products C_i^H N_i Q^{-1} N_j^H C_j with every member i, so choosing j in
 slice k updates both at once: Z[k] -= U[k, j] @ R[k, j], one zgemm that
 writes into Z.  A spatial choice is one j for every slice.  Every set
 method's losses square R's float view into a buffer and sum it by gemv,
-per slice, or over the slices weighted by w_k / l for spatial sets.  TSP-I
-and TSP-II keep per-member tables and the gathered projections of one
-block of draws (see :class:`_DirectState`).
+per slice, or over the slices weighted by w_k / l for spatial sets.  TSP,
+TSP-I and TSP-II share one direct step (:class:`_DirectState`) on blocks
+of draws gathered from member tables; TSP's block is its one fresh draw.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ class SolverConfig:
     (uniform).  It is the fixed distribution of the nonadaptive methods and
     the reference distribution of the capped rule.  ``tau`` is only read by
     the fresh-draw TSP method.  Building a state rejects a value that is not
-    a number, ``record_every < 1``, ``audit_every < 0``, ``max_iters < 0``,
-    ``seed < 0``, a count or seed that is not whole, ``theta`` outside [0, 1]
-    and ``tol < 0`` or NaN with a ``ValueError`` that names the field.
+    a number, ``record_every < 1``, ``tau < 1``, ``audit_every < 0``,
+    ``max_iters < 0``, ``seed < 0``, a count, tau or seed that is not whole,
+    ``theta`` outside [0, 1], ``tol < 0`` or NaN, an unknown ``method`` and a
+    ``weight`` that is not a WeightQ with a ``ValueError`` that names the field.
     """
 
     method: str = "NTSP"
@@ -135,9 +136,9 @@ class SolverConfig:
     check_sampling: bool = True
 
     def canonical_method(self):
-        name = self.method.upper()
+        name = self.method.upper() if isinstance(self.method, str) else None
         if name not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+            raise ValueError(f"method={self.method!r} is unknown; choose from {METHODS}")
         return name
 
 
@@ -207,17 +208,21 @@ def _capped_losses(losses, base_probs, theta):
 # field, least value, largest value, whole number (a float such as 1e5 is one)
 _RANGES = (("record_every", 1, np.inf, True), ("audit_every", 0, np.inf, True),
            ("max_iters", 0, np.inf, True), ("seed", 0, np.inf, True),
-           ("trials", 1, np.inf, True), ("theta", 0.0, 1.0, False), ("tol", 0.0, np.inf, False))
+           ("trials", 1, np.inf, True), ("theta", 0.0, 1.0, False), ("tol", 0.0, np.inf, False),
+           *((name, 1, np.inf, True) for name in ("tau", "m", "n", "p", "l")),
+           *((name, 0, np.inf, True) for name in ("q", "block_size")))
 
 
 def check_ranges(config):
     """Reject with a ``ValueError`` that names it each field of ``_RANGES``
-    that ``config`` holds (a SolverConfig or ExperimentConfig) out of range."""
-    for name, least, most, whole in _RANGES:
-        value = getattr(config, name, least)  # a field the config lacks passes
+    that a config or spec holds out of range; whole floats become ints."""
+    for name, least, most, whole in (row for row in _RANGES if hasattr(config, row[0])):
+        value = getattr(config, name)
         if not (isinstance(value, (int, float, np.integer, np.floating)) and least <= value <= most
                 and (float(value).is_integer() or not whole)):
             raise ValueError(f"{name}={value!r} is out of range")
+        if whole:
+            setattr(config, name, int(value))
 
 
 _UNIFORM_BLOCK = 64
@@ -259,7 +264,9 @@ class _BaseState:
         self.config = config
         self.m, self.n, self.l = A.shape
         self.p = B.shape[1]
-        Q = config.weight or WeightQ.identity(self.n, self.l)
+        Q = WeightQ.identity(self.n, self.l) if config.weight is None else config.weight
+        if not isinstance(Q, WeightQ):
+            raise ValueError(f"weight={type(Q).__name__} is not a WeightQ")
         if Q.n != self.n or Q.l != self.l:
             raise ValueError("weight dimensions do not match the system")
         self.Q = Q
@@ -273,6 +280,8 @@ class _BaseState:
         self.t = 0
         self.sqrt_l = np.sqrt(self.l)
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
+        if self.x_star is not None and self.x_star.shape != (self.n, self.p, self.l):
+            raise ValueError(f"x_star has shape {self.x_star.shape}, not {self.n, self.p, self.l}")
         if self.x_star is not None:
             self.Xsh = np.ascontiguousarray(transform(self.x_star))  # see _errors
             self.x_star_norm = np.linalg.norm(self.x_star)
@@ -585,34 +594,6 @@ class _PerSliceSetState(_SetState):
         return np.where(active, _inverse_cdf(cum, self._row()), -1) if active.any() else None
 
 
-class _FreshGaussianState(_BaseState):
-    """Fresh spatial Gaussian sketch every iteration; no caching."""
-
-    def __init__(self, A, B, config, x_star):
-        super().__init__(A, B, config, x_star)
-        if not float(config.tau).is_integer() or not 1 <= config.tau <= self.m:
-            raise ValueError(f"tau={config.tau!r} is not a whole number in [1, m={self.m}]")
-        self.tau = int(config.tau)
-        self.sketch_rng = _rng(config.seed, 0)
-        self.QiAH = np.conj(np.swapaxes(self.Ah, -1, -2), order="C")
-        self.QiAH = self.QiAH if self.q_is_identity else self.Qinv @ self.QiAH
-
-    def select(self, losses):
-        """A fresh (m, tau) Gaussian matrix, the first frontal slice of the
-        sketch (its other slices are zero)."""
-        return self.sketch_rng.standard_normal((self.m, self.tau))
-
-    def step(self, S0):
-        # only the first frontal slice is nonzero, so every Fourier slice of
-        # the sketch equals S0
-        N = S0.T @ self.Ah  # (l, tau, n)
-        AQS = self.QiAH @ S0.astype(np.complex128)  # (l, n, tau)
-        G = batched_hpinv(N @ AQS, slice_axis=0)
-        resid = (N @ self.Xh) - (S0.T @ self.Bh)
-        self.Z -= AQS @ (G @ resid)
-        self.t += 1
-
-
 class _DirectState(_FiniteSetState):
     """Direct per-slice projections with fixed probabilities (TSP-II); the
     real part of the final inverse transform is the answer.
@@ -627,16 +608,16 @@ class _DirectState(_FiniteSetState):
     block and gathers the tables of every draw: 64 l tau (2n + p) complex
     entries plus 64 l tau^2 for G, about 235 KB at 50x20x5 with tau = 1,
     64/q times the tables.  A step is three small products; any other
-    choice passed to ``step`` is gathered as a block of one.
+    choice passed to ``step``, such as each TSP draw, is gathered as a block of one.
     """
 
     half_spectrum = False
     per_slice_selection = True
+    choice = gathered = None  # the block's draws and their projections
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         self.table_slices, self.tables = self._tables(A, B)
-        self.choice = self.gathered = None
 
     def _tables(self, A, B):
         N, AQS, SB = self._member_tables(self.Ah, self.Bh, self.Qinv)
@@ -667,6 +648,33 @@ class _DirectState(_FiniteSetState):
             N, AQS, SB, G = (T[0] for T in self._projections(np.asarray(idx)[None]))
         self.Z -= AQS @ (G @ (N @ self.Xh - SB))
         self.t += 1
+
+
+class _FreshGaussianState(_DirectState):
+    """TSP: a direct state with no set.  Its draw, a fresh (m, tau) Gaussian
+    S, is the sketch's first frontal slice, so every Fourier slice of the
+    sketch is S; it is never ``choice``, so ``step`` takes it as a block of one."""
+
+    half_spectrum = True
+    trace_choice = _BaseState.trace_choice
+
+    def __init__(self, A, B, config, x_star):
+        _BaseState.__init__(self, A, B, config, x_star)
+        if config.tau > self.m:
+            raise ValueError(f"tau={config.tau!r} exceeds m={self.m}")
+        self.tau, self.sketch_rng = config.tau, _rng(config.seed, 0)
+        if not self.q_is_identity:  # else Q^{-1} N^H is N^H
+            self.QiAH = self.Qinv @ np.conj(np.swapaxes(self.Ah, -1, -2), order="C")
+
+    def select(self, losses):
+        return self.sketch_rng.standard_normal((self.m, self.tau))
+
+    def _projections(self, S):
+        """N = S^T A, Q^{-1} N^H, S^T B and G of draws S (b, m, tau); one G cutoff per draw."""
+        St = np.swapaxes(S, -1, -2)[:, None]
+        N = St @ self.Ah
+        AQS = np.conj(np.swapaxes(N, -1, -2)) if self.q_is_identity else self.QiAH @ S[:, None]
+        return N, AQS, St @ self.Bh, batched_hpinv(N @ AQS, slice_axis=1)
 
 
 class _StackedState(_DirectState):

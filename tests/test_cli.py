@@ -31,6 +31,17 @@ class TestGen:
 
         assert np.linalg.norm(tprod(A, X) - B) <= 1e-12 * np.linalg.norm(B)
 
+    @pytest.mark.parametrize("flag, value", [("--m", 0), ("--l", 0), ("--n", -2), ("--seed", -1)])
+    def test_bad_value_is_a_one_line_usage_error(self, tmp_path, capsys, flag, value):
+        # --m 0 once wrote an empty A, and --l 0 failed in numpy's FFT
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", flag, value, "--out", tmp_path / "sys")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"tubalsketch: error: {flag[2:]}={value} is out of range"
+        assert "Traceback" not in err
+        assert not os.listdir(tmp_path)
+
     def test_deblur_kind(self, tmp_path):
         prefix = tmp_path / "blur"
         assert run_cli("gen", "--kind", "deblur", "--image-size", 8,
@@ -239,6 +250,25 @@ class TestBench:
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, value, message):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"methods": [{"method": "NTSP"}], "trials": value}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--config", cfg_path, "--out", tmp_path / "results")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"tubalsketch: error: {message}"
+        assert "Traceback" not in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"problem": {"m": "6"}}, "m='6' is out of range"),
+        ({"problem": {"l": 0}}, "l=0 is out of range"),
+        ({"methods": [{"method": "NTSP", "sketch": "gaussian", "tau": "2"}]},
+         "tau='2' is out of range"),
+        ({"methods": [{"method": "NTSP", "sketch": "gaussian", "q": 1.5}]},
+         "q=1.5 is out of range"),
+    ])
+    def test_bad_spec_value_is_a_usage_error(self, tmp_path, capsys, entry, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"methods": [{"method": "NTSP"}], **entry}))
         with pytest.raises(SystemExit) as exc:
             run_cli("bench", "--config", cfg_path, "--out", tmp_path / "results")
         assert exc.value.code == 2

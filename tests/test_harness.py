@@ -210,6 +210,27 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^{field}="):
             ExperimentConfig(methods=[MethodSpec(method="NTSP")], **{field: value})
 
+    @pytest.mark.parametrize("spec, field, value", [
+        (ProblemSpec, "m", 0), (ProblemSpec, "m", "6"), (ProblemSpec, "m", 2.5),
+        (ProblemSpec, "n", -1), (ProblemSpec, "p", float("nan")), (ProblemSpec, "l", 0),
+        (ProblemSpec, "seed", -1), (MethodSpec, "tau", "2"), (MethodSpec, "tau", 0),
+        (MethodSpec, "q", -1), (MethodSpec, "q", 2.5), (MethodSpec, "block_size", None),
+        (MethodSpec, "theta", 1.5),
+    ])
+    def test_spec_values_checked_when_built(self, spec, field, value):
+        args = {"method": "NTSP"} if spec is MethodSpec else {}
+        with pytest.raises(ValueError, match=f"^{field}="):
+            spec(**args, **{field: value})
+
+    def test_whole_float_spec_values_become_ints(self):
+        # values read from a JSON or TOML file may arrive as floats such as 6.0
+        problem = ProblemSpec(m=6.0, n=3.0, p=2.0, l=2.0, seed=4.0)
+        method = MethodSpec(method="NTSP", sketch="gaussian", tau=2.0, q=3.0)
+        for value in (problem.m, problem.n, problem.p, problem.l, problem.seed, method.tau,
+                      method.q, method.block_size):
+            assert type(value) is int
+        assert problem == ProblemSpec(m=6, n=3, p=2, l=2, seed=4)
+
 
 class TestBuildSketches:
     def test_kinds(self):

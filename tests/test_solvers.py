@@ -398,6 +398,24 @@ class TestTrkSpecialization:
             X_ref = sp_step_direct(A, B, X_ref, S)
             assert fnorm(st.x() - X_ref) < 1e-9 * max(fnorm(X_ref), 1.0)
 
+    def test_fresh_draw_cutoff_spans_the_slices(self):
+        # Fourier slices 1 and 3 of A are 1e-13 of the others: rounding-level
+        # for the block-circulant pinv, which drops them, so G's cutoff must
+        # span a draw's slices (a per-slice cutoff inverts them and deviates)
+        A0 = np.random.default_rng(0).standard_normal((6, 3))
+        A = A0[:, :, None] * np.fft.ifft([1, 1e-13, 1, 1e-13]).real
+        Xs = np.random.default_rng(1).standard_normal((3, 2, 4))
+        B = tprod(A, Xs)
+        st = make_state(A, B, SolverConfig(method="TSP", tau=2, seed=5), x_star=Xs)
+        X_ref = np.zeros_like(Xs)
+        for _ in range(20):
+            S0 = st.select(st.losses())
+            st.step(S0)
+            S = np.zeros((6, 2, 4))
+            S[:, :, 0] = S0
+            X_ref = sp_step_direct(A, B, X_ref, S)
+            assert fnorm(st.x() - X_ref) < 1e-10 * max(fnorm(X_ref), 1.0)
+
 
 class TestRunBehaviour:
     def test_seed_determinism(self):
@@ -616,11 +634,16 @@ class TestRunBehaviour:
         ("max_iters", "2"),
         ("theta", "0.5"),
         ("tol", None),
+        ("tau", 0),
+        ("tau", "2"),
+        ("method", 5),
+        ("method", "TSP-III"),
+        ("weight", np.eye(3)),
     ])
     def test_bad_config_value_rejected_up_front(self, field, value):
         A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
-        cfg = SolverConfig(method="NTSP", sketches=make_slice_sketches(6, 2),
-                           **{field: value})
+        cfg = SolverConfig(**{"method": "NTSP", "sketches": make_slice_sketches(6, 2),
+                              field: value})
         with pytest.raises(ValueError, match=f"^{field}="):
             solve(A, B, cfg, x_star=Xs)
 
@@ -631,6 +654,18 @@ class TestRunBehaviour:
                            max_iters=12.0, record_every=4.0, audit_every=6.0)
         X, rec = solve(A, B, cfg, x_star=Xs)
         assert rec.iterations == 12 and list(rec.t) == [0, 4, 8, 12]
+
+    @pytest.mark.parametrize("method", ["ATSP-MD", "NTSP-II", "TSP"])
+    def test_mis_shaped_x_star_rejected_up_front(self, method):
+        # a (3, 1, 2) x_star would broadcast against the (3, 2, 2) iterate
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
+        per_slice = method.endswith("-II")
+        s = make_fourier_sketches(6, 1, 6, 2, "row") if per_slice else make_slice_sketches(6, 2)
+        cfg = SolverConfig(method=method, sketches=s, seed=1, tau=2)
+        for bad in (Xs[:, :1], Xs[None], Xs[..., :1]):
+            with pytest.raises(ValueError) as exc:
+                solve(A, B, cfg, x_star=bad)
+            assert str(exc.value) == f"x_star has shape {bad.shape}, not (3, 2, 2)"
 
     def test_fractional_tau_rejected(self):
         A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
