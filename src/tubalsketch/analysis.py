@@ -7,9 +7,11 @@ domain, so its spectrum is the union of the per-slice spectra.  Every
 constant here is computed from per-slice factors K with
 Z_hat_i[k] = K_i[k]^H K_i[k], taken from the sketched system once per
 member and slice; recorded runs are then checked against the resulting
-geometric envelopes.  ``projector_tensor`` and ``expected_projector``
-assemble the same projectors through block-circulant oracle products and
-serve as the independent reference.
+geometric envelopes.  The sampled worst-direction estimate scores real
+directions on the Fourier slices 0..l//2 only, in blocks of samples, so
+its memory is the draw plus one block.  ``projector_tensor`` and
+``expected_projector`` assemble the same projectors through
+block-circulant oracle products and serve as the independent reference.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ __all__ = [
 
 # explicit nl x nl assemblies are oracles, not production paths; keep them small
 MAX_ASSEMBLY_DIM = 400
+# bytes of the complex products of one sample block of estimate_delta_inf
+_SAMPLE_BLOCK_BYTES = 256 * 1024
 
 BOUNDS = ("nonadaptive", "max-distance", "proportional", "capped")
 
@@ -200,36 +204,51 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None, facto
     Range(bcirc(Q)^{-1/2} bcirc(A)^T), is slice k's row space of
     A_k Q_k^{-1/2} in the Fourier domain; real Gaussian directions projected
     onto it slice by slice stay real and, normalized, uniform on its sphere.
+    Real data make slice l - k the conjugate of slice k, so only slices
+    0..l//2 are scored, the others counted through their mirror.  The
+    directions are scored in blocks of samples, so memory is the real
+    (l, n, n_samples) draw plus one block of a fixed byte size.  A system
+    with no sampled direction in its range raises ``ValueError``.
     ``factors`` as in :func:`per_slice_rates`.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n, l = A.shape
     if sketches.per_slice:
         raise ValueError("estimate_delta_inf applies to spatial sketch sets")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValueError(f"n_samples must be at least 1 and an integer, got {n_samples!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     if p is None:
         p = sketching.prob_uniform(sketches.q)
     AQ, _, K = _slice_factors(A, Q, sketches) if factors is None else factors
+    lower = float(_expected_slice_lambdas(K, p).min())  # before the draw: one peak at a time
+    h = l // 2 + 1  # slice l - k is the conjugate of slice k: 0..h-1 hold them all
     # the bcirc matrix's singular values are those of all slices together,
     # so its rank cutoff applies to the whole stack at once
-    _, s, vh = np.linalg.svd(AQ, full_matrices=False)
+    s, vh = np.linalg.svd(AQ[:h], full_matrices=False)[1:]
     vh = vh * (s > max(m, n) * l * np.finfo(float).eps * s.max())[..., None]
     # slice k of the projected direction is P_k g_k, P_k = vh_k^H vh_k; then
-    # v^T bcirc(Z_i) v = (1/l) sum_k ||K_i[k] v_k||^2 and ||v||^2 =
-    # (1/l) sum_k ||v_k||^2, summed one slice at a time to keep memory at (q, s)
-    G = np.fft.fft(rng.standard_normal((l, n, n_samples)), axis=0)
-    energies, norms_sq = 0.0, 0.0
-    for k in range(l):
-        Vk = np.conj(vh[k].T) @ (vh[k] @ G[k])
-        norms_sq = norms_sq + np.sum(np.abs(Vk) ** 2, axis=0)
-        KV = (K[k].reshape(-1, n) @ Vk).reshape(K.shape[1], -1, n_samples)  # one GEMM
-        energies = energies + np.sum(np.abs(KV) ** 2, axis=1)
-    live = norms_sq > 1e-24 * l
-    estimate = float(np.min(np.max(energies[:, live], axis=0) / norms_sq[live]))
-    return estimate, float(_expected_slice_lambdas(K, p).min())
+    # v^T bcirc(Z_i) v = (1/l) sum_k w_k ||K_i[k] P_k g_k||^2 and ||v||^2 =
+    # (1/l) sum_k w_k ||P_k g_k||^2 over k < h, w_k = 2 where l - k != k; one
+    # product with M = [K P; P] gives both for a block of c samples
+    P = np.conj(np.swapaxes(vh, -1, -2)) @ vh
+    M = np.concatenate((K[:h].reshape(h, -1, n) @ P, P), axis=1)
+    w = np.ones(h)
+    w[1:l - h + 1] = 2.0
+    G = rng.standard_normal((l, n, n_samples))
+    c = max(64, _SAMPLE_BLOCK_BYTES // (16 * h * M.shape[1]))
+    estimate = np.inf
+    for j in range(0, n_samples, c):
+        X = (M @ np.fft.rfft(G[..., j:j + c], axis=0)).view(np.float64)
+        e = (w @ np.square(X, out=X).reshape(h, -1)).reshape(M.shape[1], -1, 2).sum(axis=2)
+        energies, norms_sq = e[:-n].reshape(sketches.q, -1, e.shape[1]).sum(axis=1), e[-n:].sum(0)
+        live = norms_sq > 1e-24 * l
+        if live.any():
+            estimate = min(estimate, np.min(np.max(energies[:, live], axis=0) / norms_sq[live]))
+    if estimate == np.inf:
+        raise ValueError("no sampled direction has a nonzero range component")
+    return float(estimate), lower
 
 
 @dataclass

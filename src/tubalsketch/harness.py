@@ -160,8 +160,8 @@ class MethodSpec:
     theta: float = 0.5
 
     def __post_init__(self):
-        if not self.label:
-            self.label = self.method.upper()
+        method = SolverConfig.canonical_method(self)  # the solver's rule for the name
+        self.label = self.label or method
         check_ranges(self)
 
 

@@ -191,8 +191,8 @@ def make_block_sketches(m, l, partition):
 
 def make_gaussian_sketches(m, tau, q, l, rng):
     """q sketches whose first frontal slice is i.i.d. N(0, 1), others zero."""
-    if tau > m:
-        raise ValueError(f"tau={tau} exceeds m={m}")
+    if not 1 <= tau <= m:
+        raise ValueError(f"tau={tau} is not in 1..m={m}")
     mats = np.array([rng.standard_normal((m, tau)) for _ in range(q)])
     return SketchSet("gaussian", m, l, q, mats=mats)
 
@@ -204,8 +204,8 @@ def make_fourier_sketches(m, tau, q, l, kind, rng=None):
     q must be m); ``kind='gaussian'`` gives real Gaussian matrices drawn
     from an independent stream per slice.
     """
-    if tau > m:
-        raise ValueError(f"tau={tau} exceeds m={m}")
+    if not 1 <= tau <= m:
+        raise ValueError(f"tau={tau} is not in 1..m={m}")
     if kind == "row":
         if tau != 1 or q != m:
             raise ValueError("row sketches require tau=1 and q=m")
@@ -224,7 +224,10 @@ def make_fourier_sketches(m, tau, q, l, kind, rng=None):
 def as_prob_rows(p, rows, q):
     """Probabilities ``p``, one (q,) simplex point for every row or (rows, q)
     of them, checked and returned as a (rows, q) array."""
-    p = np.asarray(p, dtype=np.float64)
+    try:
+        p = np.asarray(p, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"probabilities {p!r} are not numbers") from exc
     if p.shape not in ((q,), (rows, q)):
         raise ValueError(f"probabilities have shape {p.shape}, not ({q},) or ({rows}, {q})")
     p = np.array(np.broadcast_to(p, (rows, q)))

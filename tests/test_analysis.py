@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from conftest import (
     slice_rates_loop,
     spd_weight_tensor,
 )
+from tubalsketch import analysis
 from tubalsketch.analysis import (
     BOUNDS,
     RateReport,
@@ -235,6 +237,24 @@ class TestWorstDirectionEstimate:
         A = rand_tubal(np.random.default_rng(9), 5, 3, 2)
         with pytest.raises(ValueError, match="n_samples"):
             estimate_delta_inf(A, None, make_slice_sketches(5, 2), n_samples=0)
+
+    @pytest.mark.parametrize("report", [False, True])
+    @pytest.mark.parametrize("bad", [2.5, "5", 2.0])
+    def test_rejects_non_integer_samples(self, bad, report):
+        A = rand_tubal(np.random.default_rng(9), 6, 3, 2)
+        with pytest.raises(ValueError, match=rf"^n_samples .* got {bad!r}$"):
+            (compute_rate_report if report else estimate_delta_inf)(
+                A, None, make_slice_sketches(6, 2), n_samples=bad)
+
+    def test_rejects_probabilities_that_are_not_numbers(self):
+        A = rand_tubal(np.random.default_rng(9), 6, 3, 2)
+        with pytest.raises(ValueError, match="^probabilities 'bogus' are not numbers$"):
+            compute_rate_report(A, None, make_slice_sketches(6, 2), p="bogus")
+
+    def test_zero_system_has_no_range_direction(self):
+        # every projected direction is zero: there is nothing to take a minimum over
+        with pytest.raises(ValueError, match="no sampled direction has a nonzero range"):
+            estimate_delta_inf(np.zeros((6, 3, 2)), None, make_slice_sketches(6, 2))
 
     def test_report_beyond_the_assembly_cap(self):
         # nl = 480 > MAX_ASSEMBLY_DIM: every constant comes from the slices
@@ -550,6 +570,39 @@ class TestFourierReportOracles:
         s = (make_slice_sketches(3, 3) if kind == "slice"
              else make_gaussian_sketches(3, 2, 4, 3, np.random.default_rng(27)))
         assert _check_max_energy(A, Qt, s) == 9
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", list(SPATIAL_SETS))
+    @pytest.mark.parametrize("l", [1, 2, 5, 6])
+    def test_max_energy_across_sample_blocks(self, monkeypatch, l, name, weighted):
+        # a one-byte budget holds no sample, so every block has the floor's 64;
+        # the sample counts put the last block at 1, c - 1, c, 1 and 7 samples
+        monkeypatch.setattr(analysis, "_SAMPLE_BLOCK_BYTES", 1)
+        c = 64
+        rng = np.random.default_rng(40 + l)
+        A = rand_tubal(rng, 5, 5, l)
+        Qt = spd_weight_tensor(rng, 5, l) if weighted else None
+        s = {"slice": lambda: make_slice_sketches(5, l),
+             "ragged-block": lambda: make_block_sketches(5, l, [[0, 2, 4], [1], [3]]),
+             "gaussian": lambda: make_gaussian_sketches(5, 2, 4, l, np.random.default_rng(21)),
+             }[name]()
+        for n_samples in (1, c - 1, c, c + 1, 3 * c + 7):
+            assert _check_max_energy(A, Qt, s, n_samples=n_samples) == 5 * l
+
+    def test_max_energy_memory_is_the_draw_and_one_block(self):
+        # tracemalloc counts what the estimate allocates: the real draw of
+        # 8 l n S bytes and the products of one sample block, not S-sized copies
+        A = rand_tubal(np.random.default_rng(41), 40, 10, 6)
+        s = make_slice_sketches(40, 6)
+        factors = analysis._slice_factors(A, None, s)
+        n_samples = 20_000
+        tracemalloc.start()
+        try:
+            estimate_delta_inf(A, None, s, n_samples=n_samples, factors=factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 6 * 10 * n_samples + 4 * analysis._SAMPLE_BLOCK_BYTES
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", list(ALL_SETS))

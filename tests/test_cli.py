@@ -6,7 +6,7 @@ import pytest
 
 from tubalsketch.cli import main
 from tubalsketch.io import load_sketches, load_tensor, read_trace
-from tubalsketch.solvers import SolverConfig, solve
+from tubalsketch.solvers import METHODS, SolverConfig, solve
 
 
 def run_cli(*args):
@@ -265,6 +265,8 @@ class TestBench:
          "tau='2' is out of range"),
         ({"methods": [{"method": "NTSP", "sketch": "gaussian", "q": 1.5}]},
          "q=1.5 is out of range"),
+        ({"methods": [{"method": 5}]}, f"method=5 is unknown; choose from {METHODS}"),
+        ({"methods": [{"method": "FOO"}]}, f"method='FOO' is unknown; choose from {METHODS}"),
     ])
     def test_bad_spec_value_is_a_usage_error(self, tmp_path, capsys, entry, message):
         cfg_path = tmp_path / "exp.json"

@@ -215,12 +215,12 @@ class TestRunExperiment:
         (ProblemSpec, "n", -1), (ProblemSpec, "p", float("nan")), (ProblemSpec, "l", 0),
         (ProblemSpec, "seed", -1), (MethodSpec, "tau", "2"), (MethodSpec, "tau", 0),
         (MethodSpec, "q", -1), (MethodSpec, "q", 2.5), (MethodSpec, "block_size", None),
-        (MethodSpec, "theta", 1.5),
+        (MethodSpec, "theta", 1.5), (MethodSpec, "method", 5), (MethodSpec, "method", "FOO"),
     ])
     def test_spec_values_checked_when_built(self, spec, field, value):
         args = {"method": "NTSP"} if spec is MethodSpec else {}
         with pytest.raises(ValueError, match=f"^{field}="):
-            spec(**args, **{field: value})
+            spec(**{**args, field: value})
 
     def test_whole_float_spec_values_become_ints(self):
         # values read from a JSON or TOML file may arrive as floats such as 6.0

@@ -114,6 +114,14 @@ class TestGaussianSketches:
         with pytest.raises(ValueError):
             make_gaussian_sketches(3, 4, 2, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_gaussian_sketches(6, 0, 6, 2, np.random.default_rng(0)),
+        lambda: make_fourier_sketches(6, 0, 6, 2, "gaussian", np.random.default_rng(0)),
+    ])
+    def test_no_columns_named_as_tau(self, build):
+        with pytest.raises(ValueError, match=r"^tau=0 is not in 1\.\.m=6$"):
+            build()
+
 
 class TestFourierSketches:
     def test_row_kind_lists_coordinate_vectors(self):
@@ -200,6 +208,11 @@ class TestProbabilities:
         with pytest.raises(ValueError):
             as_prob_rows([1.5, -0.5], 1, 2)
         as_prob_rows([0.3, 0.7], 1, 2)
+
+    @pytest.mark.parametrize("bad", ["bogus", ["a", "b"], {"p": 1.0}])
+    def test_non_numbers_named_as_probabilities(self, bad):
+        with pytest.raises(ValueError, match=r"^probabilities .* are not numbers$"):
+            as_prob_rows(bad, 1, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
