@@ -206,23 +206,33 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None, facto
     onto it slice by slice stay real and, normalized, uniform on its sphere.
     Real data make slice l - k the conjugate of slice k, so only slices
     0..l//2 are scored, the others counted through their mirror.  The
-    directions are scored in blocks of samples, so memory is the real
-    (l, n, n_samples) draw plus one block of a fixed byte size.  A system
-    with no sampled direction in its range raises ``ValueError``.
-    ``factors`` as in :func:`per_slice_rates`.
+    directions are scored in blocks of samples whose products share one
+    buffer, so memory is the real (l, n, n_samples) draw plus one block of
+    a fixed byte size.  A system with no sampled direction in its range
+    raises ``ValueError``.  ``factors`` as in :func:`per_slice_rates`.
     """
-    A = np.asarray(A, dtype=np.float64)
-    m, n, l = A.shape
     if sketches.per_slice:
         raise ValueError("estimate_delta_inf applies to spatial sketch sets")
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
-        raise ValueError(f"n_samples must be at least 1 and an integer, got {n_samples!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    _check_samples(n_samples)
     if p is None:
         p = sketching.prob_uniform(sketches.q)
-    AQ, _, K = _slice_factors(A, Q, sketches) if factors is None else factors
-    lower = float(_expected_slice_lambdas(K, p).min())  # before the draw: one peak at a time
+    if factors is None:
+        factors = _slice_factors(A, Q, sketches)
+    lower = float(_expected_slice_lambdas(factors[2], p).min())  # before the draw: one peak at a time
+    return _max_energy_estimate(factors, n_samples, rng), lower
+
+
+def _check_samples(n_samples):
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValueError(f"n_samples must be at least 1 and an integer, got {n_samples!r}")
+
+
+def _max_energy_estimate(factors, n_samples, rng):
+    """The estimate of :func:`estimate_delta_inf` from a spatial set's factors."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    AQ, _, K = factors
+    l, m, n = AQ.shape
     h = l // 2 + 1  # slice l - k is the conjugate of slice k: 0..h-1 hold them all
     # the bcirc matrix's singular values are those of all slices together,
     # so its rank cutoff applies to the whole stack at once
@@ -234,21 +244,25 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None, facto
     # product with M = [K P; P] gives both for a block of c samples
     P = np.conj(np.swapaxes(vh, -1, -2)) @ vh
     M = np.concatenate((K[:h].reshape(h, -1, n) @ P, P), axis=1)
+    r = M.shape[1]
     w = np.ones(h)
     w[1:l - h + 1] = 2.0
     G = rng.standard_normal((l, n, n_samples))
-    c = max(64, _SAMPLE_BLOCK_BYTES // (16 * h * M.shape[1]))
+    c = max(64, _SAMPLE_BLOCK_BYTES // (16 * h * r))
+    block = np.empty(h * r * min(c, n_samples), dtype=np.complex128)  # each block's product: a prefix
     estimate = np.inf
     for j in range(0, n_samples, c):
-        X = (M @ np.fft.rfft(G[..., j:j + c], axis=0)).view(np.float64)
-        e = (w @ np.square(X, out=X).reshape(h, -1)).reshape(M.shape[1], -1, 2).sum(axis=2)
-        energies, norms_sq = e[:-n].reshape(sketches.q, -1, e.shape[1]).sum(axis=1), e[-n:].sum(0)
+        b = min(c, n_samples - j)
+        X = np.matmul(M, np.fft.rfft(G[..., j:j + b], axis=0),
+                      out=block[:h * r * b].reshape(h, r, b)).view(np.float64)
+        e = (w @ np.square(X, out=X).reshape(h, -1)).reshape(r, -1, 2).sum(axis=2)
+        energies, norms_sq = e[:-n].reshape(K.shape[1], -1, b).sum(axis=1), e[-n:].sum(0)
         live = norms_sq > 1e-24 * l
         if live.any():
             estimate = min(estimate, np.min(np.max(energies[:, live], axis=0) / norms_sq[live]))
     if estimate == np.inf:
         raise ValueError("no sampled direction has a nonzero range component")
-    return float(estimate), lower
+    return float(estimate)
 
 
 @dataclass
@@ -310,19 +324,16 @@ class RateReport:
 
 def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):
     """Assemble every rate constant for one configuration, from one build
-    of the per-slice factors."""
+    of the per-slice factors and one of the fixed-sampling constant."""
+    _check_samples(n_samples)
     if p is None:
         p = sketching.prob_uniform(sketches.q)
     factors = _slice_factors(A, Q, sketches)
     lams, delta_p = per_slice_rates(A, Q, sketches, p, factors=factors)
-    if sketches.per_slice:
-        # per-slice families have no single spatial expected projector; the
-        # per-slice minimum plays the role of the fixed-sampling constant
-        delta_inf_est = float("nan")
-    else:
-        delta_inf_est, _ = estimate_delta_inf(
-            A, Q, sketches, p=p, n_samples=n_samples, rng=rng, factors=factors
-        )
+    # per-slice families have no single spatial expected projector; the
+    # per-slice minimum plays the role of the fixed-sampling constant
+    delta_inf_est = (float("nan") if sketches.per_slice
+                     else _max_energy_estimate(factors, n_samples, rng))
     return RateReport(
         delta_p_sq=delta_p,
         delta_inf_sq_lower=delta_p,

@@ -86,7 +86,7 @@ def load_slices_csv(path, depth):
 
 def save_sketches(path, sketches):
     with open(path, "w") as fh:  # numpy fields are written through .tolist()
-        json.dump({k: v for k, v in vars(sketches).items() if v is not None}, fh,
+        json.dump({k: v for k, v in vars(sketches).items() if v is not None and k[0] != "_"}, fh,
                   default=lambda v: v.tolist())
 
 

@@ -65,6 +65,7 @@ class SketchSet:
     q: int
     rows: np.ndarray | None = field(default=None, repr=False)
     mats: np.ndarray | None = field(default=None, repr=False)
+    _in_order: bool = field(default=False, init=False, repr=False, compare=False)  # see sketch
 
     def __post_init__(self):
         """Reject malformed fields; each check is one pass over ``rows`` or ``mats``."""
@@ -97,6 +98,7 @@ class SketchSet:
         if empty.size:
             raise ValueError(f"member {empty[0]} selects no row below m={self.m}")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_in_order", np.array_equal(rows.ravel(), np.arange(self.m)))
 
     @property
     def per_slice(self):
@@ -146,10 +148,13 @@ class SketchSet:
 
     def sketch(self, Xh):
         """S^H X per Fourier slice of the slices-first stack Xh (l, m, b), as
-        (l, q, tau, b).  Selection sets gather rows, which for finite Xh
-        equals the one-hot product exactly."""
+        (l, q, tau, b).  Selection sets gather rows, C-contiguous, which for
+        finite Xh equals the one-hot product exactly; rows 0..m-1 in order
+        (slice, fourier-row, contiguous equal blocks) reshape Xh, a view if C-contiguous."""
         if self.rows is None:
             return np.conj(np.swapaxes(self._dense(), -1, -2)) @ Xh[:, None]
+        if self._in_order:
+            return np.ascontiguousarray(Xh).reshape(Xh.shape[0], self.q, -1, Xh.shape[-1])
         return np.take(self._padded(Xh, 1), self.rows, axis=1)  # C-contiguous, unlike Xh[:, rows]
 
     def sketch_cols(self, Yh):

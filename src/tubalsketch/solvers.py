@@ -275,7 +275,7 @@ class _BaseState:
         self.h = self.Ah.shape[0]
         self.w = np.ones(self.h)
         self.w[1:self.l - self.h + 1] = 2.0  # slices with a distinct mirror l - k
-        self.Qinv = np.ascontiguousarray(Q.inv[:self.h])
+        self.Qinv = Q.inv[:self.h]  # a view: the identity's is a broadcast eye
         self.Z = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
         self.t = 0
         self.sqrt_l = np.sqrt(self.l)
@@ -444,11 +444,14 @@ class _SetState(_FiniteSetState):
     the cross products C_i^H N_i Q^{-1} N_j^H C_j, and the running sketched
     residuals R_i = C_i^H (N_i X - S_i^H B), R_0 = -C^H S^H B as X_0 = 0, as
     views of the block Z and of the table U = [step_map; cross] (see the
-    module docstring).  Selection sets gather N and S^H B by rows; ragged
-    blocks are padded with zero rows, which get zero factor columns.  The
-    completeness check runs on N.  ``views``: R, its (slices, 2 q tau p)
-    float view, which the losses read, and ``before`` flat.  Spatial and
-    per-slice sets share the losses, the audit and the step.
+    module docstring).  Selection sets gather N and S^H B by rows (views of
+    Ah and Bh for rows 0..m-1 in order); ragged blocks are padded with zero
+    rows, which get zero factor columns.  The completeness check runs on N.
+    Setup peaks at U, the transformed system and one slice's temporaries:
+    the identity weight's N^H goes once C is factored, and step maps and
+    (tau = 1) cross products are written straight into U.  ``views``: R,
+    its (slices, 2 q tau p) float view, which the losses read, and
+    ``before`` flat.  Spatial and per-slice sets share losses, audit, step.
     """
 
     def __init__(self, A, B, config, x_star):
@@ -461,16 +464,22 @@ class _SetState(_FiniteSetState):
                           "iteration is still defined but the rate certificates may not hold",
                           stacklevel=2)
         self.C = batched_inv_factor(N @ AQS, slice_axis=None if self.per_slice_selection else 0)
+        AQS = None if self.q_is_identity else AQS  # N^H is formed again one slice at a time
         h, q, tau, n = N.shape
         CH = np.conj(np.swapaxes(self.C, -1, -2))
         self.U = np.empty((h, q, n + q * tau, tau), dtype=np.complex128)
         cross = self.U[:, :, n:].reshape(h, q, q, tau, tau)  # [k, j, i, a, c], a view
         for k in range(h):  # one slice at a time: no table-sized temporary
-            self.U[k, :, :n] = AQS[k] @ self.C[k]
+            np.matmul(AQS[k] if AQS is not None else np.conj(np.swapaxes(N[k], -1, -2), order="C"),
+                      self.C[k], out=self.U[k, :, :n])
             # cross[k, j, i, a, c] = sum_b (C^H N)[k, i, a, b] step_map[k, j, b, c]
             jc = np.swapaxes(self.U[k, :, :n], 1, 2).reshape(q * tau, n)
             ia = np.moveaxis(CH[k] @ N[k], 2, 0).reshape(n, q * tau)
-            cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
+            if tau == 1:
+                np.matmul(jc, ia, out=self.U[k, :, n:, 0])
+            else:  # through a (q tau)^2 temporary of this slice
+                cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
+            del jc, ia  # C^H N of this slice is not kept through the next
         self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
         self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through

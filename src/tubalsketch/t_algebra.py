@@ -253,7 +253,8 @@ class WeightQ:
     The caches hold, for every frontal slice k of the depth transform,
     Q_k^{-1}, Q_k^{-1/2} and Q_k^{1/2} in slices-first layout (l, n, n);
     they are what the solvers and norms consume, so the factorization
-    happens once per weight rather than once per iteration.
+    happens once per weight rather than once per iteration.  The identity
+    weight holds all four as read-only broadcast views of one n x n eye.
     """
 
     base: np.ndarray          # (n, n, l) real
@@ -289,8 +290,8 @@ class WeightQ:
 
     @classmethod
     def identity(cls, n, l):
-        eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (l, n, n)).copy()
-        return cls(identity(n, l), eye, eye.copy(), eye.copy(), eye.copy())
+        eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (l, n, n))
+        return cls(identity(n, l), eye, eye, eye, eye)
 
     def inv_sqrt_tensor(self):
         """Q^{-1/2} as a real tensor (n, n, l)."""

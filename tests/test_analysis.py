@@ -246,6 +246,24 @@ class TestWorstDirectionEstimate:
             (compute_rate_report if report else estimate_delta_inf)(
                 A, None, make_slice_sketches(6, 2), n_samples=bad)
 
+    @pytest.mark.parametrize("bad", [2.5, "5", 2.0, 0])
+    def test_report_checks_samples_on_per_slice_sets(self, bad):
+        # a per-slice set has no estimate to draw, but the count is checked the same way
+        A = rand_tubal(np.random.default_rng(9), 6, 3, 2)
+        with pytest.raises(ValueError, match=rf"^n_samples .* got {bad!r}$"):
+            compute_rate_report(A, None, make_fourier_sketches(6, 1, 6, 2, "row"), n_samples=bad)
+
+    def test_report_computes_the_fixed_sampling_constant_once(self, monkeypatch):
+        A = rand_tubal(np.random.default_rng(10), 8, 3, 4)
+        s = make_slice_sketches(8, 4)
+        calls, lambdas = [], analysis._expected_slice_lambdas
+        monkeypatch.setattr(analysis, "_expected_slice_lambdas",
+                            lambda K, p: calls.append(p) or lambdas(K, p))
+        rep = compute_rate_report(A, None, s, n_samples=70)
+        assert len(calls) == 1
+        est, lower = estimate_delta_inf(A, None, s, n_samples=70)
+        assert (rep.delta_inf_sq_estimate, rep.delta_inf_sq_lower) == (est, lower)
+
     def test_rejects_probabilities_that_are_not_numbers(self):
         A = rand_tubal(np.random.default_rng(9), 6, 3, 2)
         with pytest.raises(ValueError, match="^probabilities 'bogus' are not numbers$"):
@@ -603,6 +621,22 @@ class TestFourierReportOracles:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 6 * 10 * n_samples + 4 * analysis._SAMPLE_BLOCK_BYTES
+
+    def test_max_energy_holds_one_sample_block(self, monkeypatch):
+        # three full blocks of c = 1024 samples (h = 4, qtau + n = 50): each
+        # block's product reuses one buffer, so the loop never holds two
+        A = rand_tubal(np.random.default_rng(41), 40, 10, 6)
+        s = make_slice_sketches(40, 6)
+        factors = analysis._slice_factors(A, None, s)
+        budget = 16 * 4 * 50 * 1024
+        monkeypatch.setattr(analysis, "_SAMPLE_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            estimate_delta_inf(A, None, s, n_samples=3 * 1024, factors=factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 6 * 10 * 3 * 1024 + 2 * budget
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", list(ALL_SETS))

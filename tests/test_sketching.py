@@ -123,6 +123,25 @@ class TestGaussianSketches:
             build()
 
 
+class TestRowGather:
+    @pytest.mark.parametrize("build, in_order", [
+        (lambda: make_slice_sketches(6, 3), True),
+        (lambda: make_fourier_sketches(6, 1, 6, 3, "row"), True),
+        (lambda: make_block_sketches(6, 3, [[0, 1], [2, 3], [4, 5]]), True),
+        (lambda: make_block_sketches(6, 3, [[0, 1, 2, 3], [4, 5]]), False),  # ragged
+        (lambda: make_block_sketches(6, 3, [[2, 3], [0, 1], [4, 5]]), False),  # permuted
+    ])
+    def test_rows_in_order_are_a_view_of_the_stack(self, build, in_order):
+        s = build()
+        Xh = fft_slices(rand_tubal(np.random.default_rng(12), 6, 4, 3))  # not C-contiguous
+        for X in (np.ascontiguousarray(Xh), Xh):
+            want = np.take(np.concatenate([X, np.zeros_like(X[:, :1])], axis=1), s.rows, axis=1)
+            got = s.sketch(X)
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous
+            assert np.shares_memory(got, X) == (in_order and X.flags.c_contiguous)
+
+
 class TestFourierSketches:
     def test_row_kind_lists_coordinate_vectors(self):
         s = make_fourier_sketches(3, 1, 3, 2, "row")

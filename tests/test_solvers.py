@@ -974,6 +974,34 @@ class TestSetLayout:
             tracemalloc.stop()
         assert peak - held < 0.5 * st.cross.nbytes
 
+    def test_setup_peak_is_the_table_the_data_and_one_slice(self):
+        # identity weight, slice set: N is a view of Ah, no (l, n, n) weight
+        # table and no whole N^H are built, and the cross products go
+        # straight into U, so setup peaks at U, Ah and a few (q, n) slices
+        A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=87))
+        cfg = SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8))
+        tracemalloc.start()
+        try:
+            st = make_state(A, B, cfg, x_star=Xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= st.U.nbytes + st.Ah.nbytes + 4 * 240 * 40 * 16
+        assert np.shares_memory(st.N, st.Ah)
+
+    @pytest.mark.parametrize("method", ["NTSP", "ATSP-MD", "ATSP-MD-II"])
+    def test_identity_weight_object_runs_as_no_weight(self, method):
+        A, Xs, B = small_problem(89)
+        s = make_fourier_sketches(10, 1, 10, 4, "row") if method.endswith("-II") else \
+            make_block_sketches(10, 4, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]])
+        runs = [solve(A, B, SolverConfig(method=method, sketches=s, weight=w, seed=90, tol=1e-10,
+                                         max_iters=300, record_every=1), x_star=Xs)
+                for w in (None, WeightQ.identity(5, 4))]
+        (X0, r0), (X1, r1) = runs
+        assert np.array_equal(X0, X1) and r0.chosen == r1.chosen and r0.stop_reason == r1.stop_reason
+        for f in ("t", "epsilon", "q_error", "loss_max", "loss_sum", "pr_variance_factor"):
+            assert np.array_equal(getattr(r0, f), getattr(r1, f), equal_nan=True), f
+
     def test_record_keeps_setup_seconds(self, monkeypatch):
         make_state = solvers.make_state
 
