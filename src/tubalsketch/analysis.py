@@ -23,9 +23,9 @@ import numpy as np
 from . import sketching
 from .t_algebra import (
     WeightQ,
+    _fourier_slices,
     batched_inv_factor,
     bcirc,
-    fft_slices,
     tpinv,
     tprod_oracle,
     ttranspose,
@@ -106,22 +106,22 @@ def expected_projector(A, Q, sketches, p):
 def _slice_factors(A, Q, sketches):
     """Per-slice factors of every member's sketched projector.
 
-    Returns AQ = A_k Q_k^{-1/2}, (l, m, n), and NQ = S_i^H AQ and K = C^H NQ,
-    both (l, q, tau, n), where C C^H = pinv(NQ NQ^H), so that slice k of
-    member i's projector is K[k, i]^H K[k, i].  For spatial sets the pinv
+    Returns AQ = A_k Q_k^{-1/2}, (h, m, n), NQ = S_i^H AQ and K = C^H NQ,
+    both (h, q, tau, n), where C C^H = pinv(NQ NQ^H), so that slice k of
+    member i's projector is K[k, i]^H K[k, i], and the multiplicities w of
+    the h slices.  Spatial sets keep slices 0..l//2, whose mirrors hold the
+    same spectra; per-slice sets keep all l.  For spatial sets the pinv
     cutoff is relative to the member's largest slice, as in ``tpinv`` and
     the solvers, so a slice that vanishes up to rounding gets a zero
     projector; per-slice sets cut each slice on its own scale.
-    :func:`compute_rate_report` builds them once and passes them to the
-    functions below as ``factors``.
+    :func:`compute_rate_report` builds them once for the bodies below.
     """
     A = np.asarray(A, dtype=np.float64)
-    Q = _as_weight(Q, A.shape[1], A.shape[2])
-    AQ = fft_slices(A) @ Q.inv_sqrt
+    AQ, w = _fourier_slices(A, not sketches.per_slice, _as_weight(Q, A.shape[1], A.shape[2]))
     NQ = sketches.sketch(AQ)
     C = batched_inv_factor(NQ @ np.conj(np.swapaxes(NQ, -1, -2)),
                            slice_axis=None if sketches.per_slice else 0)
-    return AQ, NQ, np.conj(np.swapaxes(C, -1, -2)) @ NQ
+    return AQ, NQ, np.conj(np.swapaxes(C, -1, -2)) @ NQ, w
 
 
 def _expected_slice_lambdas(K, p):
@@ -132,21 +132,25 @@ def _expected_slice_lambdas(K, p):
     return np.linalg.eigvalsh(np.conj(np.swapaxes(Kp, -1, -2)) @ Kp)[:, 0]
 
 
-def per_slice_rates(A, Q, sketches, p, factors=None):
+def per_slice_rates(A, Q, sketches, p):
     """lambda_min(E[Z_hat_k]) for every Fourier slice k, and their minimum.
 
     Works for spatial sets (every slice sees the same family; the minimum
     is then the smallest eigenvalue of the expected projector) and for
-    per-slice sets (p may then be per-slice, shape (l, q)).  ``factors``
-    are the ``_slice_factors`` of the same inputs, built here when None.
+    per-slice sets (p may then be per-slice, shape (l, q)).
     """
-    if factors is None:
-        factors = _slice_factors(A, Q, sketches)
-    lams = _expected_slice_lambdas(factors[2], p)
+    return _rates(_slice_factors(A, Q, sketches), p)
+
+
+def _rates(factors, p):
+    """:func:`per_slice_rates` of the factors: slice l - k of a spatial set
+    repeats the lambda of its mirror k, which the factors hold."""
+    lams, w = _expected_slice_lambdas(factors[2], p), factors[3]
+    lams = np.concatenate([lams, lams[1:int(w.sum()) - w.size + 1][::-1]])  # none if h = l
     return lams, float(lams.min())
 
 
-def closed_form_rate_bounds(A, Q, sketches, factors=None):
+def closed_form_rate_bounds(A, Q, sketches):
     """Closed-form lower bounds on the fixed-sampling rate constant.
 
     Keys 'norm_weighted' (probabilities proportional to
@@ -159,24 +163,24 @@ def closed_form_rate_bounds(A, Q, sketches, factors=None):
     member Gram maxima do not vary across slices, and for depth > 1 it can
     exceed the exact constant, so the shortcut value is reported separately
     as 'norm_weighted_display'.  All bounds assume the
-    complete-discrete-sampling property.  ``factors`` as in
-    :func:`per_slice_rates`.
+    complete-discrete-sampling property.
     """
-    if factors is None:
-        factors = _slice_factors(A, Q, sketches)
-    NQ = factors[1]
+    return _closed_form_bounds(_slice_factors(A, Q, sketches), sketches.per_slice)
+
+
+def _closed_form_bounds(factors, per_slice):
+    """:func:`closed_form_rate_bounds` of the factors, all minima over slices."""
+    _, NQ, _, w = factors
     l, q, tau, _ = NQ.shape
     stacked = NQ.reshape(l, q * tau, -1)  # ragged padding rows are zero
     gram = np.conj(np.swapaxes(stacked, -1, -2)) @ stacked
     num = np.clip(np.linalg.eigvalsh(gram)[:, 0], 0.0, None)
     member_norm_sq = np.sum(np.abs(NQ) ** 2, axis=(2, 3))  # ||Q_k^{-1/2} A_k^H S_{k_i}||_F^2
     member_lmax = np.linalg.eigvalsh(NQ @ np.conj(np.swapaxes(NQ, -1, -2)))[..., -1]
-    if sketches.per_slice:
+    if per_slice:
         weights = member_norm_sq  # independent subsystems: per-slice norms
-    else:
-        weights = np.broadcast_to(
-            np.mean(member_norm_sq, axis=0, keepdims=True), (l, q)
-        )
+    else:  # the mean over all slices, mirrors counted by w
+        weights = np.broadcast_to(w @ member_norm_sq / w.sum(), (l, q))
     # a zero Fourier slice (num = 0, zero member norms) gives 0/0: its bounds are 0
     with np.errstate(divide="ignore", invalid="ignore"):
         p = weights / weights.sum(axis=1, keepdims=True)
@@ -192,7 +196,7 @@ def closed_form_rate_bounds(A, Q, sketches, factors=None):
     }
 
 
-def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None, factors=None):
+def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
     """Sampled estimate of the worst-direction max projected energy.
 
     The exact quantity (a min over the range space of a max over the
@@ -209,15 +213,14 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None, facto
     directions are scored in blocks of samples whose products share one
     buffer, so memory is the real (l, n, n_samples) draw plus one block of
     a fixed byte size.  A system with no sampled direction in its range
-    raises ``ValueError``.  ``factors`` as in :func:`per_slice_rates`.
+    raises ``ValueError``.
     """
     if sketches.per_slice:
         raise ValueError("estimate_delta_inf applies to spatial sketch sets")
     _check_samples(n_samples)
     if p is None:
         p = sketching.prob_uniform(sketches.q)
-    if factors is None:
-        factors = _slice_factors(A, Q, sketches)
+    factors = _slice_factors(A, Q, sketches)
     lower = float(_expected_slice_lambdas(factors[2], p).min())  # before the draw: one peak at a time
     return _max_energy_estimate(factors, n_samples, rng), lower
 
@@ -231,22 +234,20 @@ def _max_energy_estimate(factors, n_samples, rng):
     """The estimate of :func:`estimate_delta_inf` from a spatial set's factors."""
     if rng is None:
         rng = np.random.default_rng(0)
-    AQ, _, K = factors
-    l, m, n = AQ.shape
-    h = l // 2 + 1  # slice l - k is the conjugate of slice k: 0..h-1 hold them all
+    AQ, _, K, w = factors  # slices 0..h-1 of l: their mirrors are conjugates
+    h, m, n = AQ.shape
+    l = int(w.sum())
     # the bcirc matrix's singular values are those of all slices together,
     # so its rank cutoff applies to the whole stack at once
-    s, vh = np.linalg.svd(AQ[:h], full_matrices=False)[1:]
+    s, vh = np.linalg.svd(AQ, full_matrices=False)[1:]
     vh = vh * (s > max(m, n) * l * np.finfo(float).eps * s.max())[..., None]
     # slice k of the projected direction is P_k g_k, P_k = vh_k^H vh_k; then
     # v^T bcirc(Z_i) v = (1/l) sum_k w_k ||K_i[k] P_k g_k||^2 and ||v||^2 =
     # (1/l) sum_k w_k ||P_k g_k||^2 over k < h, w_k = 2 where l - k != k; one
     # product with M = [K P; P] gives both for a block of c samples
     P = np.conj(np.swapaxes(vh, -1, -2)) @ vh
-    M = np.concatenate((K[:h].reshape(h, -1, n) @ P, P), axis=1)
+    M = np.concatenate((K.reshape(h, -1, n) @ P, P), axis=1)
     r = M.shape[1]
-    w = np.ones(h)
-    w[1:l - h + 1] = 2.0
     G = rng.standard_normal((l, n, n_samples))
     c = max(64, _SAMPLE_BLOCK_BYTES // (16 * h * r))
     block = np.empty(h * r * min(c, n_samples), dtype=np.complex128)  # each block's product: a prefix
@@ -329,7 +330,7 @@ def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):
     if p is None:
         p = sketching.prob_uniform(sketches.q)
     factors = _slice_factors(A, Q, sketches)
-    lams, delta_p = per_slice_rates(A, Q, sketches, p, factors=factors)
+    lams, delta_p = _rates(factors, p)
     # per-slice families have no single spatial expected projector; the
     # per-slice minimum plays the role of the fixed-sampling constant
     delta_inf_est = (float("nan") if sketches.per_slice
@@ -341,7 +342,7 @@ def compute_rate_report(A, Q, sketches, p=None, n_samples=2000, rng=None):
         per_slice_min_rate=delta_p,
         per_slice_lambdas=tuple(float(x) for x in lams),
         q=sketches.q,
-        closed_form_bounds=closed_form_rate_bounds(A, Q, sketches, factors=factors),
+        closed_form_bounds=_closed_form_bounds(factors, sketches.per_slice),
     )
 
 

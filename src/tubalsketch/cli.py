@@ -25,7 +25,6 @@ from . import harness
 from . import io as tio
 from .sketching import resolve_probabilities
 from .solvers import RunRecord, SolverConfig, solve
-from .t_algebra import WeightQ
 
 
 def _add_sketch_args(cmd):
@@ -172,8 +171,7 @@ def _cmd_bench(args):
 def _cmd_rates(args):
     A = tio.load_tensor(args.a_path)
     sketches = _sketches_from_args(args, A.shape[0], A.shape[2])
-    p = resolve_probabilities(args.prob, A, WeightQ.identity(A.shape[1], A.shape[2]),
-                              sketches)
+    p = resolve_probabilities(args.prob, A, None, sketches)
     report = analysis.compute_rate_report(
         A, None, sketches, p=p, n_samples=args.samples,
         rng=np.random.default_rng(args.seed),

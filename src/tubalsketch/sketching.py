@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .t_algebra import fft_slices, rfft_slices
+from .t_algebra import _fourier_slices, fft_slices
 
 __all__ = [
     "SketchSet",
@@ -249,8 +249,8 @@ def as_prob_rows(p, rows, q):
 
 def _normalize(weights, what):
     w = np.asarray(weights, dtype=np.float64)
-    total = w.sum()
-    if not total > 0:
+    total = w.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0):
         raise ValueError(f"all {what} weights are zero")
     return w / total
 
@@ -266,12 +266,11 @@ def prob_slice_norm(A):
 
 
 def prob_sketch_norm(A, Q, sketches):
-    """p_i proportional to ||Q^{-1/2} * A^T * S_i||_F^2 (spatial sets)."""
+    """p_i proportional to ||Q^{-1/2} * A^T * S_i||_F^2 (spatial sets; Q may be None)."""
     if sketches.per_slice:
         raise ValueError("prob_sketch_norm applies to spatial sketch sets")
-    Ah = fft_slices(A)
-    K = sketches.sketch_cols(Q.inv_sqrt @ np.conj(np.swapaxes(Ah, -1, -2)))
-    return _normalize(np.sum(np.abs(K) ** 2, axis=(0, 2, 3)), "sketch-norm")
+    AQ, w = _fourier_slices(A, Q=Q)
+    return _normalize(w @ np.sum(np.abs(sketches.sketch(AQ)) ** 2, axis=(2, 3)), "sketch-norm")
 
 
 def prob_fourier_row_norm(A, Q=None):
@@ -280,18 +279,13 @@ def prob_fourier_row_norm(A, Q=None):
     With Q omitted this is the squared row norm of each Fourier slice of A.
     Returns an (l, m) array of per-slice simplex points.
     """
-    Ah = fft_slices(A)
-    l, m = Ah.shape[0], Ah.shape[1]
-    p = np.empty((l, m))
-    for k in range(l):
-        cols = Ah[k].conj().T if Q is None else Q.inv_sqrt[k] @ Ah[k].conj().T
-        p[k] = _normalize(np.sum(np.abs(cols) ** 2, axis=0), "fourier-row")
-    return p
+    AQ = _fourier_slices(A, False, Q)[0]
+    return _normalize(np.sum(np.abs(AQ) ** 2, axis=2), "fourier-row")
 
 
 def resolve_probabilities(spec, A, Q, sketches):
     """Probabilities of a rule name (None is 'uniform'; the others are the
-    ``prob_*`` rules above, ``Q`` a WeightQ) or of an explicit vector."""
+    ``prob_*`` rules above, ``Q`` a WeightQ or None) or of an explicit vector."""
     if spec is None or (isinstance(spec, str) and spec == "uniform"):
         return prob_uniform(sketches.q)
     if isinstance(spec, str):
@@ -310,11 +304,19 @@ def resolve_probabilities(spec, A, Q, sketches):
 
 
 def sample_index(p, rng):
-    """Inverse-CDF draw from a probability vector: the number of cumulative
-    sums at or below ``rng.random()`` times their total, capped at the last
-    index (the solvers' draw convention)."""
-    cdf = np.cumsum(as_prob_rows(p, 1, np.size(p))[0])
-    return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), cdf.size - 1)
+    """Inverse-CDF draw from a probability vector by the solvers' convention."""
+    return int(_inverse_cdf(np.cumsum(as_prob_rows(p, 1, np.size(p))[0]), rng.random()))
+
+
+def _inverse_cdf(cum, u):
+    """The draw of every finite-set rule: #(cum[:-1] <= u * total) for each row
+    of the unnormalised cumulative weights ``cum`` (..., q), total its last
+    column, and uniforms ``u`` that broadcast against that column; on a
+    sorted cum, min(#(cum <= u * total), q - 1).  One row: a binary search."""
+    targets = u * cum[..., -1]
+    if cum.ndim == 1:
+        return cum[:-1].searchsorted(targets, "right")
+    return (cum[..., :-1] <= targets[..., None]).sum(axis=-1)
 
 
 def is_complete_discrete_sampling(A, sketches, sketched=None):
@@ -335,7 +337,7 @@ def is_complete_discrete_sampling(A, sketches, sketched=None):
     iteration.  ``sketched``: those slices sketched, if held.
     """
     SA = sketched if sketched is not None else sketches.sketch(
-        (fft_slices if sketches.per_slice else rfft_slices)(A))
+        _fourier_slices(A, not sketches.per_slice)[0])
     l, q, tau, n = SA.shape
     if q * tau < n:  # the stacked family cannot reach every column
         return False

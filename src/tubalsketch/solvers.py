@@ -76,14 +76,14 @@ import numpy as np
 from scipy.linalg.blas import zgemm
 
 from . import sketching
+from .sketching import _inverse_cdf
 from .t_algebra import (
     WeightQ,
+    _fourier_slices,
     batched_hpinv,
     batched_inv_factor,
-    fft_slices,
     ifft_slices,
     irfft_slices,
-    rfft_slices,
 )
 
 __all__ = [
@@ -228,19 +228,6 @@ def check_ranges(config):
 _UNIFORM_BLOCK = 64
 
 
-def _inverse_cdf(cum, u):
-    """The draw convention of every finite-set rule: min(#(cum <= u * total),
-    q - 1) for each row of the unnormalised cumulative weights ``cum``
-    (..., q), whose last column is the total, and the uniforms ``u``, which
-    broadcast against that column.  A cumsum of nonnegative weights is
-    sorted, so that count is #(cum[:-1] <= u * total): a binary search for
-    one row."""
-    targets = u * cum[..., -1]
-    if cum.ndim == 1:
-        return cum[:-1].searchsorted(targets, "right")
-    return (cum[..., :-1] <= targets[..., None]).sum(axis=-1)
-
-
 class _BaseState:
     """Shared bookkeeping: Fourier data, error tracking, iterate export.
 
@@ -270,11 +257,9 @@ class _BaseState:
         if Q.n != self.n or Q.l != self.l:
             raise ValueError("weight dimensions do not match the system")
         self.Q = Q
-        transform = rfft_slices if self.half_spectrum else fft_slices
-        self.Ah, self.Bh = transform(A), transform(B)
-        self.h = self.Ah.shape[0]
-        self.w = np.ones(self.h)
-        self.w[1:self.l - self.h + 1] = 2.0  # slices with a distinct mirror l - k
+        # unwhitened: the states apply Q^{-1} on the N^H side
+        (self.Ah, self.w), (self.Bh, _) = (_fourier_slices(T, self.half_spectrum) for T in (A, B))
+        self.h = self.w.size
         self.Qinv = Q.inv[:self.h]  # a view: the identity's is a broadcast eye
         self.Z = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
         self.t = 0
@@ -283,7 +268,7 @@ class _BaseState:
         if self.x_star is not None and self.x_star.shape != (self.n, self.p, self.l):
             raise ValueError(f"x_star has shape {self.x_star.shape}, not {self.n, self.p, self.l}")
         if self.x_star is not None:
-            self.Xsh = np.ascontiguousarray(transform(self.x_star))  # see _errors
+            self.Xsh = _fourier_slices(self.x_star, self.half_spectrum)[0]  # see _errors
             self.x_star_norm = np.linalg.norm(self.x_star)
             if self.x_star_norm == 0:
                 raise ValueError("x_star must be nonzero for relative errors")
@@ -706,7 +691,8 @@ class _StackedState(_DirectState):
     def _tables(self, A, B):
         half = np.arange(self.h)
         self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
-        N, AQS, SB = self._member_tables(fft_slices(A), fft_slices(B), self.Q.inv)
+        Ah, Bh = (_fourier_slices(T, False)[0] for T in (A, B))
+        N, AQS, SB = self._member_tables(Ah, Bh, self.Q.inv)
         return np.stack([half, -half % self.l], axis=1).ravel(), [
             np.stack([T[half], np.conj(T[-half % self.l])], axis=1).reshape(-1, *T.shape[1:])
             for T in (N, np.swapaxes(AQS, -1, -2), SB)]

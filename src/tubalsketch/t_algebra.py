@@ -129,10 +129,23 @@ def ifft_slices(F, force_real=False):
 
 
 def rfft_slices(X):
-    """Slices 0..l//2 of :func:`fft_slices` as a C-contiguous stack, cut
-    from the full transform, so equal to its slices bit for bit."""
+    """Slices 0..l//2 of :func:`fft_slices`, bit for bit, C-contiguous."""
+    return _fourier_slices(X)[0]
+
+
+def _fourier_slices(X, half=True, Q=None):
+    """The slices of :func:`fft_slices` that the solvers, probability rules
+    and certificates keep of the real tensor X, C-contiguous, and their
+    multiplicities w (summing to l): slices 0..l//2 if ``half`` (slice l - k
+    is the conjugate of slice k; w_k = 2 if l - k != k), else all l with
+    w_k = 1, as per-slice sets need.  A WeightQ ``Q`` whitens slice k to
+    X_k Q_k^{-1/2}; None or the identity skip that product."""
     F = fft_slices(X)
-    return np.ascontiguousarray(F[:F.shape[0] // 2 + 1])
+    l = F.shape[0]
+    w = np.ones(l // 2 + 1 if half else l)
+    w[1:l - w.size + 1] = 2.0  # empty on the full spectrum
+    F = np.ascontiguousarray(F[:w.size])
+    return (F if Q is None or Q.is_identity else F @ Q.inv_sqrt[:w.size]), w
 
 
 def irfft_slices(F, l):

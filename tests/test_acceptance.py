@@ -230,15 +230,28 @@ def test_05_max_rule_per_step_bound():
            f"(50 instances, worst ratio excess {worst:.2e})")
 
 
+def _capped_states(q, l, theta, seed):
+    """ATSP-CS and ATSP-MD states on a q-row system with spatial slice sets,
+    and an ATSP-CS-II state with fourier-row sets."""
+    A, _, B = gen_gaussian(ProblemSpec(m=q, n=2, p=1, l=l, seed=seed))
+    spatial, rows = make_slice_sketches(q, l), make_fourier_sketches(q, 1, q, l, "row")
+    return [make_state(A, B, SolverConfig(method=method, sketches=s, theta=theta, seed=seed))
+            for method, s in (("ATSP-CS", spatial), ("ATSP-MD", spatial), ("ATSP-CS-II", rows))]
+
+
 def test_06_capped_rule_endpoints():
     rng = np.random.default_rng(106)
-    # full cap reproduces the max rule decision for decision after decision
+    # full cap reproduces the max rule decision for decision after decision,
+    # in the public rule and in the states' rule that solve() runs
+    states = {}
     for _ in range(300):
         q = int(rng.integers(2, 9))
         losses = rng.random(q) + 0.01
         md = select_index(losses, "md")
         cs = select_index(losses, "cs", rng, prob_uniform(q), theta=1.0)
         assert cs == md
+        cs_state, md_state, _ = states.setdefault(q, _capped_states(q, 3, 1.0, 600 + q))
+        assert cs_state.select(losses) == md_state.select(losses) == md
     # no cap with a flat loss profile reproduces the fixed uniform sampler
     q = 6
     flat = np.ones(q)
@@ -257,8 +270,18 @@ def test_06_capped_rule_endpoints():
     fixed_counts = np.bincount(fixed, minlength=q)
     fixed_result = chisquare(fixed_counts, f_exp=np.full(q, fixed.size / q))
     assert fixed_result.pvalue > 0.01
+    # the states' rule at theta = 0 on flat losses: 10,000 spatial draws, and
+    # 5,000 per-slice selections of two slices' draws each
+    spatial, _, per_slice = _capped_states(q, 2, 0.0, 66)
+    state_p = []
+    for draws in (np.array([spatial.select(flat) for _ in range(10_000)]),
+                  np.concatenate([per_slice.select(np.ones((2, q))) for _ in range(5_000)])):
+        counts = np.bincount(draws, minlength=q)
+        state_p.append(chisquare(counts, f_exp=np.full(q, draws.size / q)).pvalue)
+    assert min(state_p) > 0.01
     report(6, "capped-rule-endpoints",
-           f"(300 argmax matches, chi-square p={result.pvalue:.3f})")
+           f"(300 argmax matches, chi-square p={result.pvalue:.3f}, "
+           f"states' p={state_p[0]:.3f} and {state_p[1]:.3f})")
 
 
 def test_07_post_step_annihilation_and_rate_chain():

@@ -94,6 +94,28 @@ class TestPerSliceRates:
         lams, lam_min = per_slice_rates(A, None, f, prob_uniform(5))
         np.testing.assert_allclose(lams, 0.2, atol=1e-12)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian", "fourier-row",
+                                      "fourier-gaussian"])
+    @pytest.mark.parametrize("l", [1, 2, 5, 6])
+    def test_every_slice_matches_a_dense_loop(self, l, kind, weighted):
+        # all l lambdas, not only their minimum: a spatial set's slice l - k
+        # repeats its mirror k, while each slice of a per-slice set has its
+        # own family and probabilities, so no slice may be copied from another
+        rng = np.random.default_rng(50 + l)
+        A = rand_tubal(rng, 6, 4, l)
+        Qt = spd_weight_tensor(rng, 4, l) if weighted else None
+        s = {"slice": lambda: make_slice_sketches(6, l),
+             "ragged-block": lambda: make_block_sketches(6, l, [[0, 2, 4], [1], [3, 5]]),
+             "gaussian": lambda: make_gaussian_sketches(6, 2, 4, l, rng),
+             "fourier-row": lambda: make_fourier_sketches(6, 1, 6, l, "row"),
+             "fourier-gaussian": lambda: make_fourier_sketches(6, 2, 4, l, "gaussian", rng),
+             }[kind]()
+        p = rng.dirichlet(np.ones(s.q), size=l if s.per_slice else None)
+        lams, lam_min = per_slice_rates(A, Qt, s, p)
+        assert lams.shape == (l,) and lam_min == lams.min()
+        np.testing.assert_allclose(lams, slice_rates_loop(A, Qt, s, p), rtol=0, atol=1e-10)
+
     def test_single_slice_reduces_to_expected_projector(self):
         rng = np.random.default_rng(3)
         A = rand_tubal(rng, 5, 3, 1)
@@ -616,7 +638,7 @@ class TestFourierReportOracles:
         n_samples = 20_000
         tracemalloc.start()
         try:
-            estimate_delta_inf(A, None, s, n_samples=n_samples, factors=factors)
+            analysis._max_energy_estimate(factors, n_samples, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -632,7 +654,7 @@ class TestFourierReportOracles:
         monkeypatch.setattr(analysis, "_SAMPLE_BLOCK_BYTES", budget)
         tracemalloc.start()
         try:
-            estimate_delta_inf(A, None, s, n_samples=3 * 1024, factors=factors)
+            analysis._max_energy_estimate(factors, 3 * 1024, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

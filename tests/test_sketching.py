@@ -15,6 +15,7 @@ from tubalsketch.sketching import (
     prob_uniform,
     sample_index,
 )
+from tubalsketch.sketching import _inverse_cdf
 from tubalsketch.t_algebra import (
     WeightQ,
     dft3,
@@ -217,9 +218,40 @@ class TestProbabilities:
             rows = np.sum(np.abs(Ah[:, :, k]) ** 2, axis=1)
             np.testing.assert_allclose(p[k], rows / rows.sum(), atol=1e-12)
 
+    @pytest.mark.parametrize("l", [1, 4, 5])
+    def test_weight_rules_accept_no_weight_as_the_identity(self, l):
+        rng = np.random.default_rng(20 + l)
+        A = rand_tubal(rng, 5, 3, l)
+        ident = WeightQ.identity(3, l)
+        s = make_block_sketches(5, l, [[0, 3], [1], [2, 4]])
+        np.testing.assert_array_equal(prob_sketch_norm(A, None, s), prob_sketch_norm(A, ident, s))
+        np.testing.assert_array_equal(prob_fourier_row_norm(A), prob_fourier_row_norm(A, ident))
+
+    @pytest.mark.parametrize("l", [1, 2, 5, 6])
+    def test_weight_rules_match_a_full_spectrum_loop(self, l):
+        # sum over all l slices of |S_i^H A_k Q_k^{-1/2}|^2, and per slice k
+        # the rows of A_k Q_k^{-1/2}, from dense members and fft_slices
+        rng = np.random.default_rng(30 + l)
+        A = rand_tubal(rng, 5, 3, l)
+        Q = WeightQ.from_tensor(spd_weight_tensor(rng, 3, l))
+        AQ = fft_slices(A) @ Q.inv_sqrt
+        s = make_gaussian_sketches(5, 2, 4, l, rng)
+        norms = [sum(np.linalg.norm(s.member_hat(i)[k].conj().T @ AQ[k]) ** 2 for k in range(l))
+                 for i in range(s.q)]
+        np.testing.assert_allclose(prob_sketch_norm(A, Q, s), norms / np.sum(norms), rtol=1e-13)
+        rows = np.sum(np.abs(AQ) ** 2, axis=2)
+        np.testing.assert_allclose(prob_fourier_row_norm(A, Q), rows / rows.sum(1, keepdims=True),
+                                   rtol=1e-13)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             prob_slice_norm(np.zeros((3, 2, 2)))
+
+    def test_zero_fourier_slice_rejected(self):
+        # a slice with no row weight has no distribution to draw from
+        A = np.ones((3, 2, 2))  # slice 1 of the depth transform is zero
+        with pytest.raises(ValueError, match="all fourier-row weights are zero"):
+            prob_fourier_row_norm(A)
 
     def test_simplex_validation(self):
         with pytest.raises(ValueError):
@@ -255,6 +287,32 @@ class TestSampling:
         rng = np.random.default_rng(17)
         draws = [sample_index([0.5, 0.0, 0.5], rng) for _ in range(5000)]
         assert 1 not in draws
+
+    def test_draws_equal_the_capped_search(self):
+        # sample_index and the solvers' rows draw #(cum[:-1] <= u total); the
+        # earlier rule was min(#(cum <= u total), q - 1), the same on a sorted cum
+        def capped(cum, u):
+            return min(int(cum.searchsorted(u * cum[-1], "right")), cum.size - 1)
+
+        rng = np.random.default_rng(34)
+        for p in ([0.2, 0.3, 0.5], [0.3, 0.7, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0]):
+            a, b = np.random.default_rng(35), np.random.default_rng(35)
+            cum = np.cumsum(p)
+            assert ([sample_index(p, a) for _ in range(2000)]
+                    == [capped(cum, b.random()) for _ in range(2000)])
+        # unnormalised weights with zero tails; a subnormal total makes the
+        # largest uniform below 1 round u * total up to the total itself
+        top = np.nextafter(1.0, 0.0)
+        for weights in (rng.random(6), [1.0, 2.0, 0.0, 0.0], [0.0, 3 * 5e-324, 0.0],
+                        [4 * 5e-324, 0.0, 3 * 5e-324]):
+            cum = np.cumsum(weights)
+            us = np.concatenate([rng.random(500), [0.0, top]])
+            got = [int(_inverse_cdf(cum, u)) for u in us]
+            assert got == [capped(cum, u) for u in us]
+            rows = _inverse_cdf(np.tile(cum, (us.size, 1)), us)  # the per-slice form
+            assert rows.tolist() == got
+        assert top * cum[-1] == cum[-1]  # the cap decides this last draw
+        assert int(_inverse_cdf(cum, top)) == cum.size - 1
 
     def test_stream_determinism(self):
         a = [sample_index([0.2, 0.3, 0.5], np.random.default_rng(18)) for _ in range(1)]

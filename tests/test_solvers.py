@@ -989,6 +989,17 @@ class TestSetLayout:
         assert peak <= st.U.nbytes + st.Ah.nbytes + 4 * 240 * 40 * 16
         assert np.shares_memory(st.N, st.Ah)
 
+    @pytest.mark.parametrize("method", ["NTSP-II", "ATSP-MD-II", "TSP-II"])
+    def test_per_slice_row_tables_are_views_of_the_transform(self, method):
+        # the full-spectrum transform is C-contiguous, so the fourier-row
+        # gather of rows 0..m-1 in order is a reshape of Ah, not a copy
+        A, Xs, B = small_problem(88)
+        st = make_state(A, B, SolverConfig(method=method,
+                                           sketches=make_fourier_sketches(10, 1, 10, 4, "row")))
+        N = st.tables[0] if method == "TSP-II" else st.N
+        assert st.Ah.shape[0] == 4 and st.Ah.flags.c_contiguous
+        assert np.shares_memory(N, st.Ah)
+
     @pytest.mark.parametrize("method", ["NTSP", "ATSP-MD", "ATSP-MD-II"])
     def test_identity_weight_object_runs_as_no_weight(self, method):
         A, Xs, B = small_problem(89)
