@@ -52,7 +52,10 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
+        """Range checks of every numeric field (padded_size may be None) and a known ``kind``."""
         check_ranges(self)
+        if self.kind not in ("gaussian", "deblur"):
+            raise ValueError(f"kind={self.kind!r} is unknown; choose 'gaussian' or 'deblur'")
 
 
 def gen_gaussian(spec, rng=None):

@@ -73,7 +73,7 @@ class SketchSet:
             raise ValueError(f"unknown sketch kind {self.kind!r}")
         for name in ("m", "l", "q"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name}={value!r} must be a positive integer")
         gaussian = self.kind in GAUSSIAN_KINDS
         if (self.mats is None) == gaussian or (self.rows is None) != gaussian:
@@ -103,6 +103,11 @@ class SketchSet:
     @property
     def per_slice(self):
         return self.kind in FOURIER_KINDS
+
+    @property
+    def mirrored(self):
+        """Whether slice l - k's family is slice k's: not so where mats[l - k] != mats[k]."""
+        return self.kind != "fourier-gaussian" or np.array_equal(self.mats[1:], self.mats[:0:-1])
 
     @property
     def taus(self):
@@ -147,25 +152,25 @@ class SketchSet:
         return fft_slices(self.member(i))
 
     def sketch(self, Xh):
-        """S^H X per Fourier slice of the slices-first stack Xh (l, m, b), as
-        (l, q, tau, b).  Selection sets gather rows, C-contiguous, which for
+        """S^H X per Fourier slice of the slices-first stack Xh (slices 0..k-1 of
+        (l, m, b)), as (k, q, tau, b).  Selection sets gather rows, C-contiguous, which for
         finite Xh equals the one-hot product exactly; rows 0..m-1 in order
         (slice, fourier-row, contiguous equal blocks) reshape Xh, a view if C-contiguous."""
         if self.rows is None:
-            return np.conj(np.swapaxes(self._dense(), -1, -2)) @ Xh[:, None]
+            return np.conj(np.swapaxes(self._dense(len(Xh)), -1, -2)) @ Xh[:, None]
         if self._in_order:
             return np.ascontiguousarray(Xh).reshape(Xh.shape[0], self.q, -1, Xh.shape[-1])
         return np.take(self._padded(Xh, 1), self.rows, axis=1)  # C-contiguous, unlike Xh[:, rows]
 
     def sketch_cols(self, Yh):
-        """Y S per Fourier slice of Yh (l, a, m), as (l, q, a, tau)."""
+        """Y S per Fourier slice of Yh (slices 0..k-1 of (l, a, m)), as (k, q, a, tau)."""
         if self.rows is None:
-            return Yh[:, None] @ self._dense()
+            return Yh[:, None] @ self._dense(len(Yh))
         return np.moveaxis(self._padded(Yh, 2)[..., self.rows], 2, 1)
 
-    def _dense(self):
-        """The mats as complex (l or 1, q, m, tau)."""
-        return (self.mats if self.per_slice else self.mats[None]).astype(np.complex128)
+    def _dense(self, slices):
+        """The mats of Fourier slices 0..slices-1 as complex (slices or 1, q, m, tau)."""
+        return (self.mats[:slices] if self.per_slice else self.mats[None]).astype(np.complex128)
 
     def _padded(self, X, axis):
         if np.any(self.rows == self.m):  # ragged: the sentinel row m reads zeros

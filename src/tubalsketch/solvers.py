@@ -52,18 +52,24 @@ TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
 l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
 h = l//2 + 1, and weight slice k by its multiplicity w_k (1 for slice 0
 and, for even l, slice l/2; 2 for the others) in every loss and norm.
-The -II methods keep all l slices.  A state keeps its iterate Xh as the
-first n rows of a block Z, slices first.  The finite-set methods other
-than TSP-I and TSP-II share one set state: their sketched residuals R sit
-below Xh (R_0 = -C^H S^H B, as X_0 = 0), and block U[k, j] of one table U,
-(slices, q, n + q tau, tau), stacks member j's step map over its cross
-products C_i^H N_i Q^{-1} N_j^H C_j with every member i, so choosing j in
-slice k updates both at once: Z[k] -= U[k, j] @ R[k, j], one zgemm that
-writes into Z.  A spatial choice is one j for every slice.  Every set
-method's losses square R's float view into a buffer and sum it by gemv,
-per slice, or over the slices weighted by w_k / l for spatial sets.  TSP,
-TSP-I and TSP-II share one direct step (:class:`_DirectState`) on blocks
-of draws gathered from member tables; TSP's block is its one fresh draw.
+TSP-II and the -II methods keep all l slices of the iterate, residuals,
+losses and draws.  Their tables are kept once: when a family is mirrored
+(``SketchSet.mirrored``: slice l-k is sketched as slice k, as in every
+fourier-row set), slice l-k's tables are the conjugates of slice k's, so
+only slices 0..l//2 are kept and slice k > l/2 reads slice l-k's through
+the conjugate.  A state keeps its iterate Xh as the first n rows of a block
+Z, slices first.  The finite-set methods other than TSP-I and TSP-II share
+one set state: their sketched residuals R sit below Xh (R_0 = -C^H S^H B,
+as X_0 = 0), and block U[k, j] of one table U, (slices, q, n + q tau,
+tau), stacks member j's step map over its cross products C_i^H N_i Q^{-1}
+N_j^H C_j with every member i, so choosing j in slice k updates both at
+once: Z[k] -= U[k, j] @ R[k, j], one zgemm that writes into Z (slice
+k > l/2 of a mirrored family passes U[l-k, j] with the conjugate-transpose
+flag).  A spatial choice is one j for every slice.  Every set method's losses square R's
+float view into a buffer and sum it by gemv, per slice, or over the slices
+weighted by w_k / l for spatial sets.  TSP, TSP-I and TSP-II share one
+direct step (:class:`_DirectState`) on blocks of draws gathered from
+member tables; TSP's block is its one fresh draw.
 """
 
 from __future__ import annotations
@@ -115,10 +121,11 @@ class SolverConfig:
     (uniform).  It is the fixed distribution of the nonadaptive methods and
     the reference distribution of the capped rule.  ``tau`` is only read by
     the fresh-draw TSP method.  Building a state rejects a value that is not
-    a number, ``record_every < 1``, ``tau < 1``, ``audit_every < 0``,
-    ``max_iters < 0``, ``seed < 0``, a count, tau or seed that is not whole,
-    ``theta`` outside [0, 1], ``tol < 0`` or NaN, an unknown ``method`` and a
-    ``weight`` that is not a WeightQ with a ``ValueError`` that names the field.
+    a number (a bool is not one), ``record_every < 1``, ``tau < 1``,
+    ``audit_every < 0``, ``max_iters < 0``, ``seed < 0``, a count, tau or seed
+    that is not whole, ``theta`` outside [0, 1], ``tol < 0`` or NaN, an unknown
+    ``method`` and a ``weight`` that is not a WeightQ with a ``ValueError``
+    that names the field.
     """
 
     method: str = "NTSP"
@@ -205,20 +212,27 @@ def _capped_losses(losses, base_probs, theta):
     return np.where(losses >= threshold, losses, 0.0)
 
 
-# field, least value, largest value, whole number (a float such as 1e5 is one)
+# field, least value, largest value, whole number (a float such as 1e5 is one);
+# padded_size may also be None
 _RANGES = (("record_every", 1, np.inf, True), ("audit_every", 0, np.inf, True),
            ("max_iters", 0, np.inf, True), ("seed", 0, np.inf, True),
            ("trials", 1, np.inf, True), ("theta", 0.0, 1.0, False), ("tol", 0.0, np.inf, False),
-           *((name, 1, np.inf, True) for name in ("tau", "m", "n", "p", "l")),
+           ("kernel_sigma", -np.finfo(float).max, np.finfo(float).max, False),
+           *((name, 1, np.inf, True) for name in ("tau", "m", "n", "p", "l", "image_size",
+                                                  "num_images", "kernel_size", "padded_size")),
            *((name, 0, np.inf, True) for name in ("q", "block_size")))
 
 
 def check_ranges(config):
     """Reject with a ``ValueError`` that names it each field of ``_RANGES``
-    that a config or spec holds out of range; whole floats become ints."""
+    that a config or spec holds out of range or as a bool; whole floats
+    become ints."""
     for name, least, most, whole in (row for row in _RANGES if hasattr(config, row[0])):
         value = getattr(config, name)
-        if not (isinstance(value, (int, float, np.integer, np.floating)) and least <= value <= most
+        if value is None and name == "padded_size":
+            continue
+        if not (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and least <= value <= most
                 and (float(value).is_integer() or not whole)):
             raise ValueError(f"{name}={value!r} is out of range")
         if whole:
@@ -388,13 +402,23 @@ class _FiniteSetState(_BaseState):
         self.base_cdf = np.cumsum(probs, axis=1)
         self.base_probs = probs if self.per_slice_selection else probs[0]
         self.drawn = _UNIFORM_BLOCK  # rows of the current block used
+        # a mirrored family's tables of slice k >= kept are the conjugates of slice l - k's
+        self.kept = self.l // 2 + 1 if self.per_slice_selection and sketches.mirrored else self.h
 
-    def _member_tables(self, Ah, Bh, Qinv):
-        """N = S^H A, Q^{-1} N^H and S^H B of every member, (slices, q, ...)."""
-        sk, N = self.sketches, self.sketches.sketch(Ah)
-        AQS = (np.conj(np.swapaxes(N, -1, -2), order="C") if self.q_is_identity  # Q^{-1} = I: N^H
-               else sk.sketch_cols(Qinv @ np.conj(np.swapaxes(Ah, -1, -2))))
-        return N, AQS, sk.sketch(Bh)
+    def _member_tables(self, Ah, Bh, kept=None):
+        """N = S^H A and S^H B of every member, (slices, q, ...), and Q^{-1} N^H
+        of slices 0..kept-1 (all if None), or None under the identity weight."""
+        sk, k = self.sketches, kept or len(Ah)
+        AQS = None if self.q_is_identity else sk.sketch_cols(
+            self.Q.inv[:k] @ np.conj(np.swapaxes(Ah[:k], -1, -2)))
+        return sk.sketch(Ah), AQS, sk.sketch(Bh)
+
+    @staticmethod
+    def _gram(N, AQS):
+        """N Q^{-1} N^H of the slices of AQS, or if it is None (Q = I) of every
+        slice of N, each through its own N^H: no stack-sized N^H."""
+        return N[:len(AQS)] @ AQS if AQS is not None else np.stack(
+            [Nk @ np.conj(np.swapaxes(Nk, -1, -2), order="C") for Nk in N])
 
     def _uniforms(self):
         """The next (_UNIFORM_BLOCK, streams) block: column k holds the values
@@ -432,8 +456,10 @@ class _SetState(_FiniteSetState):
     module docstring).  Selection sets gather N and S^H B by rows (views of
     Ah and Bh for rows 0..m-1 in order); ragged blocks are padded with zero
     rows, which get zero factor columns.  The completeness check runs on N.
-    Setup peaks at U, the transformed system and one slice's temporaries:
-    the identity weight's N^H goes once C is factored, and step maps and
+    A mirrored per-slice family keeps U on slices 0..kept-1 = 0..l//2 (see
+    the module docstring); C of slice k >= kept is conj(C[l - k]).  Setup
+    peaks at U, the transformed system and one slice's temporaries: under
+    the identity weight N^H is formed one slice at a time, and step maps and
     (tau = 1) cross products are written straight into U.  ``views``: R,
     its (slices, 2 q tau p) float view, which the losses read, and
     ``before`` flat.  Spatial and per-slice sets share losses, audit, step.
@@ -441,20 +467,22 @@ class _SetState(_FiniteSetState):
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        N, AQS, self.SB = (
-            np.ascontiguousarray(T) for T in self._member_tables(self.Ah, self.Bh, self.Qinv))
+        kept = self.kept
+        N, AQS, self.SB = self._member_tables(self.Ah, self.Bh, kept)  # N, S^H B C-contiguous
+        AQS = None if AQS is None else np.ascontiguousarray(AQS)
         if config.check_sampling and not sketching.is_complete_discrete_sampling(
                 A, self.sketches, sketched=N):
             warnings.warn("sketch family is not complete discrete sampling for this system; the "
                           "iteration is still defined but the rate certificates may not hold",
                           stacklevel=2)
-        self.C = batched_inv_factor(N @ AQS, slice_axis=None if self.per_slice_selection else 0)
-        AQS = None if self.q_is_identity else AQS  # N^H is formed again one slice at a time
+        self.C = batched_inv_factor(self._gram(N[:kept], AQS),
+                                    slice_axis=None if self.per_slice_selection else 0)
         h, q, tau, n = N.shape
+        self.C = np.concatenate([self.C, np.conj(self.C[self.l - np.arange(kept, h)])])
         CH = np.conj(np.swapaxes(self.C, -1, -2))
-        self.U = np.empty((h, q, n + q * tau, tau), dtype=np.complex128)
-        cross = self.U[:, :, n:].reshape(h, q, q, tau, tau)  # [k, j, i, a, c], a view
-        for k in range(h):  # one slice at a time: no table-sized temporary
+        self.U = np.empty((kept, q, n + q * tau, tau), dtype=np.complex128)
+        cross = self.U[:, :, n:].reshape(kept, q, q, tau, tau)  # [k, j, i, a, c], a view
+        for k in range(kept):  # one slice at a time: no table-sized temporary
             np.matmul(AQS[k] if AQS is not None else np.conj(np.swapaxes(N[k], -1, -2), order="C"),
                       self.C[k], out=self.U[k, :, :n])
             # cross[k, j, i, a, c] = sum_b (C^H N)[k, i, a, b] step_map[k, j, b, c]
@@ -468,6 +496,9 @@ class _SetState(_FiniteSetState):
         self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
         self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
+        # per-slice steps' (operand indexed by j, trans_b): k >= kept reads conj(U[l - k])
+        self.Ut = tuple((self.U[k].transpose(0, 2, 1), 0) if k < kept else (self.U[self.l - k], 2)
+                        for k in range(h))
         self.R[...] = -(CH @ self.SB)  # X_0 = 0
         R, v = self.R, self.R.reshape(h, -1).view(np.float64)
         self.before = None if self.adaptive else np.empty(v.shape)
@@ -534,9 +565,9 @@ class _SetState(_FiniteSetState):
         if self.per_slice_selection:
             choice = np.asarray(choice)
             R = self.views[0][self.slices, choice].transpose(0, 2, 1)  # a gathered copy
-            for z, r, U, j in zip(self.Zt, R, self.U, choice.tolist()):
+            for z, r, (U, trans), j in zip(self.Zt, R, self.Ut, choice.tolist()):
                 if j >= 0:  # -1: the slice is solved
-                    zgemm(-1.0, r, U[j].T, 1.0, z, 0, 0, 1)
+                    zgemm(-1.0, r, U[j], 1.0, z, 0, trans, 1)
         else:
             R = self.views[0][:, choice].copy().transpose(0, 2, 1)
             for z, r, u in zip(self.Zt, R, self.U[:, choice].transpose(0, 2, 1)):
@@ -594,15 +625,19 @@ class _DirectState(_FiniteSetState):
 
     Slice k is projected straight from the iterate onto the members its
     group draws: Z -= Q^{-1} N^H G (N X - S^H B), G = pinv(N Q^{-1} N^H).
-    The ``tables`` are (g, q, ...): row j is read at the draw of slice
-    ``table_slices[j]``, and a group is g/h consecutive rows.  Here a group
-    is one slice, and the tables are the member tables N = S^H A, Q^{-1} N^H
-    (as rows), S^H B and G, not copied, with G factored at setup.  With
-    each block of ``_UNIFORM_BLOCK`` draws, ``select`` releases the old
-    block and gathers the tables of every draw: 64 l tau (2n + p) complex
-    entries plus 64 l tau^2 for G, about 235 KB at 50x20x5 with tau = 1,
-    64/q times the tables.  A step is three small products; any other
-    choice passed to ``step``, such as each TSP draw, is gathered as a block of one.
+    A draw gathers, at each position j, table row ``table_rows[j]`` at the
+    member slice ``table_slices[j]`` drew, conjugated at the positions
+    ``flip``; a group is g/h consecutive positions.  Here a group is one
+    slice, and the ``tables`` are N = S^H A, Q^{-1} N^H (as rows; None under
+    the identity weight, where it is conj(N)), S^H B and G, factored at
+    setup, of slices 0..kept-1: slice k >= kept of a mirrored family reads
+    slice l - k's rows, conjugated.  With each block of ``_UNIFORM_BLOCK``
+    draws, ``select`` releases the old block and gathers the tables of every
+    draw: 64 l tau (2n + p) complex entries plus 64 l tau^2 for G, about
+    235 KB at 50x20x5 with tau = 1, where a fourier-row set keeps 2.4 KB of
+    tables (G; N and S^H B are views of the transform).  A step is three
+    small products; any other choice passed to ``step``, such as each TSP
+    draw, is gathered as a block of one.
     """
 
     half_spectrum = False
@@ -611,21 +646,28 @@ class _DirectState(_FiniteSetState):
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        self.table_slices, self.tables = self._tables(A, B)
+        self.table_rows, self.table_slices, self.flip, self.tables = self._tables(A, B)
 
     def _tables(self, A, B):
-        N, AQS, SB = self._member_tables(self.Ah, self.Bh, self.Qinv)
-        return self.slices, [N, np.swapaxes(AQS, -1, -2), SB, batched_hpinv(N @ AQS)]
+        N, AQS, SB = self._member_tables(self.Ah[:self.kept], self.Bh[:self.kept])
+        return (np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, slice(self.kept, None),
+                [N, None if AQS is None else np.swapaxes(AQS, -1, -2), SB,
+                 batched_hpinv(self._gram(N, AQS))])
 
     def _projections(self, draws):
         """N, Q^{-1} N^H, S^H B and G of the groups that each row of
-        ``draws`` (b, l) picks, each (b, h, ...); G is gathered when the
-        tables hold it, else factored for the whole block in one batch."""
-        picked = (np.arange(len(self.table_slices)), draws[:, self.table_slices])
-        N, NQt, SB, *G = (T[picked].reshape(len(draws), self.h, -1, T.shape[-1])
-                          for T in self.tables)
-        AQS = np.swapaxes(NQt, -1, -2)  # (b, h, n, tau per group)
-        return N, AQS, SB, G[0] if G else batched_hpinv(N @ AQS)
+        ``draws`` (b, l) picks, each (b, h, ...); where the tables hold none,
+        Q^{-1} N^H is conj(N)^T and G is factored for the block in one batch."""
+        picked = (self.table_rows, draws[:, self.table_slices])
+
+        def gather(T):
+            T = T[picked]
+            T[:, self.flip] = np.conj(T[:, self.flip])
+            return T.reshape(len(draws), self.h, -1, T.shape[-1])
+
+        N, NQt, SB, G = (T if T is None else gather(T) for T in self.tables)
+        AQS = np.swapaxes(np.conj(N) if NQt is None else NQt, -1, -2)  # (b, h, n, tau per group)
+        return N, AQS, SB, batched_hpinv(N @ AQS) if G is None else G
 
     def select(self, losses):
         if self.drawn == _UNIFORM_BLOCK:
@@ -679,11 +721,14 @@ class _StackedState(_DirectState):
     [S_k^H A_k; conj(S_{-k}^H A_{-k})] (S_k the member slice k drew) mixed
     by a fixed invertible 2tau x 2tau map.  A projection depends only on
     that row space, so slice k's group, for k = 0..l//2, is its own member
-    and the conjugated one of slice -k, whose tables are conjugated once
-    at setup.  No G is cached: a block factors its Grams in one batch and
-    holds 64 h 2tau (2n + p) complex entries plus the pinvs, about 290 KB
-    at 50x20x5 with tau = 1.  The stacked system is real, so every iterate
-    stays real and no transform runs in the loop.
+    and the conjugated one of slice -k.  On a mirrored family that is slice
+    k's own member table, so both halves of a group read the half-spectrum
+    tables (views of the transform for fourier-row sets); otherwise the
+    tables of slice -k are conjugated once at setup.  No G is cached: a
+    block factors its Grams in one batch and holds 64 h 2tau (2n + p)
+    complex entries plus the pinvs, about 290 KB at 50x20x5 with tau = 1.
+    The stacked system is real, so every iterate stays real and no
+    transform runs in the loop.
     """
 
     half_spectrum = True
@@ -691,11 +736,13 @@ class _StackedState(_DirectState):
     def _tables(self, A, B):
         half = np.arange(self.h)
         self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
-        Ah, Bh = (_fourier_slices(T, False)[0] for T in (A, B))
-        N, AQS, SB = self._member_tables(Ah, Bh, self.Q.inv)
-        return np.stack([half, -half % self.l], axis=1).ravel(), [
-            np.stack([T[half], np.conj(T[-half % self.l])], axis=1).reshape(-1, *T.shape[1:])
-            for T in (N, np.swapaxes(AQS, -1, -2), SB)]
+        pairs = np.stack([half, -half % self.l], axis=1).ravel()  # the group of k: k and -k
+        mirrored = self.sketches.mirrored  # then conj(T[-k]) is T[k]: a group reads T[k] twice
+        N, AQS, SB = self._member_tables(*((self.Ah, self.Bh) if mirrored else (
+            _fourier_slices(T, False)[0] for T in (A, B))))  # else all l, -k conjugated
+        return (np.repeat(half, 2) if mirrored else pairs, pairs,
+                slice(0, 0) if mirrored else slice(1, None, 2),
+                [N, None if AQS is None else np.swapaxes(AQS, -1, -2), SB, None])
 
     def step(self, idx):
         super().step(idx)

@@ -192,6 +192,12 @@ def circ_conv_tubes(x, y):
     return out
 
 
+def unmirror(T, h, l):
+    """A per-slice table held for slices 0..kept-1 only (kept = len(T)), as
+    the slices 0..h-1 it stands for: slice k >= kept is conj(T[l - k])."""
+    return np.concatenate([T, np.conj(T[l - np.arange(len(T), h)])])
+
+
 def dense_set_tables(A, B, sketches, Q):
     """Cached-path tables from dense members: every member's depth transform
     multiplied out in full, as the setup did before sketches became row

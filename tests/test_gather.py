@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_set_tables, spd_weight_tensor
+from conftest import dense_set_tables, spd_weight_tensor, unmirror
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
     make_block_sketches,
@@ -127,18 +127,26 @@ def test_cached_tables_equal_dense_products(kind, weighted):
     st = make_state(A, B, SolverConfig(method=method, sketches=sketches, weight=Q),
                     x_star=Xs)
     want = dense_set_tables(A, B, sketches, Q)
+    # a fourier-row family is mirrored: its per-slice tables (U, and every
+    # direct table) hold slices 0..l//2, and slice l - k reads conj(slice k)
+    h = st.Ah.shape[0]  # spatial sets keep Fourier slices 0..l//2
+    assert st.kept == (2 if sketches.per_slice else h)
     if method == "TSP-II":  # the direct state's member tables, Q^{-1} N^H as rows
         C = want["C"]
         dense = (want["N"], np.swapaxes(want["AQS"], -1, -2), want["SB"],
                  C @ np.conj(np.swapaxes(C, -1, -2)))
-        for name, got, ref in zip(("N", "AQS", "SB", "G"), st.tables, dense, strict=True):
-            np.testing.assert_array_equal(got, ref, err_msg=name)
+        N, NQt, SB, G = st.tables
+        assert (NQt is None) == (not weighted)  # the identity's Q^{-1} N^H is conj(N)^T
+        got = (N, np.conj(N) if NQt is None else NQt, SB, G)
+        for name, T, ref in zip(("N", "AQS", "SB", "G"), got, dense, strict=True):
+            assert len(T) == st.kept
+            np.testing.assert_array_equal(unmirror(T, h, 3), ref, err_msg=name)
         return
-    h = st.Ah.shape[0]  # spatial sets keep Fourier slices 0..l//2
     AQS = sketches.sketch_cols(st.Qinv @ np.conj(np.swapaxes(st.Ah, -1, -2)))
     np.testing.assert_array_equal(AQS, want["AQS"][:h])
     for name in ("N", "SB", "C", "cross", "step_map"):
-        np.testing.assert_array_equal(getattr(st, name), want[name][:h], err_msg=name)
+        np.testing.assert_array_equal(unmirror(getattr(st, name), h, 3), want[name][:h],
+                                      err_msg=name)
 
 
 def test_ragged_blocks_pad_with_zero_rows():
@@ -190,9 +198,12 @@ def test_setup_tables_equal_the_gathered_and_multiplied_out_expressions(kind, we
         ia = np.moveaxis(CH[k] @ N[k], 2, 0).reshape(n, q * tau)
         cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
     R = CH @ ((N @ np.zeros_like(st.Xh)[:, None]) - SB)
+    # U holds slices 0..l//2 of a mirrored per-slice family, whose slice l - k
+    # is conj(slice k): compared here against the oracle of every slice
+    assert len(st.U) == (l // 2 + 1 if kind == "fourier-row" else h)
     for name, want in (("N", N), ("SB", SB), ("C", C), ("step_map", step_map),
                        ("cross", cross.reshape(h, q, q * tau, tau)), ("R", R)):
-        np.testing.assert_array_equal(getattr(st, name), want, err_msg=name)
+        np.testing.assert_array_equal(unmirror(getattr(st, name), h, l), want, err_msg=name)
 
 
 @pytest.mark.parametrize("kind", ["slice", "block", "fourier-row"])

@@ -13,6 +13,7 @@ from conftest import (
     sp_step_direct,
     spd_weight_tensor,
     stacked_step_oracle,
+    unmirror,
 )
 from tubalsketch import sketching, solvers
 from tubalsketch.analysis import per_slice_rates, projector_tensor
@@ -341,7 +342,8 @@ class TestSpatialBlockStep:
             js = picks[kept]
             Z, Z0, R0 = st.Z, st.Z.copy(), st.R.copy()
             want = Z0.copy()
-            want[kept] -= st.U[kept, js] @ R0[kept, js]
+            # a fourier-row U holds slices 0..l//2; slice l - k steps by conj(U[k])
+            want[kept] -= unmirror(st.U, st.h, l)[kept, js] @ R0[kept, js]
             st.step(choice)
             # a copy of a non-F-contiguous output would leave Z unchanged
             assert st.Z is Z and not np.array_equal(Z, Z0)
@@ -1192,8 +1194,8 @@ class TestPerSliceVariants:
             if method == "TSP-I":
                 assert len(calls) == blocks
                 assert calls[0][0] == _UNIFORM_BLOCK
-            else:  # once, at setup, on every member's Gram
-                assert calls == [(l, f.q, f.tau, f.tau)]
+            else:  # once, at setup, on every member's Gram of the kept slices
+                assert calls == [(l // 2 + 1 if kind == "row" else l, f.q, f.tau, f.tau)]
 
             replay = make_state(A, B, cfg, x_star=Xs)
             for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
