@@ -405,19 +405,17 @@ class _FiniteSetState(_BaseState):
         # a mirrored family's tables of slice k >= kept are the conjugates of slice l - k's
         self.kept = self.l // 2 + 1 if self.per_slice_selection and sketches.mirrored else self.h
 
-    def _member_tables(self, Ah, Bh, kept=None):
-        """N = S^H A and S^H B of every member, (slices, q, ...), and Q^{-1} N^H
-        of slices 0..kept-1 (all if None), or None under the identity weight."""
-        sk, k = self.sketches, kept or len(Ah)
-        AQS = None if self.q_is_identity else sk.sketch_cols(
-            self.Q.inv[:k] @ np.conj(np.swapaxes(Ah[:k], -1, -2)))
-        return sk.sketch(Ah), AQS, sk.sketch(Bh)
+    def _weighted_table(self, Ah):
+        """Q^{-1} N^H of every member on the slices of Ah, (slices, q, n, tau),
+        or None under the identity weight, where it is N^H."""
+        return None if self.q_is_identity else self.sketches.sketch_cols(
+            self.Q.inv[:len(Ah)] @ np.conj(np.swapaxes(Ah, -1, -2)))
 
     @staticmethod
     def _gram(N, AQS):
-        """N Q^{-1} N^H of the slices of AQS, or if it is None (Q = I) of every
-        slice of N, each through its own N^H: no stack-sized N^H."""
-        return N[:len(AQS)] @ AQS if AQS is not None else np.stack(
+        """N Q^{-1} N^H, or if AQS is None (Q = I) N N^H slice by slice,
+        each through its own N^H: no stack-sized N^H."""
+        return N @ AQS if AQS is not None else np.stack(
             [Nk @ np.conj(np.swapaxes(Nk, -1, -2), order="C") for Nk in N])
 
     def _uniforms(self):
@@ -467,8 +465,9 @@ class _SetState(_FiniteSetState):
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        kept = self.kept
-        N, AQS, self.SB = self._member_tables(self.Ah, self.Bh, kept)  # N, S^H B C-contiguous
+        kept, sk = self.kept, self.sketches
+        N, self.SB = sk.sketch(self.Ah), sk.sketch(self.Bh)  # C-contiguous
+        AQS = self._weighted_table(self.Ah[:kept])
         AQS = None if AQS is None else np.ascontiguousarray(AQS)
         if config.check_sampling and not sketching.is_complete_discrete_sampling(
                 A, self.sketches, sketched=N):
@@ -478,7 +477,8 @@ class _SetState(_FiniteSetState):
         self.C = batched_inv_factor(self._gram(N[:kept], AQS),
                                     slice_axis=None if self.per_slice_selection else 0)
         h, q, tau, n = N.shape
-        self.C = np.concatenate([self.C, np.conj(self.C[self.l - np.arange(kept, h)])])
+        if kept < h:  # a mirrored family: C of slice k >= kept is conj(C[l - k])
+            self.C = np.concatenate([self.C, np.conj(self.C[self.l - np.arange(kept, h)])])
         CH = np.conj(np.swapaxes(self.C, -1, -2))
         self.U = np.empty((kept, q, n + q * tau, tau), dtype=np.complex128)
         cross = self.U[:, :, n:].reshape(kept, q, q, tau, tau)  # [k, j, i, a, c], a view
@@ -496,9 +496,9 @@ class _SetState(_FiniteSetState):
         self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
         self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
-        # per-slice steps' (operand indexed by j, trans_b): k >= kept reads conj(U[l - k])
-        self.Ut = tuple((self.U[k].transpose(0, 2, 1), 0) if k < kept else (self.U[self.l - k], 2)
-                        for k in range(h))
+        if self.per_slice_selection:  # each slice's (operand indexed by j, trans_b)
+            self.Ut = tuple((self.U[k].transpose(0, 2, 1), 0) if k < kept  # else conj(U[l - k])
+                            else (self.U[self.l - k], 2) for k in range(h))
         self.R[...] = -(CH @ self.SB)  # X_0 = 0
         R, v = self.R, self.R.reshape(h, -1).view(np.float64)
         self.before = None if self.adaptive else np.empty(v.shape)
@@ -649,7 +649,8 @@ class _DirectState(_FiniteSetState):
         self.table_rows, self.table_slices, self.flip, self.tables = self._tables(A, B)
 
     def _tables(self, A, B):
-        N, AQS, SB = self._member_tables(self.Ah[:self.kept], self.Bh[:self.kept])
+        Ah, Bh = self.Ah[:self.kept], self.Bh[:self.kept]
+        N, AQS, SB = self.sketches.sketch(Ah), self._weighted_table(Ah), self.sketches.sketch(Bh)
         return (np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, slice(self.kept, None),
                 [N, None if AQS is None else np.swapaxes(AQS, -1, -2), SB,
                  batched_hpinv(self._gram(N, AQS))])
@@ -724,7 +725,8 @@ class _StackedState(_DirectState):
     and the conjugated one of slice -k.  On a mirrored family that is slice
     k's own member table, so both halves of a group read the half-spectrum
     tables (views of the transform for fourier-row sets); otherwise the
-    tables of slice -k are conjugated once at setup.  No G is cached: a
+    tables keep the full spectrum once, and the halves gathered from slice
+    -k are conjugated once per 64-draw gather.  No G is cached: a
     block factors its Grams in one batch and holds 64 h 2tau (2n + p)
     complex entries plus the pinvs, about 290 KB at 50x20x5 with tau = 1.
     The stacked system is real, so every iterate stays real and no
@@ -738,8 +740,9 @@ class _StackedState(_DirectState):
         self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
         pairs = np.stack([half, -half % self.l], axis=1).ravel()  # the group of k: k and -k
         mirrored = self.sketches.mirrored  # then conj(T[-k]) is T[k]: a group reads T[k] twice
-        N, AQS, SB = self._member_tables(*((self.Ah, self.Bh) if mirrored else (
-            _fourier_slices(T, False)[0] for T in (A, B))))  # else all l, -k conjugated
+        Ah, Bh = (self.Ah, self.Bh) if mirrored else (  # else all l, -k conjugated
+            _fourier_slices(T, False)[0] for T in (A, B))
+        N, AQS, SB = self.sketches.sketch(Ah), self._weighted_table(Ah), self.sketches.sketch(Bh)
         return (np.repeat(half, 2) if mirrored else pairs, pairs,
                 slice(0, 0) if mirrored else slice(1, None, 2),
                 [N, None if AQS is None else np.swapaxes(AQS, -1, -2), SB, None])

@@ -149,7 +149,7 @@ def _fourier_slices(X, half=True, Q=None):
     else:
         F = np.zeros((l, *np.shape(X)[:2]), dtype=np.complex128)
         F.real = np.moveaxis(X, 2, 0)
-        np.fft.fft(F, axis=0, out=F)
+        np.fft.fft(F, axis=0, out=F)  # out= is new in numpy 2.0
     return (F if Q is None or Q.is_identity else F @ Q.inv_sqrt[:w.size]), w
 
 
