@@ -8,8 +8,9 @@ constant here is computed from per-slice factors K with
 Z_hat_i[k] = K_i[k]^H K_i[k], taken from the sketched system once per
 member and slice; recorded runs are then checked against the resulting
 geometric envelopes.  The sampled worst-direction estimate scores real
-directions on the Fourier slices 0..l//2 only, in blocks of samples, so
-its memory is the draw plus one block.  ``projector_tensor`` and
+directions on the Fourier slices 0..l//2 only, drawn and scored one
+block of samples at a time, so its memory is the factors plus one block
+whatever the number of samples.  ``projector_tensor`` and
 ``expected_projector`` assemble the same projectors through
 block-circulant oracle products and serve as the independent reference.
 """
@@ -209,11 +210,12 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
     A_k Q_k^{-1/2} in the Fourier domain; real Gaussian directions projected
     onto it slice by slice stay real and, normalized, uniform on its sphere.
     Real data make slice l - k the conjugate of slice k, so only slices
-    0..l//2 are scored, the others counted through their mirror.  The
-    directions are scored in blocks of samples whose products share one
-    buffer, so memory is the real (l, n, n_samples) draw plus one block of
-    a fixed byte size.  A system with no sampled direction in its range
-    raises ``ValueError``.
+    0..l//2 are scored, the others counted through their mirror.  Sample s
+    is the s-th (l, n) draw of one sample-major stream, drawn and scored in
+    blocks whose products share one buffer: memory is the factors plus one
+    block of a fixed byte size whatever ``n_samples`` is, and no direction
+    depends on the block size.  A system with no sampled direction in its
+    range raises ``ValueError``.
     """
     if sketches.per_slice:
         raise ValueError("estimate_delta_inf applies to spatial sketch sets")
@@ -248,14 +250,13 @@ def _max_energy_estimate(factors, n_samples, rng):
     P = np.conj(np.swapaxes(vh, -1, -2)) @ vh
     M = np.concatenate((K.reshape(h, -1, n) @ P, P), axis=1)
     r = M.shape[1]
-    G = rng.standard_normal((l, n, n_samples))
     c = max(64, _SAMPLE_BLOCK_BYTES // (16 * h * r))
     block = np.empty(h * r * min(c, n_samples), dtype=np.complex128)  # each block's product: a prefix
     estimate = np.inf
-    for j in range(0, n_samples, c):
+    for j in range(0, n_samples, c):  # one sample-major stream, drawn a block at a time
         b = min(c, n_samples - j)
-        X = np.matmul(M, np.fft.rfft(G[..., j:j + b], axis=0),
-                      out=block[:h * r * b].reshape(h, r, b)).view(np.float64)
+        G = np.fft.rfft(rng.standard_normal((b, l, n)).transpose(1, 2, 0).copy(), axis=0)
+        X = np.matmul(M, G, out=block[:h * r * b].reshape(h, r, b)).view(np.float64)
         e = (w @ np.square(X, out=X).reshape(h, -1)).reshape(r, -1, 2).sum(axis=2)
         energies, norms_sq = e[:-n].reshape(K.shape[1], -1, b).sum(axis=1), e[-n:].sum(0)
         live = norms_sq > 1e-24 * l

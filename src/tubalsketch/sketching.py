@@ -337,12 +337,16 @@ def is_complete_discrete_sampling(A, sketches, sketched=None):
     only on the undecided slices, passes too.  Members need full row rank at
     the tolerance 1e-10 * max(tau, n) * sqrt(lambda_max).  Spatial sets are
     checked on slices 0..l//2 (slice l-k of a real A is the conjugate of
-    slice k).  The rate certificates assume this property; the solvers only
-    warn when it fails, as the pseudoinverse still defines a valid
-    iteration.  ``sketched``: those slices sketched, if held.
+    slice k), and so are mirrored per-slice sets, whose sketched slice l-k
+    is then the conjugate of sketched slice k.  The rate certificates
+    assume this property; the solvers only warn when it fails, as the
+    pseudoinverse still defines a valid iteration.  ``sketched``: those
+    slices sketched (all l for per-slice sets), if held.
     """
     SA = sketched if sketched is not None else sketches.sketch(
         _fourier_slices(A, not sketches.per_slice)[0])
+    if sketches.per_slice and sketches.mirrored:
+        SA = SA[:sketches.l // 2 + 1]
     l, q, tau, n = SA.shape
     if q * tau < n:  # the stacked family cannot reach every column
         return False

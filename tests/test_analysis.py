@@ -568,7 +568,7 @@ def _check_max_energy(A, Qt, s, seed=24, n_samples=60):
     _, n, l = A.shape
     Q = WeightQ.identity(n, l) if Qt is None else WeightQ.from_tensor(Qt)
     basis = _range_basis(A, Q)
-    G = np.random.default_rng(seed).standard_normal((l, n, n_samples))
+    G = np.moveaxis(np.random.default_rng(seed).standard_normal((n_samples, l, n)), 0, -1)
     V = basis @ (basis.T @ G.reshape(l * n, n_samples))
     V /= np.linalg.norm(V, axis=0)
     est, _ = estimate_delta_inf(A, Qt, s, n_samples=n_samples,
@@ -659,6 +659,35 @@ class TestFourierReportOracles:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 6 * 10 * 3 * 1024 + 2 * budget
+
+    def test_max_energy_peak_does_not_grow_with_samples(self):
+        # each block's directions are drawn as it is scored, so 100 times
+        # the samples only means more blocks of the same size
+        A = rand_tubal(np.random.default_rng(41), 40, 10, 6)
+        factors = analysis._slice_factors(A, None, make_slice_sketches(40, 6))
+        peaks = []
+        for n_samples in (2_000, 200_000):
+            tracemalloc.start()
+            try:
+                analysis._max_energy_estimate(factors, n_samples, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+    @pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 199])
+    def test_max_energy_directions_do_not_depend_on_block_size(self, monkeypatch, n_samples):
+        # one sample-major stream: 64-sample blocks and one block read the
+        # same directions
+        A = rand_tubal(np.random.default_rng(42), 12, 5, 6)
+        factors = analysis._slice_factors(
+            A, None, make_gaussian_sketches(12, 2, 4, 6, np.random.default_rng(43)))
+        got = []
+        for budget in (1, 2**30):
+            monkeypatch.setattr(analysis, "_SAMPLE_BLOCK_BYTES", budget)
+            got.append(analysis._max_energy_estimate(factors, n_samples,
+                                                     np.random.default_rng(44)))
+        assert got[0] == pytest.approx(got[1], rel=1e-12)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", list(ALL_SETS))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rand_tubal, rank_loop_complete, spd_weight_tensor
 from tubalsketch.sketching import (
+    SketchSet,
     as_prob_rows,
     is_complete_discrete_sampling,
     make_block_sketches,
@@ -424,6 +425,8 @@ class TestCompleteDiscreteSampling:
             A = self._one_slice_conditioned(l, ratio)
             for s in sets:
                 S = s.sketch((fft_slices if s.per_slice else rfft_slices)(A))
+                if s.per_slice and s.mirrored:  # slice l - k's verdict is slice k's
+                    S = S[:l // 2 + 1]
                 S = S.reshape(S.shape[0], -1, 3)
                 sv = np.linalg.svd(S, compute_uv=False)
                 undecided = sv[:, -1] / sv[:, 0] < 1e-3  # lambda ratio below margin = 1e-6
@@ -438,6 +441,45 @@ class TestCompleteDiscreteSampling:
                 else:
                     assert not calls["svd"], (s.kind, ratio)
         assert verdicts.count(False) == len(sets)  # the exactly singular slice fails
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_mirrored_sets_checked_on_half_the_slices(self, l, monkeypatch):
+        # a mirrored per-slice family sketches slice l - k as slice k, so the
+        # check factors slices 0..l//2 only and gives the all-slice verdict
+        rng = np.random.default_rng(32 + l)
+        A = rand_tubal(rng, 6, 3, l)
+        zero_row = A.copy()
+        zero_row[2] = 0.0
+        k = l - 1 if l > 2 else l // 2  # slice 1's mirror; real where k = l - k
+        U = rng.standard_normal((6, 2)) + 1j * ((2 * k) % l > 0) * rng.standard_normal((6, 2))
+        M = U @ rng.standard_normal((2, 3))
+        F = np.fft.fft(A, axis=2)
+        F[:, :, k], F[:, :, -k] = M, np.conj(M)
+        deficient = np.fft.ifft(F, axis=2).real  # Fourier slices k and l - k of rank 2 < n
+        wide = rand_tubal(rng, 6, 8, l)  # q tau = 6 < n = 8 for fourier-row sets
+
+        def mirrored_gaussian(tau, q, seed):  # mats[l - k] == mats[k]
+            mats = make_fourier_sketches(6, tau, q, l, "gaussian", np.random.default_rng(seed)).mats
+            mats[l // 2 + 1:] = mats[1:(l + 1) // 2][::-1]
+            return SketchSet("fourier-gaussian", 6, l, q, mats=mats)
+
+        sets = [make_fourier_sketches(6, 1, 6, l, "row"), mirrored_gaussian(2, 3, 35),
+                mirrored_gaussian(2, 1, 36)]  # q tau = 2 < n = 3
+        calls = self._count_factorizations(monkeypatch)
+        verdicts = []
+        for system in (A, zero_row, deficient, wide):
+            for s in sets:
+                assert s.mirrored
+                calls["eigvalsh"].clear()
+                got = is_complete_discrete_sampling(system, s)
+                assert all(len(a) == l // 2 + 1 for a in calls["eigvalsh"]), s.kind
+                with monkeypatch.context() as mp:
+                    mp.setattr(SketchSet, "mirrored", property(lambda self: False))
+                    assert got == is_complete_discrete_sampling(system, s), s.kind
+                assert got == rank_loop_complete(system, s), s.kind
+                verdicts.append(got)
+        assert verdicts.count(True) == 3  # A with both complete families, zero_row with one
+        assert not any(verdicts[2::3])  # q tau < n fails on every system
 
     @pytest.mark.parametrize("shape", [(60, 10, 4), (600, 100, 8)])
     def test_well_conditioned_slice_set_runs_no_svd(self, shape, monkeypatch):
