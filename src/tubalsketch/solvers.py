@@ -74,8 +74,10 @@ member tables; TSP's block is its one fresh draw.
 
 from __future__ import annotations
 
+import struct
 import time
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +153,11 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Per-run trace: one entry per recorded iteration plus run summary."""
+    """Per-run trace: one entry per recorded iteration plus run summary.
+
+    Row fields are float64 arrays but ``t`` (int), copied once at the end of
+    :func:`solve` from its packed row buffer; ``chosen`` holds ints, per-slice
+    tuples or None (first row, TSP).  Rows that log no losses hold NaN stats."""
 
     method: str
     t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -240,6 +246,7 @@ def check_ranges(config):
 
 
 _UNIFORM_BLOCK = 64
+_LOSS_BLOCK_BYTES = 16 * 1024  # solve's logged-loss block: at most this and _UNIFORM_BLOCK rows
 
 
 class _BaseState:
@@ -365,9 +372,9 @@ class _BaseState:
         return None
 
     def variance_factor(self, losses):
-        """The proportional rule's improvement factor for ``losses``; NaN
-        except for ATSP-PR, the one method where it is meaningful (a single
-        family shared by all slices)."""
+        """The proportional rule's improvement factor of each row of logged
+        losses (rows, q); NaN, which broadcasts, except for ATSP-PR, the one
+        method where it is meaningful (a single family shared by all slices)."""
         return np.nan
 
 
@@ -440,7 +447,7 @@ class _FiniteSetState(_BaseState):
         return self._row() if self.per_slice_selection else self._row()[0]
 
     def trace_choice(self, choice):
-        return tuple(int(c) for c in choice) if self.per_slice_selection else int(choice)
+        return tuple(choice.tolist()) if self.per_slice_selection else int(choice)
 
 
 class _SetState(_FiniteSetState):
@@ -590,14 +597,12 @@ class _SpatialSetState(_SetState):
         cum = self._weights(losses).cumsum()
         return None if cum[-1] <= 0.0 else _inverse_cdf(cum, self._row()[0])
 
-    def variance_factor(self, losses):
+    def variance_factor(self, losses):  # 1 + q^2 Var(p), p each row over its total
         if self.rule != "pr":
             return np.nan
-        total = losses.sum()
-        if total <= 0:
-            return np.nan
-        pt = losses / total
-        return float(1.0 + self.q * self.q * (np.mean(pt**2) - np.mean(pt) ** 2))
+        total = np.add.reduce(losses, axis=1, keepdims=True)
+        pt = np.divide(losses, total, out=np.full(losses.shape, np.nan), where=total > 0)
+        return 1.0 + self.q * self.q * (np.mean(pt**2, axis=1) - np.mean(pt, axis=1) ** 2)
 
 
 class _PerSliceSetState(_SetState):
@@ -773,7 +778,8 @@ _METHOD_TABLE = {
     "ATSP-CS-II": (_PerSliceSetState, "cs"),
 }
 METHODS = tuple(_METHOD_TABLE)
-_ROW_FIELDS = ("t", "epsilon", "q_error", "loss_max", "loss_sum", "seconds", "pr_variance_factor")
+_ROW_FIELDS = ("t", "epsilon", "q_error", "seconds", "loss_max", "loss_sum", "pr_variance_factor")
+_PACK_ROW = struct.Struct(f"{len(_ROW_FIELDS)}d").pack  # solve's rows: one float64 per field
 
 
 def make_state(A, B, config, x_star=None):
@@ -789,68 +795,77 @@ def solve(A, B, config, x_star=None):
 
     The stopping rule compares the relative solution error against
     ``config.tol`` when ``x_star`` is given, and the relative residual
-    otherwise.  Iteration timing excludes all precomputation.
+    otherwise.  Iteration timing excludes all precomputation.  Rows are packed
+    into one typed buffer; their loss statistics are reduced a block at a time.
     """
     start = time.perf_counter()
     state = make_state(A, B, config, x_star)
-    method = state.method
-    record = RunRecord(method=method, setup_s=time.perf_counter() - start)
+    record = RunRecord(method=state.method, setup_s=time.perf_counter() - start)
+    rows, block, held, keep = array("d"), None, 0, config.keep_iterates  # rows: _ROW_FIELDS each
+    record.iterates = [] if keep else None
 
-    columns = tuple([] for _ in _ROW_FIELDS)
-    if config.keep_iterates:
-        record.iterates = []
+    def flush():  # block holds the losses of the last held rows; rows without come first or last
+        nonlocal held
+        if held:
+            b = block[:held].reshape(held, -1)
+            stats = np.frombuffer(rows).reshape(-1, len(_ROW_FIELDS))[-held:, -3:].T
+            stats[0], stats[1] = np.maximum.reduce(b, axis=1), np.add.reduce(b, axis=1)
+            stats[2], held = state.variance_factor(b), 0
+
+    def log_row(eps, norm, secs, chosen=None, losses=None):
+        """Append one row; ``losses`` are those ``chosen`` was selected next to."""
+        nonlocal block, held
+        rows.frombytes(_PACK_ROW(state.t, eps, state.q_error(norm), secs, np.nan, np.nan, np.nan))
+        record.chosen.append(None if chosen is None else state.trace_choice(chosen))
+        if keep:
+            record.iterates.append(state.x())
+        if losses is not None:
+            if block is None:
+                block = np.empty((min(_UNIFORM_BLOCK, _LOSS_BLOCK_BYTES // losses.nbytes or 1),
+                                  *losses.shape))
+            block[held], held = losses, held + 1
+            if held == len(block):
+                flush()
 
     eps, diff_norm = state._errors()
     eps0 = max(eps, 1e-300)
-
-    def log_row(errors, elapsed, chosen=None, losses=None):
-        """Append one trace row; ``losses`` are those ``chosen`` was
-        selected next to, and the per-row bookkeeping is done only here."""
-        values = (state.t, errors[0], state.q_error(errors[1]),
-                  *([np.nan] * 2 if losses is None else [float(losses.max()), float(losses.sum())]),
-                  elapsed, np.nan if losses is None else state.variance_factor(losses))
-        for column, value in zip(columns, values):
-            column.append(value)
-        record.chosen.append(None if chosen is None else state.trace_choice(chosen))
-        if config.keep_iterates:
-            record.iterates.append(state.x())
-
-    log_row((eps, diff_norm), 0.0)
-    converged = eps < config.tol
+    log_row(eps, diff_norm, 0.0)
+    tol, limit, record_every, adaptive = config.tol, 1e3 * eps0, config.record_every, state.adaptive
+    audit_every = config.audit_every if isinstance(state, _SetState) else 0
+    losses_of, select, step, errors = state.losses, state.select, state.step, state._errors
+    converged, stop = eps < tol, ""
     start = time.perf_counter()
 
-    while not converged and not record.stop_reason and state.t < config.max_iters:
+    while not converged and not stop and state.t < config.max_iters:
         # adaptive rules select from the losses; fixed rules compute them
         # for logged rows only, from the residuals their draw was made next to
-        losses = state.losses() if state.adaptive else None
-        chosen = state.select(losses)
+        losses = losses_of() if adaptive else None
+        chosen = select(losses)
         if chosen is None:  # no sketched loss is positive
-            converged, record.stop_reason = True, "zero_loss"
+            converged, stop = True, "zero_loss"
             break
-        state.step(chosen)
-        if isinstance(state, _SetState) and config.audit_every and not state.t % config.audit_every:
+        step(chosen)
+        if audit_every and not state.t % audit_every:
             state.audit()
 
-        eps, diff_norm = state._errors()
-        if not eps <= 1e3 * eps0:  # also NaN
-            record.stop_reason = "diverged"
-        if record.stop_reason or state.t % config.record_every == 0 or eps < config.tol:
-            log_row((eps, diff_norm), time.perf_counter() - start, chosen,
-                    losses if state.adaptive else state.losses(state.before))
-        converged = eps < config.tol
+        eps, diff_norm = errors()
+        if not eps <= limit:  # also NaN
+            stop = "diverged"
+        if stop or state.t % record_every == 0 or eps < tol:
+            log_row(eps, diff_norm, time.perf_counter() - start, chosen,
+                    losses if adaptive else losses_of(state.before))
+        converged = eps < tol
 
-    if columns[0][-1] != state.t:
-        log_row(state._errors(), time.perf_counter() - start)
-
-    for name, column in zip(_ROW_FIELDS, columns):
-        setattr(record, name, np.array(column, dtype=int if name == "t" else float))
-    record.iterations = state.t
-    record.converged = bool(converged)
-    record.stop_reason = record.stop_reason or ("tol" if converged else "max_iters")
-    record.audit_max = state.audit_max
-    record.max_imag_residue = state.max_imag_residue
-    if record.stop_reason == "diverged":
-        raise DivergenceError(
-            f"{method} diverged at iteration {state.t}: "
-            f"error {eps:.3e} vs initial {eps0:.3e}", record)
+    flush()
+    if rows[-len(_ROW_FIELDS)] != state.t:
+        log_row(*errors(), time.perf_counter() - start)
+    columns = np.frombuffer(rows).reshape(-1, len(_ROW_FIELDS))
+    for name, column in zip(_ROW_FIELDS, [columns[:, 0].astype(int), *columns[:, 1:].T.copy()]):
+        setattr(record, name, column)  # t as ints, the others rows of one contiguous copy
+    record.iterations, record.converged = state.t, bool(converged)
+    record.stop_reason = stop or ("tol" if converged else "max_iters")
+    record.audit_max, record.max_imag_residue = state.audit_max, state.max_imag_residue
+    if stop == "diverged":
+        raise DivergenceError(f"{state.method} diverged at iteration {state.t}: error "
+                              f"{eps:.3e} vs initial {eps0:.3e}", record)
     return state.x(), record

@@ -139,17 +139,17 @@ def _fourier_slices(X, half=True, Q=None):
     multiplicities w (summing to l): slices 0..l//2 if ``half`` (slice l - k
     is the conjugate of slice k; w_k = 2 if l - k != k), else all l with
     w_k = 1, as per-slice sets need.  A WeightQ ``Q`` whitens slice k to
-    X_k Q_k^{-1/2}; None or the identity skip that product.  The full
-    spectrum is transformed in place, in the buffer it is returned in."""
+    X_k Q_k^{-1/2}; None or the identity skip that product.  Both spectra are
+    transformed in place in one (l, a, b) buffer: the full spectrum is
+    returned in it, the half spectrum as a copy of its first slices, so that
+    the kept slices do not hold all l alive."""
     l = np.shape(X)[2]
     w = np.ones(l // 2 + 1 if half else l)
     w[1:l - w.size + 1] = 2.0  # empty on the full spectrum
-    if half:
-        F = np.ascontiguousarray(fft_slices(X)[:w.size])
-    else:
-        F = np.zeros((l, *np.shape(X)[:2]), dtype=np.complex128)
-        F.real = np.moveaxis(X, 2, 0)
-        np.fft.fft(F, axis=0, out=F)  # out= is new in numpy 2.0
+    F = np.zeros((l, *np.shape(X)[:2]), dtype=np.complex128)
+    F.real = np.moveaxis(X, 2, 0)
+    np.fft.fft(F, axis=0, out=F)  # out= is new in numpy 2.0
+    F = F[:w.size].copy() if w.size < l else F
     return (F if Q is None or Q.is_identity else F @ Q.inv_sqrt[:w.size]), w
 
 

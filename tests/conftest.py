@@ -3,11 +3,14 @@
 Everything here goes through the block-circulant matrices, direct
 summation or dense sketch members, never through the package's Fourier
 fast paths or row gathers, so agreement between the two routes is
-meaningful.
+meaningful.  The one exception is :func:`reference_solve`, which replays
+the solver loop on the states' own calls so that the record rows can be
+checked apart from the iteration.
 """
 
 import numpy as np
 
+from tubalsketch.solvers import make_state
 from tubalsketch.t_algebra import (
     PINV_RELCUT,
     WeightQ,
@@ -324,3 +327,52 @@ def closed_form_bounds_loop(A, Q, sketches):
         "uniform": float(np.min(num / (q * member_norm_sq.max(axis=1)))),
         "norm_weighted_display": float(np.min(num / weights.sum(axis=1))),
     }
+
+
+def reference_solve(A, B, config, x_star=None):
+    """The solver loop of :func:`tubalsketch.solvers.solve` on ``make_state``'s
+    public calls, one row at a time into Python lists: each logged row takes
+    ``float(losses.max())``, ``float(losses.sum())`` and, for ATSP-PR, the
+    variance factor 1 + q^2 Var(losses / total) of those losses on its own.
+    Returns (X, rows, stop_reason), a row being (t, epsilon, q_error,
+    loss_max, loss_sum, pr_variance_factor, chosen).  No audit runs."""
+    assert not config.audit_every
+    state = make_state(A, B, config, x_star)
+    rows = []
+
+    def variance_factor(losses):
+        total = losses.sum()
+        if state.method != "ATSP-PR" or total <= 0:
+            return np.nan
+        pt = losses / total
+        return float(1.0 + state.q * state.q * (np.mean(pt**2) - np.mean(pt) ** 2))
+
+    def log(eps, diff_norm, chosen=None, losses=None):
+        stats = (np.nan,) * 3 if losses is None else (
+            float(losses.max()), float(losses.sum()), variance_factor(losses))
+        if chosen is not None and state.method != "TSP":  # a fresh sketch is not recorded
+            chosen = tuple(int(c) for c in chosen) if np.ndim(chosen) else int(chosen)
+        else:
+            chosen = None
+        rows.append((state.t, eps, state.q_error(diff_norm), *stats, chosen))
+
+    eps, diff_norm = state._errors()
+    eps0 = max(eps, 1e-300)
+    log(eps, diff_norm)
+    converged, stop = eps < config.tol, ""
+    while not converged and not stop and state.t < config.max_iters:
+        losses = state.losses() if state.adaptive else None
+        chosen = state.select(losses)
+        if chosen is None:
+            converged, stop = True, "zero_loss"
+            break
+        state.step(chosen)
+        eps, diff_norm = state._errors()
+        if not eps <= 1e3 * eps0:
+            stop = "diverged"
+        if stop or state.t % config.record_every == 0 or eps < config.tol:
+            log(eps, diff_norm, chosen, losses if state.adaptive else state.losses(state.before))
+        converged = eps < config.tol
+    if rows[-1][0] != state.t:
+        log(*state._errors())
+    return state.x(), rows, stop or ("tol" if converged else "max_iters")

@@ -630,8 +630,10 @@ class TestFourierReportOracles:
             assert _check_max_energy(A, Qt, s, n_samples=n_samples) == 5 * l
 
     def test_max_energy_memory_is_the_draw_and_one_block(self):
-        # tracemalloc counts what the estimate allocates: the real draw of
-        # 8 l n S bytes and the products of one sample block, not S-sized copies
+        # tracemalloc counts what the estimate allocates: one sample block,
+        # its draw and transform (each smaller than its product buffer) and
+        # the product itself, besides the factors; nothing of all S samples
+        # (the whole draw, 8 l n S = 9.6 MB here, would fail this)
         A = rand_tubal(np.random.default_rng(41), 40, 10, 6)
         s = make_slice_sketches(40, 6)
         factors = analysis._slice_factors(A, None, s)
@@ -642,11 +644,13 @@ class TestFourierReportOracles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 6 * 10 * n_samples + 4 * analysis._SAMPLE_BLOCK_BYTES
+        factor_bytes = sum(f.nbytes for f in factors)
+        assert peak <= factor_bytes + 2 * analysis._SAMPLE_BLOCK_BYTES
 
     def test_max_energy_holds_one_sample_block(self, monkeypatch):
         # three full blocks of c = 1024 samples (h = 4, qtau + n = 50): each
-        # block's product reuses one buffer, so the loop never holds two
+        # block's product reuses one buffer and each block's draw is made as
+        # it is scored, so the loop never holds two blocks or all the samples
         A = rand_tubal(np.random.default_rng(41), 40, 10, 6)
         s = make_slice_sketches(40, 6)
         factors = analysis._slice_factors(A, None, s)
@@ -658,7 +662,7 @@ class TestFourierReportOracles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 6 * 10 * 3 * 1024 + 2 * budget
+        assert peak < sum(f.nbytes for f in factors) + 2 * budget
 
     def test_max_energy_peak_does_not_grow_with_samples(self):
         # each block's directions are drawn as it is scored, so 100 times

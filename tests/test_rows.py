@@ -1,0 +1,161 @@
+"""Record rows against a per-row reference loop.
+
+``solve`` copies each logged row's losses into a block and reduces the
+block's loss statistics once it is full and at exit; ``reference_solve``
+(conftest) logs the same rows one at a time with ``losses.max()``,
+``losses.sum()`` and the per-row variance formula.  Every column but
+``seconds`` must agree bit for bit: with a block full, one row short of
+full and one row over, for each rule and set kind, with and without a
+weight, at several record cadences, and on divergence and zero-loss stops.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+from conftest import rand_tubal, reference_solve, spd_weight_tensor
+
+from tubalsketch import solvers
+from tubalsketch.sketching import (
+    make_block_sketches,
+    make_fourier_sketches,
+    make_gaussian_sketches,
+    make_slice_sketches,
+)
+from tubalsketch.solvers import DivergenceError, SolverConfig, make_state, solve
+from tubalsketch.t_algebra import WeightQ, identity, tprod
+
+COLUMNS = ("t", "epsilon", "q_error", "loss_max", "loss_sum", "pr_variance_factor")
+M, N, P, L = 12, 4, 2, 4
+SETS = {
+    "slice": lambda: make_slice_sketches(M, L),
+    "ragged-block": lambda: make_block_sketches(
+        M, L, [[0, 1, 2], [3, 4], [5], [6, 7, 8, 9], [10, 11]]),
+    "gaussian": lambda: make_gaussian_sketches(M, 2, 7, L, np.random.default_rng(5)),
+    "fourier-row": lambda: make_fourier_sketches(M, 1, M, L, "row"),
+    "fourier-gaussian": lambda: make_fourier_sketches(
+        M, 2, 6, L, "gaussian", np.random.default_rng(6)),
+}
+SPATIAL = ("NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS")
+PER_SLICE = ("TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
+CASES = [("TSP", None),
+         *((m, k) for m in SPATIAL for k in ("slice", "ragged-block", "gaussian")),
+         *((m, k) for m in PER_SLICE for k in ("fourier-row", "fourier-gaussian"))]
+
+
+def system(seed=3):
+    rng = np.random.default_rng(seed)
+    A, Xs = rand_tubal(rng, M, N, L), rand_tubal(rng, N, P, L)
+    return A, Xs, tprod(A, Xs)
+
+
+def assert_rows_equal(record, rows, what):
+    """Every column of ``rows`` (reference_solve) equals the record's, bit for bit."""
+    assert len(record.t) == len(rows), what
+    for i, name in enumerate(COLUMNS):
+        want = np.array([row[i] for row in rows], dtype=record.t.dtype if name == "t" else float)
+        got = getattr(record, name)
+        assert got.dtype == want.dtype, (what, name)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (what, name)
+    assert record.chosen == [row[-1] for row in rows], what
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 1000])
+@pytest.mark.parametrize("weighted", [False, True], ids=["no-weight", "weight"])
+@pytest.mark.parametrize("method,kind", CASES, ids=[f"{m}-{k}" for m, k in CASES])
+def test_rows_equal_the_reference_loop(method, kind, weighted, record_every, monkeypatch):
+    # runs of max_iters = rows * record_every log one block short of full,
+    # exactly full and one row over (a full block, then one row flushed at
+    # exit); a run 3 iterations longer ends on a row without losses, off the
+    # cadence.  At record_every=1000 a block is made one row long and only
+    # that last run is made, so that the test stays short.
+    A, Xs, B = system()
+    weight = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(4), N, L))
+              if weighted else None)
+    cfg = SolverConfig(method=method, sketches=kind and SETS[kind](), weight=weight, tau=2, seed=9,
+                       tol=0.0, record_every=record_every, check_sampling=False)
+    losses = make_state(A, B, cfg, Xs).losses()  # None: the state logs no losses
+    if record_every == 1000:
+        monkeypatch.setattr(solvers, "_LOSS_BLOCK_BYTES", 8 if losses is None else losses.nbytes)
+        runs = (record_every + 3,)
+    else:
+        limit = 2 if losses is None else min(solvers._UNIFORM_BLOCK,
+                                             solvers._LOSS_BLOCK_BYTES // losses.nbytes)
+        runs = (*(logged * record_every for logged in (limit - 1, limit, limit + 1)),
+                (limit + 1) * record_every + 3)
+    X_ref, rows, stop = reference_solve(A, B, dataclasses.replace(cfg, max_iters=runs[-1]), Xs)
+    assert stop == "max_iters"
+    for max_iters in runs:
+        X, rec = solve(A, B, dataclasses.replace(cfg, max_iters=max_iters), Xs)
+        want = rows if max_iters == runs[-1] else rows[:1 + max_iters // record_every]
+        assert_rows_equal(rec, want, (method, kind, max_iters))
+    assert rec.stop_reason == stop
+    assert np.isnan(rec.loss_max[-1]) == (record_every > 1 or losses is None)
+    np.testing.assert_array_equal(X, X_ref)
+
+
+def per_slice(method):
+    return method.endswith("-II") or method == "TSP-I"
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("method", solvers.METHODS)
+def test_diverging_run_keeps_every_row(method, record_every):
+    # the iterates head to Xs, about 1050 times the reference x_star: the
+    # error passes 1e3 times its start about 5% short of Xs, after a few rows
+    rng = np.random.default_rng(16)
+    A, Xs = rand_tubal(rng, 10, 4, 4), rand_tubal(rng, 4, 2, 4)
+    s = (make_fourier_sketches(10, 1, 10, 4, "row") if per_slice(method)
+         else make_slice_sketches(10, 4))
+    cfg = SolverConfig(method=method, sketches=s, tau=2, seed=8, tol=0.0, max_iters=5000,
+                       record_every=record_every)
+    with pytest.raises(DivergenceError) as info:
+        solve(A, tprod(A, Xs), cfg, x_star=Xs * 9.5e-4)
+    X_ref, rows, stop = reference_solve(A, tprod(A, Xs), cfg, Xs * 9.5e-4)
+    record = info.value.record
+    assert stop == record.stop_reason == "diverged" and record.iterations > 3
+    assert_rows_equal(record, rows, method)
+
+
+@pytest.mark.parametrize("record_every", [1, 4])
+@pytest.mark.parametrize("method", [m for m in solvers.METHODS
+                                    if m not in ("TSP", "TSP-I", "TSP-II")])
+def test_zero_loss_stop_keeps_every_row(method, record_every):
+    # A = I: drawing member i zeroes R_i exactly, so every loss reaches 0
+    # once each member has been drawn, mid-block and, at record_every=4,
+    # mostly off the cadence, where a row without losses ends the record
+    m, l = 6, 3
+    A, Xs = identity(m, l), rand_tubal(np.random.default_rng(26), m, 2, l)
+    s = make_fourier_sketches(m, 1, m, l, "row") if per_slice(method) else make_slice_sketches(m, l)
+    cfg = SolverConfig(method=method, sketches=s, seed=27, tol=0.0, max_iters=500,
+                       record_every=record_every)
+    X, record = solve(A, tprod(A, Xs), cfg, x_star=Xs)
+    X_ref, rows, stop = reference_solve(A, tprod(A, Xs), cfg, Xs)
+    assert stop == record.stop_reason == "zero_loss" and record.iterations >= m
+    assert_rows_equal(record, rows, method)
+    np.testing.assert_array_equal(X, X_ref)
+
+
+def test_row_memory_is_bounded_per_row():
+    # the tracemalloc peak of a 4,000-iteration ATSP-MD solve that logs
+    # every row, less that of the same solve logging its last row only:
+    # 56 bytes of row buffer and 8 of chosen per row, and at the end the
+    # record's columns, t as ints and one copy of the six float columns
+    # (about 124 bytes; rows of seven Python floats in seven lists take 273)
+    rng = np.random.default_rng(7)
+    A, Xs = rand_tubal(rng, 50, 20, 5), rand_tubal(rng, 20, 5, 5)
+    B = tprod(A, Xs)
+    peaks = []
+    for record_every in (1, 4000):
+        cfg = SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(50, 5), tol=0.0,
+                           max_iters=4000, record_every=record_every, seed=1)
+        tracemalloc.start()
+        try:
+            X, record = solve(A, B, cfg, x_star=Xs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert record.iterations == 4000
+    per_row = (peaks[0] - peaks[1]) / 4000
+    assert per_row <= 150, per_row
