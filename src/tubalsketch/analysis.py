@@ -72,13 +72,13 @@ def projector_tensor(A, Q, S):
     S = np.asarray(S, dtype=np.float64)
     Q = _as_weight(Q, A.shape[1], A.shape[2])
     At = ttranspose(A)
-    Qinv_half = Q.inv_sqrt_tensor()
+    Q_inv_half = Q.inv_sqrt_tensor()
     AtS = tprod_oracle(At, S)
-    QAtS = tprod_oracle(Qinv_half, tprod_oracle(Qinv_half, AtS))  # Q^{-1} A^T S
+    QAtS = tprod_oracle(Q_inv_half, tprod_oracle(Q_inv_half, AtS))  # Q^{-1} A^T S
     M = tprod_oracle(ttranspose(S), tprod_oracle(A, QAtS))
     G = tprod_oracle(S, tprod_oracle(tpinv(M), ttranspose(S)))
     W = tprod_oracle(At, tprod_oracle(G, A))
-    return tprod_oracle(Qinv_half, tprod_oracle(W, Qinv_half))
+    return tprod_oracle(Q_inv_half, tprod_oracle(W, Q_inv_half))
 
 
 def expected_projector(A, Q, sketches, p):

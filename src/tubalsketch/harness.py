@@ -30,7 +30,6 @@ __all__ = [
     "gen_gaussian",
     "gen_deblur",
     "gaussian_kernel",
-    "conv2d_circular",
     "relative_error",
     "generate_problem",
     "build_sketches",
@@ -79,16 +78,6 @@ def gaussian_kernel(size, sigma):
     g = np.exp(-(r**2) / (2.0 * sigma**2))
     ker = np.outer(g, g)
     return ker / ker.sum()
-
-
-def conv2d_circular(img, ker):
-    """Direct (shift-and-add) 2-D circular convolution; the reference the
-    deblurring operator is checked against."""
-    out = np.zeros_like(img, dtype=np.float64)
-    rows, cols = np.nonzero(ker)
-    for a, b in zip(rows, cols):
-        out += ker[a, b] * np.roll(np.roll(img, a, axis=0), b, axis=1)
-    return out
 
 
 def smooth_images(size, count, rng):

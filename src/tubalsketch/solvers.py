@@ -56,20 +56,22 @@ TSP-II and the -II methods keep all l slices of the iterate, residuals,
 losses and draws.  Their tables are kept once: when a family is mirrored
 (``SketchSet.mirrored``: slice l-k is sketched as slice k, as in every
 fourier-row set), slice l-k's tables are the conjugates of slice k's, so
-only slices 0..l//2 are kept and slice k > l/2 reads slice l-k's through
-the conjugate.  A state keeps its iterate Xh as the first n rows of a block
-Z, slices first.  The finite-set methods other than TSP-I and TSP-II share
-one set state: their sketched residuals R sit below Xh (R_0 = -C^H S^H B,
-as X_0 = 0), and block U[k, j] of one table U, (slices, q, n + q tau,
-tau), stacks member j's step map over its cross products C_i^H N_i Q^{-1}
-N_j^H C_j with every member i, so choosing j in slice k updates both at
-once: Z[k] -= U[k, j] @ R[k, j], one zgemm that writes into Z (slice
-k > l/2 of a mirrored family passes U[l-k, j] with the conjugate-transpose
-flag).  A spatial choice is one j for every slice.  Every set method's losses square R's
-float view into a buffer and sum it by gemv, per slice, or over the slices
-weighted by w_k / l for spatial sets.  TSP, TSP-I and TSP-II share one
-direct step (:class:`_DirectState`) on blocks of draws gathered from
-member tables; TSP's block is its one fresh draw.
+only slices 0..l//2 are kept and slice k > l/2 reads slice l-k's through the
+conjugate.  A weight Q is a change of variables: every state runs the
+unweighted method on the whitened Ah = A Q^{-1/2} in Y = Q^{1/2} X, and only
+``x()`` and the x_star errors map Y back.  A state keeps its iterate Xh (Y)
+as the first n rows of a block Z, slices first.  The finite-set methods other
+than TSP-I and TSP-II share one set state: their sketched residuals R sit
+below Xh (R_0 = -C^H S^H B, as X_0 = 0), and block U[k, j] of one table U,
+(slices, q, n + q tau, tau), stacks member j's step map over its cross
+products C_i^H N_i N_j^H C_j with every member i, so choosing j in slice k
+updates both at once: Z[k] -= U[k, j] @ R[k, j], one zgemm that writes into
+Z (slice k > l/2 of a mirrored family passes U[l-k, j] with the
+conjugate-transpose flag).  A spatial choice is one j for every slice.  Every
+set method's losses square R's float view into a buffer and sum it by gemv,
+per slice, or over the slices weighted by w_k / l for spatial sets.  TSP,
+TSP-I and TSP-II share one direct step (:class:`_DirectState`) on blocks of
+draws gathered from member tables; TSP's block is its one fresh draw.
 """
 
 from __future__ import annotations
@@ -272,16 +274,16 @@ class _BaseState:
         self.config = config
         self.m, self.n, self.l = A.shape
         self.p = B.shape[1]
-        Q = WeightQ.identity(self.n, self.l) if config.weight is None else config.weight
-        if not isinstance(Q, WeightQ):
+        Q = config.weight
+        if Q is not None and not isinstance(Q, WeightQ):
             raise ValueError(f"weight={type(Q).__name__} is not a WeightQ")
-        if Q.n != self.n or Q.l != self.l:
+        if Q is not None and (Q.n != self.n or Q.l != self.l):
             raise ValueError("weight dimensions do not match the system")
-        self.Q = Q
-        # unwhitened: the states apply Q^{-1} on the N^H side
-        (self.Ah, self.w), (self.Bh, _) = (_fourier_slices(T, self.half_spectrum) for T in (A, B))
+        self.Q = None if Q is None or Q.is_identity else Q  # None: no whitening product
+        (self.Ah, self.w), (self.Bh, _) = (_fourier_slices(T, self.half_spectrum, W)
+                                           for T, W in ((A, self.Q), (B, None)))
         self.h = self.w.size
-        self.Qinv = Q.inv[:self.h]  # a view: the identity's is a broadcast eye
+        self.Qis = None if self.Q is None else self.Q.inv_sqrt[:self.h]  # X = Q^{-1/2} Y
         self.Z = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
         self.t = 0
         self.sqrt_l = np.sqrt(self.l)
@@ -290,11 +292,12 @@ class _BaseState:
             raise ValueError(f"x_star has shape {self.x_star.shape}, not {self.n, self.p, self.l}")
         if self.x_star is not None:
             self.Xsh = _fourier_slices(self.x_star, self.half_spectrum)[0]  # see _errors
+            if self.Q is not None:  # Y* = Q^{1/2} X*, for q_error
+                self.Ysh = self.Q.sqrt[:self.h] @ self.Xsh
             self.x_star_norm = np.linalg.norm(self.x_star)
             if self.x_star_norm == 0:
                 raise ValueError("x_star must be nonzero for relative errors")
         self.b_norm = np.linalg.norm(B)
-        self.q_is_identity = Q.is_identity
         self.max_imag_residue = 0.0
         self.audit_max = 0.0
 
@@ -326,10 +329,13 @@ class _BaseState:
         return self._errors()[0]
 
     def _errors(self):
-        """(epsilon, ||Xh - Xsh||_F), the norm being None without x_star."""
+        """(epsilon, ||X - X*||_F in the transform domain), the norm being
+        None without x_star; the residual A X - B is the whitened Ah Y - B."""
         if self.x_star is not None:
-            # a ufunc reading the strided Xh would copy it into a fresh buffer
-            np.copyto(self.diff, self.Xh)
+            if self.Qis is None:  # a ufunc reading the strided Xh would copy it
+                np.copyto(self.diff, self.Xh)
+            else:  # X = Q^{-1/2} Y
+                np.matmul(self.Qis, self.Xh, out=self.diff)
             self.diff -= self.Xsh
             a, b = self.err_views
             diff_norm = np.sqrt(a.dot(a) + b.dot(b))
@@ -341,24 +347,23 @@ class _BaseState:
     def q_error(self, diff_norm=None):
         """Weighted squared error ||X - X_star||_{F(Q)}^2 (needs x_star).
 
-        ``diff_norm`` is ||Xh - Xsh||_F of the current iterate when the
-        caller already has it; it is only used under the identity weight.
+        Under a weight it is ||Y - Y*||_F^2 / l; else ``diff_norm``, the
+        norm of :meth:`_errors` of the current iterate, is used if given.
         """
         if self.x_star is None:
             return float("nan")
-        if self.q_is_identity:
-            if diff_norm is None:
-                diff_norm = self._errors()[1]
-            return float(diff_norm ** 2 / self.l)
-        diff = self.Xh - self.Xsh
-        return float(sum(self.w[k] * np.linalg.norm(self.Q.sqrt[k] @ diff[k]) ** 2
-                         for k in range(self.h)) / self.l)
+        if self.Qis is not None:
+            return float(self._norm(self.Xh - self.Ysh) ** 2 / self.l)
+        if diff_norm is None:
+            diff_norm = self._errors()[1]
+        return float(diff_norm ** 2 / self.l)
 
     def x(self):
+        X = self.Xh if self.Qis is None else self.Qis @ self.Xh
         if self.half_spectrum:
-            return irfft_slices(self.Xh, self.l)
+            return irfft_slices(X, self.l)
         # per-slice sketching breaks conjugate symmetry; the real part is the answer
-        return ifft_slices(self.Xh, force_real=True)
+        return ifft_slices(X, force_real=True)
 
     # -- defaults for the methods without sketched residuals ---------------
     def losses(self, v=None):
@@ -412,18 +417,10 @@ class _FiniteSetState(_BaseState):
         # a mirrored family's tables of slice k >= kept are the conjugates of slice l - k's
         self.kept = self.l // 2 + 1 if self.per_slice_selection and sketches.mirrored else self.h
 
-    def _weighted_table(self, Ah):
-        """Q^{-1} N^H of every member on the slices of Ah, (slices, q, n, tau),
-        or None under the identity weight, where it is N^H."""
-        return None if self.q_is_identity else self.sketches.sketch_cols(
-            self.Q.inv[:len(Ah)] @ np.conj(np.swapaxes(Ah, -1, -2)))
-
     @staticmethod
-    def _gram(N, AQS):
-        """N Q^{-1} N^H, or if AQS is None (Q = I) N N^H slice by slice,
-        each through its own N^H: no stack-sized N^H."""
-        return N @ AQS if AQS is not None else np.stack(
-            [Nk @ np.conj(np.swapaxes(Nk, -1, -2), order="C") for Nk in N])
+    def _gram(N):
+        """N N^H slice by slice, each through its own N^H: no stack-sized N^H."""
+        return np.stack([Nk @ np.conj(np.swapaxes(Nk, -1, -2), order="C") for Nk in N])
 
     def _uniforms(self):
         """The next (_UNIFORM_BLOCK, streams) block: column k holds the values
@@ -453,35 +450,34 @@ class _FiniteSetState(_BaseState):
 class _SetState(_FiniteSetState):
     """Cached fast path of the finite-set methods.
 
-    Per member i and slice k the setup stores the sketched system N = S^H A,
-    a factor C with C C^H = pinv(N Q^{-1} N^H), the step map Q^{-1} N^H C,
-    the cross products C_i^H N_i Q^{-1} N_j^H C_j, and the running sketched
+    Per member i and slice k the setup stores the sketched whitened system
+    N = S^H A Q^{-1/2}, a factor C with C C^H = pinv(N N^H), the step map
+    N^H C, the cross products C_i^H N_i N_j^H C_j, and the running sketched
     residuals R_i = C_i^H (N_i X - S_i^H B), R_0 = -C^H S^H B as X_0 = 0, as
     views of the block Z and of the table U = [step_map; cross] (see the
     module docstring).  Selection sets gather N and S^H B by rows (views of
     Ah and Bh for rows 0..m-1 in order); ragged blocks are padded with zero
-    rows, which get zero factor columns.  The completeness check runs on N.
-    A mirrored per-slice family keeps U on slices 0..kept-1 = 0..l//2 (see
-    the module docstring); C of slice k >= kept is conj(C[l - k]).  Setup
-    peaks at U, the transformed system and one slice's temporaries: under
-    the identity weight N^H is formed one slice at a time, and step maps and
-    (tau = 1) cross products are written straight into U.  ``views``: R,
-    its (slices, 2 q tau p) float view, which the losses read, and
-    ``before`` flat.  Spatial and per-slice sets share losses, audit, step.
+    rows, which get zero factor columns.  The completeness check runs on N:
+    the invertible Q^{-1/2} can move its verdict only at its cut margin.  A
+    mirrored per-slice family keeps U on slices 0..kept-1 = 0..l//2 (see the
+    module docstring); C of slice k >= kept is conj(C[l - k]).  Setup peaks
+    at U, the transformed system and one slice's temporaries: N^H is formed
+    one slice at a time, and step maps and (tau = 1) cross products are
+    written straight into U.  ``views``: R, its (slices, 2 q tau p) float
+    view, which the losses read, and ``before`` flat.  Spatial and per-slice
+    sets share losses, audit, step.
     """
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         kept, sk = self.kept, self.sketches
         N, self.SB = sk.sketch(self.Ah), sk.sketch(self.Bh)  # C-contiguous
-        AQS = self._weighted_table(self.Ah[:kept])
-        AQS = None if AQS is None else np.ascontiguousarray(AQS)
         if config.check_sampling and not sketching.is_complete_discrete_sampling(
                 A, self.sketches, sketched=N):
             warnings.warn("sketch family is not complete discrete sampling for this system; the "
                           "iteration is still defined but the rate certificates may not hold",
                           stacklevel=2)
-        self.C = batched_inv_factor(self._gram(N[:kept], AQS),
+        self.C = batched_inv_factor(self._gram(N[:kept]),
                                     slice_axis=None if self.per_slice_selection else 0)
         h, q, tau, n = N.shape
         if kept < h:  # a mirrored family: C of slice k >= kept is conj(C[l - k])
@@ -490,8 +486,8 @@ class _SetState(_FiniteSetState):
         self.U = np.empty((kept, q, n + q * tau, tau), dtype=np.complex128)
         cross = self.U[:, :, n:].reshape(kept, q, q, tau, tau)  # [k, j, i, a, c], a view
         for k in range(kept):  # one slice at a time: no table-sized temporary
-            np.matmul(AQS[k] if AQS is not None else np.conj(np.swapaxes(N[k], -1, -2), order="C"),
-                      self.C[k], out=self.U[k, :, :n])
+            np.matmul(np.conj(np.swapaxes(N[k], -1, -2), order="C"), self.C[k],
+                      out=self.U[k, :, :n])
             # cross[k, j, i, a, c] = sum_b (C^H N)[k, i, a, b] step_map[k, j, b, c]
             jc = np.swapaxes(self.U[k, :, :n], 1, 2).reshape(q * tau, n)
             ia = np.moveaxis(CH[k] @ N[k], 2, 0).reshape(n, q * tau)
@@ -629,13 +625,12 @@ class _DirectState(_FiniteSetState):
     real part of the final inverse transform is the answer.
 
     Slice k is projected straight from the iterate onto the members its
-    group draws: Z -= Q^{-1} N^H G (N X - S^H B), G = pinv(N Q^{-1} N^H).
+    group draws: Z -= N^H G (N Y - S^H B), G = pinv(N N^H).
     A draw gathers, at each position j, table row ``table_rows[j]`` at the
     member slice ``table_slices[j]`` drew, conjugated at the positions
     ``flip``; a group is g/h consecutive positions.  Here a group is one
-    slice, and the ``tables`` are N = S^H A, Q^{-1} N^H (as rows; None under
-    the identity weight, where it is conj(N)), S^H B and G, factored at
-    setup, of slices 0..kept-1: slice k >= kept of a mirrored family reads
+    slice, and the ``tables`` are N = S^H A Q^{-1/2}, S^H B and G, factored
+    at setup, of slices 0..kept-1: slice k >= kept of a mirrored family reads
     slice l - k's rows, conjugated.  With each block of ``_UNIFORM_BLOCK``
     draws, ``select`` releases the old block and gathers the tables of every
     draw: 64 l tau (2n + p) complex entries plus 64 l tau^2 for G, about
@@ -654,16 +649,14 @@ class _DirectState(_FiniteSetState):
         self.table_rows, self.table_slices, self.flip, self.tables = self._tables(A, B)
 
     def _tables(self, A, B):
-        Ah, Bh = self.Ah[:self.kept], self.Bh[:self.kept]
-        N, AQS, SB = self.sketches.sketch(Ah), self._weighted_table(Ah), self.sketches.sketch(Bh)
+        N, SB = (self.sketches.sketch(T[:self.kept]) for T in (self.Ah, self.Bh))
         return (np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, slice(self.kept, None),
-                [N, None if AQS is None else np.swapaxes(AQS, -1, -2), SB,
-                 batched_hpinv(self._gram(N, AQS))])
+                [N, SB, batched_hpinv(self._gram(N))])
 
     def _projections(self, draws):
-        """N, Q^{-1} N^H, S^H B and G of the groups that each row of
-        ``draws`` (b, l) picks, each (b, h, ...); where the tables hold none,
-        Q^{-1} N^H is conj(N)^T and G is factored for the block in one batch."""
+        """N, N^H, S^H B and G of the groups that each row of ``draws`` (b, l)
+        picks, each (b, h, ...); where the tables hold no G, it is factored
+        for the block in one batch."""
         picked = (self.table_rows, draws[:, self.table_slices])
 
         def gather(T):
@@ -671,9 +664,9 @@ class _DirectState(_FiniteSetState):
             T[:, self.flip] = np.conj(T[:, self.flip])
             return T.reshape(len(draws), self.h, -1, T.shape[-1])
 
-        N, NQt, SB, G = (T if T is None else gather(T) for T in self.tables)
-        AQS = np.swapaxes(np.conj(N) if NQt is None else NQt, -1, -2)  # (b, h, n, tau per group)
-        return N, AQS, SB, batched_hpinv(N @ AQS) if G is None else G
+        N, SB, G = (T if T is None else gather(T) for T in self.tables)
+        NH = np.swapaxes(np.conj(N), -1, -2)  # (b, h, n, tau per group)
+        return N, NH, SB, batched_hpinv(N @ NH) if G is None else G
 
     def select(self, losses):
         if self.drawn == _UNIFORM_BLOCK:
@@ -685,10 +678,10 @@ class _DirectState(_FiniteSetState):
 
     def step(self, idx):
         if idx is self.choice:
-            N, AQS, SB, G = (T[self.drawn - 1] for T in self.gathered)
+            N, NH, SB, G = (T[self.drawn - 1] for T in self.gathered)
         else:
-            N, AQS, SB, G = (T[0] for T in self._projections(np.asarray(idx)[None]))
-        self.Z -= AQS @ (G @ (N @ self.Xh - SB))
+            N, NH, SB, G = (T[0] for T in self._projections(np.asarray(idx)[None]))
+        self.Z -= NH @ (G @ (N @ self.Xh - SB))
         self.t += 1
 
 
@@ -705,18 +698,16 @@ class _FreshGaussianState(_DirectState):
         if config.tau > self.m:
             raise ValueError(f"tau={config.tau!r} exceeds m={self.m}")
         self.tau, self.sketch_rng = config.tau, _rng(config.seed, 0)
-        if not self.q_is_identity:  # else Q^{-1} N^H is N^H
-            self.QiAH = self.Qinv @ np.conj(np.swapaxes(self.Ah, -1, -2), order="C")
 
     def select(self, losses):
         return self.sketch_rng.standard_normal((self.m, self.tau))
 
     def _projections(self, S):
-        """N = S^T A, Q^{-1} N^H, S^T B and G of draws S (b, m, tau); one G cutoff per draw."""
+        """N = S^T A Q^{-1/2}, N^H, S^T B and G of draws S (b, m, tau), a G cutoff each."""
         St = np.swapaxes(S, -1, -2)[:, None]
         N = St @ self.Ah
-        AQS = np.conj(np.swapaxes(N, -1, -2)) if self.q_is_identity else self.QiAH @ S[:, None]
-        return N, AQS, St @ self.Bh, batched_hpinv(N @ AQS, slice_axis=1)
+        NH = np.conj(np.swapaxes(N, -1, -2))
+        return N, NH, St @ self.Bh, batched_hpinv(N @ NH, slice_axis=1)
 
 
 class _StackedState(_DirectState):
@@ -746,20 +737,19 @@ class _StackedState(_DirectState):
         pairs = np.stack([half, -half % self.l], axis=1).ravel()  # the group of k: k and -k
         mirrored = self.sketches.mirrored  # then conj(T[-k]) is T[k]: a group reads T[k] twice
         Ah, Bh = (self.Ah, self.Bh) if mirrored else (  # else all l, -k conjugated
-            _fourier_slices(T, False)[0] for T in (A, B))
-        N, AQS, SB = self.sketches.sketch(Ah), self._weighted_table(Ah), self.sketches.sketch(Bh)
+            _fourier_slices(T, False, W)[0] for T, W in ((A, self.Q), (B, None)))
         return (np.repeat(half, 2) if mirrored else pairs, pairs,
                 slice(0, 0) if mirrored else slice(1, None, 2),
-                [N, None if AQS is None else np.swapaxes(AQS, -1, -2), SB, None])
+                [self.sketches.sketch(Ah), self.sketches.sketch(Bh), None])
 
     def step(self, idx):
         super().step(idx)
-        # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval: only the slices
-        # that are their own mirror can carry an imaginary part
-        imag = self.Xh[self.own].imag
-        if imag.any():  # exactly zero while slices 0 and l/2 stay real
-            scale = max(self._norm(self.Xh), 1e-300)
-            self.max_imag_residue = max(self.max_imag_residue, float(np.linalg.norm(imag) / scale))
+        # ||imag(ifft(X))|| / ||ifft(X)||, by Parseval: only the slices that are their
+        # own mirror can carry an imaginary part, in Y exactly when in X (Q^{-1/2} is real)
+        if self.Xh[self.own].imag.any():
+            X = self.Xh if self.Qis is None else self.Qis @ self.Xh
+            imag = float(np.linalg.norm(X[self.own].imag) / max(self._norm(X), 1e-300))
+            self.max_imag_residue = max(self.max_imag_residue, imag)
 
 
 # name: (state class, selection rule); TSP has no rule, its choice is a

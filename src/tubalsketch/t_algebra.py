@@ -269,15 +269,14 @@ class WeightQ:
     """T-SPD weight with cached per-slice functions of its Fourier slices.
 
     The caches hold, for every frontal slice k of the depth transform,
-    Q_k^{-1}, Q_k^{-1/2} and Q_k^{1/2} in slices-first layout (l, n, n);
-    they are what the solvers and norms consume, so the factorization
-    happens once per weight rather than once per iteration.  The identity
-    weight holds all four as read-only broadcast views of one n x n eye.
+    Q_k^{-1/2} and Q_k^{1/2} in slices-first layout (l, n, n); they are what
+    the solvers and norms consume, so the factorization happens once per
+    weight rather than once per iteration.  The identity weight holds all
+    three as read-only broadcast views of one n x n eye.
     """
 
     base: np.ndarray          # (n, n, l) real
     hat: np.ndarray           # (l, n, n) complex
-    inv: np.ndarray           # (l, n, n) per-slice inverse
     inv_sqrt: np.ndarray      # (l, n, n) Hermitian sqrt of the inverse
     sqrt: np.ndarray          # (l, n, n) Hermitian sqrt
 
@@ -303,13 +302,13 @@ class WeightQ:
         # that every eigenvalue exceeds 1e-10
         lam, U = np.linalg.eigh(0.5 * (hat + np.conj(np.swapaxes(hat, -1, -2))))
         UH = np.conj(np.swapaxes(U, -1, -2))
-        inv, inv_sqrt, sqrt = ((U * lam[:, None, :] ** p) @ UH for p in (-1.0, -0.5, 0.5))
-        return cls(Q, hat, inv, inv_sqrt, sqrt)
+        inv_sqrt, sqrt = ((U * lam[:, None, :] ** p) @ UH for p in (-0.5, 0.5))
+        return cls(Q, hat, inv_sqrt, sqrt)
 
     @classmethod
     def identity(cls, n, l):
         eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (l, n, n))
-        return cls(identity(n, l), eye, eye, eye, eye)
+        return cls(identity(n, l), eye, eye, eye)
 
     def inv_sqrt_tensor(self):
         """Q^{-1/2} as a real tensor (n, n, l)."""

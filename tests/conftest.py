@@ -118,11 +118,11 @@ def stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx):
 
 def direct_step_oracle(tables, Xh, idx):
     """One TSP-II step from per-member tables (l, q, ...) ``tables["N"]``,
-    ``["AQS"]``, ``["SB"]`` and ``["G"]``: gather member idx[k] of every
-    slice k and project Xh (l, n, p) onto it, Xh - AQS G (N Xh - SB)."""
+    ``["NH"]``, ``["SB"]`` and ``["G"]``: gather member idx[k] of every
+    slice k and project Xh (l, n, p) onto it, Xh - NH G (N Xh - SB)."""
     member = (np.arange(len(idx)), idx)
-    N, AQS, SB, G = (tables[name][member] for name in ("N", "AQS", "SB", "G"))
-    return Xh - AQS @ (G @ ((N @ Xh) - SB))
+    N, NH, SB, G = (tables[name][member] for name in ("N", "NH", "SB", "G"))
+    return Xh - NH @ (G @ ((N @ Xh) - SB))
 
 
 def _full_spectrum(A, B, X, Q):
@@ -136,9 +136,10 @@ def _full_spectrum(A, B, X, Q):
     return Ah, Bh, Xh, Qinv
 
 
-def _slice_system(Ah, Bh, Xh, Qinv, Sh, k):
-    """(Q^{-1} N^H, pinv(N Q^{-1} N^H), N X - S^H B) of Fourier slice k."""
-    SH = Sh[:, :, k].conj().T
+def _slice_system(Ah, Bh, Xh, Qinv, Sk, k):
+    """(Q^{-1} N^H, pinv(N Q^{-1} N^H), N X - S^H B) of Fourier slice k,
+    sketched by its (m, tau) member Sk."""
+    SH = Sk.conj().T
     N = SH @ Ah[:, :, k]
     QiNH = Qinv[k] @ N.conj().T
     return QiNH, np.linalg.pinv(N @ QiNH), N @ Xh[:, :, k] - SH @ Bh[:, :, k]
@@ -151,7 +152,7 @@ def full_spectrum_step(A, B, X, S, Q=None):
     Ah, Bh, Xh, Qinv = _full_spectrum(A, B, X, Q)
     Sh = naive_dft3(np.asarray(S, dtype=np.float64))
     for k in range(Ah.shape[2]):
-        QiNH, G, r = _slice_system(Ah, Bh, Xh, Qinv, Sh, k)
+        QiNH, G, r = _slice_system(Ah, Bh, Xh, Qinv, Sh[:, :, k], k)
         Xh[:, :, k] -= QiNH @ (G @ r)
     out = naive_idft3(Xh)
     assert np.linalg.norm(out.imag) <= 1e-12 * max(np.linalg.norm(out.real), 1.0)
@@ -167,9 +168,26 @@ def full_spectrum_losses(A, B, X, members, Q=None):
     for i, S in enumerate(members):
         Sh = naive_dft3(np.asarray(S, dtype=np.float64))
         for k in range(l):
-            _, G, r = _slice_system(Ah, Bh, Xh, Qinv, Sh, k)
+            _, G, r = _slice_system(Ah, Bh, Xh, Qinv, Sh[:, :, k], k)
             losses[i] += np.trace(r.conj().T @ G @ r).real / l
     return losses
+
+
+def per_slice_iterates(A, B, sketches, chosen, Q=None):
+    """The iterates of per-slice sketch-and-project from X_0 = 0: step t
+    projects every Fourier slice k on member ``chosen[t][k]`` of its family
+    (-1 leaves the slice), in the Q-norm.  The slices' choices differ, so
+    the iterates are complex; each is returned as its (n, p, l) inverse
+    transform, all by direct summation."""
+    Ah, Bh, Xh, Qinv = _full_spectrum(A, B, np.zeros((A.shape[1], B.shape[1], A.shape[2])), Q)
+    iterates = [naive_idft3(Xh)]
+    for idx in chosen:
+        for k, j in enumerate(idx):
+            if j >= 0:
+                QiNH, G, r = _slice_system(Ah, Bh, Xh, Qinv, sketches.members[k][j], k)
+                Xh[:, :, k] -= QiNH @ (G @ r)
+        iterates.append(naive_idft3(Xh))
+    return iterates
 
 
 def tpinv_via_bcirc(X):
@@ -183,6 +201,16 @@ def spd_weight_tensor(rng, n, l, shift=0.5):
     """A generic T-SPD tensor: a Gram tensor plus a multiple of the identity."""
     F = rand_tubal(rng, n, n, l)
     return tprod_oracle(ttranspose(F), F) + shift * identity(n, l)
+
+
+def conv2d_circular(img, ker):
+    """Direct (shift-and-add) 2-D circular convolution; the reference the
+    deblurring operator is checked against."""
+    out = np.zeros_like(img, dtype=np.float64)
+    rows, cols = np.nonzero(ker)
+    for a, b in zip(rows, cols):
+        out += ker[a, b] * np.roll(np.roll(img, a, axis=0), b, axis=1)
+    return out
 
 
 def circ_conv_tubes(x, y):
@@ -201,36 +229,39 @@ def unmirror(T, h, l):
     return np.concatenate([T, np.conj(T[l - np.arange(len(T), h)])])
 
 
-def dense_set_tables(A, B, sketches, Q):
+def dense_set_tables(A, B, sketches, Q=None):
     """Cached-path tables from dense members: every member's depth transform
     multiplied out in full, as the setup did before sketches became row
-    indices.  Returns N, AQS, SB, C, cross and step_map on all l slices in
-    the state's layout, (l, q, ...), with cross[k, j] the (q tau, tau)
-    column j of the cross products of slice k."""
+    indices, on the system whitened by a WeightQ ``Q``, A_k Q_k^{-1/2}, as
+    the states keep it.  Returns N, NH (N^H), SB, C, cross and step_map on
+    all l slices in the state's layout, (l, q, ...), with cross[k, j] the
+    (q tau, tau) column j of the cross products of slice k."""
     Ah = np.fft.fft(np.moveaxis(np.asarray(A, dtype=np.complex128), 2, 0), axis=0)
     Bh = np.fft.fft(np.moveaxis(np.asarray(B, dtype=np.complex128), 2, 0), axis=0)
-    QiAH = Q.inv @ np.conj(np.swapaxes(Ah, -1, -2))
+    if Q is not None and not Q.is_identity:
+        Ah = Ah @ Q.inv_sqrt
+    AH = np.conj(np.swapaxes(Ah, -1, -2))
     if sketches.per_slice:
         S = np.stack([np.stack(sketches.members[k]) for k in range(sketches.l)])
         S = S.astype(np.complex128)  # (l, q, m, tau)
         N = np.conj(np.swapaxes(S, -1, -2)) @ Ah[:, None]
-        AQS = QiAH[:, None] @ S
+        NH = AH[:, None] @ S
         SB = np.conj(np.swapaxes(S, -1, -2)) @ Bh[:, None]
-        C = batched_inv_factor(N @ AQS)
+        C = batched_inv_factor(N @ NH)
         spec = "kiab,kjbc->kijac"
     else:
         Sh = np.stack([sketches.member_hat(i) for i in range(sketches.q)])
         N = np.conj(np.swapaxes(Sh, -1, -2)) @ Ah  # (q, l, tau, n)
-        AQS = QiAH[None] @ Sh
+        NH = AH[None] @ Sh
         SB = np.conj(np.swapaxes(Sh, -1, -2)) @ Bh
-        C = batched_inv_factor(N @ AQS, slice_axis=1)
+        C = batched_inv_factor(N @ NH, slice_axis=1)
         spec = "ikab,jkbc->ijkac"
-    step_map = AQS @ C
+    step_map = NH @ C
     CH = np.conj(np.swapaxes(C, -1, -2))
     cross = np.einsum(spec, CH @ N, step_map, optimize=True)
     # to (l, q_j, q_i, tau, tau), then to (l, q, q tau, tau)
     cross = np.moveaxis(cross, (0, 1, 2), (2, 1, 0) if spec[0] == "i" else (0, 2, 1))
-    tables = {"N": N, "AQS": AQS, "SB": SB, "C": C, "step_map": step_map}
+    tables = {"N": N, "NH": NH, "SB": SB, "C": C, "step_map": step_map}
     if not sketches.per_slice:
         tables = {name: np.swapaxes(T, 0, 1) for name, T in tables.items()}
     q, tau = cross.shape[1], cross.shape[-1]

@@ -14,6 +14,7 @@ from scipy.linalg import circulant
 from scipy.stats import chisquare
 
 from conftest import (
+    conv2d_circular,
     rand_tubal,
     row_action_step_oracle,
     sp_step_direct,
@@ -30,7 +31,6 @@ from tubalsketch.harness import (
     MethodSpec,
     ProblemSpec,
     ExperimentConfig,
-    conv2d_circular,
     gen_deblur,
     gen_gaussian,
     run_experiment,

@@ -17,10 +17,14 @@ transformed stacked system, so their sums round differently.  The cached
 per-slice methods (NTSP-II, ATSP-MD/PR/CS-II) are matched the same way:
 their losses square R's float view and sum it by gemv, and their step is
 one zgemm per slice, the kernels of the spatial sets, so their sums round
-differently too.  TSP-II is still matched bit for bit.
+differently too.  TSP-II is still matched bit for bit under the identity
+weight; under a weight it is matched as the others (its values within 8e-16
+relative): the states now run on the whitened system A Q^{-1/2} in
+Y = Q^{1/2} X, so the bits of an X-space recording cannot be met.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +42,8 @@ from tubalsketch.solvers import SolverConfig, make_state, solve
 from tubalsketch.t_algebra import WeightQ, batched_inv_factor, identity, tprod_oracle, ttranspose
 
 RECORDS = Path(__file__).parent / "data" / "seeded_records.json"
-# matched within 1e-12 relative in their values (see the module docstring)
+# matched within 1e-12 relative in their values, as is every weighted run
+# (see the module docstring)
 ROUNDED = ("TSP", "NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS", "TSP-I",
            "NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
 
@@ -91,7 +96,7 @@ def test_seeded_records_match_dense_member_runs():
         assert rec.iterations == want["iterations"], name
         chosen = [c if c is None or isinstance(c, int) else list(c) for c in rec.chosen]
         assert chosen == want["chosen"], name
-        if kw["method"] in ROUNDED:
+        if kw["method"] in ROUNDED or kw["weight"] is not None:
             for f in ("loss_max", "loss_sum", "pr_variance_factor", "epsilon", "q_error", "x"):
                 got = X.ravel() if f == "x" else getattr(rec, f)
                 ref = np.array([np.nan if v is None else v for v in want[f]])
@@ -131,19 +136,18 @@ def test_cached_tables_equal_dense_products(kind, weighted):
     # direct table) hold slices 0..l//2, and slice l - k reads conj(slice k)
     h = st.Ah.shape[0]  # spatial sets keep Fourier slices 0..l//2
     assert st.kept == (2 if sketches.per_slice else h)
-    if method == "TSP-II":  # the direct state's member tables, Q^{-1} N^H as rows
+    if method == "TSP-II":  # the direct state's member tables; N^H is conj(N)^T
         C = want["C"]
-        dense = (want["N"], np.swapaxes(want["AQS"], -1, -2), want["SB"],
+        dense = (want["N"], np.swapaxes(want["NH"], -1, -2), want["SB"],
                  C @ np.conj(np.swapaxes(C, -1, -2)))
-        N, NQt, SB, G = st.tables
-        assert (NQt is None) == (not weighted)  # the identity's Q^{-1} N^H is conj(N)^T
-        got = (N, np.conj(N) if NQt is None else NQt, SB, G)
-        for name, T, ref in zip(("N", "AQS", "SB", "G"), got, dense, strict=True):
+        N, SB, G = st.tables
+        for name, T, ref in zip(("N", "NH", "SB", "G"), (N, np.conj(N), SB, G), dense,
+                                strict=True):
             assert len(T) == st.kept
             np.testing.assert_array_equal(unmirror(T, h, 3), ref, err_msg=name)
         return
-    AQS = sketches.sketch_cols(st.Qinv @ np.conj(np.swapaxes(st.Ah, -1, -2)))
-    np.testing.assert_array_equal(AQS, want["AQS"][:h])
+    NH = sketches.sketch_cols(np.conj(np.swapaxes(st.Ah, -1, -2)))
+    np.testing.assert_array_equal(NH, want["NH"][:h])
     for name in ("N", "SB", "C", "cross", "step_map"):
         np.testing.assert_array_equal(unmirror(getattr(st, name), h, 3), want[name][:h],
                                       err_msg=name)
@@ -174,9 +178,8 @@ def _five_sets(l):
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("l", [4, 5])
 def test_setup_tables_equal_the_gathered_and_multiplied_out_expressions(kind, weighted, l):
-    # Q^{-1} N^H is N^H under the identity weight and R_0 = -C^H S^H B; both
-    # must equal, bit for bit, Q^{-1} A^H gathered by columns and
-    # C^H (N X_0 - S^H B) with X_0 = 0
+    # N^H of the whitened system and R_0 = -C^H S^H B must equal, bit for
+    # bit, A^H gathered by columns and C^H (N X_0 - S^H B) with X_0 = 0
     A, Xs, B = gen_gaussian(ProblemSpec(m=9, n=4, p=2, l=l, seed=54))
     Q = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(55), 4, l))
          if weighted else WeightQ.identity(4, l))
@@ -188,10 +191,10 @@ def test_setup_tables_equal_the_gathered_and_multiplied_out_expressions(kind, we
         N, SB = s.sketch(st.Ah), s.sketch(st.Bh)
     else:  # X[:, rows] of the stack padded with a zero row
         N, SB = (s._padded(X, 1)[:, s.rows] for X in (st.Ah, st.Bh))
-    AQS = np.ascontiguousarray(s.sketch_cols(st.Qinv @ np.conj(np.swapaxes(st.Ah, -1, -2))))
-    C = batched_inv_factor(N @ AQS, slice_axis=None if s.per_slice else 0)
+    NH = np.ascontiguousarray(s.sketch_cols(np.conj(np.swapaxes(st.Ah, -1, -2))))
+    C = batched_inv_factor(N @ NH, slice_axis=None if s.per_slice else 0)
     CH = np.conj(np.swapaxes(C, -1, -2))
-    step_map = AQS @ C
+    step_map = NH @ C
     cross = np.empty((h, q, q, tau, tau), dtype=np.complex128)
     for k in range(h):
         jc = np.swapaxes(step_map[k], 1, 2).reshape(q * tau, n)
@@ -204,6 +207,29 @@ def test_setup_tables_equal_the_gathered_and_multiplied_out_expressions(kind, we
     for name, want in (("N", N), ("SB", SB), ("C", C), ("step_map", step_map),
                        ("cross", cross.reshape(h, q, q * tau, tau)), ("R", R)):
         np.testing.assert_array_equal(unmirror(getattr(st, name), h, l), want, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["slice", "block", "gaussian", "fourier-row", "fourier-gaussian"])
+@pytest.mark.parametrize("l", [4, 5])
+def test_weight_keeps_the_completeness_verdict(kind, l):
+    # the check sees the whitened N = S^H A Q^{-1/2}, whose ranks the
+    # invertible Q^{-1/2} keeps: make_state warns under a weight exactly when
+    # it warns without, on a full-rank A and on one whose column 1 is zero
+    A, Xs, B = gen_gaussian(ProblemSpec(m=9, n=4, p=2, l=l, seed=57))
+    deficient = A.copy()
+    deficient[:, 1] = 0.0
+    Q = WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(58), 4, l))
+    s = _five_sets(l)[kind]
+    for system in (A, deficient):
+        fired = []
+        for weight in (None, Q):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                make_state(system, B, SolverConfig(method="ATSP-MD-II" if s.per_slice
+                                                   else "ATSP-MD", sketches=s, weight=weight))
+            fired.append(any("not complete discrete sampling" in str(w.message) for w in caught))
+        assert fired[0] == fired[1], (kind, fired)
+    assert fired == [True, True]  # the deficient system fails the check
 
 
 @pytest.mark.parametrize("kind", ["slice", "block", "fourier-row"])

@@ -5,12 +5,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import conv2d_circular
 from tubalsketch.harness import (
     ExperimentConfig,
     MethodSpec,
     ProblemSpec,
     build_sketches,
-    conv2d_circular,
     gaussian_kernel,
     gen_deblur,
     gen_gaussian,

@@ -144,8 +144,8 @@ def test_direct_state_setup_peak_is_its_arrays_and_one_slice():
 
 def test_stacked_state_keeps_one_table_per_kept_slice():
     st, _, _ = _setup_peak("TSP-I")
-    N, NQt, SB, G = st.tables
-    assert len(N) == len(SB) == st.h == 5 and NQt is None and G is None
+    N, SB, G = st.tables
+    assert len(N) == len(SB) == st.h == 5 and G is None
     assert np.shares_memory(N, st.Ah) and np.shares_memory(SB, st.Bh)  # views, no copy
     np.testing.assert_array_equal(st.table_rows, np.repeat(np.arange(5), 2))
     np.testing.assert_array_equal(st.table_slices, [0, 0, 1, 7, 2, 6, 3, 5, 4, 4])
@@ -153,13 +153,16 @@ def test_stacked_state_keeps_one_table_per_kept_slice():
 
 @pytest.mark.parametrize("method", PER_SLICE[:4])
 def test_identity_weight_holds_no_conjugate_transpose_table(method):
-    st, _, _ = _setup_peak(method, WeightQ.identity(40, 8))
-    tables = getattr(st, "tables", [])
-    assert len(tables) < 2 or tables[1] is None
-    held = [a for a in [*vars(st).values(), *tables] if isinstance(a, np.ndarray)]
-    big = [a for a in held if a.nbytes >= 5 * SLICE_N
-           and not np.shares_memory(a, st.Ah) and not (hasattr(st, "U") and a is st.U)]
-    assert not big, [a.shape for a in big]
+    # a weight whitens the system, so no weight keeps a (Q^{-1}) N^H table either
+    general = WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(62), 40, 8))
+    for weight in (WeightQ.identity(40, 8), general):
+        st, _, _ = _setup_peak(method, weight)
+        tables = getattr(st, "tables", [])
+        assert len(tables) in (0, 3)  # direct states: N, S^H B and G
+        held = [a for a in [*vars(st).values(), *tables] if isinstance(a, np.ndarray)]
+        big = [a for a in held if a.nbytes >= 5 * SLICE_N
+               and not np.shares_memory(a, st.Ah) and not (hasattr(st, "U") and a is st.U)]
+        assert not big, [a.shape for a in big]
 
 
 @pytest.mark.parametrize("method", ["TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II"])

@@ -7,6 +7,9 @@ block's loss statistics once it is full and at exit; ``reference_solve``
 ``seconds`` must agree bit for bit: with a block full, one row short of
 full and one row over, for each rule and set kind, with and without a
 weight, at several record cadences, and on divergence and zero-loss stops.
+Under a weight the states iterate on the whitened variable Q^{1/2} X, so
+every weighted row's errors are also checked against their X-space
+definitions on the iterate the row kept.
 """
 
 import dataclasses
@@ -14,9 +17,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import rand_tubal, reference_solve, spd_weight_tensor
+from conftest import per_slice_iterates, rand_tubal, reference_solve, spd_weight_tensor
 
 from tubalsketch import solvers
+from tubalsketch.harness import relative_error
 from tubalsketch.sketching import (
     make_block_sketches,
     make_fourier_sketches,
@@ -24,18 +28,18 @@ from tubalsketch.sketching import (
     make_slice_sketches,
 )
 from tubalsketch.solvers import DivergenceError, SolverConfig, make_state, solve
-from tubalsketch.t_algebra import WeightQ, identity, tprod
+from tubalsketch.t_algebra import WeightQ, identity, tprod, weighted_fnorm
 
 COLUMNS = ("t", "epsilon", "q_error", "loss_max", "loss_sum", "pr_variance_factor")
 M, N, P, L = 12, 4, 2, 4
-SETS = {
-    "slice": lambda: make_slice_sketches(M, L),
-    "ragged-block": lambda: make_block_sketches(
-        M, L, [[0, 1, 2], [3, 4], [5], [6, 7, 8, 9], [10, 11]]),
-    "gaussian": lambda: make_gaussian_sketches(M, 2, 7, L, np.random.default_rng(5)),
-    "fourier-row": lambda: make_fourier_sketches(M, 1, M, L, "row"),
-    "fourier-gaussian": lambda: make_fourier_sketches(
-        M, 2, 6, L, "gaussian", np.random.default_rng(6)),
+SETS = {  # each of depth L unless given another
+    "slice": lambda l=L: make_slice_sketches(M, l),
+    "ragged-block": lambda l=L: make_block_sketches(
+        M, l, [[0, 1, 2], [3, 4], [5], [6, 7, 8, 9], [10, 11]]),
+    "gaussian": lambda l=L: make_gaussian_sketches(M, 2, 7, l, np.random.default_rng(5)),
+    "fourier-row": lambda l=L: make_fourier_sketches(M, 1, M, l, "row"),
+    "fourier-gaussian": lambda l=L: make_fourier_sketches(
+        M, 2, 6, l, "gaussian", np.random.default_rng(6)),
 }
 SPATIAL = ("NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS")
 PER_SLICE = ("TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
@@ -93,6 +97,35 @@ def test_rows_equal_the_reference_loop(method, kind, weighted, record_every, mon
     assert rec.stop_reason == stop
     assert np.isnan(rec.loss_max[-1]) == (record_every > 1 or losses is None)
     np.testing.assert_array_equal(X, X_ref)
+
+
+@pytest.mark.parametrize("l", [4, 5])
+@pytest.mark.parametrize("method,kind", CASES, ids=[f"{m}-{k}" for m, k in CASES])
+def test_weighted_rows_equal_the_x_space_oracle(method, kind, l):
+    # every row of a weighted run, against the iterate it kept: q_error is
+    # ||X_t - X*||_{F(Q)}^2 and epsilon ||X_t - X*||_F / ||X*||_F.  TSP-II
+    # and the -II methods keep the real part of a complex iterate and measure
+    # the whole of it: their rows add the imaginary part of an X-space replay
+    # of the recorded choices (Q^{1/2} is real, so the norms split)
+    rng = np.random.default_rng(30 + l)
+    A, Xs = rand_tubal(rng, M, N, l), rand_tubal(rng, N, P, l)
+    weight = WeightQ.from_tensor(spd_weight_tensor(rng, N, l))
+    cfg = SolverConfig(method=method, sketches=kind and SETS[kind](l), weight=weight, tau=2,
+                       seed=31, tol=0.0, max_iters=80, keep_iterates=True, check_sampling=False)
+    _, rec = solve(A, tprod(A, Xs), cfg, x_star=Xs)
+    assert len(rec.iterates) == len(rec.t) == 81
+    imag = [np.zeros_like(Xs)] * len(rec.iterates)
+    if method == "TSP-II" or method.endswith("-II"):
+        replay = per_slice_iterates(A, tprod(A, Xs), cfg.sketches, rec.chosen[1:], weight)
+        for X, Xc in zip(rec.iterates, replay):
+            assert np.linalg.norm(X - Xc.real) <= 1e-12 * np.linalg.norm(Xs)
+        imag = [Xc.imag for Xc in replay]
+    q = np.array([weighted_fnorm(X - Xs, weight) ** 2 + weighted_fnorm(Y, weight) ** 2
+                  for X, Y in zip(rec.iterates, imag)])
+    eps = np.array([np.hypot(relative_error(X, Xs), np.linalg.norm(Y) / np.linalg.norm(Xs))
+                    for X, Y in zip(rec.iterates, imag)])
+    assert np.all(np.abs(rec.q_error - q) <= 1e-12 * q[0])
+    assert np.all(np.abs(rec.epsilon - eps) <= 1e-12 * eps[0])
 
 
 def per_slice(method):

@@ -1157,13 +1157,15 @@ class TestPerSliceVariants:
         Ah, Bh = (np.fft.fft(np.moveaxis(T.astype(np.complex128), 2, 0), axis=0)
                   for T in (A, B))
         members = f.members
+        Qinv = np.eye(4) if Q is None else np.linalg.inv(Q.hat)
         Xh = np.zeros((l, 4, 2), dtype=np.complex128)
         for _ in range(300):
             idx = st.select(st.losses())
             st.step(idx)
-            Xh = stacked_step_oracle(Ah, Bh, st.Q.inv, members, Xh, idx)
-            half = Xh[:l // 2 + 1]  # the state keeps slices 0..l//2
-            assert np.linalg.norm(st.Xh - half) <= 1e-12 * np.linalg.norm(half)
+            Xh = stacked_step_oracle(Ah, Bh, Qinv, members, Xh, idx)
+            half = Xh[:l // 2 + 1]  # the state keeps slices 0..l//2, of Y = Q^{1/2} X
+            got = st.Xh if Q is None else Q.inv_sqrt[:l // 2 + 1] @ st.Xh
+            assert np.linalg.norm(got - half) <= 1e-12 * np.linalg.norm(half)
         assert st.max_imag_residue <= 1e-12
 
     @pytest.mark.parametrize("l", [4, 5])
@@ -1203,13 +1205,15 @@ class TestPerSliceVariants:
                 assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
             assert len(calls) == (blocks + t if method == "TSP-I" else 2)
 
-        # rec is TSP-II's run; replay it through the oracle on dense-member tables
-        tables = dense_set_tables(A, B, f, Q or WeightQ.identity(4, l))
+        # rec is TSP-II's run; replay it through the oracle on dense-member
+        # tables of the whitened system, whose iterate is Y = Q^{1/2} X
+        tables = dense_set_tables(A, B, f, Q)
         C = tables["C"]
         tables["G"] = C @ np.conj(np.swapaxes(C, -1, -2))
-        Xh = np.zeros((l, 4, 2), dtype=np.complex128)
+        Yh = np.zeros((l, 4, 2), dtype=np.complex128)
         for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
-            Xh = direct_step_oracle(tables, Xh, np.array(choice))
+            Yh = direct_step_oracle(tables, Yh, np.array(choice))
+            Xh = Yh if Q is None else Q.inv_sqrt @ Yh
             assert np.array_equal(ifft_slices(Xh, force_real=True), X)
 
     def test_stacked_loop_runs_no_transform(self, monkeypatch):

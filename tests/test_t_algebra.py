@@ -347,28 +347,25 @@ class TestWeightCaches:
         Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, 3))
         eye = np.eye(4)
         for k in range(3):
-            np.testing.assert_allclose(Q.inv[k] @ Q.hat[k], eye, atol=1e-10)
-            np.testing.assert_allclose(
-                Q.inv_sqrt[k] @ Q.inv_sqrt[k], Q.inv[k], atol=1e-10
-            )
+            np.testing.assert_allclose(Q.inv_sqrt[k] @ Q.inv_sqrt[k] @ Q.hat[k], eye, atol=1e-10)
             np.testing.assert_allclose(Q.sqrt[k] @ Q.sqrt[k], Q.hat[k], atol=1e-10)
 
     def test_identity_holds_one_read_only_eye(self):
         n, l = 6, 5
         Q = WeightQ.identity(n, l)
         owners = {}
-        for F in (Q.hat, Q.inv, Q.inv_sqrt, Q.sqrt):
+        for F in (Q.hat, Q.inv_sqrt, Q.sqrt):
             assert F.shape == (l, n, n) and not F.flags.writeable
             np.testing.assert_array_equal(F, np.broadcast_to(np.eye(n), (l, n, n)))
             while F.base is not None:
                 F = F.base
             owners[id(F)] = F.nbytes
-        # one n x n complex eye under all four, beside the real identity tensor
+        # one n x n complex eye under all three, beside the real identity tensor
         assert sum(owners.values()) == 16 * n * n
         np.testing.assert_array_equal(Q.base, identity(n, l))
         assert Q.is_identity
         with pytest.raises(ValueError, match="read-only"):
-            Q.inv[0, 0, 0] = 2.0
+            Q.inv_sqrt[0, 0, 0] = 2.0
 
     def test_rejects_indefinite_weight(self):
         X = np.zeros((2, 2, 2))
