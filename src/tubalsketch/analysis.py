@@ -223,7 +223,7 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
     if p is None:
         p = sketching.prob_uniform(sketches.q)
     factors = _slice_factors(A, Q, sketches)
-    lower = float(_expected_slice_lambdas(factors[2], p).min())  # before the draw: one peak at a time
+    lower = float(_expected_slice_lambdas(factors[2], p).min())  # ahead of the draw: one peak at a time
     return _max_energy_estimate(factors, n_samples, rng), lower
 
 
@@ -432,11 +432,14 @@ def verify_bounds(records, rates, bound, theta=0.5, slack=0.10, min_ensemble=30)
 
 
 def flops_per_iteration(method, tau, q, n, p, l):
-    """Closed-form per-iteration flop counts of the cached fast paths.
+    """Closed-form per-iteration flop counts of the paper's cost table.
 
-    The two cells that are only known up to a constant (the nonadaptive
-    real-part variant, and the max-distance real-part variant at tau=1)
-    return their leading product.
+    The adaptive cells count the recursed-residual step the set states run.
+    The NTSP and NTSP-II cells are the paper's, not the code's path: the
+    fixed rules run on the direct state, which forms the drawn members'
+    residuals from the iterate.  The two cells that are only known up to a
+    constant (the nonadaptive real-part variant, and the max-distance
+    real-part variant at tau=1) return their leading product.
     """
     for name, v in (("tau", tau), ("q", q), ("n", n), ("p", p), ("l", l)):
         if int(v) != v or v < 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .t_algebra import _fourier_slices, fft_slices
 
@@ -351,7 +352,9 @@ def is_complete_discrete_sampling(A, sketches, sketched=None):
     if q * tau < n:  # the stacked family cannot reach every column
         return False
     S = SA.reshape(l, q * tau, n)
-    lam = np.linalg.eigvalsh(np.conj(np.swapaxes(S, -1, -2)) @ S)
+    # one slice's Gram at a time: zherk on the F-ordered S_k^T gives conj(S_k^H S_k),
+    # whose eigenvalues are S_k^H S_k's, with no conjugated copy of the stack
+    lam = np.array([np.linalg.eigvalsh(zherk(1.0, Sk.T, lower=1)) for Sk in S])
     cut = 1e-10 * max(q * tau, n)
     margin = max(1e-6, 100 * cut**2, 100 * q * tau * n * np.finfo(np.float64).eps)
     undecided = lam[:, 0] <= margin * lam[:, -1]
@@ -360,7 +363,8 @@ def is_complete_discrete_sampling(A, sketches, sketched=None):
         if np.any(np.sum(sv > cut * sv[:, :1], axis=1) < n):
             return False
     tol = 1e-10 * max(tau, n) * np.sqrt(lam[:, -1:])
-    ranks = (np.linalg.norm(SA[:, :, 0], axis=-1) > tol if tau == 1  # 1 x n: rank 1 iff norm > tol
-             else np.linalg.matrix_rank(SA, tol=tol))
-    return bool(np.all(ranks >= np.array(sketches.taus)))
+    if tau == 1:  # 1 x n: rank 1 iff norm > tol, each row's squares summed on its float view
+        v = np.ascontiguousarray(S).view(np.float64)
+        return bool(np.all(np.sqrt(np.einsum("kij,kij->ki", v, v)) > tol))
+    return bool(np.all(np.linalg.matrix_rank(SA, tol=tol) >= np.array(sketches.taus)))
 

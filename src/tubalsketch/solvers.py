@@ -6,7 +6,8 @@ Eleven methods are exposed through :func:`solve`:
 name            behaviour
 ==============  ==============================================================
 TSP             direct projection on a fresh spatial Gaussian sketch
-NTSP            finite spatial set, fixed sampling probabilities
+NTSP            finite spatial set, fixed sampling probabilities (direct
+                projection of every kept slice on the drawn member)
 ATSP-MD         finite spatial set, largest sketched loss wins
 ATSP-PR         finite spatial set, probabilities proportional to the losses
 ATSP-CS         finite spatial set, loss-capped sampling with parameter theta
@@ -15,19 +16,18 @@ TSP-I           per-slice sketches, real Re/Im-stacked sketched system
                 member and the conjugated one of its mirror slice)
 TSP-II          per-slice sketches, fixed probabilities, real part taken at
                 the end (direct projection on each slice's drawn member)
-NTSP-II         as TSP-II through the cached per-slice fast path
-ATSP-MD-II      per-slice max-loss selection, cached fast path
-ATSP-PR-II      per-slice proportional selection, cached fast path
-ATSP-CS-II      per-slice capped selection, cached fast path
+NTSP-II         TSP-II under the paper's other name: the same state
+ATSP-MD-II      per-slice max-loss selection, cached residuals
+ATSP-PR-II      per-slice proportional selection, cached residuals
+ATSP-CS-II      per-slice capped selection, cached residuals
 ==============  ==============================================================
 
 Every method is the same sketch-and-project update; they differ only in
 how the sketch is chosen.  Every solver state therefore offers the same
 three calls, and :func:`solve` runs one loop body over them:
 
-* ``losses()``: the current sketched losses, or None for the methods that
-  keep no sketched residuals (TSP, and TSP-I and TSP-II, which project
-  straight from the iterate);
+* ``losses()``: the current sketched losses, or None for TSP and TSP-I;
+  the fixed rules NTSP, TSP-II and NTSP-II form them from the iterate;
 * ``select(losses)``: the iteration's choice: a fresh Gaussian sketch
   (TSP), one member index (spatial sets) or one member index per Fourier
   slice (per-slice sets, -1 for an already-solved slice), or None when no
@@ -39,39 +39,33 @@ block of 64 iterations of uniforms, one stream per set or per Fourier
 slice, and draw by one inverse-CDF rule on unnormalised cumulative weights.
 Adaptive rules (ATSP-*) read one row per iteration and see a zero loss in
 values they compute anyway.  Fixed rules turn a block into draws when it is
-refilled; a set state (NTSP, NTSP-II) copies its residuals before each
-draw, for its zero-loss test and the losses of logged rows, and TSP-I and
-TSP-II gather the projections of all 64 draws at once.  With x_star, the
-error is a copy into a buffer, a subtraction and two dot products.  States
-that keep sketched residuals also offer ``audit()``, the worst deviation of
-the recursed residuals from fresh ones, run every ``audit_every``
-iterations.  Iterations run on the Fourier slices; the tests check them
-against block-circulant steps.
+refilled and gather the projections of all 64 draws at once; ``select``
+forms the drawn members' sketched residuals, which ``step`` projects with,
+and computes every member's loss only when those residuals are exactly
+zero.  Only the rules that read their losses log loss statistics.  With
+x_star, the error is a copy into a buffer, a subtraction and two dot
+products.  The adaptive set states, which recurse their sketched residuals,
+also offer ``audit()``, the worst deviation of the recursed residuals from
+fresh ones, run every ``audit_every`` iterations.  Iterations run on the
+Fourier slices; the tests check them against block-circulant steps.
 
 TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
 l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
 h = l//2 + 1, and weight slice k by its multiplicity w_k (1 for slice 0
 and, for even l, slice l/2; 2 for the others) in every loss and norm.
 TSP-II and the -II methods keep all l slices of the iterate, residuals,
-losses and draws.  Their tables are kept once: when a family is mirrored
+losses and draws, and each table once: when a family is mirrored
 (``SketchSet.mirrored``: slice l-k is sketched as slice k, as in every
-fourier-row set), slice l-k's tables are the conjugates of slice k's, so
-only slices 0..l//2 are kept and slice k > l/2 reads slice l-k's through the
-conjugate.  A weight Q is a change of variables: every state runs the
-unweighted method on the whitened Ah = A Q^{-1/2} in Y = Q^{1/2} X, and only
-``x()`` and the x_star errors map Y back.  A state keeps its iterate Xh (Y)
-as the first n rows of a block Z, slices first.  The finite-set methods other
-than TSP-I and TSP-II share one set state: their sketched residuals R sit
-below Xh (R_0 = -C^H S^H B, as X_0 = 0), and block U[k, j] of one table U,
-(slices, q, n + q tau, tau), stacks member j's step map over its cross
-products C_i^H N_i N_j^H C_j with every member i, so choosing j in slice k
-updates both at once: Z[k] -= U[k, j] @ R[k, j], one zgemm that writes into
-Z (slice k > l/2 of a mirrored family passes U[l-k, j] with the
-conjugate-transpose flag).  A spatial choice is one j for every slice.  Every
-set method's losses square R's float view into a buffer and sum it by gemv,
-per slice, or over the slices weighted by w_k / l for spatial sets.  TSP,
-TSP-I and TSP-II share one direct step (:class:`_DirectState`) on blocks of
-draws gathered from member tables; TSP's block is its one fresh draw.
+fourier-row set), only slices 0..l//2 are kept and slice k > l/2 reads
+slice l-k's through the conjugate.  A weight Q is a change of variables:
+every state runs the unweighted method on the whitened Ah = A Q^{-1/2} in
+Y = Q^{1/2} X, and only ``x()`` and the x_star errors map Y back.  A state
+keeps its iterate Xh (Y) as the first n rows of a block Z, slices first.
+The adaptive methods share one set state (:class:`_SetState`), whose
+sketched residuals sit below Xh in Z and are stepped with it; TSP and the
+fixed rules share one direct step (:class:`_DirectState`) on blocks of
+draws gathered from member tables: TSP's block is its one fresh draw, and
+NTSP's one draw is gathered on every kept slice.
 """
 
 from __future__ import annotations
@@ -128,8 +122,10 @@ class SolverConfig:
     a number (a bool is not one), ``record_every < 1``, ``tau < 1``,
     ``audit_every < 0``, ``max_iters < 0``, ``seed < 0``, a count, tau or seed
     that is not whole, ``theta`` outside [0, 1], ``tol < 0`` or NaN, an unknown
-    ``method`` and a ``weight`` that is not a WeightQ with a ``ValueError``
-    that names the field.
+    ``method``, a ``weight`` that is not a WeightQ and ``sketches`` that are
+    not a SketchSet with a ``ValueError`` that names the field, and so a
+    complex A, B or x_star.  ``WeightQ.from_tensor`` rejects a tensor with
+    NaN or inf the same way.
     """
 
     method: str = "NTSP"
@@ -189,8 +185,8 @@ def select_index(losses, rule, rng=None, base_probs=None, theta=0.5):
     Rules: 'md' (argmax, lowest index wins ties), 'pr' (probability
     proportional to loss), 'cs' (proportional within the theta-capped set),
     'fixed' (draw from ``base_probs``).  All losses zero means there is
-    nothing left to project on; callers treat that as convergence before
-    selecting.
+    nothing left to project on; callers treat that as convergence and do
+    not select.
     """
     losses = np.asarray(losses, dtype=np.float64)
     if rule == "fixed":
@@ -254,20 +250,22 @@ _LOSS_BLOCK_BYTES = 16 * 1024  # solve's logged-loss block: at most this and _UN
 class _BaseState:
     """Shared bookkeeping: Fourier data, error tracking, iterate export.
 
-    Subclasses implement ``select`` and ``step``, and ``losses`` and
-    ``audit`` when they keep sketched residuals (see the module docstring).
+    Subclasses implement ``select`` and ``step``, ``losses`` where they have
+    sketched losses, and ``audit`` where they recurse them (see the module
+    docstring).
     """
 
     half_spectrum = True  # keep slices 0..h-1 with multiplicities w
     adaptive = False  # select() reads the losses
-    before = None  # fixed rules' residuals of the next draw (see _SetState.select)
 
     def __init__(self, A, B, config, x_star):
-        A = np.asarray(A, dtype=np.float64)
-        B = np.asarray(B, dtype=np.float64)
         for name, value in (("A", A), ("B", B), ("x_star", x_star)):
+            if np.iscomplexobj(value):  # float64 conversion would drop the imaginary part
+                raise ValueError(f"{name} is complex")
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} contains NaN or inf")
+        A = np.asarray(A, dtype=np.float64)
+        B = np.asarray(B, dtype=np.float64)
         if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] or A.shape[2] != B.shape[2]:
             raise ValueError(f"incompatible system shapes {A.shape} and {B.shape}")
         self.method = config.canonical_method()
@@ -279,6 +277,8 @@ class _BaseState:
             raise ValueError(f"weight={type(Q).__name__} is not a WeightQ")
         if Q is not None and (Q.n != self.n or Q.l != self.l):
             raise ValueError("weight dimensions do not match the system")
+        if config.sketches is not None and not isinstance(config.sketches, sketching.SketchSet):
+            raise ValueError(f"sketches={type(config.sketches).__name__} is not a SketchSet")
         self.Q = None if Q is None or Q.is_identity else Q  # None: no whitening product
         (self.Ah, self.w), (self.Bh, _) = (_fourier_slices(T, self.half_spectrum, W)
                                            for T, W in ((A, self.Q), (B, None)))
@@ -365,12 +365,9 @@ class _BaseState:
         # per-slice sketching breaks conjugate symmetry; the real part is the answer
         return ifft_slices(X, force_real=True)
 
-    # -- defaults for the methods without sketched residuals ---------------
-    def losses(self, v=None):
+    # -- defaults for the methods without sketched losses -------------------
+    def losses(self):
         return None
-
-    def audit(self):
-        raise ValueError("this method keeps no cached residuals to audit")
 
     def trace_choice(self, choice):
         """A choice as the trace records it; fresh sketches are not recorded."""
@@ -384,12 +381,17 @@ class _BaseState:
 
 
 class _FiniteSetState(_BaseState):
-    """Sketch-set validation and sampling setup of the finite-set methods.
+    """Sketch-set validation, sampling setup and sketched system of the
+    finite-set methods.
 
     The fixed probabilities are validated once and kept with their
     cumulative sums.  Every rule draws from ``rngs``, one uniform stream for
     a spatial set or one per Fourier slice, read ``_UNIFORM_BLOCK``
-    iterations at a time (see :meth:`_row`), by :func:`_inverse_cdf`.
+    iterations at a time (see :meth:`_row`), by :func:`_inverse_cdf`.  The
+    sketched whitened system N = S^H A Q^{-1/2} and S^H B are kept as ``N``
+    and ``SB`` on the slices :meth:`_sketched` names; the completeness check
+    reads that N: the invertible Q^{-1/2} can move its verdict only at its
+    cut margin.
     """
 
     def __init__(self, A, B, config, x_star):
@@ -416,6 +418,16 @@ class _FiniteSetState(_BaseState):
         self.drawn = _UNIFORM_BLOCK  # rows of the current block used
         # a mirrored family's tables of slice k >= kept are the conjugates of slice l - k's
         self.kept = self.l // 2 + 1 if self.per_slice_selection and sketches.mirrored else self.h
+        self.N, self.SB = self._sketched(A, B)  # C-contiguous
+        if config.check_sampling and not sketching.is_complete_discrete_sampling(
+                A, sketches, sketched=self.N):
+            warnings.warn("sketch family is not complete discrete sampling for this system; the "
+                          "iteration is still defined but the rate certificates may not hold",
+                          stacklevel=3)
+
+    def _sketched(self, A, B):
+        """N and S^H B of every slice the state iterates on."""
+        return self.sketches.sketch(self.Ah), self.sketches.sketch(self.Bh)
 
     @staticmethod
     def _gram(N):
@@ -439,44 +451,32 @@ class _FiniteSetState(_BaseState):
         self.drawn += 1
         return self.block[self.drawn - 1]
 
-    def select(self, losses):
-        """The next fixed-rule draw (one per slice for per-slice sets)."""
-        return self._row() if self.per_slice_selection else self._row()[0]
-
     def trace_choice(self, choice):
         return tuple(choice.tolist()) if self.per_slice_selection else int(choice)
 
 
 class _SetState(_FiniteSetState):
-    """Cached fast path of the finite-set methods.
+    """Recursed residuals of the adaptive finite-set methods.
 
-    Per member i and slice k the setup stores the sketched whitened system
-    N = S^H A Q^{-1/2}, a factor C with C C^H = pinv(N N^H), the step map
-    N^H C, the cross products C_i^H N_i N_j^H C_j, and the running sketched
-    residuals R_i = C_i^H (N_i X - S_i^H B), R_0 = -C^H S^H B as X_0 = 0, as
-    views of the block Z and of the table U = [step_map; cross] (see the
-    module docstring).  Selection sets gather N and S^H B by rows (views of
-    Ah and Bh for rows 0..m-1 in order); ragged blocks are padded with zero
-    rows, which get zero factor columns.  The completeness check runs on N:
-    the invertible Q^{-1/2} can move its verdict only at its cut margin.  A
-    mirrored per-slice family keeps U on slices 0..kept-1 = 0..l//2 (see the
-    module docstring); C of slice k >= kept is conj(C[l - k]).  Setup peaks
-    at U, the transformed system and one slice's temporaries: N^H is formed
-    one slice at a time, and step maps and (tau = 1) cross products are
-    written straight into U.  ``views``: R, its (slices, 2 q tau p) float
-    view, which the losses read, and ``before`` flat.  Spatial and per-slice
-    sets share losses, audit, step.
+    Per member i and slice k the setup stores, besides N and S^H B, a factor
+    C with C C^H = pinv(N N^H), the step map N^H C, the cross products
+    C_i^H N_i N_j^H C_j and the sketched residuals R_i = C_i^H (N_i X - S_i^H B),
+    R_0 = -C^H S^H B as X_0 = 0, below Xh in Z.  Block U[k, j] of one table
+    U = [step_map; cross], (kept, q, n + q tau, tau), stacks member j's step
+    map over its cross products with every member, so choosing j in slice k
+    updates both at once: Z[k] -= U[k, j] @ R[k, j] (slice k >= kept of a
+    mirrored family reads U[l - k, j] by zgemm's conjugate-transpose flag,
+    and its C is conj(C[l - k])).  Ragged blocks' zero padding rows get zero
+    factor columns.  Setup peaks at U, the transformed system and one
+    slice's temporaries: N^H is formed one slice at a time, and step maps
+    and (tau = 1) cross products are written straight into U.  ``views``:
+    R and its (slices, 2 q tau p) float view, whose squares, summed by gemv
+    per slice or over the slices by w_k / l for spatial sets, are the losses.
     """
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        kept, sk = self.kept, self.sketches
-        N, self.SB = sk.sketch(self.Ah), sk.sketch(self.Bh)  # C-contiguous
-        if config.check_sampling and not sketching.is_complete_discrete_sampling(
-                A, self.sketches, sketched=N):
-            warnings.warn("sketch family is not complete discrete sampling for this system; the "
-                          "iteration is still defined but the rate certificates may not hold",
-                          stacklevel=2)
+        kept, N = self.kept, self.N
         self.C = batched_inv_factor(self._gram(N[:kept]),
                                     slice_axis=None if self.per_slice_selection else 0)
         h, q, tau, n = N.shape
@@ -496,16 +496,13 @@ class _SetState(_FiniteSetState):
             else:  # through a (q tau)^2 temporary of this slice
                 cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
             del jc, ia  # C^H N of this slice is not kept through the next
-        self.N = N
         self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
         self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
         if self.per_slice_selection:  # each slice's (operand indexed by j, trans_b)
             self.Ut = tuple((self.U[k].transpose(0, 2, 1), 0) if k < kept  # else conj(U[l - k])
                             else (self.U[self.l - k], 2) for k in range(h))
         self.R[...] = -(CH @ self.SB)  # X_0 = 0
-        R, v = self.R, self.R.reshape(h, -1).view(np.float64)
-        self.before = None if self.adaptive else np.empty(v.shape)
-        self.views = (R, v, None if self.adaptive else self.before.reshape(-1))
+        self.views = (self.R, self.R.reshape(h, -1).view(np.float64))
 
     R = property(lambda self: self.Z[:, self.n:].reshape(self.h, self.q, -1, self.p))
     step_map = property(lambda self: self.U[:, :, :self.n])  # (slices, q, n, tau)
@@ -530,11 +527,11 @@ class _SetState(_FiniteSetState):
         np.dot(w, self.sq, out=self.wsq)
         return self.wsq.reshape(self.q, -1) @ self.ones
 
-    def losses(self, v=None):
-        """The sketched losses, of residuals ``v`` (like ``views[1]``) if given:
-        (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2 for spatial sets, (l, q) of
-        ||R_i[k]||_F^2 for per-slice sets (their subsystems are independent)."""
-        return self._energy(self.views[1] if v is None else v, self.w_loss)
+    def losses(self):
+        """The sketched losses: (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2 for
+        spatial sets, (l, q) of ||R_i[k]||_F^2 for per-slice sets (their
+        subsystems are independent)."""
+        return self._energy(self.views[1], self.w_loss)
 
     def audit(self):
         """Max Frobenius deviation between recursed and fresh residuals."""
@@ -550,12 +547,6 @@ class _SetState(_FiniteSetState):
         """The pr and cs rules' draw weights along the last axis of ``losses``."""
         return losses if self.rule == "pr" else _capped_losses(
             losses, self.base_probs, self.config.theta)
-
-    def select(self, losses):
-        """Fixed rules: the draw after copying R to ``before``, None if every loss is 0."""
-        np.copyto(self.before, self.views[1])
-        zero = self.views[2].dot(self.views[2]) < 1e-300 and self.losses(self.before).max() <= 0.0
-        return None if zero else super().select(losses)
 
     def step(self, choice):
         """Z[k] -= U[k, j] @ R[k, j] for each slice k and its chosen member j
@@ -585,8 +576,6 @@ class _SpatialSetState(_SetState):
 
     def select(self, losses):
         """Member index, or None when no loss is positive."""
-        if self.rule == "fixed":
-            return super().select(losses)
         if self.rule == "md":
             i = losses.argmax()
             return None if losses[i] <= 0.0 else i
@@ -609,8 +598,6 @@ class _PerSliceSetState(_SetState):
 
     def select(self, losses):
         """Per-slice index choices (-1: slice solved), or None if all are."""
-        if self.rule == "fixed":
-            return super().select(losses)
         if self.rule == "md":
             top = losses.argmax(axis=1)
             active = losses[self.slices, top] > 0
@@ -621,40 +608,47 @@ class _PerSliceSetState(_SetState):
 
 
 class _DirectState(_FiniteSetState):
-    """Direct per-slice projections with fixed probabilities (TSP-II); the
-    real part of the final inverse transform is the answer.
+    """Direct projections with fixed probabilities (TSP-II and NTSP-II on
+    per-slice sets, NTSP on spatial sets); for per-slice sets the real part
+    of the final inverse transform is the answer.
 
-    Slice k is projected straight from the iterate onto the members its
-    group draws: Z -= N^H G (N Y - S^H B), G = pinv(N N^H).
-    A draw gathers, at each position j, table row ``table_rows[j]`` at the
-    member slice ``table_slices[j]`` drew, conjugated at the positions
-    ``flip``; a group is g/h consecutive positions.  Here a group is one
-    slice, and the ``tables`` are N = S^H A Q^{-1/2}, S^H B and G, factored
-    at setup, of slices 0..kept-1: slice k >= kept of a mirrored family reads
-    slice l - k's rows, conjugated.  With each block of ``_UNIFORM_BLOCK``
-    draws, ``select`` releases the old block and gathers the tables of every
-    draw: 64 l tau (2n + p) complex entries plus 64 l tau^2 for G, about
-    235 KB at 50x20x5 with tau = 1, where a fourier-row set keeps 2.4 KB of
-    tables (G; N and S^H B are views of the transform).  A step is three
-    small products; any other choice passed to ``step``, such as each TSP
-    draw, is gathered as a block of one.
+    Each kept slice is projected straight from the iterate onto the member
+    its group draws: Z -= N^H G r, r = N Y - S^H B, G = pinv(N N^H).  A draw
+    gathers, at each position j, table row ``table_rows[j]`` at the member
+    stream ``table_slices[j]`` drew, conjugated at the positions ``flip``; a
+    group is g/h consecutive positions.  Here a group is one slice, and the
+    ``tables`` are N, S^H B and G of slices 0..kept-1, G factored at setup
+    per slice, or for a spatial set, whose one stream draws for every kept
+    slice, with one cutoff across a member's slices (the block-circulant
+    pinv's).  With each block of ``_UNIFORM_BLOCK`` draws, ``select`` drops
+    the old block and the operands it handed to ``step``, then gathers the
+    tables of every draw: 64 h tau (2n + p) complex entries plus 64 h tau^2
+    for G.  A step is three small products; any other choice passed to
+    ``step``, such as each TSP draw, is gathered as a block of one.
     """
 
     half_spectrum = False
     per_slice_selection = True
-    choice = gathered = None  # the block's draws and their projections
+    choice = gathered = operands = None  # the block's draws, their projections, step's
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        self.table_rows, self.table_slices, self.flip, self.tables = self._tables(A, B)
+        self.table_rows, self.table_slices, self.flip, self.G = self._layout()
 
-    def _tables(self, A, B):
-        N, SB = (self.sketches.sketch(T[:self.kept]) for T in (self.Ah, self.Bh))
-        return (np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, slice(self.kept, None),
-                [N, SB, batched_hpinv(self._gram(N))])
+    tables = property(lambda self: (self.N, self.SB, self.G))
+
+    def _sketched(self, A, B):
+        return (self.sketches.sketch(T[:self.kept]) for T in (self.Ah, self.Bh))
+
+    def _layout(self):
+        """``table_rows``, ``table_slices``, ``flip`` and G (see the class docstring)."""
+        G = batched_hpinv(self._gram(self.N), slice_axis=None if self.per_slice_selection else 0)
+        if not self.per_slice_selection:  # one stream draws for every kept slice
+            return np.arange(self.h), np.zeros(self.h, dtype=int), slice(0, 0), G
+        return np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, slice(self.kept, None), G
 
     def _projections(self, draws):
-        """N, N^H, S^H B and G of the groups that each row of ``draws`` (b, l)
+        """N, N^H, S^H B and G of the groups that each row of ``draws`` (b, streams)
         picks, each (b, h, ...); where the tables hold no G, it is factored
         for the block in one batch."""
         picked = (self.table_rows, draws[:, self.table_slices])
@@ -669,20 +663,55 @@ class _DirectState(_FiniteSetState):
         return N, NH, SB, batched_hpinv(N @ NH) if G is None else G
 
     def select(self, losses):
-        if self.drawn == _UNIFORM_BLOCK:
-            self.gathered = None  # release the old block before building the next
-        self.choice = super().select(losses)
+        """The block's next draw, one per slice or one for all, or None when
+        the drawn members' sketched residuals are zero and no member's loss
+        is positive."""
+        if self.drawn == _UNIFORM_BLOCK:  # release the old block ahead of the next gather
+            self.gathered = self.operands = None
+        row = self._row()
         if self.gathered is None:
             self.gathered = self._projections(self.block)
+        i, (N, NH, SB, G) = self.drawn - 1, self.gathered
+        r = N[i] @ self.Z - SB[i]  # Z holds the iterate Xh only
+        if not np.count_nonzero(r) and (every := self.losses()) is not None and every.max() <= 0.0:
+            return None
+        self.operands = NH[i], G[i], r
+        self.choice = row if self.per_slice_selection else row[0]
         return self.choice
 
     def step(self, idx):
         if idx is self.choice:
-            N, NH, SB, G = (T[self.drawn - 1] for T in self.gathered)
+            NH, G, r = self.operands
         else:
-            N, NH, SB, G = (T[0] for T in self._projections(np.asarray(idx)[None]))
-        self.Z -= NH @ (G @ (N @ self.Xh - SB))
+            N, NH, SB, G = (T[0] for T in self._projections(np.atleast_1d(idx)[None]))
+            r = N @ self.Z - SB
+        self.Z -= NH @ (G @ r)
         self.t += 1
+
+    def losses(self):
+        """Every member's sketched loss r^H G r, r = N Y - S^H B, from the kept
+        tables: (l, q) per slice, or (q,) summed over the kept slices by
+        w_k / l for spatial sets.  Slice k >= kept of a mirrored family has
+        r = conj(N[l - k] conj(Y_k) - S^H B[l - k]) and G = conj(G[l - k]), so
+        its loss is slice l - k's on conj(Y_k): one product per half."""
+        halves = [(slice(0, self.kept), self.Xh[:self.kept])]
+        if self.kept < self.h:
+            halves.append((slice(self.l - self.kept, 0, -1), np.conj(self.Xh[self.kept:])))
+        energy = []
+        for rows, Y in halves:
+            r = self.N[rows] @ Y[:, None] - self.SB[rows]  # (slices, q, tau, p)
+            Gr = self.G[rows] @ r  # Re sum conj(r) G r: the float views' dot product
+            energy.append(np.einsum("kqi,kqi->kq", *(a.reshape(*r.shape[:2], -1).view(np.float64)
+                                                     for a in (r, Gr))))
+        losses = np.concatenate(energy)
+        return losses if self.per_slice_selection else self.w @ losses / self.l
+
+
+class _SpatialDirectState(_DirectState):
+    """NTSP: a direct state on a spatial set, its iterate real."""
+
+    half_spectrum = True
+    per_slice_selection = False
 
 
 class _FreshGaussianState(_DirectState):
@@ -692,6 +721,7 @@ class _FreshGaussianState(_DirectState):
 
     half_spectrum = True
     trace_choice = _BaseState.trace_choice
+    losses = _BaseState.losses
 
     def __init__(self, A, B, config, x_star):
         _BaseState.__init__(self, A, B, config, x_star)
@@ -726,21 +756,24 @@ class _StackedState(_DirectState):
     block factors its Grams in one batch and holds 64 h 2tau (2n + p)
     complex entries plus the pinvs, about 290 KB at 50x20x5 with tau = 1.
     The stacked system is real, so every iterate stays real and no
-    transform runs in the loop.
+    transform runs in the loop.  It logs no losses and keeps no zero-loss stop.
     """
 
     half_spectrum = True
+    losses = _BaseState.losses
 
-    def _tables(self, A, B):
+    def _sketched(self, A, B):
+        Ah, Bh = (self.Ah, self.Bh) if self.sketches.mirrored else (  # else all l
+            _fourier_slices(T, False, W)[0] for T, W in ((A, self.Q), (B, None)))
+        return self.sketches.sketch(Ah), self.sketches.sketch(Bh)
+
+    def _layout(self):
         half = np.arange(self.h)
         self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
         pairs = np.stack([half, -half % self.l], axis=1).ravel()  # the group of k: k and -k
-        mirrored = self.sketches.mirrored  # then conj(T[-k]) is T[k]: a group reads T[k] twice
-        Ah, Bh = (self.Ah, self.Bh) if mirrored else (  # else all l, -k conjugated
-            _fourier_slices(T, False, W)[0] for T, W in ((A, self.Q), (B, None)))
-        return (np.repeat(half, 2) if mirrored else pairs, pairs,
-                slice(0, 0) if mirrored else slice(1, None, 2),
-                [self.sketches.sketch(Ah), self.sketches.sketch(Bh), None])
+        if self.sketches.mirrored:  # conj(T[-k]) is T[k]: a group reads T[k] twice
+            return np.repeat(half, 2), pairs, slice(0, 0), None
+        return pairs, pairs, slice(1, None, 2), None  # -k conjugated
 
     def step(self, idx):
         super().step(idx)
@@ -756,13 +789,13 @@ class _StackedState(_DirectState):
 # fresh Gaussian sketch
 _METHOD_TABLE = {
     "TSP": (_FreshGaussianState, None),
-    "NTSP": (_SpatialSetState, "fixed"),
+    "NTSP": (_SpatialDirectState, "fixed"),
     "ATSP-MD": (_SpatialSetState, "md"),
     "ATSP-PR": (_SpatialSetState, "pr"),
     "ATSP-CS": (_SpatialSetState, "cs"),
     "TSP-I": (_StackedState, "fixed"),
     "TSP-II": (_DirectState, "fixed"),
-    "NTSP-II": (_PerSliceSetState, "fixed"),
+    "NTSP-II": (_DirectState, "fixed"),
     "ATSP-MD-II": (_PerSliceSetState, "md"),
     "ATSP-PR-II": (_PerSliceSetState, "pr"),
     "ATSP-CS-II": (_PerSliceSetState, "cs"),
@@ -827,9 +860,7 @@ def solve(A, B, config, x_star=None):
     start = time.perf_counter()
 
     while not converged and not stop and state.t < config.max_iters:
-        # adaptive rules select from the losses; fixed rules compute them
-        # for logged rows only, from the residuals their draw was made next to
-        losses = losses_of() if adaptive else None
+        losses = losses_of() if adaptive else None  # only rules that read them log them
         chosen = select(losses)
         if chosen is None:  # no sketched loss is positive
             converged, stop = True, "zero_loss"
@@ -842,8 +873,7 @@ def solve(A, B, config, x_star=None):
         if not eps <= limit:  # also NaN
             stop = "diverged"
         if stop or state.t % record_every == 0 or eps < tol:
-            log_row(eps, diff_norm, time.perf_counter() - start, chosen,
-                    losses if adaptive else losses_of(state.before))
+            log_row(eps, diff_norm, time.perf_counter() - start, chosen, losses)
         converged = eps < tol
 
     flush()

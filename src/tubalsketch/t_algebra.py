@@ -243,10 +243,13 @@ def batched_hpinv(M, slice_axis=None):
 
 
 def is_t_spd(X, tol=1e-10):
-    """True iff every Fourier slice is Hermitian (to tol) with lambda_min > tol."""
+    """True iff every Fourier slice is Hermitian (to tol) with lambda_min > tol;
+    a tensor with NaN or inf has no such verdict and is rejected."""
     X = _as_tubal(X)
     if X.shape[0] != X.shape[1]:
         raise ValueError(f"square frontal slices required, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("the tensor tested for T-positive definiteness contains NaN or inf")
     F = fft_slices(X)
     FH = np.conj(np.swapaxes(F, -1, -2))
     scale = np.maximum(1.0, np.linalg.norm(F, axis=(1, 2)))

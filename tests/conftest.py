@@ -364,7 +364,8 @@ def reference_solve(A, B, config, x_star=None):
     """The solver loop of :func:`tubalsketch.solvers.solve` on ``make_state``'s
     public calls, one row at a time into Python lists: each logged row takes
     ``float(losses.max())``, ``float(losses.sum())`` and, for ATSP-PR, the
-    variance factor 1 + q^2 Var(losses / total) of those losses on its own.
+    variance factor 1 + q^2 Var(losses / total) of those losses on its own;
+    only the rules that read their losses log them.
     Returns (X, rows, stop_reason), a row being (t, epsilon, q_error,
     loss_max, loss_sum, pr_variance_factor, chosen).  No audit runs."""
     assert not config.audit_every
@@ -402,7 +403,7 @@ def reference_solve(A, B, config, x_star=None):
         if not eps <= 1e3 * eps0:
             stop = "diverged"
         if stop or state.t % config.record_every == 0 or eps < config.tol:
-            log(eps, diff_norm, chosen, losses if state.adaptive else state.losses(state.before))
+            log(eps, diff_norm, chosen, losses)
         converged = eps < config.tol
     if rows[-1][0] != state.t:
         log(*state._errors())

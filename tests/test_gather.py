@@ -14,10 +14,13 @@ matched in their draws and NaN rows exactly and in their values within
 1e-12 relative: they now work on Fourier slices 0..l//2 with multiplicity
 weights, and TSP-I projects from mirrored member tables instead of the
 transformed stacked system, so their sums round differently.  The cached
-per-slice methods (NTSP-II, ATSP-MD/PR/CS-II) are matched the same way:
-their losses square R's float view and sum it by gemv, and their step is
-one zgemm per slice, the kernels of the spatial sets, so their sums round
-differently too.  TSP-II is still matched bit for bit under the identity
+per-slice methods (ATSP-MD/PR/CS-II) are matched the same way: their
+losses square R's float view and sum it by gemv, and their step is one
+zgemm per slice, the kernels of the spatial sets, so their sums round
+differently too.  NTSP and NTSP-II now run on TSP-II's direct state: only
+rules that read their losses log them, so their loss rows are null, as
+TSP-II's always were, and NTSP-II, recorded through the cached path, is
+matched within 1e-12.  TSP-II is still matched bit for bit under the identity
 weight; under a weight it is matched as the others (its values within 8e-16
 relative): the states now run on the whitened system A Q^{-1/2} in
 Y = Q^{1/2} X, so the bits of an X-space recording cannot be met.

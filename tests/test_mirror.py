@@ -98,7 +98,7 @@ def test_gaussian_sets_keep_full_tables_unless_mirrored(monkeypatch, l):
             cfg = SolverConfig(method=method, sketches=f, seed=l, tol=1e-6, max_iters=400,
                                record_every=1)
             st = make_state(A, B, cfg, x_star=Xs)
-            kept = len(st.tables[0]) if method in ("TSP-I", "TSP-II") else len(st.U)
+            kept = len(st.U) if method.startswith("ATSP") else len(st.tables[0])
             assert kept == (h if mirrored else l), method  # TSP-I: the full spectrum, once
             (X, rec), (X0, rec0) = _runs(monkeypatch, A, B, Xs, cfg)
             assert rec.iterations == rec0.iterations and rec.chosen == rec0.chosen, method
@@ -128,7 +128,7 @@ SLICE_N = 240 * 40 * 16  # one Fourier slice of N at 240x40x8 with fourier-row s
 
 def test_set_state_setup_peak_is_the_kept_half_of_u():
     # U of all 8 slices was 8 q (n + q) complex entries; slices 0..4 are kept
-    st, _, peak = _setup_peak("NTSP-II")
+    st, _, peak = _setup_peak("ATSP-MD-II")
     full_u = 8 * 240 * (40 + 240) * 16
     assert st.U.nbytes == full_u * 5 // 8
     data = st.Ah.nbytes + st.Bh.nbytes + st.Xsh.nbytes
@@ -172,7 +172,8 @@ def test_steps_conjugate_nothing(monkeypatch, method):
     A, Xs, B = gen_gaussian(ProblemSpec(m=10, n=4, p=2, l=5, seed=60))
     st = make_state(A, B, SolverConfig(method=method, sketches=make_fourier_sketches(
         10, 1, 10, 5, "row"), seed=61), x_star=Xs)
-    st.step(st.select(st.losses()))  # the first block is drawn and gathered
+    # the first block is drawn and gathered; fixed rules select without losses, as in solve
+    st.step(st.select(st.losses() if st.adaptive else None))
     zgemm, calls = solvers.zgemm, []
     monkeypatch.setattr(solvers, "zgemm", lambda *a: calls.append(a[6]) or zgemm(*a))
 
@@ -182,10 +183,10 @@ def test_steps_conjugate_nothing(monkeypatch, method):
     for name in ("conj", "conjugate"):
         monkeypatch.setattr(np, name, forbidden)
     for t in range(2, _UNIFORM_BLOCK + 1):  # the rest of the first block
-        choice = st.select(st.losses())
+        choice = st.select(st.losses() if st.adaptive else None)
         calls.clear()
         st.step(choice)
-        if method.endswith("-II") and method != "TSP-II":
+        if method.startswith("ATSP"):
             assert len(calls) == np.count_nonzero(np.asarray(choice) >= 0)
             assert sorted(set(calls)) <= [0, 2]
     assert st.t == _UNIFORM_BLOCK

@@ -47,9 +47,9 @@ from tubalsketch.t_algebra import (
 
 
 ADAPTIVE_METHODS = ("ATSP-MD", "ATSP-PR", "ATSP-CS", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
-# every set method: each adaptive rule owns its zero-loss test, the fixed
-# rules share theirs
-ZERO_LOSS_METHODS = ("NTSP", "NTSP-II", *ADAPTIVE_METHODS)
+# every finite-set method but TSP-I: each adaptive rule owns its zero-loss
+# test, the fixed rules share the direct state's
+ZERO_LOSS_METHODS = ("NTSP", "NTSP-II", "TSP-II", *ADAPTIVE_METHODS)
 
 
 def small_problem(seed=3, m=10, n=5, p=3, l=4):
@@ -403,20 +403,27 @@ class TestTrkSpecialization:
     def test_fresh_draw_cutoff_spans_the_slices(self):
         # Fourier slices 1 and 3 of A are 1e-13 of the others: rounding-level
         # for the block-circulant pinv, which drops them, so G's cutoff must
-        # span a draw's slices (a per-slice cutoff inverts them and deviates)
+        # span a draw's slices (a per-slice cutoff inverts them and deviates),
+        # for TSP's fresh draws and for the G that NTSP factors at setup
         A0 = np.random.default_rng(0).standard_normal((6, 3))
         A = A0[:, :, None] * np.fft.ifft([1, 1e-13, 1, 1e-13]).real
         Xs = np.random.default_rng(1).standard_normal((3, 2, 4))
         B = tprod(A, Xs)
-        st = make_state(A, B, SolverConfig(method="TSP", tau=2, seed=5), x_star=Xs)
-        X_ref = np.zeros_like(Xs)
-        for _ in range(20):
-            S0 = st.select(st.losses())
-            st.step(S0)
-            S = np.zeros((6, 2, 4))
-            S[:, :, 0] = S0
-            X_ref = sp_step_direct(A, B, X_ref, S)
-            assert fnorm(st.x() - X_ref) < 1e-10 * max(fnorm(X_ref), 1.0)
+        blocks = make_block_sketches(6, 4, [[0, 1], [2, 3], [4, 5]])
+        for cfg in (SolverConfig(method="TSP", tau=2, seed=5),
+                    SolverConfig(method="NTSP", sketches=blocks, seed=5)):
+            st = make_state(A, B, cfg, x_star=Xs)
+            X_ref = np.zeros_like(Xs)
+            for _ in range(20):
+                choice = st.select(None)
+                st.step(choice)
+                if cfg.method == "TSP":
+                    S = np.zeros((6, 2, 4))
+                    S[:, :, 0] = choice
+                else:
+                    S = blocks.member(choice)
+                X_ref = sp_step_direct(A, B, X_ref, S)
+                assert fnorm(st.x() - X_ref) < 1e-10 * max(fnorm(X_ref), 1.0), cfg.method
 
 
 class TestRunBehaviour:
@@ -534,8 +541,8 @@ class TestRunBehaviour:
             assert rec.converged, method
 
     def test_zero_sketched_row_yields_zero_factor_and_skipped_update(self):
-        # a zero horizontal slice gives an all-zero sketched Gram; the
-        # factor collapses to zero, the member's loss stays zero, and
+        # a zero horizontal slice gives an all-zero sketched Gram; its
+        # pinv G collapses to zero, the member's loss stays zero, and
         # selecting it moves nothing
         rng = np.random.default_rng(39)
         A = rng.standard_normal((7, 3, 2))
@@ -547,7 +554,7 @@ class TestRunBehaviour:
                            max_iters=40_000, record_every=100,
                            check_sampling=False)
         st = make_state(A, B, cfg, x_star=Xs)
-        assert np.all(st.C[:, 4] == 0)
+        assert np.all(st.G[:, 4] == 0)
         before = st.q_error()
         st.step(4)
         assert st.q_error() == before
@@ -562,6 +569,17 @@ class TestRunBehaviour:
         s = make_slice_sketches(3, 2)
         cfg = SolverConfig(method="NTSP", sketches=s, seed=25, tol=1e-6,
                            max_iters=50)
+        with pytest.warns(UserWarning, match="complete discrete sampling"):
+            X, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.iterations == 50
+
+    @pytest.mark.parametrize("method", ["TSP-I", "TSP-II", "NTSP-II"])
+    def test_direct_states_check_completeness_too(self, method):
+        # the check runs once for every finite-set state, so the per-slice
+        # fixed rules warn on an incomplete family as the set methods do
+        A, Xs, B = small_problem(37, m=3, n=5, p=2, l=2)
+        cfg = SolverConfig(method=method, sketches=make_fourier_sketches(3, 1, 3, 2, "row"),
+                           seed=25, tol=1e-6, max_iters=50)
         with pytest.warns(UserWarning, match="complete discrete sampling"):
             X, rec = solve(A, B, cfg, x_star=Xs)
         assert rec.iterations == 50
@@ -618,6 +636,13 @@ class TestRunBehaviour:
                 args[name][1, 0, 1] = bad
                 with pytest.raises(ValueError, match=f"^{name} contains NaN or inf"):
                     solve(args["A"], args["B"], cfg, x_star=args["x_star"])
+            # float64 conversion would drop an imaginary part, and the solver
+            # would answer another system
+            for name in ("A", "B", "x_star"):
+                args = {"A": A, "B": B, "x_star": Xs}
+                args[name] = args[name] + 1j
+                with pytest.raises(ValueError, match=f"^{name} is complex$"):
+                    solve(args["A"], args["B"], cfg, x_star=args["x_star"])
 
     @pytest.mark.parametrize("field, value", [
         ("record_every", 0),
@@ -641,6 +666,7 @@ class TestRunBehaviour:
         ("method", 5),
         ("method", "TSP-III"),
         ("weight", np.eye(3)),
+        ("sketches", "slice"),
     ])
     def test_bad_config_value_rejected_up_front(self, field, value):
         A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
@@ -762,29 +788,37 @@ class TestRunBehaviour:
         assert rec.iterations == st.t >= m
         np.testing.assert_array_equal(X, st.x())
 
-    @pytest.mark.parametrize("method", ["NTSP", "NTSP-II"])
-    def test_fixed_rule_losses_only_on_logged_rows(self, method, monkeypatch):
-        # fixed rules compute their losses for logged rows only, from the
-        # residuals their draw was made next to: every row must hold the
-        # values of a run that logs each iteration, the final tol row too
+    @pytest.mark.parametrize("method", ["NTSP", "NTSP-II", "TSP-II"])
+    def test_fixed_rules_log_no_losses(self, method, monkeypatch):
+        # a fixed rule does not read its losses: every row holds NaN loss
+        # statistics, at any record cadence, and select computes them only
+        # where the drawn members' residuals are exactly zero (here where a
+        # draw repeats the last one), so their losses read exactly 0
         A, Xs, B = small_problem(28, m=8, n=4, p=2, l=3)
         s = (make_fourier_sketches(8, 1, 8, 3, "row") if method.endswith("-II")
              else make_slice_sketches(8, 3))
         cfg = SolverConfig(method=method, sketches=s, seed=29, tol=1e-10, max_iters=20_000)
-        X1, every = solve(A, B, cfg, x_star=Xs)
         cls = solvers._METHOD_TABLE[method][0]
-        calls = []
-        losses = cls.losses
-        monkeypatch.setattr(cls, "losses", lambda st, v=None: calls.append(st.t) or losses(st, v))
+        drawn_losses, losses = [], cls.losses
+
+        def spy(st):
+            every = losses(st)
+            row = st.block[st.drawn - 1]  # the draw being made
+            drawn_losses.append(every[row[0]] if every.ndim == 1 else every[st.slices, row])
+            return every
+
+        monkeypatch.setattr(cls, "losses", spy)
+        X1, every = solve(A, B, cfg, x_star=Xs)
         X25, sparse = solve(A, B, dataclasses.replace(cfg, record_every=25), x_star=Xs)
         assert sparse.stop_reason == every.stop_reason == "tol"
-        assert sparse.iterations == every.iterations and sparse.t[-1] % 25 != 0
-        assert all(t % 25 == 0 for t in sparse.t[1:-1]) and len(sparse.t) > 3
+        assert len(every.t) == every.iterations + 1 and len(sparse.t) > 3
+        for rec in (every, sparse):
+            for f in ("loss_max", "loss_sum", "pr_variance_factor"):
+                assert np.isnan(getattr(rec, f)).all(), f
         rows = np.searchsorted(every.t, sparse.t)
-        for f in ("epsilon", "loss_max", "loss_sum"):
-            np.testing.assert_array_equal(getattr(sparse, f), getattr(every, f)[rows], err_msg=f)
+        np.testing.assert_array_equal(sparse.epsilon, every.epsilon[rows])
         assert sparse.chosen == [every.chosen[r] for r in rows]
-        assert calls == list(sparse.t[1:])  # one call per logged row after t = 0
+        assert all(np.all(drawn == 0.0) for drawn in drawn_losses)
         np.testing.assert_array_equal(X25, X1)
 
     def test_trace_cadence(self):
@@ -800,7 +834,7 @@ class TestRunBehaviour:
 class TestResidualAudit:
     def test_zero_at_start(self):
         A, Xs, B = small_problem(20)
-        st = make_state(A, B, SolverConfig(method="NTSP",
+        st = make_state(A, B, SolverConfig(method="ATSP-MD",
                                            sketches=make_slice_sketches(10, 4),
                                            seed=11), x_star=Xs)
         assert st.audit() < 1e-14
@@ -819,7 +853,7 @@ class TestResidualAudit:
 
     def test_detects_injected_corruption(self):
         A, Xs, B = small_problem(22)
-        st = make_state(A, B, SolverConfig(method="NTSP",
+        st = make_state(A, B, SolverConfig(method="ATSP-MD",
                                            sketches=make_slice_sketches(10, 4),
                                            seed=13), x_star=Xs)
         for _ in range(5):
@@ -828,9 +862,10 @@ class TestResidualAudit:
         st.R[1, 2, 0, 0] += bump
         assert st.audit() > bump / 2
 
-    @pytest.mark.parametrize("method", ["ATSP-MD", "NTSP", "NTSP-II"])
+    @pytest.mark.parametrize("method", ["ATSP-MD", "ATSP-PR", "ATSP-MD-II"])
     def test_solve_audit_cadence(self, method, monkeypatch):
-        # fixed rules hold no loss vector in the loop; they are audited too
+        # the adaptive set states recurse their residuals and are audited on
+        # the cadence; fixed rules project from the iterate and keep none
         A, Xs, B = small_problem(23)
         s = (make_fourier_sketches(10, 1, 10, 4, "row") if method.endswith("-II")
              else make_slice_sketches(10, 4))
@@ -854,8 +889,9 @@ def loss_oracle(st, R):
 
 
 class TestSpatialLosses:
-    """One loss kernel for every set method: R's float view squared into a
-    buffer and summed by gemv."""
+    """One loss kernel for every adaptive set method: R's float view squared
+    into a buffer and summed by gemv.  The fixed rules' direct states form
+    their losses from the iterate, r^H G r with r = N Y - S^H B."""
 
     @pytest.mark.parametrize("l", [4, 5])
     @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian-tau3", "fourier-row",
@@ -877,22 +913,21 @@ class TestSpatialLosses:
             make_state(A, B, SolverConfig(method=method + "-II" * s.per_slice, sketches=s,
                                           weight=weight, seed=3), Xs)
             for method in ("NTSP", "ATSP-PR"))
+        # the set state's C, N and S^H B on every slice give the fixed state's
+        # fresh residuals C^H (N Y - S^H B) too: both factor the same system
+        CH = np.conj(np.swapaxes(adaptive.C, -1, -2))
         for _ in range(6):
-            for st in (fixed, adaptive):
-                expect = loss_oracle(st, st.R)
+            for st, R in ((fixed, CH @ (adaptive.N @ fixed.Xh[:, None] - adaptive.SB)),
+                          (adaptive, adaptive.R)):
+                expect = loss_oracle(st, R)
                 assert np.max(np.abs(st.losses() - expect)) <= 1e-14 * expect.max()
-                i = st.select(st.losses())
-                if st is fixed:  # select copied the residuals its draw was made next to
-                    got = st.losses(st.before)
-                    assert np.max(np.abs(got - expect)) <= 1e-14 * expect.max()
-                st.step(i)
-        for st in (fixed, adaptive):
-            st.R[...] += 1e-3 * (rng.standard_normal(st.R.shape) + 1j * rng.standard_normal(st.R.shape))
-            CH = np.conj(np.swapaxes(st.C, -1, -2))
-            fresh = CH @ ((st.N @ st.Xh[:, None]) - st.SB)
-            scale = 1 if st.per_slice_selection else st.l  # spatial: sum_k w_k, no 1/l
-            expect = np.sqrt(scale * loss_oracle(st, fresh - st.R).max())
-            assert abs(st.audit() - expect) <= 1e-14 * expect
+                st.step(st.select(st.losses() if st.adaptive else None))
+        st = adaptive
+        st.R[...] += 1e-3 * (rng.standard_normal(st.R.shape) + 1j * rng.standard_normal(st.R.shape))
+        fresh = CH @ ((st.N @ st.Xh[:, None]) - st.SB)
+        scale = 1 if st.per_slice_selection else st.l  # spatial: sum_k w_k, no 1/l
+        expect = np.sqrt(scale * loss_oracle(st, fresh - st.R).max())
+        assert abs(st.audit() - expect) <= 1e-14 * expect
 
     def test_losses_allocate_only_their_result(self):
         # the loss kernel writes into buffers made at setup; an einsum over
@@ -1085,6 +1120,48 @@ class TestPerSliceVariants:
             ref.step(i)
         assert fnorm(st.x() - ref.x()) < 1e-8 * max(fnorm(ref.x()), 1.0)
 
+    @pytest.mark.parametrize("kind", ["row", "gaussian"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_tsp_ii_and_ntsp_ii_are_one_method(self, kind, weighted):
+        # the paper's two names for one fixed-rule method run on one state:
+        # the same draws, records and X, bit for bit
+        assert solvers._METHOD_TABLE["TSP-II"] == solvers._METHOD_TABLE["NTSP-II"]
+        rng = np.random.default_rng(70)
+        A, Xs, B = small_problem(70, m=9, n=4, p=2, l=5)
+        Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, 5)) if weighted else None
+        f = (make_fourier_sketches(9, 1, 9, 5, "row") if kind == "row"
+             else make_fourier_sketches(9, 2, 4, 5, "gaussian", rng))
+        (X1, r1), (X2, r2) = (
+            solve(A, B, SolverConfig(method=method, sketches=f, weight=Q, seed=71, tol=1e-10,
+                                     max_iters=5000, record_every=3), x_star=Xs)
+            for method in ("TSP-II", "NTSP-II"))
+        assert r1.stop_reason == r2.stop_reason == "tol" and r1.iterations > _UNIFORM_BLOCK
+        assert np.array_equal(X1, X2) and r1.chosen == r2.chosen
+        for name in ("t", "epsilon", "q_error", "loss_max", "loss_sum", "pr_variance_factor"):
+            assert np.array_equal(getattr(r1, name), getattr(r2, name), equal_nan=True), name
+
+    def test_direct_solve_holds_one_gathered_block(self):
+        # select drops the old block, and the operands it handed to step, before
+        # gathering the next: over three 64-draw blocks (688 KB each here) the
+        # solve peaks within one block of make_state's peak, where holding a
+        # second block, or the operands' part of it, would add that too
+        A, Xs, B = small_problem(72, m=240, n=40, p=3, l=8)
+        cfg = SolverConfig(method="TSP-II", sketches=make_fourier_sketches(240, 1, 240, 8, "row"),
+                           seed=73, tol=0.0, max_iters=3 * _UNIFORM_BLOCK, record_every=10**9)
+        peaks = []
+        for run in (make_state, solve):
+            tracemalloc.start()
+            try:
+                st = run(A, B, cfg, x_star=Xs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert st[1].iterations == 3 * _UNIFORM_BLOCK
+        st = make_state(A, B, cfg, x_star=Xs)
+        st.select(None)
+        block = sum(T.nbytes for T in st.gathered)
+        assert peaks[1] <= peaks[0] + block, (peaks, block)
+
     def test_cached_and_direct_per_slice_paths_agree(self):
         A, Xs, B = small_problem(27, m=9, n=5, p=2, l=3)
         f = make_fourier_sketches(9, 1, 9, 3, "row")
@@ -1186,7 +1263,8 @@ class TestPerSliceVariants:
         blocks = -(-t // _UNIFORM_BLOCK)
         calls = []
         factor = solvers.batched_hpinv
-        monkeypatch.setattr(solvers, "batched_hpinv", lambda M: calls.append(M.shape) or factor(M))
+        monkeypatch.setattr(solvers, "batched_hpinv", lambda M, slice_axis=None:
+                            calls.append(M.shape) or factor(M, slice_axis))
         for method in ("TSP-I", "TSP-II"):
             cfg = SolverConfig(method=method, sketches=f, weight=Q, seed=81, tol=0.0,
                                max_iters=t, keep_iterates=True)

@@ -287,6 +287,16 @@ class TestSpdAndSqrt:
         with pytest.raises(ValueError, match="square"):
             is_t_spd(np.zeros((2, 3, 2)))
 
+    def test_rejects_non_finite_input(self):
+        # eigvalsh would stop with "Eigenvalues did not converge"
+        for bad in (np.nan, np.inf):
+            X = np.array(identity(3, 2))
+            X[1, 2, 1] = bad
+            with pytest.raises(ValueError, match="contains NaN or inf"):
+                is_t_spd(X)
+            with pytest.raises(ValueError, match="contains NaN or inf"):
+                WeightQ.from_tensor(X)
+
     def test_sqrt_of_identity(self):
         np.testing.assert_allclose(t_sqrt(identity(4, 3)), identity(4, 3), atol=1e-12)
 
