@@ -41,11 +41,25 @@ Adaptive rules (ATSP-*) read one row per iteration and see a zero loss in
 values they compute anyway.  Fixed rules turn a block into draws when it is
 refilled and gather the projections of all 64 draws at once; ``select``
 forms the drawn members' sketched residuals, which ``step`` projects with,
-and computes every member's loss only when those residuals are exactly
-zero.  Only the rules that read their losses log loss statistics.  With
-x_star, the error is a copy into a buffer, a subtraction and two dot
-products.  The adaptive set states, which recurse their sketched residuals,
-also offer ``audit()``, the worst deviation of the recursed residuals from
+and tests the members' losses, a slice at a time, only when those
+residuals are exactly zero.  Only the rules that read their losses log
+loss statistics.
+
+Every step projects Y onto a set that holds Y*, so the squared error
+D = ||Y - Y*||^2 falls by exactly the step's loss.  With x_star (and
+``record_every > 1``) :func:`solve` keeps D as a ledger that the states'
+steps debit with the losses they form anyway, and takes a fresh error (a
+copy into a buffer, a subtraction and two dot products; under a weight,
+also the product that maps Y back to X) only where it decides something:
+on every logged row, after the first step, every 64 iterations, and once
+D says the error may be under 1.1 tol, has fallen a decade since the last
+fresh value, or may pass the divergence limit.  Because the fixed rules'
+draws do not depend on the iterate, a run of their projections is a
+forward Gauss-Seidel sweep on the drawn rows' Gram: while the ledger is
+kept, their states project up to 32 rows of draws by one unit-triangular
+solve per slice and cut the block where the ledger leaves its bounds.
+The adaptive set states, which recurse their sketched residuals, also
+offer ``audit()``, the worst deviation of the recursed residuals from
 fresh ones, run every ``audit_every`` iterations.  Iterations run on the
 Fourier slices; the tests check them against block-circulant steps.
 
@@ -77,7 +91,7 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import zgemm, ztrsm
 
 from . import sketching
 from .sketching import _inverse_cdf
@@ -244,6 +258,7 @@ def check_ranges(config):
 
 
 _UNIFORM_BLOCK = 64
+_BLOCK_ROWS = 32  # rows a fixed rule's block projects at once: its Gram is at most this square
 _LOSS_BLOCK_BYTES = 16 * 1024  # solve's logged-loss block: at most this and _UNIFORM_BLOCK rows
 
 
@@ -257,6 +272,7 @@ class _BaseState:
 
     half_spectrum = True  # keep slices 0..h-1 with multiplicities w
     adaptive = False  # select() reads the losses
+    ledger = None  # ||Y - Y*||^2 over all l slices while solve() keeps its ledger
 
     def __init__(self, A, B, config, x_star):
         for name, value in (("A", A), ("B", B), ("x_star", x_star)):
@@ -444,12 +460,15 @@ class _FiniteSetState(_BaseState):
         every ``_UNIFORM_BLOCK`` iterations: the uniforms of every stream, or
         for fixed rules the draws made from them then."""
         if self.drawn == _UNIFORM_BLOCK:
-            u = self._uniforms()
-            self.block = u if self.adaptive else np.stack(
-                [_inverse_cdf(c, x) for c, x in zip(self.base_cdf, u.T)], axis=1)
-            self.drawn = 0
+            self._refill()
         self.drawn += 1
         return self.block[self.drawn - 1]
+
+    def _refill(self):
+        u = self._uniforms()
+        self.block = u if self.adaptive else np.stack(
+            [_inverse_cdf(c, x) for c, x in zip(self.base_cdf, u.T)], axis=1)
+        self.drawn = 0
 
     def trace_choice(self, choice):
         return tuple(choice.tolist()) if self.per_slice_selection else int(choice)
@@ -555,14 +574,25 @@ class _SetState(_FiniteSetState):
         Z, as Z[k].T -= R[k, j].T @ U[k, j].T on F-contiguous views (numpy's
         matmul runs tau = 1 unblocked, through a Z-sized temporary).  The
         chosen R blocks, rows of Z, are copied first: BLAS makes no promise
-        for an input that overlaps its output."""
+        for an input that overlaps its output.
+
+        The step's loss leaves the ledger (see :func:`solve`) unless its row is
+        logged, which takes a fresh error anyway: a spatial set's is l times
+        the chosen member's loss, which ``select`` kept, and a per-slice
+        set's the squared norm of the gathered blocks (a solved slice's
+        block is zero)."""
+        track = self.ledger is not None and (self.t + 1) % self.config.record_every
         if self.per_slice_selection:
             choice = np.asarray(choice)
-            R = self.views[0][self.slices, choice].transpose(0, 2, 1)  # a gathered copy
-            for z, r, (U, trans), j in zip(self.Zt, R, self.Ut, choice.tolist()):
+            R = self.views[0][self.slices, choice]  # a gathered copy
+            if track:
+                self.ledger -= np.vdot(R, R).real
+            for z, r, (U, trans), j in zip(self.Zt, R.transpose(0, 2, 1), self.Ut, choice.tolist()):
                 if j >= 0:  # -1: the slice is solved
                     zgemm(-1.0, r, U[j], 1.0, z, 0, trans, 1)
         else:
+            if track:
+                self.ledger -= self.l * self.loss
             R = self.views[0][:, choice].copy().transpose(0, 2, 1)
             for z, r, u in zip(self.Zt, R, self.U[:, choice].transpose(0, 2, 1)):
                 zgemm(-1.0, r, u, 1.0, z, 0, 0, 1)  # trans_a = trans_b = 0, overwrite_c
@@ -578,9 +608,14 @@ class _SpatialSetState(_SetState):
         """Member index, or None when no loss is positive."""
         if self.rule == "md":
             i = losses.argmax()
-            return None if losses[i] <= 0.0 else i
+            self.loss = losses[i]  # also step's ledger entry
+            return None if self.loss <= 0.0 else i
         cum = self._weights(losses).cumsum()
-        return None if cum[-1] <= 0.0 else _inverse_cdf(cum, self._row()[0])
+        if cum[-1] <= 0.0:
+            return None
+        i = _inverse_cdf(cum, self._row()[0])
+        self.loss = losses[i]
+        return i
 
     def variance_factor(self, losses):  # 1 + q^2 Var(p), p each row over its total
         if self.rule != "pr":
@@ -613,18 +648,39 @@ class _DirectState(_FiniteSetState):
     of the final inverse transform is the answer.
 
     Each kept slice is projected straight from the iterate onto the member
-    its group draws: Z -= N^H G r, r = N Y - S^H B, G = pinv(N N^H).  A draw
+    its group draws: Y -= N^H G r, r = N Y - S^H B, G = pinv(N N^H).  A draw
     gathers, at each position j, table row ``table_rows[j]`` at the member
     stream ``table_slices[j]`` drew, conjugated at the positions ``flip``; a
-    group is g/h consecutive positions.  Here a group is one slice, and the
-    ``tables`` are N, S^H B and G of slices 0..kept-1, G factored at setup
-    per slice, or for a spatial set, whose one stream draws for every kept
-    slice, with one cutoff across a member's slices (the block-circulant
-    pinv's).  With each block of ``_UNIFORM_BLOCK`` draws, ``select`` drops
-    the old block and the operands it handed to ``step``, then gathers the
-    tables of every draw: 64 h tau (2n + p) complex entries plus 64 h tau^2
-    for G.  A step is three small products; any other choice passed to
-    ``step``, such as each TSP draw, is gathered as a block of one.
+    group is g/h consecutive positions of g rows in all.  Here a group is one
+    slice, and the ``tables`` are N, S^H B and G of slices 0..kept-1, G
+    factored at setup per slice, or for a spatial set, whose one stream draws
+    for every kept slice, with one cutoff across a member's slices (the
+    block-circulant pinv's).  With each block of ``_UNIFORM_BLOCK`` draws,
+    ``select`` drops the old block and the operands it handed to ``step``,
+    then gathers the tables of every draw, slices first: 64 h g (n + p)
+    complex entries plus 64 h g^2 for G.
+
+    While :func:`solve` keeps its ledger, ``select`` projects up to
+    ``_BLOCK_ROWS`` // g draws at once, a forward Gauss-Seidel sweep on the
+    drawn rows' Gram.  Draw d's residual is r_d = N_d Y_0 - S_d^H B -
+    sum_{e<d} N_d N_e^H G_e r_e, so with M = N_J (G N_J)^H (G folded into N
+    draw by draw) the block's residuals solve (I + L) r = N_J Y_0 - S_J^H B,
+    L the part of M below its draws' diagonal blocks: one unit-triangular
+    ztrsm per slice, on M with its entries below the diagonal within a draw
+    zeroed by ``mask`` (ztrsm reads no others).  ``step`` applies
+    Y -= N_J^H (G r) by one zgemm per slice.  Draw d's loss r_d^H G_d r_d is
+    its drop in the ledger; the block is cut after the draw that takes the
+    ledger out of its bounds, or before a draw whose residuals are exactly
+    zero, which then starts the next block and goes through the zero test.
+    A prefix of a block is exact: its residuals do not depend on later
+    draws.  A block ends at the ``record_every`` multiples, at ``max_iters``
+    and with its 64-draw block, and holds, one slice at a time, M and G N_J
+    (at most 32 x 32 and 32 x n entries) besides its (h, 32, p) residuals.
+    Otherwise (residual mode, a ledger dropped, direct calls, and the first
+    step, whose fresh error checks the ledger) a block is one draw,
+    projected on every slice at once by three small products, N^H formed
+    from conj(N); so is any other choice passed to ``step``, such as each
+    TSP draw.
     """
 
     half_spectrum = False
@@ -634,6 +690,12 @@ class _DirectState(_FiniteSetState):
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
         self.table_rows, self.table_slices, self.flip, self.G = self._layout()
+        g = self.table_rows.size // self.h * self.N.shape[-2]  # rows per group
+        self.cap = max(1, _BLOCK_ROWS // g)  # draws per block
+        d, i = divmod(np.arange(self.cap * g), g)  # each row's draw and row in its group
+        # M's entries below the diagonal within a draw's group, which ztrsm reads
+        self.mask = ((d[:, None] == d) & (i[:, None] > i)) if g > 1 else None
+        self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
 
     tables = property(lambda self: (self.N, self.SB, self.G))
 
@@ -644,67 +706,131 @@ class _DirectState(_FiniteSetState):
         """``table_rows``, ``table_slices``, ``flip`` and G (see the class docstring)."""
         G = batched_hpinv(self._gram(self.N), slice_axis=None if self.per_slice_selection else 0)
         if not self.per_slice_selection:  # one stream draws for every kept slice
-            return np.arange(self.h), np.zeros(self.h, dtype=int), slice(0, 0), G
-        return np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, slice(self.kept, None), G
+            return np.arange(self.h), np.zeros(self.h, dtype=int), np.s_[:0], G
+        return np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, np.s_[self.kept:], G
 
     def _projections(self, draws):
-        """N, N^H, S^H B and G of the groups that each row of ``draws`` (b, streams)
-        picks, each (b, h, ...); where the tables hold no G, it is factored
-        for the block in one batch."""
-        picked = (self.table_rows, draws[:, self.table_slices])
+        """N, S^H B and G of the groups that each row of ``draws`` (b, streams)
+        picks, each (h, b, g, .); where the tables hold no G, it is factored
+        for the block in one batch.  ``flip`` indexes the (h, b, positions)
+        gather."""
+        picked = (self.table_rows.reshape(self.h, 1, -1),
+                  np.moveaxis(draws[:, self.table_slices].reshape(len(draws), self.h, -1), 0, 1))
 
         def gather(T):
             T = T[picked]
-            T[:, self.flip] = np.conj(T[:, self.flip])
-            return T.reshape(len(draws), self.h, -1, T.shape[-1])
+            np.conjugate(T[self.flip], out=T[self.flip])  # a view: in place
+            return T.reshape(*T.shape[:2], -1, T.shape[-1])
 
         N, SB, G = (T if T is None else gather(T) for T in self.tables)
-        NH = np.swapaxes(np.conj(N), -1, -2)  # (b, h, n, tau per group)
-        return N, NH, SB, batched_hpinv(N @ NH) if G is None else G
+        return N, SB, batched_hpinv(N @ np.conj(N).swapaxes(-1, -2)) if G is None else G
 
     def select(self, losses):
-        """The block's next draw, one per slice or one for all, or None when
-        the drawn members' sketched residuals are zero and no member's loss
-        is positive."""
+        """The last of the block's draws, one per slice or one for all, or None
+        when the first draw's sketched residuals are zero and no member's
+        loss is positive."""
         if self.drawn == _UNIFORM_BLOCK:  # release the old block ahead of the next gather
             self.gathered = self.operands = None
-        row = self._row()
+            self._refill()
         if self.gathered is None:
             self.gathered = self._projections(self.block)
-        i, (N, NH, SB, G) = self.drawn - 1, self.gathered
-        r = N[i] @ self.Z - SB[i]  # Z holds the iterate Xh only
-        if not np.count_nonzero(r) and (every := self.losses()) is not None and every.max() <= 0.0:
+        a = self.drawn
+        if self.ledger is None or self.t == 0:
+            k = 1
+        else:
+            every = self.config.record_every
+            k = min(self.cap, _UNIFORM_BLOCK - a, every - self.t % every,
+                    self.config.max_iters - self.t)
+        sweep = self._sweep(self.gathered, a, k)
+        if k == 1:
+            cut, ledger, zero = 1, None, not np.count_nonzero(sweep[1])
+        else:
+            cut, ledger, zero = self._cut(*sweep[1:], k)
+        if zero and not self._any_loss():
             return None
-        self.operands = NH[i], G[i], r
+        self.drawn = a + cut
+        self.operands = sweep, cut, ledger
+        row = self.block[self.drawn - 1]
         self.choice = row if self.per_slice_selection else row[0]
         return self.choice
 
+    def _sweep(self, tables, a, k):
+        """(N, r, G r) of draws a..a+k-1 of gathered ``tables``, slices first:
+        for k = 1 each (h, g, .), else N and r (h, k g, .) and G r (h, k, g, p)."""
+        if k == 1:
+            N, SB, G = tables[0][:, a], tables[1][:, a], tables[2][:, a]
+            r = N @ self.Z - SB  # Z holds the iterate Xh only
+            return N, r, G @ r
+        N, SB, G = (T[:, a:a + k] for T in tables)
+        rows = k * N.shape[2]
+        NJ = N.reshape(self.h, rows, -1)  # views: the block is gathered slices first
+        r = NJ @ self.Z - SB.reshape(self.h, rows, -1)
+        for s in range(self.h):  # G folded into N draw by draw, one slice at a time
+            GN = (G[s] @ N[s]).reshape(rows, -1)
+            Mt = zgemm(1.0, GN.T, NJ[s].T, trans_a=2)  # F-ordered M^T: M = N_J (G N_J)^H
+            if self.mask is not None:
+                Mt.T[self.mask[:rows, :rows]] = 0.0
+            ztrsm(1.0, Mt, r[s].T, side=1, diag=1, overwrite_b=1)  # (I + L) r = rhs, in place
+        return NJ, r, G @ r.reshape(N.shape[:3] + (-1,))
+
+    def _cut(self, r, u, k):
+        """(draws kept, the ledger after them, whether the first draw's residuals are zero)."""
+        rf, uf = (x.reshape(self.h, k, 1, -1).view(np.float64) for x in (r, u))
+        drops = (self.w @ (rf @ uf.swapaxes(-1, -2)).reshape(self.h, k)).tolist()  # Re r^H G r
+        nonzero = r.reshape(self.h, k, -1).any(axis=(0, 2)).tolist()
+        ledger, (lo, hi) = self.ledger, self.ledger_bounds
+        for d in range(1, k + 1):
+            ledger -= drops[d - 1]
+            if d == k or not nonzero[d] or not lo <= ledger <= hi:  # NaN too
+                return d, ledger, not nonzero[0]
+
     def step(self, idx):
         if idx is self.choice:
-            NH, G, r = self.operands
+            (N, r, u), cut, ledger = self.operands
         else:
-            N, NH, SB, G = (T[0] for T in self._projections(np.atleast_1d(idx)[None]))
-            r = N @ self.Z - SB
-        self.Z -= NH @ (G @ r)
-        self.t += 1
+            sweep = self._sweep(self._projections(np.atleast_1d(idx)[None]), 0, 1)
+            (N, r, u), cut, ledger = sweep, 1, None
+        if ledger is None:  # one draw on every slice; a logged row takes a fresh error
+            self.Z -= np.conj(N).swapaxes(-1, -2) @ u
+            if self.ledger is not None and (self.t + 1) % self.config.record_every:
+                self.ledger -= self._drop(r, u)
+        else:
+            rows = cut * u.shape[2]
+            for z, NJ, uJ in zip(self.Zt, N, u):
+                zgemm(-1.0, uJ[:cut].reshape(rows, -1).T, NJ[:rows].T, 1.0, z, 0, 2, 1)
+            self.ledger = ledger
+        self.t += cut
+
+    def _drop(self, r, u):
+        """sum_k w_k Re r_k^H G_k r_k of one draw on every slice: over all
+        slices, and again over those with a mirror."""
+        drop = np.vdot(r, u).real
+        if self.h < self.l:
+            m = self.l - self.h + 1
+            drop += np.vdot(r[1:m], u[1:m]).real
+        return drop
+
+    def _energies(self):
+        """Each slice's member energies Re r^H G r, r = N Y - S^H B, one slice
+        at a time from the kept tables.  Slice k >= kept of a mirrored family
+        has r = conj(N[l - k] conj(Y_k) - S^H B[l - k]) and G = conj(G[l - k]),
+        so its energies are slice l - k's on conj(Y_k)."""
+        for k in range(self.h):
+            j, Y = (k, self.Xh[k]) if k < self.kept else (self.l - k, np.conj(self.Xh[k]))
+            r = self.N[j] @ Y - self.SB[j]  # (q, g, p)
+            Gr = self.G[j] @ r  # Re sum conj(r) G r: the float views' dot product
+            yield np.einsum("qi,qi->q", *(a.reshape(len(r), -1).view(np.float64) for a in (r, Gr)))
 
     def losses(self):
-        """Every member's sketched loss r^H G r, r = N Y - S^H B, from the kept
-        tables: (l, q) per slice, or (q,) summed over the kept slices by
-        w_k / l for spatial sets.  Slice k >= kept of a mirrored family has
-        r = conj(N[l - k] conj(Y_k) - S^H B[l - k]) and G = conj(G[l - k]), so
-        its loss is slice l - k's on conj(Y_k): one product per half."""
-        halves = [(slice(0, self.kept), self.Xh[:self.kept])]
-        if self.kept < self.h:
-            halves.append((slice(self.l - self.kept, 0, -1), np.conj(self.Xh[self.kept:])))
-        energy = []
-        for rows, Y in halves:
-            r = self.N[rows] @ Y[:, None] - self.SB[rows]  # (slices, q, tau, p)
-            Gr = self.G[rows] @ r  # Re sum conj(r) G r: the float views' dot product
-            energy.append(np.einsum("kqi,kqi->kq", *(a.reshape(*r.shape[:2], -1).view(np.float64)
-                                                     for a in (r, Gr))))
-        losses = np.concatenate(energy)
+        """Every member's sketched loss r^H G r: (l, q) per slice, or (q,)
+        summed over the kept slices by w_k / l for spatial sets."""
+        losses = np.stack(list(self._energies()))
         return losses if self.per_slice_selection else self.w @ losses / self.l
+
+    def _any_loss(self):
+        """Whether some member's loss is positive, from the energies of one
+        slice at a time up to the first slice that has a positive one."""
+        return any((e > 0.0).any() for e in self._energies())
 
 
 class _SpatialDirectState(_DirectState):
@@ -733,11 +859,12 @@ class _FreshGaussianState(_DirectState):
         return self.sketch_rng.standard_normal((self.m, self.tau))
 
     def _projections(self, S):
-        """N = S^T A Q^{-1/2}, N^H, S^T B and G of draws S (b, m, tau), a G cutoff each."""
-        St = np.swapaxes(S, -1, -2)[:, None]
-        N = St @ self.Ah
-        NH = np.conj(np.swapaxes(N, -1, -2))
-        return N, NH, St @ self.Bh, batched_hpinv(N @ NH, slice_axis=1)
+        """N = S^T A Q^{-1/2}, S^T B and G of draws S (b, m, tau), each (h, b, tau, .),
+        a G cutoff each."""
+        St = S.swapaxes(-1, -2)
+        N = St @ self.Ah[:, None]
+        NH = np.conj(N.swapaxes(-1, -2))
+        return N, St @ self.Bh[:, None], batched_hpinv(N @ NH, slice_axis=0)
 
 
 class _StackedState(_DirectState):
@@ -753,14 +880,19 @@ class _StackedState(_DirectState):
     tables (views of the transform for fourier-row sets); otherwise the
     tables keep the full spectrum once, and the halves gathered from slice
     -k are conjugated once per 64-draw gather.  No G is cached: a
-    block factors its Grams in one batch and holds 64 h 2tau (2n + p)
-    complex entries plus the pinvs, about 290 KB at 50x20x5 with tau = 1.
+    block factors its Grams in one batch and holds 64 h 2tau (n + p)
+    complex entries plus the pinvs, about 170 KB at 50x20x5 with tau = 1.
     The stacked system is real, so every iterate stays real and no
-    transform runs in the loop.  It logs no losses and keeps no zero-loss stop.
+    transform runs in the loop; the imaginary-residue diagnostic reads the
+    iterate after each step, a block of draws' at its end.  It logs no
+    losses and keeps no zero-loss stop.
     """
 
     half_spectrum = True
     losses = _BaseState.losses
+
+    def _any_loss(self):
+        return True  # no zero-loss stop
 
     def _sketched(self, A, B):
         Ah, Bh = (self.Ah, self.Bh) if self.sketches.mirrored else (  # else all l
@@ -772,8 +904,8 @@ class _StackedState(_DirectState):
         self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
         pairs = np.stack([half, -half % self.l], axis=1).ravel()  # the group of k: k and -k
         if self.sketches.mirrored:  # conj(T[-k]) is T[k]: a group reads T[k] twice
-            return np.repeat(half, 2), pairs, slice(0, 0), None
-        return pairs, pairs, slice(1, None, 2), None  # -k conjugated
+            return np.repeat(half, 2), pairs, np.s_[:0], None
+        return pairs, pairs, np.s_[:, :, 1], None  # -k conjugated
 
     def step(self, idx):
         super().step(idx)
@@ -820,6 +952,12 @@ def solve(A, B, config, x_star=None):
     ``config.tol`` when ``x_star`` is given, and the relative residual
     otherwise.  Iteration timing excludes all precomputation.  Rows are packed
     into one typed buffer; their loss statistics are reduced a block at a time.
+
+    With ``x_star`` and ``record_every > 1`` the loop reads the error from
+    the ledger of step losses (see the module docstring) between fresh
+    values, each of which re-anchors it; a fresh value off the ledger by
+    more than rounding means x_star is not a solution, and every later
+    error is fresh.
     """
     start = time.perf_counter()
     state = make_state(A, B, config, x_star)
@@ -835,10 +973,10 @@ def solve(A, B, config, x_star=None):
             stats[0], stats[1] = np.maximum.reduce(b, axis=1), np.add.reduce(b, axis=1)
             stats[2], held = state.variance_factor(b), 0
 
-    def log_row(eps, norm, secs, chosen=None, losses=None):
+    def log_row(eps, q, secs, chosen=None, losses=None):
         """Append one row; ``losses`` are those ``chosen`` was selected next to."""
         nonlocal block, held
-        rows.frombytes(_PACK_ROW(state.t, eps, state.q_error(norm), secs, np.nan, np.nan, np.nan))
+        rows.frombytes(_PACK_ROW(state.t, eps, q, secs, np.nan, np.nan, np.nan))
         record.chosen.append(None if chosen is None else state.trace_choice(chosen))
         if keep:
             record.iterates.append(state.x())
@@ -852,10 +990,17 @@ def solve(A, B, config, x_star=None):
 
     eps, diff_norm = state._errors()
     eps0 = max(eps, 1e-300)
-    log_row(eps, diff_norm, 0.0)
+    q = state.q_error(diff_norm)
+    log_row(eps, q, 0.0)
     tol, limit, record_every, adaptive = config.tol, 1e3 * eps0, config.record_every, state.adaptive
     audit_every = config.audit_every if isinstance(state, _SetState) else 0
-    losses_of, select, step, errors = state.losses, state.select, state.step, state._errors
+    losses_of, select, step, errors, q_error = (state.losses, state.select, state.step,
+                                                state._errors, state.q_error)
+    lo = hi = None
+    if state.x_star is not None and record_every > 1:
+        floor, hi, slack = _ledger_scales(state, tol, limit)
+        state.ledger = anchor = state.l * q
+        state.ledger_bounds = lo, hi = max(floor, anchor / 100), hi
     converged, stop = eps < tol, ""
     start = time.perf_counter()
 
@@ -866,19 +1011,33 @@ def solve(A, B, config, x_star=None):
             converged, stop = True, "zero_loss"
             break
         step(chosen)
-        if audit_every and not state.t % audit_every:
+        t = state.t
+        if audit_every and not t % audit_every:
             state.audit()
+        D = state.ledger
+        if D is not None and lo <= D <= hi and t % record_every and t % _UNIFORM_BLOCK and t > 1:
+            continue  # the ledger's error decides nothing here
 
         eps, diff_norm = errors()
-        if not eps <= limit:  # also NaN
+        logged = t % record_every == 0 or eps < tol or not eps <= limit  # also NaN
+        q = q_error(diff_norm) if logged or D is not None else np.nan
+        if D is not None:  # off by more than rounding: x_star is not a solution
+            rounding = 1e-8 * (anchor + np.sqrt(anchor * slack))
+            if t % record_every and abs(state.l * q - D) > rounding:
+                state.ledger = None
+            else:
+                state.ledger = anchor = state.l * q
+                state.ledger_bounds = lo, hi = max(floor, anchor / 100), hi
+        if not eps <= limit:
             stop = "diverged"
-        if stop or state.t % record_every == 0 or eps < tol:
-            log_row(eps, diff_norm, time.perf_counter() - start, chosen, losses)
+        if logged:
+            log_row(eps, q, time.perf_counter() - start, chosen, losses)
         converged = eps < tol
 
     flush()
     if rows[-len(_ROW_FIELDS)] != state.t:
-        log_row(*errors(), time.perf_counter() - start)
+        eps, diff_norm = errors()
+        log_row(eps, q_error(diff_norm), time.perf_counter() - start)
     columns = np.frombuffer(rows).reshape(-1, len(_ROW_FIELDS))
     for name, column in zip(_ROW_FIELDS, [columns[:, 0].astype(int), *columns[:, 1:].T.copy()]):
         setattr(record, name, column)  # t as ints, the others rows of one contiguous copy
@@ -889,3 +1048,16 @@ def solve(A, B, config, x_star=None):
         raise DivergenceError(f"{state.method} diverged at iteration {state.t}: error "
                               f"{eps:.3e} vs initial {eps0:.3e}", record)
     return state.x(), record
+
+
+def _ledger_scales(state, tol, limit):
+    """The ledger's D below which the error could be under 1.1 tol, the D above
+    which it could pass ``limit``, and a bound on ||Y*||^2: the error is
+    ||X - X*|| / (sqrt(l) ||X*||) with ||X - X*|| between the least and the
+    largest singular value of Q^{-1/2} (over the kept slices) times sqrt(D)."""
+    least = most = 1.0
+    if state.Qis is not None:
+        lam = np.linalg.eigvalsh(state.Q.hat[:state.h])
+        least, most = lam.max() ** -0.5, lam.min() ** -0.5
+    scale = state.l * state.x_star_norm ** 2
+    return (1.1 * tol / least) ** 2 * scale, (limit / most) ** 2 * scale, scale / least ** 2

@@ -165,28 +165,43 @@ def test_identity_weight_holds_no_conjugate_transpose_table(method):
         assert not big, [a.shape for a in big]
 
 
+@pytest.mark.parametrize("blocks", [False, True], ids=["one-draw", "blocks"])
 @pytest.mark.parametrize("method", ["TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II"])
-def test_steps_conjugate_nothing(monkeypatch, method):
-    # conjugation happens when a block of draws is gathered, never in a step;
-    # a -II step is one zgemm per stepped slice
+def test_steps_conjugate_nothing(monkeypatch, method, blocks):
+    # conjugation happens when a block of draws is gathered, never on a table
+    # or a block in a step: a -II step is one zgemm per stepped slice, and so
+    # is a fixed rule's step over a block of draws (while solve keeps its
+    # ledger); a fixed rule's step of one draw forms N^H from that draw's N
     A, Xs, B = gen_gaussian(ProblemSpec(m=10, n=4, p=2, l=5, seed=60))
     st = make_state(A, B, SolverConfig(method=method, sketches=make_fourier_sketches(
-        10, 1, 10, 5, "row"), seed=61), x_star=Xs)
+        10, 1, 10, 5, "row"), seed=61, record_every=10**9), x_star=Xs)
     # the first block is drawn and gathered; fixed rules select without losses, as in solve
     st.step(st.select(st.losses() if st.adaptive else None))
-    zgemm, calls = solvers.zgemm, []
-    monkeypatch.setattr(solvers, "zgemm", lambda *a: calls.append(a[6]) or zgemm(*a))
+    if blocks and not st.adaptive:  # the ledger's bounds never cut a block here
+        st.ledger, st.ledger_bounds = 1e300, (0.0, np.inf)
+    zgemm, calls, conj, sizes = solvers.zgemm, [], np.conj, []
+    monkeypatch.setattr(solvers, "zgemm", lambda *a, **kw: calls.append(a[6:7]) or zgemm(*a, **kw))
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("conjugation inside a step")
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return conj(x, *args, **kwargs)
 
     for name in ("conj", "conjugate"):
-        monkeypatch.setattr(np, name, forbidden)
-    for t in range(2, _UNIFORM_BLOCK + 1):  # the rest of the first block
+        monkeypatch.setattr(np, name, counted)
+    one_draw = st.h * (2 if method == "TSP-I" else 1) * 4  # h g n: its N
+    widths = []
+    while st.t < _UNIFORM_BLOCK:  # the rest of the first block
         choice = st.select(st.losses() if st.adaptive else None)
-        calls.clear()
+        calls.clear(), sizes.clear()
+        t = st.t
         st.step(choice)
+        widths.append(st.t - t)
         if method.startswith("ATSP"):
             assert len(calls) == np.count_nonzero(np.asarray(choice) >= 0)
-            assert sorted(set(calls)) <= [0, 2]
+            assert sorted(set(calls)) <= [(0,), (2,)] and not sizes
+        elif blocks and st.t - t > 1:
+            assert calls == [(2,)] * st.h and not sizes
+        else:
+            assert sizes == [one_draw] and not calls
     assert st.t == _UNIFORM_BLOCK
+    assert max(widths) == (st.cap if blocks and not st.adaptive else 1)

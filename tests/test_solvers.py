@@ -9,6 +9,7 @@ from conftest import (
     dense_set_tables,
     direct_step_oracle,
     rand_tubal,
+    reference_solve,
     row_action_step_oracle,
     sp_step_direct,
     spd_weight_tensor,
@@ -791,35 +792,74 @@ class TestRunBehaviour:
     @pytest.mark.parametrize("method", ["NTSP", "NTSP-II", "TSP-II"])
     def test_fixed_rules_log_no_losses(self, method, monkeypatch):
         # a fixed rule does not read its losses: every row holds NaN loss
-        # statistics, at any record cadence, and select computes them only
+        # statistics, at any record cadence, and select tests them only
         # where the drawn members' residuals are exactly zero (here where a
-        # draw repeats the last one), so their losses read exactly 0
+        # draw repeats the last one), so their losses read exactly 0, and
+        # the test's verdict is that of every loss.  At record_every=25 draws
+        # are projected in blocks, whose rounding is not the sequential
+        # steps' (nor is which residual rounds to exactly 0): errors and X
+        # agree to 1e-13
         A, Xs, B = small_problem(28, m=8, n=4, p=2, l=3)
         s = (make_fourier_sketches(8, 1, 8, 3, "row") if method.endswith("-II")
              else make_slice_sketches(8, 3))
         cfg = SolverConfig(method=method, sketches=s, seed=29, tol=1e-10, max_iters=20_000)
         cls = solvers._METHOD_TABLE[method][0]
-        drawn_losses, losses = [], cls.losses
+        drawn_losses, any_loss = [], cls._any_loss
 
         def spy(st):
-            every = losses(st)
-            row = st.block[st.drawn - 1]  # the draw being made
-            drawn_losses.append(every[row[0]] if every.ndim == 1 else every[st.slices, row])
-            return every
+            every = st.losses()
+            verdict = any_loss(st)
+            assert verdict == (every.max() > 0.0)
+            return verdict
 
-        monkeypatch.setattr(cls, "losses", spy)
+        def spy_sequential(st):
+            every = st.losses()
+            row = st.block[st.drawn]  # the draw being made
+            drawn_losses.append(every[row[0]] if every.ndim == 1 else every[st.slices, row])
+            return spy(st)
+
+        monkeypatch.setattr(cls, "_any_loss", spy_sequential)
         X1, every = solve(A, B, cfg, x_star=Xs)
+        monkeypatch.setattr(cls, "_any_loss", spy)
         X25, sparse = solve(A, B, dataclasses.replace(cfg, record_every=25), x_star=Xs)
         assert sparse.stop_reason == every.stop_reason == "tol"
+        assert sparse.iterations == every.iterations
         assert len(every.t) == every.iterations + 1 and len(sparse.t) > 3
         for rec in (every, sparse):
             for f in ("loss_max", "loss_sum", "pr_variance_factor"):
                 assert np.isnan(getattr(rec, f)).all(), f
         rows = np.searchsorted(every.t, sparse.t)
-        np.testing.assert_array_equal(sparse.epsilon, every.epsilon[rows])
+        np.testing.assert_array_equal(sparse.t, every.t[rows])
+        assert np.all(np.abs(sparse.epsilon - every.epsilon[rows]) <= 1e-13 * every.epsilon[0])
         assert sparse.chosen == [every.chosen[r] for r in rows]
         assert all(np.all(drawn == 0.0) for drawn in drawn_losses)
-        np.testing.assert_array_equal(X25, X1)
+        assert np.linalg.norm(X25 - X1) <= 1e-13 * np.linalg.norm(X1)
+
+    def test_zero_test_stops_at_the_first_positive_slice(self, monkeypatch):
+        # NTSP's draw at t = 93 (the 94th) repeats the last member, so its
+        # residuals are exactly zero; another member's loss is positive on
+        # the first slice already, and the test computes no other slice's
+        # energies.  The stop iteration is the one every loss gives
+        A, Xs, B = small_problem(28, m=8, n=4, p=2, l=3)
+        cfg = SolverConfig(method="NTSP", sketches=make_slice_sketches(8, 3), seed=29, tol=1e-10,
+                           max_iters=20_000)
+        cls = solvers._SpatialDirectState
+        energies, any_loss, tested = cls._energies, cls._any_loss, []
+
+        def counted(st):
+            for e in energies(st):
+                tested[-1][1] += 1
+                yield e
+
+        def spy(st):
+            tested.append([st.t, 0])
+            return any_loss(st)
+
+        monkeypatch.setattr(cls, "_energies", counted)
+        monkeypatch.setattr(cls, "_any_loss", spy)
+        _, rec = solve(A, B, cfg, x_star=Xs)
+        assert rec.stop_reason == "tol" and rec.iterations == 390
+        assert tested == [[93, 1]] and make_state(A, B, cfg).h == 2
 
     def test_trace_cadence(self):
         A, Xs, B = small_problem(19, m=8, n=4, p=2, l=3)
@@ -1271,9 +1311,9 @@ class TestPerSliceVariants:
             calls.clear()
             _, rec = solve(A, B, cfg, x_star=Xs)
             assert rec.iterations == t
-            if method == "TSP-I":
+            if method == "TSP-I":  # a block is gathered slices first
                 assert len(calls) == blocks
-                assert calls[0][0] == _UNIFORM_BLOCK
+                assert calls[0][1] == _UNIFORM_BLOCK
             else:  # once, at setup, on every member's Gram of the kept slices
                 assert calls == [(l // 2 + 1 if kind == "row" else l, f.q, f.tau, f.tau)]
 
@@ -1373,6 +1413,77 @@ class TestPerSliceVariants:
                 break
             st.step(idx)
         assert np.all(st.losses().max(axis=1) <= 1e-16)
+
+
+class TestLedgerBlocks:
+    """Fixed-rule draws projected in blocks by one triangular solve per slice,
+    cut where the ledger of step losses leaves its bounds."""
+
+    FIXED = ("NTSP", "TSP-I", "TSP-II", "NTSP-II")
+
+    @staticmethod
+    def config(method, m, l, **kw):
+        s = (make_slice_sketches(m, l) if method == "NTSP"
+             else make_fourier_sketches(m, 1, m, l, "row"))
+        return SolverConfig(method=method, sketches=s, seed=41, **kw)
+
+    @pytest.mark.parametrize("method", FIXED)
+    def test_blocks_cut_at_the_thresholds_equal_the_sequential_replay(self, method, monkeypatch):
+        # at a cadence too long to log a row, blocks end at 32 rows, at the
+        # 64-draw block boundaries and where the ledger's error falls a
+        # decade since the last fresh value or under 1.1 tol: both cuts
+        # happen mid-block here, and the run equals a sequential replay
+        # that takes a fresh error every iteration
+        A, Xs, B = small_problem(40, m=12, n=4, p=2, l=4)
+        cfg = self.config(method, 12, 4, tol=1e-10, max_iters=5_000, record_every=10**6)
+        cuts, cut = [], solvers._DirectState._cut
+
+        def spy(st, *args):
+            out = cut(st, *args)
+            cuts.append((args[-1], out[0], out[1], st.ledger_bounds[0]))
+            return out
+
+        monkeypatch.setattr(solvers._DirectState, "_cut", spy)
+        X, rec = solve(A, B, cfg, x_star=Xs)
+        floor = (1.1 * cfg.tol) ** 2 * 4 * np.linalg.norm(Xs) ** 2  # D at 1.1 tol
+        mid = [(D, lo) for k, kept, D, lo in cuts if kept < k and D < lo]
+        assert any(D < floor for D, lo in mid) and any(floor <= D for D, lo in mid)
+        assert max(k for k, *_ in cuts) * (2 if method == "TSP-I" else 1) == 32
+        X_ref, rows, stop = reference_solve(A, B, cfg, Xs)
+        assert rec.stop_reason == stop == "tol" and rec.iterations == rows[-1][0]
+        assert [rows[0][0], rows[-1][0]] == list(rec.t) and rec.chosen[-1] == rows[-1][-1]
+        for got, want in ((rec.epsilon, [rows[0][1], rows[-1][1]]),
+                          (rec.q_error, [rows[0][2], rows[-1][2]])):
+            assert np.all(np.abs(got - want) <= 1e-13 * want[0])
+        assert np.linalg.norm(X - X_ref) <= 1e-13 * np.linalg.norm(X_ref)
+
+    def test_fixed_rule_solves_peak_under_tsp_i_with_small_grams(self, monkeypatch):
+        # the paper-scale solves of the fixed rules: none peaks above TSP-I's
+        # (tracemalloc, after a first solve), and every block's triangular
+        # system is at most 32 x 32
+        A, Xs, B = small_problem(42, m=50, n=20, p=5, l=5)
+        grams, trsm = [], solvers.ztrsm
+        spy = (lambda alpha, a, *args, **kw: grams.append(a.shape) or trsm(alpha, a, *args, **kw))
+        peaks = {}
+        for method in ("TSP", *self.FIXED):
+            prob = None if method == "TSP" else (
+                "uniform" if method.startswith("N") else "fourier-row-norm")
+            cfg = self.config(method, 50, 5, probabilities=prob, tol=1e-10, max_iters=50_000,
+                              record_every=1000)
+            if method == "TSP":
+                cfg = dataclasses.replace(cfg, sketches=None, tau=10)
+            monkeypatch.setattr(solvers, "ztrsm", spy)  # on the first solve only
+            solve(A, B, cfg, x_star=Xs)
+            monkeypatch.setattr(solvers, "ztrsm", trsm)
+            tracemalloc.start()
+            try:
+                _, rec = solve(A, B, cfg, x_star=Xs)
+                peaks[method] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rec.converged
+        assert max(peaks.values()) == peaks["TSP-I"], peaks
+        assert grams and max(max(shape) for shape in grams) <= 32
 
 
 class TestWeightedRuns:
