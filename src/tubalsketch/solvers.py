@@ -46,14 +46,19 @@ residuals are exactly zero.  Only the rules that read their losses log
 loss statistics.
 
 Every step projects Y onto a set that holds Y*, so the squared error
-D = ||Y - Y*||^2 falls by exactly the step's loss.  With x_star (and
-``record_every > 1``) :func:`solve` keeps D as a ledger that the states'
-steps debit with the losses they form anyway, and takes a fresh error (a
-copy into a buffer, a subtraction and two dot products; under a weight,
-also the product that maps Y back to X) only where it decides something:
-on every logged row, after the first step, every 64 iterations, and once
-D says the error may be under 1.1 tol, has fallen a decade since the last
-fresh value, or may pass the divergence limit.  Because the fixed rules'
+D = ||Y - Y*||^2 falls by exactly the step's loss.  With x_star (and,
+under a weight, ``record_every > 1``) :func:`solve` keeps D as a ledger
+that the states' steps debit with the losses they form anyway, and takes
+a fresh error (a copy into a buffer, a subtraction and two dot products;
+under a weight, also the product that maps Y back to X) only where it
+decides something: after the first step, every 64 iterations, once D says
+the error may be under 1.1 tol, has fallen a decade since the last fresh
+value, or may pass the divergence limit, and for the last row.  Between
+fresh values a logged row reads its error from the ledger under the
+identity weight; under a weight, whose error needs Q^{-1/2}, it takes a
+fresh one.  Once the ledger's error is at rounding level (D under 1e-30
+l ||X*||^2, where the step losses are rounding too) the decade test stops
+and logged rows are fresh.  Because the fixed rules'
 draws do not depend on the iterate, a run of their projections is a
 forward Gauss-Seidel sweep on the drawn rows' Gram: while the ledger is
 kept, their states project up to 32 rows of draws by one unit-triangular
@@ -74,11 +79,16 @@ fourier-row set), only slices 0..l//2 are kept and slice k > l/2 reads
 slice l-k's through the conjugate.  A weight Q is a change of variables:
 every state runs the unweighted method on the whitened Ah = A Q^{-1/2} in
 Y = Q^{1/2} X, and only ``x()`` and the x_star errors map Y back.  A state
-keeps its iterate Xh (Y) as the first n rows of a block Z, slices first.
-The adaptive methods share one set state (:class:`_SetState`), whose
-sketched residuals sit below Xh in Z and are stepped with it; TSP and the
-fixed rules share one direct step (:class:`_DirectState`) on blocks of
-draws gathered from member tables: TSP's block is its one fresh draw, and
+keeps its iterate Xh (Y) as the first n rows of a block Z.  The adaptive
+methods share one set state (:class:`_SetState`), whose sketched
+residuals sit below Xh in Z and are stepped with it by one table U of
+step maps over cross products, stored member-major: each member's rows
+for every kept slice form one block.  A spatial set keeps Z member-major
+too, so its losses are one square and one gemv and its step one zgemm on
+every kept slice through a block-diagonal operand; a per-slice set keeps Z
+slices first and steps each slice by its own zgemm.  TSP and the fixed
+rules share one direct step (:class:`_DirectState`) on blocks of draws
+gathered from member tables: TSP's block is its one fresh draw, and
 NTSP's one draw is gathered on every kept slice.
 """
 
@@ -169,7 +179,11 @@ class RunRecord:
 
     Row fields are float64 arrays but ``t`` (int), copied once at the end of
     :func:`solve` from its packed row buffer; ``chosen`` holds ints, per-slice
-    tuples or None (first row, TSP).  Rows that log no losses hold NaN stats."""
+    tuples or None (first row, TSP).  Rows that log no losses hold NaN stats.
+    With x_star under the identity weight, a row between fresh errors holds
+    ``epsilon`` and ``q_error`` from the ledger of step losses (see
+    :func:`solve`); they agree with fresh values to rounding, and the first
+    and last rows are always fresh."""
 
     method: str
     t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -480,17 +494,19 @@ class _SetState(_FiniteSetState):
     Per member i and slice k the setup stores, besides N and S^H B, a factor
     C with C C^H = pinv(N N^H), the step map N^H C, the cross products
     C_i^H N_i N_j^H C_j and the sketched residuals R_i = C_i^H (N_i X - S_i^H B),
-    R_0 = -C^H S^H B as X_0 = 0, below Xh in Z.  Block U[k, j] of one table
-    U = [step_map; cross], (kept, q, n + q tau, tau), stacks member j's step
-    map over its cross products with every member, so choosing j in slice k
-    updates both at once: Z[k] -= U[k, j] @ R[k, j] (slice k >= kept of a
-    mirrored family reads U[l - k, j] by zgemm's conjugate-transpose flag,
-    and its C is conj(C[l - k])).  Ragged blocks' zero padding rows get zero
-    factor columns.  Setup peaks at U, the transformed system and one
-    slice's temporaries: N^H is formed one slice at a time, and step maps
-    and (tau = 1) cross products are written straight into U.  ``views``:
-    R and its (slices, 2 q tau p) float view, whose squares, summed by gemv
-    per slice or over the slices by w_k / l for spatial sets, are the losses.
+    R_0 = -C^H S^H B as X_0 = 0, below Xh in Z.  One table U, (q, kept tau,
+    n + q tau), holds them member-major: rows k tau..(k+1) tau - 1 of U[j]
+    are slice k's [step map; cross products with every member] of member
+    j, transposed, so choosing j in slice k updates the iterate and every
+    residual at once: Z[k] -= U[j, k].T @ R[k, j] (slice k >= kept of a
+    mirrored family reads slice l - k's rows conjugated, and its C is
+    conj(C[l - k])).  ``step_map`` and ``cross`` are slices-first views of
+    U, (kept, q, ., tau).  Ragged blocks' zero padding rows get zero factor
+    columns.  Setup peaks at U, the transformed system and one slice's
+    temporaries: N^H is formed one slice at a time and U is written one
+    slice's rows at a time (tau = 1 cross products straight into U).
+    ``views``: R and Z's float view of it, whose squares, summed by one
+    gemv against ``wvec``, are the losses.
     """
 
     def __init__(self, A, B, config, x_star):
@@ -502,63 +518,60 @@ class _SetState(_FiniteSetState):
         if kept < h:  # a mirrored family: C of slice k >= kept is conj(C[l - k])
             self.C = np.concatenate([self.C, np.conj(self.C[self.l - np.arange(kept, h)])])
         CH = np.conj(np.swapaxes(self.C, -1, -2))
-        self.U = np.empty((kept, q, n + q * tau, tau), dtype=np.complex128)
-        cross = self.U[:, :, n:].reshape(kept, q, q, tau, tau)  # [k, j, i, a, c], a view
+        self.U = np.empty((q, kept * tau, n + q * tau), dtype=np.complex128)
         for k in range(kept):  # one slice at a time: no table-sized temporary
-            np.matmul(np.conj(np.swapaxes(N[k], -1, -2), order="C"), self.C[k],
-                      out=self.U[k, :, :n])
-            # cross[k, j, i, a, c] = sum_b (C^H N)[k, i, a, b] step_map[k, j, b, c]
-            jc = np.swapaxes(self.U[k, :, :n], 1, 2).reshape(q * tau, n)
+            rows = self.U[:, k * tau:(k + 1) * tau]  # (q, tau, n + q tau), a view
+            step_map, NH = np.swapaxes(rows[:, :, :n], 1, 2), np.conj(
+                np.swapaxes(N[k], -1, -2), order="C")
+            if tau == 1:  # one product an entry: written through the strided view
+                np.matmul(NH, self.C[k], out=step_map)
+            else:  # BLAS would sum a transposed write in another order
+                step_map[...] = NH @ self.C[k]
+            del NH
+            # rows[j, c, n + i tau + a] = sum_b step_map[j, b, c] (C^H N)[i, a, b]
             ia = np.moveaxis(CH[k] @ N[k], 2, 0).reshape(n, q * tau)
             if tau == 1:
-                np.matmul(jc, ia, out=self.U[k, :, n:, 0])
+                np.matmul(rows[:, 0, :n], ia, out=rows[:, 0, n:])
             else:  # through a (q tau)^2 temporary of this slice
-                cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
-            del jc, ia  # C^H N of this slice is not kept through the next
-        self.Z = np.zeros((h, n + q * tau, self.p), dtype=np.complex128)
-        self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
-        if self.per_slice_selection:  # each slice's (operand indexed by j, trans_b)
-            self.Ut = tuple((self.U[k].transpose(0, 2, 1), 0) if k < kept  # else conj(U[l - k])
-                            else (self.U[self.l - k], 2) for k in range(h))
+                rows[:, :, n:] = (rows[:, :, :n].reshape(q * tau, n) @ ia).reshape(q, tau, -1)
+            del ia  # C^H N of this slice is not kept through the next
+        per_slice, width = self.per_slice_selection, n + q * tau  # spatial: Z member-major
+        self.Z = np.zeros((h, width, self.p) if per_slice else (width, h * self.p), np.complex128)
         self.R[...] = -(CH @ self.SB)  # X_0 = 0
-        self.views = (self.R, self.R.reshape(h, -1).view(np.float64))
+        residuals = self.Z[:, n:].reshape(h, -1) if per_slice else self.Z[n:].reshape(q, -1)
+        self.views = (self.R, residuals.view(np.float64))
 
-    R = property(lambda self: self.Z[:, self.n:].reshape(self.h, self.q, -1, self.p))
-    step_map = property(lambda self: self.U[:, :, :self.n])  # (slices, q, n, tau)
-    cross = property(lambda self: self.U[:, :, self.n:])  # (slices, q, q tau, tau)
+    # U's rows as (kept, q, n + q tau, tau) slices-first blocks
+    _blocks = property(lambda self: np.moveaxis(
+        self.U.reshape(self.q, self.kept, -1, self.U.shape[-1]), 0, 1).swapaxes(2, 3))
+    step_map = property(lambda self: self._blocks[:, :, :self.n])  # (slices, q, n, tau)
+    cross = property(lambda self: self._blocks[:, :, self.n:])  # (slices, q, q tau, tau)
 
-    def _loop_buffers(self):
+    def _loop_buffers(self, wvec, shape):
+        """``loss_ops``: R's float view, the buffer ``sq`` its squares go to,
+        ``sq`` as rows of ``wvec``'s length, ``wvec`` and the losses' shape."""
         super()._loop_buffers()
         self.sq = np.empty(self.views[1].shape)
-        self.ones = np.ones(self.sq.shape[1] // self.q)
-        # spatial sets sum the energies over the slices, by w_k / l for their losses
-        self.w_loss = None if self.per_slice_selection else self.w / self.l
-        self.wsq = None if self.per_slice_selection else np.empty(self.sq.shape[1])
-
-    def _energy(self, v, w):
-        """Squared Frobenius norms of the residuals ``v`` (like ``views[1]``):
-        squares into ``sq``, then one gemv over each (slice, member) row if
-        ``w`` is None, (l, q), else a gemv over the slices weighted by ``w``
-        and one per member, (q,)."""
-        np.square(v, out=self.sq)
-        if w is None:
-            return (self.sq.reshape(-1, self.ones.size) @ self.ones).reshape(self.h, self.q)
-        np.dot(w, self.sq, out=self.wsq)
-        return self.wsq.reshape(self.q, -1) @ self.ones
+        self.loss_ops = self.views[1], self.sq, self.sq.reshape(-1, wvec.size), wvec, shape
 
     def losses(self):
         """The sketched losses: (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2 for
         spatial sets, (l, q) of ||R_i[k]||_F^2 for per-slice sets (their
-        subsystems are independent)."""
-        return self._energy(self.views[1], self.w_loss)
+        subsystems are independent): the squares of R's float view, then
+        one gemv of their rows by ``wvec``."""
+        v, sq, rows, wvec, shape = self.loss_ops
+        np.square(v, out=sq)
+        return np.dot(rows, wvec).reshape(shape)
 
     def audit(self):
         """Max Frobenius deviation between recursed and fresh residuals."""
         CH = np.conj(np.swapaxes(self.C, -1, -2))
         fresh = CH @ ((self.N @ self.Xh[:, None]) - self.SB)
-        drift = (fresh - self.R).reshape(self.h, -1).view(np.float64)
-        w = None if self.per_slice_selection else self.w  # spatial: sum_k w_k ||.||^2
-        worst = float(np.sqrt(np.max(self._energy(drift, w))))
+        drift = (fresh - self.R).reshape(self.h, self.q, -1).view(np.float64)
+        energy = np.einsum("kic,kic->ki", drift, drift)
+        if not self.per_slice_selection:  # spatial: sum_k w_k ||.||^2
+            energy = self.w @ energy
+        worst = float(np.sqrt(np.max(energy)))
         self.audit_max = max(self.audit_max, worst)
         return worst
 
@@ -567,42 +580,48 @@ class _SetState(_FiniteSetState):
         return losses if self.rule == "pr" else _capped_losses(
             losses, self.base_probs, self.config.theta)
 
-    def step(self, choice):
-        """Z[k] -= U[k, j] @ R[k, j] for each slice k and its chosen member j
-        (a per-slice -1 skips the slice, whose gathered block, member q - 1,
-        goes unused): one zgemm per slice that writes into
-        Z, as Z[k].T -= R[k, j].T @ U[k, j].T on F-contiguous views (numpy's
-        matmul runs tau = 1 unblocked, through a Z-sized temporary).  The
-        chosen R blocks, rows of Z, are copied first: BLAS makes no promise
-        for an input that overlaps its output.
-
-        The step's loss leaves the ledger (see :func:`solve`) unless its row is
-        logged, which takes a fresh error anyway: a spatial set's is l times
-        the chosen member's loss, which ``select`` kept, and a per-slice
-        set's the squared norm of the gathered blocks (a solved slice's
-        block is zero)."""
-        track = self.ledger is not None and (self.t + 1) % self.config.record_every
-        if self.per_slice_selection:
-            choice = np.asarray(choice)
-            R = self.views[0][self.slices, choice]  # a gathered copy
-            if track:
-                self.ledger -= np.vdot(R, R).real
-            for z, r, (U, trans), j in zip(self.Zt, R.transpose(0, 2, 1), self.Ut, choice.tolist()):
-                if j >= 0:  # -1: the slice is solved
-                    zgemm(-1.0, r, U[j], 1.0, z, 0, trans, 1)
-        else:
-            if track:
-                self.ledger -= self.l * self.loss
-            R = self.views[0][:, choice].copy().transpose(0, 2, 1)
-            for z, r, u in zip(self.Zt, R, self.U[:, choice].transpose(0, 2, 1)):
-                zgemm(-1.0, r, u, 1.0, z, 0, 0, 1)  # trans_a = trans_b = 0, overwrite_c
-        self.t += 1
-
 
 class _SpatialSetState(_SetState):
-    """Spatial sets: one family shared by all slices, one member for all."""
+    """Spatial sets: one family shared by all slices, one member for all.
+
+    Z is member-major too, (n + q tau, h p): row i holds row i of every
+    slice's block side by side, so member j's tau residual rows are one
+    contiguous (tau, h p) block and the losses one square and one gemv.  A
+    step is one zgemm on every slice: Z -= U[j].T @ blockdiag(R[k, j]), the
+    block-diagonal operand ``Rbd`` being filled through its diagonal view.
+    ``Xh`` and ``R`` are slices-first views of Z.
+    """
 
     per_slice_selection = False
+    Xh = property(lambda self: self.Z[:self.n].reshape(self.n, self.h, self.p).swapaxes(0, 1))
+    R = property(lambda self: np.moveaxis(
+        self.Z[self.n:].reshape(self.q, -1, self.h, self.p), 2, 0))  # (slices, q, tau, p)
+
+    def _loop_buffers(self):
+        h, p, tau = self.h, self.p, self.N.shape[2]
+        # the losses' weights: w_k / l over each of the tau rows' slices k
+        super()._loop_buffers(np.tile(np.repeat(self.w / self.l, 2 * p), tau), (self.q,))
+        Rbd = np.zeros((h * p, h * tau), dtype=np.complex128, order="F")
+        item = Rbd.itemsize  # R[k, j, a, c] goes to Rbd[k p + c, k tau + a]
+        diagonal = np.lib.stride_tricks.as_strided(
+            Rbd, (h, tau, p), ((p + tau * h * p) * item, h * p * item, item))
+        # step's operands: U[j].T and Z.T are F-contiguous
+        self.step_ops = Rbd, diagonal, self.views[0], self.U.swapaxes(1, 2), self.Z.T
+
+    def step(self, choice):
+        """Z.T -= blockdiag(R[k, j].T) @ U[j] by one zgemm on F-contiguous views
+        (Z.T and U[j].T are; numpy's matmul would run tau = 1 unblocked,
+        through a Z-sized temporary), after member j's residual rows, rows
+        of Z, are copied into the diagonal blocks of ``Rbd``: BLAS makes no
+        promise for an input that overlaps its output.  While :func:`solve`
+        keeps its ledger, the step's drop l times the chosen member's loss,
+        which ``select`` kept, leaves it."""
+        if self.ledger is not None:
+            self.ledger -= self.l * self.loss
+        Rbd, diagonal, R, UT, ZT = self.step_ops
+        np.copyto(diagonal, R[:, choice])
+        zgemm(-1.0, Rbd, UT[choice], 1.0, ZT, 0, 1, 1)  # trans_b, overwrite_c
+        self.t += 1
 
     def select(self, losses):
         """Member index, or None when no loss is positive."""
@@ -626,10 +645,41 @@ class _SpatialSetState(_SetState):
 
 
 class _PerSliceSetState(_SetState):
-    """Per-slice sets: each Fourier slice owns its family, losses and choice."""
+    """Per-slice sets: each Fourier slice owns its family, losses and choice.
+    Z stays slices first, (h, n + q tau, p), and a step is one zgemm per
+    stepped slice that reads its member's rows of U by the transpose flag
+    (or, for slice k >= kept of a mirrored family, the conjugate-transpose
+    flag on slice l - k's rows)."""
 
     half_spectrum = False
     per_slice_selection = True
+    R = property(lambda self: self.Z[:, self.n:].reshape(self.h, self.q, -1, self.p))
+
+    def _loop_buffers(self):
+        super()._loop_buffers(np.ones(self.views[1].shape[1] // self.q), (self.h, self.q))
+        self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
+        blocks = self.U.reshape(self.q, self.kept, -1, self.U.shape[-1])
+        # each slice's (operand indexed by j, (n + q tau, tau) F-contiguous, trans_b)
+        self.Ut = tuple((blocks[:, k].swapaxes(1, 2), 1) if k < self.kept
+                        else (blocks[:, self.l - k].swapaxes(1, 2), 2) for k in range(self.h))
+
+    def step(self, choice):
+        """Z[k] -= U[j, k].T @ R[k, j] for each slice k and its chosen member j
+        (a -1 skips the slice, whose gathered block, member q - 1, goes
+        unused): one zgemm per slice that writes into Z, as
+        Z[k].T -= R[k, j].T @ U[j, k].  The chosen R blocks, rows of Z, are
+        copied first: BLAS makes no promise for an input that overlaps its
+        output.  While :func:`solve` keeps its ledger, the step's drop, the
+        squared norm of the gathered blocks (a solved slice's block is
+        zero), leaves it."""
+        choice = np.asarray(choice)
+        R = self.views[0][self.slices, choice]  # a gathered copy
+        if self.ledger is not None:
+            self.ledger -= np.vdot(R, R).real
+        for z, r, (U, trans), j in zip(self.Zt, R.transpose(0, 2, 1), self.Ut, choice.tolist()):
+            if j >= 0:  # -1: the slice is solved
+                zgemm(-1.0, r, U[j], 1.0, z, 0, trans, 1)
+        self.t += 1
 
     def select(self, losses):
         """Per-slice index choices (-1: slice solved), or None if all are."""
@@ -790,9 +840,9 @@ class _DirectState(_FiniteSetState):
         else:
             sweep = self._sweep(self._projections(np.atleast_1d(idx)[None]), 0, 1)
             (N, r, u), cut, ledger = sweep, 1, None
-        if ledger is None:  # one draw on every slice; a logged row takes a fresh error
+        if ledger is None:  # one draw on every slice
             self.Z -= np.conj(N).swapaxes(-1, -2) @ u
-            if self.ledger is not None and (self.t + 1) % self.config.record_every:
+            if self.ledger is not None:
                 self.ledger -= self._drop(r, u)
         else:
             rows = cut * u.shape[2]
@@ -953,11 +1003,14 @@ def solve(A, B, config, x_star=None):
     otherwise.  Iteration timing excludes all precomputation.  Rows are packed
     into one typed buffer; their loss statistics are reduced a block at a time.
 
-    With ``x_star`` and ``record_every > 1`` the loop reads the error from
-    the ledger of step losses (see the module docstring) between fresh
-    values, each of which re-anchors it; a fresh value off the ledger by
-    more than rounding means x_star is not a solution, and every later
-    error is fresh.
+    With ``x_star`` the loop reads the error from the ledger of step losses
+    (see the module docstring) between fresh values, each of which
+    re-anchors it; a fresh value off the ledger by more than rounding means
+    x_star is not a solution, and every later error is fresh.  Under the
+    identity weight logged rows read the ledger too, so a record-every-step
+    run takes a fresh error only where one decides something; a weighted
+    run keeps the ledger only for ``record_every > 1`` and logs fresh rows.
+    Draws, stops and X do not depend on which rows read the ledger.
     """
     start = time.perf_counter()
     state = make_state(A, B, config, x_star)
@@ -997,11 +1050,12 @@ def solve(A, B, config, x_star=None):
     losses_of, select, step, errors, q_error = (state.losses, state.select, state.step,
                                                 state._errors, state.q_error)
     lo = hi = None
-    if state.x_star is not None and record_every > 1:
+    if state.x_star is not None and (record_every > 1 or state.Qis is None):
         floor, hi, slack = _ledger_scales(state, tol, limit)
         state.ledger = anchor = state.l * q
-        state.ledger_bounds = lo, hi = max(floor, anchor / 100), hi
-    converged, stop = eps < tol, ""
+        lo = _ledger_floor(floor, anchor, slack)
+        state.ledger_bounds = lo, hi
+    converged, stop, fresh_row = eps < tol, "", True
     start = time.perf_counter()
 
     while not converged and not stop and state.t < config.max_iters:
@@ -1015,29 +1069,40 @@ def solve(A, B, config, x_star=None):
         if audit_every and not t % audit_every:
             state.audit()
         D = state.ledger
-        if D is not None and lo <= D <= hi and t % record_every and t % _UNIFORM_BLOCK and t > 1:
-            continue  # the ledger's error decides nothing here
+        if D is not None and lo <= D <= hi and t % _UNIFORM_BLOCK and t > 1:
+            if t % record_every:
+                continue  # the ledger's error decides nothing here
+            if state.Qis is None and lo > 0.0 and t < config.max_iters:  # the last row is fresh
+                # the row reads the ledger: D = ||X - X*||^2 over all l slices
+                log_row(np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l,
+                        time.perf_counter() - start, chosen, losses)
+                fresh_row = False
+                continue
 
         eps, diff_norm = errors()
         logged = t % record_every == 0 or eps < tol or not eps <= limit  # also NaN
         q = q_error(diff_norm) if logged or D is not None else np.nan
         if D is not None:  # off by more than rounding: x_star is not a solution
-            rounding = 1e-8 * (anchor + np.sqrt(anchor * slack))
-            if t % record_every and abs(state.l * q - D) > rounding:
+            if abs(state.l * q - D) > 1e-8 * (anchor + np.sqrt(anchor * slack)):
                 state.ledger = None
             else:
                 state.ledger = anchor = state.l * q
-                state.ledger_bounds = lo, hi = max(floor, anchor / 100), hi
+                lo = _ledger_floor(floor, anchor, slack)
+                state.ledger_bounds = lo, hi
         if not eps <= limit:
             stop = "diverged"
         if logged:
             log_row(eps, q, time.perf_counter() - start, chosen, losses)
+            fresh_row = True
         converged = eps < tol
 
     flush()
     if rows[-len(_ROW_FIELDS)] != state.t:
         eps, diff_norm = errors()
         log_row(eps, q_error(diff_norm), time.perf_counter() - start)
+    elif not fresh_row:  # a zero-loss stop just after a row that read the ledger
+        eps, diff_norm = errors()
+        rows[1 - len(_ROW_FIELDS)], rows[2 - len(_ROW_FIELDS)] = eps, q_error(diff_norm)
     columns = np.frombuffer(rows).reshape(-1, len(_ROW_FIELDS))
     for name, column in zip(_ROW_FIELDS, [columns[:, 0].astype(int), *columns[:, 1:].T.copy()]):
         setattr(record, name, column)  # t as ints, the others rows of one contiguous copy
@@ -1048,6 +1113,15 @@ def solve(A, B, config, x_star=None):
         raise DivergenceError(f"{state.method} diverged at iteration {state.t}: error "
                               f"{eps:.3e} vs initial {eps0:.3e}", record)
     return state.x(), record
+
+
+def _ledger_floor(floor, anchor, slack):
+    """The least D the ledger keeps, ``floor`` or a decade under its anchor,
+    whichever is larger; -inf once both are below rounding, 1e-30 of
+    ``slack``, where the step losses are rounding too: the ledger then
+    gives no row and fires no decade trigger."""
+    lo = max(floor, anchor / 100)
+    return lo if lo >= 1e-30 * slack else -np.inf
 
 
 def _ledger_scales(state, tol, limit):

@@ -98,7 +98,7 @@ def test_gaussian_sets_keep_full_tables_unless_mirrored(monkeypatch, l):
             cfg = SolverConfig(method=method, sketches=f, seed=l, tol=1e-6, max_iters=400,
                                record_every=1)
             st = make_state(A, B, cfg, x_star=Xs)
-            kept = len(st.U) if method.startswith("ATSP") else len(st.tables[0])
+            kept = st.kept if method.startswith("ATSP") else len(st.tables[0])
             assert kept == (h if mirrored else l), method  # TSP-I: the full spectrum, once
             (X, rec), (X0, rec0) = _runs(monkeypatch, A, B, Xs, cfg)
             assert rec.iterations == rec0.iterations and rec.chosen == rec0.chosen, method
@@ -198,7 +198,9 @@ def test_steps_conjugate_nothing(monkeypatch, method, blocks):
         widths.append(st.t - t)
         if method.startswith("ATSP"):
             assert len(calls) == np.count_nonzero(np.asarray(choice) >= 0)
-            assert sorted(set(calls)) <= [(0,), (2,)] and not sizes
+            # U is member-major: a kept slice reads its rows by the transpose
+            # flag, a mirrored one by the conjugate-transpose flag
+            assert sorted(set(calls)) <= [(1,), (2,)] and not sizes
         elif blocks and st.t - t > 1:
             assert calls == [(2,)] * st.h and not sizes
         else:

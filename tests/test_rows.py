@@ -80,7 +80,9 @@ def test_rows_equal_the_reference_loop(method, kind, weighted, record_every, mon
     # that last run is made, so that the test stays short.  Between logged
     # rows the fixed rules project blocks of draws by one triangular solve,
     # whose rounding is not the sequential steps': their errors and X are
-    # compared to 1e-13 of row 0's, every draw, t and stop exactly
+    # compared to 1e-13 of row 0's, every draw, t and stop exactly.  Under
+    # the identity weight a logged row between fresh errors reads its error
+    # from the ledger of step losses, so those errors are compared the same way
     A, Xs, B = system()
     weight = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(4), N, L))
               if weighted else None)
@@ -102,7 +104,7 @@ def test_rows_equal_the_reference_loop(method, kind, weighted, record_every, mon
     for max_iters in runs:
         X, rec = solve(A, B, dataclasses.replace(cfg, max_iters=max_iters), Xs)
         want = rows if max_iters == runs[-1] else rows[:1 + max_iters // record_every]
-        assert_rows_equal(rec, want, (method, kind, max_iters), close=blocks)
+        assert_rows_equal(rec, want, (method, kind, max_iters), close=blocks or not weighted)
     assert rec.stop_reason == stop
     assert np.isnan(rec.loss_max[-1]) == (record_every > 1 or losses is None)
     if blocks:
@@ -177,7 +179,9 @@ def test_zero_loss_stop_keeps_every_row(method, record_every):
     X, record = solve(A, tprod(A, Xs), cfg, x_star=Xs)
     X_ref, rows, stop = reference_solve(A, tprod(A, Xs), cfg, Xs)
     assert stop == record.stop_reason == "zero_loss" and record.iterations >= m
-    assert_rows_equal(record, rows, method)
+    # rows between fresh errors read the ledger of step losses; the last is fresh
+    assert_rows_equal(record, rows, method, close=True)
+    assert record.epsilon[-1] == rows[-1][1] and record.q_error[-1] == rows[-1][2]
     np.testing.assert_array_equal(X, X_ref)
 
 
@@ -205,16 +209,17 @@ def test_row_memory_is_bounded_per_row():
     assert per_row <= 150, per_row
 
 
-@pytest.mark.parametrize("record_every", [10, 1000])
+@pytest.mark.parametrize("record_every", [1, 10, 1000])
 @pytest.mark.parametrize("weighted", [False, True], ids=["no-weight", "weight"])
 @pytest.mark.parametrize("method,kind", CASES, ids=[f"{m}-{k}" for m, k in CASES])
 def test_ledger_stops_on_the_reference_iteration(method, kind, weighted, record_every):
     # off the record cadence the loop reads its error from the ledger of
     # step losses (under a weight, bracketed by Q^{-1/2}'s singular values),
-    # and the fixed rules project blocks of draws; a fresh error still
-    # decides each stop.  Against one sequential run that takes a fresh
-    # error every iteration: the stop iteration, reason and every draw for
-    # tol 1e-6, 1e-10 and 1e-12, and each logged error to 1e-13 of row 0's
+    # and so do logged rows under the identity weight; the fixed rules
+    # project blocks of draws; a fresh error still decides each stop.
+    # Against one sequential run that takes a fresh error every iteration:
+    # the stop iteration, reason and every draw for tol 1e-6, 1e-10 and
+    # 1e-12, and each logged error to 1e-13 of row 0's
     A, Xs, B = system()
     weight = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(4), N, L))
               if weighted else None)
@@ -231,3 +236,45 @@ def test_ledger_stops_on_the_reference_iteration(method, kind, weighted, record_
         np.testing.assert_array_equal(rec.t, logged)
         assert rec.chosen[1:] == [rows[t][-1] for t in logged[1:]]
         assert np.all(np.abs(rec.epsilon - eps[logged]) <= 1e-13 * eps[0])
+
+
+def count_fresh_errors(monkeypatch):
+    """A list that grows by one on every fresh error a state takes."""
+    calls, errors = [], solvers._BaseState._errors
+    monkeypatch.setattr(solvers._BaseState, "_errors", lambda st: calls.append(st.t) or errors(st))
+    return calls
+
+
+def test_every_step_rows_read_the_ledger(monkeypatch):
+    # a record-every-step ATSP-MD run at 50x20x5 takes a fresh error only
+    # where one decides something: after the first step, every 64
+    # iterations, where the ledger leaves its bounds and for the last row
+    rng = np.random.default_rng(11)
+    A, Xs = rand_tubal(rng, 50, 20, 5), rand_tubal(rng, 20, 5, 5)
+    B = tprod(A, Xs)
+    cfg = SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(50, 5), seed=12,
+                       tol=1e-10, record_every=1)
+    X_ref, rows, stop = reference_solve(A, B, cfg, Xs)
+    fresh = count_fresh_errors(monkeypatch)
+    X, rec = solve(A, B, cfg, x_star=Xs)
+    assert rec.stop_reason == stop == "tol" and rec.iterations > 1000
+    assert len(fresh) <= rec.iterations // 64 + 20, len(fresh)
+    assert_rows_equal(rec, rows, "ATSP-MD", close=True)
+    np.testing.assert_array_equal(X, X_ref)
+
+
+def test_ledger_stops_at_the_rounding_floor(monkeypatch):
+    # with tol = 0 the error reaches rounding level, where the step losses
+    # are rounding too: past 1e-30 l ||X*||^2 the ledger drops its decade
+    # trigger and gives no row, so logged rows are fresh and the rest are not
+    rng = np.random.default_rng(13)
+    A, Xs = rand_tubal(rng, 50, 20, 5), rand_tubal(rng, 20, 5, 5)
+    B = tprod(A, Xs)
+    cfg = SolverConfig(method="TSP", tau=10, seed=14, tol=0.0, max_iters=3000, record_every=10)
+    X_ref, rows, stop = reference_solve(A, B, cfg, Xs)
+    fresh = count_fresh_errors(monkeypatch)
+    X, rec = solve(A, B, cfg, x_star=Xs)
+    assert rec.stop_reason == stop == "max_iters" and rows[-1][1] < 1e-14
+    assert len(fresh) <= 400, len(fresh)
+    assert_rows_equal(rec, rows, "TSP", close=True)
+    np.testing.assert_array_equal(X, X_ref)

@@ -306,8 +306,9 @@ class TestProjectionStep:
 
 
 class TestSpatialBlockStep:
-    """The set step Z[k] -= U[k, j] @ R[k, j] runs as one zgemm per kept
-    slice that writes into Z itself, for spatial and per-slice sets."""
+    """The set step Z[k] -= U[j, k].T @ R[k, j] writes into Z itself: one
+    zgemm on every slice for spatial sets, one per stepped slice for
+    per-slice sets."""
 
     @staticmethod
     def _state(kind, weighted, l, seed=95):
@@ -341,14 +342,18 @@ class TestSpatialBlockStep:
             picks = np.broadcast_to(choice, st.h)  # a spatial choice holds for every slice
             kept = np.flatnonzero(picks >= 0)
             js = picks[kept]
-            Z, Z0, R0 = st.Z, st.Z.copy(), st.R.copy()
-            want = Z0.copy()
+            Z, R0 = st.Z, st.R.copy()
+            # the iterate over the residuals, slices first, read through the views
+            stacked = lambda: np.concatenate([st.Xh, st.R.reshape(st.h, -1, st.p)], axis=1)
+            Z0 = stacked()
+            want, raw = Z0.copy(), Z.copy()
             # a fourier-row U holds slices 0..l//2; slice l - k steps by conj(U[k])
-            want[kept] -= unmirror(st.U, st.h, l)[kept, js] @ R0[kept, js]
+            blocks = np.concatenate([st.step_map, st.cross], axis=2)  # (kept, q, n + q tau, tau)
+            want[kept] -= unmirror(blocks, st.h, l)[kept, js] @ R0[kept, js]
             st.step(choice)
             # a copy of a non-F-contiguous output would leave Z unchanged
-            assert st.Z is Z and not np.array_equal(Z, Z0)
-            assert np.linalg.norm(Z - want) <= 1e-13 * np.linalg.norm(want)
+            assert st.Z is Z and not np.array_equal(Z, raw)
+            assert np.linalg.norm(stacked() - want) <= 1e-13 * np.linalg.norm(want)
             # the chosen blocks are annihilated as far as their Grams allow; a
             # per-slice Gaussian member leaves ~1e-13 in the oracle's step too
             slack = (np.linalg.norm(want[:, st.n:].reshape(R0.shape)[kept, js])
@@ -356,7 +361,38 @@ class TestSpatialBlockStep:
             assert np.linalg.norm(st.R[kept, js]) <= 1e-13 * np.linalg.norm(R0[kept, js]) + slack
             skipped = np.flatnonzero(picks < 0)
             assert len(skipped) == (st.per_slice_selection and t == 2)
-            assert np.array_equal(Z[skipped], Z0[skipped])
+            assert np.array_equal(stacked()[skipped], Z0[skipped])
+
+    @pytest.mark.parametrize("l", [4, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["slice", "ragged-block", "gaussian-tau2"])
+    def test_spatial_step_matches_dense_member_tables(self, kind, weighted, l):
+        # the one zgemm on every slice against step maps and cross products
+        # multiplied out from dense members: on each kept slice k,
+        # Y_k -= step_map[k, j] R[k, j] and R[k] -= cross[k, j] R[k, j]
+        rng = np.random.default_rng(97)
+        A, Xs, B = small_problem(96, m=12, n=5, p=3, l=l)
+        s = {
+            "slice": lambda: make_slice_sketches(12, l),
+            "ragged-block": lambda: make_block_sketches(
+                12, l, [[0, 1, 2], [3], [4, 5, 6], [7, 8], [9, 10, 11]]),
+            "gaussian-tau2": lambda: make_gaussian_sketches(12, 2, 6, l, rng),
+        }[kind]()
+        Q = WeightQ.from_tensor(spd_weight_tensor(rng, 5, l)) if weighted else None
+        st = make_state(A, B, SolverConfig(method="ATSP-MD", sketches=s, weight=Q, seed=98),
+                        x_star=Xs)
+        # a ragged block's members, padded with zero columns, as dense mats
+        padded = s if s.rows is None else sketching.SketchSet(
+            "gaussian", 12, l, s.q, mats=np.moveaxis(np.eye(13)[:12, s.rows], 0, 1))
+        dense, h = dense_set_tables(A, B, padded, Q), st.h
+        for _ in range(4):
+            j = st.select(st.losses())
+            Y0, R0 = st.Xh.copy(), st.R.copy()
+            want_Y = Y0 - dense["step_map"][:h, j] @ R0[:, j]
+            want_R = R0.reshape(h, -1, st.p) - dense["cross"][:h, j] @ R0[:, j]
+            st.step(j)
+            for got, want in ((st.Xh, want_Y), (st.R.reshape(h, -1, st.p), want_R)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (kind, j)
 
     def test_step_allocates_no_block_sized_temporary(self):
         A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=96))
@@ -994,6 +1030,24 @@ class TestSpatialLosses:
             assert peak <= losses.nbytes + 1024, method
 
 
+    def test_spatial_losses_read_contiguous_residual_rows(self):
+        # member i's residual rows are one contiguous block of the member-major
+        # Z, so squaring them copies nothing into numpy's ufunc buffer at its
+        # default size (slices-first rows, shorter than that buffer, cost
+        # about 58 KB a call here)
+        A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=88))
+        st = make_state(A, B, SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8)),
+                        x_star=Xs)
+        st.losses()
+        tracemalloc.start()
+        try:
+            losses = st.losses()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= losses.nbytes + 1024
+
+
 class TestErrorBuffer:
     @pytest.mark.parametrize("method", ["ATSP-MD", "ATSP-MD-II"])
     def test_errors_allocate_no_array(self, method):
@@ -1024,8 +1078,10 @@ class TestSetLayout:
              if method.endswith("-II") else make_block_sketches(10, 4, [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9]]))
         st = make_state(A, B, SolverConfig(method=method, sketches=s, seed=86), x_star=Xs)
         h, n, p, q, tau = st.h, 5, 3, s.q, max(s.taus)
-        assert st.Z.shape == (h, n + q * tau, p) and st.Z.flags.c_contiguous
-        assert st.U.shape == (h, q, n + q * tau, tau) and st.U.flags.c_contiguous
+        # U is member-major for both set kinds, Z for spatial sets only
+        z = (h, n + q * tau, p) if st.per_slice_selection else (n + q * tau, h * p)
+        assert st.Z.shape == z and st.Z.flags.c_contiguous
+        assert st.U.shape == (q, h * tau, n + q * tau) and st.U.flags.c_contiguous
         assert st.Xh.shape == (h, n, p) and st.R.shape == (h, q, tau, p)
         assert st.step_map.shape == (h, q, n, tau) and st.cross.shape == (h, q, q * tau, tau)
         for view, block in ((st.Xh, st.Z), (st.R, st.Z), (st.step_map, st.U), (st.cross, st.U)):
