@@ -57,8 +57,10 @@ value, or may pass the divergence limit, and for the last row.  Between
 fresh values a logged row reads its error from the ledger under the
 identity weight; under a weight, whose error needs Q^{-1/2}, it takes a
 fresh one.  Once the ledger's error is at rounding level (D under 1e-30
-l ||X*||^2, where the step losses are rounding too) the decade test stops
-and logged rows are fresh.  Because the fixed rules'
+l ||X*||^2, where the step losses are rounding too) it gives no row: with
+tol = 0 the decade test stops and logged rows are fresh; with tol > 0 the
+ledger, which cannot tell a crossing of tol from noise there, is dropped
+and every later error is fresh.  Because the fixed rules'
 draws do not depend on the iterate, a run of their projections is a
 forward Gauss-Seidel sweep on the drawn rows' Gram: while the ledger is
 kept, their states project up to 32 rows of draws by one unit-triangular
@@ -1072,7 +1074,7 @@ def solve(A, B, config, x_star=None):
         if D is not None and lo <= D <= hi and t % _UNIFORM_BLOCK and t > 1:
             if t % record_every:
                 continue  # the ledger's error decides nothing here
-            if state.Qis is None and lo > 0.0 and t < config.max_iters:  # the last row is fresh
+            if state.Qis is None and lo >= 1e-30 * slack and t < config.max_iters:  # last: fresh
                 # the row reads the ledger: D = ||X - X*||^2 over all l slices
                 log_row(np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l,
                         time.perf_counter() - start, chosen, losses)
@@ -1082,12 +1084,13 @@ def solve(A, B, config, x_star=None):
         eps, diff_norm = errors()
         logged = t % record_every == 0 or eps < tol or not eps <= limit  # also NaN
         q = q_error(diff_norm) if logged or D is not None else np.nan
-        if D is not None:  # off by more than rounding: x_star is not a solution
-            if abs(state.l * q - D) > 1e-8 * (anchor + np.sqrt(anchor * slack)):
+        if D is not None:  # dropped when off by more than rounding (x_star is
+            # not a solution) and, under tol > 0, at rounding level (lo is None)
+            lo = _ledger_floor(floor, state.l * q, slack)
+            if lo is None or abs(state.l * q - D) > 1e-8 * (anchor + np.sqrt(anchor * slack)):
                 state.ledger = None
             else:
                 state.ledger = anchor = state.l * q
-                lo = _ledger_floor(floor, anchor, slack)
                 state.ledger_bounds = lo, hi
         if not eps <= limit:
             stop = "diverged"
@@ -1116,12 +1119,13 @@ def solve(A, B, config, x_star=None):
 
 
 def _ledger_floor(floor, anchor, slack):
-    """The least D the ledger keeps, ``floor`` or a decade under its anchor,
-    whichever is larger; -inf once both are below rounding, 1e-30 of
-    ``slack``, where the step losses are rounding too: the ledger then
-    gives no row and fires no decade trigger."""
+    """The least D the ledger keeps, ``floor`` or a decade of error under its
+    anchor (anchor / 100), whichever is larger.  Once that is below
+    rounding, 1e-30 of ``slack``, where the step losses are rounding too:
+    -inf for tol = 0 (no decade trigger and no row), else None, on which
+    the ledger is dropped, since its D can no longer place tol's floor."""
     lo = max(floor, anchor / 100)
-    return lo if lo >= 1e-30 * slack else -np.inf
+    return lo if lo >= 1e-30 * slack else None if floor else -np.inf
 
 
 def _ledger_scales(state, tol, limit):

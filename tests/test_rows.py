@@ -238,6 +238,28 @@ def test_ledger_stops_on_the_reference_iteration(method, kind, weighted, record_
         assert np.all(np.abs(rec.epsilon - eps[logged]) <= 1e-13 * eps[0])
 
 
+ROUNDING_CASES = [("TSP", None, False), ("TSP", None, True), ("ATSP-MD", "slice", False),
+                  ("ATSP-MD-II", "fourier-row", False), ("ATSP-CS-II", "fourier-row", False)]
+
+
+@pytest.mark.parametrize("method,kind,weighted", ROUNDING_CASES, ids=[
+    f"{m}-{k}-{'weight' if w else 'no-weight'}" for m, k, w in ROUNDING_CASES])
+def test_ledger_keeps_the_tol_floor_at_rounding_level(method, kind, weighted):
+    # under an error of about 1e-15 the ledger's D is at rounding level and
+    # cannot place 1.1 tol: with tol > 0 it is dropped and every later error
+    # is fresh, so a run of sequential steps off the record cadence still
+    # stops where one that takes a fresh error every iteration does
+    A, Xs, B = system()
+    weight = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(4), N, L))
+              if weighted else None)
+    cfg = SolverConfig(method=method, sketches=kind and SETS[kind](), weight=weight, tau=2, seed=9,
+                       tol=5e-16, max_iters=2000, record_every=10, check_sampling=False)
+    X_ref, rows, stop = reference_solve(A, B, cfg, Xs)
+    X, rec = solve(A, B, cfg, Xs)
+    assert stop == rec.stop_reason == "tol" and rec.iterations == rows[-1][0]
+    np.testing.assert_array_equal(X, X_ref)
+
+
 def count_fresh_errors(monkeypatch):
     """A list that grows by one on every fresh error a state takes."""
     calls, errors = [], solvers._BaseState._errors
