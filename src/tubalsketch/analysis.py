@@ -110,26 +110,28 @@ def _slice_factors(A, Q, sketches):
     Returns AQ = A_k Q_k^{-1/2}, (h, m, n), NQ = S_i^H AQ and K = C^H NQ,
     both (h, q, tau, n), where C C^H = pinv(NQ NQ^H), so that slice k of
     member i's projector is K[k, i]^H K[k, i], and the multiplicities w of
-    the h slices.  Spatial sets keep slices 0..l//2, whose mirrors hold the
-    same spectra; per-slice sets keep all l.  For spatial sets the pinv
-    cutoff is relative to the member's largest slice, as in ``tpinv`` and
-    the solvers, so a slice that vanishes up to rounding gets a zero
+    the h slices.  Every set keeps slices 0..l//2, whose mirrors hold the
+    same spectra (a per-slice family is mirrored).  For spatial sets the
+    pinv cutoff is relative to the member's largest slice, as in ``tpinv``
+    and the solvers, so a slice that vanishes up to rounding gets a zero
     projector; per-slice sets cut each slice on its own scale.
     :func:`compute_rate_report` builds them once for the bodies below.
     """
     A = np.asarray(A, dtype=np.float64)
-    AQ, w = _fourier_slices(A, not sketches.per_slice, _as_weight(Q, A.shape[1], A.shape[2]))
+    AQ, w = _fourier_slices(A, _as_weight(Q, A.shape[1], A.shape[2]))
     NQ = sketches.sketch(AQ)
     C = batched_inv_factor(NQ @ np.conj(np.swapaxes(NQ, -1, -2)),
                            slice_axis=None if sketches.per_slice else 0)
     return AQ, NQ, np.conj(np.swapaxes(C, -1, -2)) @ NQ, w
 
 
-def _expected_slice_lambdas(K, p):
-    """lambda_min of E_k = K_k^H diag(p_k) K_k for every slice k, where p is
-    one simplex point or one per slice, shape (l, q)."""
-    l, q, _, n = K.shape
-    Kp = (K * np.sqrt(sketching.as_prob_rows(p, l, q))[..., None, None]).reshape(l, -1, n)
+def _expected_slice_lambdas(factors, p):
+    """lambda_min of E_k = K_k^H diag(p_k) K_k for every kept slice k, where p
+    is one simplex point or one per Fourier slice, shape (l, q)."""
+    K, w = factors[2:]
+    h, q, _, n = K.shape
+    p = sketching.as_prob_rows(p, int(w.sum()), q)[:h]
+    Kp = (K * np.sqrt(p)[..., None, None]).reshape(h, -1, n)
     return np.linalg.eigvalsh(np.conj(np.swapaxes(Kp, -1, -2)) @ Kp)[:, 0]
 
 
@@ -144,9 +146,9 @@ def per_slice_rates(A, Q, sketches, p):
 
 
 def _rates(factors, p):
-    """:func:`per_slice_rates` of the factors: slice l - k of a spatial set
-    repeats the lambda of its mirror k, which the factors hold."""
-    lams, w = _expected_slice_lambdas(factors[2], p), factors[3]
+    """:func:`per_slice_rates` of the factors: slice l - k repeats the lambda
+    of its mirror k, which the factors hold."""
+    lams, w = _expected_slice_lambdas(factors, p), factors[3]
     lams = np.concatenate([lams, lams[1:int(w.sum()) - w.size + 1][::-1]])  # none if h = l
     return lams, float(lams.min())
 
@@ -223,7 +225,7 @@ def estimate_delta_inf(A, Q, sketches, p=None, n_samples=10_000, rng=None):
     if p is None:
         p = sketching.prob_uniform(sketches.q)
     factors = _slice_factors(A, Q, sketches)
-    lower = float(_expected_slice_lambdas(factors[2], p).min())  # ahead of the draw: one peak at a time
+    lower = float(_expected_slice_lambdas(factors, p).min())  # ahead of the draw: one peak at a time
     return _max_energy_estimate(factors, n_samples, rng), lower
 
 

@@ -6,9 +6,11 @@ Two regimes exist:
   nonzero frontal slice is the first one.  Their depth transform has
   identical Fourier slices, so every Fourier subsystem gets sketched the
   same way.
-* per-slice sets: l independent families of q ordinary (m, tau) matrices,
-  one family per Fourier slice, which is what the stacked and real-part
-  solver variants consume.
+* per-slice sets: l families of q ordinary (m, tau) matrices, one family
+  per Fourier slice, which is what the stacked and -II solver variants
+  consume.  Slice l - k's family is slice k's (the family is mirrored), so
+  a real system stays real: its sketched slice l - k is the conjugate of
+  sketched slice k.
 
 All constructors are deterministic given a seeded ``numpy`` Generator.
 """
@@ -53,7 +55,8 @@ class SketchSet:
     with the sentinel m, which selects a zero row.  A fourier-row set uses
     the same rows in every Fourier slice.  Gaussian kinds store ``mats``:
     the (q, m, tau) first frontal slices of spatial members, or the
-    (l, q, m, tau) per-slice matrices.
+    (l, q, m, tau) per-slice matrices, whose slice l - k must equal slice
+    k (a ``ValueError`` naming ``mats`` otherwise).
 
     ``members`` is the dense view of either: a list of (m, tau_i, l) arrays
     for spatial kinds, or a list of l per-slice families, each a list of
@@ -86,6 +89,8 @@ class SketchSet:
                 raise ValueError(f"mats has shape {mats.shape}, not {shape + ('tau',)}")
             if not np.all(np.isfinite(mats)):
                 raise ValueError("mats contains NaN or inf")
+            if self.per_slice and not np.array_equal(mats[1:], mats[:0:-1]):
+                raise ValueError("mats of Fourier slice l - k must equal those of slice k")
             object.__setattr__(self, "mats", mats)
             return
         rows = np.asarray(self.rows)
@@ -104,11 +109,6 @@ class SketchSet:
     @property
     def per_slice(self):
         return self.kind in FOURIER_KINDS
-
-    @property
-    def mirrored(self):
-        """Whether slice l - k's family is slice k's: not so where mats[l - k] != mats[k]."""
-        return self.kind != "fourier-gaussian" or np.array_equal(self.mats[1:], self.mats[:0:-1])
 
     @property
     def taus(self):
@@ -209,11 +209,13 @@ def make_gaussian_sketches(m, tau, q, l, rng):
 
 
 def make_fourier_sketches(m, tau, q, l, kind, rng=None):
-    """l independent per-slice families of q plain (m, tau) matrices.
+    """Per-slice families of q plain (m, tau) matrices, slice l - k's
+    family being slice k's.
 
     ``kind='row'`` gives the coordinate columns e_1..e_m (tau must be 1 and
-    q must be m); ``kind='gaussian'`` gives real Gaussian matrices drawn
-    from an independent stream per slice.
+    q must be m); ``kind='gaussian'`` gives real Gaussian matrices, those of
+    slices 0..l//2 drawn from the first l//2 + 1 of ``rng.spawn(l)``'s
+    independent streams, one per slice, and mirrored into slices l//2+1..l-1.
     """
     if not 1 <= tau <= m:
         raise ValueError(f"tau={tau} is not in 1..m={m}")
@@ -224,17 +226,17 @@ def make_fourier_sketches(m, tau, q, l, kind, rng=None):
     if kind == "gaussian":
         if rng is None:
             raise ValueError("gaussian per-slice sketches need an rng")
-        mats = np.array([
-            [child.standard_normal((m, tau)) for _ in range(q)]
-            for child in rng.spawn(l)
-        ])
+        mats = np.array([[child.standard_normal((m, tau)) for _ in range(q)]
+                         for child in rng.spawn(l)[:l // 2 + 1]])
+        mats = np.concatenate([mats, mats[1:(l + 1) // 2][::-1]])
         return SketchSet("fourier-gaussian", m, l, q, mats=mats)
     raise ValueError(f"unknown per-slice sketch kind {kind!r}")
 
 
 def as_prob_rows(p, rows, q):
     """Probabilities ``p``, one (q,) simplex point for every row or (rows, q)
-    of them, checked and returned as a (rows, q) array."""
+    of them, checked and returned as a (rows, q) array.  ``rows`` > 1 are
+    Fourier slices, whose row rows - k must be row k's within 1e-12."""
     try:
         p = np.asarray(p, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -250,6 +252,10 @@ def as_prob_rows(p, rows, q):
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
     if bad.size:
         raise ValueError(f"probabilities of row {bad[0]} sum to {float(sums[bad[0]])!r}, not 1")
+    bad = np.flatnonzero(np.abs(p[1:] - p[:0:-1]).max(axis=1) > 1e-12)
+    if bad.size:
+        raise ValueError(f"probabilities of row {rows - 1 - bad[0]} are not those of row "
+                         f"{bad[0] + 1}: Fourier slice l - k draws what slice k draws")
     return p
 
 
@@ -283,10 +289,12 @@ def prob_fourier_row_norm(A, Q=None):
     """Per-slice row probabilities: p[k, i] prop. to ||Q_k^{-1/2} A_k^H e_i||^2.
 
     With Q omitted this is the squared row norm of each Fourier slice of A.
-    Returns an (l, m) array of per-slice simplex points.
+    Returns an (l, m) array of per-slice simplex points, those of slice
+    l - k copied from slice k's, whose conjugate it is.
     """
-    AQ = _fourier_slices(A, False, Q)[0]
-    return _normalize(np.sum(np.abs(AQ) ** 2, axis=2), "fourier-row")
+    AQ = _fourier_slices(A, Q)[0]
+    p = _normalize(np.sum(np.abs(AQ) ** 2, axis=2), "fourier-row")
+    return np.concatenate([p, p[1:np.shape(A)[2] - len(p) + 1][::-1]])
 
 
 def resolve_probabilities(spec, A, Q, sketches):
@@ -336,18 +344,14 @@ def is_complete_discrete_sampling(A, sketches, sketched=None):
     n eps).  The Gram's rounding is below margin/100 * lambda_max, so a pass
     means sigma_min/sigma_max of about 10 cut or more, which the SVD, run
     only on the undecided slices, passes too.  Members need full row rank at
-    the tolerance 1e-10 * max(tau, n) * sqrt(lambda_max).  Spatial sets are
-    checked on slices 0..l//2 (slice l-k of a real A is the conjugate of
-    slice k), and so are mirrored per-slice sets, whose sketched slice l-k
-    is then the conjugate of sketched slice k.  The rate certificates
-    assume this property; the solvers only warn when it fails, as the
-    pseudoinverse still defines a valid iteration.  ``sketched``: those
-    slices sketched (all l for per-slice sets), if held.
+    the tolerance 1e-10 * max(tau, n) * sqrt(lambda_max).  Every set is
+    checked on slices 0..l//2: slice l-k of a real A is the conjugate of
+    slice k, and so is its sketched slice, a per-slice family being
+    mirrored.  The rate certificates assume this property; the solvers only
+    warn when it fails, as the pseudoinverse still defines a valid
+    iteration.  ``sketched``: those slices sketched, if held.
     """
-    SA = sketched if sketched is not None else sketches.sketch(
-        _fourier_slices(A, not sketches.per_slice)[0])
-    if sketches.per_slice and sketches.mirrored:
-        SA = SA[:sketches.l // 2 + 1]
+    SA = sketched if sketched is not None else sketches.sketch(_fourier_slices(A)[0])
     l, q, tau, n = SA.shape
     if q * tau < n:  # the stacked family cannot reach every column
         return False

@@ -14,8 +14,8 @@ ATSP-CS         finite spatial set, loss-capped sampling with parameter theta
 TSP-I           per-slice sketches, real Re/Im-stacked sketched system
                 (direct projection of slices 0..l//2 on each slice's drawn
                 member and the conjugated one of its mirror slice)
-TSP-II          per-slice sketches, fixed probabilities, real part taken at
-                the end (direct projection on each slice's drawn member)
+TSP-II          per-slice sketches, fixed probabilities (direct projection
+                on each slice's drawn member)
 NTSP-II         TSP-II under the paper's other name: the same state
 ATSP-MD-II      per-slice max-loss selection, cached residuals
 ATSP-PR-II      per-slice proportional selection, cached residuals
@@ -29,21 +29,23 @@ three calls, and :func:`solve` runs one loop body over them:
 * ``losses()``: the current sketched losses, or None for TSP and TSP-I;
   the fixed rules NTSP, TSP-II and NTSP-II form them from the iterate;
 * ``select(losses)``: the iteration's choice: a fresh Gaussian sketch
-  (TSP), one member index (spatial sets) or one member index per Fourier
-  slice (per-slice sets, -1 for an already-solved slice), or None when no
-  sketched loss is positive, on which :func:`solve` stops ("zero_loss");
+  (TSP), one member index (spatial sets) or one member index per kept
+  Fourier slice (per-slice sets, -1 for an already-solved slice; per
+  Fourier slice for TSP-I), or None when no sketched loss is positive, on
+  which :func:`solve` stops ("zero_loss");
 * ``step(choice)``: apply that choice to the iterate.
 
 An iteration computes only what its rule reads.  Finite-set rules read a
 block of 64 iterations of uniforms, one stream per set or per Fourier
 slice, and draw by one inverse-CDF rule on unnormalised cumulative weights.
-Adaptive rules (ATSP-*) read one row per iteration and see a zero loss in
-values they compute anyway.  Fixed rules turn a block into draws when it is
-refilled and gather the projections of all 64 draws at once; ``select``
-forms the drawn members' sketched residuals, which ``step`` projects with,
-and tests the members' losses, a slice at a time, only when those
-residuals are exactly zero.  Only the rules that read their losses log
-loss statistics.
+Per-slice rules other than TSP-I's draw for slices 0..l//2 only, and
+slice l - k takes slice k's draw.  Adaptive rules (ATSP-*) read one row
+per iteration and see a zero loss in values they compute anyway.  Fixed
+rules turn a block into draws when it is refilled and gather the
+projections of all 64 draws at once; ``select`` forms the drawn members'
+sketched residuals, which ``step`` projects with, and tests the members'
+losses, a slice at a time, only when those residuals are exactly zero.
+Only the rules that read their losses log loss statistics.
 
 Every step projects Y onto a set that holds Y*, so the squared error
 D = ||Y - Y*||^2 falls by exactly the step's loss.  With x_star (and,
@@ -70,15 +72,14 @@ offer ``audit()``, the worst deviation of the recursed residuals from
 fresh ones, run every ``audit_every`` iterations.  Iterations run on the
 Fourier slices; the tests check them against block-circulant steps.
 
-TSP, NTSP, ATSP-MD/PR/CS and TSP-I have real iterates, so Fourier slice
-l-k is the conjugate of slice k: their states keep slices 0..h-1 only,
-h = l//2 + 1, and weight slice k by its multiplicity w_k (1 for slice 0
-and, for even l, slice l/2; 2 for the others) in every loss and norm.
-TSP-II and the -II methods keep all l slices of the iterate, residuals,
-losses and draws, and each table once: when a family is mirrored
-(``SketchSet.mirrored``: slice l-k is sketched as slice k, as in every
-fourier-row set), only slices 0..l//2 are kept and slice k > l/2 reads
-slice l-k's through the conjugate.  A weight Q is a change of variables:
+Every method has a real iterate, so Fourier slice l-k is the conjugate of
+slice k: the states keep slices 0..h-1 only, h = l//2 + 1, and weight
+slice k by its multiplicity w_k (1 for slice 0 and, for even l, slice
+l/2; 2 for the others) in every loss and norm.  For the per-slice methods
+this holds because a per-slice family is mirrored (slice l-k is sketched
+as slice k) and slice l-k draws what slice k draws; TSP-I, whose draws for
+k and -k are independent, projects each kept slice on both of them.  A
+weight Q is a change of variables:
 every state runs the unweighted method on the whitened Ah = A Q^{-1/2} in
 Y = Q^{1/2} X, and only ``x()`` and the x_star errors map Y back.  A state
 keeps its iterate Xh (Y) as the first n rows of a block Z.  The adaptive
@@ -88,10 +89,11 @@ step maps over cross products, stored member-major: each member's rows
 for every kept slice form one block.  A spatial set keeps Z member-major
 too, so its losses are one square and one gemv and its step one zgemm on
 every kept slice through a block-diagonal operand; a per-slice set keeps Z
-slices first and steps each slice by its own zgemm.  TSP and the fixed
-rules share one direct step (:class:`_DirectState`) on blocks of draws
-gathered from member tables: TSP's block is its one fresh draw, and
-NTSP's one draw is gathered on every kept slice.
+slices first, forms its losses by one einsum and steps each slice by its
+own zgemm.  TSP and the fixed rules share one direct step
+(:class:`_DirectState`) on blocks of draws gathered from member tables:
+TSP's block is its one fresh draw, and NTSP's one draw is gathered on
+every kept slice.
 """
 
 from __future__ import annotations
@@ -112,7 +114,6 @@ from .t_algebra import (
     _fourier_slices,
     batched_hpinv,
     batched_inv_factor,
-    ifft_slices,
     irfft_slices,
 )
 
@@ -286,7 +287,6 @@ class _BaseState:
     docstring).
     """
 
-    half_spectrum = True  # keep slices 0..h-1 with multiplicities w
     adaptive = False  # select() reads the losses
     ledger = None  # ||Y - Y*||^2 over all l slices while solve() keeps its ledger
 
@@ -312,9 +312,10 @@ class _BaseState:
         if config.sketches is not None and not isinstance(config.sketches, sketching.SketchSet):
             raise ValueError(f"sketches={type(config.sketches).__name__} is not a SketchSet")
         self.Q = None if Q is None or Q.is_identity else Q  # None: no whitening product
-        (self.Ah, self.w), (self.Bh, _) = (_fourier_slices(T, self.half_spectrum, W)
+        (self.Ah, self.w), (self.Bh, _) = (_fourier_slices(T, W)
                                            for T, W in ((A, self.Q), (B, None)))
         self.h = self.w.size
+        self.mirrors = slice(1, self.l - self.h + 1)  # the kept slices counted twice
         self.Qis = None if self.Q is None else self.Q.inv_sqrt[:self.h]  # X = Q^{-1/2} Y
         self.Z = np.zeros((self.h, self.n, self.p), dtype=np.complex128)
         self.t = 0
@@ -323,7 +324,7 @@ class _BaseState:
         if self.x_star is not None and self.x_star.shape != (self.n, self.p, self.l):
             raise ValueError(f"x_star has shape {self.x_star.shape}, not {self.n, self.p, self.l}")
         if self.x_star is not None:
-            self.Xsh = _fourier_slices(self.x_star, self.half_spectrum)[0]  # see _errors
+            self.Xsh = _fourier_slices(self.x_star)[0]  # see _errors
             if self.Q is not None:  # Y* = Q^{1/2} X*, for q_error
                 self.Ysh = self.Q.sqrt[:self.h] @ self.Xsh
             self.x_star_norm = np.linalg.norm(self.x_star)
@@ -337,15 +338,12 @@ class _BaseState:
 
     def _loop_buffers(self):
         """Made after setup's temporaries are freed.  _errors adds the dot
-        products of two views of the C-contiguous ``diff``: on the full
-        spectrum its real and imaginary parts, read as np.linalg.norm reads
-        an Xh - Xsh temporary, else all slices and again those with a mirror."""
+        products of two float views of the C-contiguous ``diff``: all slices,
+        and again those with a mirror."""
         if self.x_star is not None:
-            full = self.h == self.l
             self.diff = np.empty_like(self.Xh, order="C")
-            flat = self.diff.ravel()  # a view: the buffer is dense
-            self.err_views = (flat.real, flat.imag) if full else (
-                flat.view(np.float64), self.diff[1:self.l - self.h + 1].ravel().view(np.float64))
+            self.err_views = (self.diff.ravel().view(np.float64),
+                              self.diff[self.mirrors].ravel().view(np.float64))
 
     # -- error tracking ----------------------------------------------------
     def _norm(self, T):
@@ -391,11 +389,7 @@ class _BaseState:
         return float(diff_norm ** 2 / self.l)
 
     def x(self):
-        X = self.Xh if self.Qis is None else self.Qis @ self.Xh
-        if self.half_spectrum:
-            return irfft_slices(X, self.l)
-        # per-slice sketching breaks conjugate symmetry; the real part is the answer
-        return ifft_slices(X, force_real=True)
+        return irfft_slices(self.Xh if self.Qis is None else self.Qis @ self.Xh, self.l)
 
     # -- defaults for the methods without sketched losses -------------------
     def losses(self):
@@ -411,6 +405,10 @@ class _BaseState:
         method where it is meaningful (a single family shared by all slices)."""
         return np.nan
 
+    def loss_sum(self, losses):
+        """The logged sum of each row of losses (rows, .) flattened."""
+        return np.add.reduce(losses, axis=1)
+
 
 class _FiniteSetState(_BaseState):
     """Sketch-set validation, sampling setup and sketched system of the
@@ -418,13 +416,16 @@ class _FiniteSetState(_BaseState):
 
     The fixed probabilities are validated once and kept with their
     cumulative sums.  Every rule draws from ``rngs``, one uniform stream for
-    a spatial set or one per Fourier slice, read ``_UNIFORM_BLOCK``
-    iterations at a time (see :meth:`_row`), by :func:`_inverse_cdf`.  The
-    sketched whitened system N = S^H A Q^{-1/2} and S^H B are kept as ``N``
-    and ``SB`` on the slices :meth:`_sketched` names; the completeness check
-    reads that N: the invertible Q^{-1/2} can move its verdict only at its
-    cut margin.
+    a spatial set or one per kept Fourier slice (per Fourier slice for
+    TSP-I), read ``_UNIFORM_BLOCK`` iterations at a time (see :meth:`_row`),
+    by :func:`_inverse_cdf`; ``expand`` maps a row of per-slice draws to
+    the l slices (slice l - k takes slice k's).  The sketched whitened
+    system N = S^H A Q^{-1/2} and S^H B are kept as ``N`` and ``SB``; the
+    completeness check reads that N: the invertible Q^{-1/2} can move its
+    verdict only at its cut margin.
     """
+
+    mirror_draws = True  # per-slice: slice l - k draws what slice k draws
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
@@ -439,27 +440,23 @@ class _FiniteSetState(_BaseState):
         self.rule = _METHOD_TABLE[self.method][1]
         self.adaptive = self.rule != "fixed"
         if self.per_slice_selection:
-            self.rngs = [_rng(config.seed, 2, k) for k in range(self.l)]
-            self.slices = np.arange(self.l)
+            streams, k = self.h if self.mirror_draws else self.l, np.arange(self.l)
+            self.rngs = [_rng(config.seed, 2, j) for j in range(streams)]
+            self.expand = np.minimum(k, self.l - k) if self.mirror_draws else k
         else:
             self.rngs = [_rng(config.seed, 1)]
         probs = sketching.as_prob_rows(sketching.resolve_probabilities(
-            config.probabilities, A, self.Q, sketches), len(self.rngs), self.q)  # a row per stream
+            config.probabilities, A, self.Q, sketches), self.l if self.per_slice_selection else 1,
+            self.q)[:len(self.rngs)]  # a row per stream
         self.base_cdf = np.cumsum(probs, axis=1)
         self.base_probs = probs if self.per_slice_selection else probs[0]
         self.drawn = _UNIFORM_BLOCK  # rows of the current block used
-        # a mirrored family's tables of slice k >= kept are the conjugates of slice l - k's
-        self.kept = self.l // 2 + 1 if self.per_slice_selection and sketches.mirrored else self.h
-        self.N, self.SB = self._sketched(A, B)  # C-contiguous
+        self.N, self.SB = self.sketches.sketch(self.Ah), self.sketches.sketch(self.Bh)
         if config.check_sampling and not sketching.is_complete_discrete_sampling(
                 A, sketches, sketched=self.N):
             warnings.warn("sketch family is not complete discrete sampling for this system; the "
                           "iteration is still defined but the rate certificates may not hold",
                           stacklevel=3)
-
-    def _sketched(self, A, B):
-        """N and S^H B of every slice the state iterates on."""
-        return self.sketches.sketch(self.Ah), self.sketches.sketch(self.Bh)
 
     @staticmethod
     def _gram(N):
@@ -487,7 +484,7 @@ class _FiniteSetState(_BaseState):
         self.drawn = 0
 
     def trace_choice(self, choice):
-        return tuple(choice.tolist()) if self.per_slice_selection else int(choice)
+        return tuple(choice[self.expand].tolist()) if self.per_slice_selection else int(choice)
 
 
 class _SetState(_FiniteSetState):
@@ -496,32 +493,28 @@ class _SetState(_FiniteSetState):
     Per member i and slice k the setup stores, besides N and S^H B, a factor
     C with C C^H = pinv(N N^H), the step map N^H C, the cross products
     C_i^H N_i N_j^H C_j and the sketched residuals R_i = C_i^H (N_i X - S_i^H B),
-    R_0 = -C^H S^H B as X_0 = 0, below Xh in Z.  One table U, (q, kept tau,
+    R_0 = -C^H S^H B as X_0 = 0, below Xh in Z.  One table U, (q, h tau,
     n + q tau), holds them member-major: rows k tau..(k+1) tau - 1 of U[j]
     are slice k's [step map; cross products with every member] of member
     j, transposed, so choosing j in slice k updates the iterate and every
-    residual at once: Z[k] -= U[j, k].T @ R[k, j] (slice k >= kept of a
-    mirrored family reads slice l - k's rows conjugated, and its C is
-    conj(C[l - k])).  ``step_map`` and ``cross`` are slices-first views of
-    U, (kept, q, ., tau).  Ragged blocks' zero padding rows get zero factor
-    columns.  Setup peaks at U, the transformed system and one slice's
-    temporaries: N^H is formed one slice at a time and U is written one
-    slice's rows at a time (tau = 1 cross products straight into U).
-    ``views``: R and Z's float view of it, whose squares, summed by one
-    gemv against ``wvec``, are the losses.
+    residual at once: Z[k] -= U[j, k].T @ R[k, j].  ``step_map`` and
+    ``cross`` are slices-first views of U, (h, q, ., tau).  Ragged blocks'
+    zero padding rows get zero factor columns.  Setup peaks at U, the
+    transformed system and one slice's temporaries: N^H is formed one slice
+    at a time and U is written one slice's rows at a time (tau = 1 cross
+    products straight into U).  ``views``: R and Z's float view of it,
+    whose squares are the losses.
     """
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        kept, N = self.kept, self.N
-        self.C = batched_inv_factor(self._gram(N[:kept]),
+        N = self.N
+        self.C = batched_inv_factor(self._gram(N),
                                     slice_axis=None if self.per_slice_selection else 0)
         h, q, tau, n = N.shape
-        if kept < h:  # a mirrored family: C of slice k >= kept is conj(C[l - k])
-            self.C = np.concatenate([self.C, np.conj(self.C[self.l - np.arange(kept, h)])])
         CH = np.conj(np.swapaxes(self.C, -1, -2))
-        self.U = np.empty((q, kept * tau, n + q * tau), dtype=np.complex128)
-        for k in range(kept):  # one slice at a time: no table-sized temporary
+        self.U = np.empty((q, h * tau, n + q * tau), dtype=np.complex128)
+        for k in range(h):  # one slice at a time: no table-sized temporary
             rows = self.U[:, k * tau:(k + 1) * tau]  # (q, tau, n + q tau), a view
             step_map, NH = np.swapaxes(rows[:, :, :n], 1, 2), np.conj(
                 np.swapaxes(N[k], -1, -2), order="C")
@@ -540,30 +533,15 @@ class _SetState(_FiniteSetState):
         per_slice, width = self.per_slice_selection, n + q * tau  # spatial: Z member-major
         self.Z = np.zeros((h, width, self.p) if per_slice else (width, h * self.p), np.complex128)
         self.R[...] = -(CH @ self.SB)  # X_0 = 0
-        residuals = self.Z[:, n:].reshape(h, -1) if per_slice else self.Z[n:].reshape(q, -1)
+        # per-slice (h, q, 2 tau p), spatial (q, 2 tau h p)
+        residuals = self.Z[:, n:].reshape(h, q, -1) if per_slice else self.Z[n:].reshape(q, -1)
         self.views = (self.R, residuals.view(np.float64))
 
-    # U's rows as (kept, q, n + q tau, tau) slices-first blocks
+    # U's rows as (h, q, n + q tau, tau) slices-first blocks
     _blocks = property(lambda self: np.moveaxis(
-        self.U.reshape(self.q, self.kept, -1, self.U.shape[-1]), 0, 1).swapaxes(2, 3))
+        self.U.reshape(self.q, self.h, -1, self.U.shape[-1]), 0, 1).swapaxes(2, 3))
     step_map = property(lambda self: self._blocks[:, :, :self.n])  # (slices, q, n, tau)
     cross = property(lambda self: self._blocks[:, :, self.n:])  # (slices, q, q tau, tau)
-
-    def _loop_buffers(self, wvec, shape):
-        """``loss_ops``: R's float view, the buffer ``sq`` its squares go to,
-        ``sq`` as rows of ``wvec``'s length, ``wvec`` and the losses' shape."""
-        super()._loop_buffers()
-        self.sq = np.empty(self.views[1].shape)
-        self.loss_ops = self.views[1], self.sq, self.sq.reshape(-1, wvec.size), wvec, shape
-
-    def losses(self):
-        """The sketched losses: (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2 for
-        spatial sets, (l, q) of ||R_i[k]||_F^2 for per-slice sets (their
-        subsystems are independent): the squares of R's float view, then
-        one gemv of their rows by ``wvec``."""
-        v, sq, rows, wvec, shape = self.loss_ops
-        np.square(v, out=sq)
-        return np.dot(rows, wvec).reshape(shape)
 
     def audit(self):
         """Max Frobenius deviation between recursed and fresh residuals."""
@@ -600,15 +578,24 @@ class _SpatialSetState(_SetState):
         self.Z[self.n:].reshape(self.q, -1, self.h, self.p), 2, 0))  # (slices, q, tau, p)
 
     def _loop_buffers(self):
+        """``sq``, the buffer the squares of R's float view go to, and the
+        losses' weights ``wvec``: w_k / l over each of the tau rows' slices k."""
+        super()._loop_buffers()
         h, p, tau = self.h, self.p, self.N.shape[2]
-        # the losses' weights: w_k / l over each of the tau rows' slices k
-        super()._loop_buffers(np.tile(np.repeat(self.w / self.l, 2 * p), tau), (self.q,))
+        self.sq = np.empty(self.views[1].shape)
+        self.wvec = np.tile(np.repeat(self.w / self.l, 2 * p), tau)
         Rbd = np.zeros((h * p, h * tau), dtype=np.complex128, order="F")
         item = Rbd.itemsize  # R[k, j, a, c] goes to Rbd[k p + c, k tau + a]
         diagonal = np.lib.stride_tricks.as_strided(
             Rbd, (h, tau, p), ((p + tau * h * p) * item, h * p * item, item))
         # step's operands: U[j].T and Z.T are F-contiguous
         self.step_ops = Rbd, diagonal, self.views[0], self.U.swapaxes(1, 2), self.Z.T
+
+    def losses(self):
+        """The sketched losses (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2: the
+        squares of R's float view, then one gemv of their rows by ``wvec``."""
+        np.square(self.views[1], out=self.sq)
+        return np.dot(self.sq, self.wvec)
 
     def step(self, choice):
         """Z.T -= blockdiag(R[k, j].T) @ U[j] by one zgemm on F-contiguous views
@@ -647,44 +634,63 @@ class _SpatialSetState(_SetState):
 
 
 class _PerSliceSetState(_SetState):
-    """Per-slice sets: each Fourier slice owns its family, losses and choice.
-    Z stays slices first, (h, n + q tau, p), and a step is one zgemm per
-    stepped slice that reads its member's rows of U by the transpose flag
-    (or, for slice k >= kept of a mirrored family, the conjugate-transpose
-    flag on slice l - k's rows)."""
+    """Per-slice sets: each kept Fourier slice owns its family, losses and
+    choice, which slice l - k shares.  Z stays slices first,
+    (h, n + q tau, p), and a step is one zgemm per stepped slice that reads
+    its member's rows of U by the transpose flag."""
 
-    half_spectrum = False
     per_slice_selection = True
     R = property(lambda self: self.Z[:, self.n:].reshape(self.h, self.q, -1, self.p))
 
     def _loop_buffers(self):
-        super()._loop_buffers(np.ones(self.views[1].shape[1] // self.q), (self.h, self.q))
+        """``gather``: Z as one table of (p,) rows, the rows of it that hold
+        member 0's residual in each slice (member j's are tau j further) and
+        tau."""
+        super()._loop_buffers()
+        self.slices = np.arange(self.h)
+        h, width, tau = self.h, self.Z.shape[1], self.N.shape[2]
+        rows = (np.arange(h) * width + self.n)[:, None] + np.arange(tau)
+        self.gather = self.Z.reshape(-1, self.p), rows, tau
         self.Zt = tuple(Zk.T for Zk in self.Z)  # the F-contiguous views step() writes through
-        blocks = self.U.reshape(self.q, self.kept, -1, self.U.shape[-1])
-        # each slice's (operand indexed by j, (n + q tau, tau) F-contiguous, trans_b)
-        self.Ut = tuple((blocks[:, k].swapaxes(1, 2), 1) if k < self.kept
-                        else (blocks[:, self.l - k].swapaxes(1, 2), 2) for k in range(self.h))
+        blocks = self.U.reshape(self.q, self.h, -1, self.U.shape[-1])
+        # each slice's operand, indexed by j: (n + q tau, tau), F-contiguous
+        self.Ut = tuple(blocks[:, k].swapaxes(1, 2) for k in range(self.h))
+
+    def losses(self):
+        """The sketched losses (h, q) of ||R_i[k]||_F^2 (the slices'
+        subsystems are independent): one einsum over R's float view."""
+        v = self.views[1]
+        return np.einsum("kij,kij->ki", v, v)
+
+    def loss_sum(self, losses):
+        """Slice k's losses counted w_k times: over all kept slices, and
+        again over those with a mirror."""
+        return np.add.reduce(losses, axis=1) + np.add.reduce(
+            losses[:, self.q:self.q * self.mirrors.stop], axis=1)
 
     def step(self, choice):
         """Z[k] -= U[j, k].T @ R[k, j] for each slice k and its chosen member j
-        (a -1 skips the slice, whose gathered block, member q - 1, goes
+        (a -1 skips the slice, whose gathered rows, the iterate's last, go
         unused): one zgemm per slice that writes into Z, as
         Z[k].T -= R[k, j].T @ U[j, k].  The chosen R blocks, rows of Z, are
-        copied first: BLAS makes no promise for an input that overlaps its
-        output.  While :func:`solve` keeps its ledger, the step's drop, the
-        squared norm of the gathered blocks (a solved slice's block is
-        zero), leaves it."""
+        copied first by one take: BLAS makes no promise for an input that
+        overlaps its output.  While :func:`solve` keeps its ledger, the
+        step's drop, the chosen members' losses among those ``select`` read
+        (zero in a solved slice), slice k counted w_k times, leaves it."""
         choice = np.asarray(choice)
-        R = self.views[0][self.slices, choice]  # a gathered copy
         if self.ledger is not None:
-            self.ledger -= np.vdot(R, R).real
-        for z, r, (U, trans), j in zip(self.Zt, R.transpose(0, 2, 1), self.Ut, choice.tolist()):
+            self.ledger -= self.w @ self.read[self.slices, choice]
+        Zrows, rows, tau = self.gather
+        R = Zrows.take(rows + tau * choice[:, None], axis=0)
+        for z, r, U, j in zip(self.Zt, R.transpose(0, 2, 1), self.Ut, choice.tolist()):
             if j >= 0:  # -1: the slice is solved
-                zgemm(-1.0, r, U[j], 1.0, z, 0, trans, 1)
+                zgemm(-1.0, r, U[j], 1.0, z, 0, 1, 1)
         self.t += 1
 
     def select(self, losses):
-        """Per-slice index choices (-1: slice solved), or None if all are."""
+        """Per-slice index choices (-1: slice solved), or None if all are;
+        the losses are kept as ``read`` for the step's ledger entry."""
+        self.read = losses
         if self.rule == "md":
             top = losses.argmax(axis=1)
             active = losses[self.slices, top] > 0
@@ -696,21 +702,19 @@ class _PerSliceSetState(_SetState):
 
 class _DirectState(_FiniteSetState):
     """Direct projections with fixed probabilities (TSP-II and NTSP-II on
-    per-slice sets, NTSP on spatial sets); for per-slice sets the real part
-    of the final inverse transform is the answer.
+    per-slice sets, NTSP on spatial sets).
 
     Each kept slice is projected straight from the iterate onto the member
     its group draws: Y -= N^H G r, r = N Y - S^H B, G = pinv(N N^H).  A draw
     gathers, at each position j, table row ``table_rows[j]`` at the member
-    stream ``table_slices[j]`` drew, conjugated at the positions ``flip``; a
-    group is g/h consecutive positions of g rows in all.  Here a group is one
-    slice, and the ``tables`` are N, S^H B and G of slices 0..kept-1, G
-    factored at setup per slice, or for a spatial set, whose one stream draws
-    for every kept slice, with one cutoff across a member's slices (the
-    block-circulant pinv's).  With each block of ``_UNIFORM_BLOCK`` draws,
-    ``select`` drops the old block and the operands it handed to ``step``,
-    then gathers the tables of every draw, slices first: 64 h g (n + p)
-    complex entries plus 64 h g^2 for G.
+    stream ``table_slices[j]`` drew; a group is g/h consecutive positions of
+    g rows in all.  Here a group is one slice, and the ``tables`` are N,
+    S^H B and G of the kept slices, G factored at setup per slice, or for a
+    spatial set, whose one stream draws for every kept slice, with one
+    cutoff across a member's slices (the block-circulant pinv's).  With
+    each block of ``_UNIFORM_BLOCK`` draws, ``select`` drops the old block
+    and the operands it handed to ``step``, then gathers the tables of every
+    draw, slices first: 64 h g (n + p) complex entries plus 64 h g^2 for G.
 
     While :func:`solve` keeps its ledger, ``select`` projects up to
     ``_BLOCK_ROWS`` // g draws at once, a forward Gauss-Seidel sweep on the
@@ -735,13 +739,12 @@ class _DirectState(_FiniteSetState):
     TSP draw.
     """
 
-    half_spectrum = False
     per_slice_selection = True
     choice = gathered = operands = None  # the block's draws, their projections, step's
 
     def __init__(self, A, B, config, x_star):
         super().__init__(A, B, config, x_star)
-        self.table_rows, self.table_slices, self.flip, self.G = self._layout()
+        self.table_rows, self.table_slices, self.G = self._layout()
         g = self.table_rows.size // self.h * self.N.shape[-2]  # rows per group
         self.cap = max(1, _BLOCK_ROWS // g)  # draws per block
         d, i = divmod(np.arange(self.cap * g), g)  # each row's draw and row in its group
@@ -751,30 +754,20 @@ class _DirectState(_FiniteSetState):
 
     tables = property(lambda self: (self.N, self.SB, self.G))
 
-    def _sketched(self, A, B):
-        return (self.sketches.sketch(T[:self.kept]) for T in (self.Ah, self.Bh))
-
     def _layout(self):
-        """``table_rows``, ``table_slices``, ``flip`` and G (see the class docstring)."""
+        """``table_rows``, ``table_slices`` and G (see the class docstring)."""
         G = batched_hpinv(self._gram(self.N), slice_axis=None if self.per_slice_selection else 0)
-        if not self.per_slice_selection:  # one stream draws for every kept slice
-            return np.arange(self.h), np.zeros(self.h, dtype=int), np.s_[:0], G
-        return np.r_[:self.kept, self.l - self.kept:0:-1], self.slices, np.s_[self.kept:], G
+        kept = np.arange(self.h)  # a spatial set's one stream draws for every kept slice
+        return kept, kept if self.per_slice_selection else np.zeros(self.h, dtype=int), G
 
     def _projections(self, draws):
         """N, S^H B and G of the groups that each row of ``draws`` (b, streams)
         picks, each (h, b, g, .); where the tables hold no G, it is factored
-        for the block in one batch.  ``flip`` indexes the (h, b, positions)
-        gather."""
+        for the block in one batch."""
         picked = (self.table_rows.reshape(self.h, 1, -1),
                   np.moveaxis(draws[:, self.table_slices].reshape(len(draws), self.h, -1), 0, 1))
-
-        def gather(T):
-            T = T[picked]
-            np.conjugate(T[self.flip], out=T[self.flip])  # a view: in place
-            return T.reshape(*T.shape[:2], -1, T.shape[-1])
-
-        N, SB, G = (T if T is None else gather(T) for T in self.tables)
+        N, SB, G = (T if T is None else T[picked].reshape(self.h, len(draws), -1, T.shape[-1])
+                    for T in self.tables)
         return N, SB, batched_hpinv(N @ np.conj(N).swapaxes(-1, -2)) if G is None else G
 
     def select(self, losses):
@@ -844,8 +837,9 @@ class _DirectState(_FiniteSetState):
             (N, r, u), cut, ledger = sweep, 1, None
         if ledger is None:  # one draw on every slice
             self.Z -= np.conj(N).swapaxes(-1, -2) @ u
-            if self.ledger is not None:
-                self.ledger -= self._drop(r, u)
+            if self.ledger is not None:  # sum_k w_k Re r_k^H G_k r_k: again where mirrored
+                m = self.mirrors
+                self.ledger -= np.vdot(r, u).real + np.vdot(r[m], u[m]).real
         else:
             rows = cut * u.shape[2]
             for z, NJ, uJ in zip(self.Zt, N, u):
@@ -853,28 +847,16 @@ class _DirectState(_FiniteSetState):
             self.ledger = ledger
         self.t += cut
 
-    def _drop(self, r, u):
-        """sum_k w_k Re r_k^H G_k r_k of one draw on every slice: over all
-        slices, and again over those with a mirror."""
-        drop = np.vdot(r, u).real
-        if self.h < self.l:
-            m = self.l - self.h + 1
-            drop += np.vdot(r[1:m], u[1:m]).real
-        return drop
-
     def _energies(self):
-        """Each slice's member energies Re r^H G r, r = N Y - S^H B, one slice
-        at a time from the kept tables.  Slice k >= kept of a mirrored family
-        has r = conj(N[l - k] conj(Y_k) - S^H B[l - k]) and G = conj(G[l - k]),
-        so its energies are slice l - k's on conj(Y_k)."""
+        """Each kept slice's member energies Re r^H G r, r = N Y - S^H B, one
+        slice at a time."""
         for k in range(self.h):
-            j, Y = (k, self.Xh[k]) if k < self.kept else (self.l - k, np.conj(self.Xh[k]))
-            r = self.N[j] @ Y - self.SB[j]  # (q, g, p)
-            Gr = self.G[j] @ r  # Re sum conj(r) G r: the float views' dot product
+            r = self.N[k] @ self.Xh[k] - self.SB[k]  # (q, g, p)
+            Gr = self.G[k] @ r  # Re sum conj(r) G r: the float views' dot product
             yield np.einsum("qi,qi->q", *(a.reshape(len(r), -1).view(np.float64) for a in (r, Gr)))
 
     def losses(self):
-        """Every member's sketched loss r^H G r: (l, q) per slice, or (q,)
+        """Every member's sketched loss r^H G r: (h, q) per kept slice, or (q,)
         summed over the kept slices by w_k / l for spatial sets."""
         losses = np.stack(list(self._energies()))
         return losses if self.per_slice_selection else self.w @ losses / self.l
@@ -886,9 +868,8 @@ class _DirectState(_FiniteSetState):
 
 
 class _SpatialDirectState(_DirectState):
-    """NTSP: a direct state on a spatial set, its iterate real."""
+    """NTSP: a direct state on a spatial set."""
 
-    half_spectrum = True
     per_slice_selection = False
 
 
@@ -897,7 +878,6 @@ class _FreshGaussianState(_DirectState):
     S, is the sketch's first frontal slice, so every Fourier slice of the
     sketch is S; it is never ``choice``, so ``step`` takes it as a block of one."""
 
-    half_spectrum = True
     trace_choice = _BaseState.trace_choice
     losses = _BaseState.losses
 
@@ -927,11 +907,10 @@ class _StackedState(_DirectState):
     [S_k^H A_k; conj(S_{-k}^H A_{-k})] (S_k the member slice k drew) mixed
     by a fixed invertible 2tau x 2tau map.  A projection depends only on
     that row space, so slice k's group, for k = 0..l//2, is its own member
-    and the conjugated one of slice -k.  On a mirrored family that is slice
-    k's own member table, so both halves of a group read the half-spectrum
-    tables (views of the transform for fourier-row sets); otherwise the
-    tables keep the full spectrum once, and the halves gathered from slice
-    -k are conjugated once per 64-draw gather.  No G is cached: a
+    and the conjugated one of slice -k, each drawn from its own stream.  The
+    family being mirrored, that conjugated member is one of slice k's own
+    table, so both halves of a group read the kept tables (views of the
+    transform for fourier-row sets).  No G is cached: a
     block factors its Grams in one batch and holds 64 h 2tau (n + p)
     complex entries plus the pinvs, about 170 KB at 50x20x5 with tau = 1.
     The stacked system is real, so every iterate stays real and no
@@ -940,24 +919,17 @@ class _StackedState(_DirectState):
     losses and keeps no zero-loss stop.
     """
 
-    half_spectrum = True
+    mirror_draws = False  # slices k and -k draw from streams of their own
     losses = _BaseState.losses
 
     def _any_loss(self):
         return True  # no zero-loss stop
 
-    def _sketched(self, A, B):
-        Ah, Bh = (self.Ah, self.Bh) if self.sketches.mirrored else (  # else all l
-            _fourier_slices(T, False, W)[0] for T, W in ((A, self.Q), (B, None)))
-        return self.sketches.sketch(Ah), self.sketches.sketch(Bh)
-
     def _layout(self):
         half = np.arange(self.h)
         self.own = slice(0, self.h, self.h - 1) if self.l % 2 == 0 else slice(0, 1)  # k = -k
         pairs = np.stack([half, -half % self.l], axis=1).ravel()  # the group of k: k and -k
-        if self.sketches.mirrored:  # conj(T[-k]) is T[k]: a group reads T[k] twice
-            return np.repeat(half, 2), pairs, np.s_[:0], None
-        return pairs, pairs, np.s_[:, :, 1], None  # -k conjugated
+        return np.repeat(half, 2), pairs, None  # conj(T[-k]) is T[k]: a group reads T[k] twice
 
     def step(self, idx):
         super().step(idx)
@@ -1025,7 +997,7 @@ def solve(A, B, config, x_star=None):
         if held:
             b = block[:held].reshape(held, -1)
             stats = np.frombuffer(rows).reshape(-1, len(_ROW_FIELDS))[-held:, -3:].T
-            stats[0], stats[1] = np.maximum.reduce(b, axis=1), np.add.reduce(b, axis=1)
+            stats[0], stats[1] = np.maximum.reduce(b, axis=1), state.loss_sum(b)
             stats[2], held = state.variance_factor(b), 0
 
     def log_row(eps, q, secs, chosen=None, losses=None):

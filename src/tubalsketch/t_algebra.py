@@ -111,20 +111,16 @@ def fft_slices(X):
     return np.fft.fft(np.moveaxis(np.asarray(X, dtype=np.complex128), 2, 0), axis=0)
 
 
-def ifft_slices(F, force_real=False):
+def ifft_slices(F):
     """Inverse of :func:`fft_slices`: slices-first (l, a, b) to real (a, b, l).
 
     Raises ``ValueError`` if the imaginary residue exceeds ``IMAG_TOL``
-    relative to the real part; ``force_real`` skips that check and keeps
-    the real part, for iterates whose conjugate symmetry is not maintained.
+    relative to the real part.
     """
     Y = np.fft.ifft(F, axis=0)
-    if not force_real:
-        imag, real = np.linalg.norm(Y.imag), np.linalg.norm(Y.real)
-        if imag > IMAG_TOL * real + 1e-300:
-            raise ValueError(
-                f"inverse transform is not real: |imag|={imag:.3e}, |real|={real:.3e}"
-            )
+    imag, real = np.linalg.norm(Y.imag), np.linalg.norm(Y.real)
+    if imag > IMAG_TOL * real + 1e-300:
+        raise ValueError(f"inverse transform is not real: |imag|={imag:.3e}, |real|={real:.3e}")
     return np.ascontiguousarray(np.moveaxis(Y.real, 0, 2))
 
 
@@ -133,19 +129,18 @@ def rfft_slices(X):
     return _fourier_slices(X)[0]
 
 
-def _fourier_slices(X, half=True, Q=None):
+def _fourier_slices(X, Q=None):
     """The slices of :func:`fft_slices` that the solvers, probability rules
     and certificates keep of the real tensor X, C-contiguous, and their
-    multiplicities w (summing to l): slices 0..l//2 if ``half`` (slice l - k
-    is the conjugate of slice k; w_k = 2 if l - k != k), else all l with
-    w_k = 1, as per-slice sets need.  A WeightQ ``Q`` whitens slice k to
-    X_k Q_k^{-1/2}; None or the identity skip that product.  Both spectra are
-    transformed in place in one (l, a, b) buffer: the full spectrum is
-    returned in it, the half spectrum as a copy of its first slices, so that
-    the kept slices do not hold all l alive."""
+    multiplicities w (summing to l): slices 0..l//2, slice l - k being the
+    conjugate of slice k, with w_k = 2 where l - k != k.  A WeightQ ``Q``
+    whitens slice k to X_k Q_k^{-1/2}; None or the identity skip that
+    product.  The spectrum is transformed in place in one (l, a, b) buffer
+    and the kept slices are copied out of it, so that they do not hold all
+    l alive."""
     l = np.shape(X)[2]
-    w = np.ones(l // 2 + 1 if half else l)
-    w[1:l - w.size + 1] = 2.0  # empty on the full spectrum
+    w = np.ones(l // 2 + 1)
+    w[1:l - w.size + 1] = 2.0
     F = np.zeros((l, *np.shape(X)[:2]), dtype=np.complex128)
     F.real = np.moveaxis(X, 2, 0)
     np.fft.fft(F, axis=0, out=F)  # out= is new in numpy 2.0

@@ -190,6 +190,86 @@ def per_slice_iterates(A, B, sketches, chosen, Q=None):
     return iterates
 
 
+def dense_per_slice_record(A, B, config, x_star):
+    """A record-every-step run of a per-slice method (TSP-I, TSP-II, NTSP-II,
+    ATSP-MD/PR/CS-II) from X_0 = 0 on dense members, every one of the l
+    Fourier slices projected on its own in the X-space Q-norm, transforms
+    by direct summation.  Slices 0..l//2 draw from the solver's streams
+    SeedSequence([seed, 2, k]), one uniform per stream and iteration (none
+    for the max rule), by the inverse-CDF rule; slice l - k takes slice k's
+    draw.  TSP-I draws every slice from a stream of its own and steps by
+    :func:`stacked_step_oracle`.  Probabilities are uniform or
+    'fourier-row-norm'.  Returns the fields of ``data/seeded_records.json``:
+    iterations, the rows' epsilon, q_error, chosen (None first), loss_max,
+    loss_sum and pr_variance_factor over all l slices' losses (NaN where the
+    rule reads none), and the final X flattened."""
+    method, sketches = config.method, config.sketches
+    l, q, n, p = A.shape[2], sketches.q, A.shape[1], B.shape[1]
+    rule = {"ATSP-MD-II": "md", "ATSP-PR-II": "pr", "ATSP-CS-II": "cs"}.get(method, "fixed")
+    Ah, Bh, Xh, Qinv = _full_spectrum(A, B, np.zeros((n, p, l)), config.weight)
+    Qh = None if config.weight is None else naive_dft3(config.weight.base)
+    if config.probabilities == "fourier-row-norm":  # ||Q_k^{-1/2} A_k^H e_i||^2 per slice
+        w = np.array([np.diag(Ah[:, :, k] @ Qinv[k] @ Ah[:, :, k].conj().T).real
+                      for k in range(l)])
+        probs = w / w.sum(axis=1, keepdims=True)
+    else:
+        assert config.probabilities is None
+        probs = np.full((l, q), 1.0 / q)
+    streams = [np.random.default_rng([config.seed, 2, k])
+               for k in range(l if method == "TSP-I" else l // 2 + 1)]
+    systems = []  # per slice and member: Q^{-1} N^H, pinv(N Q^{-1} N^H), N and S^H B
+    for k in range(l):
+        systems.append([])
+        for S in sketches.members[k]:
+            N = S.conj().T @ Ah[:, :, k]
+            QiNH = Qinv[k] @ N.conj().T
+            systems[k].append((QiNH, np.linalg.pinv(N @ QiNH), N, S.conj().T @ Bh[:, :, k]))
+
+    def errors():  # X and its errors; ||Q^{1/2} * D||_F^2 = (1/l) sum_k tr(D_k^H Q_k D_k)
+        X = naive_idft3(Xh)
+        assert np.linalg.norm(X.imag) <= 1e-12 * max(np.linalg.norm(X.real), 1.0)
+        D = X.real - x_star
+        Dh = naive_dft3(D)
+        qe = np.linalg.norm(D) ** 2 if Qh is None else sum(
+            np.trace(Dh[:, :, k].conj().T @ Qh[:, :, k] @ Dh[:, :, k]).real for k in range(l)) / l
+        return X.real, np.linalg.norm(D) / np.linalg.norm(x_star), qe
+
+    X, eps, qe = errors()
+    rows = [(eps, qe, None, np.nan, np.nan)]
+    while eps >= config.tol and len(rows) <= config.max_iters:
+        losses = np.array([[np.trace(r.conj().T @ G @ r).real for _, G, N, SB in systems[k]
+                            for r in [N @ Xh[:, :, k] - SB]] for k in range(l)])
+        idx = []
+        for k, stream in enumerate(streams):
+            if rule == "md":
+                idx.append(int(np.argmax(losses[k])) if losses[k].max() > 0 else -1)
+                continue
+            weights = probs[k] if rule == "fixed" else losses[k]
+            if rule == "cs":
+                top = losses[k].max()
+                cut = min(config.theta * top + (1 - config.theta) * (probs[k] @ losses[k]), top)
+                weights = np.where(losses[k] >= cut, losses[k], 0.0)
+            cum, u = np.cumsum(weights), stream.random()
+            idx.append(-1 if cum[-1] <= 0 else int(np.sum(cum[:-1] <= u * cum[-1])))
+        if method == "TSP-I":
+            Yh = stacked_step_oracle(*(np.moveaxis(T, 2, 0) for T in (Ah, Bh)), np.stack(Qinv),
+                                     sketches.members, np.moveaxis(Xh, 2, 0), idx)
+            Xh = np.ascontiguousarray(np.moveaxis(Yh, 0, 2))
+        else:
+            idx = [idx[min(k, l - k)] for k in range(l)]
+            for k, j in enumerate(idx):
+                if j >= 0:
+                    QiNH, G, N, SB = systems[k][j]
+                    Xh[:, :, k] -= QiNH @ (G @ (N @ Xh[:, :, k] - SB))
+        X, eps, qe = errors()
+        stats = (np.nan, np.nan) if rule == "fixed" else (losses.max(), losses.sum())
+        rows.append((eps, qe, tuple(idx), *stats))
+    return {"iterations": len(rows) - 1, "epsilon": [r[0] for r in rows],
+            "chosen": [r[2] for r in rows], "x": X.ravel().tolist(),
+            "q_error": [r[1] for r in rows], "loss_max": [r[3] for r in rows],
+            "loss_sum": [r[4] for r in rows], "pr_variance_factor": [np.nan] * len(rows)}
+
+
 def tpinv_via_bcirc(X):
     """Moore-Penrose inverse through the block-circulant route."""
     m, n, l = X.shape
@@ -221,12 +301,6 @@ def circ_conv_tubes(x, y):
         for j in range(l):
             out[k] += x[j] * y[(k - j) % l]
     return out
-
-
-def unmirror(T, h, l):
-    """A per-slice table held for slices 0..kept-1 only (kept = len(T)), as
-    the slices 0..h-1 it stands for: slice k >= kept is conj(T[l - k])."""
-    return np.concatenate([T, np.conj(T[l - np.arange(len(T), h)])])
 
 
 def dense_set_tables(A, B, sketches, Q=None):
@@ -363,9 +437,12 @@ def closed_form_bounds_loop(A, Q, sketches):
 def reference_solve(A, B, config, x_star=None):
     """The solver loop of :func:`tubalsketch.solvers.solve` on ``make_state``'s
     public calls, one row at a time into Python lists: each logged row takes
-    ``float(losses.max())``, ``float(losses.sum())`` and, for ATSP-PR, the
-    variance factor 1 + q^2 Var(losses / total) of those losses on its own;
-    only the rules that read their losses log them.
+    ``float(losses.max())``, ``float(losses.sum())`` (per-slice losses of
+    the kept slices, slice k counted w_k times: the losses of the slices
+    with a mirror are added once more) and, for ATSP-PR, the variance factor
+    1 + q^2 Var(losses / total) of those losses on its own; only the rules
+    that read their losses log them.  A per-slice choice of the kept slices
+    is recorded for all l, slice l - k taking slice k's.
     Returns (X, rows, stop_reason), a row being (t, epsilon, q_error,
     loss_max, loss_sum, pr_variance_factor, chosen).  No audit runs."""
     assert not config.audit_every
@@ -381,9 +458,13 @@ def reference_solve(A, B, config, x_star=None):
 
     def log(eps, diff_norm, chosen=None, losses=None):
         stats = (np.nan,) * 3 if losses is None else (
-            float(losses.max()), float(losses.sum()), variance_factor(losses))
+            float(losses.max()), float(losses.sum() + losses[1:state.l - state.h + 1].sum()
+                                       if losses.ndim == 2 else losses.sum()),
+            variance_factor(losses))
         if chosen is not None and state.method != "TSP":  # a fresh sketch is not recorded
-            chosen = tuple(int(c) for c in chosen) if np.ndim(chosen) else int(chosen)
+            c, l = [int(j) for j in np.atleast_1d(chosen)], state.l
+            chosen = (int(chosen) if not np.ndim(chosen) else tuple(c) if len(c) == l
+                      else tuple(c[min(k, l - k)] for k in range(l)))
         else:
             chosen = None
         rows.append((state.t, eps, state.q_error(diff_norm), *stats, chosen))

@@ -307,7 +307,7 @@ def test_07_post_step_annihilation_and_rate_chain():
                 break
             pst.step(idx)
             losses = pst.losses()
-            for k in range(3):
+            for k in range(pst.h):  # the kept slices 0..l//2
                 if idx[k] >= 0:
                     worst_loss = max(worst_loss, losses[k, idx[k]])
     assert worst_loss < 1e-10

@@ -99,9 +99,9 @@ class TestPerSliceRates:
                                       "fourier-gaussian"])
     @pytest.mark.parametrize("l", [1, 2, 5, 6])
     def test_every_slice_matches_a_dense_loop(self, l, kind, weighted):
-        # all l lambdas, not only their minimum: a spatial set's slice l - k
-        # repeats its mirror k, while each slice of a per-slice set has its
-        # own family and probabilities, so no slice may be copied from another
+        # all l lambdas, not only their minimum: slice l - k repeats its
+        # mirror k, a per-slice set's slice l - k having slice k's family
+        # and probabilities, while the loop builds every slice on its own
         rng = np.random.default_rng(50 + l)
         A = rand_tubal(rng, 6, 4, l)
         Qt = spd_weight_tensor(rng, 4, l) if weighted else None
@@ -112,6 +112,8 @@ class TestPerSliceRates:
              "fourier-gaussian": lambda: make_fourier_sketches(6, 2, 4, l, "gaussian", rng),
              }[kind]()
         p = rng.dirichlet(np.ones(s.q), size=l if s.per_slice else None)
+        if s.per_slice:
+            p[l // 2 + 1:] = p[1:(l + 1) // 2][::-1]
         lams, lam_min = per_slice_rates(A, Qt, s, p)
         assert lams.shape == (l,) and lam_min == lams.min()
         np.testing.assert_allclose(lams, slice_rates_loop(A, Qt, s, p), rtol=0, atol=1e-10)

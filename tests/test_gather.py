@@ -5,27 +5,25 @@ and applied by gathering rows.  For finite data a one-hot product equals
 the gather exactly, so the cached tables and seeded runs must match the
 dense-member route bit for bit.  ``data/seeded_records.json`` holds runs
 recorded with the dense-member implementation, made by the recipe in
-:func:`seeded_cases` with ``seed=11, tol=1e-10, max_iters=30``.  Its
+:func:`seeded_cases` with ``seed=11, tol=1e-10, max_iters=30``.  The
+per-slice entries (TSP-II, NTSP-II, ATSP-MD/PR/CS-II, and TSP-I on
+fourier-gaussian sets, whose family became mirrored) were recorded again
+by :func:`conftest.dense_per_slice_record` once slice l - k drew what slice
+k draws; ``data/chosen_before_mirroring.json`` keeps the -II choices
+recorded before, when every slice drew from a stream of its own.  Its
 ``q_error``, ``loss_max``, ``loss_sum`` and ``pr_variance_factor`` rows
 (NaN stored as null) were recorded later, before the record row began to
 reuse the error norm and to skip loss bookkeeping between logged rows.
-The methods with a real iterate (TSP, NTSP, ATSP-MD/PR/CS and TSP-I) are
-matched in their draws and NaN rows exactly and in their values within
-1e-12 relative: they now work on Fourier slices 0..l//2 with multiplicity
-weights, and TSP-I projects from mirrored member tables instead of the
-transformed stacked system, so their sums round differently.  The cached
-per-slice methods (ATSP-MD/PR/CS-II) are matched the same way: their
-losses square R's float view and sum it by gemv, and their step is one
-zgemm per slice, the kernels of the spatial sets, so their sums round
-differently too.  NTSP and NTSP-II now run on TSP-II's direct state: only
-rules that read their losses log them, so their loss rows are null, as
-TSP-II's always were, and NTSP-II, recorded through the cached path, is
-matched within 1e-12.  TSP-II is still matched bit for bit under the identity
-weight in its draws, loss rows and X, and within 1e-12 in its errors: a
-record-every-step run now reads the error of most rows from the ledger of
-step losses.  Under a weight it is matched as the others (its values within
-8e-16 relative): the states now run on the whitened system A Q^{-1/2} in
-Y = Q^{1/2} X, so the bits of an X-space recording cannot be met.
+Every run is matched in its draws and NaN rows exactly and in its values
+within 1e-12 relative.  The methods with a real iterate work on Fourier
+slices 0..l//2 with multiplicity weights, TSP-I projects from mirrored
+member tables instead of the transformed stacked system, the set states
+square R's float view and step by zgemm, and the oracle's pinvs are not
+the states' factors, so their sums round differently.  NTSP and NTSP-II
+run on TSP-II's direct state: only rules that read their losses log them,
+so their loss rows are null.  Under a weight the states run on the
+whitened system A Q^{-1/2} in Y = Q^{1/2} X, so the bits of an X-space
+recording cannot be met either.
 """
 
 import json
@@ -35,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_set_tables, spd_weight_tensor, unmirror
+from conftest import dense_per_slice_record, dense_set_tables, spd_weight_tensor
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
     make_block_sketches,
@@ -47,10 +45,8 @@ from tubalsketch.solvers import SolverConfig, make_state, solve
 from tubalsketch.t_algebra import WeightQ, batched_inv_factor, identity, tprod_oracle, ttranspose
 
 RECORDS = Path(__file__).parent / "data" / "seeded_records.json"
-# matched within 1e-12 relative in their values, as is every weighted run
-# (see the module docstring)
-ROUNDED = ("TSP", "NTSP", "ATSP-MD", "ATSP-PR", "ATSP-CS", "TSP-I",
-           "NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
+BEFORE_MIRRORING = Path(__file__).parent / "data" / "chosen_before_mirroring.json"
+PER_SLICE = ("TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
 
 
 def seeded_cases():
@@ -101,22 +97,56 @@ def test_seeded_records_match_dense_member_runs():
         assert rec.iterations == want["iterations"], name
         chosen = [c if c is None or isinstance(c, int) else list(c) for c in rec.chosen]
         assert chosen == want["chosen"], name
-        if kw["method"] in ROUNDED or kw["weight"] is not None:
-            for f in ("loss_max", "loss_sum", "pr_variance_factor", "epsilon", "q_error", "x"):
-                got = X.ravel() if f == "x" else getattr(rec, f)
-                ref = np.array([np.nan if v is None else v for v in want[f]])
-                nan = np.isnan(ref)
-                assert np.array_equal(np.isnan(got), nan), (name, f)
-                diff = np.linalg.norm(got[~nan] - ref[~nan])
-                assert diff <= 1e-12 * np.linalg.norm(ref[~nan]), (name, f)
+        _assert_values_close(name, {**vars(rec), "x": X.ravel()}, want)
+
+
+def _assert_values_close(name, got, want):
+    """Each value field of ``got`` within 1e-12 relative of the record's, NaN
+    exactly where the record holds null."""
+    for f in ("loss_max", "loss_sum", "pr_variance_factor", "epsilon", "q_error", "x"):
+        value, ref = (np.array([np.nan if v is None else v for v in x], dtype=float)
+                      for x in (got[f], want[f]))
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(value), nan), (name, f)
+        assert np.linalg.norm(value[~nan] - ref[~nan]) <= 1e-12 * np.linalg.norm(ref[~nan]), (
+            name, f)
+
+
+def test_seeded_per_slice_records_equal_the_dense_oracle():
+    # the per-slice entries are the oracle's runs: every draw, and every value
+    # within 1e-12 relative (NaN stored as null)
+    expected = json.loads(RECORDS.read_text())
+    A, Xs, B, cases = seeded_cases()
+    for name, kw in cases:
+        if kw["method"] not in PER_SLICE:
             continue
-        for f in ("loss_max", "loss_sum", "pr_variance_factor"):
-            got = [None if np.isnan(v) else float(v) for v in getattr(rec, f)]
-            assert got == want[f], (name, f)
-        assert [float(v) for v in X.ravel()] == want["x"], name
-        for f in ("epsilon", "q_error"):  # rows between fresh errors read the ledger
-            got, ref = getattr(rec, f), np.array(want[f])
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (name, f)
+        cfg = SolverConfig(seed=11, tol=1e-10, max_iters=30, record_every=1, **kw)
+        got, want = dense_per_slice_record(A, B, cfg, Xs), expected[name]
+        assert got["iterations"] == want["iterations"], name
+        assert [c if c is None else list(c) for c in got["chosen"]] == want["chosen"], name
+        _assert_values_close(name, got, want)
+
+
+def test_kept_slices_draw_as_before_mirroring():
+    # slices 0..l//2 draw from the streams they drew from when every slice
+    # had its own, and each kept slice's subsystem is independent of the
+    # others: the first h entries of every -II choice are those recorded
+    # then, up to the earlier stop, and slice l - k records slice k's
+    before = json.loads(BEFORE_MIRRORING.read_text())
+    A, Xs, B, cases = seeded_cases()
+    l, h = A.shape[2], A.shape[2] // 2 + 1
+    names = [name for name, kw in cases if kw["method"].endswith("-II")]
+    assert sorted(names) == sorted(before) and len(names) == 22
+    for name, kw in cases:
+        if name not in before:
+            continue
+        cfg = SolverConfig(seed=11, tol=1e-10, max_iters=30, record_every=1, **kw)
+        _, rec = solve(A, B, cfg, x_star=Xs)
+        rows = min(len(rec.chosen), len(before[name]))
+        assert rows == 31, name
+        for got, was in zip(rec.chosen[1:rows], before[name][1:rows]):
+            assert list(got[:h]) == was[:h], name
+            assert all(got[l - k] == got[k] for k in range(1, l)), name
 
 
 def _sets():
@@ -139,10 +169,10 @@ def test_cached_tables_equal_dense_products(kind, weighted):
     st = make_state(A, B, SolverConfig(method=method, sketches=sketches, weight=Q),
                     x_star=Xs)
     want = dense_set_tables(A, B, sketches, Q)
-    # a fourier-row family is mirrored: its per-slice tables (U, and every
-    # direct table) hold slices 0..l//2, and slice l - k reads conj(slice k)
-    h = st.Ah.shape[0]  # spatial sets keep Fourier slices 0..l//2
-    assert st.kept == (2 if sketches.per_slice else h)
+    # every state keeps Fourier slices 0..l//2 of its tables (U, and every
+    # direct table): slice l - k of a real system's tables is conj(slice k)
+    h = st.Ah.shape[0]
+    assert h == len(st.N) == 2
     if method == "TSP-II":  # the direct state's member tables; N^H is conj(N)^T
         C = want["C"]
         dense = (want["N"], np.swapaxes(want["NH"], -1, -2), want["SB"],
@@ -150,14 +180,12 @@ def test_cached_tables_equal_dense_products(kind, weighted):
         N, SB, G = st.tables
         for name, T, ref in zip(("N", "NH", "SB", "G"), (N, np.conj(N), SB, G), dense,
                                 strict=True):
-            assert len(T) == st.kept
-            np.testing.assert_array_equal(unmirror(T, h, 3), ref, err_msg=name)
+            np.testing.assert_array_equal(T, ref[:h], err_msg=name)
         return
     NH = sketches.sketch_cols(np.conj(np.swapaxes(st.Ah, -1, -2)))
     np.testing.assert_array_equal(NH, want["NH"][:h])
     for name in ("N", "SB", "C", "cross", "step_map"):
-        np.testing.assert_array_equal(unmirror(getattr(st, name), h, 3), want[name][:h],
-                                      err_msg=name)
+        np.testing.assert_array_equal(getattr(st, name), want[name][:h], err_msg=name)
 
 
 def test_ragged_blocks_pad_with_zero_rows():
@@ -208,12 +236,10 @@ def test_setup_tables_equal_the_gathered_and_multiplied_out_expressions(kind, we
         ia = np.moveaxis(CH[k] @ N[k], 2, 0).reshape(n, q * tau)
         cross[k] = (jc @ ia).reshape(q, tau, q, tau).transpose(0, 2, 3, 1)
     R = CH @ ((N @ np.zeros_like(st.Xh)[:, None]) - SB)
-    # U holds slices 0..l//2 of a mirrored per-slice family, whose slice l - k
-    # is conj(slice k): compared here against the oracle of every slice
-    assert st.kept == (l // 2 + 1 if kind == "fourier-row" else h)
+    assert h == l // 2 + 1  # every set kind keeps slices 0..l//2
     for name, want in (("N", N), ("SB", SB), ("C", C), ("step_map", step_map),
                        ("cross", cross.reshape(h, q, q * tau, tau)), ("R", R)):
-        np.testing.assert_array_equal(unmirror(getattr(st, name), h, l), want, err_msg=name)
+        np.testing.assert_array_equal(getattr(st, name), want, err_msg=name)
 
 
 @pytest.mark.parametrize("kind", ["slice", "block", "gaussian", "fourier-row", "fourier-gaussian"])

@@ -106,6 +106,10 @@ BAD_FIELDS = [
      r"mats has shape \(2, 4, 1\), not \(2, 2, 4, 'tau'\)"),
     (dict(kind="gaussian", m=4, l=2, q=2, mats=[[[1.0]] * 4, [[float("nan")]] * 4]),
      "mats contains NaN or inf"),
+    # slice 2 of 3 is the mirror of slice 1, so its matrices must be slice 1's
+    (dict(kind="fourier-gaussian", m=2, l=3, q=1, mats=[[[[1.0], [0.0]]], [[[0.0], [1.0]]],
+                                                        [[[1.0], [0.0]]]]),
+     "mats of Fourier slice l - k must equal those of slice k"),
     (dict(kind="slice", m=0, l=2, q=1, rows=[[0]]), "m=0 must be a positive integer"),
     (dict(kind="slice", m=3, l=2.0, q=1, rows=[[0]]), "l=2.0 must be a positive integer"),
 ]

@@ -1,14 +1,13 @@
-"""Per-slice and direct states keep each Fourier table once.
+"""Per-slice families are mirrored, and so are the per-slice draws.
 
-For a real system, a per-slice family that sketches slice l - k as it
-sketches slice k (every fourier-row set; a fourier-gaussian set whose
-``mats[l - k] == mats[k]``) has tables in slice l - k that are the
-conjugates of slice k's.  The states then keep slices 0..l//2 of U and of
-the direct tables, and reach the others through the conjugate: zgemm's
-conjugate-transpose flag in the -II step, and one conjugation per gathered
-block in TSP-II.  TSP-I's own and mirror groups read the same rows.  The
-oracle here is the full-table path itself, taken by declaring the family
-not mirrored.
+For a real system, Fourier slice l - k of A, B and X* is the conjugate of
+slice k.  A per-slice family sketches slice l - k as it sketches slice k
+(every fourier-row set; a fourier-gaussian set must have
+``mats[l - k] == mats[k]``), and slice l - k draws what slice k draws
+(TSP-I, whose groups pair k with -k, draws both from streams of their
+own).  So every per-slice state keeps slices 0..l//2 of its tables and of
+its real iterate, as the spatial states do.  The oracle here replays all l
+slices from dense members, each projected on its own.
 """
 
 import tracemalloc
@@ -16,98 +15,70 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import spd_weight_tensor
+from conftest import per_slice_iterates, spd_weight_tensor
 from tubalsketch import solvers
 from tubalsketch.harness import ProblemSpec, gen_gaussian
-from tubalsketch.sketching import (
-    SketchSet,
-    make_block_sketches,
-    make_fourier_sketches,
-    make_gaussian_sketches,
-    make_slice_sketches,
-)
+from tubalsketch.sketching import SketchSet, make_fourier_sketches
 from tubalsketch.solvers import _UNIFORM_BLOCK, SolverConfig, make_state, solve
 from tubalsketch.t_algebra import WeightQ
 
 PER_SLICE = ("TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II")
-FIELDS = ("epsilon", "q_error", "loss_max", "loss_sum")
-
-
-def _mirrored_gaussian(m, tau, q, l, seed):
-    """A fourier-gaussian set whose slice l - k draws slice k's matrices."""
-    mats = make_fourier_sketches(m, tau, q, l, "gaussian", np.random.default_rng(seed)).mats
-    mats[l // 2 + 1:] = mats[1:(l + 1) // 2][::-1]
-    return SketchSet("fourier-gaussian", m, l, q, mats=mats)
-
-
-def _runs(monkeypatch, A, B, Xs, cfg):
-    """(X, record) of ``cfg`` on the kept tables and on full tables."""
-    got = solve(A, B, cfg, x_star=Xs)
-    with monkeypatch.context() as mp:
-        mp.setattr(SketchSet, "mirrored", property(lambda self: False))
-        want = solve(A, B, cfg, x_star=Xs)
-    return got, want
 
 
 def test_mirrored_families():
-    rng = np.random.default_rng(0)
-    for l in (1, 2, 3, 4, 5, 8):
-        assert make_fourier_sketches(6, 1, 6, l, "row").mirrored
-        assert _mirrored_gaussian(6, 2, 3, l, 1).mirrored
-        # per-slice draws: slice l - k has its own matrices once l > 2
-        assert make_fourier_sketches(6, 2, 3, l, "gaussian", rng).mirrored == (l <= 2)
-    for s in (make_slice_sketches(6, 4), make_block_sketches(6, 4, [[0, 1, 2], [3, 4, 5]]),
-              make_gaussian_sketches(6, 2, 3, 4, rng)):
-        assert s.mirrored  # one real family in every slice
+    # slices 0..l//2 of a fourier-gaussian set draw from the first of l
+    # spawned streams, one per slice, and slice l - k copies slice k
+    for l in range(1, 9):
+        mats = make_fourier_sketches(6, 2, 3, l, "gaussian", np.random.default_rng(l)).mats
+        children = np.random.default_rng(l).spawn(l)
+        for k in range(l):
+            want = [children[min(k, l - k)].standard_normal((6, 2)) for _ in range(3)]
+            np.testing.assert_array_equal(mats[k], want if k <= l // 2 else mats[l - k])
+        if l > 2:  # slices 1 and l - 1 are two slices
+            bad = mats.copy()
+            bad[-1, 0, 0, 0] += 1.0
+            with pytest.raises(ValueError, match="mats of Fourier slice l - k must equal"):
+                SketchSet("fourier-gaussian", 6, l, 3, mats=bad)
 
 
 @pytest.mark.parametrize("l", range(1, 11))
-@pytest.mark.parametrize("weight", ["none", "identity", "general"])
-def test_fourier_row_records_match_full_tables(monkeypatch, l, weight):
-    # numpy's FFT of real data is exactly mirrored for these l, so the records
-    # are bit for bit; for l = 6, 9, 10 it is not, and they agree to 1e-12
+@pytest.mark.parametrize("kind", ["row", "gaussian"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_per_slice_runs_equal_the_dense_replay(l, kind, weighted):
+    # every slice of the dense replay of the recorded choices is projected on
+    # its own; slice l - k steps on slice k's draw, so the replay is real
+    # (within rounding: numpy's FFT of real data is not exactly mirrored at
+    # l = 6, 9, 10) and the state's x(), from slices 0..l//2, is its X
     A, Xs, B = gen_gaussian(ProblemSpec(m=12, n=4, p=2, l=l, seed=40 + l))
-    Q = {"none": None, "identity": WeightQ.identity(4, l),
-         "general": WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(l), 4, l))}[weight]
-    f = make_fourier_sketches(12, 1, 12, l, "row")
-    exact = l not in (6, 9, 10)
-    for method in PER_SLICE:
-        cfg = SolverConfig(method=method, sketches=f, weight=Q, seed=l, tol=1e-10,
-                           max_iters=150, record_every=1)
-        (X, rec), (X0, rec0) = _runs(monkeypatch, A, B, Xs, cfg)
-        assert rec.iterations == rec0.iterations and rec.chosen == rec0.chosen, method
-        for name, got, want in (("X", X, X0), *((f, getattr(rec, f), getattr(rec0, f))
-                                                for f in FIELDS)):
-            if exact:
-                assert np.array_equal(got, want, equal_nan=True), (method, name)
-            else:
-                nan = np.isnan(want)
-                assert np.array_equal(np.isnan(got), nan), (method, name)
-                assert (np.linalg.norm(got[~nan] - want[~nan])
-                        <= 1e-12 * np.linalg.norm(want[~nan])), (method, name)
+    rng = np.random.default_rng(l)
+    Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, l)) if weighted else None
+    f = (make_fourier_sketches(12, 1, 12, l, "row") if kind == "row"
+         else make_fourier_sketches(12, 2, 5, l, "gaussian", rng))
+    for method in ("TSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II"):
+        cfg = SolverConfig(method=method, sketches=f, weight=Q, seed=l, tol=0.0, max_iters=40,
+                           keep_iterates=True, check_sampling=False)
+        _, rec = solve(A, B, cfg, x_star=Xs)
+        assert all(c[l - k] == c[k] for c in rec.chosen[1:] for k in range(1, l)), method
+        replay = per_slice_iterates(A, B, f, rec.chosen[1:], Q)
+        for X, Xc in zip(rec.iterates, replay):
+            assert np.linalg.norm(Xc.imag) <= 1e-13 * np.linalg.norm(Xs), method
+            assert np.linalg.norm(X - Xc.real) <= 1e-12 * np.linalg.norm(Xs), method
 
 
 @pytest.mark.parametrize("l", [4, 5, 6])
-def test_gaussian_sets_keep_full_tables_unless_mirrored(monkeypatch, l):
+def test_states_keep_the_kept_slices_and_draw_for_them(l):
+    # tables and iterate of slices 0..l//2 only; a stream for each of them,
+    # and for every slice for TSP-I
     A, Xs, B = gen_gaussian(ProblemSpec(m=12, n=4, p=2, l=l, seed=50 + l))
     h = l // 2 + 1
-    for mirrored, f in ((False, make_fourier_sketches(12, 2, 5, l, "gaussian",
-                                                      np.random.default_rng(l))),
-                        (True, _mirrored_gaussian(12, 2, 5, l, l))):
-        for method in PER_SLICE:
-            cfg = SolverConfig(method=method, sketches=f, seed=l, tol=1e-6, max_iters=400,
-                               record_every=1)
-            st = make_state(A, B, cfg, x_star=Xs)
-            kept = st.kept if method.startswith("ATSP") else len(st.tables[0])
-            assert kept == (h if mirrored else l), method  # TSP-I: the full spectrum, once
-            (X, rec), (X0, rec0) = _runs(monkeypatch, A, B, Xs, cfg)
-            assert rec.iterations == rec0.iterations and rec.chosen == rec0.chosen, method
-            if not mirrored:  # the same code path: bit for bit
-                assert np.array_equal(X, X0) and np.array_equal(rec.epsilon, rec0.epsilon)
-                continue
-            assert np.linalg.norm(X - X0) <= 1e-12 * np.linalg.norm(X0), method
-            assert (np.linalg.norm(rec.epsilon - rec0.epsilon)
-                    <= 1e-12 * np.linalg.norm(rec0.epsilon)), method
+    f = make_fourier_sketches(12, 2, 5, l, "gaussian", np.random.default_rng(l))
+    for method in PER_SLICE:
+        cfg = SolverConfig(method=method, sketches=f, seed=l, tol=1e-6, max_iters=400)
+        st = make_state(A, B, cfg, x_star=Xs)
+        assert len(st.N) == len(st.SB) == len(st.Xh) == len(st.Ah) == h, method
+        assert len(st.rngs) == (l if method == "TSP-I" else h), method
+        _, rec = solve(A, B, cfg, x_star=Xs)
+        assert all(len(c) == l for c in rec.chosen[1:]), method
 
 
 def _setup_peak(method, weight=None):
@@ -135,11 +106,13 @@ def test_set_state_setup_peak_is_the_kept_half_of_u():
     assert peak <= full_u * 5 // 8 + data + 4 * SLICE_N
 
 
-def test_direct_state_setup_peak_is_its_arrays_and_one_slice():
-    # no stack-sized N^H for the Gram, and the full spectrum is transformed in place
+def test_direct_state_setup_peak_is_its_arrays_and_the_transform():
+    # no stack-sized N^H for the Gram: setup peaks at the arrays the state
+    # keeps and the buffer in which all 8 slices of A are transformed, whose
+    # slices 0..4 are copied out of it, as in every state
     st, held, peak = _setup_peak("TSP-II")
     assert len(st.tables[0]) == 5 and np.shares_memory(st.tables[0], st.Ah)
-    assert peak <= held + SLICE_N
+    assert peak <= held + 8 * SLICE_N
 
 
 def test_stacked_state_keeps_one_table_per_kept_slice():
@@ -168,10 +141,10 @@ def test_identity_weight_holds_no_conjugate_transpose_table(method):
 @pytest.mark.parametrize("blocks", [False, True], ids=["one-draw", "blocks"])
 @pytest.mark.parametrize("method", ["TSP-I", "TSP-II", "NTSP-II", "ATSP-MD-II"])
 def test_steps_conjugate_nothing(monkeypatch, method, blocks):
-    # conjugation happens when a block of draws is gathered, never on a table
-    # or a block in a step: a -II step is one zgemm per stepped slice, and so
-    # is a fixed rule's step over a block of draws (while solve keeps its
-    # ledger); a fixed rule's step of one draw forms N^H from that draw's N
+    # no step conjugates a table or a gathered block: a -II step is one
+    # zgemm per stepped slice, and so is a fixed rule's step over a block of
+    # draws (while solve keeps its ledger); a fixed rule's step of one draw
+    # forms N^H from that draw's N
     A, Xs, B = gen_gaussian(ProblemSpec(m=10, n=4, p=2, l=5, seed=60))
     st = make_state(A, B, SolverConfig(method=method, sketches=make_fourier_sketches(
         10, 1, 10, 5, "row"), seed=61, record_every=10**9), x_star=Xs)
@@ -198,9 +171,9 @@ def test_steps_conjugate_nothing(monkeypatch, method, blocks):
         widths.append(st.t - t)
         if method.startswith("ATSP"):
             assert len(calls) == np.count_nonzero(np.asarray(choice) >= 0)
-            # U is member-major: a kept slice reads its rows by the transpose
-            # flag, a mirrored one by the conjugate-transpose flag
-            assert sorted(set(calls)) <= [(1,), (2,)] and not sizes
+            # U is member-major: each kept slice reads its rows by the
+            # transpose flag
+            assert set(calls) == {(1,)} and not sizes
         elif blocks and st.t - t > 1:
             assert calls == [(2,)] * st.h and not sizes
         else:

@@ -8,8 +8,8 @@ block's loss statistics once it is full and at exit; ``reference_solve``
 full and one row over, for each rule and set kind, with and without a
 weight, at several record cadences, and on divergence and zero-loss stops.
 Under a weight the states iterate on the whitened variable Q^{1/2} X, so
-every weighted row's errors are also checked against their X-space
-definitions on the iterate the row kept.
+every row's errors are also checked against their X-space definitions on
+the iterate the row kept, with and without a weight.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import per_slice_iterates, rand_tubal, reference_solve, spd_weight_tensor
+from conftest import rand_tubal, reference_solve, spd_weight_tensor
 
 from tubalsketch import solvers
 from tubalsketch.harness import relative_error
@@ -114,30 +114,23 @@ def test_rows_equal_the_reference_loop(method, kind, weighted, record_every, mon
 
 
 @pytest.mark.parametrize("l", [4, 5])
+@pytest.mark.parametrize("weighted", [False, True], ids=["no-weight", "weight"])
 @pytest.mark.parametrize("method,kind", CASES, ids=[f"{m}-{k}" for m, k in CASES])
-def test_weighted_rows_equal_the_x_space_oracle(method, kind, l):
-    # every row of a weighted run, against the iterate it kept: q_error is
-    # ||X_t - X*||_{F(Q)}^2 and epsilon ||X_t - X*||_F / ||X*||_F.  TSP-II
-    # and the -II methods keep the real part of a complex iterate and measure
-    # the whole of it: their rows add the imaginary part of an X-space replay
-    # of the recorded choices (Q^{1/2} is real, so the norms split)
+def test_rows_describe_the_returned_iterate(method, kind, weighted, l):
+    # every row against the iterate x() gave it: q_error is
+    # ||X_t - X*||_{F(Q)}^2 and epsilon ||X_t - X*||_F / ||X*||_F.  The
+    # per-slice methods step slice l - k on slice k's draw, so their records
+    # measure the real iterate that x() returns, as every other method's do
     rng = np.random.default_rng(30 + l)
     A, Xs = rand_tubal(rng, M, N, l), rand_tubal(rng, N, P, l)
-    weight = WeightQ.from_tensor(spd_weight_tensor(rng, N, l))
+    weight = WeightQ.from_tensor(spd_weight_tensor(rng, N, l)) if weighted else None
     cfg = SolverConfig(method=method, sketches=kind and SETS[kind](l), weight=weight, tau=2,
                        seed=31, tol=0.0, max_iters=80, keep_iterates=True, check_sampling=False)
     _, rec = solve(A, tprod(A, Xs), cfg, x_star=Xs)
     assert len(rec.iterates) == len(rec.t) == 81
-    imag = [np.zeros_like(Xs)] * len(rec.iterates)
-    if method == "TSP-II" or method.endswith("-II"):
-        replay = per_slice_iterates(A, tprod(A, Xs), cfg.sketches, rec.chosen[1:], weight)
-        for X, Xc in zip(rec.iterates, replay):
-            assert np.linalg.norm(X - Xc.real) <= 1e-12 * np.linalg.norm(Xs)
-        imag = [Xc.imag for Xc in replay]
-    q = np.array([weighted_fnorm(X - Xs, weight) ** 2 + weighted_fnorm(Y, weight) ** 2
-                  for X, Y in zip(rec.iterates, imag)])
-    eps = np.array([np.hypot(relative_error(X, Xs), np.linalg.norm(Y) / np.linalg.norm(Xs))
-                    for X, Y in zip(rec.iterates, imag)])
+    q = np.array([weighted_fnorm(X - Xs, weight) if weighted else np.linalg.norm(X - Xs)
+                  for X in rec.iterates]) ** 2
+    eps = np.array([relative_error(X, Xs) for X in rec.iterates])
     assert np.all(np.abs(rec.q_error - q) <= 1e-12 * q[0])
     assert np.all(np.abs(rec.epsilon - eps) <= 1e-12 * eps[0])
 

@@ -14,7 +14,6 @@ from conftest import (
     sp_step_direct,
     spd_weight_tensor,
     stacked_step_oracle,
-    unmirror,
 )
 from tubalsketch import sketching, solvers
 from tubalsketch.analysis import per_slice_rates, projector_tensor
@@ -40,6 +39,7 @@ from tubalsketch.t_algebra import (
     fnorm,
     identity,
     ifft_slices,
+    irfft_slices,
     tprod,
     tprod_oracle,
     ttranspose,
@@ -100,8 +100,8 @@ class TestSelectIndex:
         per_slice = make_state(A, B, SolverConfig(
             method="ATSP-CS-II", sketches=make_fourier_sketches(10, 1, 10, 4, "row"),
             theta=0.1, seed=6))
-        draws = np.array([per_slice.select(np.full((4, 10), 0.1)) for _ in range(300)])
-        for k in range(4):
+        draws = np.array([per_slice.select(np.full((3, 10), 0.1)) for _ in range(300)])
+        for k in range(3):  # the kept slices 0..l//2
             assert set(draws[:, k]) == set(range(10)), k
 
     def test_fixed_rule_uses_reference_distribution(self):
@@ -121,7 +121,7 @@ class TestSelectIndex:
     def test_adaptive_select_returns_none_on_zero_losses(self, method):
         # the rule itself reports that nothing is left to project on; one
         # positive loss is chosen, and a per-slice rule marks only its
-        # all-zero slices solved
+        # all-zero kept slices solved
         A, Xs, B = small_problem(5)
         per_slice = method.endswith("-II")
         s = make_fourier_sketches(10, 1, 10, 4, "row") if per_slice else make_slice_sketches(10, 4)
@@ -132,7 +132,7 @@ class TestSelectIndex:
         losses[..., 3] = 0.5
         if per_slice:
             losses[2] = 0.0
-            np.testing.assert_array_equal(st.select(losses), [3, 3, -1, 3])
+            np.testing.assert_array_equal(st.select(losses), [3, 3, -1])
         else:
             assert st.select(losses) == 3
 
@@ -156,12 +156,12 @@ class TestSliceDraws:
     def test_uniform_blocks_match_scalar_streams(self, method):
         # every block's rows are the values of one scalar random() per
         # stream and iteration: SeedSequence([seed, 1]) for a spatial set,
-        # [seed, 2, k] for slice k of a per-slice set
+        # [seed, 2, k] for kept slice k of a per-slice set
         A, Xs, B = small_problem(72)
         per_slice = method.endswith("-II")
         s = make_fourier_sketches(10, 1, 10, 4, "row") if per_slice else make_slice_sketches(10, 4)
         st = make_state(A, B, SolverConfig(method=method, sketches=s, seed=73), x_star=Xs)
-        keys = [(73, 2, k) for k in range(4)] if per_slice else [(73, 1)]
+        keys = [(73, 2, k) for k in range(3)] if per_slice else [(73, 1)]
         ref = [np.random.default_rng(key) for key in keys]
         assert len(st.rngs) == len(keys)
         for _ in range(3):
@@ -173,10 +173,10 @@ class TestSliceDraws:
     @pytest.mark.parametrize("method", ["ATSP-PR-II", "ATSP-CS-II"])
     def test_solved_slices_never_step_and_draws_match_lazy_streams(self, method):
         # x_star and B are a + (-1)^j b along depth, so Fourier slices 1 and
-        # 3 are zero and solved from t = 0.  They record -1 and their Z[k]
-        # stays zero.  Every slice's stream is read each iteration, yet the
-        # draws equal a reference that reads slice k's scalar stream only
-        # when slice k draws
+        # 3 are zero and solved from t = 0.  They record -1 and their kept
+        # Z[1] stays zero.  Every kept slice's stream is read each iteration,
+        # yet the draws equal a reference that reads slice k's scalar stream
+        # only when slice k draws, and slice 4 - k records slice k's draw
         rng = np.random.default_rng(74)
         l, m, n, p = 4, 10, 5, 3
         A = rng.standard_normal((m, n, l))
@@ -192,7 +192,7 @@ class TestSliceDraws:
         X, rec = solve(A, B, cfg, x_star=Xs)
         assert rec.iterations == iters
         st = make_state(A, B, cfg, x_star=Xs)
-        streams = [np.random.default_rng([75, 2, k]) for k in range(l)]
+        streams = [np.random.default_rng([75, 2, k]) for k in range(st.h)]
         for choice in rec.chosen[1:]:
             losses = st.losses()
             weights = losses if method == "ATSP-PR-II" else solvers._capped_losses(
@@ -201,10 +201,10 @@ class TestSliceDraws:
             for k, cum in enumerate(np.cumsum(weights, axis=1)):
                 want.append(-1 if cum[-1] <= 0 else
                             min(int(np.sum(cum <= streams[k].random() * cum[-1])), m - 1))
-            assert choice == tuple(want)
+            assert choice == (*want, want[1])
             assert choice[1] == choice[3] == -1 and min(choice[0], choice[2]) >= 0
-            st.step(np.array(choice))
-            assert not st.Z[[1, 3]].any()
+            st.step(np.array(want))
+            assert not st.Z[1].any()
         np.testing.assert_array_equal(st.x(), X)
 
     @pytest.mark.parametrize("method", ["NTSP", "TSP-I", "TSP-II", "NTSP-II"])
@@ -222,11 +222,16 @@ class TestSliceDraws:
         assert rec.iterations == iters
         cdf = np.cumsum(probs)
         # slice k's scalar stream is SeedSequence([seed, 2, k]), the spatial
-        # one SeedSequence([seed, 1]); both draw by one inverse-CDF rule
+        # one SeedSequence([seed, 1]); both draw by one inverse-CDF rule.
+        # TSP-I draws every slice; the others draw slices 0..2, and slice 3
+        # records slice 1's draw
+        streams = 4 if method == "TSP-I" else 3 if per_slice else 1
         rngs = [np.random.default_rng([82, 2, k] if per_slice else [82, 1])
-                for k in range(4 if per_slice else 1)]
+                for k in range(streams)]
         want = [tuple(min(int(np.sum(cdf <= r.random() * cdf[-1])), 9) for r in rngs)
                 for _ in range(iters)]
+        if streams == 3:
+            want = [(*w, w[1]) for w in want]
         assert rec.chosen[1:] == (want if per_slice else [w[0] for w in want])
 
 
@@ -347,9 +352,8 @@ class TestSpatialBlockStep:
             stacked = lambda: np.concatenate([st.Xh, st.R.reshape(st.h, -1, st.p)], axis=1)
             Z0 = stacked()
             want, raw = Z0.copy(), Z.copy()
-            # a fourier-row U holds slices 0..l//2; slice l - k steps by conj(U[k])
-            blocks = np.concatenate([st.step_map, st.cross], axis=2)  # (kept, q, n + q tau, tau)
-            want[kept] -= unmirror(blocks, st.h, l)[kept, js] @ R0[kept, js]
+            blocks = np.concatenate([st.step_map, st.cross], axis=2)  # (h, q, n + q tau, tau)
+            want[kept] -= blocks[kept, js] @ R0[kept, js]
             st.step(choice)
             # a copy of a non-F-contiguous output would leave Z unchanged
             assert st.Z is Z and not np.array_equal(Z, raw)
@@ -759,26 +763,35 @@ class TestRunBehaviour:
         with pytest.raises(ValueError, match="finite"):
             solve(A, B, cfg, x_star=Xs)
 
-    @pytest.mark.parametrize("place", ["spatial solve", "per-slice solve", "per_slice_rates"])
-    @pytest.mark.parametrize("bad", ["shape", "nan", "sum"])
+    @pytest.mark.parametrize("place, bad", [
+        (place, bad) for place in ("spatial solve", "per-slice solve", "TSP-I solve",
+                                   "per_slice_rates")
+        for bad in ("shape", "nan", "sum", "mirror")
+        if (place, bad) != ("spatial solve", "mirror")])
     def test_one_probability_check(self, place, bad):
-        # a wrong shape, a NaN row and a row off the simplex get one message
-        # wherever probabilities enter: (q,) everywhere, (l, q) per slice
-        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=2)
-        rows = 1 if place == "spatial solve" else 2
+        # a wrong shape, a NaN row, a row off the simplex and, per slice, a
+        # row l - k that is not row k get one message wherever probabilities
+        # enter: (q,) everywhere, (l, q) per slice, for TSP-I too, whose
+        # slices k and l - k draw from streams of their own
+        A, Xs, B = small_problem(17, m=6, n=3, p=2, l=3)
+        rows = 1 if place == "spatial solve" else 3
         probs = np.full((rows, 6), 1 / 6)
         probs[-1, 2] = np.nan if bad == "nan" else 0.0
+        if bad == "mirror":
+            probs[-1, 3] = 2 / 6  # a simplex point, not row 1's
         probs = np.full(7, 1 / 7) if bad == "shape" else probs[0] if rows == 1 else probs
         message = {"shape": rf"^probabilities have shape \(7,\), not \(6,\) or \({rows}, 6\)$",
                    "nan": "^probabilities must be finite$",
-                   "sum": rf"^probabilities of row {rows - 1} sum to 0\.8\d*, not 1$"}[bad]
-        s = make_slice_sketches(6, 2) if rows == 1 else make_fourier_sketches(6, 1, 6, 2, "row")
+                   "sum": rf"^probabilities of row {rows - 1} sum to 0\.8\d*, not 1$",
+                   "mirror": r"^probabilities of row 2 are not those of row 1: "}[bad]
+        s = make_slice_sketches(6, 3) if rows == 1 else make_fourier_sketches(6, 1, 6, 3, "row")
+        method = {"spatial solve": "NTSP", "TSP-I solve": "TSP-I"}.get(place, "NTSP-II")
         with pytest.raises(ValueError, match=message):
             if place == "per_slice_rates":
                 per_slice_rates(A, None, s, probs)
             else:
-                solve(A, B, SolverConfig(method="NTSP" if rows == 1 else "NTSP-II",
-                                         sketches=s, probabilities=probs), x_star=Xs)
+                solve(A, B, SolverConfig(method=method, sketches=s, probabilities=probs),
+                      x_star=Xs)
 
     def test_stop_reason_tol(self):
         A, Xs, B = small_problem(19, m=8, n=4, p=2, l=3)
@@ -990,13 +1003,17 @@ class TestSpatialLosses:
                                           weight=weight, seed=3), Xs)
             for method in ("NTSP", "ATSP-PR"))
         # the set state's C, N and S^H B on every slice give the fixed state's
-        # fresh residuals C^H (N Y - S^H B) too: both factor the same system
+        # fresh residuals C^H (N Y - S^H B) too: both factor the same system.
+        # Losses fall as the states step; each state's are compared on the
+        # scale of its largest loss at the start
         CH = np.conj(np.swapaxes(adaptive.C, -1, -2))
+        scale = {}
         for _ in range(6):
             for st, R in ((fixed, CH @ (adaptive.N @ fixed.Xh[:, None] - adaptive.SB)),
                           (adaptive, adaptive.R)):
                 expect = loss_oracle(st, R)
-                assert np.max(np.abs(st.losses() - expect)) <= 1e-14 * expect.max()
+                scale.setdefault(id(st), expect.max())
+                assert np.max(np.abs(st.losses() - expect)) <= 1e-14 * scale[id(st)]
                 st.step(st.select(st.losses() if st.adaptive else None))
         st = adaptive
         st.R[...] += 1e-3 * (rng.standard_normal(st.R.shape) + 1j * rng.standard_normal(st.R.shape))
@@ -1006,28 +1023,28 @@ class TestSpatialLosses:
         assert abs(st.audit() - expect) <= 1e-14 * expect
 
     def test_losses_allocate_only_their_result(self):
-        # the loss kernel writes into buffers made at setup; an einsum over
-        # the residuals would also allocate an (h, q) temporary, 9.6 KB here.
-        # numpy >= 2.3 copies a strided ufunc operand whose rows are shorter
-        # than half its ufunc buffer into that buffer (up to np.getbufsize()
-        # elements, 64 KB by default, whatever the problem size), so the
-        # buffer is shrunk below twice the residual rows for the measurement
+        # the spatial loss kernel writes into buffers made at setup; an einsum
+        # over the residuals would also allocate an (h, q) temporary, 9.6 KB
+        # here.  numpy >= 2.3 copies a strided ufunc operand whose rows are
+        # shorter than half its ufunc buffer into that buffer (up to
+        # np.getbufsize() elements, 64 KB by default, whatever the problem
+        # size), so the buffer is shrunk below twice the residual rows for
+        # the measurement
         A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=88))
-        for method, s in (("ATSP-MD", make_slice_sketches(240, 8)),
-                          ("ATSP-MD-II", make_fourier_sketches(240, 1, 240, 8, "row"))):
-            st = make_state(A, B, SolverConfig(method=method, sketches=s), x_star=Xs)
-            bufsize = np.getbufsize()
-            np.setbufsize(1024)
-            try:
-                st.losses()
-                tracemalloc.start()
-                losses = st.losses()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-                np.setbufsize(bufsize)
-            assert losses.shape == ((st.l, st.q) if st.per_slice_selection else (st.q,))
-            assert peak <= losses.nbytes + 1024, method
+        st = make_state(A, B, SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8)),
+                        x_star=Xs)
+        bufsize = np.getbufsize()
+        np.setbufsize(1024)
+        try:
+            st.losses()
+            tracemalloc.start()
+            losses = st.losses()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert losses.shape == (st.q,)
+        assert peak <= losses.nbytes + 1024
 
 
     def test_spatial_losses_read_contiguous_residual_rows(self):
@@ -1046,6 +1063,25 @@ class TestSpatialLosses:
         finally:
             tracemalloc.stop()
         assert peak <= losses.nbytes + 1024
+
+    def test_per_slice_losses_read_the_residual_rows_in_place(self):
+        # the per-slice losses are one einsum over the (h, q, 2 tau p) float
+        # view of the slices-first residual rows, which copies nothing: a
+        # square of that strided view copied it into numpy's ufunc buffer,
+        # 58 KB a call here for a 15 KB (l, q) result.  The einsum's own
+        # iterator takes about 1.4 KB whatever the problem size
+        A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=88))
+        st = make_state(A, B, SolverConfig(method="ATSP-MD-II", sketches=make_fourier_sketches(
+            240, 1, 240, 8, "row")), x_star=Xs)
+        st.losses()
+        tracemalloc.start()
+        try:
+            losses = st.losses()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert losses.shape == (st.h, st.q) == (5, 240)
+        assert peak <= losses.nbytes + 1536
 
 
 class TestErrorBuffer:
@@ -1124,13 +1160,13 @@ class TestSetLayout:
 
     @pytest.mark.parametrize("method", ["NTSP-II", "ATSP-MD-II", "TSP-II"])
     def test_per_slice_row_tables_are_views_of_the_transform(self, method):
-        # the full-spectrum transform is C-contiguous, so the fourier-row
+        # the kept slices of the transform are C-contiguous, so the fourier-row
         # gather of rows 0..m-1 in order is a reshape of Ah, not a copy
         A, Xs, B = small_problem(88)
         st = make_state(A, B, SolverConfig(method=method,
                                            sketches=make_fourier_sketches(10, 1, 10, 4, "row")))
         N = st.tables[0] if method == "TSP-II" else st.N
-        assert st.Ah.shape[0] == 4 and st.Ah.flags.c_contiguous
+        assert st.Ah.shape[0] == 3 and st.Ah.flags.c_contiguous
         assert np.shares_memory(N, st.Ah)
 
     @pytest.mark.parametrize("method", ["NTSP", "ATSP-MD", "ATSP-MD-II"])
@@ -1371,16 +1407,18 @@ class TestPerSliceVariants:
                 assert len(calls) == blocks
                 assert calls[0][1] == _UNIFORM_BLOCK
             else:  # once, at setup, on every member's Gram of the kept slices
-                assert calls == [(l // 2 + 1 if kind == "row" else l, f.q, f.tau, f.tau)]
+                assert calls == [(l // 2 + 1, f.q, f.tau, f.tau)]
 
             replay = make_state(A, B, cfg, x_star=Xs)
-            for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
-                replay.step(np.array(choice))
+            for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):  # TSP-II: the kept slices'
+                replay.step(np.array(choice)[:len(replay.rngs)])
                 assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
             assert len(calls) == (blocks + t if method == "TSP-I" else 2)
 
         # rec is TSP-II's run; replay it through the oracle on dense-member
-        # tables of the whitened system, whose iterate is Y = Q^{1/2} X
+        # tables of the whitened system, whose iterate is Y = Q^{1/2} X: its
+        # kept slices to the bit, and all l slices, slice l - k stepped on
+        # slice k's draw, to rounding
         tables = dense_set_tables(A, B, f, Q)
         C = tables["C"]
         tables["G"] = C @ np.conj(np.swapaxes(C, -1, -2))
@@ -1388,7 +1426,8 @@ class TestPerSliceVariants:
         for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
             Yh = direct_step_oracle(tables, Yh, np.array(choice))
             Xh = Yh if Q is None else Q.inv_sqrt @ Yh
-            assert np.array_equal(ifft_slices(Xh, force_real=True), X)
+            assert np.array_equal(irfft_slices(Xh[:l // 2 + 1], l), X)
+            assert fnorm(ifft_slices(Xh) - X) <= 1e-12 * max(fnorm(X), 1.0)
 
     def test_stacked_loop_runs_no_transform(self, monkeypatch):
         A, Xs, B = small_problem(62, m=8, n=4, p=2, l=5)

@@ -114,21 +114,20 @@ class TestDepthTransform:
         np.testing.assert_array_equal(F, fft_slices(X)[:l // 2 + 1])
         np.testing.assert_allclose(irfft_slices(F, l), X, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("half", [True, False])
     @pytest.mark.parametrize("l", [1, 2, 5, 6])
-    def test_kept_slices_multiplicities_and_whitening(self, l, half):
+    def test_kept_slices_multiplicities_and_whitening(self, l):
         rng = np.random.default_rng(10 + l)
         X = rand_tubal(rng, 3, 4, l)
-        F, w = _fourier_slices(X, half)
-        h = l // 2 + 1 if half else l
+        F, w = _fourier_slices(X)
+        h = l // 2 + 1
         assert F.shape == (h, 3, 4) and F.flags.c_contiguous and w.sum() == l
         np.testing.assert_array_equal(F, fft_slices(X)[:h])
         # sum_k w_k ||F_k||^2 over the kept slices is the full-spectrum norm
         assert np.isclose(w @ np.linalg.norm(F, axis=(1, 2)) ** 2, l * fnorm(X) ** 2)
         # the identity weight and no weight are the same stack, bit for bit
-        assert np.array_equal(_fourier_slices(X, half, WeightQ.identity(4, l))[0], F)
+        assert np.array_equal(_fourier_slices(X, WeightQ.identity(4, l))[0], F)
         Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, l))
-        np.testing.assert_array_equal(_fourier_slices(X, half, Q)[0], F @ Q.inv_sqrt[:h])
+        np.testing.assert_array_equal(_fourier_slices(X, Q)[0], F @ Q.inv_sqrt[:h])
 
     @pytest.mark.parametrize("l, k", [(1, 0), (4, 0), (4, 2), (5, 0)])
     def test_irfft_slices_rejects_imaginary_self_mirrored_slice(self, l, k):
