@@ -176,9 +176,10 @@ def full_spectrum_losses(A, B, X, members, Q=None):
 def per_slice_iterates(A, B, sketches, chosen, Q=None):
     """The iterates of per-slice sketch-and-project from X_0 = 0: step t
     projects every Fourier slice k on member ``chosen[t][k]`` of its family
-    (-1 leaves the slice), in the Q-norm.  The slices' choices differ, so
-    the iterates are complex; each is returned as its (n, p, l) inverse
-    transform, all by direct summation."""
+    (-1 leaves the slice), in the Q-norm, each slice on its own.  Each
+    iterate is returned as its complex (n, p, l) inverse transform, all by
+    direct summation: it is real only when slice l - k's choices are slice
+    k's."""
     Ah, Bh, Xh, Qinv = _full_spectrum(A, B, np.zeros((A.shape[1], B.shape[1], A.shape[2])), Q)
     iterates = [naive_idft3(Xh)]
     for idx in chosen:
