@@ -486,6 +486,17 @@ class _FiniteSetState(_BaseState):
     def trace_choice(self, choice):
         return tuple(choice[self.expand].tolist()) if self.per_slice_selection else int(choice)
 
+    def _stream_choice(self, choice):
+        """``choice`` as ``select`` returns it, an entry per stream; a per-slice
+        choice as recorded, l entries, slice l - k's slice k's, gives its first h."""
+        choice, streams = np.atleast_1d(choice), len(self.rngs)
+        if self.per_slice_selection and choice.shape == (self.l,) and np.array_equal(
+                choice[1:], choice[:0:-1]):
+            choice = choice[:streams]
+        if choice.shape != (streams,):
+            raise ValueError(f"choice has shape {choice.shape}, not ({streams},) or mirrored")
+        return choice
+
 
 class _SetState(_FiniteSetState):
     """Recursed residuals of the adaptive finite-set methods.
@@ -645,7 +656,8 @@ class _PerSliceSetState(_SetState):
     def _loop_buffers(self):
         """``gather``: Z as one table of (p,) rows, the rows of it that hold
         member 0's residual in each slice (member j's are tau j further) and
-        tau."""
+        tau; a take of those rows allocates a fraction of what indexing R
+        by (slices, choice) does."""
         super()._loop_buffers()
         self.slices = np.arange(self.h)
         h, width, tau = self.h, self.Z.shape[1], self.N.shape[2]
@@ -658,9 +670,10 @@ class _PerSliceSetState(_SetState):
 
     def losses(self):
         """The sketched losses (h, q) of ||R_i[k]||_F^2 (the slices'
-        subsystems are independent): one einsum over R's float view."""
+        subsystems are independent): one vecdot of R's float view, read in
+        place (einsum's iterator would take 1.4 KB a call besides)."""
         v = self.views[1]
-        return np.einsum("kij,kij->ki", v, v)
+        return np.vecdot(v, v)
 
     def loss_sum(self, losses):
         """Slice k's losses counted w_k times: over all kept slices, and
@@ -670,27 +683,28 @@ class _PerSliceSetState(_SetState):
 
     def step(self, choice):
         """Z[k] -= U[j, k].T @ R[k, j] for each slice k and its chosen member j
-        (a -1 skips the slice, whose gathered rows, the iterate's last, go
-        unused): one zgemm per slice that writes into Z, as
+        (a -1 skips the slice, whose gathered block, member q - 1's, is zero
+        and goes unused): one zgemm per slice that writes into Z, as
         Z[k].T -= R[k, j].T @ U[j, k].  The chosen R blocks, rows of Z, are
         copied first by one take: BLAS makes no promise for an input that
         overlaps its output.  While :func:`solve` keeps its ledger, the
-        step's drop, the chosen members' losses among those ``select`` read
-        (zero in a solved slice), slice k counted w_k times, leaves it."""
+        step's drop, the squared norm of the gathered blocks, slice k's
+        counted w_k times, leaves it."""
         choice = np.asarray(choice)
-        if self.ledger is not None:
-            self.ledger -= self.w @ self.read[self.slices, choice]
+        if choice.shape != (self.h,):
+            choice = self._stream_choice(choice)
         Zrows, rows, tau = self.gather
-        R = Zrows.take(rows + tau * choice[:, None], axis=0)
+        R = Zrows.take(rows + tau * (choice[:, None] % self.q), axis=0)
+        if self.ledger is not None:  # again where mirrored
+            m = self.mirrors
+            self.ledger -= np.vdot(R, R).real + np.vdot(R[m], R[m]).real
         for z, r, U, j in zip(self.Zt, R.transpose(0, 2, 1), self.Ut, choice.tolist()):
             if j >= 0:  # -1: the slice is solved
                 zgemm(-1.0, r, U[j], 1.0, z, 0, 1, 1)
         self.t += 1
 
     def select(self, losses):
-        """Per-slice index choices (-1: slice solved), or None if all are;
-        the losses are kept as ``read`` for the step's ledger entry."""
-        self.read = losses
+        """Per-slice index choices (-1: slice solved), or None if all are."""
         if self.rule == "md":
             top = losses.argmax(axis=1)
             active = losses[self.slices, top] > 0
@@ -833,7 +847,7 @@ class _DirectState(_FiniteSetState):
         if idx is self.choice:
             (N, r, u), cut, ledger = self.operands
         else:
-            sweep = self._sweep(self._projections(np.atleast_1d(idx)[None]), 0, 1)
+            sweep = self._sweep(self._projections(self._stream_choice(idx)[None]), 0, 1)
             (N, r, u), cut, ledger = sweep, 1, None
         if ledger is None:  # one draw on every slice
             self.Z -= np.conj(N).swapaxes(-1, -2) @ u
@@ -880,6 +894,7 @@ class _FreshGaussianState(_DirectState):
 
     trace_choice = _BaseState.trace_choice
     losses = _BaseState.losses
+    _stream_choice = staticmethod(np.atleast_1d)  # a sketch, taken as it is
 
     def __init__(self, A, B, config, x_star):
         _BaseState.__init__(self, A, B, config, x_star)

@@ -135,16 +135,22 @@ def _fourier_slices(X, Q=None):
     multiplicities w (summing to l): slices 0..l//2, slice l - k being the
     conjugate of slice k, with w_k = 2 where l - k != k.  A WeightQ ``Q``
     whitens slice k to X_k Q_k^{-1/2}; None or the identity skip that
-    product.  The spectrum is transformed in place in one (l, a, b) buffer
-    and the kept slices are copied out of it, so that they do not hold all
-    l alive."""
-    l = np.shape(X)[2]
+    product.  The spectrum is transformed in place a few of X's rows at a
+    time, in a buffer of one slice or 128 KB, whichever is larger (smaller
+    buffers cost more calls than they save), whose kept slices go to the
+    output: each 1-D transform is the whole tensor's, bit for bit."""
+    X = np.asarray(X)
+    a, b, l = X.shape
     w = np.ones(l // 2 + 1)
     w[1:l - w.size + 1] = 2.0
-    F = np.zeros((l, *np.shape(X)[:2]), dtype=np.complex128)
-    F.real = np.moveaxis(X, 2, 0)
-    np.fft.fft(F, axis=0, out=F)  # out= is new in numpy 2.0
-    F = F[:w.size].copy() if w.size < l else F
+    F = np.empty((w.size, a, b), dtype=np.complex128)
+    rows = max(1, min(a, max(a // l, (1 << 17) // max(1, 16 * l * b))))
+    buf = np.empty((l, rows, b), dtype=np.complex128)
+    for i in range(0, a, rows):
+        T = buf[:, :min(rows, a - i)]
+        T[...] = np.moveaxis(X[i:i + rows], 2, 0)
+        np.fft.fft(T, axis=0, out=T)  # out= is new in numpy 2.0
+        F[:, i:i + rows] = T[:w.size]
     return (F if Q is None or Q.is_identity else F @ Q.inv_sqrt[:w.size]), w
 
 

@@ -106,13 +106,12 @@ def test_set_state_setup_peak_is_the_kept_half_of_u():
     assert peak <= full_u * 5 // 8 + data + 4 * SLICE_N
 
 
-def test_direct_state_setup_peak_is_its_arrays_and_the_transform():
-    # no stack-sized N^H for the Gram: setup peaks at the arrays the state
-    # keeps and the buffer in which all 8 slices of A are transformed, whose
-    # slices 0..4 are copied out of it, as in every state
+def test_direct_state_setup_peak_is_its_arrays_and_one_slice():
+    # no stack-sized N^H for the Gram, and the spectrum is transformed a few
+    # rows at a time into the kept slices
     st, held, peak = _setup_peak("TSP-II")
     assert len(st.tables[0]) == 5 and np.shares_memory(st.tables[0], st.Ah)
-    assert peak <= held + 8 * SLICE_N
+    assert peak <= held + SLICE_N
 
 
 def test_stacked_state_keeps_one_table_per_kept_slice():

@@ -1004,16 +1004,24 @@ class TestSpatialLosses:
             for method in ("NTSP", "ATSP-PR"))
         # the set state's C, N and S^H B on every slice give the fixed state's
         # fresh residuals C^H (N Y - S^H B) too: both factor the same system.
-        # Losses fall as the states step; each state's are compared on the
-        # scale of its largest loss at the start
+        # One exception: NTSP-II's r^H G r, through the explicit pinv G, is
+        # 7e-14 off at t = 2 in member 4 of slice 2 of the l = 4 Gaussian set
+        # (its Gram's condition is 449; the C-factored oracle is within 2e-15
+        # of a long-double value).  That slice's draws and bits are as before
+        # the family was mirrored, when slice 3's independent losses, up to
+        # 12, set the step's scale; with slice 3 mirroring slice 1 the scale
+        # there is 5.06, so that one comparison keeps its start-of-run scale
         CH = np.conj(np.swapaxes(adaptive.C, -1, -2))
-        scale = {}
+        start_scale = (kind, l, weighted) == ("fourier-gaussian-tau3", 4, False)
+        start = None  # the fixed state's largest loss at t = 0
         for _ in range(6):
             for st, R in ((fixed, CH @ (adaptive.N @ fixed.Xh[:, None] - adaptive.SB)),
                           (adaptive, adaptive.R)):
                 expect = loss_oracle(st, R)
-                scale.setdefault(id(st), expect.max())
-                assert np.max(np.abs(st.losses() - expect)) <= 1e-14 * scale[id(st)]
+                if st is fixed and start is None:
+                    start = expect.max()
+                scale = start if start_scale and st is fixed else expect.max()
+                assert np.max(np.abs(st.losses() - expect)) <= 1e-14 * scale
                 st.step(st.select(st.losses() if st.adaptive else None))
         st = adaptive
         st.R[...] += 1e-3 * (rng.standard_normal(st.R.shape) + 1j * rng.standard_normal(st.R.shape))
@@ -1023,29 +1031,28 @@ class TestSpatialLosses:
         assert abs(st.audit() - expect) <= 1e-14 * expect
 
     def test_losses_allocate_only_their_result(self):
-        # the spatial loss kernel writes into buffers made at setup; an einsum
-        # over the residuals would also allocate an (h, q) temporary, 9.6 KB
-        # here.  numpy >= 2.3 copies a strided ufunc operand whose rows are
-        # shorter than half its ufunc buffer into that buffer (up to
-        # np.getbufsize() elements, 64 KB by default, whatever the problem
-        # size), so the buffer is shrunk below twice the residual rows for
-        # the measurement
+        # the loss kernel writes into buffers made at setup; an einsum over
+        # the residuals would also allocate an (h, q) temporary, 9.6 KB here.
+        # numpy >= 2.3 copies a strided ufunc operand whose rows are shorter
+        # than half its ufunc buffer into that buffer (up to np.getbufsize()
+        # elements, 64 KB by default, whatever the problem size), so the
+        # buffer is shrunk below twice the residual rows for the measurement
         A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=88))
-        st = make_state(A, B, SolverConfig(method="ATSP-MD", sketches=make_slice_sketches(240, 8)),
-                        x_star=Xs)
-        bufsize = np.getbufsize()
-        np.setbufsize(1024)
-        try:
-            st.losses()
-            tracemalloc.start()
-            losses = st.losses()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            np.setbufsize(bufsize)
-        assert losses.shape == (st.q,)
-        assert peak <= losses.nbytes + 1024
-
+        for method, s in (("ATSP-MD", make_slice_sketches(240, 8)),
+                          ("ATSP-MD-II", make_fourier_sketches(240, 1, 240, 8, "row"))):
+            st = make_state(A, B, SolverConfig(method=method, sketches=s), x_star=Xs)
+            bufsize = np.getbufsize()
+            np.setbufsize(1024)
+            try:
+                st.losses()
+                tracemalloc.start()
+                losses = st.losses()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                np.setbufsize(bufsize)
+            assert losses.shape == ((st.h, st.q) if st.per_slice_selection else (st.q,))
+            assert peak <= losses.nbytes + 1024, method
 
     def test_spatial_losses_read_contiguous_residual_rows(self):
         # member i's residual rows are one contiguous block of the member-major
@@ -1065,11 +1072,10 @@ class TestSpatialLosses:
         assert peak <= losses.nbytes + 1024
 
     def test_per_slice_losses_read_the_residual_rows_in_place(self):
-        # the per-slice losses are one einsum over the (h, q, 2 tau p) float
-        # view of the slices-first residual rows, which copies nothing: a
-        # square of that strided view copied it into numpy's ufunc buffer,
-        # 58 KB a call here for a 15 KB (l, q) result.  The einsum's own
-        # iterator takes about 1.4 KB whatever the problem size
+        # the per-slice losses are one vecdot of the (h, q, 2 tau p) float
+        # view of the slices-first residual rows, which copies nothing at
+        # numpy's default ufunc buffer size: a square of that strided view
+        # copied it into the buffer, 58 KB a call here for a 15 KB result
         A, Xs, B = gen_gaussian(ProblemSpec(m=240, n=40, p=3, l=8, seed=88))
         st = make_state(A, B, SolverConfig(method="ATSP-MD-II", sketches=make_fourier_sketches(
             240, 1, 240, 8, "row")), x_star=Xs)
@@ -1081,7 +1087,7 @@ class TestSpatialLosses:
         finally:
             tracemalloc.stop()
         assert losses.shape == (st.h, st.q) == (5, 240)
-        assert peak <= losses.nbytes + 1536
+        assert peak <= losses.nbytes + 1024
 
 
 class TestErrorBuffer:
@@ -1410,8 +1416,8 @@ class TestPerSliceVariants:
                 assert calls == [(l // 2 + 1, f.q, f.tau, f.tau)]
 
             replay = make_state(A, B, cfg, x_star=Xs)
-            for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):  # TSP-II: the kept slices'
-                replay.step(np.array(choice)[:len(replay.rngs)])
+            for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
+                replay.step(np.array(choice))
                 assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
             assert len(calls) == (blocks + t if method == "TSP-I" else 2)
 
@@ -1428,6 +1434,25 @@ class TestPerSliceVariants:
             Xh = Yh if Q is None else Q.inv_sqrt @ Yh
             assert np.array_equal(irfft_slices(Xh[:l // 2 + 1], l), X)
             assert fnorm(ifft_slices(Xh) - X) <= 1e-12 * max(fnorm(X), 1.0)
+
+    @pytest.mark.parametrize("method", ["TSP-II", "NTSP-II", "ATSP-MD-II", "ATSP-PR-II"])
+    def test_recorded_choices_replay_and_other_shapes_are_rejected(self, method):
+        # a record's choice holds l entries, slice l - k's equal to slice k's:
+        # step takes it as the h entries select returns, and names any other
+        # choice instead of broadcasting it or keeping part of it
+        A, Xs, B = small_problem(90, m=7, n=4, p=2, l=4)
+        cfg = SolverConfig(method=method, sketches=make_fourier_sketches(7, 1, 7, 4, "row"),
+                           seed=91, tol=0.0, max_iters=12, keep_iterates=True)
+        _, rec = solve(A, B, cfg, x_star=Xs)
+        replay = make_state(A, B, cfg, x_star=Xs)
+        for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
+            assert len(choice) == 4 and choice[3] == choice[1]
+            replay.step(np.array(choice))
+            assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
+        for bad in ([0, 1], [0, 1, 2, 0], [[0, 1, 2]]):
+            with pytest.raises(ValueError, match="choice"):
+                replay.step(np.array(bad))
+        assert replay.t == len(rec.chosen) - 1
 
     def test_stacked_loop_runs_no_transform(self, monkeypatch):
         A, Xs, B = small_problem(62, m=8, n=4, p=2, l=5)
