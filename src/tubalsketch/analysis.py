@@ -259,10 +259,13 @@ def _max_energy_estimate(factors, n_samples, rng):
         b = min(c, n_samples - j)
         G = np.fft.rfft(rng.standard_normal((b, l, n)).transpose(1, 2, 0).copy(), axis=0)
         X = np.matmul(M, G, out=block[:h * r * b].reshape(h, r, b)).view(np.float64)
-        e = (w @ np.square(X, out=X).reshape(h, -1)).reshape(r, -1, 2).sum(axis=2)
+        e = w @ np.square(X, out=X).reshape(h, -1)  # each entry's re^2 then im^2: add the pairs
+        e = (e[0::2] + e[1::2]).reshape(r, b)
         energies, norms_sq = e[:-n].reshape(K.shape[1], -1, b).sum(axis=1), e[-n:].sum(0)
         live = norms_sq > 1e-24 * l
-        if live.any():
+        if live.all():
+            estimate = min(estimate, np.min(np.max(energies, axis=0) / norms_sq))
+        elif live.any():
             estimate = min(estimate, np.min(np.max(energies[:, live], axis=0) / norms_sq[live]))
     if estimate == np.inf:
         raise ValueError("no sampled direction has a nonzero range component")

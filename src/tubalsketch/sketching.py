@@ -279,9 +279,14 @@ def prob_slice_norm(A):
 
 def prob_sketch_norm(A, Q, sketches):
     """p_i proportional to ||Q^{-1/2} * A^T * S_i||_F^2 (spatial sets; Q may be None)."""
+    return _sketch_norm(A, Q, sketches)
+
+
+def _sketch_norm(A, Q, sketches, transformed=None):
+    """:func:`prob_sketch_norm` from ``transformed`` = ``_fourier_slices(A, Q)``, if held."""
     if sketches.per_slice:
         raise ValueError("prob_sketch_norm applies to spatial sketch sets")
-    AQ, w = _fourier_slices(A, Q=Q)
+    AQ, w = transformed or _fourier_slices(A, Q=Q)
     return _normalize(w @ np.sum(np.abs(sketches.sketch(AQ)) ** 2, axis=(2, 3)), "sketch-norm")
 
 
@@ -292,14 +297,22 @@ def prob_fourier_row_norm(A, Q=None):
     Returns an (l, m) array of per-slice simplex points, those of slice
     l - k copied from slice k's, whose conjugate it is.
     """
-    AQ = _fourier_slices(A, Q)[0]
+    return _fourier_row_norm(A, Q)
+
+
+def _fourier_row_norm(A, Q, transformed=None):
+    """:func:`prob_fourier_row_norm` from ``transformed`` = ``_fourier_slices(A, Q)``, if held."""
+    AQ = (transformed or _fourier_slices(A, Q))[0]
     p = _normalize(np.sum(np.abs(AQ) ** 2, axis=2), "fourier-row")
     return np.concatenate([p, p[1:np.shape(A)[2] - len(p) + 1][::-1]])
 
 
-def resolve_probabilities(spec, A, Q, sketches):
+def resolve_probabilities(spec, A, Q, sketches, transformed=None):
     """Probabilities of a rule name (None is 'uniform'; the others are the
-    ``prob_*`` rules above, ``Q`` a WeightQ or None) or of an explicit vector."""
+    ``prob_*`` rules above, ``Q`` a WeightQ or None) or of an explicit vector.
+    ``transformed``: ``_fourier_slices(A, Q)``, if held (a solver state's
+    whitened slices), which the sketch-norm and fourier-row-norm rules read
+    in place of transforming A again."""
     if spec is None or (isinstance(spec, str) and spec == "uniform"):
         return prob_uniform(sketches.q)
     if isinstance(spec, str):
@@ -308,11 +321,11 @@ def resolve_probabilities(spec, A, Q, sketches):
                 raise ValueError("slice-norm probabilities require slice sketches")
             return prob_slice_norm(A)
         if spec == "sketch-norm":
-            return prob_sketch_norm(A, Q, sketches)
+            return _sketch_norm(A, Q, sketches, transformed)
         if spec == "fourier-row-norm":
             if not sketches.per_slice:
                 raise ValueError("fourier-row-norm requires a per-slice sketch set")
-            return prob_fourier_row_norm(A, Q)
+            return _fourier_row_norm(A, Q, transformed)
         raise ValueError(f"unknown probability rule {spec!r}")
     return np.asarray(spec, dtype=np.float64)
 

@@ -62,7 +62,11 @@ fresh one.  Once the ledger's error is at rounding level (D under 1e-30
 l ||X*||^2, where the step losses are rounding too) it gives no row: with
 tol = 0 the decade test stops and logged rows are fresh; with tol > 0 the
 ledger, which cannot tell a crossing of tol from noise there, is dropped
-and every later error is fresh.  Because the fixed rules'
+and every later error is fresh.  ``RunRecord.fresh_errors`` counts the
+fresh errors taken.  Under the identity weight a spatial set state takes
+the steps between fresh errors as one run (``_SpatialSetState.run``):
+each step forms its losses in the row it logs, or in a scratch row, and
+:func:`solve` writes the run's rows at once.  Because the fixed rules'
 draws do not depend on the iterate, a run of their projections is a
 forward Gauss-Seidel sweep on the drawn rows' Gram: while the ledger is
 kept, their states project up to 32 rows of draws by one unit-triangular
@@ -98,6 +102,7 @@ every kept slice.
 
 from __future__ import annotations
 
+import operator
 import struct
 import time
 import warnings
@@ -152,7 +157,9 @@ class SolverConfig:
     ``method``, a ``weight`` that is not a WeightQ and ``sketches`` that are
     not a SketchSet with a ``ValueError`` that names the field, and so a
     complex A, B or x_star.  ``WeightQ.from_tensor`` rejects a tensor with
-    NaN or inf the same way.
+    NaN or inf the same way.  With x_star, a ``tol`` under about 1e-15 is
+    crossed by rounding noise: such a stop may come some iterations off the
+    one a fresh error every iteration would give (see :func:`solve`).
     """
 
     method: str = "NTSP"
@@ -203,6 +210,7 @@ class RunRecord:
     stop_reason: str = ""  # 'tol', 'zero_loss' (all sketched losses 0), 'max_iters', 'diverged'
     audit_max: float = 0.0
     max_imag_residue: float = 0.0
+    fresh_errors: int = 0  # the fresh errors (or residuals) solve() took, first and last rows' too
     iterates: list | None = None
 
 
@@ -446,8 +454,8 @@ class _FiniteSetState(_BaseState):
         else:
             self.rngs = [_rng(config.seed, 1)]
         probs = sketching.as_prob_rows(sketching.resolve_probabilities(
-            config.probabilities, A, self.Q, sketches), self.l if self.per_slice_selection else 1,
-            self.q)[:len(self.rngs)]  # a row per stream
+            config.probabilities, A, self.Q, sketches, (self.Ah, self.w)),  # no second transform
+            self.l if self.per_slice_selection else 1, self.q)[:len(self.rngs)]  # a row per stream
         self.base_cdf = np.cumsum(probs, axis=1)
         self.base_probs = probs if self.per_slice_selection else probs[0]
         self.drawn = _UNIFORM_BLOCK  # rows of the current block used
@@ -599,8 +607,10 @@ class _SpatialSetState(_SetState):
         item = Rbd.itemsize  # R[k, j, a, c] goes to Rbd[k p + c, k tau + a]
         diagonal = np.lib.stride_tricks.as_strided(
             Rbd, (h, tau, p), ((p + tau * h * p) * item, h * p * item, item))
-        # step's operands: U[j].T and Z.T are F-contiguous
-        self.step_ops = Rbd, diagonal, self.views[0], self.U.swapaxes(1, 2), self.Z.T
+        # step's operands, member j's R[:, j] and U[j].T at entry j: U[j].T and Z.T
+        # are F-contiguous
+        self.step_ops = (Rbd, diagonal, tuple(self.views[0].swapaxes(0, 1)),
+                         tuple(self.U.swapaxes(1, 2)), self.Z.T)
 
     def losses(self):
         """The sketched losses (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2: the
@@ -619,9 +629,45 @@ class _SpatialSetState(_SetState):
         if self.ledger is not None:
             self.ledger -= self.l * self.loss
         Rbd, diagonal, R, UT, ZT = self.step_ops
-        np.copyto(diagonal, R[:, choice])
+        diagonal[...] = R[choice]
         zgemm(-1.0, Rbd, UT[choice], 1.0, ZT, 0, 1, 1)  # trans_b, overwrite_c
         self.t += 1
+
+    def run(self, outs, lo, hi, clock):
+        """Steps while the ledger's D = ``self.ledger`` stays in [lo, hi], one
+        for each row of ``outs``, which takes its losses: those of
+        ``losses()``, ``select`` (the md rule's argmax inline) and ``step``
+        with the losses formed in place and the step's drop debited.  Returns
+        the lists of each step's choice, D and ``clock()``.  The run ends
+        after a step whose D leaves [lo, hi] (NaN too) and before a step that
+        no positive loss is left to take, so then it returns fewer entries
+        than ``outs`` has rows."""
+        v, sq, wvec, l, D = self.views[1], self.sq, self.wvec, self.l, self.ledger
+        Rbd, diagonal, R, UT, ZT = self.step_ops
+        square, dot, md, choices, ledger, times = np.square, np.dot, self.rule == "md", [], [], []
+        for out in outs:
+            square(v, sq)
+            dot(sq, wvec, out)
+            if md:
+                i = out.argmax()
+                loss = out.item(i)  # a float: the ledger's arithmetic is its bits
+                if loss <= 0.0:
+                    break
+            else:
+                i = self.select(out)
+                if i is None:
+                    break
+                loss = self.loss
+            diagonal[...] = R[i]
+            zgemm(-1.0, Rbd, UT[i], 1.0, ZT, 0, 1, 1)
+            D -= l * loss
+            choices.append(i)
+            ledger.append(D)
+            times.append(clock())
+            if not lo <= D <= hi:
+                break
+        self.ledger, self.t = D, self.t + len(choices)
+        return choices, ledger, times
 
     def select(self, losses):
         """Member index, or None when no loss is positive."""
@@ -1000,7 +1046,13 @@ def solve(A, B, config, x_star=None):
     identity weight logged rows read the ledger too, so a record-every-step
     run takes a fresh error only where one decides something; a weighted
     run keeps the ledger only for ``record_every > 1`` and logs fresh rows.
-    Draws, stops and X do not depend on which rows read the ledger.
+    Draws, stops and X do not depend on which rows read the ledger.  A
+    spatial set state then steps in runs up to the next step that takes a
+    fresh error whatever the ledger says (the first, each 64th,
+    ``max_iters``, an audit, a logged row at rounding level) or that the
+    loss block cannot hold; a run also ends after a step whose D leaves
+    [lo, hi], which takes its fresh error here, and before a zero-loss
+    stop.  ``keep_iterates`` and weighted runs step one at a time.
     """
     start = time.perf_counter()
     state = make_state(A, B, config, x_star)
@@ -1016,60 +1068,118 @@ def solve(A, B, config, x_star=None):
             stats[0], stats[1] = np.maximum.reduce(b, axis=1), state.loss_sum(b)
             stats[2], held = state.variance_factor(b), 0
 
+    def room(losses):
+        """The loss block's rows left, the block made for rows like ``losses``
+        if there is none: at most _LOSS_BLOCK_BYTES and _UNIFORM_BLOCK rows."""
+        nonlocal block, block_rows
+        if block is None:
+            block = np.empty((min(_UNIFORM_BLOCK, _LOSS_BLOCK_BYTES // losses.nbytes or 1),
+                              *losses.shape))
+            block_rows = list(block)
+        return len(block) - held
+
     def log_row(eps, q, secs, chosen=None, losses=None):
         """Append one row; ``losses`` are those ``chosen`` was selected next to."""
-        nonlocal block, held
+        nonlocal held
         rows.frombytes(_PACK_ROW(state.t, eps, q, secs, np.nan, np.nan, np.nan))
         record.chosen.append(None if chosen is None else state.trace_choice(chosen))
         if keep:
             record.iterates.append(state.x())
         if losses is not None:
-            if block is None:
-                block = np.empty((min(_UNIFORM_BLOCK, _LOSS_BLOCK_BYTES // losses.nbytes or 1),
-                                  *losses.shape))
+            room(losses)
             block[held], held = losses, held + 1
             if held == len(block):
                 flush()
 
+    def log_run(t, first, steps, choices, ledger, clocks):
+        """Append at once the rows of a run's steps t + first + 1, then every
+        ``record_every``, of its first ``steps``, which read the ledger:
+        epsilon and q_error as log_row's ledger rows have them; their losses
+        are in the block already."""
+        nonlocal held, fresh_row
+        logged = slice(first, steps, record_every)
+        D = np.array(ledger[logged])
+        if D.size:
+            new = np.empty((D.size, len(_ROW_FIELDS)))
+            new[:, 0] = range(t + first + 1, t + steps + 1, record_every)
+            new[:, 1], new[:, 2] = np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l
+            new[:, 3], new[:, 4:] = np.array(clocks[logged]) - start, np.nan
+            rows.frombytes(memoryview(new).cast("B"))
+            record.chosen.extend(map(operator.index, choices[logged]))  # ints
+            held, fresh_row = held + D.size, False
+            if held == len(block):
+                flush()
+
     eps, diff_norm = state._errors()
-    eps0 = max(eps, 1e-300)
+    eps0, fresh = max(eps, 1e-300), 1
     q = state.q_error(diff_norm)
     log_row(eps, q, 0.0)
     tol, limit, record_every, adaptive = config.tol, 1e3 * eps0, config.record_every, state.adaptive
     audit_every = config.audit_every if isinstance(state, _SetState) else 0
     losses_of, select, step, errors, q_error = (state.losses, state.select, state.step,
                                                 state._errors, state.q_error)
-    lo = hi = None
+    lo = hi = block_rows = None
     if state.x_star is not None and (record_every > 1 or state.Qis is None):
         floor, hi, slack = _ledger_scales(state, tol, limit)
         state.ledger = anchor = state.l * q
         lo = _ledger_floor(floor, anchor, slack)
         state.ledger_bounds = lo, hi
+    # rows that read the ledger need no x() and no weight
+    run = getattr(state, "run", None) if lo is not None and state.Qis is None and not keep else None
+    scratch = None if run is None else np.empty(state.q)  # the losses of a run's unlogged steps
     converged, stop, fresh_row = eps < tol, "", True
     start = time.perf_counter()
 
     while not converged and not stop and state.t < config.max_iters:
-        losses = losses_of() if adaptive else None  # only rules that read them log them
-        chosen = select(losses)
-        if chosen is None:  # no sketched loss is positive
-            converged, stop = True, "zero_loss"
-            break
-        step(chosen)
-        t = state.t
-        if audit_every and not t % audit_every:
-            state.audit()
-        D = state.ledger
-        if D is not None and lo <= D <= hi and t % _UNIFORM_BLOCK and t > 1:
-            if t % record_every:
-                continue  # the ledger's error decides nothing here
-            if state.Qis is None and lo >= 1e-30 * slack and t < config.max_iters:  # last: fresh
-                # the row reads the ledger: D = ||X - X*||^2 over all l slices
-                log_row(np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l,
-                        time.perf_counter() - start, chosen, losses)
-                fresh_row = False
+        t, steps = state.t, 0
+        if run is not None and state.ledger is not None and t:
+            # a run ends before the next step that takes a fresh error whatever D
+            # is (a multiple of 64, max_iters, an audit and, while the ledger is at
+            # rounding level, a logged row) and before a logged row the loss block cannot hold
+            ends = [t - t % _UNIFORM_BLOCK + _UNIFORM_BLOCK - 1, config.max_iters - 1,
+                    (t // record_every + room(scratch) + 1) * record_every - 1]
+            if audit_every:
+                ends.append(t - t % audit_every + audit_every - 1)
+            if not lo >= 1e-30 * slack:
+                ends.append(t - t % record_every + record_every - 1)
+            steps = min(ends) - t
+        if steps > 0:  # logged steps take their losses into the block's rows
+            first = record_every - 1 - t % record_every
+            outs = [scratch] * steps
+            outs[first::record_every] = block_rows[held:held + len(outs[first::record_every])]
+            choices, ledger, clocks = run(outs, lo, hi, time.perf_counter)
+            taken = len(choices)
+            left = taken and not lo <= ledger[-1] <= hi  # its last step takes a fresh error
+            log_run(t, first, taken - left, choices, ledger, clocks)
+            if not left:
+                if taken < steps:  # no sketched loss is positive
+                    converged, stop = True, "zero_loss"
+                    break
                 continue
+            chosen, losses, t, D = choices[-1], outs[taken - 1], state.t, state.ledger
+        else:
+            losses = losses_of() if adaptive else None  # only rules that read them log them
+            chosen = select(losses)
+            if chosen is None:  # no sketched loss is positive
+                converged, stop = True, "zero_loss"
+                break
+            step(chosen)
+            t = state.t
+            if audit_every and not t % audit_every:
+                state.audit()
+            D = state.ledger
+            if D is not None and lo <= D <= hi and t % _UNIFORM_BLOCK and t > 1:
+                if t % record_every:
+                    continue  # the ledger's error decides nothing here
+                if state.Qis is None and lo >= 1e-30 * slack and t < config.max_iters:
+                    # the row reads the ledger: D = ||X - X*||^2 over all l slices (last: fresh)
+                    log_row(np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l,
+                            time.perf_counter() - start, chosen, losses)
+                    fresh_row = False
+                    continue
 
         eps, diff_norm = errors()
+        fresh += 1
         logged = t % record_every == 0 or eps < tol or not eps <= limit  # also NaN
         q = q_error(diff_norm) if logged or D is not None else np.nan
         if D is not None:  # dropped when off by more than rounding (x_star is
@@ -1088,16 +1198,18 @@ def solve(A, B, config, x_star=None):
         converged = eps < tol
 
     flush()
-    if rows[-len(_ROW_FIELDS)] != state.t:
+    last = rows[-len(_ROW_FIELDS)] == state.t
+    if not (last and fresh_row):
         eps, diff_norm = errors()
-        log_row(eps, q_error(diff_norm), time.perf_counter() - start)
-    elif not fresh_row:  # a zero-loss stop just after a row that read the ledger
-        eps, diff_norm = errors()
-        rows[1 - len(_ROW_FIELDS)], rows[2 - len(_ROW_FIELDS)] = eps, q_error(diff_norm)
+        fresh += 1
+        if last:  # a zero-loss stop just after a row that read the ledger
+            rows[1 - len(_ROW_FIELDS)], rows[2 - len(_ROW_FIELDS)] = eps, q_error(diff_norm)
+        else:
+            log_row(eps, q_error(diff_norm), time.perf_counter() - start)
     columns = np.frombuffer(rows).reshape(-1, len(_ROW_FIELDS))
     for name, column in zip(_ROW_FIELDS, [columns[:, 0].astype(int), *columns[:, 1:].T.copy()]):
         setattr(record, name, column)  # t as ints, the others rows of one contiguous copy
-    record.iterations, record.converged = state.t, bool(converged)
+    record.iterations, record.converged, record.fresh_errors = state.t, bool(converged), fresh
     record.stop_reason = stop or ("tol" if converged else "max_iters")
     record.audit_max, record.max_imag_residue = state.audit_max, state.max_imag_residue
     if stop == "diverged":

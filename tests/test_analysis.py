@@ -579,6 +579,32 @@ def _check_max_energy(A, Qt, s, seed=24, n_samples=60):
     return basis.shape[1]
 
 
+def _max_energy_pairwise(factors, n_samples, rng):
+    """``analysis._max_energy_estimate`` with each block's energies reduced
+    over (re, im) pairs by a reshaped sum and live directions picked by a
+    boolean index whether or not all are live: the reduction it replaced."""
+    AQ, _, K, w = factors
+    h, m, n = AQ.shape
+    l = int(w.sum())
+    s, vh = np.linalg.svd(AQ, full_matrices=False)[1:]
+    vh = vh * (s > max(m, n) * l * np.finfo(float).eps * s.max())[..., None]
+    P = np.conj(np.swapaxes(vh, -1, -2)) @ vh
+    M = np.concatenate((K.reshape(h, -1, n) @ P, P), axis=1)
+    r = M.shape[1]
+    c = max(64, analysis._SAMPLE_BLOCK_BYTES // (16 * h * r))
+    estimate = np.inf
+    for j in range(0, n_samples, c):
+        b = min(c, n_samples - j)
+        G = np.fft.rfft(rng.standard_normal((b, l, n)).transpose(1, 2, 0).copy(), axis=0)
+        X = (M @ G).view(np.float64)
+        e = (w @ np.square(X).reshape(h, -1)).reshape(r, -1, 2).sum(axis=2)
+        energies, norms_sq = e[:-n].reshape(K.shape[1], -1, b).sum(axis=1), e[-n:].sum(0)
+        live = norms_sq > 1e-24 * l
+        if live.any():
+            estimate = min(estimate, np.min(np.max(energies[:, live], axis=0) / norms_sq[live]))
+    return float(estimate)
+
+
 class TestFourierReportOracles:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", list(ALL_SETS))
@@ -630,6 +656,22 @@ class TestFourierReportOracles:
              }[name]()
         for n_samples in (1, c - 1, c, c + 1, 3 * c + 7):
             assert _check_max_energy(A, Qt, s, n_samples=n_samples) == 5 * l
+
+    @pytest.mark.parametrize("kind", ["slice", "gaussian"])
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_max_energy_equals_the_pairwise_reduction(self, l, kind):
+        # each sample's re^2 and im^2 are added as two strided halves, and an
+        # all-live block is scored without a boolean-index copy: bit for bit
+        # the estimate of the reduction over (re, im) pairs kept below
+        rng = np.random.default_rng(50 + l)
+        A = rand_tubal(rng, 6, 4, l)
+        s = (make_slice_sketches(6, l) if kind == "slice"
+             else make_gaussian_sketches(6, 2, 5, l, np.random.default_rng(51)))
+        factors = analysis._slice_factors(A, None, s)
+        for n_samples in (1, 65, 300):
+            got = analysis._max_energy_estimate(factors, n_samples, np.random.default_rng(l))
+            want = _max_energy_pairwise(factors, n_samples, np.random.default_rng(l))
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     def test_max_energy_memory_is_the_draw_and_one_block(self):
         # tracemalloc counts what the estimate allocates: one sample block,

@@ -18,7 +18,13 @@ import pytest
 from conftest import per_slice_iterates, spd_weight_tensor
 from tubalsketch import solvers
 from tubalsketch.harness import ProblemSpec, gen_gaussian
-from tubalsketch.sketching import SketchSet, make_fourier_sketches
+from tubalsketch.sketching import (
+    SketchSet,
+    make_block_sketches,
+    make_fourier_sketches,
+    prob_fourier_row_norm,
+    prob_sketch_norm,
+)
 from tubalsketch.solvers import _UNIFORM_BLOCK, SolverConfig, make_state, solve
 from tubalsketch.t_algebra import WeightQ
 
@@ -112,6 +118,44 @@ def test_direct_state_setup_peak_is_its_arrays_and_one_slice():
     st, held, peak = _setup_peak("TSP-II")
     assert len(st.tables[0]) == 5 and np.shares_memory(st.tables[0], st.Ah)
     assert peak <= held + SLICE_N
+
+
+def test_row_norm_probabilities_read_the_state_transform():
+    # 'fourier-row-norm' is resolved from the whitened slices the state has
+    # just made, not from a second transform of A: TSP-I's setup peaked at
+    # 2.04 MB with it against 0.97 MB with uniform probabilities; the
+    # probabilities stay bit for bit those of prob_fourier_row_norm
+    A, _, B = gen_gaussian(ProblemSpec(m=240, n=40, p=4, l=8), np.random.default_rng(3))
+    cfg = SolverConfig(method="TSP-I", sketches=make_fourier_sketches(240, 1, 240, 8, "row"),
+                       probabilities="fourier-row-norm")
+    tracemalloc.start()
+    try:
+        st = make_state(A, B, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6, peak
+    want = prob_fourier_row_norm(A)
+    assert np.array_equal(st.base_cdf, np.cumsum(want, axis=1))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["no-weight", "weight"])
+def test_state_probabilities_equal_the_public_rules(weighted):
+    # the states resolve 'sketch-norm' and 'fourier-row-norm' from their own
+    # whitened slices, with the arithmetic of prob_sketch_norm and
+    # prob_fourier_row_norm: bit for bit, with and without a weight
+    rng = np.random.default_rng(64)
+    A, _, B = gen_gaussian(ProblemSpec(m=12, n=4, p=2, l=5), rng)
+    Q = WeightQ.from_tensor(spd_weight_tensor(rng, 4, 5)) if weighted else None
+    spatial = make_block_sketches(12, 5, [[0, 1, 2], [3, 4], [5, 6, 7, 8], [9, 10, 11]])
+    rows = make_fourier_sketches(12, 1, 12, 5, "row")
+    for method, s, rule, want in (
+            ("NTSP", spatial, "sketch-norm", prob_sketch_norm(A, Q, spatial)),
+            ("ATSP-CS", spatial, "sketch-norm", prob_sketch_norm(A, Q, spatial)),
+            ("TSP-II", rows, "fourier-row-norm", prob_fourier_row_norm(A, Q)[:3]),
+            ("TSP-I", rows, "fourier-row-norm", prob_fourier_row_norm(A, Q))):
+        st = make_state(A, B, SolverConfig(method=method, sketches=s, weight=Q, probabilities=rule))
+        assert np.array_equal(st.base_cdf, np.cumsum(np.atleast_2d(want), axis=1)), method
 
 
 def test_stacked_state_keeps_one_table_per_kept_slice():

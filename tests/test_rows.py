@@ -274,6 +274,7 @@ def test_every_step_rows_read_the_ledger(monkeypatch):
     X, rec = solve(A, B, cfg, x_star=Xs)
     assert rec.stop_reason == stop == "tol" and rec.iterations > 1000
     assert len(fresh) <= rec.iterations // 64 + 20, len(fresh)
+    assert rec.fresh_errors == len(fresh)
     assert_rows_equal(rec, rows, "ATSP-MD", close=True)
     np.testing.assert_array_equal(X, X_ref)
 
@@ -291,5 +292,78 @@ def test_ledger_stops_at_the_rounding_floor(monkeypatch):
     X, rec = solve(A, B, cfg, x_star=Xs)
     assert rec.stop_reason == stop == "max_iters" and rows[-1][1] < 1e-14
     assert len(fresh) <= 400, len(fresh)
+    assert rec.fresh_errors == len(fresh)
     assert_rows_equal(rec, rows, "TSP", close=True)
     np.testing.assert_array_equal(X, X_ref)
+
+
+def spy_runs(monkeypatch):
+    """A list that grows by (t before the run, steps taken) on every run of
+    a spatial set state (see ``_SpatialSetState.run``)."""
+    runs, run = [], solvers._SpatialSetState.run
+
+    def spied(st, *args):
+        t, out = st.t, run(st, *args)
+        runs.append((t, len(out[0])))
+        return out
+    monkeypatch.setattr(solvers._SpatialSetState, "run", spied)
+    return runs
+
+
+RUN_SETS = {  # on 30x8x4, where no member solves the system and runs take 6-35 steps
+    "slice": lambda: make_slice_sketches(30, L),
+    "ragged-block": lambda: make_block_sketches(30, L, np.split(np.arange(30), [3, 5, 6, 10, 13,
+                                                                            15, 19, 22, 23, 27])),
+    "gaussian": lambda: make_gaussian_sketches(30, 2, 15, L, np.random.default_rng(5)),
+}
+RUN_CASES = {  # config fields, and the loss block's rows (None: the default)
+    "audit-5": (dict(audit_every=5, tol=1e-13, max_iters=2000), None),
+    "max-iters-100": (dict(tol=0.0, max_iters=100), None),
+    "max-iters-130": (dict(tol=0.0, max_iters=130), None),
+    "max-iters-100-every-3": (dict(tol=0.0, max_iters=100, record_every=3), None),
+    "block-flush": (dict(tol=1e-13, max_iters=2000), 4),
+    "block-flush-every-3": (dict(tol=1e-13, max_iters=2000, record_every=3), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_CASES))
+@pytest.mark.parametrize("kind", list(RUN_SETS))
+@pytest.mark.parametrize("method", ["ATSP-MD", "ATSP-PR", "ATSP-CS"])
+def test_runs_equal_the_reference_loop(method, kind, case, monkeypatch):
+    # a spatial set state steps through runs between the steps that take a
+    # fresh error (the first, each 64th, max_iters, audits, decades of error)
+    # and the loss block's flushes; every column, draw and X as the one-step
+    # loop has them, errors to 1e-13 of row 0's (rows between fresh errors
+    # read the ledger), audit_max as a loop that audits every 5 steps, and
+    # the fresh errors taken (at max_iters = 100, record_every = 3 the last
+    # row's too) counted in fresh_errors
+    fields, block_rows = RUN_CASES[case]
+    rng = np.random.default_rng(3)
+    A, Xs = rand_tubal(rng, 30, 8, L), rand_tubal(rng, 8, P, L)
+    B = tprod(A, Xs)
+    s = RUN_SETS[kind]()
+    cfg = SolverConfig(method=method, sketches=s, seed=9, check_sampling=False,
+                       **{"record_every": 1, **fields})
+    if block_rows:
+        monkeypatch.setattr(solvers, "_LOSS_BLOCK_BYTES", block_rows * s.q * 8)
+    X_ref, rows, stop = reference_solve(A, B, dataclasses.replace(cfg, audit_every=0), Xs)
+    runs, fresh = spy_runs(monkeypatch), count_fresh_errors(monkeypatch)
+    X, rec = solve(A, B, cfg, Xs)
+    assert rec.fresh_errors == len(fresh)
+    assert_rows_equal(rec, rows, (method, kind, case), close=True)
+    assert rec.stop_reason == stop and rec.iterations == rows[-1][0]
+    np.testing.assert_array_equal(X, X_ref)
+    steps = [t + 1 + i for t, taken in runs for i in range(taken)]
+    assert len(steps) >= rec.iterations // 3, (len(steps), rec.iterations)
+    every, audit = cfg.record_every, cfg.audit_every
+    assert not [t for t in steps if t == 1 or t % 64 == 0 or t >= cfg.max_iters
+                or audit and t % audit == 0]
+    if block_rows:  # a run's logged rows fill the block it flushes, and no more
+        assert max((t + taken) // every - t // every for t, taken in runs) == block_rows
+    if audit:
+        st = make_state(A, B, cfg, Xs)
+        while st.t < rec.iterations:
+            st.step(st.select(st.losses()))
+            if st.t % audit == 0:
+                st.audit()
+        assert rec.audit_max == st.audit_max > 0
