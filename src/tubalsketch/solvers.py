@@ -24,13 +24,14 @@ ATSP-CS-II      per-slice capped selection, cached residuals
 
 Every method is the same sketch-and-project update; they differ only in
 how the sketch is chosen.  Every solver state therefore offers the same
-three calls, and :func:`solve` runs one loop body over them:
+three calls, and :func:`solve` steps every state by one more, ``run``,
+which takes a run of iterations of them:
 
-* ``losses()``: the current sketched losses, or None for TSP and TSP-I;
-  the fixed rules NTSP, TSP-II and NTSP-II form them from the iterate;
-* ``select(losses)``: the iteration's choice: a fresh Gaussian sketch
-  (TSP), one member index (spatial sets) or one member index per kept
-  Fourier slice (per-slice sets, -1 for an already-solved slice; per
+* ``losses(out=None)``: the current sketched losses, or None for TSP and
+  TSP-I; the fixed rules NTSP, TSP-II and NTSP-II form them from the iterate;
+* ``select(losses, most=1)``: the choice of up to ``most`` iterations: a
+  fresh Gaussian sketch (TSP), one member index (spatial sets) or one per
+  kept Fourier slice (per-slice sets, -1 for an already-solved slice; per
   Fourier slice for TSP-I), or None when no sketched loss is positive, on
   which :func:`solve` stops ("zero_loss");
 * ``step(choice)``: apply that choice to the iterate.
@@ -49,8 +50,9 @@ Only the rules that read their losses log loss statistics.
 
 Every step projects Y onto a set that holds Y*, so the squared error
 D = ||Y - Y*||^2 falls by exactly the step's loss.  With x_star (and,
-under a weight, ``record_every > 1``) :func:`solve` keeps D as a ledger
-that the states' steps debit with the losses they form anyway, and takes
+under a weight, ``record_every > 1``) :func:`solve` keeps D in a ledger
+(:class:`_Ledger`) that the states' steps debit with the losses they form
+anyway, and takes
 a fresh error (a copy into a buffer, a subtraction and two dot products;
 under a weight, also the product that maps Y back to X) only where it
 decides something: after the first step, every 64 iterations, once D says
@@ -63,13 +65,13 @@ l ||X*||^2, where the step losses are rounding too) it gives no row: with
 tol = 0 the decade test stops and logged rows are fresh; with tol > 0 the
 ledger, which cannot tell a crossing of tol from noise there, is dropped
 and every later error is fresh.  ``RunRecord.fresh_errors`` counts the
-fresh errors taken.  Under the identity weight a spatial set state takes
-the steps between fresh errors as one run (``_SpatialSetState.run``):
-each step forms its losses in the row it logs, or in a scratch row, and
-:func:`solve` writes the run's rows at once.  Because the fixed rules'
-draws do not depend on the iterate, a run of their projections is a
-forward Gauss-Seidel sweep on the drawn rows' Gram: while the ledger is
-kept, their states project up to 32 rows of draws by one unit-triangular
+fresh errors taken.  A run takes the steps up to the next one that must
+take a fresh error or an audit (one step without a ledger); each forms its
+losses in the row it logs, or in a scratch row, :func:`solve` writes the
+run's rows at once, and the spatial set states inline the three calls.
+Because the fixed rules' draws do not depend on the iterate, a run of
+their projections is a forward Gauss-Seidel sweep on the drawn rows'
+Gram: their states project up to 32 rows of draws by one unit-triangular
 solve per slice and cut the block where the ledger leaves its bounds.
 The adaptive set states, which recurse their sketched residuals, also
 offer ``audit()``, the worst deviation of the recursed residuals from
@@ -173,7 +175,6 @@ class SolverConfig:
     seed: int = 0
     record_every: int = 1
     audit_every: int = 0
-    keep_iterates: bool = False
     check_sampling: bool = True
 
     def canonical_method(self):
@@ -189,11 +190,12 @@ class RunRecord:
 
     Row fields are float64 arrays but ``t`` (int), copied once at the end of
     :func:`solve` from its packed row buffer; ``chosen`` holds ints, per-slice
-    tuples or None (first row, TSP).  Rows that log no losses hold NaN stats.
-    With x_star under the identity weight, a row between fresh errors holds
-    ``epsilon`` and ``q_error`` from the ledger of step losses (see
-    :func:`solve`); they agree with fresh values to rounding, and the first
-    and last rows are always fresh."""
+    tuples or None (the first row, TSP, and a last row no step logged: NTSP
+    at max_iters=5, record_every=100 records [None, None]).  Rows that log no
+    losses hold NaN stats.  With x_star under the identity weight, a row
+    between fresh errors holds ``epsilon`` and ``q_error`` from the ledger of
+    step losses (see :func:`solve`); they agree with fresh values to
+    rounding, and the first and last rows are always fresh."""
 
     method: str
     t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -211,7 +213,6 @@ class RunRecord:
     audit_max: float = 0.0
     max_imag_residue: float = 0.0
     fresh_errors: int = 0  # the fresh errors (or residuals) solve() took, first and last rows' too
-    iterates: list | None = None
 
 
 def _rng(seed, *key):
@@ -296,7 +297,7 @@ class _BaseState:
     """
 
     adaptive = False  # select() reads the losses
-    ledger = None  # ||Y - Y*||^2 over all l slices while solve() keeps its ledger
+    ledger = None  # solve()'s _Ledger while it keeps one
 
     def __init__(self, A, B, config, x_star):
         for name, value in (("A", A), ("B", B), ("x_star", x_star)):
@@ -399,8 +400,31 @@ class _BaseState:
     def x(self):
         return irfft_slices(self.Xh if self.Qis is None else self.Qis @ self.Xh, self.l)
 
+    def run(self, outs, clock):
+        """Steps ``len(outs)`` iterations, or fewer: ``losses`` into the row of
+        ``outs`` where the rule reads them, ``select`` with the iterations left
+        and ``step``.  Returns lists of each iteration's choice, D and
+        ``clock()``, entry i the run's (i + 1)th (a block of draws fills its
+        last, a ``record_every`` multiple).  Ends after a step whose D leaves
+        the ledger's [lo, hi] (NaN too) and before one with no positive loss."""
+        t, steps, ledger, adaptive, i = self.t, len(outs), self.ledger, self.adaptive, 0
+        choices, Ds, times = [None] * steps, [None] * steps, [None] * steps
+        while i < steps:
+            choice = self.select(self.losses(outs[i]) if adaptive else None, steps - i)
+            if choice is None:
+                break
+            self.step(choice)
+            i = self.t - t
+            choices[i - 1] = choice
+            if ledger is not None:  # without one, no row reads D or this time
+                D = Ds[i - 1] = ledger.D
+                times[i - 1] = clock()
+                if not ledger.lo <= D <= ledger.hi:
+                    break
+        return choices, Ds, times
+
     # -- defaults for the methods without sketched losses -------------------
-    def losses(self):
+    def losses(self, out=None):
         return None
 
     def trace_choice(self, choice):
@@ -492,7 +516,7 @@ class _FiniteSetState(_BaseState):
         self.drawn = 0
 
     def trace_choice(self, choice):
-        return tuple(choice[self.expand].tolist()) if self.per_slice_selection else int(choice)
+        return tuple(choice[self.expand].tolist())
 
     def _stream_choice(self, choice):
         """``choice`` as ``select`` returns it, an entry per stream; a per-slice
@@ -592,6 +616,7 @@ class _SpatialSetState(_SetState):
     """
 
     per_slice_selection = False
+    trace_choice = staticmethod(operator.index)  # a member index as an int
     Xh = property(lambda self: self.Z[:self.n].reshape(self.n, self.h, self.p).swapaxes(0, 1))
     R = property(lambda self: np.moveaxis(
         self.Z[self.n:].reshape(self.q, -1, self.h, self.p), 2, 0))  # (slices, q, tau, p)
@@ -612,11 +637,11 @@ class _SpatialSetState(_SetState):
         self.step_ops = (Rbd, diagonal, tuple(self.views[0].swapaxes(0, 1)),
                          tuple(self.U.swapaxes(1, 2)), self.Z.T)
 
-    def losses(self):
+    def losses(self, out=None):
         """The sketched losses (q,) of (1/l) sum_k w_k ||R_i[k]||_F^2: the
         squares of R's float view, then one gemv of their rows by ``wvec``."""
         np.square(self.views[1], out=self.sq)
-        return np.dot(self.sq, self.wvec)
+        return np.dot(self.sq, self.wvec, out)
 
     def step(self, choice):
         """Z.T -= blockdiag(R[k, j].T) @ U[j] by one zgemm on F-contiguous views
@@ -627,24 +652,21 @@ class _SpatialSetState(_SetState):
         keeps its ledger, the step's drop l times the chosen member's loss,
         which ``select`` kept, leaves it."""
         if self.ledger is not None:
-            self.ledger -= self.l * self.loss
+            self.ledger.D -= self.l * self.loss
         Rbd, diagonal, R, UT, ZT = self.step_ops
         diagonal[...] = R[choice]
         zgemm(-1.0, Rbd, UT[choice], 1.0, ZT, 0, 1, 1)  # trans_b, overwrite_c
         self.t += 1
 
-    def run(self, outs, lo, hi, clock):
-        """Steps while the ledger's D = ``self.ledger`` stays in [lo, hi], one
-        for each row of ``outs``, which takes its losses: those of
-        ``losses()``, ``select`` (the md rule's argmax inline) and ``step``
-        with the losses formed in place and the step's drop debited.  Returns
-        the lists of each step's choice, D and ``clock()``.  The run ends
-        after a step whose D leaves [lo, hi] (NaN too) and before a step that
-        no positive loss is left to take, so then it returns fewer entries
-        than ``outs`` has rows."""
-        v, sq, wvec, l, D = self.views[1], self.sq, self.wvec, self.l, self.ledger
+    def run(self, outs, clock):
+        """:meth:`_BaseState.run` with ``losses``, ``select`` (the md rule's
+        argmax inline) and ``step`` inlined: the losses formed in place and
+        the step's drop debited from D, which is NaN without a ledger and
+        so ends the run after its one step."""
+        ledger, v, sq, wvec, l = self.ledger, self.views[1], self.sq, self.wvec, self.l
+        D, lo, hi = (np.nan, 0, 0) if ledger is None else (ledger.D, ledger.lo, ledger.hi)
         Rbd, diagonal, R, UT, ZT = self.step_ops
-        square, dot, md, choices, ledger, times = np.square, np.dot, self.rule == "md", [], [], []
+        square, dot, md, choices, Ds, times = np.square, np.dot, self.rule == "md", [], [], []
         for out in outs:
             square(v, sq)
             dot(sq, wvec, out)
@@ -662,14 +684,16 @@ class _SpatialSetState(_SetState):
             zgemm(-1.0, Rbd, UT[i], 1.0, ZT, 0, 1, 1)
             D -= l * loss
             choices.append(i)
-            ledger.append(D)
+            Ds.append(D)
             times.append(clock())
             if not lo <= D <= hi:
                 break
-        self.ledger, self.t = D, self.t + len(choices)
-        return choices, ledger, times
+        self.t += len(choices)
+        if ledger is not None:
+            ledger.D = D
+        return choices, Ds, times
 
-    def select(self, losses):
+    def select(self, losses, most=1):
         """Member index, or None when no loss is positive."""
         if self.rule == "md":
             i = losses.argmax()
@@ -715,12 +739,12 @@ class _PerSliceSetState(_SetState):
         # each slice's operand, indexed by j: (n + q tau, tau), F-contiguous
         self.Ut = tuple(blocks[:, k].swapaxes(1, 2) for k in range(self.h))
 
-    def losses(self):
+    def losses(self, out=None):
         """The sketched losses (h, q) of ||R_i[k]||_F^2 (the slices'
         subsystems are independent): one vecdot of R's float view, read in
         place (einsum's iterator would take 1.4 KB a call besides)."""
         v = self.views[1]
-        return np.vecdot(v, v)
+        return np.vecdot(v, v, out=out)
 
     def loss_sum(self, losses):
         """Slice k's losses counted w_k times: over all kept slices, and
@@ -744,13 +768,13 @@ class _PerSliceSetState(_SetState):
         R = Zrows.take(rows + tau * (choice[:, None] % self.q), axis=0)
         if self.ledger is not None:  # again where mirrored
             m = self.mirrors
-            self.ledger -= np.vdot(R, R).real + np.vdot(R[m], R[m]).real
+            self.ledger.D -= np.vdot(R, R).real + np.vdot(R[m], R[m]).real
         for z, r, U, j in zip(self.Zt, R.transpose(0, 2, 1), self.Ut, choice.tolist()):
             if j >= 0:  # -1: the slice is solved
                 zgemm(-1.0, r, U[j], 1.0, z, 0, 1, 1)
         self.t += 1
 
-    def select(self, losses):
+    def select(self, losses, most=1):
         """Per-slice index choices (-1: slice solved), or None if all are."""
         if self.rule == "md":
             top = losses.argmax(axis=1)
@@ -777,9 +801,9 @@ class _DirectState(_FiniteSetState):
     and the operands it handed to ``step``, then gathers the tables of every
     draw, slices first: 64 h g (n + p) complex entries plus 64 h g^2 for G.
 
-    While :func:`solve` keeps its ledger, ``select`` projects up to
-    ``_BLOCK_ROWS`` // g draws at once, a forward Gauss-Seidel sweep on the
-    drawn rows' Gram.  Draw d's residual is r_d = N_d Y_0 - S_d^H B -
+    Given ``most`` > 1 iterations (in a run of :func:`solve`), ``select``
+    projects up to ``_BLOCK_ROWS`` // g draws at once, a forward Gauss-Seidel
+    sweep on the drawn rows' Gram.  Draw d's residual is r_d = N_d Y_0 - S_d^H B -
     sum_{e<d} N_d N_e^H G_e r_e, so with M = N_J (G N_J)^H (G folded into N
     draw by draw) the block's residuals solve (I + L) r = N_J Y_0 - S_J^H B,
     L the part of M below its draws' diagonal blocks: one unit-triangular
@@ -790,11 +814,11 @@ class _DirectState(_FiniteSetState):
     ledger out of its bounds, or before a draw whose residuals are exactly
     zero, which then starts the next block and goes through the zero test.
     A prefix of a block is exact: its residuals do not depend on later
-    draws.  A block ends at the ``record_every`` multiples, at ``max_iters``
+    draws.  A block ends at the ``record_every`` multiples, with the run
     and with its 64-draw block, and holds, one slice at a time, M and G N_J
     (at most 32 x 32 and 32 x n entries) besides its (h, 32, p) residuals.
-    Otherwise (residual mode, a ledger dropped, direct calls, and the first
-    step, whose fresh error checks the ledger) a block is one draw,
+    Otherwise (residual mode, a ledger dropped, the first step, whose fresh
+    error checks the ledger, and direct calls) a block is one draw,
     projected on every slice at once by three small products, N^H formed
     from conj(N); so is any other choice passed to ``step``, such as each
     TSP draw.
@@ -831,31 +855,26 @@ class _DirectState(_FiniteSetState):
                     for T in self.tables)
         return N, SB, batched_hpinv(N @ np.conj(N).swapaxes(-1, -2)) if G is None else G
 
-    def select(self, losses):
+    def select(self, losses, most=1):
         """The last of the block's draws, one per slice or one for all, or None
         when the first draw's sketched residuals are zero and no member's
-        loss is positive."""
+        loss is positive; the block takes at most ``most`` iterations."""
         if self.drawn == _UNIFORM_BLOCK:  # release the old block ahead of the next gather
             self.gathered = self.operands = None
             self._refill()
         if self.gathered is None:
             self.gathered = self._projections(self.block)
-        a = self.drawn
-        if self.ledger is None or self.t == 0:
-            k = 1
-        else:
-            every = self.config.record_every
-            k = min(self.cap, _UNIFORM_BLOCK - a, every - self.t % every,
-                    self.config.max_iters - self.t)
+        a, every = self.drawn, self.config.record_every
+        k = 1 if most == 1 else min(self.cap, _UNIFORM_BLOCK - a, every - self.t % every, most)
         sweep = self._sweep(self.gathered, a, k)
         if k == 1:
-            cut, ledger, zero = 1, None, not np.count_nonzero(sweep[1])
+            cut, D, zero = 1, None, not np.count_nonzero(sweep[1])
         else:
-            cut, ledger, zero = self._cut(*sweep[1:], k)
+            cut, D, zero = self._cut(*sweep[1:], k)
         if zero and not self._any_loss():
             return None
         self.drawn = a + cut
-        self.operands = sweep, cut, ledger
+        self.operands = sweep, cut, D
         row = self.block[self.drawn - 1]
         self.choice = row if self.per_slice_selection else row[0]
         return self.choice
@@ -880,32 +899,32 @@ class _DirectState(_FiniteSetState):
         return NJ, r, G @ r.reshape(N.shape[:3] + (-1,))
 
     def _cut(self, r, u, k):
-        """(draws kept, the ledger after them, whether the first draw's residuals are zero)."""
+        """(draws kept, the ledger's D after them, whether the first draw's residuals are zero)."""
         rf, uf = (x.reshape(self.h, k, 1, -1).view(np.float64) for x in (r, u))
         drops = (self.w @ (rf @ uf.swapaxes(-1, -2)).reshape(self.h, k)).tolist()  # Re r^H G r
         nonzero = r.reshape(self.h, k, -1).any(axis=(0, 2)).tolist()
-        ledger, (lo, hi) = self.ledger, self.ledger_bounds
+        D, lo, hi = self.ledger.D, self.ledger.lo, self.ledger.hi
         for d in range(1, k + 1):
-            ledger -= drops[d - 1]
-            if d == k or not nonzero[d] or not lo <= ledger <= hi:  # NaN too
-                return d, ledger, not nonzero[0]
+            D -= drops[d - 1]
+            if d == k or not nonzero[d] or not lo <= D <= hi:  # NaN too
+                return d, D, not nonzero[0]
 
     def step(self, idx):
         if idx is self.choice:
-            (N, r, u), cut, ledger = self.operands
+            (N, r, u), cut, D = self.operands
         else:
             sweep = self._sweep(self._projections(self._stream_choice(idx)[None]), 0, 1)
-            (N, r, u), cut, ledger = sweep, 1, None
-        if ledger is None:  # one draw on every slice
+            (N, r, u), cut, D = sweep, 1, None
+        if D is None:  # one draw on every slice
             self.Z -= np.conj(N).swapaxes(-1, -2) @ u
             if self.ledger is not None:  # sum_k w_k Re r_k^H G_k r_k: again where mirrored
                 m = self.mirrors
-                self.ledger -= np.vdot(r, u).real + np.vdot(r[m], u[m]).real
+                self.ledger.D -= np.vdot(r, u).real + np.vdot(r[m], u[m]).real
         else:
             rows = cut * u.shape[2]
             for z, NJ, uJ in zip(self.Zt, N, u):
                 zgemm(-1.0, uJ[:cut].reshape(rows, -1).T, NJ[:rows].T, 1.0, z, 0, 2, 1)
-            self.ledger = ledger
+            self.ledger.D = D
         self.t += cut
 
     def _energies(self):
@@ -932,6 +951,7 @@ class _SpatialDirectState(_DirectState):
     """NTSP: a direct state on a spatial set."""
 
     per_slice_selection = False
+    trace_choice = _SpatialSetState.trace_choice
 
 
 class _FreshGaussianState(_DirectState):
@@ -949,7 +969,7 @@ class _FreshGaussianState(_DirectState):
             raise ValueError(f"tau={config.tau!r} exceeds m={self.m}")
         self.tau, self.sketch_rng = config.tau, _rng(config.seed, 0)
 
-    def select(self, losses):
+    def select(self, losses, most=1):
         return self.sketch_rng.standard_normal((self.m, self.tau))
 
     def _projections(self, S):
@@ -1031,6 +1051,67 @@ def make_state(A, B, config, x_star=None):
     return state
 
 
+class _Ledger:
+    """D = ||Y - Y*||^2 over all l slices, which the states' steps debit (see
+    the module docstring), its bounds and the runs it allows.  ``floor`` is
+    the D under which the error could be below 1.1 tol, ``hi`` the D over
+    which it could pass the divergence limit, ``slack`` a bound on ||Y*||^2:
+    the error is ||X - X*|| / (sqrt(l) ||X*||), ||X - X*|| between the least
+    and largest singular value of Q^{-1/2} (kept slices) times sqrt(D).
+    ``lo`` is ``floor`` or a decade of error under the last fresh value,
+    whichever is larger; at rounding level, under 1e-30 ``slack``, where the
+    step losses are rounding too, -inf for tol = 0 (no decade trigger and no
+    row reads D), and for tol > 0 the ledger is dropped: D can no longer
+    place tol's floor.  ``row``: a logged row may read D (no weight)."""
+
+    def __init__(self, state, config, limit, audit_every, D):
+        least = most = 1.0
+        if state.Qis is not None:
+            lam = np.linalg.eigvalsh(state.Q.hat[:state.h])
+            least, most = lam.max() ** -0.5, lam.min() ** -0.5
+        scale = state.l * state.x_star_norm ** 2
+        self.floor, self.hi = (1.1 * config.tol / least) ** 2 * scale, (limit / most) ** 2 * scale
+        self.slack, self.reads = scale / least ** 2, state.Qis is None
+        self.every, self.max_iters, self.audit_every = (config.record_every, config.max_iters,
+                                                        audit_every)
+        self.D = self.at = D
+
+    def anchor(self, D):
+        """The ledger re-anchored at a fresh D, or None where it is dropped: D
+        is off the ledger's by more than rounding (x_star is not a solution),
+        or at rounding level with tol > 0."""
+        lo = max(self.floor, D / 100)
+        if not lo >= 1e-30 * self.slack:
+            if self.floor:
+                return None
+            lo = -np.inf
+        if abs(D - self.D) > 1e-8 * (self.at + np.sqrt(self.at * self.slack)):
+            return None
+        self.D = self.at = D
+        self.lo, self.row = lo, self.reads and lo >= 1e-30 * self.slack
+        return self
+
+    def steps(self, t, rows):
+        """The steps a run from iteration t may take: up to the next one that
+        takes a fresh error whatever D is (the first, each 64th, ``max_iters``,
+        a logged row that cannot read D), an audit, or the last of ``rows``
+        more logged rows."""
+        every, audit = self.every, self.audit_every
+        ends = [t - t % _UNIFORM_BLOCK + _UNIFORM_BLOCK if t else 1, self.max_iters,
+                (t // every + rows) * every]
+        if audit:
+            ends.append(t - t % audit + audit)
+        if not self.row:
+            ends.append(t - t % every + every)
+        return min(ends) - t
+
+    def fresh(self, t):
+        """Whether iteration t takes a fresh error: its D left [lo, hi] (NaN
+        too), or it is the first, a 64th or a logged row that cannot read D."""
+        return (not self.lo <= self.D <= self.hi or not t % _UNIFORM_BLOCK or t == 1
+                or not t % self.every and not (self.row and t < self.max_iters))
+
+
 def solve(A, B, config, x_star=None):
     """Run the configured method from X = O and return (X, RunRecord).
 
@@ -1039,26 +1120,25 @@ def solve(A, B, config, x_star=None):
     otherwise.  Iteration timing excludes all precomputation.  Rows are packed
     into one typed buffer; their loss statistics are reduced a block at a time.
 
-    With ``x_star`` the loop reads the error from the ledger of step losses
-    (see the module docstring) between fresh values, each of which
-    re-anchors it; a fresh value off the ledger by more than rounding means
-    x_star is not a solution, and every later error is fresh.  Under the
-    identity weight logged rows read the ledger too, so a record-every-step
-    run takes a fresh error only where one decides something; a weighted
-    run keeps the ledger only for ``record_every > 1`` and logs fresh rows.
-    Draws, stops and X do not depend on which rows read the ledger.  A
-    spatial set state then steps in runs up to the next step that takes a
-    fresh error whatever the ledger says (the first, each 64th,
-    ``max_iters``, an audit, a logged row at rounding level) or that the
-    loss block cannot hold; a run also ends after a step whose D leaves
-    [lo, hi], which takes its fresh error here, and before a zero-loss
-    stop.  ``keep_iterates`` and weighted runs step one at a time.
+    One loop runs every state: each pass asks the ledger (:class:`_Ledger`)
+    for a run of steps, up to the next that takes a fresh error whatever D
+    is, an audit or the last logged row the loss block holds (one step
+    without a ledger: residual mode, a weight at ``record_every = 1``, a
+    ledger dropped), and ``state.run`` takes them.  Their logged rows read
+    the ledger and are written at once; the last step takes a fresh error
+    where the ledger says so, which re-anchors or drops it.  Draws, stops
+    and X do not depend on which rows read the ledger.  The last row reuses
+    the loop's fresh error of the same iterate.
     """
     start = time.perf_counter()
     state = make_state(A, B, config, x_star)
     record = RunRecord(method=state.method, setup_s=time.perf_counter() - start)
-    rows, block, held, keep = array("d"), None, 0, config.keep_iterates  # rows: _ROW_FIELDS each
-    record.iterates = [] if keep else None
+    rows, held = array("d"), 0  # rows: _ROW_FIELDS each
+    scratch = state.losses() if state.adaptive else None  # a run's unlogged steps' losses
+    if scratch is not None:  # the logged rows' losses: at most _LOSS_BLOCK_BYTES and 64 rows
+        block = np.empty((min(_UNIFORM_BLOCK, _LOSS_BLOCK_BYTES // scratch.nbytes or 1),
+                          *scratch.shape))
+        block_rows = list(block)
 
     def flush():  # block holds the losses of the last held rows; rows without come first or last
         nonlocal held
@@ -1068,128 +1148,82 @@ def solve(A, B, config, x_star=None):
             stats[0], stats[1] = np.maximum.reduce(b, axis=1), state.loss_sum(b)
             stats[2], held = state.variance_factor(b), 0
 
-    def room(losses):
-        """The loss block's rows left, the block made for rows like ``losses``
-        if there is none: at most _LOSS_BLOCK_BYTES and _UNIFORM_BLOCK rows."""
-        nonlocal block, block_rows
-        if block is None:
-            block = np.empty((min(_UNIFORM_BLOCK, _LOSS_BLOCK_BYTES // losses.nbytes or 1),
-                              *losses.shape))
-            block_rows = list(block)
-        return len(block) - held
-
     def log_row(eps, q, secs, chosen=None, losses=None):
         """Append one row; ``losses`` are those ``chosen`` was selected next to."""
         nonlocal held
         rows.frombytes(_PACK_ROW(state.t, eps, q, secs, np.nan, np.nan, np.nan))
         record.chosen.append(None if chosen is None else state.trace_choice(chosen))
-        if keep:
-            record.iterates.append(state.x())
         if losses is not None:
-            room(losses)
             block[held], held = losses, held + 1
             if held == len(block):
                 flush()
 
     def log_run(t, first, steps, choices, ledger, clocks):
         """Append at once the rows of a run's steps t + first + 1, then every
-        ``record_every``, of its first ``steps``, which read the ledger:
-        epsilon and q_error as log_row's ledger rows have them; their losses
-        are in the block already."""
+        ``record_every``, of its first ``steps``, which read the ledger: eps =
+        sqrt(D) / sqrt(l) / ||X*|| and q_error = D / l, vector operations with
+        the scalar ones' bits; their losses are in the block already."""
         nonlocal held, fresh_row
         logged = slice(first, steps, record_every)
         D = np.array(ledger[logged])
-        if D.size:
-            new = np.empty((D.size, len(_ROW_FIELDS)))
-            new[:, 0] = range(t + first + 1, t + steps + 1, record_every)
-            new[:, 1], new[:, 2] = np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l
-            new[:, 3], new[:, 4:] = np.array(clocks[logged]) - start, np.nan
-            rows.frombytes(memoryview(new).cast("B"))
-            record.chosen.extend(map(operator.index, choices[logged]))  # ints
-            held, fresh_row = held + D.size, False
+        new = np.empty((D.size, len(_ROW_FIELDS)))
+        new[:, 0] = range(t + first + 1, t + steps + 1, record_every)
+        new[:, 1], new[:, 2] = np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l
+        new[:, 3], new[:, 4:] = np.array(clocks[logged]) - start, np.nan
+        rows.frombytes(memoryview(new).cast("B"))
+        record.chosen.extend(map(state.trace_choice, choices[logged]))
+        fresh_row = False
+        if scratch is not None:
+            held += D.size
             if held == len(block):
                 flush()
 
     eps, diff_norm = state._errors()
-    eps0, fresh = max(eps, 1e-300), 1
+    eps0, fresh, fresh_at = max(eps, 1e-300), 1, 0
     q = state.q_error(diff_norm)
     log_row(eps, q, 0.0)
-    tol, limit, record_every, adaptive = config.tol, 1e3 * eps0, config.record_every, state.adaptive
+    tol, limit, record_every = config.tol, 1e3 * eps0, config.record_every
     audit_every = config.audit_every if isinstance(state, _SetState) else 0
-    losses_of, select, step, errors, q_error = (state.losses, state.select, state.step,
-                                                state._errors, state.q_error)
-    lo = hi = block_rows = None
+    run, errors, q_error, clock = state.run, state._errors, state.q_error, time.perf_counter
     if state.x_star is not None and (record_every > 1 or state.Qis is None):
-        floor, hi, slack = _ledger_scales(state, tol, limit)
-        state.ledger = anchor = state.l * q
-        lo = _ledger_floor(floor, anchor, slack)
-        state.ledger_bounds = lo, hi
-    # rows that read the ledger need no x() and no weight
-    run = getattr(state, "run", None) if lo is not None and state.Qis is None and not keep else None
-    scratch = None if run is None else np.empty(state.q)  # the losses of a run's unlogged steps
+        state.ledger = _Ledger(state, config, limit, audit_every, state.l * q).anchor(state.l * q)
     converged, stop, fresh_row = eps < tol, "", True
     start = time.perf_counter()
 
     while not converged and not stop and state.t < config.max_iters:
-        t, steps = state.t, 0
-        if run is not None and state.ledger is not None and t:
-            # a run ends before the next step that takes a fresh error whatever D
-            # is (a multiple of 64, max_iters, an audit and, while the ledger is at
-            # rounding level, a logged row) and before a logged row the loss block cannot hold
-            ends = [t - t % _UNIFORM_BLOCK + _UNIFORM_BLOCK - 1, config.max_iters - 1,
-                    (t // record_every + room(scratch) + 1) * record_every - 1]
-            if audit_every:
-                ends.append(t - t % audit_every + audit_every - 1)
-            if not lo >= 1e-30 * slack:
-                ends.append(t - t % record_every + record_every - 1)
-            steps = min(ends) - t
-        if steps > 0:  # logged steps take their losses into the block's rows
-            first = record_every - 1 - t % record_every
+        t0, ledger = state.t, state.ledger
+        first = record_every - 1 - t0 % record_every  # the run's first logged step
+        if ledger is None:  # a run of one step
+            steps, outs = 1, [scratch if first or scratch is None else block_rows[held]]
+        else:  # logged steps take their losses into the block's rows
+            steps = ledger.steps(t0, config.max_iters if scratch is None else len(block) - held)
             outs = [scratch] * steps
-            outs[first::record_every] = block_rows[held:held + len(outs[first::record_every])]
-            choices, ledger, clocks = run(outs, lo, hi, time.perf_counter)
-            taken = len(choices)
-            left = taken and not lo <= ledger[-1] <= hi  # its last step takes a fresh error
-            log_run(t, first, taken - left, choices, ledger, clocks)
-            if not left:
-                if taken < steps:  # no sketched loss is positive
-                    converged, stop = True, "zero_loss"
-                    break
-                continue
-            chosen, losses, t, D = choices[-1], outs[taken - 1], state.t, state.ledger
-        else:
-            losses = losses_of() if adaptive else None  # only rules that read them log them
-            chosen = select(losses)
-            if chosen is None:  # no sketched loss is positive
+            if first < steps and scratch is not None:
+                outs[first::record_every] = block_rows[
+                    held:held + (steps - 1 - first) // record_every + 1]
+        choices, Ds, clocks = run(outs, clock)
+        t, taken = state.t, state.t - t0
+        if not taken:  # no sketched loss is positive
+            converged, stop = True, "zero_loss"
+            break
+        if audit_every and not t % audit_every:
+            state.audit()
+        need = ledger is None or ledger.fresh(t)
+        if taken - need > first:
+            log_run(t0, first, taken - need, choices, Ds, clocks)
+        if not need:
+            if taken < steps:  # the run ended before a step with no positive loss
                 converged, stop = True, "zero_loss"
                 break
-            step(chosen)
-            t = state.t
-            if audit_every and not t % audit_every:
-                state.audit()
-            D = state.ledger
-            if D is not None and lo <= D <= hi and t % _UNIFORM_BLOCK and t > 1:
-                if t % record_every:
-                    continue  # the ledger's error decides nothing here
-                if state.Qis is None and lo >= 1e-30 * slack and t < config.max_iters:
-                    # the row reads the ledger: D = ||X - X*||^2 over all l slices (last: fresh)
-                    log_row(np.sqrt(D) / state.sqrt_l / state.x_star_norm, D / state.l,
-                            time.perf_counter() - start, chosen, losses)
-                    fresh_row = False
-                    continue
+            continue
 
+        chosen, losses = choices[taken - 1], outs[taken - 1]
         eps, diff_norm = errors()
-        fresh += 1
+        fresh, fresh_at = fresh + 1, t
         logged = t % record_every == 0 or eps < tol or not eps <= limit  # also NaN
-        q = q_error(diff_norm) if logged or D is not None else np.nan
-        if D is not None:  # dropped when off by more than rounding (x_star is
-            # not a solution) and, under tol > 0, at rounding level (lo is None)
-            lo = _ledger_floor(floor, state.l * q, slack)
-            if lo is None or abs(state.l * q - D) > 1e-8 * (anchor + np.sqrt(anchor * slack)):
-                state.ledger = None
-            else:
-                state.ledger = anchor = state.l * q
-                state.ledger_bounds = lo, hi
+        q = q_error(diff_norm) if logged or ledger is not None else np.nan
+        if ledger is not None:  # re-anchored, or dropped (see _Ledger.anchor)
+            state.ledger = ledger.anchor(state.l * q)
         if not eps <= limit:
             stop = "diverged"
         if logged:
@@ -1200,8 +1234,9 @@ def solve(A, B, config, x_star=None):
     flush()
     last = rows[-len(_ROW_FIELDS)] == state.t
     if not (last and fresh_row):
-        eps, diff_norm = errors()
-        fresh += 1
+        if fresh_at != state.t:  # else the loop's fresh error is of this iterate
+            eps, diff_norm = errors()
+            fresh += 1
         if last:  # a zero-loss stop just after a row that read the ledger
             rows[1 - len(_ROW_FIELDS)], rows[2 - len(_ROW_FIELDS)] = eps, q_error(diff_norm)
         else:
@@ -1216,26 +1251,3 @@ def solve(A, B, config, x_star=None):
         raise DivergenceError(f"{state.method} diverged at iteration {state.t}: error "
                               f"{eps:.3e} vs initial {eps0:.3e}", record)
     return state.x(), record
-
-
-def _ledger_floor(floor, anchor, slack):
-    """The least D the ledger keeps, ``floor`` or a decade of error under its
-    anchor (anchor / 100), whichever is larger.  Once that is below
-    rounding, 1e-30 of ``slack``, where the step losses are rounding too:
-    -inf for tol = 0 (no decade trigger and no row), else None, on which
-    the ledger is dropped, since its D can no longer place tol's floor."""
-    lo = max(floor, anchor / 100)
-    return lo if lo >= 1e-30 * slack else None if floor else -np.inf
-
-
-def _ledger_scales(state, tol, limit):
-    """The ledger's D below which the error could be under 1.1 tol, the D above
-    which it could pass ``limit``, and a bound on ||Y*||^2: the error is
-    ||X - X*|| / (sqrt(l) ||X*||) with ||X - X*|| between the least and the
-    largest singular value of Q^{-1/2} (over the kept slices) times sqrt(D)."""
-    least = most = 1.0
-    if state.Qis is not None:
-        lam = np.linalg.eigvalsh(state.Q.hat[:state.h])
-        least, most = lam.max() ** -0.5, lam.min() ** -0.5
-    scale = state.l * state.x_star_norm ** 2
-    return (1.1 * tol / least) ** 2 * scale, (limit / most) ** 2 * scale, scale / least ** 2

@@ -435,7 +435,7 @@ def closed_form_bounds_loop(A, Q, sketches):
     }
 
 
-def reference_solve(A, B, config, x_star=None):
+def reference_solve(A, B, config, x_star=None, iterates=None):
     """The solver loop of :func:`tubalsketch.solvers.solve` on ``make_state``'s
     public calls, one row at a time into Python lists: each logged row takes
     ``float(losses.max())``, ``float(losses.sum())`` (per-slice losses of
@@ -445,7 +445,9 @@ def reference_solve(A, B, config, x_star=None):
     that read their losses log them.  A per-slice choice of the kept slices
     is recorded for all l, slice l - k taking slice k's.
     Returns (X, rows, stop_reason), a row being (t, epsilon, q_error,
-    loss_max, loss_sum, pr_variance_factor, chosen).  No audit runs."""
+    loss_max, loss_sum, pr_variance_factor, chosen).  No audit runs.  Each
+    row's iterate ``x()`` is appended to the list ``iterates`` if one is
+    given."""
     assert not config.audit_every
     state = make_state(A, B, config, x_star)
     rows = []
@@ -469,6 +471,8 @@ def reference_solve(A, B, config, x_star=None):
         else:
             chosen = None
         rows.append((state.t, eps, state.q_error(diff_norm), *stats, chosen))
+        if iterates is not None:
+            iterates.append(state.x())
 
     eps, diff_norm = state._errors()
     eps0 = max(eps, 1e-300)

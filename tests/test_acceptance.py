@@ -16,6 +16,7 @@ from scipy.stats import chisquare
 from conftest import (
     conv2d_circular,
     rand_tubal,
+    reference_solve,
     row_action_step_oracle,
     sp_step_direct,
     spd_weight_tensor,
@@ -148,17 +149,20 @@ def test_02_exact_decrease_identity():
 def test_03_single_row_closed_form_and_route_agreement():
     A, Xs, B = gen_gaussian(ProblemSpec(m=8, n=4, p=2, l=3, seed=103))
     sketches = make_slice_sketches(8, 3)
-    cfg = SolverConfig(method="NTSP", sketches=sketches, seed=33, tol=0.0,
-                       max_iters=100, keep_iterates=True)
+    cfg = SolverConfig(method="NTSP", sketches=sketches, seed=33, tol=0.0, max_iters=100)
     X, rec = solve(A, B, cfg, x_star=Xs)
     assert rec.iterations == 100
+    iterates = []  # each row's iterate, from the reference loop of the same draws
+    _, rows, _ = reference_solve(A, B, cfg, Xs, iterates)
+    assert rec.chosen == [row[-1] for row in rows]
+    np.testing.assert_array_equal(X, iterates[-1])
     worst_closed = 0.0
     X_ref = np.zeros_like(Xs)
     for t in range(1, len(rec.chosen)):
         X_ref = row_action_step_oracle(A, B, X_ref, rec.chosen[t])
         worst_closed = max(
             worst_closed,
-            fnorm(rec.iterates[t] - X_ref) / max(fnorm(X_ref), 1.0),
+            fnorm(iterates[t] - X_ref) / max(fnorm(X_ref), 1.0),
         )
     assert worst_closed < 1e-10
 

@@ -12,7 +12,12 @@ the self-mirrored slices 0 and l/2.
 import numpy as np
 import pytest
 
-from conftest import full_spectrum_losses, full_spectrum_step, spd_weight_tensor
+from conftest import (
+    full_spectrum_losses,
+    full_spectrum_step,
+    reference_solve,
+    spd_weight_tensor,
+)
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
     make_block_sketches,
@@ -95,8 +100,12 @@ def test_fresh_gaussian_follows_full_spectrum_oracle(l, weighted):
 def test_residual_mode_epsilon_matches_spatial_residual(l):
     A, Xs, B, _ = _system(l, False)
     cfg = SolverConfig(method="ATSP-PR", sketches=make_slice_sketches(7, l), seed=75,
-                       max_iters=STEPS, tol=0.0, keep_iterates=True)
+                       max_iters=STEPS, tol=0.0)
     X, rec = solve(A, B, cfg)
     assert rec.iterations == STEPS
-    ref = [fnorm(tprod_oracle(A, Xt) - B) / fnorm(B) for Xt in rec.iterates]
+    iterates = []  # each row's iterate, from the reference loop of the same draws
+    _, rows, _ = reference_solve(A, B, cfg, None, iterates)
+    assert rec.chosen == [row[-1] for row in rows]
+    np.testing.assert_array_equal(X, iterates[-1])
+    ref = [fnorm(tprod_oracle(A, Xt) - B) / fnorm(B) for Xt in iterates]
     np.testing.assert_allclose(rec.epsilon, ref, rtol=1e-12, atol=0)

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import per_slice_iterates, spd_weight_tensor
+from conftest import per_slice_iterates, reference_solve, spd_weight_tensor
 from tubalsketch import solvers
 from tubalsketch.harness import ProblemSpec, gen_gaussian
 from tubalsketch.sketching import (
@@ -62,11 +62,15 @@ def test_per_slice_runs_equal_the_dense_replay(l, kind, weighted):
          else make_fourier_sketches(12, 2, 5, l, "gaussian", rng))
     for method in ("TSP-II", "ATSP-MD-II", "ATSP-PR-II", "ATSP-CS-II"):
         cfg = SolverConfig(method=method, sketches=f, weight=Q, seed=l, tol=0.0, max_iters=40,
-                           keep_iterates=True, check_sampling=False)
-        _, rec = solve(A, B, cfg, x_star=Xs)
+                           check_sampling=False)
+        X_last, rec = solve(A, B, cfg, x_star=Xs)
         assert all(c[l - k] == c[k] for c in rec.chosen[1:] for k in range(1, l)), method
+        iterates = []  # each row's iterate, from the reference loop of the same draws
+        _, rows, _ = reference_solve(A, B, cfg, Xs, iterates)
+        assert rec.chosen == [row[-1] for row in rows], method
+        np.testing.assert_array_equal(X_last, iterates[-1])
         replay = per_slice_iterates(A, B, f, rec.chosen[1:], Q)
-        for X, Xc in zip(rec.iterates, replay):
+        for X, Xc in zip(iterates, replay):
             assert np.linalg.norm(Xc.imag) <= 1e-13 * np.linalg.norm(Xs), method
             assert np.linalg.norm(X - Xc.real) <= 1e-12 * np.linalg.norm(Xs), method
 
@@ -194,7 +198,8 @@ def test_steps_conjugate_nothing(monkeypatch, method, blocks):
     # the first block is drawn and gathered; fixed rules select without losses, as in solve
     st.step(st.select(st.losses() if st.adaptive else None))
     if blocks and not st.adaptive:  # the ledger's bounds never cut a block here
-        st.ledger, st.ledger_bounds = 1e300, (0.0, np.inf)
+        st.ledger = solvers._Ledger(st, st.config, np.inf, 0, 1e300).anchor(1e300)
+        assert st.ledger.lo <= 1e300 <= st.ledger.hi
     zgemm, calls, conj, sizes = solvers.zgemm, [], np.conj, []
     monkeypatch.setattr(solvers, "zgemm", lambda *a, **kw: calls.append(a[6:7]) or zgemm(*a, **kw))
 
@@ -206,8 +211,9 @@ def test_steps_conjugate_nothing(monkeypatch, method, blocks):
         monkeypatch.setattr(np, name, counted)
     one_draw = st.h * (2 if method == "TSP-I" else 1) * 4  # h g n: its N
     widths = []
-    while st.t < _UNIFORM_BLOCK:  # the rest of the first block
-        choice = st.select(st.losses() if st.adaptive else None)
+    while st.t < _UNIFORM_BLOCK:  # the rest of the first block, as one run of solve's
+        most = _UNIFORM_BLOCK - st.t if blocks else 1
+        choice = st.select(st.losses() if st.adaptive else None, most)
         calls.clear(), sizes.clear()
         t = st.t
         st.step(choice)

@@ -125,12 +125,16 @@ def test_rows_describe_the_returned_iterate(method, kind, weighted, l):
     A, Xs = rand_tubal(rng, M, N, l), rand_tubal(rng, N, P, l)
     weight = WeightQ.from_tensor(spd_weight_tensor(rng, N, l)) if weighted else None
     cfg = SolverConfig(method=method, sketches=kind and SETS[kind](l), weight=weight, tau=2,
-                       seed=31, tol=0.0, max_iters=80, keep_iterates=True, check_sampling=False)
-    _, rec = solve(A, tprod(A, Xs), cfg, x_star=Xs)
-    assert len(rec.iterates) == len(rec.t) == 81
+                       seed=31, tol=0.0, max_iters=80, check_sampling=False)
+    X_last, rec = solve(A, tprod(A, Xs), cfg, x_star=Xs)
+    iterates = []  # each row's iterate, from the reference loop of the same draws
+    _, rows, _ = reference_solve(A, tprod(A, Xs), cfg, Xs, iterates)
+    assert rec.chosen == [row[-1] for row in rows]
+    np.testing.assert_array_equal(X_last, iterates[-1])
+    assert len(iterates) == len(rec.t) == 81
     q = np.array([weighted_fnorm(X - Xs, weight) if weighted else np.linalg.norm(X - Xs)
-                  for X in rec.iterates]) ** 2
-    eps = np.array([relative_error(X, Xs) for X in rec.iterates])
+                  for X in iterates]) ** 2
+    eps = np.array([relative_error(X, Xs) for X in iterates])
     assert np.all(np.abs(rec.q_error - q) <= 1e-12 * q[0])
     assert np.all(np.abs(rec.epsilon - eps) <= 1e-12 * eps[0])
 
@@ -297,16 +301,17 @@ def test_ledger_stops_at_the_rounding_floor(monkeypatch):
     np.testing.assert_array_equal(X, X_ref)
 
 
-def spy_runs(monkeypatch):
-    """A list that grows by (t before the run, steps taken) on every run of
-    a spatial set state (see ``_SpatialSetState.run``)."""
-    runs, run = [], solvers._SpatialSetState.run
+def spy_runs(monkeypatch, cls):
+    """A list that grows by (t before the run, iterations taken, the run's
+    length as planned, whether the state keeps a ledger) on every run of a
+    state of class ``cls`` (see ``_BaseState.run`` and ``_Ledger.steps``)."""
+    runs, run = [], cls.run
 
-    def spied(st, *args):
-        t, out = st.t, run(st, *args)
-        runs.append((t, len(out[0])))
+    def spied(st, outs, *args):
+        t, ledger, out = st.t, st.ledger is not None, run(st, outs, *args)
+        runs.append((t, st.t - t, len(outs), ledger))
         return out
-    monkeypatch.setattr(solvers._SpatialSetState, "run", spied)
+    monkeypatch.setattr(cls, "run", spied)
     return runs
 
 
@@ -315,55 +320,138 @@ RUN_SETS = {  # on 30x8x4, where no member solves the system and runs take 6-35 
     "ragged-block": lambda: make_block_sketches(30, L, np.split(np.arange(30), [3, 5, 6, 10, 13,
                                                                             15, 19, 22, 23, 27])),
     "gaussian": lambda: make_gaussian_sketches(30, 2, 15, L, np.random.default_rng(5)),
+    "fourier-row": lambda: make_fourier_sketches(30, 1, 30, L, "row"),
+    "fourier-gaussian": lambda: make_fourier_sketches(30, 2, 15, L, "gaussian",
+                                                      np.random.default_rng(6)),
 }
+RUN_METHODS = [("TSP", None),
+               *((m, k) for m in SPATIAL for k in ("slice", "ragged-block", "gaussian")),
+               *((m, k) for m in PER_SLICE for k in ("fourier-row", "fourier-gaussian"))]
 RUN_CASES = {  # config fields, and the loss block's rows (None: the default)
     "audit-5": (dict(audit_every=5, tol=1e-13, max_iters=2000), None),
     "max-iters-100": (dict(tol=0.0, max_iters=100), None),
     "max-iters-130": (dict(tol=0.0, max_iters=130), None),
-    "max-iters-100-every-3": (dict(tol=0.0, max_iters=100, record_every=3), None),
+    "max-iters-100-every-7": (dict(tol=0.0, max_iters=100, record_every=7), None),
     "block-flush": (dict(tol=1e-13, max_iters=2000), 4),
     "block-flush-every-3": (dict(tol=1e-13, max_iters=2000, record_every=3), 2),
 }
 
 
-@pytest.mark.parametrize("case", list(RUN_CASES))
-@pytest.mark.parametrize("kind", list(RUN_SETS))
-@pytest.mark.parametrize("method", ["ATSP-MD", "ATSP-PR", "ATSP-CS"])
-def test_runs_equal_the_reference_loop(method, kind, case, monkeypatch):
-    # a spatial set state steps through runs between the steps that take a
-    # fresh error (the first, each 64th, max_iters, audits, decades of error)
-    # and the loss block's flushes; every column, draw and X as the one-step
-    # loop has them, errors to 1e-13 of row 0's (rows between fresh errors
-    # read the ledger), audit_max as a loop that audits every 5 steps, and
-    # the fresh errors taken (at max_iters = 100, record_every = 3 the last
-    # row's too) counted in fresh_errors
+# weighted runs to tol = 1e-13 take some thousand iterations: only the max_iters
+# cases; the rules that log no losses fill no loss block
+RUNS = [(m, k, c, mode) for m, k in RUN_METHODS for c in RUN_CASES
+        for mode in ("x_star", "residual", "weight")
+        if (mode != "weight" or c.startswith("max-iters"))
+        and (not c.startswith("block") or m.startswith("ATSP"))]
+
+
+@pytest.mark.parametrize("method,kind,case,mode", RUNS, ids=["-".join(map(str, r)) for r in RUNS])
+def test_runs_equal_the_reference_loop(method, kind, case, mode, monkeypatch):
+    # every state steps through runs between the steps that take a fresh
+    # error (the first, each 64th, max_iters, decades of error) or an audit,
+    # and the loss block's flushes; without a ledger (residual mode, a
+    # weight at record_every = 1) a run is one step.  Every column, draw and
+    # X as the reference loop has them, errors to 1e-13 of row 0's (rows
+    # between fresh errors read the ledger; the fixed rules' blocks of draws
+    # round X differently), audit_max as a loop that audits every 5 steps,
+    # and the fresh errors taken (at max_iters = 100, record_every = 7 the
+    # last row's too) counted in fresh_errors
     fields, block_rows = RUN_CASES[case]
     rng = np.random.default_rng(3)
     A, Xs = rand_tubal(rng, 30, 8, L), rand_tubal(rng, 8, P, L)
     B = tprod(A, Xs)
-    s = RUN_SETS[kind]()
-    cfg = SolverConfig(method=method, sketches=s, seed=9, check_sampling=False,
-                       **{"record_every": 1, **fields})
-    if block_rows:
-        monkeypatch.setattr(solvers, "_LOSS_BLOCK_BYTES", block_rows * s.q * 8)
-    X_ref, rows, stop = reference_solve(A, B, dataclasses.replace(cfg, audit_every=0), Xs)
-    runs, fresh = spy_runs(monkeypatch), count_fresh_errors(monkeypatch)
-    X, rec = solve(A, B, cfg, Xs)
-    assert rec.fresh_errors == len(fresh)
-    assert_rows_equal(rec, rows, (method, kind, case), close=True)
+    weight = (WeightQ.from_tensor(spd_weight_tensor(np.random.default_rng(4), 8, L))
+              if mode == "weight" else None)
+    x_star = None if mode == "residual" else Xs
+    cfg = SolverConfig(method=method, sketches=kind and RUN_SETS[kind](), weight=weight, tau=2,
+                       seed=9, check_sampling=False, **{"record_every": 1, **fields})
+    st = make_state(A, B, cfg, x_star)
+    if block_rows and st.adaptive:
+        monkeypatch.setattr(solvers, "_LOSS_BLOCK_BYTES", block_rows * st.losses().nbytes)
+    X_ref, rows, stop = reference_solve(A, B, dataclasses.replace(cfg, audit_every=0), x_star)
+    runs = spy_runs(monkeypatch, type(st))
+    fresh = count_fresh_errors(monkeypatch)
+    X, rec = solve(A, B, cfg, x_star)
+    assert rec.fresh_errors == len(fresh) and len(set(fresh)) == len(fresh)
+    assert_rows_equal(rec, rows, (method, kind, case), close=x_star is not None)
     assert rec.stop_reason == stop and rec.iterations == rows[-1][0]
-    np.testing.assert_array_equal(X, X_ref)
-    steps = [t + 1 + i for t, taken in runs for i in range(taken)]
-    assert len(steps) >= rec.iterations // 3, (len(steps), rec.iterations)
-    every, audit = cfg.record_every, cfg.audit_every
-    assert not [t for t in steps if t == 1 or t % 64 == 0 or t >= cfg.max_iters
+    blocks = cfg.record_every > 1 and x_star is not None and not st.adaptive and method != "TSP"
+    if blocks:
+        assert np.linalg.norm(X - X_ref) <= 1e-13 * np.linalg.norm(X_ref)
+    else:
+        np.testing.assert_array_equal(X, X_ref)
+    # every iteration is taken by a run, and a step that must take a fresh
+    # error or an audit ends its run
+    assert sum(taken for _, taken, _, _ in runs) == rec.iterations
+    inside = [t + i for t, taken, _, _ in runs for i in range(1, taken)]  # not a run's last
+    every, audit = cfg.record_every, cfg.audit_every * isinstance(st, solvers._SetState)
+    assert not [t for t in inside if t == 1 or t % 64 == 0 or t >= cfg.max_iters
                 or audit and t % audit == 0]
-    if block_rows:  # a run's logged rows fill the block it flushes, and no more
-        assert max((t + taken) // every - t // every for t, taken in runs) == block_rows
-    if audit:
-        st = make_state(A, B, cfg, Xs)
+    ledger = x_star is not None and (weight is None or every > 1)
+    assert all(kept == ledger for *_, kept in runs)
+    if ledger:
+        assert len(inside) >= rec.iterations // 3, (len(inside), rec.iterations)
+    else:
+        assert all(planned == 1 for _, _, planned, _ in runs)
+    if weight is not None and ledger:  # a weighted row cannot read D: each ends a run
+        assert not [t for t in inside if t % every == 0]
+    if block_rows and st.adaptive and weight is None and ledger:
+        # a run's logged rows fill the block it flushes, and no more
+        assert max((t + taken) // every - t // every for t, taken, _, _ in runs) == block_rows
+    if audit:  # the set states' audits (the others have none)
+        st = make_state(A, B, cfg, x_star)
         while st.t < rec.iterations:
             st.step(st.select(st.losses()))
             if st.t % audit == 0:
                 st.audit()
         assert rec.audit_max == st.audit_max > 0
+    else:
+        assert rec.audit_max == 0.0 or cfg.audit_every
+
+
+@pytest.mark.parametrize("x_star", [False, True], ids=["residual", "x_star"])
+def test_a_stop_off_the_cadence_takes_its_fresh_error_once(x_star, monkeypatch):
+    # the loop takes a fresh error of the last iterate that it does not log
+    # (off the record cadence; with x_star, at a 64th step): the last row
+    # reads it, and no iterate's fresh error is taken twice
+    A, Xs, B = system()
+    max_iters = 128 if x_star else 5
+    cfg = SolverConfig(method="ATSP-MD", sketches=SETS["slice"](), seed=9, tol=0.0,
+                       max_iters=max_iters, record_every=100)
+    X_ref, rows, stop = reference_solve(A, B, cfg, Xs if x_star else None)
+    fresh = count_fresh_errors(monkeypatch)
+    X, rec = solve(A, B, cfg, Xs if x_star else None)
+    assert fresh.count(max_iters) == 1 and len(set(fresh)) == len(fresh), fresh
+    assert rec.fresh_errors == len(fresh)
+    if not x_star:
+        assert fresh == list(range(6))
+    assert_rows_equal(rec, rows, "ATSP-MD", close=x_star)
+    assert rec.epsilon[-1] == rows[-1][1]  # the last row is fresh
+    np.testing.assert_array_equal(X, X_ref)
+
+
+NOT_A_SOLUTION = [("NTSP", "slice"), ("ATSP-MD", "slice"), ("ATSP-MD-II", "fourier-row"),
+                  ("TSP", None)]
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("method,kind", NOT_A_SOLUTION, ids=[m for m, _ in NOT_A_SOLUTION])
+def test_an_x_star_that_is_not_a_solution_drops_the_ledger(method, kind, record_every,
+                                                           monkeypatch):
+    # the first fresh error, after step 1, is off the ledger by far more
+    # than rounding when x_star is 1e-3 off a solution: the ledger is
+    # dropped there, and every later error is fresh, each taken once
+    A, Xs, B = system()
+    bad = Xs + 1e-3 * rand_tubal(np.random.default_rng(7), N, P, L)
+    cfg = SolverConfig(method=method, sketches=kind and SETS[kind](), tau=2, seed=9, tol=0.0,
+                       max_iters=400, record_every=record_every, check_sampling=False)
+    X_ref, rows, stop = reference_solve(A, B, cfg, bad)
+    anchors, anchor = [], solvers._Ledger.anchor
+    monkeypatch.setattr(solvers._Ledger, "anchor",
+                        lambda ledger, D: anchors.append(anchor(ledger, D)) or anchors[-1])
+    fresh = count_fresh_errors(monkeypatch)
+    X, rec = solve(A, B, cfg, bad)
+    assert len(anchors) == 2 and anchors[0] is not None and anchors[1] is None
+    assert fresh == list(range(401)) and rec.fresh_errors == 401
+    assert_rows_equal(rec, rows, method)
+    np.testing.assert_array_equal(X, X_ref)

@@ -418,13 +418,16 @@ class TestTrkSpecialization:
     def test_matches_closed_form_update(self):
         A, Xs, B = small_problem(11, m=8, n=4, p=2, l=3)
         s = make_slice_sketches(8, 3)
-        cfg = SolverConfig(method="NTSP", sketches=s, seed=4, max_iters=100,
-                           tol=0.0, keep_iterates=True)
+        cfg = SolverConfig(method="NTSP", sketches=s, seed=4, max_iters=100, tol=0.0)
         X, rec = solve(A, B, cfg, x_star=Xs)
+        iterates = []  # each row's iterate, from the reference loop of the same draws
+        _, rows, _ = reference_solve(A, B, cfg, Xs, iterates)
+        assert rec.chosen == [row[-1] for row in rows]
+        np.testing.assert_array_equal(X, iterates[-1])
         X_ref = np.zeros_like(Xs)
         for t in range(1, len(rec.chosen)):
             X_ref = row_action_step_oracle(A, B, X_ref, rec.chosen[t])
-            assert fnorm(rec.iterates[t] - X_ref) < 1e-10 * max(fnorm(X_ref), 1.0)
+            assert fnorm(iterates[t] - X_ref) < 1e-10 * max(fnorm(X_ref), 1.0)
 
     def test_fresh_draw_and_fourier_paths_agree(self):
         # the fresh-draw method stepping through the Fourier domain must
@@ -518,16 +521,19 @@ class TestRunBehaviour:
         # whose top losses tie within rounding, where either pick is fine)
         A, Xs, B = small_problem(35, m=6, n=4, p=2, l=3)
         s = make_block_sketches(6, 3, [[0, 1], [2, 3], [4, 5]])
-        cfg = SolverConfig(method="ATSP-MD", sketches=s, seed=23, tol=0.0,
-                           max_iters=15, keep_iterates=True)
+        cfg = SolverConfig(method="ATSP-MD", sketches=s, seed=23, tol=0.0, max_iters=15)
         X, rec = solve(A, B, cfg, x_star=Xs)
+        iterates = []  # each row's iterate, from the reference loop of the same draws
+        _, rows, _ = reference_solve(A, B, cfg, Xs, iterates)
+        assert rec.chosen == [row[-1] for row in rows]
+        np.testing.assert_array_equal(X, iterates[-1])
         projs = [
             projector_tensor(A, WeightQ.identity(4, 3), s.members[i])
             for i in range(3)
         ]
         compared = 0
         for t in range(1, len(rec.chosen)):
-            X_prev = rec.iterates[t - 1]
+            X_prev = iterates[t - 1]
             losses = np.array(
                 [fnorm(tprod_oracle(Z, X_prev - Xs)) ** 2 for Z in projs]
             )
@@ -1405,9 +1411,13 @@ class TestPerSliceVariants:
                             calls.append(M.shape) or factor(M, slice_axis))
         for method in ("TSP-I", "TSP-II"):
             cfg = SolverConfig(method=method, sketches=f, weight=Q, seed=81, tol=0.0,
-                               max_iters=t, keep_iterates=True)
+                               max_iters=t)
+            iterates = []  # each row's iterate, from the reference loop of the same draws
+            _, rows, _ = reference_solve(A, B, cfg, Xs, iterates)
             calls.clear()
-            _, rec = solve(A, B, cfg, x_star=Xs)
+            X_last, rec = solve(A, B, cfg, x_star=Xs)
+            assert rec.chosen == [row[-1] for row in rows]
+            np.testing.assert_array_equal(X_last, iterates[-1])
             assert rec.iterations == t
             if method == "TSP-I":  # a block is gathered slices first
                 assert len(calls) == blocks
@@ -1416,7 +1426,7 @@ class TestPerSliceVariants:
                 assert calls == [(l // 2 + 1, f.q, f.tau, f.tau)]
 
             replay = make_state(A, B, cfg, x_star=Xs)
-            for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
+            for choice, X in zip(rec.chosen[1:], iterates[1:]):
                 replay.step(np.array(choice))
                 assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
             assert len(calls) == (blocks + t if method == "TSP-I" else 2)
@@ -1429,7 +1439,7 @@ class TestPerSliceVariants:
         C = tables["C"]
         tables["G"] = C @ np.conj(np.swapaxes(C, -1, -2))
         Yh = np.zeros((l, 4, 2), dtype=np.complex128)
-        for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
+        for choice, X in zip(rec.chosen[1:], iterates[1:]):
             Yh = direct_step_oracle(tables, Yh, np.array(choice))
             Xh = Yh if Q is None else Q.inv_sqrt @ Yh
             assert np.array_equal(irfft_slices(Xh[:l // 2 + 1], l), X)
@@ -1442,10 +1452,14 @@ class TestPerSliceVariants:
         # choice instead of broadcasting it or keeping part of it
         A, Xs, B = small_problem(90, m=7, n=4, p=2, l=4)
         cfg = SolverConfig(method=method, sketches=make_fourier_sketches(7, 1, 7, 4, "row"),
-                           seed=91, tol=0.0, max_iters=12, keep_iterates=True)
-        _, rec = solve(A, B, cfg, x_star=Xs)
+                           seed=91, tol=0.0, max_iters=12)
+        X_last, rec = solve(A, B, cfg, x_star=Xs)
+        iterates = []  # each row's iterate, from the reference loop of the same draws
+        _, rows, _ = reference_solve(A, B, cfg, Xs, iterates)
+        assert rec.chosen == [row[-1] for row in rows]
+        np.testing.assert_array_equal(X_last, iterates[-1])
         replay = make_state(A, B, cfg, x_star=Xs)
-        for choice, X in zip(rec.chosen[1:], rec.iterates[1:]):
+        for choice, X in zip(rec.chosen[1:], iterates[1:]):
             assert len(choice) == 4 and choice[3] == choice[1]
             replay.step(np.array(choice))
             assert fnorm(replay.x() - X) <= 1e-12 * max(fnorm(X), 1.0)
@@ -1560,7 +1574,7 @@ class TestLedgerBlocks:
 
         def spy(st, *args):
             out = cut(st, *args)
-            cuts.append((args[-1], out[0], out[1], st.ledger_bounds[0]))
+            cuts.append((args[-1], out[0], out[1], st.ledger.lo))
             return out
 
         monkeypatch.setattr(solvers._DirectState, "_cut", spy)
